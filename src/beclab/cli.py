@@ -246,7 +246,7 @@ def run_manybody(config: dict):
     cap = int(solver.get("dimension_cap", 200_000))
     fock = FockBasis.build(N, basis.size, dimension_cap=cap)
     ham = PairOpHamiltonian(basis, tensor, fock)
-    ground = ground_state(basis, tensor, N, dimension_cap=cap, a=a, g=g)
+    ground = ground_state(basis, tensor, N, a=a, g=g, ham=ham)
     gp_state = minimize_gp(problem.trap, g, problem.grid)
     report_metrics = condensate_metrics(ground, gp_state, basis, ham=ham)
     c_ref, _ = expand_reference(gp_state, basis)

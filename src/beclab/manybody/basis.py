@@ -64,9 +64,25 @@ class ModeBasis:
         return np.array([sum(q) for q in self.quantum_numbers])
 
     @cached_property
-    def axis_parity(self) -> np.ndarray:
-        """Per-axis parity labels; box modes use index parity likewise."""
-        return np.array([[n % 2 for n in q] for q in self.quantum_numbers])
+    def axis_parity(self) -> np.ndarray | None:
+        """Per-axis reflection parity of the sampled modes, 0 even and 1 odd.
+
+        Each mode is compared with its mirror image through the grid centre
+        on each axis, at 1e-12 of its largest sample.  None when some mode
+        has no definite parity on some axis (off-centre grids, mixed
+        degenerate eigenvectors of tabulated traps).
+        """
+        out = np.zeros((self.size, self.grid.dimension), dtype=np.int64)
+        for m, mode in enumerate(self.modes):
+            tol = 1e-12 * np.abs(mode).max()
+            for ax in range(self.grid.dimension):
+                mirror = np.flip(mode, axis=ax)
+                if np.abs(mode - mirror).max() <= tol:
+                    continue
+                if np.abs(mode + mirror).max() > tol:
+                    return None
+                out[m, ax] = 1
+        return out
 
     def potential_matrix(self) -> np.ndarray:
         """u[i,j] = int V mode_i mode_j by grid quadrature."""

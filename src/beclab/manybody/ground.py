@@ -74,9 +74,8 @@ class PairOpHamiltonian:
 
     def _build_pair_map(self):
         occ = self.fock.occupations
-        pairs = [(k, l) for k in range(self.fock.M) for l in range(k, self.fock.M)]
         rows, cols, vals = [], [], []
-        for b, (k, l) in enumerate(pairs):
+        for b, (k, l) in enumerate(self.tensor.pairs):
             if k == l:
                 src = np.nonzero(occ[:, k] >= 2)[0]
                 amp = np.sqrt(occ[src, k] * (occ[src, k] - 1.0))
@@ -115,10 +114,8 @@ class PairOpHamiltonian:
         """(b b) x for the dressed mode b = sum_i c_i a_i; an (N-2) vector."""
         if self.pair_map is None:
             raise SolverFailureError("pair annihilation needs N >= 2")
-        pairs = [(k, l) for k in range(self.fock.M) for l in range(k, self.fock.M)]
-        gvec = np.array([c[k] * c[l] * (2.0 - (k == l)) for k, l in pairs])
         w = (self.pair_map @ x).reshape(self.fock2.size, self.n_pairs)
-        return w @ gvec
+        return w @ self.tensor.pair_weights(c)
 
     def one_body_matrix(self, x: np.ndarray) -> np.ndarray:
         """gamma[i, j] = <x| a+_j a_i |x> for a normalized coefficient vector."""
@@ -142,15 +139,21 @@ class PairOpHamiltonian:
 
 def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
                  dimension_cap: int = 200_000, a: float = 0.0, g: float = 0.0,
-                 maxiter: int = 20_000) -> ManyBodyGround:
+                 maxiter: int = 20_000,
+                 ham: PairOpHamiltonian | None = None) -> ManyBodyGround:
     """Lowest eigenpair by implicitly restarted Lanczos on the pair map.
 
     Deterministic start vector (the fully condensed state); the residual
     ||Hx - Ex|| <= 1e-9 is verified after the solve and the run is retried
-    at machine tolerance once before declaring failure.
+    at machine tolerance once before declaring failure.  Pass the caller's
+    Hamiltonian for this basis, tensor and N to avoid building it again.
     """
-    fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap)
-    ham = PairOpHamiltonian(basis, tensor, fock)
+    if ham is None:
+        fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap)
+        ham = PairOpHamiltonian(basis, tensor, fock)
+    elif ham.basis is not basis or ham.tensor is not tensor or ham.fock.N != N:
+        raise SolverFailureError("Hamiltonian was built for another basis, tensor or N")
+    fock = ham.fock
     if fock.size == 1:
         x = np.ones(1)
         energy = ham.expectation(x)

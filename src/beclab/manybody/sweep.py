@@ -90,8 +90,7 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
         tensor = interaction_tensor(basis, v)
         fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap)
         ham = PairOpHamiltonian(basis, tensor, fock)
-        ground = ground_state(basis, tensor, N, dimension_cap=dimension_cap,
-                              a=a, g=g)
+        ground = ground_state(basis, tensor, N, a=a, g=g, ham=ham)
         report = condensate_metrics(ground, gp, basis, ham=ham)
         kin = float(np.sum(t_matrix * ground.gamma)) / N
         pot = float(np.sum(u_matrix * ground.gamma)) / N

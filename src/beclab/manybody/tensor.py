@@ -10,6 +10,18 @@ products and not by whether the 3D grid resolves the potential range;
 contact-scale ranges are handled exactly this way.  A literal sampled
 kernel route is kept for cross-checks; it refuses ranges below two grid
 spacings.
+
+B = Re(Phat diag(w_q) Phat^H), the overlap matrix of the padded pair-density
+transforms Phat, is assembled by parity class.  The kernel w_q is even and
+trapezoid weights are mirror-symmetric, so when every mode has a definite
+reflection parity on every axis (``ModeBasis.axis_parity``), B[p, p'] is
+exactly zero unless pairs p = (i,k) and p' carry the same per-axis parity
+XOR of their two modes.  Pairs are grouped into those (up to 8) classes;
+within a class the memory-bounded block loop transforms each pair once when
+the class fits one block, and each block product is a single real GEMM on
+the interleaved real/imaginary view.  Off-class entries are written as exact
+zeros.  A basis without definite parity forms one class, which is the plain
+all-pairs block loop.
 """
 
 from __future__ import annotations
@@ -22,6 +34,9 @@ import numpy as np
 from ..errors import ConfigError, UnderResolvedInteractionError
 from ..model import PairPotential
 from .basis import ModeBasis
+
+
+_BLOCK_BYTES = 3.0e8     # budget for one block of pair transforms
 
 
 @dataclass(frozen=True)
@@ -37,13 +52,15 @@ class InteractionTensor:
     pair_matrix: np.ndarray
 
     @cached_property
+    def pairs(self) -> np.ndarray:
+        """(n_pairs, 2) table of the unordered pairs (i, k), i <= k, in pair order."""
+        return _pair_table(self.M)
+
+    @cached_property
     def pair_index(self) -> np.ndarray:
+        i, k = self.pairs.T
         idx = np.zeros((self.M, self.M), dtype=np.int64)
-        c = 0
-        for i in range(self.M):
-            for k in range(i, self.M):
-                idx[i, k] = idx[k, i] = c
-                c += 1
+        idx[i, k] = idx[k, i] = np.arange(self.n_pairs)
         return idx
 
     @property
@@ -55,8 +72,12 @@ class InteractionTensor:
         return float(self.pair_matrix[self.pair_index[i, k], self.pair_index[j, l]])
 
     def symmetry_error(self) -> float:
-        b = self.pair_matrix
-        return float(np.abs(b - b.T).max() / max(np.abs(b).max(), 1e-300))
+        return _asymmetry(self.pair_matrix)
+
+    def pair_weights(self, c: np.ndarray) -> np.ndarray:
+        """c_i c_k (2 - d_ik) over unordered pairs (i, k)."""
+        i, k = self.pairs.T
+        return c[i] * c[k] * (2.0 - (i == k))
 
     def fold_hamiltonian_pairs(self) -> np.ndarray:
         """Coefficients over unordered pairs for the normal-ordered pair term.
@@ -66,24 +87,37 @@ class InteractionTensor:
         F[(i,j),(k,l)] = (2-d_ij)(2-d_kl)/4 * (V[ijkl] + V[ijlk]),
         the direct plus exchange fold.
         """
-        P = self.n_pairs
-        pairs = [(i, k) for i in range(self.M) for k in range(i, self.M)]
         pi = self.pair_index
         B = self.pair_matrix
-        F = np.zeros((P, P))
-        for a, (i, j) in enumerate(pairs):
-            wa = 2.0 - (i == j)
-            for b, (k, l) in enumerate(pairs):
-                direct = B[pi[i, k], pi[j, l]]
-                exchange = B[pi[i, l], pi[j, k]]
-                F[a, b] = wa * (2.0 - (k == l)) * 0.25 * (direct + exchange)
-        return F
+        i, j = self.pairs[:, :1], self.pairs[:, 1:]
+        k, l = self.pairs.T
+        direct = B[pi[i, k], pi[j, l]]
+        exchange = B[pi[i, l], pi[j, k]]
+        w = 2.0 - (k == l)
+        return (w[:, None] * w) * 0.25 * (direct + exchange)
 
     def hartree_quartic(self, c: np.ndarray) -> float:
         """sum_{ijkl} V[ijkl] c_i c_j c_k c_l for a single-mode amplitude c."""
-        pairs = [(i, k) for i in range(self.M) for k in range(i, self.M)]
-        d = np.array([c[i] * c[k] * (2.0 - (i == k)) for i, k in pairs])
+        d = self.pair_weights(c)
         return float(d @ self.pair_matrix @ d)
+
+
+def _pair_table(M: int) -> np.ndarray:
+    return np.column_stack(np.triu_indices(M))
+
+
+def _asymmetry(b: np.ndarray) -> float:
+    return float(np.abs(b - b.T).max() / max(np.abs(b).max(), 1e-300))
+
+
+def _parity_classes(basis: ModeBasis, pairs: np.ndarray) -> list[np.ndarray]:
+    """Pair indices grouped by the per-axis parity XOR of their two modes."""
+    parity = basis.axis_parity
+    if parity is None:
+        return [np.arange(len(pairs))]
+    code = parity @ (1 << np.arange(parity.shape[1]))
+    label = code[pairs[:, 0]] ^ code[pairs[:, 1]]
+    return [np.flatnonzero(label == c) for c in np.unique(label)]
 
 
 def interaction_tensor(basis: ModeBasis, potential: PairPotential,
@@ -137,42 +171,38 @@ def interaction_tensor(basis: ModeBasis, potential: PairPotential,
         dup[..., -1] = 1.0
     wq = (vq * dup).ravel() / (float(np.prod(npad)) * float(np.prod(h)))
 
-    # assemble B = Phat diag(wq) Phat^H in pair blocks to bound memory
+    # assemble B = Phat diag(wq) Phat^H class by class, in pair blocks to
+    # bound memory; each block product is one real GEMM on the float view
     nq = npad[0] * npad[1] * (npad[2] // 2 + 1)
-    block = max(16, min(P, int(3.0e8 / (nq * 16))))
-    pairs = [(i, k) for i in range(M) for k in range(i, M)]
+    block = max(16, min(P, int(_BLOCK_BYTES / (nq * 16))))
+    pairs = _pair_table(M)
     weights = grid.weights
     inner = tuple(slice(0, s) for s in n)
 
-    def transform_block(lo, hi):
-        out = np.empty((hi - lo, nq), dtype=np.complex128)
+    def transform_block(members):
+        out = np.empty((len(members), nq), dtype=np.complex128)
         buf = np.zeros(npad)
-        for c in range(lo, hi):
+        for row, c in enumerate(members):
             i, k = pairs[c]
             buf[inner] = basis.modes[i] * basis.modes[k] * weights
-            out[c - lo] = np.fft.rfftn(buf).ravel()
+            out[row] = np.fft.rfftn(buf).ravel()
         return out
 
-    starts = list(range(0, P, block))
-    B = np.empty((P, P))
-    for sa in starts:
-        ea = min(sa + block, P)
-        pa = transform_block(sa, ea)
-        paw = pa * wq
-        B[sa:ea, sa:ea] = (paw @ pa.conj().T).real
-        for sb in starts:
-            if sb <= sa:
-                continue
-            eb = min(sb + block, P)
-            pb = transform_block(sb, eb)
-            blk = (paw @ pb.conj().T).real
-            B[sa:ea, sb:eb] = blk
-            B[sb:eb, sa:ea] = blk.T
-    B = 0.5 * (B + B.T)
-    tensor = InteractionTensor(M=M, pair_matrix=B)
-    if tensor.symmetry_error() > 1e-10:
+    B = np.zeros((P, P))
+    for members in _parity_classes(basis, pairs):
+        chunks = [members[s:s + block] for s in range(0, len(members), block)]
+        for a, rows in enumerate(chunks):
+            pa = transform_block(rows)
+            paw = (pa * wq).view(np.float64)
+            B[np.ix_(rows, rows)] = paw @ pa.view(np.float64).T
+            for cols in chunks[a + 1:]:
+                blk = paw @ transform_block(cols).view(np.float64).T
+                B[np.ix_(rows, cols)] = blk
+                B[np.ix_(cols, rows)] = blk.T
+            del pa, paw
+    if _asymmetry(B) > 1e-10:
         raise ConfigError("interaction tensor lost its exchange symmetry")
-    return tensor
+    return InteractionTensor(M=M, pair_matrix=0.5 * (B + B.T))
 
 
 def _sampled_kernel(potential, npad, h):

@@ -71,6 +71,31 @@ def dense_gamma(x, states, index, M):
     return gamma
 
 
+def dense_pair_matrix(basis, potential):
+    """Pair-density overlap matrix of the spectral route, all pairs at once.
+
+    Full complex transforms of every zero-padded pair density over the whole
+    frequency lattice and one complex GEMM: no parity classes, no blocks,
+    no half-spectrum weights.
+    """
+    grid = basis.grid
+    h = grid.spacing
+    n = grid.points
+    pad = int(np.ceil(potential.range / h[0])) + 2
+    npad = tuple(m + pad for m in n)
+    q = np.meshgrid(*[2 * np.pi * np.fft.fftfreq(npad[ax], d=h[ax]) for ax in range(3)],
+                    indexing="ij", sparse=True)
+    qmag = np.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2)
+    w = potential.fourier_radial(qmag).ravel() / (np.prod(npad) * np.prod(h))
+    M = basis.size
+    pairs = [(i, k) for i in range(M) for k in range(i, M)]
+    dens = np.zeros((len(pairs),) + npad)
+    for p, (i, k) in enumerate(pairs):
+        dens[p][: n[0], : n[1], : n[2]] = basis.modes[i] * basis.modes[k] * grid.weights
+    hat = np.fft.fftn(dens, axes=(1, 2, 3)).reshape(len(pairs), -1)
+    return ((hat * w) @ hat.conj().T).real
+
+
 def quadrature_mode_transforms(basis, k_axes):
     """Mode transforms by direct 1D quadrature along each axis.
 

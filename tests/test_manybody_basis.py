@@ -34,6 +34,21 @@ def test_box_lowest_mode():
     assert basis.gram_error < 1e-10
 
 
+def test_axis_parity_from_sampled_modes(trap, grid48):
+    basis = build_mode_basis(trap, grid48, 2)
+    np.testing.assert_array_equal(basis.axis_parity, np.array(basis.quantum_numbers) % 2)
+
+
+def test_axis_parity_of_tabulated_modes():
+    # tabulated modes are labelled (i, 0, 0); their parity comes from the samples
+    grid = bl.Grid.centered((10.0,) * 3, (24,) * 3)
+    x, y, z = grid.meshgrid()
+    trap = bl.TrapSpec.tabulated(grid, x**2 + 2 * y**2 + 3 * z**2)
+    basis = build_mode_basis(trap, grid, 1)
+    np.testing.assert_array_equal(basis.axis_parity,
+                                  [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
 def test_kinetic_plus_potential_matches_energies(trap, grid48):
     basis = build_mode_basis(trap, grid48, 2)
     total = basis.kinetic_matrix() + basis.potential_matrix()

@@ -4,7 +4,9 @@ import pytest
 import beclab as bl
 from beclab.errors import ConfigError, UnderResolvedInteractionError
 from beclab.manybody import build_mode_basis
+from beclab.manybody import tensor as tensor_module
 from beclab.manybody.tensor import interaction_tensor
+from .oracles import dense_pair_matrix
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
 
@@ -12,6 +14,38 @@ GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
 @pytest.fixture(scope="module")
 def small_basis():
     return build_mode_basis(bl.TrapSpec.harmonic((1.0, 1.0, 1.0)), GRID, 1)
+
+
+def _assert_matches_dense(basis, pot):
+    t = interaction_tensor(basis, pot)
+    ref = dense_pair_matrix(basis, pot)
+    assert np.abs(t.pair_matrix - ref).max() <= 1e-13 * np.abs(ref).max()
+    return t
+
+
+@pytest.mark.parametrize("block_bytes", [tensor_module._BLOCK_BYTES, 1.0])
+def test_parity_blocks_match_dense_oracle(monkeypatch, block_bytes):
+    # block_bytes = 1.0 forces 16-pair blocks, so classes span several blocks
+    monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", block_bytes)
+    basis = build_mode_basis(bl.TrapSpec.harmonic((1.0, 1.0, 1.0)), GRID, 2)
+    par = basis.axis_parity
+    assert par is not None
+    t = _assert_matches_dense(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    cls = par[t.pairs[:, 0]] ^ par[t.pairs[:, 1]]
+    off_class = np.any(cls[:, None, :] != cls[None, :, :], axis=2)
+    assert off_class.mean() > 0.5
+    assert np.all(t.pair_matrix[off_class] == 0.0)
+
+
+@pytest.mark.parametrize("block_bytes", [tensor_module._BLOCK_BYTES, 1.0])
+def test_off_centre_grid_single_class_matches_dense_oracle(monkeypatch, block_bytes):
+    # lo shifted by half a cell: no mode has a mirror partner on the grid
+    monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", block_bytes)
+    h = GRID.spacing[0]
+    shifted = bl.Grid(tuple(lo + h / 2 for lo in GRID.lo), GRID.extent, GRID.points)
+    basis = build_mode_basis(bl.TrapSpec.harmonic((1.0, 1.0, 1.0)), shifted, 2)
+    assert basis.axis_parity is None
+    _assert_matches_dense(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
 
 
 def test_zero_potential_gives_zero_tensor(small_basis):
