@@ -8,10 +8,12 @@ Surface:
 
 Runs are content-addressed: the canonical serialization of the full
 configuration is hashed, results live under ``<out>/runs/<hash>/`` and a
-rerun with an unchanged hash is served from cache unless forced.  With
-the reproducible flag the report bytes are identical run to run.  Exit
-codes: 0 success, 2 configuration error, 3 solver failure,
-4 verification failure.
+rerun with an unchanged hash is served from cache unless forced or the
+cached report was made by another version.  With the reproducible flag
+the report bytes are identical run to run.  A solver failure writes no
+report; its diagnostics go to stderr and to ``failure.json`` in the run
+directory.  Exit codes: 0 success, 2 configuration error, 3 solver
+failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -159,10 +161,27 @@ def run_scattering(config: dict):
     return report, {}
 
 
+def _solver_number(solver: dict, key: str, default=None, integer: bool = False):
+    """A finite JSON number from the solver block: an int when ``integer``
+    is set, else a float.  Booleans, strings, NaN and infinities are refused.
+    """
+    value = solver.get(key, default)
+    kinds = int if integer else (int, float)
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return value if integer else float(value)
+        except OverflowError:       # an integer beyond the float range
+            pass
+    kind = "integer" if integer else "number"
+    raise ConfigError(f"must be a finite {kind}, got {value!r}", field=f"solver.{key}")
+
+
 def _gp_coupling(solver: dict, dimension: int) -> float:
     if "g" in solver:
-        return float(solver["g"])
-    N, a = int(solver["N"]), float(solver["a"])
+        return _solver_number(solver, "g")
+    N = _solver_number(solver, "N", integer=True)
+    a = _solver_number(solver, "a")
     return coupling_2d(N, a) if dimension == 2 else coupling_3d(N, a)
 
 
@@ -174,9 +193,9 @@ def run_gp(config: dict):
         raise ConfigError("gp needs problem.trap and problem.grid", field="problem")
     solver = config["solver"]
     g = _gp_coupling(solver, problem.trap.dimension)
-    state = minimize_gp(problem.trap, g, problem.grid,
-                        max_iter=int(solver.get("max_iter", 5000)),
-                        tol=float(solver.get("tol", 1e-8)))
+    tol = _solver_number(solver, "tol", 1e-8)
+    state = minimize_gp(problem.trap, g, problem.grid, tol=tol,
+                        max_iter=_solver_number(solver, "max_iter", 5000, integer=True))
     trace = np.asarray(state.energy_trace)
     max_increase = float(np.max(np.diff(trace))) if len(trace) > 1 else 0.0
     report = {
@@ -197,7 +216,7 @@ def run_gp(config: dict):
         "norm_error": state.norm_error(),
         "boundary_ratio": state.boundary_ratio,
         "energy_trace_max_increase": max_increase,
-        "solver_tol": float(solver.get("tol", 1e-8)),
+        "solver_tol": tol,
     }
     aux = {}
     if solver.get("dump_phi"):
@@ -248,8 +267,10 @@ def run_manybody(config: dict):
     ham = PairOpHamiltonian(basis, tensor, fock)
     ground = ground_state(basis, tensor, N, a=a, g=g, ham=ham)
     gp_state = minimize_gp(problem.trap, g, problem.grid)
-    report_metrics = condensate_metrics(ground, gp_state, basis, ham=ham)
-    c_ref, _ = expand_reference(gp_state, basis)
+    reference = expand_reference(gp_state, basis)
+    c_ref = reference[0]
+    report_metrics = condensate_metrics(ground, gp_state, basis, ham=ham,
+                                        reference=reference)
 
     report = {
         "kind": "manybody",
@@ -435,17 +456,29 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
     cfg_hash = canonical_hash(config)
     run_dir = out / "runs" / cfg_hash[:16]
     report_path = run_dir / "report.json"
-    if report_path.exists() and not force:
+    if not force and _report_version(report_path) == __version__:
         return report_path
     with _DirLock(out):
         started = time.monotonic()
-        report, aux = _RUNNERS[config["experiment"]](config)
+        try:
+            report, aux = _RUNNERS[config["experiment"]](config)
+        except SolverFailureError as exc:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            _atomic_write(run_dir / "failure.json", dump_json({
+                "error": str(exc),
+                "diagnostics": exc.diagnostics,
+                "config_hash": cfg_hash,
+                "artifact_version": __version__,
+                "experiment": config["experiment"],
+            }).encode())
+            raise
         wall = time.monotonic() - started
         report["artifact_version"] = __version__
         report["config_hash"] = cfg_hash
         report["seed"] = config["seed"]
         report["reproducible"] = config["reproducible"]
         run_dir.mkdir(parents=True, exist_ok=True)
+        (run_dir / "failure.json").unlink(missing_ok=True)
         _atomic_write(report_path, dump_json(report).encode())
         for name, content in aux.items():
             data = content if isinstance(content, bytes) else content.encode()
@@ -460,6 +493,15 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
         }
         _atomic_write(run_dir / "manifest.json", dump_json(manifest).encode())
     return report_path
+
+
+def _report_version(path: Path):
+    """artifact_version of a stored report; None when missing or unreadable."""
+    try:
+        rep = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    return rep.get("artifact_version") if isinstance(rep, dict) else None
 
 
 def _atomic_write(path: Path, data: bytes):
@@ -651,6 +693,8 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
     except SolverFailureError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        for key, value in exc.diagnostics.items():
+            print(f"  {key} = {value!r}", file=sys.stderr)
         return EXIT_SOLVER
     except BecLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,13 +2,17 @@
 
 E[phi] = int ( |grad phi|^2 + V |phi|^2 + g |phi|^4 ),  int |phi|^2 = 1.
 
-The minimizer is found by a normalized gradient flow (imaginary-time
-propagation) on the Dirichlet sine-spectral discretization of the kinetic
-term.  Each step is preconditioned with the exact separable linear part
-(per-axis dense eigendecompositions), with backtracking so the recorded
-energy sequence never increases.  The converged state satisfies the
-variational equation -lap phi + V phi + 2 g phi^3 = mu phi to the
-requested residual.
+The minimizer is found by preconditioned nonlinear conjugate gradients
+(Polak-Ribiere+) on the unit sphere (Antoine, Levitt & Tang, J. Comput.
+Phys. 343, 92 (2017)), on the Dirichlet sine-spectral discretization of
+the kinetic term.  The preconditioner inverts a shifted separable model of
+the linear part through per-axis dense eigendecompositions: the spectral
+kinetic term plus V along the axis lines through its sampled minimum,
+which is exact for harmonic and box traps.  Each step moves along a great
+circle by the angle that minimizes the local quadratic model of the
+energy, with backtracking so the recorded energy sequence never
+increases.  The converged state satisfies the variational equation
+-lap phi + V phi + 2 g phi^3 = mu phi to the requested residual.
 """
 
 from __future__ import annotations
@@ -82,15 +86,13 @@ class EnergyComponentPrediction:
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """Per-(grid, trap) arrays shared by the flow iterations."""
+    """Per-(grid, trap) arrays shared by the minimizer's iterations."""
 
     def __init__(self, trap: TrapSpec, grid: Grid):
-        self.grid = grid
         self.d = grid.dimension
         self.m = tuple(n - 2 for n in grid.points)
-        self.h = grid.spacing
         self.interior = tuple(slice(1, -1) for _ in range(self.d))
-        self.hd = float(np.prod(self.h))
+        self.hd = float(np.prod(grid.spacing))
         self.V = trap.sample(grid)[self.interior]
         # continuum sine eigenvalues (pi k / L)^2 per axis
         self.kappa = [
@@ -100,29 +102,26 @@ class _Workspace:
         self.KK = _tensor_sum(self.kappa)
         self.sine_factor = float(np.prod([e / 2 for e in grid.extent]))
         self.dst_norm = float(np.prod([(m + 1.0) for m in self.m]))
-        # separable linear part for the preconditioner: spectral kinetic plus
-        # the separable piece of V (exact for harmonic and box traps)
+        # separable model H0 of the linear part for the preconditioner: per
+        # axis the spectral kinetic matrix plus V along the axis line through
+        # the sampled minimum, less (d-1)/d of that minimum, so the axis terms
+        # sum to V itself whenever V is separable (harmonic, box)
+        centre = np.unravel_index(np.argmin(self.V), self.V.shape)
+        offset = float(self.V[centre]) * (self.d - 1) / self.d
         eigs, vecs = [], []
         for ax in range(self.d):
             m = self.m[ax]
-            xin = grid.axes[ax][1:-1]
             k = np.arange(1, m + 1)
             S = np.sin(np.pi * np.outer(k, k) / (m + 1.0))
             K1 = (S * self.kappa[ax]) @ S.T * (2.0 / (m + 1.0))
-            if trap.kind == "harmonic":
-                K1 = K1 + np.diag(trap.stiffness[ax] * xin**2)
-            w, U = sla.eigh(K1)
+            line = self.V[centre[:ax] + (slice(None),) + centre[ax + 1:]]
+            w, U = sla.eigh(K1 + np.diag(line - offset))
             eigs.append(w)
             vecs.append(U)
         self.pre_eigs = _tensor_sum(eigs)
         self.pre_vecs = vecs
-        if trap.kind == "harmonic":
-            self.V_residual = None      # fully absorbed by the preconditioner
-        elif trap.kind == "box":
-            self.V_residual = None      # V = 0 inside
-        else:
-            self.V_residual = self.V
-        self.lam0 = float(self.pre_eigs.min())
+        self.lam0 = float(sum(w[0] for w in eigs))
+        self.gap = float(min(w[1] - w[0] for w in eigs))
 
     def coefficients(self, p: np.ndarray) -> np.ndarray:
         return dstn(p, type=1) / self.dst_norm
@@ -136,17 +135,26 @@ class _Workspace:
     def laplacian_neg(self, b: np.ndarray) -> np.ndarray:
         return self.from_coefficients(b * self.KK)
 
-    def precondition(self, r: np.ndarray, tau: float, mu: float) -> np.ndarray:
-        c = _tensor_apply(r, self.pre_vecs, transpose=True)
-        c /= 1.0 + tau * (self.pre_eigs - mu)
-        return _tensor_apply(c, self.pre_vecs, transpose=False)
+    def ground_mode(self) -> np.ndarray:
+        """Lowest eigenvector of H0: the product of the per-axis ones."""
+        p = np.ones(self.m)
+        for ax, U in enumerate(self.pre_vecs):
+            shape = [1] * self.d
+            shape[ax] = self.m[ax]
+            p = p * np.abs(U[:, 0]).reshape(shape)
+        return p
 
-    def energy(self, p: np.ndarray, g: float):
-        b = self.coefficients(p)
-        kin = self.kinetic(b)
-        pot = self.hd * float(np.sum(self.V * p * p))
-        inter = g * self.hd * float(np.sum(p**4))
-        return kin + pot + inter, b
+    def precondition(self, r: np.ndarray, mu: float) -> np.ndarray:
+        """(H0 - lam0 + sigma)^-1 r in the per-axis eigenbases.
+
+        The shift sigma = mu - lam0 stands in for the mean field.  Its floor
+        keeps the operator positive definite when mu sits at or below lam0
+        (g = 0, or a non-separable V that H0 only models).
+        """
+        sigma = max(mu - self.lam0, 0.1 * self.gap)
+        c = _tensor_apply(r, self.pre_vecs, transpose=True)
+        c /= self.pre_eigs - (self.lam0 - sigma)
+        return _tensor_apply(c, self.pre_vecs, transpose=False)
 
 
 def _tensor_sum(per_axis):
@@ -163,29 +171,6 @@ def _tensor_apply(arr, mats, transpose):
     return arr
 
 
-def _initial_guess(trap: TrapSpec, ws: _Workspace) -> np.ndarray:
-    mesh = np.meshgrid(*[ax[1:-1] for ax in ws.grid.axes], indexing="ij", sparse=True)
-    if trap.kind == "box":
-        p = np.ones(ws.m)
-        for ax, x in enumerate(mesh):
-            p = p * np.sin(np.pi * (x - ws.grid.lo[ax]) / ws.grid.extent[ax])
-        return p
-    if trap.kind == "harmonic":
-        p = np.ones(ws.m)
-        for k, x in zip(trap.stiffness, mesh):
-            p = p * np.exp(-math.sqrt(k) * x**2 / 2.0)
-        return p
-    # tabulated: broad gaussian centered at the sampled minimum
-    V = ws.V
-    argmin = np.unravel_index(np.argmin(V), V.shape)
-    center = [ws.grid.axes[ax][1:-1][argmin[ax]] for ax in range(ws.d)]
-    p = np.ones(ws.m)
-    width = max(ws.grid.extent) / 6.0
-    for ax, x in enumerate(mesh):
-        p = p * np.exp(-((x - center[ax]) / width) ** 2)
-    return p
-
-
 def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
                 tol: float = 1e-8, initial: np.ndarray | None = None) -> GPState:
     """Minimize the functional at coupling ``g`` on ``grid``.
@@ -194,11 +179,16 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
     DomainTooSmallError when the converged state has not decayed to
     1e-8 of its peak at the grid boundary (confining traps only).
     """
-    if g < 0:
-        raise InvalidParameterError("coupling g must be nonnegative")
+    if not (math.isfinite(g) and g >= 0):
+        raise InvalidParameterError("coupling g must be finite and nonnegative")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError("tol must be finite and positive")
+    if max_iter < 1:
+        raise InvalidParameterError("max_iter must be at least 1")
     if grid.dimension != trap.dimension:
         raise ConfigError("grid and trap dimensions disagree", field="grid")
     ws = _Workspace(trap, grid)
+    hd = ws.hd
 
     if initial is not None:
         phi = np.asarray(initial, dtype=float)
@@ -207,51 +197,77 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
             raise ConfigError("initial guess shape does not match the grid", field="initial")
         phi = np.abs(phi)
     else:
-        phi = _initial_guess(trap, ws)
-    phi /= math.sqrt(ws.hd * float(np.sum(phi**2)))
+        phi = ws.ground_mode()
+    phi /= math.sqrt(hd * float(np.sum(phi**2)))
 
-    def evaluate(p):
-        e, b = ws.energy(p, g)
-        hp = ws.laplacian_neg(b) + ws.V * p + 2.0 * g * p**3
-        mu = ws.hd * float(np.sum(p * hp))
+    def evaluate(p, b):
+        hp = ws.laplacian_neg(b) + (ws.V + 2.0 * g * p * p) * p
+        e = ws.kinetic(b) + hd * float(np.sum((ws.V + g * p * p) * p * p))
+        mu = hd * float(np.sum(p * hp))
         r = hp - mu * p
         res = math.sqrt(float(np.sum(r * r)) / float(np.sum((mu * p) ** 2)))
-        return e, b, mu, r, res
+        return e, mu, r, res
 
-    energy, b, mu_h, r, residual = evaluate(phi)
+    b = ws.coefficients(phi)
+    energy, mu, r, residual = evaluate(phi, b)
     trace = [energy]
-    tau = 0.5
+    r_prev = q_prev = None      # last accepted residual and unit direction
     it = 0
     for it in range(1, max_iter + 1):
         if residual <= tol:
             break
-        tau_max = min(0.8 / max(mu_h - ws.lam0, 1e-9), 4.0)
-        tau = min(tau, tau_max)
+        # preconditioned Polak-Ribiere+ direction in the tangent space of
+        # the sphere
+        z = ws.precondition(r, mu)
+        z -= hd * float(np.sum(phi * z)) * phi
+        rz = float(np.sum(r * z))
+        q = -z
+        if r_prev is not None:
+            beta = max(0.0, (rz - float(np.sum(r_prev * z))) / rz_prev)
+            q += (beta * norm_prev) * q_prev
+            q -= hd * float(np.sum(phi * q)) * phi
+            if float(np.sum(q * r)) >= 0.0:     # no descent: restart along -Pr
+                np.negative(z, out=q)
+        del z
+        q_norm = math.sqrt(hd * float(np.sum(q * q)))
+        q /= q_norm
+        # angle along the great circle cos(t) phi + sin(t) q that minimizes
+        # the quadratic model of E from its exact slope and curvature at
+        # t = 0; q's sine coefficients serve the curvature and every trial.
+        # Where the model is not convex, try the preconditioned step length.
+        bq = ws.coefficients(q)
+        slope = 2.0 * hd * float(np.sum(r * q))
+        curvature = 2.0 * (ws.kinetic(bq) - mu
+                           + hd * float(np.sum((ws.V + 6.0 * g * phi * phi) * q * q)))
+        theta = min(-slope / curvature if curvature > 0 else q_norm, 0.5 * math.pi)
         accepted = False
         for _ in range(60):
-            step = ws.precondition(r, tau, mu_h)
             # positive initial data plus energy descent keeps the iterate in
             # the ground well; no positivity projection (the spectral
             # minimizer may ring at the tail below the grid's noise floor)
-            trial = phi - tau * step
-            trial /= math.sqrt(ws.hd * float(np.sum(trial**2)))
-            e_t, b_t, mu_t, r_t, res_t = evaluate(trial)
+            c, s = math.cos(theta), math.sin(theta)
+            trial = c * phi + s * q
+            scale = 1.0 / math.sqrt(hd * float(np.sum(trial**2)))
+            trial *= scale
+            b_t = (c * scale) * b + (s * scale) * bq
+            e_t, mu_t, r_t, res_t = evaluate(trial, b_t)
             # never record an energy increase; once the energy has flattened,
-            # demand residual progress so the flow cannot wander on the level set
+            # demand residual progress so the iteration cannot wander on the
+            # level set
             if e_t <= energy + _ENERGY_SLACK and (
                     e_t <= energy - 1e-12 or res_t <= residual * 0.999 or res_t <= tol):
+                r_prev, rz_prev, q_prev, norm_prev = r, rz, q, q_norm
                 phi, energy, b = trial, e_t, b_t
-                mu_h, r, residual = mu_t, r_t, res_t
+                mu, r, residual = mu_t, r_t, res_t
                 trace.append(energy)
-                tau = min(tau * 1.2, tau_max)
                 accepted = True
                 break
-            tau *= 0.4
+            theta *= 0.4
         if not accepted:
-            raise SolverFailureError("gradient flow stalled before reaching tol",
+            raise SolverFailureError("conjugate-gradient minimizer stalled before reaching tol",
                                      residual=residual, iterations=it)
     else:
-        raise SolverFailureError("gradient flow did not converge",
+        raise SolverFailureError("conjugate-gradient minimizer did not converge",
                                  residual=residual, iterations=max_iter)
 
     if phi.flat[np.argmax(np.abs(phi))] < 0:
@@ -261,10 +277,10 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
     # those points to a positive floor without touching resolved values
     peak = float(np.abs(phi).max())
     phi = np.maximum(phi, 1e-30 * peak)
-    phi /= math.sqrt(ws.hd * float(np.sum(phi**2)))
+    phi /= math.sqrt(hd * float(np.sum(phi**2)))
     kinetic = ws.kinetic(b)
-    potential = ws.hd * float(np.sum(ws.V * phi * phi))
-    interaction = g * ws.hd * float(np.sum(phi**4))
+    potential = hd * float(np.sum(ws.V * phi * phi))
+    interaction = g * hd * float(np.sum(phi**4))
     total = kinetic + potential + interaction
 
     full = np.zeros(grid.shape)

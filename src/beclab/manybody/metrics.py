@@ -149,13 +149,16 @@ def momentum_distribution(ground: ManyBodyGround, basis: ModeBasis, k_axes=None)
 def condensate_metrics(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
                        tensor: InteractionTensor | None = None,
                        ham: PairOpHamiltonian | None = None,
-                       k_axes=None) -> CondensateReport:
+                       k_axes=None,
+                       reference: tuple[np.ndarray, float] | None = None) -> CondensateReport:
     """Every scalar the condensation statements speak about, in one pass.
 
     Pass the already-built Hamiltonian to avoid reassembling its pair map;
     otherwise a tensor must be supplied to build one for the pair moment.
+    ``reference`` is ``expand_reference(gp, basis)`` when the caller already
+    holds it (a sweep shares one across its rows).
     """
-    c, weight = expand_reference(gp, basis)
+    c, weight = reference if reference is not None else expand_reference(gp, basis)
     gamma_n = ground.gamma / ground.N
 
     gp_overlap = float(c @ gamma_n @ c)

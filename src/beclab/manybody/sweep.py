@@ -81,7 +81,8 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
     basis = build_mode_basis(trap, grid, max_quanta)
     u_matrix = basis.potential_matrix()
     t_matrix = basis.kinetic_matrix()
-    c_ref, _ = expand_reference(gp, basis)
+    reference = expand_reference(gp, basis)
+    c_ref = reference[0]
 
     rows = []
     for N in N_list:
@@ -91,7 +92,7 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
         fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap)
         ham = PairOpHamiltonian(basis, tensor, fock)
         ground = ground_state(basis, tensor, N, a=a, g=g, ham=ham)
-        report = condensate_metrics(ground, gp, basis, ham=ham)
+        report = condensate_metrics(ground, gp, basis, ham=ham, reference=reference)
         kin = float(np.sum(t_matrix * ground.gamma)) / N
         pot = float(np.sum(u_matrix * ground.gamma)) / N
         inter = ground.energy / N - kin - pot

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from beclab import __version__
 from beclab.cli import (canonical_hash, execute, load_config, main, verify)
 from beclab.errors import ConfigError
 
@@ -48,6 +49,50 @@ def test_gp_run_and_cache(tmp_path):
     # forced regeneration reproduces the bytes exactly
     path3 = execute(cfg, out, force=True)
     assert path3.read_bytes() == first_bytes
+
+
+def test_cache_recomputes_report_of_other_version(tmp_path):
+    cfg = small_gp_config()
+    out = tmp_path / "out"
+    path = execute(cfg, out)
+    fresh = path.read_bytes()
+    stale = json.loads(fresh)
+    stale["artifact_version"] = "0.0.0"
+    path.write_text(json.dumps(stale))
+    assert execute(cfg, out) == path
+    assert json.loads(path.read_text())["artifact_version"] == __version__
+    assert path.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("solver", [
+    {"g": "x"}, {"g": float("nan")}, {"g": float("inf")}, {"g": float("-inf")},
+    {"g": -1.0}, {"g": True},
+    {"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"max_iter": 0}, {"max_iter": -3}, {"max_iter": 2.5}, {"max_iter": "10"},
+], ids=repr)
+def test_bad_gp_solver_input_exits_2(tmp_path, capsys, solver):
+    cfg = small_gp_config()
+    cfg["solver"] = dict(cfg["solver"], **solver)
+    p = write_config(tmp_path, cfg)     # json writes NaN / Infinity literals
+    assert main(["gp", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and next(iter(solver)) in err
+
+
+def test_solver_failure_writes_diagnostics(tmp_path, capsys):
+    cfg = small_gp_config()
+    cfg["solver"] = dict(cfg["solver"], max_iter=2)
+    p = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["gp", "--config", str(p), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "residual" in err and "iterations" in err
+    run_dir = out / "runs" / canonical_hash(load_config(p, "gp", {}))[:16]
+    failure = json.loads((run_dir / "failure.json").read_text())
+    assert set(failure["diagnostics"]) == {"residual", "iterations"}
+    assert failure["diagnostics"]["iterations"] == 2
+    assert failure["diagnostics"]["residual"] > 1e-8
+    assert not (run_dir / "report.json").exists()
 
 
 def test_hash_sensitivity():

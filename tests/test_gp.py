@@ -74,11 +74,46 @@ def test_grid_refinement_convergence(trap):
     assert abs(coarse.energy_total - fine.energy_total) < 4e-4
 
 
-def test_radial_oracle_agreement(trap):
-    state = bl.minimize_gp(trap, 10.0, GRID48)
+@pytest.fixture(scope="module")
+def g10_state(trap):
+    return bl.minimize_gp(trap, 10.0, GRID48)
+
+
+def test_radial_oracle_agreement(g10_state):
     oracle = bl.radial_harmonic_ground(10.0)
-    assert state.energy_total == pytest.approx(oracle.energy, rel=1e-3)
-    assert state.mu == pytest.approx(oracle.mu, rel=1e-3)
+    assert g10_state.energy_total == pytest.approx(oracle.energy, rel=1e-3)
+    assert g10_state.mu == pytest.approx(oracle.mu, rel=1e-3)
+
+
+def test_strong_coupling_iterations(g10_state):
+    # the normalized gradient flow this solver replaced took 147 steps here
+    assert g10_state.iterations <= 25
+    assert g10_state.residual <= 1e-8
+
+
+def _tabulated(kind):
+    x, y, z = np.meshgrid(*GRID32.axes, indexing="ij")
+    values = {
+        "isotropic": x**2 + y**2 + z**2,
+        "anharmonic": x**2 + 0.05 * x**4 + y**2 + z**2 + 0.1 * z**4,
+        "coupled": x**2 + y**2 + z**2 + 0.5 * x * y + 0.05 * x**2 * z**2,
+    }[kind]
+    return bl.TrapSpec.tabulated(GRID32, values)
+
+
+@pytest.mark.parametrize("g", [0.0, 2.0])
+@pytest.mark.parametrize("kind", ["anharmonic", "coupled"])
+def test_tabulated_trap_converges(kind, g):
+    state = bl.minimize_gp(_tabulated(kind), g, GRID32)
+    assert state.residual <= 1e-8
+    assert np.all(np.diff(state.energy_trace) <= 1e-12)
+    assert state.norm_error() < 1e-10
+
+
+def test_tabulated_isotropic_matches_harmonic(trap):
+    table = bl.minimize_gp(_tabulated("isotropic"), 2.0, GRID32)
+    harmonic = bl.minimize_gp(trap, 2.0, GRID32)
+    assert table.energy_total == pytest.approx(harmonic.energy_total, abs=1e-10)
 
 
 def test_components_recompute(g1_state):

@@ -91,8 +91,10 @@ def test_momentum_l1_independent_quadrature(basis_q2, interacting, analytic_refe
     k_axes = tuple(np.linspace(-8.0, 8.0, 33) for _ in range(3))
     rep = condensate_metrics(gr, analytic_reference, basis_q2, tensor=tensor,
                              k_axes=k_axes)
-    c, _ = expand_reference(analytic_reference, basis_q2)
-    oracle = quadrature_momentum_l1(gr.gamma / gr.N, c, basis_q2, k_axes)
+    reference = expand_reference(analytic_reference, basis_q2)
+    assert condensate_metrics(gr, analytic_reference, basis_q2, tensor=tensor,
+                              k_axes=k_axes, reference=reference) == rep
+    oracle = quadrature_momentum_l1(gr.gamma / gr.N, reference[0], basis_q2, k_axes)
     assert rep.momentum_l1 == pytest.approx(oracle, abs=1e-6)
 
 
