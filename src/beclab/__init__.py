@@ -13,11 +13,9 @@ __version__ = "0.2.0"
 from .errors import (BasisInsufficientError, BecLabError, CapacityError,
                      ConfigError, DomainTooSmallError, IntegrityError,
                      InvalidParameterError, OutOfDomainError, ResolutionError,
-                     SolverFailureError, UnderResolvedInteractionError,
-                     VerificationError)
-from .model import (Grid, PairPotential, Problem, TrapSpec, UnitConvention,
-                    UNITS, evaluate_trap, problem_from_config,
-                    scale_pair_potential)
+                     SolverFailureError, UnderResolvedInteractionError)
+from .model import (Grid, PairPotential, Problem, TrapSpec, evaluate_trap,
+                    problem_from_config, scale_pair_potential)
 from .scattering import (ScatteringSolution, hard_sphere_substitute,
                          soft_sphere_kinetic_fraction,
                          soft_sphere_scattering_length,
@@ -31,8 +29,8 @@ __all__ = [
     "BecLabError", "ConfigError", "InvalidParameterError", "OutOfDomainError",
     "DomainTooSmallError", "CapacityError", "ResolutionError",
     "UnderResolvedInteractionError", "BasisInsufficientError",
-    "SolverFailureError", "IntegrityError", "VerificationError",
-    "Grid", "PairPotential", "Problem", "TrapSpec", "UnitConvention", "UNITS",
+    "SolverFailureError", "IntegrityError",
+    "Grid", "PairPotential", "Problem", "TrapSpec",
     "evaluate_trap", "problem_from_config", "scale_pair_potential",
     "ScatteringSolution", "solve_zero_energy", "soft_sphere_scattering_length",
     "soft_sphere_kinetic_fraction", "soft_sphere_with_scattering_length",

@@ -30,8 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (BecLabError, ConfigError, IntegrityError,
-                     SolverFailureError, VerificationError)
+from .errors import BecLabError, ConfigError, IntegrityError, SolverFailureError
 from .gp import coupling_2d, coupling_3d, minimize_gp
 from .model import (Grid, _require_keys, grid_from_config,
                     multilinear_interpolate)
@@ -71,13 +70,14 @@ def load_config(path, experiment: str, overrides: dict) -> dict:
         "experiment": experiment,
         "problem": doc.get("problem", {}),
         "solver": doc.get("solver", {}),
-        "seed": int(doc.get("seed", 0)),
+        "seed": doc.get("seed", 0),
         "reproducible": bool(doc.get("reproducible", True)),
         "output": doc.get("output"),
     }
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
+    config["seed"] = _number(config["seed"], "seed", integer=True, minimum=0)
     _validate_solver(experiment, config["solver"])
     return config
 
@@ -161,20 +161,25 @@ def run_scattering(config: dict):
     return report, {}
 
 
-def _solver_number(solver: dict, key: str, default=None, integer: bool = False):
-    """A finite JSON number from the solver block: an int when ``integer``
-    is set, else a float.  Booleans, strings, NaN and infinities are refused.
-    """
-    value = solver.get(key, default)
+def _number(value, field: str, integer: bool = False, minimum=None):
+    """A finite JSON number, an int when ``integer`` is set, else a float;
+    booleans, strings, NaN, infinities and values below ``minimum`` raise a
+    ConfigError naming ``field``."""
     kinds = int if integer else (int, float)
     if isinstance(value, kinds) and not isinstance(value, bool):
         try:
-            if math.isfinite(value):
+            if math.isfinite(value) and (minimum is None or value >= minimum):
                 return value if integer else float(value)
         except OverflowError:       # an integer beyond the float range
             pass
     kind = "integer" if integer else "number"
-    raise ConfigError(f"must be a finite {kind}, got {value!r}", field=f"solver.{key}")
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise ConfigError(f"must be a finite {kind}{bound}, got {value!r}", field=field)
+
+
+def _solver_number(solver: dict, key: str, default=None, integer: bool = False,
+                   minimum=None):
+    return _number(solver.get(key, default), f"solver.{key}", integer, minimum)
 
 
 def _gp_coupling(solver: dict, dimension: int) -> float:
@@ -242,7 +247,19 @@ def run_manybody(config: dict):
     if problem.trap is None or problem.grid is None or problem.pair_potential is None:
         raise ConfigError("manybody needs trap, grid, and pair_potential", field="problem")
     solver = config["solver"]
-    N = int(solver["N"])
+    N = _solver_number(solver, "N", integer=True, minimum=1)
+    if "a" in solver:
+        a = _solver_number(solver, "a")
+        g = coupling_3d(N, a)
+    else:
+        g = _solver_number(solver, "g")
+        a = g / (4.0 * math.pi * N)
+    max_quanta = _solver_number(solver, "max_quanta", 3, integer=True, minimum=0)
+    cap = _solver_number(solver, "dimension_cap", 200_000, integer=True, minimum=1)
+    loc_cfg = solver.get("localization")
+    if loc_cfg is not None:
+        samples = _number(loc_cfg.get("samples", 64), "solver.localization.samples",
+                          integer=True, minimum=1)
     base = problem.pair_potential
     substituted = None
     if base.has_hard_core:
@@ -251,18 +268,10 @@ def run_manybody(config: dict):
         base = sub
 
     scat = solve_zero_energy(base, r_max=max(80.0, 6 * base.range))
-    if "a" in solver:
-        a = float(solver["a"])
-        g = coupling_3d(N, a)
-    else:
-        g = float(solver["g"])
-        a = g / (4.0 * math.pi * N)
     v = scale_pair_potential(base, a / scat.a) if scat.a > 0 else base
 
-    basis = build_mode_basis(problem.trap, problem.grid,
-                             int(solver.get("max_quanta", 3)))
+    basis = build_mode_basis(problem.trap, problem.grid, max_quanta)
     tensor = interaction_tensor(basis, v)
-    cap = int(solver.get("dimension_cap", 200_000))
     fock = FockBasis.build(N, basis.size, dimension_cap=cap)
     ham = PairOpHamiltonian(basis, tensor, fock)
     ground = ground_state(basis, tensor, N, a=a, g=g, ham=ham)
@@ -296,12 +305,9 @@ def run_manybody(config: dict):
         "substituted_potential": substituted,
         "kinetic_fraction_s": None if scat.s is None else scat.s / scat.a,
     }
-    if "localization" in solver:
-        loc_cfg = solver["localization"]
-        prof = localization_profile(ground, gp_state, basis,
-                                    radii=loc_cfg["radii"],
-                                    samples=int(loc_cfg.get("samples", 64)),
-                                    seed=config["seed"])
+    if loc_cfg is not None:
+        prof = localization_profile(ground, gp_state, basis, radii=loc_cfg["radii"],
+                                    samples=samples, seed=config["seed"])
         report["localization"] = {
             "radii": prof.radii,
             "fractions": prof.fractions,
@@ -322,13 +328,19 @@ def run_sweep(config: dict):
         raise ConfigError("sweep needs trap, grid, and pair_potential", field="problem")
     solver = config["solver"]
     gp_grid = grid_from_config(solver["gp_grid"], problem.trap) if "gp_grid" in solver else None
+    if not isinstance(solver["N_list"], list):
+        raise ConfigError("must be a list of particle numbers", field="solver.N_list")
+    N_list = [_number(n, f"solver.N_list[{i}]", integer=True, minimum=1)
+              for i, n in enumerate(solver["N_list"])]
     result = gp_limit_sweep(problem.trap, problem.pair_potential,
-                            g=float(solver["g"]),
-                            N_list=solver["N_list"],
-                            max_quanta=int(solver.get("max_quanta", 3)),
+                            g=_solver_number(solver, "g"),
+                            N_list=N_list,
+                            max_quanta=_solver_number(solver, "max_quanta", 3,
+                                                      integer=True, minimum=0),
                             grid=problem.grid, gp_grid=gp_grid,
-                            dimension_cap=int(solver.get("dimension_cap", 200_000)),
-                            gp_tol=float(solver.get("gp_tol", 1e-8)))
+                            dimension_cap=_solver_number(solver, "dimension_cap", 200_000,
+                                                         integer=True, minimum=1),
+                            gp_tol=_solver_number(solver, "gp_tol", 1e-8))
     report = {
         "kind": "sweep",
         "rows": list(result.rows),
@@ -429,15 +441,25 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 class _DirLock:
+    """Exclusive ``.lock`` file holding the owner's pid.
+
+    A lock whose pid is no longer alive is left over from a killed run and
+    is reclaimed; a live holder or an unreadable lock refuses the run.
+    """
+
     def __init__(self, directory: Path):
         self.path = directory / ".lock"
 
     def __enter__(self):
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(
-                f"output directory is locked by another run ({self.path})")
+        while True:
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if not self._holder_dead():
+                    raise ConfigError(
+                        f"output directory is locked by another run ({self.path})")
+                self.path.unlink(missing_ok=True)
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         return self
@@ -447,6 +469,17 @@ class _DirLock:
             self.path.unlink()
         except OSError:
             pass
+
+    def _holder_dead(self) -> bool:
+        try:
+            pid = int(self.path.read_text())
+            if pid > 0:
+                os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, ValueError):   # unreadable, or alive under another user
+            pass
+        return False
 
 
 def execute(config: dict, out_dir, force: bool = False) -> Path:
@@ -688,7 +721,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrityError, VerificationError) as exc:
+    except IntegrityError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except SolverFailureError as exc:

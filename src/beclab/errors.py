@@ -58,11 +58,3 @@ class SolverFailureError(BecLabError):
 
 class IntegrityError(BecLabError):
     """A stored report is missing, truncated, or inconsistent."""
-
-
-class VerificationError(BecLabError):
-    """A declared invariant failed when re-checked against a report."""
-
-    def __init__(self, invariant, message):
-        super().__init__(f"{invariant}: {message}")
-        self.invariant = invariant

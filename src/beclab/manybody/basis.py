@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import CapacityError, ConfigError, ResolutionError
 from ..model import Grid, TrapSpec
@@ -228,8 +229,10 @@ class FockBasis:
     """All M-mode occupation vectors with total N, graded lexicographic.
 
     The ordering matches combinations-with-replacement of mode indices,
-    i.e. descending lexicographic on the occupation vectors, and ``rank``
-    inverts it in closed form via a binomial table.
+    i.e. descending lexicographic on the occupation vectors.  The rank is
+    additive over modes: with rem_j = N - sum_{k<=j} n_k the particles
+    left after mode j, rank(n) = sum_j F_j(rem_j), where
+    F_j(r) = C(r+M-j-2, r-1) for r >= 1 and j < M-1, and 0 otherwise.
     """
 
     N: int
@@ -241,25 +244,43 @@ class FockBasis:
         return self.occupations.shape[0]
 
     @cached_property
-    def _binom(self) -> np.ndarray:
-        C = np.zeros((self.N + self.M + 2, self.M + 2), dtype=np.int64)
-        for a in range(self.N + self.M + 2):
-            top = min(a, self.M + 1)
-            for b in range(top + 1):
-                C[a, b] = comb(a, b)
-        return C
+    def _rank_table(self) -> np.ndarray:
+        # F[j, r]; every entry is at most the basis size, so int64 is exact
+        F = np.zeros((self.M, self.N + 1), dtype=np.int64)
+        for j in range(self.M - 1):
+            for r in range(1, self.N + 1):
+                F[j, r] = comb(r + self.M - j - 2, r - 1)
+        return F
 
     def rank(self, occ: np.ndarray) -> np.ndarray:
         """Dense indices of occupation rows (vectorized)."""
-        occ = np.atleast_2d(occ)
-        rem = self.N - np.cumsum(occ, axis=1)
-        out = np.zeros(occ.shape[0], dtype=np.int64)
-        C = self._binom
-        for j in range(self.M - 1):
-            q = rem[:, j]
-            nz = q >= 1
-            out[nz] += C[q[nz] + self.M - j - 2, self.M - j - 1]
-        return out
+        rem = self.N - np.cumsum(np.atleast_2d(occ), axis=1)
+        return self._rank_table[np.arange(self.M), rem].sum(axis=1)
+
+    def annihilator(self) -> sp.csr_matrix:
+        """The ladder map a: N -> N-1, shape (D_{N-1} M, D_N).
+
+        Row t*M + i holds a_i x at state t of the (N-1)-particle basis.
+        a_i reaches t from the single state t + e_i, so every row holds
+        exactly one entry: ``indices`` and ``data`` read row by row are the
+        source state and the amplitude sqrt(n_i).  Removing one boson from
+        mode i lowers rem_j by one for j < i only, so
+        rank_{N-1}(n - e_i) = rank_N(n) - sum_{j<i} [F_j(rem_j) - F_j(rem_j - 1)].
+        """
+        M, occ, F = self.M, self.occupations, self._rank_table
+        rows = comb(self.N + M - 2, self.N - 1) * M if self.N else 0
+        indices = np.empty(rows, dtype=np.int64)
+        data = np.empty(rows)
+        target = np.arange(self.size)
+        rem = np.full(self.size, self.N)
+        for i in range(M):
+            src = np.nonzero(occ[:, i])[0]
+            row = target[src] * M + i
+            indices[row] = src
+            data[row] = np.sqrt(occ[src, i])
+            rem -= occ[:, i]
+            target -= F[i, rem] - F[i, np.maximum(rem - 1, 0)]
+        return sp.csr_matrix((data, indices, np.arange(rows + 1)), shape=(rows, self.size))
 
     @classmethod
     def build(cls, N: int, M: int, dimension_cap: int = 200_000) -> "FockBasis":
@@ -267,8 +288,8 @@ class FockBasis:
         if size > dimension_cap:
             raise CapacityError(
                 f"occupation basis has {size} states, above the cap {dimension_cap}")
-        occ = np.zeros((size, M), dtype=np.int64)
-        for i, combo in enumerate(combinations_with_replacement(range(M), N)):
-            for c in combo:
-                occ[i, c] += 1
+        modes = np.fromiter(chain.from_iterable(combinations_with_replacement(range(M), N)),
+                            dtype=np.int64, count=size * N)
+        modes += np.repeat(np.arange(size) * M, N)
+        occ = np.bincount(modes, minlength=size * M).reshape(size, M)
         return cls(N=N, M=M, occupations=occ)

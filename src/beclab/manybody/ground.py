@@ -2,9 +2,10 @@
 
 H = sum_i eps_i n_i + (1/2) sum_{ijkl} V[ijkl] a+_i a+_j a_l a_k
 
-over the fixed-N occupation basis.  The pair term is applied through the
-two-particle annihilation map A: for each unordered mode pair b, (A x)
-collects (a_k a_l x) in the (N-2)-particle basis, so one matvec is two
+over the fixed-N occupation basis.  Every ladder operation comes from the
+one-boson annihilation map a of ``FockBasis``: gamma = W^T W with W = a x,
+and the pair term goes through A = a a: for each unordered mode pair b,
+(A x) collects (a_k a_l x) in the (N-2)-particle basis, so one matvec is two
 sparse products around a dense pair-coefficient multiply; the operator is
 manifestly symmetric and never materialized.
 """
@@ -65,32 +66,21 @@ class PairOpHamiltonian:
         self.diag = fock.occupations @ basis.energies
         self.pair_fold = tensor.fold_hamiltonian_pairs()
         self.n_pairs = tensor.n_pairs
-        if fock.N >= 2:
-            self.fock2 = FockBasis.build(fock.N - 2, fock.M, dimension_cap=10**9)
-            self.pair_map = self._build_pair_map()
-        else:
-            self.fock2 = None
-            self.pair_map = None
+        self.lowering = fock.annihilator()
+        self.pair_map = self._build_pair_map() if fock.N >= 2 else None
 
     def _build_pair_map(self):
-        occ = self.fock.occupations
-        rows, cols, vals = [], [], []
-        for b, (k, l) in enumerate(self.tensor.pairs):
-            if k == l:
-                src = np.nonzero(occ[:, k] >= 2)[0]
-                amp = np.sqrt(occ[src, k] * (occ[src, k] - 1.0))
-            else:
-                src = np.nonzero((occ[:, k] >= 1) & (occ[:, l] >= 1))[0]
-                amp = np.sqrt(occ[src, k] * occ[src, l].astype(float))
-            tgt = occ[src].copy()
-            tgt[:, k] -= 1
-            tgt[:, l] -= 1
-            rows.append(self.fock2.rank(tgt) * self.n_pairs + b)
-            cols.append(src)
-            vals.append(amp)
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.fock2.size * self.n_pairs, self.fock.size))
+        # (a_k a_l x) at state r of the N-2 basis, row r*n_pairs + b for the
+        # pair b = (k, l): a_k from the N-1 basis's map after a_l from ours;
+        # each map holds one entry per row, so composing them is a gather
+        M = self.fock.M
+        inner = FockBasis.build(self.fock.N - 1, M, dimension_cap=10**9).annihilator()
+        k, l = np.array(self.tensor.pairs).T
+        mid = inner.indices.reshape(-1, M)[:, k] * M + l
+        data = inner.data.reshape(-1, M)[:, k] * self.lowering.data[mid]
+        rows = data.size
+        return sp.csr_matrix((data.ravel(), self.lowering.indices[mid].ravel(),
+                              np.arange(rows + 1)), shape=(rows, self.fock.size))
 
     @property
     def size(self) -> int:
@@ -100,7 +90,7 @@ class PairOpHamiltonian:
         # pair_fold already carries the 1/2 of the normal-ordered pair term
         y = self.diag * x
         if self.pair_map is not None:
-            w = (self.pair_map @ x).reshape(self.fock2.size, self.n_pairs)
+            w = (self.pair_map @ x).reshape(-1, self.n_pairs)
             y = y + self.pair_map.T @ (w @ self.pair_fold).ravel()
         return y
 
@@ -114,27 +104,13 @@ class PairOpHamiltonian:
         """(b b) x for the dressed mode b = sum_i c_i a_i; an (N-2) vector."""
         if self.pair_map is None:
             raise SolverFailureError("pair annihilation needs N >= 2")
-        w = (self.pair_map @ x).reshape(self.fock2.size, self.n_pairs)
+        w = (self.pair_map @ x).reshape(-1, self.n_pairs)
         return w @ self.tensor.pair_weights(c)
 
     def one_body_matrix(self, x: np.ndarray) -> np.ndarray:
-        """gamma[i, j] = <x| a+_j a_i |x> for a normalized coefficient vector."""
-        occ = self.fock.occupations
-        M = self.fock.M
-        gamma = np.zeros((M, M))
-        x2 = x * x
-        for i in range(M):
-            gamma[i, i] = float(occ[:, i] @ x2)
-        for i in range(M):
-            for j in range(i + 1, M):
-                src = np.nonzero(occ[:, i] >= 1)[0]
-                tgt = occ[src].copy()
-                tgt[:, i] -= 1
-                tgt[:, j] += 1
-                amp = np.sqrt(occ[src, i] * (occ[src, j] + 1.0))
-                val = float(np.sum(amp * x[src] * x[self.fock.rank(tgt)]))
-                gamma[i, j] = gamma[j, i] = val
-        return gamma
+        """gamma[i, j] = <x| a+_j a_i |x> = (W^T W)[i, j], W[t, i] = (a_i x)(t)."""
+        w = (self.lowering @ x).reshape(-1, self.fock.M)
+        return w.T @ w
 
 
 def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,

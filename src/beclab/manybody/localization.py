@@ -42,17 +42,12 @@ class LocalizationProfile:
 
 
 def _pair_amplitude_matrix(ground: ManyBodyGround, fock: FockBasis) -> np.ndarray:
-    """Symmetric C with Psi(r1, r2) = sum_ij C_ij mode_i(r1) mode_j(r2)."""
-    M = fock.M
-    C = np.zeros((M, M))
-    for idx, occ in enumerate(fock.occupations):
-        nz = np.nonzero(occ)[0]
-        if len(nz) == 1:
-            C[nz[0], nz[0]] = ground.coefficients[idx]
-        else:
-            i, j = nz
-            C[i, j] = C[j, i] = ground.coefficients[idx] / np.sqrt(2.0)
-    return C
+    """Symmetric C with Psi(r1, r2) = sum_ij C_ij mode_i(r1) mode_j(r2).
+
+    C_kl = (a_k a_l x) / sqrt(2); state k of the one-particle basis is e_k,
+    so a_k a_l x is entry k of a_l x.
+    """
+    return (fock.annihilator() @ ground.coefficients).reshape(fock.M, fock.M) / np.sqrt(2.0)
 
 
 def _sample_indices(density_flat, weights_flat, count, seed):

@@ -16,20 +16,6 @@ import numpy as np
 from .errors import ConfigError, InvalidParameterError, OutOfDomainError
 
 
-@dataclass(frozen=True)
-class UnitConvention:
-    """Single unit system used by all modules: hbar^2/2m = 1."""
-
-    hbar2_over_2m: float = 1.0
-
-    @property
-    def energy_unit(self) -> str:
-        return "inverse length squared"
-
-
-UNITS = UnitConvention()
-
-
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------

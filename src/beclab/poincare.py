@@ -309,7 +309,7 @@ class ConstantEstimate:
 
 
 def estimate_constant(region: Region, h: np.ndarray | None = None, trials: int = 200,
-                      seed: int = 0, trial_overrides=None) -> ConstantEstimate:
+                      seed: int = 0) -> ConstantEstimate:
     """Smallest constant validating every observed (f, Omega) trial.
 
     Random smooth fields are paired with adversarial subsets (random cell
@@ -324,15 +324,10 @@ def estimate_constant(region: Region, h: np.ndarray | None = None, trials: int =
     c_star = 0.0
     worst = {}
     instances = []
-    supplied = list(trial_overrides or [])
     for t in range(trials):
-        if t < len(supplied):
-            f, omega, desc = supplied[t]
-            inst = PoincareInstance.build(region, omega, f, h=h, description=desc)
-        else:
-            f = _random_field(rng, region)
-            omega, desc = _random_omega(rng, region)
-            inst = PoincareInstance.build(region, omega, f, h=h, description=desc)
+        f = _random_field(rng, region)
+        omega, desc = _random_omega(rng, region)
+        inst = PoincareInstance.build(region, omega, f, h=h, description=desc)
         lhs, f2 = _sides(inst)
         if f2 < 1e-18 or lhs <= 0:
             continue

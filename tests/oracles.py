@@ -5,7 +5,67 @@ dictionaries, dense diagonalization, and direct quadrature, for instances
 small enough to afford it.
 """
 
+from itertools import combinations_with_replacement
+
 import numpy as np
+
+
+def fock_states(N, M):
+    """Occupation tuples in combinations-with-replacement order, and their index."""
+    states = []
+    for combo in combinations_with_replacement(range(M), N):
+        s = [0] * M
+        for c in combo:
+            s[c] += 1
+        states.append(tuple(s))
+    return states, {s: i for i, s in enumerate(states)}
+
+
+def literal_annihilation(N, M):
+    """Entries (row, col, amp) of a: N -> N-1, row t*M + i, by dict lookups."""
+    states, _ = fock_states(N, M)
+    _, lower = fock_states(N - 1, M)
+    rows, cols, amps = [], [], []
+    for si, s in enumerate(states):
+        for i in range(M):
+            if s[i]:
+                t = list(s)
+                t[i] -= 1
+                rows.append(lower[tuple(t)] * M + i)
+                cols.append(si)
+                amps.append(np.sqrt(s[i]))
+    return np.array(rows), np.array(cols), np.array(amps)
+
+
+def literal_pair_annihilation(x, N, M, pairs):
+    """out[r, b] = (a_k a_l x) at state r of the N-2 basis for pairs b = (k, l)."""
+    states, _ = fock_states(N, M)
+    _, lower = fock_states(N - 2, M)
+    out = np.zeros((len(lower), len(pairs)))
+    for si, s in enumerate(states):
+        for b, (k, l) in enumerate(pairs):
+            t = list(s)
+            amp = np.sqrt(t[l])
+            t[l] -= 1
+            amp *= np.sqrt(max(t[k], 0))
+            t[k] -= 1
+            if amp:
+                out[lower[tuple(t)], b] += amp * x[si]
+    return out
+
+
+def literal_pair_amplitudes(x, N2_states):
+    """Two-boson wavefunction matrix C from the coefficients of occupation states."""
+    M = len(N2_states[0])
+    C = np.zeros((M, M))
+    for idx, occ in enumerate(N2_states):
+        nz = np.nonzero(occ)[0]
+        if len(nz) == 1:
+            C[nz[0], nz[0]] = x[idx]
+        else:
+            i, j = nz
+            C[i, j] = C[j, i] = x[idx] / np.sqrt(2.0)
+    return C
 
 
 def dense_hamiltonian(basis, tensor, N):

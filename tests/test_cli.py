@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,88 @@ def test_bad_gp_solver_input_exits_2(tmp_path, capsys, solver):
     assert main(["gp", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and next(iter(solver)) in err
+
+
+def small_manybody_config(**solver):
+    return {
+        "experiment": "manybody",
+        "problem": {
+            "trap": {"kind": "harmonic", "stiffness": [1.0, 1.0, 1.0]},
+            "pair_potential": {"shape": "soft_sphere", "height": 5.0, "radius": 1.1},
+            "grid": {"extent": [14.0, 14.0, 14.0], "points": [32, 32, 32]},
+        },
+        "solver": {"N": 2, "g": 0.4, "max_quanta": 1, **solver},
+        "seed": 1,
+        "reproducible": True,
+        "output": None,
+    }
+
+
+def small_sweep_config(**solver):
+    return {
+        "experiment": "sweep",
+        "problem": {
+            "trap": {"kind": "harmonic", "stiffness": [1.0, 1.0, 1.0]},
+            "pair_potential": {"shape": "soft_sphere", "height": 0.01,
+                               "radius": 8.853088605086427},
+            "grid": {"extent": [14.0, 14.0, 14.0], "points": [32, 32, 32]},
+        },
+        "solver": {"g": 0.4, "N_list": [2, 3], "max_quanta": 1, **solver},
+        "seed": 1,
+        "reproducible": True,
+        "output": None,
+    }
+
+
+@pytest.mark.parametrize("experiment,solver", [
+    ("manybody", {"N": "2"}), ("manybody", {"N": 0}), ("manybody", {"N": 2.0}),
+    ("manybody", {"a": "x"}), ("manybody", {"g": float("nan")}),
+    ("manybody", {"max_quanta": "3"}), ("manybody", {"max_quanta": -1}),
+    ("manybody", {"dimension_cap": True}), ("manybody", {"dimension_cap": 0}),
+    ("manybody", {"localization": {"radii": [1.0], "samples": "64"}}),
+    ("manybody", {"localization": {"radii": [1.0], "samples": 0}}),
+    ("sweep", {"g": "x"}), ("sweep", {"g": float("inf")}),
+    ("sweep", {"N_list": [2, "3"]}), ("sweep", {"N_list": [2.5]}), ("sweep", {"N_list": [0]}),
+    ("sweep", {"N_list": "2"}), ("sweep", {"max_quanta": "3"}),
+    ("sweep", {"dimension_cap": 1.5}), ("sweep", {"gp_tol": "1e-8"}),
+], ids=repr)
+def test_bad_manybody_and_sweep_input_exits_2(tmp_path, capsys, experiment, solver):
+    make = small_manybody_config if experiment == "manybody" else small_sweep_config
+    p = write_config(tmp_path, make(**solver))
+    assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and next(iter(solver)) in err
+
+
+@pytest.mark.parametrize("seed", ["abc", -1, 1.5, None, True])
+def test_bad_seed_exits_2(tmp_path, capsys, seed):
+    p = write_config(tmp_path, small_sweep_config() | {"seed": seed})
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "seed" in err
+
+
+def test_stale_lock_of_dead_run_is_reclaimed(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()                            # reaped: its pid is no longer alive
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / ".lock").write_text(str(child.pid))
+    path = execute(small_gp_config(), out)
+    assert json.loads(path.read_text())["kind"] == "gp"
+    assert not (out / ".lock").exists()
+
+
+@pytest.mark.parametrize("holder", [lambda: str(os.getpid()), lambda: "not a pid"],
+                         ids=["live", "unreadable"])
+def test_live_or_unreadable_lock_exits_2(tmp_path, capsys, holder):
+    p = write_config(tmp_path, small_gp_config())
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / ".lock").write_text(holder())
+    assert main(["gp", "--config", str(p), "--out", str(out)]) == 2
+    assert "locked" in capsys.readouterr().err
+    assert (out / ".lock").exists()
 
 
 def test_solver_failure_writes_diagnostics(tmp_path, capsys):
@@ -194,19 +277,7 @@ def test_phi_dump_feeds_weighted_poincare(tmp_path):
 
 
 def test_sweep_csv_contract(tmp_path):
-    cfg = {
-        "experiment": "sweep",
-        "problem": {
-            "trap": {"kind": "harmonic", "stiffness": [1.0, 1.0, 1.0]},
-            "pair_potential": {"shape": "soft_sphere", "height": 0.01,
-                               "radius": 8.853088605086427},
-            "grid": {"extent": [14.0, 14.0, 14.0], "points": [32, 32, 32]},
-        },
-        "solver": {"g": 0.4, "N_list": [2, 3], "max_quanta": 1},
-        "seed": 1,
-        "reproducible": True,
-        "output": None,
-    }
+    cfg = small_sweep_config()
     path = execute(cfg, tmp_path / "o")
     csv_path = path.parent / "sweep.csv"
     lines = csv_path.read_text().strip().splitlines()

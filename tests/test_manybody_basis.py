@@ -8,6 +8,8 @@ from beclab.errors import CapacityError, ResolutionError
 from beclab.manybody import build_mode_basis
 from beclab.manybody.basis import FockBasis
 
+from .oracles import fock_states, literal_annihilation
+
 
 def test_single_mode_basis(trap, grid48):
     basis = build_mode_basis(trap, grid48, 0)
@@ -78,3 +80,36 @@ def test_fock_rank_bijection(N, M):
 def test_capacity_cap():
     with pytest.raises(CapacityError):
         FockBasis.build(12, 20, dimension_cap=200_000)
+
+
+@pytest.mark.parametrize("N,M", [(0, 1), (0, 4), (1, 1), (1, 5), (3, 1), (2, 4), (4, 3)])
+def test_fock_build_order_matches_combinations(N, M):
+    states, _ = fock_states(N, M)
+    fock = FockBasis.build(N, M)
+    np.testing.assert_array_equal(fock.occupations, np.array(states).reshape(len(states), M))
+
+
+@pytest.mark.parametrize("N,M", [(2, 84), (3, 30), (1, 5), (2, 1)])
+def test_ladder_targets_and_rank_match_dict_oracle(N, M):
+    # (2, 84): a full binomial table of this size overflows int64
+    fock = FockBasis.build(N, M)
+    _, lower = fock_states(N - 1, M)
+    states = np.array(list(lower)).reshape(len(lower), M)
+    np.testing.assert_array_equal(FockBasis.build(N - 1, M).rank(states),
+                                  np.arange(len(lower)))
+    np.testing.assert_array_equal(fock.rank(fock.occupations), np.arange(fock.size))
+    rows, cols, amps = literal_annihilation(N, M)
+    a = fock.annihilator()
+    assert a.shape == (len(lower) * M, fock.size)
+    assert a.nnz == len(rows) == a.shape[0]
+    dense = a.tocoo()
+    order = np.argsort(dense.row)
+    ref = np.argsort(rows)
+    np.testing.assert_array_equal(dense.row[order], rows[ref])
+    np.testing.assert_array_equal(dense.col[order], cols[ref])
+    np.testing.assert_array_equal(dense.data[order], amps[ref])
+
+
+def test_annihilator_of_the_vacuum_is_empty():
+    a = FockBasis.build(0, 4).annihilator()
+    assert a.shape == (0, 1)

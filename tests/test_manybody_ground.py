@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ import beclab as bl
 from beclab.manybody import build_mode_basis, ground_state, hartree_energy
 from beclab.manybody.basis import FockBasis
 from beclab.manybody.ground import PairOpHamiltonian, pair_moment
+from beclab.manybody.localization import _pair_amplitude_matrix
 from beclab.manybody.tensor import interaction_tensor
 
-from .oracles import dense_gamma, dense_ground
+from .oracles import (dense_gamma, dense_ground, fock_states, literal_pair_amplitudes,
+                      literal_pair_annihilation)
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
 TRAP = bl.TrapSpec.harmonic((1.0, 1.0, 1.0))
@@ -97,3 +101,36 @@ def test_gamma_parity_block_structure(basis_q2, soft_tensor_q2):
         for j in range(basis_q2.size):
             if not np.array_equal(par[i], par[j]):
                 assert abs(gr.gamma[i, j]) < 1e-8
+
+
+def _random_unit(rng, n):
+    x = rng.standard_normal(n)
+    return x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("N,quanta", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
+def test_ladder_core_on_random_vectors(N, quanta, basis_q1, basis_q2, soft_tensor_q2):
+    # gamma = W^T W and the pair map against literal ladder algebra, off eigenvectors
+    basis = basis_q1 if quanta == 1 else basis_q2
+    tensor = (interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+              if quanta == 1 else soft_tensor_q2)
+    ham = PairOpHamiltonian(basis, tensor, FockBasis.build(N, basis.size))
+    states, index = fock_states(N, basis.size)
+    rng = np.random.default_rng(N + 10 * quanta)
+    for _ in range(3):
+        x = _random_unit(rng, ham.size)
+        np.testing.assert_allclose(ham.one_body_matrix(x),
+                                   dense_gamma(x, states, index, basis.size), atol=1e-12)
+        pairs = literal_pair_annihilation(x, N, basis.size, tensor.pairs)
+        np.testing.assert_allclose((ham.pair_map @ x).reshape(-1, tensor.n_pairs), pairs,
+                                   atol=1e-12)
+
+
+def test_pair_amplitude_matrix_matches_state_loop(basis_q2):
+    fock = FockBasis.build(2, basis_q2.size)
+    rng = np.random.default_rng(5)
+    x = _random_unit(rng, fock.size)
+    ground = SimpleNamespace(coefficients=x)
+    np.testing.assert_allclose(_pair_amplitude_matrix(ground, fock),
+                               literal_pair_amplitudes(x, fock_states(2, basis_q2.size)[0]),
+                               atol=1e-15)
