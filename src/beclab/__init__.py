@@ -8,7 +8,7 @@ bases with condensate diagnostics, and property testing of the
 subset-gradient Poincare inequality that controls the correlation factor.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .errors import (BasisInsufficientError, BecLabError, CapacityError,
                      ConfigError, DomainTooSmallError, IntegrityError,

@@ -32,9 +32,9 @@ import numpy as np
 from . import __version__
 from .errors import BecLabError, ConfigError, IntegrityError, SolverFailureError
 from .gp import coupling_2d, coupling_3d, minimize_gp
-from .model import (Grid, _require_keys, grid_from_config,
-                    multilinear_interpolate)
-from .poincare import Region, estimate_constant, weighted_check
+from .model import (_number, _number_list, _require_keys, grid_from_config,
+                    multilinear_interpolate, problem_from_config)
+from .poincare import Region, estimate_constant, weighted_estimate
 from .scattering import solve_zero_energy
 
 EXPERIMENTS = ("scattering", "gp", "manybody", "sweep", "poincare")
@@ -139,15 +139,13 @@ def dump_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 def run_scattering(config: dict):
-    from .model import problem_from_config
-
     problem = problem_from_config(config["problem"])
     if problem.pair_potential is None:
         raise ConfigError("scattering needs problem.pair_potential", field="problem")
     solver = config["solver"]
     sol = solve_zero_energy(problem.pair_potential,
-                            r_max=float(solver.get("r_max", 50.0)),
-                            tol=float(solver.get("tol", 1e-9)))
+                            r_max=_solver_number(solver, "r_max", 50.0),
+                            tol=_solver_number(solver, "tol", 1e-9))
     stride = max(1, len(sol.r_grid) // 512)
     report = {
         "kind": "scattering",
@@ -159,22 +157,6 @@ def run_scattering(config: dict):
         "ode_steps": sol.ode_steps,
     }
     return report, {}
-
-
-def _number(value, field: str, integer: bool = False, minimum=None):
-    """A finite JSON number, an int when ``integer`` is set, else a float;
-    booleans, strings, NaN, infinities and values below ``minimum`` raise a
-    ConfigError naming ``field``."""
-    kinds = int if integer else (int, float)
-    if isinstance(value, kinds) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value) and (minimum is None or value >= minimum):
-                return value if integer else float(value)
-        except OverflowError:       # an integer beyond the float range
-            pass
-    kind = "integer" if integer else "number"
-    bound = "" if minimum is None else f" >= {minimum}"
-    raise ConfigError(f"must be a finite {kind}{bound}, got {value!r}", field=field)
 
 
 def _solver_number(solver: dict, key: str, default=None, integer: bool = False,
@@ -191,8 +173,6 @@ def _gp_coupling(solver: dict, dimension: int) -> float:
 
 
 def run_gp(config: dict):
-    from .model import problem_from_config
-
     problem = problem_from_config(config["problem"])
     if problem.trap is None or problem.grid is None:
         raise ConfigError("gp needs problem.trap and problem.grid", field="problem")
@@ -234,14 +214,7 @@ def run_gp(config: dict):
 
 
 def run_manybody(config: dict):
-    from .model import problem_from_config, scale_pair_potential
-    from .manybody import (build_mode_basis, condensate_metrics, ground_state,
-                           hartree_energy, localization_profile)
-    from .manybody.basis import FockBasis
-    from .manybody.ground import PairOpHamiltonian
-    from .manybody.metrics import expand_reference
-    from .manybody.tensor import interaction_tensor
-    from .scattering import hard_sphere_substitute
+    from .manybody import localization_profile, prepare_pipeline, solve_instance
 
     problem = problem_from_config(config["problem"])
     if problem.trap is None or problem.grid is None or problem.pair_potential is None:
@@ -260,38 +233,21 @@ def run_manybody(config: dict):
     if loc_cfg is not None:
         samples = _number(loc_cfg.get("samples", 64), "solver.localization.samples",
                           integer=True, minimum=1)
-    base = problem.pair_potential
-    substituted = None
-    if base.has_hard_core:
-        sub = hard_sphere_substitute(base.core)
-        substituted = {"height": sub.height, "radius": sub.radius}
-        base = sub
+        radii = _number_list(loc_cfg["radii"], "solver.localization.radii", positive=True)
 
-    scat = solve_zero_energy(base, r_max=max(80.0, 6 * base.range))
-    v = scale_pair_potential(base, a / scat.a) if scat.a > 0 else base
-
-    basis = build_mode_basis(problem.trap, problem.grid, max_quanta)
-    tensor = interaction_tensor(basis, v)
-    fock = FockBasis.build(N, basis.size, dimension_cap=cap)
-    ham = PairOpHamiltonian(basis, tensor, fock)
-    ground = ground_state(basis, tensor, N, a=a, g=g, ham=ham)
-    gp_state = minimize_gp(problem.trap, g, problem.grid)
-    reference = expand_reference(gp_state, basis)
-    c_ref = reference[0]
-    report_metrics = condensate_metrics(ground, gp_state, basis, ham=ham,
-                                        reference=reference)
-
+    setup = prepare_pipeline(problem.trap, problem.pair_potential, g, problem.grid, max_quanta)
+    ground, report_metrics, rayleigh = solve_instance(setup, N, a, g, dimension_cap=cap)
     report = {
         "kind": "manybody",
         "N": N, "a": a, "g": g,
         "E_qm": ground.energy,
         "E_qm_per_N": ground.energy / N,
-        "E_gp": gp_state.energy_total,
+        "E_gp": setup.gp.energy_total,
         "eigen_residual": ground.residual,
-        "mode_count": basis.size,
-        "fock_dimension": fock.size,
+        "mode_count": setup.basis.size,
+        "fock_dimension": ground.coefficients.size,
         "natural_occupation_sum": float(ground.natural_occupations.sum()),
-        "rayleigh_per_N": hartree_energy(basis, tensor, N, c_ref) / N,
+        "rayleigh_per_N": rayleigh,
         "metrics": {
             "condensate_fraction": report_metrics.condensate_fraction,
             "gp_overlap": report_metrics.gp_overlap,
@@ -302,11 +258,11 @@ def run_manybody(config: dict):
             "momentum_coverage": report_metrics.momentum_coverage,
             "momentum_coverage_warning": report_metrics.momentum_coverage < 0.999,
         },
-        "substituted_potential": substituted,
-        "kinetic_fraction_s": None if scat.s is None else scat.s / scat.a,
+        "substituted_potential": setup.substituted,
+        "kinetic_fraction_s": setup.s,
     }
     if loc_cfg is not None:
-        prof = localization_profile(ground, gp_state, basis, radii=loc_cfg["radii"],
+        prof = localization_profile(ground, setup.gp, setup.basis, radii=radii,
                                     samples=samples, seed=config["seed"])
         report["localization"] = {
             "radii": prof.radii,
@@ -320,18 +276,15 @@ def run_manybody(config: dict):
 
 
 def run_sweep(config: dict):
-    from .model import problem_from_config
     from .manybody import gp_limit_sweep
 
     problem = problem_from_config(config["problem"])
     if problem.trap is None or problem.grid is None or problem.pair_potential is None:
         raise ConfigError("sweep needs trap, grid, and pair_potential", field="problem")
     solver = config["solver"]
-    gp_grid = grid_from_config(solver["gp_grid"], problem.trap) if "gp_grid" in solver else None
-    if not isinstance(solver["N_list"], list):
-        raise ConfigError("must be a list of particle numbers", field="solver.N_list")
-    N_list = [_number(n, f"solver.N_list[{i}]", integer=True, minimum=1)
-              for i, n in enumerate(solver["N_list"])]
+    gp_grid = (grid_from_config(solver["gp_grid"], problem.trap, where="solver.gp_grid")
+               if "gp_grid" in solver else None)
+    N_list = _number_list(solver["N_list"], "solver.N_list", integer=True, minimum=1)
     result = gp_limit_sweep(problem.trap, problem.pair_potential,
                             g=_solver_number(solver, "g"),
                             N_list=N_list,
@@ -356,24 +309,30 @@ def _region_from_config(doc: dict) -> Region:
     if not isinstance(doc, dict):
         raise ConfigError("region must be an object", field="solver.region")
     kind = doc.get("kind")
-    if kind == "box":
-        _require_keys(doc, {"kind", "side", "points", "dimension"},
-                      {"kind", "side", "points"}, "solver.region")
-        return Region.box(doc["side"], int(doc["points"]), int(doc.get("dimension", 3)))
-    if kind == "ball":
-        _require_keys(doc, {"kind", "radius", "points", "dimension"},
-                      {"kind", "radius", "points"}, "solver.region")
-        return Region.ball(float(doc["radius"]), int(doc["points"]), int(doc.get("dimension", 3)))
-    raise ConfigError(f"unknown region kind {kind!r}", field="solver.region.kind")
+    if kind not in ("box", "ball"):
+        raise ConfigError(f"unknown region kind {kind!r}", field="solver.region.kind")
+    size_key = "side" if kind == "box" else "radius"
+    _require_keys(doc, {"kind", size_key, "points", "dimension"}, {"kind", size_key, "points"},
+                  "solver.region")
+    return getattr(Region, kind)(
+        _number(doc[size_key], f"solver.region.{size_key}"),
+        _number(doc["points"], "solver.region.points", integer=True),
+        _number(doc.get("dimension", 3), "solver.region.dimension", integer=True))
 
 
 def load_phi_dump(phi_path, sidecar_path):
     try:
         meta = json.loads(Path(sidecar_path).read_text())
         raw = Path(phi_path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read mean-field dump: {exc}", field="solver.weight")
-    grid = Grid(tuple(meta["lo"]), tuple(meta["extent"]), tuple(meta["points"]))
+    if not isinstance(meta, dict) or not {"lo", "extent", "points"} <= set(meta):
+        raise ConfigError("grid sidecar needs lo, extent and points", field="solver.weight")
+    grid = grid_from_config({k: meta[k] for k in ("lo", "extent", "points")},
+                            where="solver.weight.grid")
+    if len(raw) != 8 * math.prod(grid.points):
+        raise ConfigError(f"dump holds {len(raw)} bytes, its grid needs "
+                          f"{8 * math.prod(grid.points)}", field="solver.weight")
     phi = np.frombuffer(raw, dtype="<f8").reshape(grid.points)
     return grid, phi
 
@@ -381,7 +340,7 @@ def load_phi_dump(phi_path, sidecar_path):
 def run_poincare(config: dict):
     solver = config["solver"]
     region = _region_from_config(solver["region"])
-    trials = int(solver.get("trials", 200))
+    trials = _solver_number(solver, "trials", 200, integer=True, minimum=1)
     est = estimate_constant(region, trials=trials, seed=config["seed"])
     report = {
         "kind": "poincare",
@@ -399,29 +358,8 @@ def run_poincare(config: dict):
         mesh = np.meshgrid(*region.grid.axes, indexing="ij")
         pts = np.stack(mesh, axis=-1)
         w = multilinear_interpolate(dump_grid, phi, pts, field="solver.weight") ** 2
-        w = np.maximum(w, 0.0)
-        ratio = float(w[region.mask].max() / max(w[region.mask].min(), 1e-300))
-        c_prime = est.c_star * ratio**2
-        rng = np.random.default_rng(config["seed"] + 1)
-        from .poincare import PoincareInstance, _random_field, _random_omega
-
-        worst = None
-        all_hold = True
-        for _ in range(min(trials, 200)):
-            f = _random_field(rng, region)
-            omega, desc = _random_omega(rng, region)
-            inst = PoincareInstance.build(region, omega, f, description=desc)
-            res = weighted_check(inst, w, c_prime)
-            all_hold &= res["holds"]
-            margin = res["lhs"] - res["rhs"]
-            if worst is None or margin < worst["margin"]:
-                worst = {"margin": margin, **desc}
-        report["weighted"] = {
-            "C_prime": c_prime,
-            "weight_ratio": ratio,
-            "holds_all": bool(all_hold),
-            "worst_trial": worst,
-        }
+        report["weighted"] = weighted_estimate(region, w, est.c_star,
+                                               trials=min(trials, 200), seed=config["seed"] + 1)
     elif weight_cfg["kind"] != "constant":
         raise ConfigError("weight kind must be constant or gp_dump", field="solver.weight")
     return report, {}

@@ -12,12 +12,12 @@ from .ground import ManyBodyGround, ground_state, hartree_energy
 from .metrics import (CondensateReport, condensate_metrics, expand_reference,
                       momentum_distribution)
 from .localization import localization_profile
-from .sweep import SweepResult, gp_limit_sweep
+from .sweep import SweepResult, gp_limit_sweep, prepare_pipeline, solve_instance
 
 __all__ = [
     "FockBasis", "ModeBasis", "build_mode_basis",
     "ManyBodyGround", "ground_state", "hartree_energy",
     "CondensateReport", "condensate_metrics", "expand_reference",
     "momentum_distribution", "localization_profile",
-    "SweepResult", "gp_limit_sweep",
+    "SweepResult", "gp_limit_sweep", "prepare_pipeline", "solve_instance",
 ]

@@ -21,6 +21,7 @@ from scipy.stats import qmc
 
 from ..errors import ConfigError
 from ..gp import GPState
+from ..poincare import Region, masked_gradient_sq
 from .basis import FockBasis, ModeBasis
 from .ground import ManyBodyGround
 
@@ -84,6 +85,7 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
     cutoff = 1e-12 * phi.max()
     valid = phi > cutoff
     excluded = int(np.size(phi) - np.count_nonzero(valid))
+    support = Region(grid=grid, mask=valid.reshape(grid.shape), kind="support")
     weight = (phi**2) * grid.weights.ravel()
 
     density = np.einsum("if,ij,jf->f", flat_modes, ground.gamma / ground.N, flat_modes)
@@ -101,7 +103,7 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
         psi_slice = b @ flat_modes
         f = np.zeros_like(psi_slice)
         f[valid] = psi_slice[valid] / phi[valid]
-        grad2 = _gradient_sq(f.reshape(shape), grid, valid.reshape(shape))
+        grad2 = masked_gradient_sq(f.reshape(shape), support)
         edens = grad2.ravel() * weight
         dist2 = np.sum((pts - r2) ** 2, axis=1)
         totals[s] = edens.sum()
@@ -117,28 +119,3 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
     return LocalizationProfile(radii=radii, fractions=tuple(float(x) for x in fracs),
                                total_energy=total, samples=samples, seed=seed,
                                excluded_points=excluded)
-
-
-def _gradient_sq(f: np.ndarray, grid, valid: np.ndarray) -> np.ndarray:
-    """Central-difference |grad f|^2, one-sided next to excluded nodes."""
-    out = np.zeros_like(f)
-    for ax, h in enumerate(grid.spacing):
-        sl_lo = [slice(None)] * f.ndim
-        sl_hi = [slice(None)] * f.ndim
-        sl_lo[ax] = slice(None, -1)
-        sl_hi[ax] = slice(1, None)
-        pair_ok = valid[tuple(sl_lo)] & valid[tuple(sl_hi)]
-        dfwd = np.zeros_like(f)
-        dbwd = np.zeros_like(f)
-        diff = np.where(pair_ok, (f[tuple(sl_hi)] - f[tuple(sl_lo)]) / h, 0.0)
-        dfwd[tuple(sl_lo)] = diff
-        has_f = np.zeros_like(valid)
-        has_b = np.zeros_like(valid)
-        has_f[tuple(sl_lo)] = pair_ok
-        has_b[tuple(sl_hi)] = pair_ok
-        dbwd[tuple(sl_hi)] = dfwd[tuple(sl_lo)]
-        df = np.where(has_f & has_b, 0.5 * (dfwd + dbwd),
-                      np.where(has_f, dfwd, np.where(has_b, dbwd, 0.0)))
-        out += df**2
-    out[~valid] = 0.0
-    return out

@@ -1,9 +1,11 @@
-"""Particle-number sweep at fixed interaction strength.
+"""The many-body pipeline, and the particle-number sweep at fixed coupling.
 
-Each row solves the N-boson ground state with the pair potential rescaled
-so the product of N and the scattering length stays fixed (a = g / 4 pi N),
-then compares energies and one-particle observables against the shared
-mean-field reference solved once at that g.
+``prepare_pipeline`` does the work every particle number shares: hard-core
+substitution, the zero-energy scattering solve, the mode basis and the
+mean-field reference at coupling g.  ``solve_instance`` then solves one N
+with the pair potential rescaled to scattering length a and compares it
+with that reference.  A ``manybody`` run is one instance; the sweep keeps g
+fixed and runs every N with a = g / 4 pi N.
 """
 
 from __future__ import annotations
@@ -14,16 +16,61 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..gp import minimize_gp, predict_components
+from ..gp import GPState, minimize_gp, predict_components
 from ..model import Grid, PairPotential, TrapSpec, scale_pair_potential
 from ..scattering import hard_sphere_substitute, solve_zero_energy
-from .basis import FockBasis, build_mode_basis
-from .ground import PairOpHamiltonian, ground_state, hartree_energy
-from .metrics import condensate_metrics, expand_reference
+from .basis import FockBasis, ModeBasis, build_mode_basis
+from .ground import ManyBodyGround, PairOpHamiltonian, ground_state, hartree_energy
+from .metrics import CondensateReport, condensate_metrics, expand_reference
 from .tensor import interaction_tensor
 
 CSV_HEADER = ("N,a,g,E_qm_per_N,E_gp,gp_overlap,trace_distance,momentum_l1,"
               "kin,pot,int,kin_pred,pot_pred,int_pred,s")
+
+
+@dataclass(frozen=True)
+class PipelineSetup:
+    potential: PairPotential        # after hard-core substitution
+    substituted: dict | None        # the stand-in's height and radius, if any
+    scattering_length: float
+    s: float                        # kinetic fraction of the unit-length profile
+    basis: ModeBasis
+    gp: GPState
+    reference: tuple[np.ndarray, float]
+
+
+def prepare_pipeline(trap: TrapSpec, potential: PairPotential, g: float, grid: Grid,
+                     max_quanta: int = 3, gp_grid: Grid | None = None,
+                     gp_tol: float = 1e-8) -> PipelineSetup:
+    """Shared set-up; ``gp_grid`` (default: ``grid``) carries the reference.
+    Hard spheres become tall soft spheres of equal scattering length."""
+    substituted = None
+    if potential.has_hard_core:
+        potential = hard_sphere_substitute(potential.core)
+        substituted = {"height": potential.height, "radius": potential.radius}
+    scat = solve_zero_energy(potential, r_max=max(80.0, 6 * potential.range))
+    if scat.a <= 0 or scat.s is None:
+        raise ConfigError("needs a repulsive potential with positive scattering length",
+                          field="pair_potential")
+    gp = minimize_gp(trap, g, grid if gp_grid is None else gp_grid, tol=gp_tol)
+    basis = build_mode_basis(trap, grid, max_quanta)
+    return PipelineSetup(potential=potential, substituted=substituted,
+                         scattering_length=scat.a, s=scat.s / scat.a, basis=basis, gp=gp,
+                         reference=expand_reference(gp, basis))
+
+
+def solve_instance(setup: PipelineSetup, N: int, a: float, g: float, dimension_cap: int = 200_000
+                   ) -> tuple[ManyBodyGround, CondensateReport, float]:
+    """Ground state of N bosons at scattering length a, its metrics against
+    the mean-field reference, and the Hartree bound per particle."""
+    basis = setup.basis
+    tensor = interaction_tensor(basis, scale_pair_potential(setup.potential,
+                                                            a / setup.scattering_length))
+    fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap)
+    ham = PairOpHamiltonian(basis, tensor, fock)
+    ground = ground_state(basis, tensor, N, a=a, g=g, ham=ham)
+    metrics = condensate_metrics(ground, setup.gp, basis, ham=ham, reference=setup.reference)
+    return ground, metrics, hartree_energy(basis, tensor, N, setup.reference[0]) / N
 
 
 @dataclass(frozen=True)
@@ -46,13 +93,11 @@ class SweepResult:
 def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
                    N_list, max_quanta: int = 3, grid: Grid | None = None,
                    gp_grid: Grid | None = None, dimension_cap: int = 200_000,
-                   gp_tol: float = 1e-8, scattering_r_max: float = 80.0) -> SweepResult:
+                   gp_tol: float = 1e-8) -> SweepResult:
     """Run every N with a = g / (4 pi N) and collect the comparison table.
 
     ``grid`` carries the interaction tensors and mode basis; ``gp_grid``
-    (default: the same) may be finer for the mean-field reference.  Hard
-    spheres are replaced by tall soft spheres of equal scattering length,
-    recorded in the result.
+    (default: the same) may be finer for the mean-field reference.
     """
     if g <= 0:
         raise ConfigError("sweep needs a positive coupling g", field="g")
@@ -61,42 +106,20 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
         raise ConfigError("particle numbers must be positive", field="N_list")
     if grid is None:
         grid = Grid.centered((14.0,) * 3, (48,) * 3)
-    if gp_grid is None:
-        gp_grid = grid
 
-    substituted = None
-    if base_potential.has_hard_core:
-        sub = hard_sphere_substitute(base_potential.core)
-        substituted = {"height": sub.height, "radius": sub.radius,
-                       "reason": "hard core replaced for the mode expansion"}
-        base_potential = sub
-
-    scat = solve_zero_energy(base_potential, r_max=scattering_r_max)
-    if scat.a <= 0 or scat.s is None:
-        raise ConfigError("sweep needs a repulsive potential with positive scattering length")
-    s = scat.s / scat.a          # kinetic fraction of the unit-length profile
-
-    gp = minimize_gp(trap, g, gp_grid, tol=gp_tol)
-    prediction = predict_components(gp, s)
-    basis = build_mode_basis(trap, grid, max_quanta)
-    u_matrix = basis.potential_matrix()
-    t_matrix = basis.kinetic_matrix()
-    reference = expand_reference(gp, basis)
-    c_ref = reference[0]
+    setup = prepare_pipeline(trap, base_potential, g, grid, max_quanta, gp_grid, gp_tol)
+    gp = setup.gp
+    prediction = predict_components(gp, setup.s)
+    u_matrix = setup.basis.potential_matrix()
+    t_matrix = setup.basis.kinetic_matrix()
 
     rows = []
     for N in N_list:
-        a = g / (4.0 * math.pi * N) / scat.a
-        v = scale_pair_potential(base_potential, a)
-        tensor = interaction_tensor(basis, v)
-        fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap)
-        ham = PairOpHamiltonian(basis, tensor, fock)
-        ground = ground_state(basis, tensor, N, a=a, g=g, ham=ham)
-        report = condensate_metrics(ground, gp, basis, ham=ham, reference=reference)
+        a = g / (4.0 * math.pi * N)
+        ground, report, rayleigh = solve_instance(setup, N, a, g, dimension_cap)
         kin = float(np.sum(t_matrix * ground.gamma)) / N
         pot = float(np.sum(u_matrix * ground.gamma)) / N
         inter = ground.energy / N - kin - pot
-        rayleigh = hartree_energy(basis, tensor, N, c_ref) / N
         rows.append({
             "N": N, "a": a, "g": g,
             "E_qm_per_N": ground.energy / N,
@@ -108,7 +131,7 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
             "kin_pred": prediction.kinetic_qm,
             "pot_pred": prediction.potential_qm,
             "int_pred": prediction.interaction_qm,
-            "s": s,
+            "s": setup.s,
             "rayleigh_per_N": rayleigh,
             "pair_moment": report.pair_moment,
             "condensate_fraction": report.condensate_fraction,
@@ -116,7 +139,9 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
             "momentum_coverage": report.momentum_coverage,
             "eigen_residual": ground.residual,
         })
-    return SweepResult(rows=tuple(rows), s=float(s),
-                       base_scattering_length=float(scat.a),
+    substituted = None if setup.substituted is None else dict(
+        setup.substituted, reason="hard core replaced for the mode expansion")
+    return SweepResult(rows=tuple(rows), s=float(setup.s),
+                       base_scattering_length=float(setup.scattering_length),
                        gp_energy=gp.energy_total,
                        substituted_potential=substituted)

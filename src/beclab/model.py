@@ -414,23 +414,46 @@ def _require_keys(doc: dict, allowed: set[str], required: set[str], where: str):
         raise ConfigError(f"missing keys {sorted(missing)}", field=where)
 
 
+def _number(value, field: str, integer: bool = False, minimum=None, positive: bool = False):
+    """A finite JSON number, an int when ``integer`` is set, else a float;
+    booleans, strings, NaN, infinities, values below ``minimum`` and, with
+    ``positive``, values <= 0 raise a ConfigError naming ``field``."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        try:
+            if (math.isfinite(value) and (minimum is None or value >= minimum)
+                    and (not positive or value > 0)):
+                return value if integer else float(value)
+        except OverflowError:       # an integer beyond the float range
+            pass
+    kind = "integer" if integer else "number"
+    bound = " > 0" if positive else "" if minimum is None else f" >= {minimum}"
+    raise ConfigError(f"must be a finite {kind}{bound}, got {value!r}", field=field)
+
+
+def _number_list(value, field: str, **kw) -> tuple:
+    """A JSON list whose every entry passes ``_number`` (same keywords)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"must be a list of numbers, got {value!r}", field=field)
+    return tuple(_number(x, f"{field}[{i}]", **kw) for i, x in enumerate(value))
+
+
 def trap_from_config(doc: dict) -> TrapSpec:
     if not isinstance(doc, dict):
         raise ConfigError("trap must be an object", field="trap")
     kind = doc.get("kind")
     if kind == "harmonic":
         _require_keys(doc, {"kind", "stiffness"}, {"kind", "stiffness"}, "trap")
-        return TrapSpec.harmonic(doc["stiffness"])
+        return TrapSpec.harmonic(_number_list(doc["stiffness"], "trap.stiffness"))
     if kind == "box":
         _require_keys(doc, {"kind", "side", "dimension"}, {"kind", "side"}, "trap")
-        return TrapSpec.box(doc["side"], int(doc.get("dimension", 3)))
+        return TrapSpec.box(_number(doc["side"], "trap.side"),
+                            _number(doc.get("dimension", 3), "trap.dimension", integer=True))
     if kind == "tabulated":
         _require_keys(doc, {"kind", "lo", "extent", "points", "values"},
                       {"kind", "lo", "extent", "points", "values"}, "trap")
-        grid = Grid(tuple(float(x) for x in doc["lo"]),
-                    tuple(float(x) for x in doc["extent"]),
-                    tuple(int(x) for x in doc["points"]))
-        return TrapSpec.tabulated(grid, doc["values"])
+        return TrapSpec.tabulated(grid_from_config(
+            {k: doc[k] for k in ("lo", "extent", "points")}, where="trap"), doc["values"])
     raise ConfigError(f"unknown trap kind {kind!r}", field="trap.kind")
 
 
@@ -440,24 +463,27 @@ def pair_potential_from_config(doc: dict) -> PairPotential:
     shape = doc.get("shape")
     if shape == "hard_sphere":
         _require_keys(doc, {"shape", "core"}, {"shape", "core"}, "pair_potential")
-        return PairPotential.hard_sphere(float(doc["core"]))
+        return PairPotential.hard_sphere(_number(doc["core"], "pair_potential.core"))
     if shape == "soft_sphere":
         _require_keys(doc, {"shape", "height", "radius"}, {"shape", "height", "radius"}, "pair_potential")
-        return PairPotential.soft_sphere(float(doc["height"]), float(doc["radius"]))
+        return PairPotential.soft_sphere(_number(doc["height"], "pair_potential.height"),
+                                         _number(doc["radius"], "pair_potential.radius"))
     if shape == "tabulated_radial":
         _require_keys(doc, {"shape", "r", "v"}, {"shape", "r", "v"}, "pair_potential")
-        return PairPotential.tabulated_radial(doc["r"], doc["v"])
+        return PairPotential.tabulated_radial(_number_list(doc["r"], "pair_potential.r"),
+                                              _number_list(doc["v"], "pair_potential.v"))
     raise ConfigError(f"unknown potential shape {shape!r}", field="pair_potential.shape")
 
 
-def grid_from_config(doc: dict, trap: TrapSpec | None = None) -> Grid:
+def grid_from_config(doc: dict, trap: TrapSpec | None = None, where: str = "grid") -> Grid:
+    """Grid from {extent, points[, lo]}; ``where`` names the block in errors."""
     if not isinstance(doc, dict):
-        raise ConfigError("grid must be an object", field="grid")
-    _require_keys(doc, {"extent", "points", "lo"}, {"extent", "points"}, "grid")
-    extent = tuple(float(x) for x in np.atleast_1d(doc["extent"]))
-    points = tuple(int(x) for x in np.atleast_1d(doc["points"]))
+        raise ConfigError("grid must be an object", field=where)
+    _require_keys(doc, {"extent", "points", "lo"}, {"extent", "points"}, where)
+    extent = _number_list(doc["extent"], f"{where}.extent")
+    points = _number_list(doc["points"], f"{where}.points", integer=True)
     if "lo" in doc:
-        lo = tuple(float(x) for x in np.atleast_1d(doc["lo"]))
+        lo = _number_list(doc["lo"], f"{where}.lo")
     elif trap is not None and trap.kind == "box":
         lo = (0.0,) * len(extent)
     else:

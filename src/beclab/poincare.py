@@ -27,7 +27,7 @@ _MEAN_ZERO_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Region:
-    """Box or ball in dimension 2 or 3, node-discretized.
+    """Box, ball or other node set in dimension 2 or 3, node-discretized.
 
     ``mask`` marks the nodes belonging to K inside the bounding grid; a
     node stands for the cell around it, so set volumes are quadrature
@@ -341,3 +341,30 @@ def estimate_constant(region: Region, h: np.ndarray | None = None, trials: int =
     holds = all(check_inequality(inst, c_star)["holds"] for inst, _ in instances)
     return ConstantEstimate(c_star=float(c_star), trials=trials,
                             worst_trial=worst, holds_all=bool(holds))
+
+
+def weighted_estimate(region: Region, weight: np.ndarray, c_star: float, trials: int = 200,
+                      seed: int = 0) -> dict:
+    """``weighted_check`` at C' = C* (max w / min w)^2 on K over random trials.
+
+    ``c_star`` is the region's unweighted constant; the trials come from the
+    ensemble of ``estimate_constant``, and the worst one has the smallest
+    margin lhs - rhs.
+    """
+    wk = weight[region.mask]
+    ratio = float(wk.max() / max(wk.min(), 1e-300))
+    c_prime = c_star * ratio**2
+    rng = np.random.default_rng(seed)
+    worst = None
+    holds = True
+    for _ in range(trials):
+        f = _random_field(rng, region)
+        omega, desc = _random_omega(rng, region)
+        res = weighted_check(PoincareInstance.build(region, omega, f, description=desc),
+                             weight, c_prime)
+        holds &= res["holds"]
+        margin = res["lhs"] - res["rhs"]
+        if worst is None or margin < worst["margin"]:
+            worst = {"margin": margin, **desc}
+    return {"C_prime": c_prime, "weight_ratio": ratio, "holds_all": bool(holds),
+            "worst_trial": worst}

@@ -14,7 +14,7 @@ import beclab as bl
 from beclab.manybody import build_mode_basis, ground_state, localization_profile
 from beclab.manybody.tensor import interaction_tensor
 from beclab.poincare import (PoincareInstance, Region, check_inequality,
-                             estimate_constant, weighted_check)
+                             estimate_constant, weighted_estimate)
 from beclab.scattering import (soft_sphere_kinetic_fraction,
                                soft_sphere_scattering_length)
 
@@ -181,23 +181,13 @@ def test_criterion_8_poincare_suite(gp_g10_96):
 
     pts = np.stack(np.meshgrid(*ball.grid.axes, indexing="ij"), axis=-1)
     w = multilinear_interpolate(gp_g10_96.grid, gp_g10_96.phi, pts) ** 2
-    ratio = float(w[ball.mask].max() / w[ball.mask].min())
     est_ball = estimate_constant(ball, trials=120, seed=11)
-    c_prime = est_ball.c_star * ratio**2
-    rng = np.random.default_rng(11)
-    from beclab.poincare import _random_field, _random_omega
-
-    weighted_ok = True
-    for _ in range(120):
-        field = _random_field(rng, ball)
-        omega, desc = _random_omega(rng, ball)
-        winst = PoincareInstance.build(ball, omega, field, description=desc)
-        weighted_ok &= weighted_check(winst, w, c_prime)["holds"]
+    weighted = weighted_estimate(ball, w, est_ball.c_star, trials=120, seed=11)
     elapsed = time.monotonic() - t0
-    ok = all_hold and oracle_ok and weighted_ok and elapsed < 300.0
+    ok = all_hold and oracle_ok and weighted["holds_all"] and elapsed < 300.0
     _verdict(8, ok, f"1000 trials hold={all_hold}, classical C*={c_classical:.5f} "
-                    f"vs {1 / np.pi**2:.5f}, weighted holds={weighted_ok} "
-                    f"(ratio {ratio:.1f}), {elapsed:.1f}s")
+                    f"vs {1 / np.pi**2:.5f}, weighted holds={weighted['holds_all']} "
+                    f"(ratio {weighted['weight_ratio']:.1f}), {elapsed:.1f}s")
 
 
 # -------------------------------------------------------------- criterion 9

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from beclab import __version__
 from beclab.cli import (canonical_hash, execute, load_config, main, verify)
 from beclab.errors import ConfigError
+from beclab.model import problem_from_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -131,6 +133,106 @@ def test_bad_manybody_and_sweep_input_exits_2(tmp_path, capsys, experiment, solv
     assert err.startswith("config error") and next(iter(solver)) in err
 
 
+def small_scattering_config():
+    return {
+        "experiment": "scattering",
+        "problem": {"pair_potential": {"shape": "soft_sphere", "height": 10.0,
+                                       "radius": 1.0}},
+        "solver": {"r_max": 50.0, "tol": 1e-9},
+        "seed": 1,
+        "reproducible": True,
+        "output": None,
+    }
+
+
+def small_poincare_config(weight=None):
+    return {
+        "experiment": "poincare",
+        "problem": {},
+        "solver": {"region": {"kind": "ball", "radius": 2.0, "points": 16, "dimension": 3},
+                   "trials": 5, "weight": weight or {"kind": "constant"}},
+        "seed": 3,
+        "reproducible": True,
+        "output": None,
+    }
+
+
+SMALL_CONFIGS = {"gp": small_gp_config, "manybody": small_manybody_config,
+                 "sweep": small_sweep_config, "scattering": small_scattering_config,
+                 "poincare": small_poincare_config}
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("experiment,path,value", [
+    ("manybody", "solver.localization", {"radii": "x"}),
+    ("manybody", "solver.localization", {"radii": [0.5, NAN]}),
+    ("manybody", "solver.localization", {"radii": [0.5, 0.0]}),
+    ("manybody", "solver.localization", {"radii": [1.0, "2"]}),
+    ("sweep", "solver.gp_grid", {"extent": ["x", 14, 14], "points": [32, 32, 32]}),
+    ("sweep", "solver.gp_grid", {"extent": [14, 14, 14], "points": [32, 32, 32.5]}),
+    ("gp", "problem.grid.points", ["abc", 48, 48]),
+    ("gp", "problem.grid.extent", [14, 14, "14"]),
+    ("gp", "problem.grid.lo", [-7, -7, NAN]),
+    ("gp", "problem.trap.stiffness", ["x", 1, 1]),
+    ("gp", "problem.trap", {"kind": "box", "side": "x"}),
+    ("gp", "problem.trap", {"kind": "box", "side": 1.0, "dimension": "x"}),
+    ("gp", "problem.trap", {"kind": "tabulated", "lo": [0, 0, 0], "extent": [1, 1, 1],
+                            "points": [4, 4, "x"], "values": [0.0] * 64}),
+    ("manybody", "problem.pair_potential.height", "x"),
+    ("scattering", "problem.pair_potential.height", NAN),
+    ("scattering", "problem.pair_potential.radius", "1"),
+    ("scattering", "problem.pair_potential", {"shape": "hard_sphere", "core": NAN}),
+    ("scattering", "problem.pair_potential",
+     {"shape": "tabulated_radial", "r": ["x", 1.0], "v": [1.0, 0.0]}),
+    ("scattering", "solver.r_max", "x"),
+    ("scattering", "solver.tol", True),
+    ("poincare", "solver.region.points", "abc"),
+    ("poincare", "solver.region.radius", "x"),
+    ("poincare", "solver.region.dimension", 3.0),
+    ("poincare", "solver.region", {"kind": "box", "side": [1.0], "points": 16}),
+    ("poincare", "solver.trials", "x"),
+    ("poincare", "solver.trials", 0),
+], ids=repr)
+def test_bad_structured_input_exits_2(tmp_path, capsys, experiment, path, value):
+    cfg = SMALL_CONFIGS[experiment]()
+    *parents, key = path.split(".")
+    doc = cfg
+    for name in parents:
+        doc = doc[name]
+    doc[key] = value
+    p = write_config(tmp_path, cfg)     # json writes NaN literals
+    assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+
+
+def test_manybody_without_scattering_length_exits_2(tmp_path, capsys):
+    cfg = small_manybody_config(a=0.01)
+    cfg["problem"]["pair_potential"]["height"] = 0.0
+    p = write_config(tmp_path, cfg)
+    assert main(["manybody", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "positive scattering length" in capsys.readouterr().err
+
+
+def test_sweep_rows_report_scattering_length(tmp_path):
+    cfg = small_sweep_config()
+    cfg["problem"]["pair_potential"] = {"shape": "soft_sphere", "height": 5.0, "radius": 1.1}
+    path = execute(cfg, tmp_path / "o")
+    rep = json.loads(path.read_text())
+    assert abs(rep["base_scattering_length"] - 1.0) > 0.1
+    csv_rows = (path.parent / "sweep.csv").read_text().splitlines()[1:]
+    for row, line in zip(rep["rows"], csv_rows, strict=True):
+        a = 0.4 / (4.0 * math.pi * row["N"])
+        assert row["a"] == a and float(line.split(",")[1]) == a
+
+
+@pytest.mark.parametrize("config_path", sorted((REPO / "configs").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_committed_config_parses(config_path):
+    config = load_config(config_path, json.loads(config_path.read_text())["experiment"], {})
+    problem_from_config(config["problem"])
+
+
 @pytest.mark.parametrize("seed", ["abc", -1, 1.5, None, True])
 def test_bad_seed_exits_2(tmp_path, capsys, seed):
     p = write_config(tmp_path, small_sweep_config() | {"seed": seed})
@@ -203,16 +305,7 @@ def test_experiment_mismatch_rejected(tmp_path):
 
 
 def test_scattering_cli_roundtrip(tmp_path, capsys):
-    cfg = {
-        "experiment": "scattering",
-        "problem": {"pair_potential": {"shape": "soft_sphere", "height": 10.0,
-                                       "radius": 1.0}},
-        "solver": {"r_max": 50.0, "tol": 1e-9},
-        "seed": 1,
-        "reproducible": True,
-        "output": None,
-    }
-    p = write_config(tmp_path, cfg)
+    p = write_config(tmp_path, small_scattering_config())
     assert main(["scattering", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
     report_path = capsys.readouterr().out.strip().splitlines()[-1]
     rep = json.loads(Path(report_path).read_text())
@@ -274,6 +367,21 @@ def test_phi_dump_feeds_weighted_poincare(tmp_path):
     assert rep["weighted"]["holds_all"] is True
     assert rep["weighted"]["C_prime"] >= rep["C_star"]
     assert verify([str(po_path)]) == 0
+
+
+@pytest.mark.parametrize("sidecar,n_bytes", [
+    ({"lo": [-7.0] * 3, "extent": [14.0] * 3, "points": [8] * 3}, 8 * 8**3 - 4),
+    ({"extent": [14.0] * 3, "points": [8] * 3}, 8 * 8**3),
+], ids=["truncated", "sidecar_without_lo"])
+def test_bad_phi_dump_exits_2(tmp_path, capsys, sidecar, n_bytes):
+    (tmp_path / "phi.f64").write_bytes(b"\0" * n_bytes)
+    (tmp_path / "phi_grid.json").write_text(json.dumps(sidecar))
+    p = write_config(tmp_path, small_poincare_config(
+        {"kind": "gp_dump", "phi": str(tmp_path / "phi.f64"),
+         "grid": str(tmp_path / "phi_grid.json")}))
+    assert main(["poincare", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "solver.weight" in err
 
 
 def test_sweep_csv_contract(tmp_path):
