@@ -66,12 +66,15 @@ def load_config(path, experiment: str, overrides: dict) -> dict:
         raise ConfigError(
             f"config is for experiment {doc['experiment']!r}, command ran {experiment!r}",
             field="config.experiment")
+    if not isinstance(doc.get("reproducible", True), bool):
+        raise ConfigError(f"must be true or false, got {doc['reproducible']!r}",
+                          field="reproducible")
     config = {
         "experiment": experiment,
         "problem": doc.get("problem", {}),
         "solver": doc.get("solver", {}),
         "seed": doc.get("seed", 0),
-        "reproducible": bool(doc.get("reproducible", True)),
+        "reproducible": doc.get("reproducible", True),
         "output": doc.get("output"),
     }
     for key, value in overrides.items():
@@ -337,10 +340,29 @@ def load_phi_dump(phi_path, sidecar_path):
     return grid, phi
 
 
+def _weight_from_config(doc) -> tuple[str, str] | None:
+    """The (phi, grid) dump paths of a gp_dump weight; None for a constant one."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"weight must be an object, got {doc!r}", field="solver.weight")
+    kind = doc.get("kind")
+    if kind not in ("constant", "gp_dump"):
+        raise ConfigError("weight kind must be constant or gp_dump", field="solver.weight")
+    keys = {"kind", "phi", "grid"}
+    _require_keys(doc, keys, keys if kind == "gp_dump" else {"kind"}, "solver.weight")
+    if kind == "constant":
+        return None
+    for key in ("phi", "grid"):
+        if not isinstance(doc[key], str):
+            raise ConfigError(f"must be a file path, got {doc[key]!r}",
+                              field=f"solver.weight.{key}")
+    return doc["phi"], doc["grid"]
+
+
 def run_poincare(config: dict):
     solver = config["solver"]
     region = _region_from_config(solver["region"])
     trials = _solver_number(solver, "trials", 200, integer=True, minimum=1)
+    dump = _weight_from_config(solver.get("weight", {"kind": "constant"}))
     est = estimate_constant(region, trials=trials, seed=config["seed"])
     report = {
         "kind": "poincare",
@@ -351,17 +373,13 @@ def run_poincare(config: dict):
         "dimension": region.m,
         "region_kind": region.kind,
     }
-    weight_cfg = solver.get("weight", {"kind": "constant"})
-    _require_keys(weight_cfg, {"kind", "phi", "grid"}, {"kind"}, "solver.weight")
-    if weight_cfg["kind"] == "gp_dump":
-        dump_grid, phi = load_phi_dump(weight_cfg["phi"], weight_cfg["grid"])
+    if dump is not None:
+        dump_grid, phi = load_phi_dump(*dump)
         mesh = np.meshgrid(*region.grid.axes, indexing="ij")
         pts = np.stack(mesh, axis=-1)
         w = multilinear_interpolate(dump_grid, phi, pts, field="solver.weight") ** 2
         report["weighted"] = weighted_estimate(region, w, est.c_star,
                                                trials=min(trials, 200), seed=config["seed"] + 1)
-    elif weight_cfg["kind"] != "constant":
-        raise ConfigError("weight kind must be constant or gp_dump", field="solver.weight")
     return report, {}
 
 

@@ -1,4 +1,10 @@
-"""Single-particle trap modes and the fixed-N bosonic occupation basis."""
+"""Single-particle trap modes and the fixed-N bosonic occupation basis.
+
+Harmonic and box modes are products of per-axis 1D factors, which the
+basis keeps next to the sampled 3D modes; tabulated modes are numeric 3D
+eigenvectors.  The occupation basis holds every state or one reflection-
+parity sector of them.
+"""
 
 from __future__ import annotations
 
@@ -40,6 +46,11 @@ class ModeBasis:
     lexicographically by quantum numbers.  For harmonic traps the
     truncation keeps all modes with total quanta <= max_quanta; box traps
     use the analogous excitation total over the three indices.
+
+    Harmonic and box modes are products of 1D factors: ``axis_tables[ax]``
+    holds the factors of axis ax on the grid, shape (max_quanta+1, n_ax),
+    and mode m is the product of rows ``table_rows[m]``.  Tabulated traps
+    have no such factors (both None).
     """
 
     trap: TrapSpec
@@ -48,6 +59,8 @@ class ModeBasis:
     energies: np.ndarray           # (M,)
     quantum_numbers: tuple[tuple[int, ...], ...]
     max_quanta: int
+    axis_tables: tuple[np.ndarray, ...] | None = None
+    table_rows: np.ndarray | None = None     # (M, 3) int
 
     @property
     def size(self) -> int:
@@ -55,6 +68,8 @@ class ModeBasis:
 
     @cached_property
     def gram_error(self) -> float:
+        if self.axis_tables is not None:
+            return _factored_gram_error(self.axis_tables, self.table_rows, self.grid)
         flat = self.modes.reshape(self.size, -1)
         w = self.grid.weights.ravel()
         g = (flat * w) @ flat.T
@@ -68,22 +83,32 @@ class ModeBasis:
     def axis_parity(self) -> np.ndarray | None:
         """Per-axis reflection parity of the sampled modes, 0 even and 1 odd.
 
-        Each mode is compared with its mirror image through the grid centre
-        on each axis, at 1e-12 of its largest sample.  None when some mode
-        has no definite parity on some axis (off-centre grids, mixed
-        degenerate eigenvectors of tabulated traps).
+        Each mode (or, for product modes, each 1D factor) is compared with
+        its mirror image through the grid centre on each axis, at 1e-12 of
+        its largest sample.  None when some mode has no definite parity on
+        some axis (off-centre grids, mixed degenerate eigenvectors of
+        tabulated traps).
         """
+        if self.axis_tables is not None:
+            rows = [[_mirror_parity(f, 0) for f in table] for table in self.axis_tables]
+            if any(None in r for r in rows):
+                return None
+            return np.column_stack([np.array(r)[self.table_rows[:, ax]]
+                                    for ax, r in enumerate(rows)])
         out = np.zeros((self.size, self.grid.dimension), dtype=np.int64)
         for m, mode in enumerate(self.modes):
-            tol = 1e-12 * np.abs(mode).max()
             for ax in range(self.grid.dimension):
-                mirror = np.flip(mode, axis=ax)
-                if np.abs(mode - mirror).max() <= tol:
-                    continue
-                if np.abs(mode + mirror).max() > tol:
+                p = _mirror_parity(mode, ax)
+                if p is None:
                     return None
-                out[m, ax] = 1
+                out[m, ax] = p
         return out
+
+    @cached_property
+    def parity_codes(self) -> np.ndarray | None:
+        """Per-mode parity code, bit ax set when the mode is odd on axis ax."""
+        parity = self.axis_parity
+        return None if parity is None else parity @ (1 << np.arange(parity.shape[1]))
 
     def potential_matrix(self) -> np.ndarray:
         """u[i,j] = int V mode_i mode_j by grid quadrature."""
@@ -94,6 +119,25 @@ class ModeBasis:
     def kinetic_matrix(self) -> np.ndarray:
         """t = diag(energies) - potential matrix (modes are eigenfunctions)."""
         return np.diag(self.energies) - self.potential_matrix()
+
+
+def _mirror_parity(f: np.ndarray, axis: int) -> int | None:
+    """0 when f is even under the mirror along ``axis``, 1 when odd, else None."""
+    tol = 1e-12 * np.abs(f).max()
+    mirror = np.flip(f, axis=axis)
+    if np.abs(f - mirror).max() <= tol:
+        return 0
+    if np.abs(f + mirror).max() <= tol:
+        return 1
+    return None
+
+
+def _factored_gram_error(tables, rows, grid: Grid) -> float:
+    # the Gram matrix of product modes is the elementwise product of 1D Grams
+    g = np.ones((len(rows), len(rows)))
+    for table, r, w in zip(tables, rows.T, grid.axis_weights):
+        g = g * ((table * w) @ table.T)[np.ix_(r, r)]
+    return float(np.abs(g - np.eye(len(rows))).max())
 
 
 def _harmonic_quantum_numbers(max_quanta: int, dim: int):
@@ -129,58 +173,74 @@ def build_mode_basis(trap: TrapSpec, grid: Grid, max_quanta: int = 3,
         raise ConfigError("grid and trap dimensions disagree", field="grid")
     if max_quanta < 0:
         raise ConfigError("max_quanta must be nonnegative", field="max_quanta")
+    if trap.kind == "tabulated":
+        return _numeric_mode_basis(trap, grid, max_quanta, gram_tol)
+    if trap.kind not in ("harmonic", "box"):
+        raise ConfigError(f"unsupported trap kind {trap.kind!r}", field="trap")
+    qns, energies, tables, rows = separable_modes(trap, grid, max_quanta,
+                                                  gram_tol, energy_check)
+    return ModeBasis(trap=trap, grid=grid, modes=_product_modes(tables, rows),
+                     energies=energies, quantum_numbers=tuple(qns), max_quanta=max_quanta,
+                     axis_tables=tables, table_rows=rows)
 
+
+def separable_modes(trap: TrapSpec, grid: Grid, max_quanta: int,
+                    gram_tol: float = 1e-8, energy_check: float = 0.01):
+    """Harmonic or box modes on ``grid``'s axes, without the 3D arrays.
+
+    Returns the quantum numbers and energies in mode order, the per-axis
+    1D tables and each mode's (M, 3) rows in them.  The resolution checks
+    of ``build_mode_basis`` run on this grid: the Gram matrix as a product
+    of 1D Grams, the energy on the one materialized highest mode.
+    """
+    rows = _harmonic_quantum_numbers(max_quanta, 3)
     if trap.kind == "harmonic":
-        qns = _harmonic_quantum_numbers(max_quanta, 3)
-        per_axis = [hermite_functions(max_quanta, grid.axes[ax], trap.stiffness[ax])
-                    for ax in range(3)]
+        tables = tuple(hermite_functions(max_quanta, grid.axes[ax], trap.stiffness[ax])
+                       for ax in range(3))
+        qns = rows
         energies = [sum(np.sqrt(trap.stiffness[ax]) * (2 * q[ax] + 1) for ax in range(3))
                     for q in qns]
-        modes = [per_axis[0][q[0]][:, None, None]
-                 * per_axis[1][q[1]][None, :, None]
-                 * per_axis[2][q[2]][None, None, :] for q in qns]
-    elif trap.kind == "box":
-        qns = [tuple(n + 1 for n in q) for q in _harmonic_quantum_numbers(max_quanta, 3)]
+    else:
         sides = grid.extent
-        per_axis = []
+        tables = []
         for ax in range(3):
             x = grid.axes[ax] - grid.lo[ax]
-            per_axis.append(np.array([
+            tables.append(np.array([
                 np.sqrt(2.0 / sides[ax]) * np.sin(n * np.pi * x / sides[ax])
                 for n in range(1, max_quanta + 2)]))
+        tables = tuple(tables)
+        qns = [tuple(n + 1 for n in q) for q in rows]
         energies = [np.pi**2 * sum((q[ax] / sides[ax]) ** 2 for ax in range(3)) for q in qns]
-        modes = [per_axis[0][q[0] - 1][:, None, None]
-                 * per_axis[1][q[1] - 1][None, :, None]
-                 * per_axis[2][q[2] - 1][None, None, :] for q in qns]
-    elif trap.kind == "tabulated":
-        return _numeric_mode_basis(trap, grid, max_quanta, gram_tol)
-    else:
-        raise ConfigError(f"unsupported trap kind {trap.kind!r}", field="trap")
 
     order = sorted(range(len(qns)), key=lambda i: (energies[i], qns[i]))
     qns = [qns[i] for i in order]
     energies = np.array([energies[i] for i in order])
-    modes = np.array([modes[i] for i in order])
-    basis = ModeBasis(trap=trap, grid=grid, modes=modes, energies=energies,
-                      quantum_numbers=tuple(qns), max_quanta=max_quanta)
-    if basis.gram_error > gram_tol:
+    rows = np.array([rows[i] for i in order], dtype=np.int64)
+    gram_error = _factored_gram_error(tables, rows, grid)
+    if gram_error > gram_tol:
         raise ResolutionError(
-            f"mode Gram matrix off by {basis.gram_error:.2e}; grid too coarse")
-    err = _energy_check_error(basis)
+            f"mode Gram matrix off by {gram_error:.2e}; grid too coarse")
+    err = _energy_check_error(trap, grid, _product_modes(tables, rows[-1:])[0], energies[-1])
     if err > energy_check:
         raise ResolutionError(
             f"highest-mode energy off by {err:.2%} on this grid")
-    return basis
+    return qns, energies, tables, rows
 
 
-def _energy_check_error(basis: ModeBasis) -> float:
-    # quadrature Rayleigh quotient of the highest mode vs its analytic energy
-    ws = _Workspace(basis.trap, basis.grid)
-    mode = basis.modes[-1][ws.interior]
+def _product_modes(tables, rows) -> np.ndarray:
+    return (tables[0][rows[:, 0], :, None, None]
+            * tables[1][rows[:, 1], None, :, None]
+            * tables[2][rows[:, 2], None, None, :])
+
+
+def _energy_check_error(trap: TrapSpec, grid: Grid, mode: np.ndarray, energy: float) -> float:
+    # quadrature Rayleigh quotient of one mode vs its analytic energy
+    ws = _Workspace(trap, grid)
+    mode = mode[ws.interior]
     b = ws.coefficients(mode)
     num = ws.kinetic(b) + ws.hd * float(np.sum(ws.V * mode * mode))
     den = ws.hd * float(np.sum(mode * mode))
-    return abs(num / den / basis.energies[-1] - 1.0)
+    return abs(num / den / energy - 1.0)
 
 
 def _numeric_mode_basis(trap, grid, max_quanta, gram_tol):
@@ -226,22 +286,34 @@ def _numeric_mode_basis(trap, grid, max_quanta, gram_tol):
 
 @dataclass(frozen=True)
 class FockBasis:
-    """All M-mode occupation vectors with total N, graded lexicographic.
+    """M-mode occupation vectors with total N, graded lexicographic.
 
     The ordering matches combinations-with-replacement of mode indices,
     i.e. descending lexicographic on the occupation vectors.  The rank is
     additive over modes: with rem_j = N - sum_{k<=j} n_k the particles
     left after mode j, rank(n) = sum_j F_j(rem_j), where
     F_j(r) = C(r+M-j-2, r-1) for r >= 1 and j < M-1, and 0 otherwise.
+
+    A basis holds either every state or one reflection-parity sector.  A
+    state's parity code is the XOR of ``mode_codes`` over its modes with
+    odd occupation; a sector keeps the states of one code in the same
+    order, and ``ranks`` holds their ranks in the full space.
     """
 
     N: int
     M: int
     occupations: np.ndarray         # (size, M) int64
+    ranks: np.ndarray               # (size,) full-space ranks, increasing
+    mode_codes: np.ndarray | None = None     # per-mode parity codes of a sector
+    code: int = 0                   # the sector's parity code
 
     @property
     def size(self) -> int:
         return self.occupations.shape[0]
+
+    @property
+    def full_size(self) -> int:
+        return comb(self.N + self.M - 1, self.N)
 
     @cached_property
     def _rank_table(self) -> np.ndarray:
@@ -253,25 +325,36 @@ class FockBasis:
         return F
 
     def rank(self, occ: np.ndarray) -> np.ndarray:
-        """Dense indices of occupation rows (vectorized)."""
+        """Full-space indices of occupation rows (vectorized)."""
         rem = self.N - np.cumsum(np.atleast_2d(occ), axis=1)
         return self._rank_table[np.arange(self.M), rem].sum(axis=1)
 
-    def annihilator(self) -> sp.csr_matrix:
-        """The ladder map a: N -> N-1, shape (D_{N-1} M, D_N).
+    def sector(self, mode_codes: np.ndarray, code: int) -> "FockBasis":
+        """The states of this basis whose parity code is ``code``."""
+        parity = np.zeros(self.size, dtype=np.int64)
+        for i in range(self.M):
+            parity ^= (self.occupations[:, i] & 1) * mode_codes[i]
+        keep = parity == code
+        return FockBasis(N=self.N, M=self.M, occupations=self.occupations[keep],
+                         ranks=self.ranks[keep], mode_codes=np.asarray(mode_codes),
+                         code=int(code))
 
-        Row t*M + i holds a_i x at state t of the (N-1)-particle basis.
-        a_i reaches t from the single state t + e_i, so every row holds
-        exactly one entry: ``indices`` and ``data`` read row by row are the
-        source state and the amplitude sqrt(n_i).  Removing one boson from
-        mode i lowers rem_j by one for j < i only, so
+    def annihilator(self) -> sp.csr_matrix:
+        """The ladder map a: N -> N-1, shape (D_{N-1} M, size).
+
+        Row t*M + i holds a_i x at state t of the full (N-1)-particle
+        basis.  a_i reaches t from the single state t + e_i, so every row
+        holds at most one entry (exactly one in the full space; in a
+        sector, rows whose source lies outside it are empty): the source
+        state and the amplitude sqrt(n_i).  Removing one boson from mode i
+        lowers rem_j by one for j < i only, so
         rank_{N-1}(n - e_i) = rank_N(n) - sum_{j<i} [F_j(rem_j) - F_j(rem_j - 1)].
         """
         M, occ, F = self.M, self.occupations, self._rank_table
         rows = comb(self.N + M - 2, self.N - 1) * M if self.N else 0
-        indices = np.empty(rows, dtype=np.int64)
+        indices = np.full(rows, -1, dtype=np.int64)
         data = np.empty(rows)
-        target = np.arange(self.size)
+        target = self.ranks.copy()
         rem = np.full(self.size, self.N)
         for i in range(M):
             src = np.nonzero(occ[:, i])[0]
@@ -280,10 +363,15 @@ class FockBasis:
             data[row] = np.sqrt(occ[src, i])
             rem -= occ[:, i]
             target -= F[i, rem] - F[i, np.maximum(rem - 1, 0)]
-        return sp.csr_matrix((data, indices, np.arange(rows + 1)), shape=(rows, self.size))
+        filled = indices >= 0
+        indptr = np.concatenate(([0], np.cumsum(filled)))
+        return sp.csr_matrix((data[filled], indices[filled], indptr), shape=(rows, self.size))
 
     @classmethod
-    def build(cls, N: int, M: int, dimension_cap: int = 200_000) -> "FockBasis":
+    def build(cls, N: int, M: int, dimension_cap: int = 200_000,
+              mode_codes: np.ndarray | None = None) -> "FockBasis":
+        """Every state, or with ``mode_codes`` the sector of state 0 (all
+        bosons in mode 0).  The cap applies to the full count."""
         size = comb(N + M - 1, N)
         if size > dimension_cap:
             raise CapacityError(
@@ -292,4 +380,7 @@ class FockBasis:
                             dtype=np.int64, count=size * N)
         modes += np.repeat(np.arange(size) * M, N)
         occ = np.bincount(modes, minlength=size * M).reshape(size, M)
-        return cls(N=N, M=M, occupations=occ)
+        fock = cls(N=N, M=M, occupations=occ, ranks=np.arange(size))
+        if mode_codes is None:
+            return fock
+        return fock.sector(mode_codes, mode_codes[0] * (N % 2))

@@ -8,12 +8,22 @@ and the pair term goes through A = a a: for each unordered mode pair b,
 (A x) collects (a_k a_l x) in the (N-2)-particle basis, so one matvec is two
 sparse products around a dense pair-coefficient multiply; the operator is
 manifestly symmetric and never materialized.
+
+When every mode has a definite reflection parity on every axis, H conserves
+the total parity, and ``ground_state`` solves in the sector of its start
+state (all bosons in mode 0), which holds the ground state.  The pair map
+is then grouped by pair parity class c (the XOR of the two modes' codes):
+the pairs of class c take sector s to the (N-2)-particle sector s ^ c, and
+the pair fold F is block-diagonal by class because the tensor is, so the
+dense multiply becomes one small GEMM per class.  The full space is one
+class over every (N-2)-particle state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,8 +64,19 @@ class ManyBodyGround:
         return float(self.natural_occupations[0])
 
 
+@dataclass(frozen=True)
+class PairClass:
+    """The pairs of one parity class and the pair-map rows they own."""
+
+    span: slice                     # rows offset + r * len(pairs) + j of the pair map
+    pairs: np.ndarray               # pair indices j -> tensor pair
+    lower: np.ndarray               # full-space ranks of the (N-2)-particle rows r
+    fold: np.ndarray                # the class's diagonal block of the pair fold
+
+
 class PairOpHamiltonian:
-    """Matrix-free H over a FockBasis; also serves expectation values."""
+    """Matrix-free H over a FockBasis (all of it or one parity sector);
+    also serves expectation values."""
 
     def __init__(self, basis: ModeBasis, tensor: InteractionTensor, fock: FockBasis):
         if tensor.M != basis.size or fock.M != basis.size:
@@ -65,22 +86,37 @@ class PairOpHamiltonian:
         self.tensor = tensor
         self.diag = fock.occupations @ basis.energies
         self.pair_fold = tensor.fold_hamiltonian_pairs()
-        self.n_pairs = tensor.n_pairs
         self.lowering = fock.annihilator()
-        self.pair_map = self._build_pair_map() if fock.N >= 2 else None
+        self.pair_map, self.pair_classes = (self._build_pair_map() if fock.N >= 2
+                                            else (None, ()))
 
     def _build_pair_map(self):
-        # (a_k a_l x) at state r of the N-2 basis, row r*n_pairs + b for the
-        # pair b = (k, l): a_k from the N-1 basis's map after a_l from ours;
-        # each map holds one entry per row, so composing them is a gather
-        M = self.fock.M
-        inner = FockBasis.build(self.fock.N - 1, M, dimension_cap=10**9).annihilator()
-        k, l = np.array(self.tensor.pairs).T
-        mid = inner.indices.reshape(-1, M)[:, k] * M + l
-        data = inner.data.reshape(-1, M)[:, k] * self.lowering.data[mid]
-        rows = data.size
-        return sp.csr_matrix((data.ravel(), self.lowering.indices[mid].ravel(),
-                              np.arange(rows + 1)), shape=(rows, self.fock.size))
+        # (a_k a_l x) for pair j = (k, l) of a class at its (N-2)-particle row
+        # r: a_k from the full N-1 basis's map after a_l from ours; each map
+        # holds at most one entry per row, and a_l always finds its source in
+        # our space, so composing them is a gather through our row pointers
+        fock, M, pairs = self.fock, self.fock.M, self.tensor.pairs
+        lower = FockBasis.build(fock.N - 2, M, dimension_cap=10**9)
+        inner = FockBasis.build(fock.N - 1, M, dimension_cap=10**9).annihilator()
+        if fock.mode_codes is None:
+            groups = [(np.arange(len(pairs)), lower)]
+        else:
+            label = fock.mode_codes[pairs[:, 0]] ^ fock.mode_codes[pairs[:, 1]]
+            groups = [(np.flatnonzero(label == c), lower.sector(fock.mode_codes, fock.code ^ c))
+                      for c in np.unique(label)]
+        data, cols, classes, start = [], [], [], 0
+        for members, target in groups:
+            k, l = pairs[members].T
+            r = target.ranks[:, None]
+            pos = self.lowering.indptr[inner.indices.reshape(-1, M)[r, k] * M + l]
+            data.append((inner.data.reshape(-1, M)[r, k] * self.lowering.data[pos]).ravel())
+            cols.append(self.lowering.indices[pos].ravel())
+            classes.append(PairClass(slice(start, start + pos.size), members, target.ranks,
+                                     self.pair_fold[np.ix_(members, members)]))
+            start += pos.size
+        pair_map = sp.csr_matrix((np.concatenate(data), np.concatenate(cols),
+                                  np.arange(start + 1)), shape=(start, fock.size))
+        return pair_map, tuple(classes)
 
     @property
     def size(self) -> int:
@@ -90,8 +126,10 @@ class PairOpHamiltonian:
         # pair_fold already carries the 1/2 of the normal-ordered pair term
         y = self.diag * x
         if self.pair_map is not None:
-            w = (self.pair_map @ x).reshape(-1, self.n_pairs)
-            y = y + self.pair_map.T @ (w @ self.pair_fold).ravel()
+            w = self.pair_map @ x
+            for cls in self.pair_classes:
+                w[cls.span] = (w[cls.span].reshape(-1, len(cls.pairs)) @ cls.fold).ravel()
+            y = y + self.pair_map.T @ w
         return y
 
     def operator(self) -> LinearOperator:
@@ -101,11 +139,16 @@ class PairOpHamiltonian:
         return float(x @ self.matvec(x))
 
     def pair_annihilation(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """(b b) x for the dressed mode b = sum_i c_i a_i; an (N-2) vector."""
+        """(b b) x for the dressed mode b = sum_i c_i a_i; a vector over the
+        full (N-2)-particle basis."""
         if self.pair_map is None:
             raise SolverFailureError("pair annihilation needs N >= 2")
-        w = (self.pair_map @ x).reshape(-1, self.n_pairs)
-        return w @ self.tensor.pair_weights(c)
+        w = self.pair_map @ x
+        weights = self.tensor.pair_weights(c)
+        out = np.zeros(comb(self.fock.N + self.fock.M - 3, self.fock.N - 2))
+        for cls in self.pair_classes:
+            out[cls.lower] += w[cls.span].reshape(-1, len(cls.pairs)) @ weights[cls.pairs]
+        return out
 
     def one_body_matrix(self, x: np.ndarray) -> np.ndarray:
         """gamma[i, j] = <x| a+_j a_i |x> = (W^T W)[i, j], W[t, i] = (a_i x)(t)."""
@@ -121,21 +164,24 @@ def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
 
     Deterministic start vector (the fully condensed state); the residual
     ||Hx - Ex|| <= 1e-9 is verified after the solve and the run is retried
-    at machine tolerance once before declaring failure.  Pass the caller's
-    Hamiltonian for this basis, tensor and N to avoid building it again.
+    at machine tolerance once before declaring failure.  Without ``ham`` the
+    solve runs in the parity sector of the start vector (the full space
+    when the modes have no definite parity); pass the caller's Hamiltonian
+    for this basis, tensor and N to avoid building it again.  The returned
+    coefficients cover the full basis, exact zeros outside the sector.
     """
     if ham is None:
-        fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap)
+        fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap,
+                               mode_codes=basis.parity_codes)
         ham = PairOpHamiltonian(basis, tensor, fock)
     elif ham.basis is not basis or ham.tensor is not tensor or ham.fock.N != N:
         raise SolverFailureError("Hamiltonian was built for another basis, tensor or N")
     fock = ham.fock
     if fock.size == 1:
         x = np.ones(1)
-        energy = ham.expectation(x)
-        gamma = ham.one_body_matrix(x)
-        return ManyBodyGround(energy=energy, coefficients=x, gamma=gamma, N=N,
-                              a=a, g=g, residual=0.0, basis_size=basis.size)
+        return ManyBodyGround(energy=ham.expectation(x), coefficients=_scatter(fock, x),
+                              gamma=ham.one_body_matrix(x), N=N, a=a, g=g, residual=0.0,
+                              basis_size=basis.size)
 
     v0 = np.zeros(fock.size)
     v0[0] = 1.0
@@ -158,8 +204,14 @@ def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
                                  residual=residual)
     gamma = ham.one_body_matrix(x)
     _validate_gamma(gamma, N)
-    return ManyBodyGround(energy=energy, coefficients=x, gamma=gamma, N=N,
+    return ManyBodyGround(energy=energy, coefficients=_scatter(fock, x), gamma=gamma, N=N,
                           a=a, g=g, residual=residual, basis_size=basis.size)
+
+
+def _scatter(fock: FockBasis, x: np.ndarray) -> np.ndarray:
+    full = np.zeros(fock.full_size)
+    full[fock.ranks] = x
+    return full
 
 
 def _validate_gamma(gamma: np.ndarray, N: int):

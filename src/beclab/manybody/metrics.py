@@ -6,6 +6,11 @@ weight is reported), and the rank-one projector onto it is compared with
 gamma/N in trace norm.  The momentum-side distance uses the same
 truncated reference, so the trace-norm bound applies exactly up to
 quadrature error on the momentum lattice.
+
+Harmonic and box modes are products of 1D factors, so both the reference
+expansion and the momentum densities are sum-factorized: one 1D
+contraction per axis instead of M full 3D arrays.  Tabulated modes take
+the sampled 3D route.
 """
 
 from __future__ import annotations
@@ -47,16 +52,26 @@ def expand_reference(gp: GPState, basis: ModeBasis, min_weight: float = 0.99):
 
     The modes are evaluated on the reference state's own grid (analytic
     trap eigenfunctions do not care which compatible grid samples them),
-    so a finer mean-field grid can back a coarser interaction grid.
+    so a finer mean-field grid can back a coarser interaction grid; that
+    grid must pass the resolution checks of ``build_mode_basis``.  Product
+    modes are contracted with phi one axis at a time.
     """
-    from .basis import build_mode_basis
+    from .basis import build_mode_basis, separable_modes
 
-    if gp.grid.shape == basis.grid.shape and gp.grid.extent == basis.grid.extent:
-        eval_basis = basis
+    same_grid = gp.grid.shape == basis.grid.shape and gp.grid.extent == basis.grid.extent
+    if basis.axis_tables is not None:
+        tables, rows = ((basis.axis_tables, basis.table_rows) if same_grid else
+                        separable_modes(basis.trap, gp.grid, basis.max_quanta)[2:])
+        a = gp.phi
+        for table, w in zip(reversed(tables), reversed(gp.grid.axis_weights)):
+            # contract the last grid axis; the table index moves to the front
+            a = np.moveaxis(a @ (table * w).T, -1, 0)
+        c = a[tuple(rows.T)]
     else:
-        eval_basis = build_mode_basis(basis.trap, gp.grid, basis.max_quanta)
-    flat = eval_basis.modes.reshape(eval_basis.size, -1)
-    c = (flat * gp.grid.weights.ravel()) @ gp.phi.ravel()
+        eval_basis = basis if same_grid else build_mode_basis(basis.trap, gp.grid,
+                                                              basis.max_quanta)
+        flat = eval_basis.modes.reshape(eval_basis.size, -1)
+        c = (flat * gp.grid.weights.ravel()) @ gp.phi.ravel()
     weight = float(c @ c)
     if weight < min_weight:
         raise BasisInsufficientError(
@@ -71,45 +86,61 @@ def default_momentum_axes(basis: ModeBasis, k_max: float = 10.0, n_k: int = 61):
     return (ax,) * basis.grid.dimension
 
 
-def _mode_transforms(basis: ModeBasis, k_axes) -> np.ndarray:
-    """Complex mode transforms on the lattice, scaled by (2 pi)^(-d/2).
+def _plane_waves(grid, k_axes):
+    # trapezoid-weighted exp(-i k x) / sqrt(2 pi), (n_ax, n_k) per axis
+    return [(w[:, None] * np.exp(-1j * np.outer(x, np.asarray(k)))) / np.sqrt(2 * np.pi)
+            for x, w, k in zip(grid.axes, grid.axis_weights, k_axes)]
 
-    With this scaling sum_k w_k |transform|^2 = 1 for each mode, w being
-    the plain trapezoid weight of the lattice.
+
+def momentum_density(basis: ModeBasis, k_axes):
+    """matrix -> Re sum_mn matrix[m, n] T_m(k) conj(T_n(k)) on the lattice.
+
+    T_m is the transform of mode m scaled by (2 pi)^(-3/2), so for a
+    one-body matrix over the modes this is its momentum density, and
+    sum_k w_k density = trace(matrix) for orthonormal modes up to
+    truncation of the lattice, w being the plain trapezoid weight of the
+    lattice.  Harmonic modes use their analytic transforms: oscillator
+    eigenfunctions transform to themselves up to (-i)^n, with the length
+    scale inverted; box modes transform their 1D sine factors by
+    quadrature.  For both, the matrix is contracted with one table of
+    factor products per axis.  Tabulated modes are transformed as sampled
+    3D arrays.
     """
     from .basis import hermite_functions
 
+    shape = tuple(len(k) for k in k_axes)
+    if basis.axis_tables is None:
+        waves = _plane_waves(basis.grid, k_axes)
+        flat = np.empty((basis.size, int(np.prod(shape))), dtype=complex)
+        for idx in range(basis.size):
+            t = np.tensordot(basis.modes[idx], waves[0], axes=(0, 0))
+            t = np.tensordot(t, waves[1], axes=(0, 0))
+            flat[idx] = np.tensordot(t, waves[2], axes=(0, 0)).ravel()
+        return lambda matrix: np.sum((matrix @ flat) * flat.conj(), axis=0).real.reshape(shape)
+
     trap = basis.trap
     if trap.kind == "harmonic":
-        per_axis = []
-        for ax in range(3):
-            kx = np.asarray(k_axes[ax])
-            # oscillator eigenfunctions transform to themselves up to (-i)^n,
-            # with the length scale inverted in momentum space
-            per_axis.append(hermite_functions(basis.max_quanta, kx, 1.0 / trap.stiffness[ax]))
-        out = np.empty((basis.size,) + tuple(len(k) for k in k_axes), dtype=complex)
-        for idx, q in enumerate(basis.quantum_numbers):
-            phase = (-1j) ** sum(q)
-            out[idx] = phase * (per_axis[0][q[0]][:, None, None]
-                                * per_axis[1][q[1]][None, :, None]
-                                * per_axis[2][q[2]][None, None, :])
-        return out
-    # finite-support or tabulated modes: direct quadrature per axis is not
-    # separable in general, so transform the sampled modes axis by axis
-    grid = basis.grid
-    out = np.empty((basis.size,) + tuple(len(k) for k in k_axes), dtype=complex)
-    plane_waves = []
-    for ax in range(3):
-        x = grid.axes[ax]
-        w = basis.grid.axis_weights[ax]
-        kx = np.asarray(k_axes[ax])
-        plane_waves.append((w[:, None] * np.exp(-1j * np.outer(x, kx))) / np.sqrt(2 * np.pi))
-    for idx in range(basis.size):
-        t = np.tensordot(basis.modes[idx], plane_waves[0], axes=(0, 0))
-        t = np.tensordot(t, plane_waves[1], axes=(0, 0))
-        t = np.tensordot(t, plane_waves[2], axes=(0, 0))
-        out[idx] = t
-    return out
+        phase = np.array([1, -1j, -1, 1j])[np.arange(basis.max_quanta + 1) % 4]
+        tables = [phase[:, None] * hermite_functions(basis.max_quanta, np.asarray(k),
+                                                     1.0 / trap.stiffness[ax])
+                  for ax, k in enumerate(k_axes)]
+    else:
+        tables = [t @ w for t, w in zip(basis.axis_tables, _plane_waves(basis.grid, k_axes))]
+    # products T[a, k] conj(T[b, k]) per axis, rows a * n_rows + b
+    products = [(t[:, None, :] * t.conj()[None, :, :]).reshape(-1, t.shape[1])
+                for t in tables]
+    rows = basis.table_rows
+    n_rows = rows.max(axis=0) + 1
+    index = tuple(rows[:, None, ax] * n_rows[ax] + rows[None, :, ax] for ax in range(3))
+
+    def density(matrix):
+        d = np.zeros(tuple(n_rows**2))
+        d[index] = matrix
+        for product in reversed(products):
+            d = np.moveaxis(d @ product, -1, 0)
+        return d.real
+
+    return density
 
 
 def _lattice_weights(k_axes) -> np.ndarray:
@@ -131,17 +162,7 @@ def momentum_distribution(ground: ManyBodyGround, basis: ModeBasis, k_axes=None)
     """
     if k_axes is None:
         k_axes = default_momentum_axes(basis)
-    transforms = _mode_transforms(basis, k_axes)
-    occ, orbitals = np.linalg.eigh(ground.gamma / ground.N)
-    flat = transforms.reshape(basis.size, -1)
-    rho = np.zeros(flat.shape[1])
-    for n in range(len(occ)):
-        if abs(occ[n]) < 1e-15:
-            continue
-        amp = orbitals[:, n] @ flat
-        rho += occ[n] * np.abs(amp) ** 2
-    shape = tuple(len(k) for k in k_axes)
-    rho = rho.reshape(shape)
+    rho = momentum_density(basis, k_axes)(ground.gamma / ground.N)
     coverage = float(np.sum(rho * _lattice_weights(k_axes)))
     return rho, coverage
 
@@ -165,21 +186,15 @@ def condensate_metrics(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
     condensate_fraction = ground.condensate_fraction
 
     diff = gamma_n - np.outer(c, c)
-    evals, evecs = np.linalg.eigh(diff)
-    trace_distance = float(np.sum(np.abs(evals)))
+    trace_distance = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
     if k_axes is None:
         k_axes = default_momentum_axes(basis)
-    transforms = _mode_transforms(basis, k_axes).reshape(basis.size, -1)
-    kw = _lattice_weights(k_axes).ravel()
-    delta = np.zeros(transforms.shape[1])
-    for n in range(len(evals)):
-        if abs(evals[n]) < 1e-16:
-            continue
-        amp = evecs[:, n] @ transforms
-        delta += evals[n] * np.abs(amp) ** 2
+    density = momentum_density(basis, k_axes)
+    kw = _lattice_weights(k_axes)
+    delta = density(diff)
     momentum_l1 = float(np.sum(np.abs(delta) * kw))
-    reference_cov = float(np.sum((np.abs(c @ transforms) ** 2) * kw))
+    reference_cov = float(np.sum(density(np.outer(c, c)) * kw))
     coverage = reference_cov + float(np.sum(delta * kw))
 
     if ground.N >= 2:
@@ -190,7 +205,7 @@ def condensate_metrics(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
 
             fock = FockBasis.build(ground.N, basis.size, dimension_cap=10**9)
             ham = PairOpHamiltonian(basis, tensor, fock)
-        pm = pair_moment(ham, ground.coefficients, c) / ground.N**2
+        pm = pair_moment(ham, ground.coefficients[ham.fock.ranks], c) / ground.N**2
     else:
         pm = 0.0
 

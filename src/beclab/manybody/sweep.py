@@ -62,11 +62,13 @@ def prepare_pipeline(trap: TrapSpec, potential: PairPotential, g: float, grid: G
 def solve_instance(setup: PipelineSetup, N: int, a: float, g: float, dimension_cap: int = 200_000
                    ) -> tuple[ManyBodyGround, CondensateReport, float]:
     """Ground state of N bosons at scattering length a, its metrics against
-    the mean-field reference, and the Hartree bound per particle."""
+    the mean-field reference, and the Hartree bound per particle.  The
+    solve runs in the parity sector of the fully condensed state."""
     basis = setup.basis
     tensor = interaction_tensor(basis, scale_pair_potential(setup.potential,
                                                             a / setup.scattering_length))
-    fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap)
+    fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap,
+                           mode_codes=basis.parity_codes)
     ham = PairOpHamiltonian(basis, tensor, fock)
     ground = ground_state(basis, tensor, N, a=a, g=g, ham=ham)
     metrics = condensate_metrics(ground, setup.gp, basis, ham=ham, reference=setup.reference)

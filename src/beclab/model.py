@@ -13,7 +13,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, OutOfDomainError
+from .errors import CapacityError, ConfigError, InvalidParameterError, OutOfDomainError
+
+# Largest grid a config may ask for: 2^23 nodes (about 203^3, 64 MiB per
+# field), far above the 96^3 committed grids and refused before allocation.
+MAX_GRID_NODES = 2**23
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +442,20 @@ def _number_list(value, field: str, **kw) -> tuple:
     return tuple(_number(x, f"{field}[{i}]", **kw) for i, x in enumerate(value))
 
 
+def _flatten(value):
+    """Entries of a nested JSON list in row-major order; anything else as is."""
+    if not isinstance(value, list):
+        return value
+    out, stack = [], [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(reversed(item))
+        else:
+            out.append(item)
+    return out
+
+
 def trap_from_config(doc: dict) -> TrapSpec:
     if not isinstance(doc, dict):
         raise ConfigError("trap must be an object", field="trap")
@@ -452,8 +470,8 @@ def trap_from_config(doc: dict) -> TrapSpec:
     if kind == "tabulated":
         _require_keys(doc, {"kind", "lo", "extent", "points", "values"},
                       {"kind", "lo", "extent", "points", "values"}, "trap")
-        return TrapSpec.tabulated(grid_from_config(
-            {k: doc[k] for k in ("lo", "extent", "points")}, where="trap"), doc["values"])
+        grid = grid_from_config({k: doc[k] for k in ("lo", "extent", "points")}, where="trap")
+        return TrapSpec.tabulated(grid, _number_list(_flatten(doc["values"]), "trap.values"))
     raise ConfigError(f"unknown trap kind {kind!r}", field="trap.kind")
 
 
@@ -482,6 +500,9 @@ def grid_from_config(doc: dict, trap: TrapSpec | None = None, where: str = "grid
     _require_keys(doc, {"extent", "points", "lo"}, {"extent", "points"}, where)
     extent = _number_list(doc["extent"], f"{where}.extent")
     points = _number_list(doc["points"], f"{where}.points", integer=True)
+    if math.prod(points) > MAX_GRID_NODES:
+        raise CapacityError(f"{math.prod(points)} nodes, above the cap {MAX_GRID_NODES}",
+                            field=f"{where}.points")
     if "lo" in doc:
         lo = _number_list(doc["lo"], f"{where}.lo")
     elif trap is not None and trap.kind == "box":

@@ -178,10 +178,28 @@ def quadrature_mode_transforms(basis, k_axes):
     return out
 
 
-def quadrature_momentum_l1(gamma_over_n, c_ref, basis, k_axes):
-    """L1 distance of momentum densities assembled by explicit double sums."""
-    transforms = quadrature_mode_transforms(basis, k_axes)
-    rho = np.einsum("ij,i...,j...->...", gamma_over_n, transforms, np.conj(transforms))
+def analytic_mode_transforms(basis, k_axes):
+    """Closed-form transforms of harmonic modes, materialized on the 3D lattice.
+
+    Each oscillator eigenfunction transforms to (-i)^(total quanta) times
+    the eigenfunction of inverted stiffness, scaled by (2 pi)^(-3/2).
+    """
+    from beclab.manybody.basis import hermite_functions
+
+    per_axis = [hermite_functions(basis.max_quanta, np.asarray(k), 1.0 / basis.trap.stiffness[ax])
+                for ax, k in enumerate(k_axes)]
+    out = np.empty((basis.size,) + tuple(len(k) for k in k_axes), dtype=complex)
+    for idx, q in enumerate(basis.quantum_numbers):
+        out[idx] = (-1j) ** sum(q) * (per_axis[0][q[0]][:, None, None]
+                                      * per_axis[1][q[1]][None, :, None]
+                                      * per_axis[2][q[2]][None, None, :])
+    return out
+
+
+def materialized_momentum_metrics(gamma_over_n, c_ref, transforms, k_axes):
+    """(L1 distance, coverage) of momentum densities by explicit double sums
+    over materialized mode transforms."""
+    rho = np.einsum("ij,i...,j...->...", gamma_over_n, transforms, np.conj(transforms)).real
     ref_amp = np.tensordot(c_ref, transforms, axes=(0, 0))
     ref = np.abs(ref_amp) ** 2
     w = None
@@ -190,7 +208,13 @@ def quadrature_momentum_l1(gamma_over_n, c_ref, basis, k_axes):
         wa = np.full(len(ax), ax[1] - ax[0])
         wa[0] = wa[-1] = 0.5 * (ax[1] - ax[0])
         w = wa if w is None else np.multiply.outer(w, wa)
-    return float(np.sum(np.abs(rho.real - ref) * w))
+    return float(np.sum(np.abs(rho - ref) * w)), float(np.sum(rho * w))
+
+
+def quadrature_momentum_l1(gamma_over_n, c_ref, basis, k_axes):
+    """L1 distance of momentum densities assembled by explicit double sums."""
+    transforms = quadrature_mode_transforms(basis, k_axes)
+    return materialized_momentum_metrics(gamma_over_n, c_ref, transforms, k_axes)[0]
 
 
 def pinned_soft_sphere_length(height, radius):

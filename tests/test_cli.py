@@ -11,7 +11,7 @@ import pytest
 from beclab import __version__
 from beclab.cli import (canonical_hash, execute, load_config, main, verify)
 from beclab.errors import ConfigError
-from beclab.model import problem_from_config
+from beclab.model import problem_from_config, trap_from_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -161,6 +161,8 @@ SMALL_CONFIGS = {"gp": small_gp_config, "manybody": small_manybody_config,
                  "sweep": small_sweep_config, "scattering": small_scattering_config,
                  "poincare": small_poincare_config}
 NAN = float("nan")
+# a 4x4x4 tabulated trap covering the small configs' grid
+TABLE = {"kind": "tabulated", "lo": [-7, -7, -7], "extent": [14, 14, 14], "points": [4, 4, 4]}
 
 
 @pytest.mark.parametrize("experiment,path,value", [
@@ -192,6 +194,16 @@ NAN = float("nan")
     ("poincare", "solver.region", {"kind": "box", "side": [1.0], "points": 16}),
     ("poincare", "solver.trials", "x"),
     ("poincare", "solver.trials", 0),
+    ("poincare", "solver.weight", 5),
+    ("poincare", "solver.weight", {"kind": "gp_dump"}),
+    ("poincare", "solver.weight", {"kind": "gp_dump", "phi": 5, "grid": "phi_grid.json"}),
+    ("gp", "problem.trap", dict(TABLE, values=["x"] + [0.0] * 63)),
+    ("gp", "problem.trap", dict(TABLE, values=[NAN] + [0.0] * 63)),
+    ("gp", "problem.trap", dict(TABLE, values=[[float("inf")] + [0.0] * 15] * 4)),
+    ("gp", "problem.trap", dict(TABLE, values=[0.0] * 63)),
+    ("gp", "problem.grid.points", [100000, 100000, 100000]),
+    ("gp", "reproducible", "yes"),
+    ("gp", "reproducible", 1),
 ], ids=repr)
 def test_bad_structured_input_exits_2(tmp_path, capsys, experiment, path, value):
     cfg = SMALL_CONFIGS[experiment]()
@@ -204,6 +216,13 @@ def test_bad_structured_input_exits_2(tmp_path, capsys, experiment, path, value)
     assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
+
+
+def test_tabulated_values_may_be_nested():
+    flat = [float(i) for i in range(64)]
+    nested = [[flat[16 * i + 4 * j:16 * i + 4 * j + 4] for j in range(4)] for i in range(4)]
+    assert (trap_from_config(dict(TABLE, values=nested))
+            == trap_from_config(dict(TABLE, values=flat)))
 
 
 def test_manybody_without_scattering_length_exits_2(tmp_path, capsys):

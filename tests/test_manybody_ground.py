@@ -10,8 +10,8 @@ from beclab.manybody.ground import PairOpHamiltonian, pair_moment
 from beclab.manybody.localization import _pair_amplitude_matrix
 from beclab.manybody.tensor import interaction_tensor
 
-from .oracles import (dense_gamma, dense_ground, fock_states, literal_pair_amplitudes,
-                      literal_pair_annihilation)
+from .oracles import (dense_gamma, dense_ground, dense_hamiltonian, fock_states,
+                      literal_pair_amplitudes, literal_pair_annihilation)
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
 TRAP = bl.TrapSpec.harmonic((1.0, 1.0, 1.0))
@@ -134,3 +134,77 @@ def test_pair_amplitude_matrix_matches_state_loop(basis_q2):
     np.testing.assert_allclose(_pair_amplitude_matrix(ground, fock),
                                literal_pair_amplitudes(x, fock_states(2, basis_q2.size)[0]),
                                atol=1e-15)
+
+
+def _sector_hamiltonian(basis, tensor, N):
+    fock = FockBasis.build(N, basis.size, mode_codes=basis.parity_codes)
+    return PairOpHamiltonian(basis, tensor, fock)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_sector_solve_matches_full_space(N, basis_q2, soft_tensor_q2):
+    full = PairOpHamiltonian(basis_q2, soft_tensor_q2, FockBasis.build(N, basis_q2.size))
+    ref = ground_state(basis_q2, soft_tensor_q2, N, ham=full)
+    sector = _sector_hamiltonian(basis_q2, soft_tensor_q2, N)
+    assert sector.size < full.size
+    for gr in (ground_state(basis_q2, soft_tensor_q2, N),
+               ground_state(basis_q2, soft_tensor_q2, N, ham=sector)):
+        assert gr.energy == pytest.approx(ref.energy, rel=1e-12)
+        np.testing.assert_allclose(gr.gamma, ref.gamma, atol=1e-12)
+        assert gr.coefficients.shape == ref.coefficients.shape
+        np.testing.assert_allclose(gr.coefficients, ref.coefficients, atol=1e-12)
+        outside = np.setdiff1d(np.arange(full.size), sector.fock.ranks)
+        assert np.all(gr.coefficients[outside] == 0.0)
+
+
+def test_off_centre_grid_solves_in_full_space(monkeypatch):
+    # lo shifted by half a cell: no mode has a definite parity on the grid
+    h = GRID.spacing[0]
+    shifted = bl.Grid(tuple(lo + h / 2 for lo in GRID.lo), GRID.extent, GRID.points)
+    basis = build_mode_basis(TRAP, shifted, 1)
+    assert basis.parity_codes is None
+    tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    sizes = []
+    build = PairOpHamiltonian.__init__
+
+    def spy(self, basis, tensor, fock):
+        sizes.append(fock.size)
+        build(self, basis, tensor, fock)
+
+    monkeypatch.setattr(PairOpHamiltonian, "__init__", spy)
+    gr = ground_state(basis, tensor, 3)
+    assert sizes == [FockBasis.build(3, basis.size).size]
+    e_ref, _, _, _ = dense_ground(basis, tensor, 3)
+    assert gr.energy == pytest.approx(e_ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("N,quanta", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
+def test_sector_pair_map_and_fold_on_random_vectors(N, quanta, basis_q1, basis_q2,
+                                                    soft_tensor_q2):
+    # per-class blocks of the sector pair map against literal a_k a_l, and the
+    # class-blocked fold against the dense Hamiltonian, off eigenvectors
+    basis = basis_q1 if quanta == 1 else basis_q2
+    tensor = (interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+              if quanta == 1 else soft_tensor_q2)
+    ham = _sector_hamiltonian(basis, tensor, N)
+    H, states, index = dense_hamiltonian(basis, tensor, N)
+    ranks = ham.fock.ranks
+    rng = np.random.default_rng(N + 10 * quanta)
+    for _ in range(3):
+        x = _random_unit(rng, ham.size)
+        full = np.zeros(len(states))
+        full[ranks] = x
+        literal = literal_pair_annihilation(full, N, basis.size, tensor.pairs)
+        w = ham.pair_map @ x
+        covered = np.zeros(literal.shape, dtype=bool)
+        for cls in ham.pair_classes:
+            np.testing.assert_allclose(w[cls.span].reshape(-1, len(cls.pairs)),
+                                       literal[np.ix_(cls.lower, cls.pairs)], atol=1e-12)
+            covered[np.ix_(cls.lower, cls.pairs)] = True
+        assert np.all(literal[~covered] == 0.0)
+        np.testing.assert_allclose(ham.matvec(x), (H @ full)[ranks], atol=1e-12)
+        np.testing.assert_allclose(ham.one_body_matrix(x),
+                                   dense_gamma(full, states, index, basis.size), atol=1e-12)
+        c = _random_unit(rng, basis.size)
+        np.testing.assert_allclose(ham.pair_annihilation(x, c),
+                                   literal @ tensor.pair_weights(c), atol=1e-12)

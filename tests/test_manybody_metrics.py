@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 import beclab as bl
-from beclab.errors import BasisInsufficientError
+from beclab.errors import BasisInsufficientError, ResolutionError
 from beclab.manybody import (build_mode_basis, condensate_metrics,
                              expand_reference, ground_state,
                              localization_profile, momentum_distribution)
 from beclab.manybody.metrics import default_momentum_axes
 from beclab.manybody.tensor import interaction_tensor
 
-from .oracles import quadrature_momentum_l1
+from .oracles import (analytic_mode_transforms, materialized_momentum_metrics,
+                      quadrature_mode_transforms, quadrature_momentum_l1)
 
 TRAP = bl.TrapSpec.harmonic((1.0, 1.0, 1.0))
 GRID = bl.Grid.centered((14.0,) * 3, (32,) * 3)
@@ -130,3 +131,70 @@ def test_localization_monotone_fractions(basis_q2, interacting):
     fr = prof.fractions
     assert all(fr[i] <= fr[i + 1] + 1e-12 for i in range(len(fr) - 1))
     assert 0.0 <= fr[0] and fr[-1] <= 1.0 + 1e-12
+
+
+def _state(phi, grid, trap):
+    return bl.GPState(phi=phi, grid=grid, trap=trap, g=0.0, energy_total=3.0,
+                      energy_kinetic=1.5, energy_potential=1.5, energy_interaction=0.0,
+                      mu=3.0, residual=0.0, iterations=0, energy_trace=(3.0,),
+                      boundary_ratio=0.0)
+
+
+def _case(kind):
+    """(trap, interaction grid, finer mean-field grid, a function outside the q <= 2 span)."""
+    if kind == "harmonic":
+        return (TRAP, GRID, bl.Grid.centered((14.0,) * 3, (40,) * 3),
+                lambda x, y, z: x * y * z * np.exp(-(x * x + y * y + z * z) / 2))
+    return (bl.TrapSpec.box(1.0, 3), bl.Grid.box(1.0, 24), bl.Grid.box(1.0, 40),
+            lambda x, y, z: np.sin(4 * np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z))
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "box"])
+def test_factored_reference_expansion_matches_sampled_modes(kind):
+    trap, grid, gp_grid, outside = _case(kind)
+    basis = build_mode_basis(trap, grid, 2)
+    sampled = build_mode_basis(trap, gp_grid, 2)      # the modes as 3D arrays
+    a = np.random.default_rng(7).standard_normal(basis.size)
+    phi = np.tensordot(a / np.linalg.norm(a), sampled.modes, axes=(0, 0))
+    phi = phi + 0.05 * outside(*gp_grid.meshgrid())
+    phi /= np.sqrt(gp_grid.integrate(phi**2))
+    flat = sampled.modes.reshape(basis.size, -1)
+    c_ref = (flat * gp_grid.weights.ravel()) @ phi.ravel()
+    c, weight = expand_reference(_state(phi, gp_grid, trap), basis)
+    assert 0.99 < weight < 0.9999
+    assert weight == pytest.approx(c_ref @ c_ref, rel=1e-13)
+    np.testing.assert_allclose(c, c_ref / np.sqrt(c_ref @ c_ref), rtol=0, atol=1e-13)
+
+
+def test_reference_on_too_coarse_grid_refused(basis_q2):
+    coarse = bl.Grid.centered((14.0,) * 3, (8,) * 3)
+    phi = np.exp(-sum(x**2 for x in coarse.meshgrid()) / 2)
+    phi /= np.sqrt(coarse.integrate(phi**2))
+    with pytest.raises(ResolutionError):
+        expand_reference(_state(phi, coarse, TRAP), basis_q2)
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "box"])
+def test_factored_momentum_metrics_match_materialized_transforms(kind, basis_q2, interacting):
+    if kind == "harmonic":
+        basis, (tensor, gr) = basis_q2, interacting
+        k_axes = default_momentum_axes(basis)
+        transforms = analytic_mode_transforms(basis, k_axes)
+    else:
+        trap, grid, _, _ = _case(kind)
+        basis = build_mode_basis(trap, grid, 1)
+        tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(50.0, 0.3))
+        gr = ground_state(basis, tensor, 2)
+        k_axes = tuple(np.linspace(-30.0, 30.0, 41) for _ in range(3))
+        transforms = quadrature_mode_transforms(basis, k_axes)
+    c = np.random.default_rng(3).standard_normal(basis.size)
+    c /= np.linalg.norm(c)
+    rep = condensate_metrics(gr, None, basis, tensor=tensor, k_axes=k_axes,
+                             reference=(c, 1.0))
+    l1, coverage = materialized_momentum_metrics(gr.gamma / gr.N, c, transforms, k_axes)
+    assert rep.momentum_l1 == pytest.approx(l1, rel=1e-13)
+    assert rep.momentum_coverage == pytest.approx(coverage, rel=1e-13)
+    rho, cov = momentum_distribution(gr, basis, k_axes)
+    ref = np.einsum("ij,i...,j...->...", gr.gamma / gr.N, transforms, np.conj(transforms)).real
+    assert np.abs(rho - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert cov == pytest.approx(coverage, rel=1e-13)
