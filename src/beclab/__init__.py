@@ -13,7 +13,7 @@ __version__ = "0.2.1"
 from .errors import (BasisInsufficientError, BecLabError, CapacityError,
                      ConfigError, DomainTooSmallError, IntegrityError,
                      InvalidParameterError, OutOfDomainError, ResolutionError,
-                     SolverFailureError, UnderResolvedInteractionError)
+                     SolverFailureError)
 from .model import (Grid, PairPotential, Problem, TrapSpec, evaluate_trap,
                     problem_from_config, scale_pair_potential)
 from .scattering import (ScatteringSolution, hard_sphere_substitute,
@@ -27,8 +27,7 @@ from .radial import RadialGround, radial_harmonic_ground
 __all__ = [
     "__version__",
     "BecLabError", "ConfigError", "InvalidParameterError", "OutOfDomainError",
-    "DomainTooSmallError", "CapacityError", "ResolutionError",
-    "UnderResolvedInteractionError", "BasisInsufficientError",
+    "DomainTooSmallError", "CapacityError", "ResolutionError", "BasisInsufficientError",
     "SolverFailureError", "IntegrityError",
     "Grid", "PairPotential", "Problem", "TrapSpec",
     "evaluate_trap", "problem_from_config", "scale_pair_potential",

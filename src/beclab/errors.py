@@ -40,10 +40,6 @@ class ResolutionError(ConfigError):
     """Grid too coarse to represent the requested objects."""
 
 
-class UnderResolvedInteractionError(ResolutionError):
-    """Pair potential range below what the grid-sampled route resolves."""
-
-
 class BasisInsufficientError(ConfigError):
     """Truncated mode basis cannot carry the requested state."""
 

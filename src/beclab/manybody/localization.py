@@ -88,24 +88,22 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
     support = Region(grid=grid, mask=valid.reshape(grid.shape), kind="support")
     weight = (phi**2) * grid.weights.ravel()
 
-    density = np.einsum("if,ij,jf->f", flat_modes, ground.gamma / ground.N, flat_modes)
+    density = ((ground.gamma / ground.N) @ flat_modes * flat_modes).sum(axis=0)
     idx = _sample_indices(np.maximum(density, 0.0), grid.weights.ravel(), samples, seed)
-
-    mesh = np.meshgrid(*grid.axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
 
     shape = grid.shape
     totals = np.zeros(samples)
     in_ball = np.zeros((samples, len(radii)))
     for s, cell in enumerate(idx):
-        r2 = pts[cell]
+        # squared distance to node r2 as an outer sum of per-axis offsets
+        dx, dy, dz = ((x - x[i]) ** 2 for x, i in zip(grid.axes, np.unravel_index(cell, shape)))
+        dist2 = (dx[:, None, None] + dy[:, None] + dz).ravel()
         b = C @ flat_modes[:, cell]
         psi_slice = b @ flat_modes
         f = np.zeros_like(psi_slice)
         f[valid] = psi_slice[valid] / phi[valid]
         grad2 = masked_gradient_sq(f.reshape(shape), support)
         edens = grad2.ravel() * weight
-        dist2 = np.sum((pts - r2) ** 2, axis=1)
         totals[s] = edens.sum()
         for di, d in enumerate(radii):
             in_ball[s, di] = edens[dist2 <= d * d].sum()

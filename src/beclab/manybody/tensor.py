@@ -3,25 +3,27 @@
 V[i,j,k,l] = int int mode_i(r) mode_j(r') v(r - r') mode_k(r) mode_l(r') ,
 
 computed as grid convolutions of pair densities with the potential,
-evaluated through the convolution theorem.  The potential enters through
-its exact radial transform (closed form for spheres, fine 1D quadrature
-for tabulated profiles), so the accuracy is set by the smooth mode
-products and not by whether the 3D grid resolves the potential range;
-contact-scale ranges are handled exactly this way.  A literal sampled
-kernel route is kept for cross-checks; it refuses ranges below two grid
-spacings.
+evaluated through the convolution theorem on a zero-padded box.  The
+potential enters through its exact radial transform (closed form for
+spheres, fine 1D quadrature for tabulated profiles), so the accuracy is
+set by the smooth mode products and not by whether the 3D grid resolves
+the potential range; contact-scale ranges are handled exactly this way.
 
-B = Re(Phat diag(w_q) Phat^H), the overlap matrix of the padded pair-density
-transforms Phat, is assembled by parity class.  The kernel w_q is even and
+The tensor is stored as B = Re(Phat diag(w_q) Phat^H), the overlap matrix
+of the padded pair-density transforms Phat.  The kernel w_q is even and
 trapezoid weights are mirror-symmetric, so when every mode has a definite
 reflection parity on every axis (``ModeBasis.axis_parity``), B[p, p'] is
 exactly zero unless pairs p = (i,k) and p' carry the same per-axis parity
-XOR of their two modes.  Pairs are grouped into those (up to 8) classes;
-within a class the memory-bounded block loop transforms each pair once when
-the class fits one block, and each block product is a single real GEMM on
-the interleaved real/imaginary view.  Off-class entries are written as exact
-zeros.  A basis without definite parity forms one class, which is the plain
-all-pairs block loop.
+XOR of their two modes.  Only entries within those (up to 8) classes are
+computed; off-class entries are written as exact zeros.  A basis without
+definite parity forms one class.
+
+Harmonic and box modes are products of 1D factors, so Phat is an outer
+product of 1D transforms and B is sum-factorized: one batched 1D rfft per
+axis over the factor products, then three real contractions over the
+non-negative frequency octant.  Tabulated modes have no factors; their
+pair densities are transformed in 3D, class by class, in memory-bounded
+pair blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ConfigError, UnderResolvedInteractionError
+from ..errors import ConfigError
 from ..model import PairPotential
 from .basis import ModeBasis
 
@@ -58,10 +60,7 @@ class InteractionTensor:
 
     @cached_property
     def pair_index(self) -> np.ndarray:
-        i, k = self.pairs.T
-        idx = np.zeros((self.M, self.M), dtype=np.int64)
-        idx[i, k] = idx[k, i] = np.arange(self.n_pairs)
-        return idx
+        return _pair_index(self.M)
 
     @property
     def n_pairs(self) -> int:
@@ -106,6 +105,14 @@ def _pair_table(M: int) -> np.ndarray:
     return np.column_stack(np.triu_indices(M))
 
 
+def _pair_index(M: int) -> np.ndarray:
+    """(M, M) symmetric map from (i, k) to the position of its pair in ``_pair_table``."""
+    i, k = _pair_table(M).T
+    idx = np.zeros((M, M), dtype=np.int64)
+    idx[i, k] = idx[k, i] = np.arange(len(i))
+    return idx
+
+
 def _asymmetry(b: np.ndarray) -> float:
     return float(np.abs(b - b.T).max() / max(np.abs(b).max(), 1e-300))
 
@@ -120,14 +127,12 @@ def _parity_classes(basis: ModeBasis, pairs: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(label == c) for c in np.unique(label)]
 
 
-def interaction_tensor(basis: ModeBasis, potential: PairPotential,
-                       method: str = "spectral") -> InteractionTensor:
+def interaction_tensor(basis: ModeBasis, potential: PairPotential) -> InteractionTensor:
     """Build the tensor for a finite-range repulsive potential.
 
-    method 'spectral' (default) multiplies pair-density transforms by the
-    exact radial transform of v; method 'sampled' uses the potential
-    sampled on grid displacements and raises UnderResolvedInteractionError
-    when the range falls below two grid spacings.
+    Pair-density transforms are multiplied by the exact radial transform
+    of v: per axis for harmonic and box modes, in 3D blocks for tabulated
+    modes.
     """
     grid = basis.grid
     if potential.has_hard_core:
@@ -137,47 +142,94 @@ def interaction_tensor(basis: ModeBasis, potential: PairPotential,
     h = grid.spacing
     if max(h) - min(h) > 1e-9 * max(h):
         raise ConfigError("interaction grids must have equal spacing per axis", field="grid")
-    if method == "sampled" and potential.range < 2.0 * max(h) and not potential.is_zero:
-        raise UnderResolvedInteractionError(
-            f"potential range {potential.range:.3g} below two grid spacings "
-            f"({2 * max(h):.3g}); use the spectral route")
-    if method not in ("spectral", "sampled"):
-        raise ConfigError(f"unknown tensor method {method!r}", field="method")
 
     M = basis.size
     P = M * (M + 1) // 2
     if potential.is_zero:
         return InteractionTensor(M=M, pair_matrix=np.zeros((P, P)))
 
-    n = grid.points
-    hx = h[0]
-    pad = int(np.ceil(potential.range / hx)) + 2
-    npad = tuple(np.asarray(n) + pad)
+    pad = int(np.ceil(potential.range / h[0])) + 2
+    npad = tuple(np.asarray(grid.points) + pad)
+    pairs = _pair_table(M)
+    scale = float(np.prod(npad)) * float(np.prod(h))
+    if basis.axis_tables is not None:
+        B = _factored_pair_matrix(basis, potential, npad, pairs, scale)
+    else:
+        B = _blocked_pair_matrix(basis, potential, npad, pairs, scale)
+    if _asymmetry(B) > 1e-10:
+        raise ConfigError("interaction tensor lost its exchange symmetry")
+    return InteractionTensor(M=M, pair_matrix=0.5 * (B + B.T))
 
+
+def _half_weights(npad: int) -> np.ndarray:
+    # multiplicity of each non-negative frequency in the full lattice
+    d = np.full(npad // 2 + 1, 2.0)
+    d[0] = 1.0
+    if npad % 2 == 0:
+        d[-1] = 1.0
+    return d
+
+
+def _factored_pair_matrix(basis, potential, npad, pairs, scale) -> np.ndarray:
+    """B from per-axis transforms of the 1D factor products (sum factorization).
+
+    On axis ax the K = R(R+1)/2 products of table rows a <= b transform
+    with one batched 1D rfft.  v is even in each frequency and the products
+    are real, so the full-lattice sum folds onto the non-negative octant:
+    B[p,p'] = sum_q W(q) prod_ax A_ax[c_ax(p), c_ax(p'), q_ax] with the real
+    A_ax = d Re(F F'^*).  The octant sum runs over q_z (one GEMM), q_y (a
+    GEMM per q_x) and q_x (a gather of the in-class entries); entries
+    outside the parity classes are never formed and stay exact zeros.
+    """
+    grid = basis.grid
+    classes = _parity_classes(basis, pairs)
+    r = np.concatenate([np.repeat(m, len(m)) for m in classes])
+    c = np.concatenate([np.tile(m, len(m)) for m in classes])
+    # per axis: A as (K*K, nq) and the row of each in-class entry (r, c) in it
+    A, rows, freqs = [], [], []
+    for ax, (table, w) in enumerate(zip(basis.axis_tables, grid.axis_weights)):
+        a, b = _pair_table(len(table)).T
+        f = np.fft.rfftn(table[a] * table[b] * w, s=(npad[ax],), axes=(-1,))
+        A.append(((f.real[:, None] * f.real + f.imag[:, None] * f.imag)
+                  * _half_weights(npad[ax])).reshape(len(a) ** 2, -1))
+        t = basis.table_rows[:, ax]
+        code = _pair_index(len(table))[t[pairs[:, 0]], t[pairs[:, 1]]]
+        rows.append(code[r] * len(a) + code[c])
+        freqs.append(2 * np.pi * np.fft.rfftfreq(npad[ax], d=grid.spacing[ax]))
+    qx, qy, qz = np.meshgrid(*freqs, indexing="ij", sparse=True)
+    W = potential.fourier_radial(np.sqrt(qx**2 + qy**2 + qz**2)) / scale
+
+    nqx, nqy, nqz = W.shape
+    Ax, Ay, Az = A
+    T1 = (W.reshape(nqx * nqy, nqz) @ Az.T).reshape(nqx, nqy, -1)
+    yz = rows[1] * len(Az) + rows[2]
+    vals = np.zeros(len(r))
+    for q in range(nqx):
+        vals += Ax[rows[0], q] * (Ay @ T1[q]).ravel()[yz]
+    B = np.zeros((len(pairs), len(pairs)))
+    B[r, c] = vals
+    return B
+
+
+def _blocked_pair_matrix(basis, potential, npad, pairs, scale) -> np.ndarray:
+    """B = Re(Phat diag(w_q) Phat^H) from 3D transforms, class by class.
+
+    Each block product is one real GEMM on the interleaved real/imaginary
+    view; pairs are transformed in blocks of at most _BLOCK_BYTES.
+    """
+    grid = basis.grid
+    h = grid.spacing
     freqs = [2 * np.pi * np.fft.fftfreq(npad[ax], d=h[ax]) for ax in range(2)]
     freqs.append(2 * np.pi * np.fft.rfftfreq(npad[2], d=h[2]))
     qx, qy, qz = np.meshgrid(*freqs, indexing="ij", sparse=True)
-    qmag = np.sqrt(qx**2 + qy**2 + qz**2)
+    vq = potential.fourier_radial(np.sqrt(qx**2 + qy**2 + qz**2))
+    wq = (vq * _half_weights(npad[2])).ravel() / scale
 
-    if method == "spectral":
-        vq = potential.fourier_radial(qmag)
-    else:
-        kernel = _sampled_kernel(potential, npad, h)
-        vq = np.fft.rfftn(kernel).real * float(np.prod(h))
-
-    dup = np.full(qmag.shape, 2.0)
-    dup[..., 0] = 1.0
-    if npad[2] % 2 == 0:
-        dup[..., -1] = 1.0
-    wq = (vq * dup).ravel() / (float(np.prod(npad)) * float(np.prod(h)))
-
-    # assemble B = Phat diag(wq) Phat^H class by class, in pair blocks to
-    # bound memory; each block product is one real GEMM on the float view
-    nq = npad[0] * npad[1] * (npad[2] // 2 + 1)
+    nq = vq.size
+    P = len(pairs)
     block = max(16, min(P, int(_BLOCK_BYTES / (nq * 16))))
-    pairs = _pair_table(M)
     weights = grid.weights
-    inner = tuple(slice(0, s) for s in n)
+    inner = tuple(slice(0, s) for s in grid.points)
 
     def transform_block(members):
         out = np.empty((len(members), nq), dtype=np.complex128)
@@ -200,17 +252,4 @@ def interaction_tensor(basis: ModeBasis, potential: PairPotential,
                 B[np.ix_(rows, cols)] = blk
                 B[np.ix_(cols, rows)] = blk.T
             del pa, paw
-    if _asymmetry(B) > 1e-10:
-        raise ConfigError("interaction tensor lost its exchange symmetry")
-    return InteractionTensor(M=M, pair_matrix=0.5 * (B + B.T))
-
-
-def _sampled_kernel(potential, npad, h):
-    """v at minimum-image displacement vectors of the padded box."""
-    axes = []
-    for ax in range(3):
-        idx = np.arange(npad[ax], dtype=float)
-        idx = np.minimum(idx, npad[ax] - idx)
-        axes.append(idx * h[ax])
-    dx, dy, dz = np.meshgrid(*axes, indexing="ij", sparse=True)
-    return potential.evaluate(np.sqrt(dx**2 + dy**2 + dz**2))
+    return B

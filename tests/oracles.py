@@ -131,22 +131,27 @@ def dense_gamma(x, states, index, M):
     return gamma
 
 
-def dense_pair_matrix(basis, potential):
+def dense_pair_matrix(basis, potential, sampled=False):
     """Pair-density overlap matrix of the spectral route, all pairs at once.
 
     Full complex transforms of every zero-padded pair density over the whole
     frequency lattice and one complex GEMM: no parity classes, no blocks,
-    no half-spectrum weights.
+    no half-spectrum weights, no per-axis factors.  With ``sampled`` the
+    kernel is the transform of v sampled at the padded box's displacements
+    (``sampled_kernel``) instead of the exact radial transform.
     """
     grid = basis.grid
     h = grid.spacing
     n = grid.points
     pad = int(np.ceil(potential.range / h[0])) + 2
     npad = tuple(m + pad for m in n)
-    q = np.meshgrid(*[2 * np.pi * np.fft.fftfreq(npad[ax], d=h[ax]) for ax in range(3)],
-                    indexing="ij", sparse=True)
-    qmag = np.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2)
-    w = potential.fourier_radial(qmag).ravel() / (np.prod(npad) * np.prod(h))
+    if sampled:
+        vq = np.fft.fftn(sampled_kernel(potential, npad, h)).real * np.prod(h)
+    else:
+        q = np.meshgrid(*[2 * np.pi * np.fft.fftfreq(npad[ax], d=h[ax]) for ax in range(3)],
+                        indexing="ij", sparse=True)
+        vq = potential.fourier_radial(np.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2))
+    w = vq.ravel() / (np.prod(npad) * np.prod(h))
     M = basis.size
     pairs = [(i, k) for i in range(M) for k in range(i, M)]
     dens = np.zeros((len(pairs),) + npad)
@@ -154,6 +159,44 @@ def dense_pair_matrix(basis, potential):
         dens[p][: n[0], : n[1], : n[2]] = basis.modes[i] * basis.modes[k] * grid.weights
     hat = np.fft.fftn(dens, axes=(1, 2, 3)).reshape(len(pairs), -1)
     return ((hat * w) @ hat.conj().T).real
+
+
+def sampled_kernel(potential, npad, h):
+    """v at the minimum-image displacement vectors of the padded box."""
+    axes = []
+    for ax in range(3):
+        idx = np.arange(npad[ax], dtype=float)
+        idx = np.minimum(idx, npad[ax] - idx)
+        axes.append(idx * h[ax])
+    dx, dy, dz = np.meshgrid(*axes, indexing="ij", sparse=True)
+    return potential.evaluate(np.sqrt(dx**2 + dy**2 + dz**2))
+
+
+def sampled_pair_matrix(basis, potential):
+    """Pair-density overlap matrix with v sampled on grid displacements.
+
+    The literal grid convolution: only meaningful when the grid resolves
+    the potential, so ranges below two grid spacings are refused.
+    """
+    from beclab.errors import ResolutionError
+
+    h = basis.grid.spacing
+    if potential.range < 2.0 * max(h):
+        raise ResolutionError(
+            f"potential range {potential.range:.3g} below two grid spacings "
+            f"({2 * max(h):.3g}); the sampled kernel misses it")
+    return dense_pair_matrix(basis, potential, sampled=True)
+
+
+def rayleigh_quotient_3d(trap, grid, mode):
+    """Quadrature Rayleigh quotient of a 3D grid function through the GP
+    workspace: 3D DST-I kinetic form plus the sampled trap."""
+    from beclab.gp import _Workspace
+
+    ws = _Workspace(trap, grid)
+    mode = mode[ws.interior]
+    num = ws.kinetic(ws.coefficients(mode)) + ws.hd * float(np.sum(ws.V * mode * mode))
+    return num / (ws.hd * float(np.sum(mode * mode)))
 
 
 def quadrature_mode_transforms(basis, k_axes):

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 import beclab as bl
 from beclab.errors import CapacityError, ResolutionError
 from beclab.manybody import build_mode_basis
-from beclab.manybody.basis import FockBasis
+from beclab.manybody.basis import (FockBasis, _energy_check_error, _product_modes,
+                                   separable_modes)
 
-from .oracles import fock_states, literal_annihilation
+from .oracles import fock_states, literal_annihilation, rayleigh_quotient_3d
 
 
 def test_single_mode_basis(trap, grid48):
@@ -60,6 +61,28 @@ def test_kinetic_plus_potential_matches_energies(trap, grid48):
 def test_resolution_error_on_coarse_grid(trap):
     with pytest.raises(ResolutionError):
         build_mode_basis(trap, bl.Grid.centered((14.0,) * 3, (8,) * 3), 3)
+
+
+@pytest.mark.parametrize("trap, grid, max_quanta", [
+    (bl.TrapSpec.harmonic((1.0, 1.7, 0.6)), bl.Grid.centered((12.0,) * 3, (32,) * 3), 2),
+    (bl.TrapSpec.harmonic((1.0, 1.0, 1.0)), bl.Grid((-5.8, -6.1, -6.0), (12.0,) * 3, (32,) * 3), 2),
+    (bl.TrapSpec.harmonic((1.0, 1.0, 1.0)), bl.Grid.centered((14.0,) * 3, (16,) * 3), 4),
+    (bl.TrapSpec.box(1.0, 3), bl.Grid.box(1.0, 24), 3),
+])
+def test_energy_check_is_the_3d_rayleigh_quotient(trap, grid, max_quanta):
+    # per-axis 1D quotients against the 3D DST-I quotient of the materialized mode
+    _, energies, tables, rows = separable_modes(trap, grid, max_quanta,
+                                                gram_tol=np.inf, energy_check=np.inf)
+    mode = _product_modes(tables, rows[-1:])[0]
+    ref = abs(rayleigh_quotient_3d(trap, grid, mode) / energies[-1] - 1.0)
+    assert _energy_check_error(trap, grid, tables, rows[-1], energies[-1]) == pytest.approx(
+        ref, abs=1e-12)
+
+
+def test_energy_check_fires_on_coarse_grid(trap):
+    # with the Gram check disarmed, the energy check alone refuses 16^3 at Q = 4
+    with pytest.raises(ResolutionError, match="highest-mode energy"):
+        separable_modes(trap, bl.Grid.centered((14.0,) * 3, (16,) * 3), 4, gram_tol=np.inf)
 
 
 def test_fock_enumeration_matches_rank():

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import beclab as bl
-from beclab.errors import ConfigError, UnderResolvedInteractionError
+from beclab.errors import ConfigError, ResolutionError
 from beclab.manybody import build_mode_basis
 from beclab.manybody import tensor as tensor_module
 from beclab.manybody.tensor import interaction_tensor
-from .oracles import dense_pair_matrix
+from .oracles import dense_pair_matrix, sampled_pair_matrix
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
 
@@ -23,29 +23,77 @@ def _assert_matches_dense(basis, pot):
     return t
 
 
-@pytest.mark.parametrize("block_bytes", [tensor_module._BLOCK_BYTES, 1.0])
-def test_parity_blocks_match_dense_oracle(monkeypatch, block_bytes):
-    # block_bytes = 1.0 forces 16-pair blocks, so classes span several blocks
-    monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", block_bytes)
-    basis = build_mode_basis(bl.TrapSpec.harmonic((1.0, 1.0, 1.0)), GRID, 2)
+def _assert_off_class_zero(basis, t):
     par = basis.axis_parity
     assert par is not None
-    t = _assert_matches_dense(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
     cls = par[t.pairs[:, 0]] ^ par[t.pairs[:, 1]]
     off_class = np.any(cls[:, None, :] != cls[None, :, :], axis=2)
     assert off_class.mean() > 0.5
     assert np.all(t.pair_matrix[off_class] == 0.0)
 
 
-@pytest.mark.parametrize("block_bytes", [tensor_module._BLOCK_BYTES, 1.0])
-def test_off_centre_grid_single_class_matches_dense_oracle(monkeypatch, block_bytes):
+@pytest.mark.parametrize("stiffness", [(1.0, 1.0, 1.0), (1.0, 1.7, 0.6)])
+def test_factored_harmonic_matches_dense_oracle(stiffness):
+    basis = build_mode_basis(bl.TrapSpec.harmonic(stiffness), GRID, 2)
+    assert basis.axis_tables is not None
+    t = _assert_matches_dense(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    _assert_off_class_zero(basis, t)
+
+
+def test_factored_box_matches_dense_oracle():
+    basis = build_mode_basis(bl.TrapSpec.box(6.0), bl.Grid.box(6.0, 32), 2)
+    assert basis.axis_tables is not None
+    t = _assert_matches_dense(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    _assert_off_class_zero(basis, t)
+
+
+def test_factored_off_centre_grid_matches_dense_oracle():
     # lo shifted by half a cell: no mode has a mirror partner on the grid
-    monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", block_bytes)
     h = GRID.spacing[0]
     shifted = bl.Grid(tuple(lo + h / 2 for lo in GRID.lo), GRID.extent, GRID.points)
     basis = build_mode_basis(bl.TrapSpec.harmonic((1.0, 1.0, 1.0)), shifted, 2)
     assert basis.axis_parity is None
     _assert_matches_dense(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+
+
+def _tabulated_basis(grid):
+    # distinct stiffnesses: no degenerate eigenvectors, so on a centred grid
+    # every mode keeps a definite parity on every axis
+    x, y, z = grid.meshgrid()
+    trap = bl.TrapSpec.tabulated(grid, x**2 + 2 * y**2 + 3 * z**2)
+    return build_mode_basis(trap, grid, 2)
+
+
+@pytest.fixture(scope="module")
+def tabulated_basis():
+    return _tabulated_basis(GRID)
+
+
+@pytest.fixture(scope="module")
+def tabulated_off_centre_basis():
+    h = GRID.spacing[0]
+    return _tabulated_basis(bl.Grid(tuple(lo + h / 2 for lo in GRID.lo), GRID.extent,
+                                    GRID.points))
+
+
+@pytest.mark.parametrize("block_bytes", [tensor_module._BLOCK_BYTES, 1.0])
+def test_parity_blocks_match_dense_oracle(monkeypatch, tabulated_basis, block_bytes):
+    # block_bytes = 1.0 forces 16-pair blocks, so classes span several blocks
+    monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", block_bytes)
+    assert tabulated_basis.axis_tables is None
+    t = _assert_matches_dense(tabulated_basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    _assert_off_class_zero(tabulated_basis, t)
+
+
+@pytest.mark.parametrize("block_bytes", [tensor_module._BLOCK_BYTES, 1.0])
+def test_off_centre_grid_single_class_matches_dense_oracle(monkeypatch, block_bytes,
+                                                           tabulated_off_centre_basis):
+    # the trap is centred half a cell off the grid centre: no mode has a
+    # mirror partner, so the block loop runs over one class
+    monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", block_bytes)
+    assert tabulated_off_centre_basis.axis_tables is None
+    assert tabulated_off_centre_basis.axis_parity is None
+    _assert_matches_dense(tabulated_off_centre_basis, bl.PairPotential.soft_sphere(5.0, 1.1))
 
 
 def test_zero_potential_gives_zero_tensor(small_basis):
@@ -103,20 +151,20 @@ def test_contact_limit_oracle(small_basis):
 
 
 def test_sampled_route_agrees_when_resolved(small_basis):
-    # smooth tabulated profile spanning many cells: both routes coincide
+    # smooth tabulated profile spanning many cells: the sampled-kernel
+    # oracle and the spectral route coincide
     r = np.linspace(0.0, 2.5, 600)
     v = 3.0 * np.clip(1 - (r / 2.5) ** 2, 0, None) ** 2
     v[-1] = 0.0
     pot = bl.PairPotential.tabulated_radial(r, v)
-    spectral = interaction_tensor(small_basis, pot, method="spectral")
-    sampled = interaction_tensor(small_basis, pot, method="sampled")
-    np.testing.assert_allclose(sampled.pair_matrix, spectral.pair_matrix, rtol=5e-3, atol=1e-9)
+    spectral = interaction_tensor(small_basis, pot)
+    sampled = sampled_pair_matrix(small_basis, pot)
+    np.testing.assert_allclose(sampled, spectral.pair_matrix, rtol=5e-3, atol=1e-9)
 
 
 def test_sampled_route_refuses_contact_scale(small_basis):
-    with pytest.raises(UnderResolvedInteractionError):
-        interaction_tensor(small_basis, bl.PairPotential.soft_sphere(100.0, 0.05),
-                           method="sampled")
+    with pytest.raises(ResolutionError, match="two grid spacings"):
+        sampled_pair_matrix(small_basis, bl.PairPotential.soft_sphere(100.0, 0.05))
 
 
 def test_hard_core_rejected(small_basis):
