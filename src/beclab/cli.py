@@ -30,9 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import BecLabError, ConfigError, IntegrityError, SolverFailureError
+from .errors import (BecLabError, CapacityError, ConfigError, IntegrityError,
+                     SolverFailureError)
 from .gp import coupling_2d, coupling_3d, minimize_gp
-from .model import (_number, _number_list, _require_keys, grid_from_config,
+from .model import (MAX_GRID_NODES, _number, _number_list, _require_keys, grid_from_config,
                     multilinear_interpolate, problem_from_config)
 from .poincare import Region, estimate_constant, weighted_estimate
 from .scattering import solve_zero_energy
@@ -317,10 +318,15 @@ def _region_from_config(doc: dict) -> Region:
     size_key = "side" if kind == "box" else "radius"
     _require_keys(doc, {"kind", size_key, "points", "dimension"}, {"kind", size_key, "points"},
                   "solver.region")
-    return getattr(Region, kind)(
-        _number(doc[size_key], f"solver.region.{size_key}"),
-        _number(doc["points"], "solver.region.points", integer=True),
-        _number(doc.get("dimension", 3), "solver.region.dimension", integer=True))
+    size = _number(doc[size_key], f"solver.region.{size_key}")
+    points = _number(doc["points"], "solver.region.points", integer=True)
+    dimension = _number(doc.get("dimension", 3), "solver.region.dimension", integer=True)
+    if dimension not in (2, 3):
+        raise ConfigError(f"must be 2 or 3, got {dimension}", field="solver.region.dimension")
+    if points**dimension > MAX_GRID_NODES:
+        raise CapacityError(f"{points**dimension} nodes, above the cap {MAX_GRID_NODES}",
+                            field="solver.region.points")
+    return getattr(Region, kind)(size, points, dimension)
 
 
 def load_phi_dump(phi_path, sidecar_path):

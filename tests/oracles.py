@@ -276,3 +276,53 @@ def pinned_soft_sphere_length(height, radius):
         u += h * du + 0.5 * h * h * u2
         du += h * 0.5 * (u2 + 0.5 * (height if (r + h) < radius else 0.0) * u)
     return radius - u / du
+
+
+def masked_gradient_sq(f, region):
+    """|grad f|^2 per node by boolean masks rebuilt from ``region.mask``.
+
+    Central differences where both axis neighbors lie in K, one-sided at
+    region edges, zero off K: the full-grid loop the cached stencil of
+    ``poincare.masked_gradient_sq`` must reproduce bit for bit.
+    """
+    mask = region.mask
+    out = np.zeros(region.grid.shape)
+    for ax, h in enumerate(region.grid.spacing):
+        fwd_ok = np.zeros_like(mask)
+        bwd_ok = np.zeros_like(mask)
+        sl_in = [slice(None)] * mask.ndim
+        sl_up = [slice(None)] * mask.ndim
+        sl_in[ax] = slice(None, -1)
+        sl_up[ax] = slice(1, None)
+        pair = mask[tuple(sl_in)] & mask[tuple(sl_up)]
+        fwd_ok[tuple(sl_in)] = pair
+        bwd_ok[tuple(sl_up)] = pair
+        df = np.zeros(region.grid.shape)
+        dfwd = np.zeros(region.grid.shape)
+        dbwd = np.zeros(region.grid.shape)
+        dfwd[tuple(sl_in)] = (f[tuple(sl_up)] - f[tuple(sl_in)]) / h
+        dbwd[tuple(sl_up)] = dfwd[tuple(sl_in)]
+        both = fwd_ok & bwd_ok
+        df[both] = 0.5 * (dfwd[both] + dbwd[both])
+        only_f = fwd_ok & ~bwd_ok
+        df[only_f] = dfwd[only_f]
+        only_b = bwd_ok & ~fwd_ok
+        df[only_b] = dbwd[only_b]
+        out += df**2
+    out[~mask] = 0.0
+    return out
+
+
+def omega_x_mask(points, radius, region):
+    """Nodes of K at distance >= radius from every point, one full-grid
+    squared distance per point (no radius check)."""
+    g = region.grid
+    mask = region.mask.copy()
+    pts = np.asarray(points, dtype=float).reshape(-1, region.m)
+    mesh = g.meshgrid()
+    for p in pts:
+        rr = np.zeros(g.shape)
+        for ax, x in enumerate(mesh):
+            rr = rr + (x - p[ax]) ** 2
+        mask &= rr >= radius**2
+    return mask

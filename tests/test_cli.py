@@ -218,6 +218,21 @@ def test_bad_structured_input_exits_2(tmp_path, capsys, experiment, path, value)
     assert err.startswith("config error") and key in err
 
 
+@pytest.mark.parametrize("region", [
+    {"kind": "ball", "radius": 2.0, "points": 100000},
+    {"kind": "box", "side": 1.0, "points": 100000, "dimension": 3},
+    {"kind": "box", "side": 1.0, "points": 4000, "dimension": 2},
+], ids=repr)
+def test_poincare_region_above_grid_cap_exits_2(tmp_path, capsys, region):
+    cfg = small_poincare_config()
+    cfg["solver"]["region"] = region
+    p = write_config(tmp_path, cfg)
+    assert main(["poincare", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "solver.region.points" in err
+    assert "Traceback" not in err
+
+
 def test_tabulated_values_may_be_nested():
     flat = [float(i) for i in range(64)]
     nested = [[flat[16 * i + 4 * j:16 * i + 4 * j + 4] for j in range(4)] for i in range(4)]

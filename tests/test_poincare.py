@@ -1,11 +1,20 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import beclab as bl
+from beclab.cli import load_config, run_poincare
 from beclab.errors import InvalidParameterError
-from beclab.poincare import (PoincareInstance, Region, check_inequality,
+from beclab.model import Grid
+from beclab.poincare import (PoincareInstance, Region, _random_field, check_inequality,
                              estimate_constant, masked_gradient_sq,
                              omega_x_mask, weighted_check)
+
+from . import oracles
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +164,104 @@ def test_omega_x_scaling_volume_bound():
         slack = n_pts * 4 * np.pi * radius**2 * 2 * cell
         assert excluded <= roof + slack
         assert roof == pytest.approx((4 * np.pi / 3) * float(n_pts) ** (-4.0 / 17.0))
+
+
+def _support_region():
+    # an irregular node set like localization's support: a thresholded
+    # positive field with random holes, on a 48^3 box
+    grid = Grid.centered((6.0,) * 3, (48,) * 3)
+    rng = np.random.default_rng(17)
+    rr = sum(x**2 for x in grid.meshgrid())
+    mask = (np.exp(-rr / 4.0) > 1e-3) & (rng.random(grid.shape) < 0.9)
+    return Region(grid=grid, mask=mask, kind="support")
+
+
+ORACLE_REGIONS = {
+    "box32": lambda: Region.box(1.0, 32, 3),
+    "ball32": lambda: Region.ball(1.0, 32, 3),
+    "ball96_2d": lambda: Region.ball(1.0, 96, 2),
+    "ball24": lambda: Region.ball(1.0, 24, 3),
+    "support48": _support_region,
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_REGIONS)
+def test_masked_gradient_matches_full_grid_oracle(name):
+    region = ORACLE_REGIONS[name]()
+    rng = np.random.default_rng(3)
+    fields = [_random_field(rng, region) for _ in range(3)]
+    fields.append(rng.normal(size=region.grid.shape))       # nonzero off K as well
+    fields.append(np.where(region.mask, fields[0], 0.0))
+    for f in fields:
+        assert np.array_equal(masked_gradient_sq(f, region),
+                              oracles.masked_gradient_sq(f, region))
+
+
+@pytest.mark.parametrize("name", ORACLE_REGIONS)
+def test_omega_x_mask_matches_full_grid_oracle(name):
+    region = ORACLE_REGIONS[name]()
+    g = region.grid
+    lo, hi = np.array(g.lo), np.array(g.lo) + np.array(g.extent)
+    rng = np.random.default_rng(5)
+    radius = 1.01 * max(g.spacing) + 0.05 * max(g.extent)
+    corners = np.array(np.meshgrid(*zip(lo, hi), indexing="ij")).reshape(region.m, -1).T
+    faces = np.array([np.where(np.arange(region.m) == ax, side, (lo + hi) / 2)
+                      for ax in range(region.m) for side in (lo[ax], hi[ax])])
+    cases = {
+        "inside": lo + rng.random((40, region.m)) * (hi - lo),
+        "straddling": lo - 0.3 * (hi - lo) + rng.random((60, region.m)) * 1.6 * (hi - lo),
+        "corners": corners,
+        "faces": faces,
+        "far_outside": hi + 2.0 * radius + rng.random((5, region.m)),
+        # inside the ball's bounding box on every axis, yet nearer no node
+        "diagonal_miss": np.array([hi + 0.65 * radius, lo - 0.65 * radius]),
+    }
+    for label, pts in cases.items():
+        got = omega_x_mask(pts, radius, region)
+        assert np.array_equal(got, oracles.omega_x_mask(pts, radius, region)), label
+    # balls that cover no node leave K as it is
+    for label in ("far_outside", "diagonal_miss"):
+        assert np.array_equal(omega_x_mask(cases[label], radius, region), region.mask)
+    # a node at exactly the radius (offset along one axis only) stays in Omega
+    centre = tuple(x[len(x) // 2] for x in g.axes)
+    edge = g.axes[0][len(g.axes[0]) // 2 + 3] - centre[0]
+    exact = omega_x_mask([centre], edge, region)
+    assert np.array_equal(exact, oracles.omega_x_mask([centre], edge, region))
+    node = (len(g.axes[0]) // 2 + 3,) + tuple(len(x) // 2 for x in g.axes[1:])
+    assert exact[node] == region.mask[node]
+    tiny = 1.01 * max(g.spacing)
+    pts = np.concatenate([cases["straddling"], cases["corners"]])
+    assert np.array_equal(omega_x_mask(pts, tiny, region),
+                          oracles.omega_x_mask(pts, tiny, region))
+
+
+def test_region_mask_is_read_only():
+    mask = np.ones((8, 8, 8), dtype=bool)
+    region = Region(grid=Grid.centered((1.0,) * 3, (8,) * 3), mask=mask, kind="support")
+    with pytest.raises(ValueError):
+        region.mask[0, 0, 0] = False
+    mask[0, 0, 0] = False           # the caller's array stays the caller's
+    assert region.mask.all()
+    for built in (Region.box(1.0, 8, 3), Region.ball(1.0, 8, 2)):
+        with pytest.raises(ValueError):
+            built.mask[...] = False
+        copy = built.mask.copy()
+        copy[...] = False
+        assert built.mask.any()
+
+
+def test_poincare_report_matches_pinned_values():
+    config = load_config(ROOT / "configs" / "poincare_ball3d.json", "poincare", {})
+    report, _ = run_poincare(config)
+    pinned = json.loads((Path(__file__).parent / "data" / "poincare_regression.json").read_text())
+    # floats at 1e-12 relative; integers, strings and booleans exact
+    got = dict(report["worst_trial"], C_star=report["C_star"], holds_all=report["holds_all"],
+               trials=report["trials"])
+    want = dict(pinned["worst_trial"], C_star=pinned["C_star"], holds_all=pinned["holds_all"],
+                trials=pinned["trials"])
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert got[key] == pytest.approx(value, rel=1e-12), key
+        else:
+            assert type(got[key]) is type(value) and got[key] == value, key
