@@ -33,8 +33,8 @@ from . import __version__
 from .errors import (BecLabError, CapacityError, ConfigError, IntegrityError,
                      SolverFailureError)
 from .gp import coupling_2d, coupling_3d, minimize_gp
-from .model import (MAX_GRID_NODES, _number, _number_list, _require_keys, grid_from_config,
-                    multilinear_interpolate, problem_from_config)
+from .model import (MAX_GRID_NODES, MAX_SAMPLES, _number, _number_list, _require_keys,
+                    grid_from_config, multilinear_interpolate, problem_from_config)
 from .poincare import Region, estimate_constant, weighted_estimate
 from .scattering import solve_zero_energy
 
@@ -168,6 +168,14 @@ def _solver_number(solver: dict, key: str, default=None, integer: bool = False,
     return _number(solver.get(key, default), f"solver.{key}", integer, minimum)
 
 
+def _sample_count(value, field: str) -> int:
+    """A count of random draws: an integer from 1 to MAX_SAMPLES."""
+    n = _number(value, field, integer=True, minimum=1)
+    if n > MAX_SAMPLES:
+        raise CapacityError(f"{n} draws, above the cap {MAX_SAMPLES}", field=field)
+    return n
+
+
 def _gp_coupling(solver: dict, dimension: int) -> float:
     if "g" in solver:
         return _solver_number(solver, "g")
@@ -235,8 +243,7 @@ def run_manybody(config: dict):
     cap = _solver_number(solver, "dimension_cap", 200_000, integer=True, minimum=1)
     loc_cfg = solver.get("localization")
     if loc_cfg is not None:
-        samples = _number(loc_cfg.get("samples", 64), "solver.localization.samples",
-                          integer=True, minimum=1)
+        samples = _sample_count(loc_cfg.get("samples", 64), "solver.localization.samples")
         radii = _number_list(loc_cfg["radii"], "solver.localization.radii", positive=True)
 
     setup = prepare_pipeline(problem.trap, problem.pair_potential, g, problem.grid, max_quanta)
@@ -366,8 +373,8 @@ def _weight_from_config(doc) -> tuple[str, str] | None:
 
 def run_poincare(config: dict):
     solver = config["solver"]
+    trials = _sample_count(solver.get("trials", 200), "solver.trials")
     region = _region_from_config(solver["region"])
-    trials = _solver_number(solver, "trials", 200, integer=True, minimum=1)
     dump = _weight_from_config(solver.get("weight", {"kind": "constant"}))
     est = estimate_constant(region, trials=trials, seed=config["seed"])
     report = {

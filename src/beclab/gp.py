@@ -5,13 +5,16 @@ E[phi] = int ( |grad phi|^2 + V |phi|^2 + g |phi|^4 ),  int |phi|^2 = 1.
 The minimizer is found by preconditioned nonlinear conjugate gradients
 (Polak-Ribiere+) on the unit sphere (Antoine, Levitt & Tang, J. Comput.
 Phys. 343, 92 (2017)), on the Dirichlet sine-spectral discretization of
-the kinetic term.  The preconditioner inverts a shifted separable model of
-the linear part through per-axis dense eigendecompositions: the spectral
-kinetic term plus V along the axis lines through its sampled minimum,
-which is exact for harmonic and box traps.  Each step moves along a great
-circle by the angle that minimizes the local quadratic model of the
-energy, with backtracking so the recorded energy sequence never
-increases.  The converged state satisfies the variational equation
+the kinetic term.  The sine transform (DST-I) is a product with the dense
+m x m sine matrix along each axis, so it runs as BLAS matrix products with
+no FFT, and its cost does not depend on how the grid size factors.  The
+preconditioner inverts a shifted separable model of the linear part
+through per-axis dense eigendecompositions, applied the same way: the
+spectral kinetic term plus V along the axis lines through its sampled
+minimum, which is exact for harmonic and box traps.  Each step moves
+along a great circle by the angle that minimizes the local quadratic
+model of the energy, with backtracking so the recorded energy sequence
+never increases.  The converged state satisfies the variational equation
 -lap phi + V phi + 2 g phi^3 = mu phi to the requested residual.
 """
 
@@ -19,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.fft import dstn
 
 from .errors import (ConfigError, DomainTooSmallError, InvalidParameterError,
                      SolverFailureError)
@@ -85,6 +88,26 @@ class EnergyComponentPrediction:
 # spectral helpers (Dirichlet sine basis on the interior nodes)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def sine_matrix(m: int) -> np.ndarray:
+    """The read-only m x m DST-I matrix 2 sin(pi j k / (m+1)), j, k = 1..m.
+
+    It is symmetric and squares to 2(m+1) times the identity.  j k is
+    reduced mod 2(m+1) before it meets pi, so each entry is as accurate as
+    sin on [0, 2 pi); unreduced, the argument error grows with j k (8e-14
+    at m = 94).
+    """
+    k = np.arange(1, m + 1)
+    S = 2.0 * np.sin(np.pi / (m + 1.0) * (np.outer(k, k) % (2 * (m + 1))))
+    S.setflags(write=False)
+    return S
+
+
+def dstn(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DST-I along every axis, equal to scipy's ``dstn(x, type=1)``."""
+    return _axis_apply(x, [sine_matrix(m) for m in x.shape], transpose=False)
+
+
 class _Workspace:
     """Per-(grid, trap) arrays shared by the minimizer's iterations."""
 
@@ -93,7 +116,7 @@ class _Workspace:
         self.m = tuple(n - 2 for n in grid.points)
         self.interior = tuple(slice(1, -1) for _ in range(self.d))
         self.hd = float(np.prod(grid.spacing))
-        self.V = trap.sample(grid)[self.interior]
+        self.V = np.ascontiguousarray(trap.sample(grid)[self.interior])
         # continuum sine eigenvalues (pi k / L)^2 per axis
         self.kappa = [
             (np.pi * np.arange(1, m + 1) / e) ** 2
@@ -110,10 +133,8 @@ class _Workspace:
         offset = float(self.V[centre]) * (self.d - 1) / self.d
         eigs, vecs = [], []
         for ax in range(self.d):
-            m = self.m[ax]
-            k = np.arange(1, m + 1)
-            S = np.sin(np.pi * np.outer(k, k) / (m + 1.0))
-            K1 = (S * self.kappa[ax]) @ S.T * (2.0 / (m + 1.0))
+            S = sine_matrix(self.m[ax])
+            K1 = (S * self.kappa[ax]) @ S / (2.0 * (self.m[ax] + 1.0))
             line = self.V[centre[:ax] + (slice(None),) + centre[ax + 1:]]
             w, U = sla.eigh(K1 + np.diag(line - offset))
             eigs.append(w)
@@ -124,13 +145,17 @@ class _Workspace:
         self.gap = float(min(w[1] - w[0] for w in eigs))
 
     def coefficients(self, p: np.ndarray) -> np.ndarray:
-        return dstn(p, type=1) / self.dst_norm
+        b = dstn(p)
+        b /= self.dst_norm
+        return b
 
     def from_coefficients(self, b: np.ndarray) -> np.ndarray:
-        return dstn(b, type=1) / 2.0**self.d
+        p = dstn(b)
+        p /= 2.0**self.d
+        return p
 
     def kinetic(self, b: np.ndarray) -> float:
-        return float(np.sum(b * b * self.KK) * self.sine_factor)
+        return float(np.vdot(b * self.KK, b)) * self.sine_factor
 
     def laplacian_neg(self, b: np.ndarray) -> np.ndarray:
         return self.from_coefficients(b * self.KK)
@@ -152,9 +177,9 @@ class _Workspace:
         (g = 0, or a non-separable V that H0 only models).
         """
         sigma = max(mu - self.lam0, 0.1 * self.gap)
-        c = _tensor_apply(r, self.pre_vecs, transpose=True)
+        c = _axis_apply(r, self.pre_vecs, transpose=True)
         c /= self.pre_eigs - (self.lam0 - sigma)
-        return _tensor_apply(c, self.pre_vecs, transpose=False)
+        return _axis_apply(c, self.pre_vecs, transpose=False)
 
 
 def _tensor_sum(per_axis):
@@ -164,11 +189,24 @@ def _tensor_sum(per_axis):
     return out
 
 
-def _tensor_apply(arr, mats, transpose):
+def _axis_apply(arr, mats, transpose):
+    """Multiply axis ax of ``arr`` by mats[ax] (by its transpose when
+    ``transpose``), for every axis.
+
+    Each axis is one batched matmul on a reshaped view, so no axis is
+    moved and, for a C-ordered input, only the products are allocated.  The last axis is batched over the one before
+    it: as one tall GEMM it would make BLAS pack the whole array into its
+    own buffer, which stays resident (6.6 MiB more peak RSS on 94^3).
+    """
+    shape = arr.shape
     for ax, U in enumerate(mats):
         M = U.T if transpose else U
-        arr = np.moveaxis(np.tensordot(M, np.moveaxis(arr, ax, 0), axes=(1, 0)), 0, ax)
-    return arr
+        n, post = shape[ax], math.prod(shape[ax + 1:])
+        if post > 1:
+            arr = M @ arr.reshape(-1, n, post)
+        else:
+            arr = arr.reshape(-1, shape[ax - 1] if ax else 1, n) @ M.T
+    return arr.reshape(shape)
 
 
 def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
@@ -201,11 +239,12 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
     phi /= math.sqrt(hd * float(np.sum(phi**2)))
 
     def evaluate(p, b):
-        hp = ws.laplacian_neg(b) + (ws.V + 2.0 * g * p * p) * p
-        e = ws.kinetic(b) + hd * float(np.sum((ws.V + g * p * p) * p * p))
-        mu = hd * float(np.sum(p * hp))
-        r = hp - mu * p
-        res = math.sqrt(float(np.sum(r * r)) / float(np.sum((mu * p) ** 2)))
+        r = ws.laplacian_neg(b)
+        r += (ws.V + 2.0 * g * p * p) * p          # H(p) p, made the residual in place
+        e = ws.kinetic(b) + hd * float(np.vdot((ws.V + g * p * p) * p, p))
+        mu = hd * float(np.vdot(p, r))
+        r -= mu * p
+        res = math.sqrt(float(np.vdot(r, r)) / (mu * mu * float(np.vdot(p, p))))
         return e, mu, r, res
 
     b = ws.coefficients(phi)
@@ -219,26 +258,26 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
         # preconditioned Polak-Ribiere+ direction in the tangent space of
         # the sphere
         z = ws.precondition(r, mu)
-        z -= hd * float(np.sum(phi * z)) * phi
-        rz = float(np.sum(r * z))
+        z -= hd * float(np.vdot(phi, z)) * phi
+        rz = float(np.vdot(r, z))
         q = -z
         if r_prev is not None:
-            beta = max(0.0, (rz - float(np.sum(r_prev * z))) / rz_prev)
+            beta = max(0.0, (rz - float(np.vdot(r_prev, z))) / rz_prev)
             q += (beta * norm_prev) * q_prev
-            q -= hd * float(np.sum(phi * q)) * phi
-            if float(np.sum(q * r)) >= 0.0:     # no descent: restart along -Pr
+            q -= hd * float(np.vdot(phi, q)) * phi
+            if float(np.vdot(q, r)) >= 0.0:     # no descent: restart along -Pr
                 np.negative(z, out=q)
         del z
-        q_norm = math.sqrt(hd * float(np.sum(q * q)))
+        q_norm = math.sqrt(hd * float(np.vdot(q, q)))
         q /= q_norm
         # angle along the great circle cos(t) phi + sin(t) q that minimizes
         # the quadratic model of E from its exact slope and curvature at
         # t = 0; q's sine coefficients serve the curvature and every trial.
         # Where the model is not convex, try the preconditioned step length.
         bq = ws.coefficients(q)
-        slope = 2.0 * hd * float(np.sum(r * q))
+        slope = 2.0 * hd * float(np.vdot(r, q))
         curvature = 2.0 * (ws.kinetic(bq) - mu
-                           + hd * float(np.sum((ws.V + 6.0 * g * phi * phi) * q * q)))
+                           + hd * float(np.vdot((ws.V + 6.0 * g * phi * phi) * q, q)))
         theta = min(-slope / curvature if curvature > 0 else q_norm, 0.5 * math.pi)
         accepted = False
         for _ in range(60):
@@ -247,7 +286,7 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
             # minimizer may ring at the tail below the grid's noise floor)
             c, s = math.cos(theta), math.sin(theta)
             trial = c * phi + s * q
-            scale = 1.0 / math.sqrt(hd * float(np.sum(trial**2)))
+            scale = 1.0 / math.sqrt(hd * float(np.vdot(trial, trial)))
             trial *= scale
             b_t = (c * scale) * b + (s * scale) * bq
             e_t, mu_t, r_t, res_t = evaluate(trial, b_t)

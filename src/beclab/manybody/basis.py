@@ -15,9 +15,9 @@ from math import comb
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dst
 
 from ..errors import CapacityError, ConfigError, ResolutionError
+from ..gp import sine_matrix
 from ..model import Grid, TrapSpec
 
 
@@ -242,7 +242,7 @@ def _energy_check_error(trap: TrapSpec, grid: Grid, tables, row, energy: float) 
     for ax, (table, r) in enumerate(zip(tables, row)):
         f = table[r, 1:-1]
         m, h, e = len(f), grid.spacing[ax], grid.extent[ax]
-        b = dst(f, type=1) / (m + 1.0)
+        b = sine_matrix(m) @ f / (m + 1.0)
         kinetic = float(np.sum(b * b * (np.pi * np.arange(1, m + 1) / e) ** 2)) * e / 2
         v = trap.stiffness[ax] * grid.axes[ax][1:-1] ** 2 if trap.kind == "harmonic" else 0.0
         quotient += (kinetic + h * float(np.sum(v * f * f))) / (h * float(np.sum(f * f)))

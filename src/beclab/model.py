@@ -19,6 +19,11 @@ from .errors import CapacityError, ConfigError, InvalidParameterError, OutOfDoma
 # field), far above the 96^3 committed grids and refused before allocation.
 MAX_GRID_NODES = 2**23
 
+# Largest count of random draws a config may ask for, Poincare trials and
+# localization samples alike: far above the committed 250 trials and 64
+# samples, and refused before any work starts.
+MAX_SAMPLES = 100_000
+
 
 # ---------------------------------------------------------------------------
 # grids

@@ -189,14 +189,28 @@ def sampled_pair_matrix(basis, potential):
 
 
 def rayleigh_quotient_3d(trap, grid, mode):
-    """Quadrature Rayleigh quotient of a 3D grid function through the GP
-    workspace: 3D DST-I kinetic form plus the sampled trap."""
-    from beclab.gp import _Workspace
+    """Quadrature Rayleigh quotient of a 3D grid function: the DST-I kinetic
+    form through scipy's FFT-based transform, plus the sampled trap."""
+    from scipy.fft import dstn
 
-    ws = _Workspace(trap, grid)
-    mode = mode[ws.interior]
-    num = ws.kinetic(ws.coefficients(mode)) + ws.hd * float(np.sum(ws.V * mode * mode))
-    return num / (ws.hd * float(np.sum(mode * mode)))
+    interior = (slice(1, -1),) * 3
+    f = mode[interior]
+    hd = float(np.prod(grid.spacing))
+    b = dstn(f, type=1) / np.prod([m + 1.0 for m in f.shape])
+    kappa = [(np.pi * np.arange(1, m + 1) / e) ** 2 for m, e in zip(f.shape, grid.extent)]
+    kk = sum(np.meshgrid(*kappa, indexing="ij", sparse=True))
+    kinetic = float(np.sum(b * b * kk)) * float(np.prod([e / 2 for e in grid.extent]))
+    num = kinetic + hd * float(np.sum(trap.sample(grid)[interior] * f * f))
+    return num / (hd * float(np.sum(f * f)))
+
+
+def tensor_apply(arr, mats, transpose):
+    """Multiply axis ax of ``arr`` by mats[ax] (by its transpose when
+    ``transpose``), moving each axis to the front for a tensordot."""
+    for ax, U in enumerate(mats):
+        M = U.T if transpose else U
+        arr = np.moveaxis(np.tensordot(M, np.moveaxis(arr, ax, 0), axes=(1, 0)), 0, ax)
+    return arr
 
 
 def quadrature_mode_transforms(basis, k_axes):

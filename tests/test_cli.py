@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from beclab import __version__
 from beclab.cli import (canonical_hash, execute, load_config, main, verify)
 from beclab.errors import ConfigError
-from beclab.model import problem_from_config, trap_from_config
+from beclab.model import MAX_SAMPLES, problem_from_config, trap_from_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -230,6 +231,28 @@ def test_poincare_region_above_grid_cap_exits_2(tmp_path, capsys, region):
     assert main(["poincare", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "solver.region.points" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("experiment,field,count", [
+    ("poincare", "solver.trials", 10**12),
+    ("poincare", "solver.trials", MAX_SAMPLES + 1),
+    ("manybody", "solver.localization.samples", 10**12),
+    ("manybody", "solver.localization.samples", MAX_SAMPLES + 1),
+], ids=repr)
+def test_draw_count_above_cap_exits_2_at_once(tmp_path, capsys, experiment, field, count):
+    # 10^12 Poincare trials on the 16^3 ball ran until killed before the cap
+    if experiment == "poincare":
+        cfg = small_poincare_config()
+        cfg["solver"]["trials"] = count
+    else:
+        cfg = small_manybody_config(localization={"radii": [1.0], "samples": count})
+    p = write_config(tmp_path, cfg)
+    start = time.perf_counter()
+    assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err and str(MAX_SAMPLES) in err
     assert "Traceback" not in err
 
 

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dstn as fft_dstn
 
 import beclab as bl
+from beclab import gp
 from beclab.errors import DomainTooSmallError, InvalidParameterError
+
+from .oracles import tensor_apply
 
 GRID32 = bl.Grid.centered((14.0,) * 3, (32,) * 3)
 GRID48 = bl.Grid.centered((14.0,) * 3, (48,) * 3)
@@ -174,3 +178,44 @@ def test_domain_too_small(trap):
 def test_negative_coupling_rejected(trap):
     with pytest.raises(InvalidParameterError):
         bl.minimize_gp(trap, -1.0, GRID32)
+
+
+@pytest.mark.parametrize("shape", [(30, 46, 62), (46,) * 3, (94,) * 3, (94, 30), (46, 46)],
+                         ids=str)
+def test_dstn_matches_fft_dst(shape):
+    x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    ref = fft_dstn(x, type=1)
+    assert np.abs(gp.dstn(x) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 30, 46, 62, 94, 190])
+def test_sine_matrix_entries_are_correctly_reduced(m):
+    # extended-precision reference; without the reduction of j k mod 2(m+1)
+    # the double-precision argument error reaches 2e-14 already at m = 30
+    k = np.arange(1, m + 1)
+    arg = (np.outer(k, k) % (2 * (m + 1))).astype(np.longdouble)
+    ref = 2 * np.sin(4 * np.arctan(np.longdouble(1)) * arg / (m + 1))
+    S = gp.sine_matrix(m)
+    assert np.abs(S - ref).max() <= 4e-15
+    assert np.array_equal(S, S.T) and not S.flags.writeable
+    assert np.abs(S @ S - 2 * (m + 1) * np.eye(m)).max() <= 1e-13 * (m + 1)
+
+
+@pytest.mark.parametrize("trap_, grid", [
+    (bl.TrapSpec.harmonic((1.0, 1.7, 0.6)), bl.Grid.centered((14.0, 12.0, 10.0), (32, 48, 40))),
+    (bl.TrapSpec.harmonic((1.0, 1.0)), bl.Grid.centered((14.0, 14.0), (96, 64))),
+], ids=["3d", "2d"])
+def test_coefficient_round_trip(trap_, grid):
+    ws = gp._Workspace(trap_, grid)
+    p = np.random.default_rng(1).standard_normal(ws.m)
+    assert np.abs(ws.from_coefficients(ws.coefficients(p)) - p).max() <= 1e-13 * np.abs(p).max()
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("shape", [(5, 7, 9), (6, 11), (4, 3, 5, 2), (8,)], ids=str)
+def test_axis_apply_matches_tensordot(shape, transpose):
+    rng = np.random.default_rng(len(shape))
+    arr = rng.standard_normal(shape)
+    mats = [rng.standard_normal((n, n)) for n in shape]      # not symmetric
+    out = gp._axis_apply(arr, mats, transpose)
+    np.testing.assert_allclose(out, tensor_apply(arr, mats, transpose), rtol=0, atol=1e-12)
