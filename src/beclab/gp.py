@@ -16,6 +16,20 @@ along a great circle by the angle that minimizes the local quadratic
 model of the energy, with backtracking so the recorded energy sequence
 never increases.  The converged state satisfies the variational equation
 -lap phi + V phi + 2 g phi^3 = mu phi to the requested residual.
+
+The minimizer is unique and positive, so on a mirror-symmetric trap it is
+even under the mirror of every axis, and so is every iterate of the flow
+from an even start: every operator above commutes with the mirrors.  The
+flow then runs on that sector, on the first m/2 interior nodes of each
+axis and the odd sine wavenumbers (1/2^d of the points, 1/4^d of the
+transform work; the even-odd reduction of sine-spectral methods,
+Solomonoff, J. Comput. Phys. 98, 174 (1992)), and the half is mirrored
+onto the full grid at the end.  The route rule: the sector is taken when
+every interior count m is even (an odd m has a centre plane of
+multiplicity 1), the sampled V equals its mirror image on every axis to
+1e-12 of max |V|, and the initial guess, if any, is mirror-even too;
+otherwise (off-centre tabulated traps, odd m, a generic start) the same
+loop runs on the full interior.
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ import scipy.linalg as sla
 
 from .errors import (ConfigError, DomainTooSmallError, InvalidParameterError,
                      SolverFailureError)
-from .model import Grid, TrapSpec
+from .model import Grid, TrapSpec, mirror_parity
 
 _ENERGY_SLACK = 1e-13          # accepted per-step energy increase
 _BOUNDARY_RATIO = 1e-8         # required boundary decay for confining traps
@@ -103,54 +117,89 @@ def sine_matrix(m: int) -> np.ndarray:
     return S
 
 
-def dstn(x: np.ndarray) -> np.ndarray:
-    """Unnormalized DST-I along every axis, equal to scipy's ``dstn(x, type=1)``."""
-    return _axis_apply(x, [sine_matrix(m) for m in x.shape], transpose=False)
+def dstn(x: np.ndarray, mats=None) -> np.ndarray:
+    """Unnormalized DST-I along every axis, equal to scipy's ``dstn(x, type=1)``.
+
+    ``mats`` replaces the per-axis sine matrices, e.g. by the blocks of the
+    transform that act on the mirror-even sector (``_Workspace``).
+    """
+    if mats is None:
+        mats = [sine_matrix(m) for m in x.shape]
+    return _axis_apply(x, mats, transpose=False)
 
 
 class _Workspace:
-    """Per-(grid, trap) arrays shared by the minimizer's iterations."""
+    """Per-(grid, trap) arrays shared by the minimizer's iterations.
 
-    def __init__(self, trap: TrapSpec, grid: Grid):
+    With ``sector`` set, and when every interior count m is even and the
+    sampled V equals its mirror image on every axis, the arrays live on the
+    mirror-even sector: real-space arrays on the first m/2 interior nodes
+    of each axis, sine coefficients on the odd wavenumbers (the even ones
+    vanish on even functions, since S[k, m+1-j] = (-1)^(k+1) S[k, j]).
+    The forward transform is then the block 2 S[odd k, j <= m/2], the
+    inverse S[j <= m/2, odd k], real-space sums carry the multiplicity 2^d
+    in ``hd``, and coefficient-space sums keep weight 1.  Otherwise the
+    blocks are the full S on the full interior and the multiplicity is 1.
+    """
+
+    def __init__(self, trap: TrapSpec, grid: Grid, sector: bool = False):
         self.d = grid.dimension
-        self.m = tuple(n - 2 for n in grid.points)
+        full = tuple(n - 2 for n in grid.points)
         self.interior = tuple(slice(1, -1) for _ in range(self.d))
-        self.hd = float(np.prod(grid.spacing))
-        self.V = np.ascontiguousarray(trap.sample(grid)[self.interior])
-        # continuum sine eigenvalues (pi k / L)^2 per axis
-        self.kappa = [
-            (np.pi * np.arange(1, m + 1) / e) ** 2
-            for m, e in zip(self.m, grid.extent)
-        ]
-        self.KK = _tensor_sum(self.kappa)
+        V = trap.sample(grid)[self.interior]
+        self.sector = sector and all(m % 2 == 0 for m in full) and all(
+            mirror_parity(V, ax) == 0 for ax in range(self.d))
+        self.half = tuple(slice(0, m // 2 if self.sector else m) for m in full)
+        self.hd = float(np.prod(grid.spacing)) * (2.0**self.d if self.sector else 1.0)
         self.sine_factor = float(np.prod([e / 2 for e in grid.extent]))
-        self.dst_norm = float(np.prod([(m + 1.0) for m in self.m]))
+        self.dst_norm = float(np.prod([(m + 1.0) for m in full]))
         # separable model H0 of the linear part for the preconditioner: per
         # axis the spectral kinetic matrix plus V along the axis line through
         # the sampled minimum, less (d-1)/d of that minimum, so the axis terms
-        # sum to V itself whenever V is separable (harmonic, box)
-        centre = np.unravel_index(np.argmin(self.V), self.V.shape)
-        offset = float(self.V[centre]) * (self.d - 1) / self.d
-        eigs, vecs = [], []
-        for ax in range(self.d):
-            S = sine_matrix(self.m[ax])
-            K1 = (S * self.kappa[ax]) @ S / (2.0 * (self.m[ax] + 1.0))
-            line = self.V[centre[:ax] + (slice(None),) + centre[ax + 1:]]
-            w, U = sla.eigh(K1 + np.diag(line - offset))
+        # sum to V itself whenever V is separable (harmonic, box).  On the
+        # sector each axis operator is reduced to P^T H0 P, P the normalized
+        # even embedding.  The floor of the shift keeps the full per-axis gap,
+        # whose first excitation is odd: the full spectrum is that of P^T H0 P
+        # joined with that of Q^T H0 Q, Q the normalized odd embedding
+        centre = np.unravel_index(np.argmin(V), V.shape)
+        offset = float(V[centre]) * (self.d - 1) / self.d
+        self.forward, self.inverse, kappa, eigs, self.pre_vecs = [], [], [], [], []
+        gaps = []
+        for ax, (m, e) in enumerate(zip(full, grid.extent)):
+            S = sine_matrix(m)
+            k2 = (np.pi * np.arange(1, m + 1) / e) ** 2      # continuum (pi k / L)^2
+            line = V[centre[:ax] + (slice(None),) + centre[ax + 1:]]
+            H = (S * k2) @ S / (2.0 * (m + 1.0)) + np.diag(line - offset)
+            if self.sector:
+                h, odd = m // 2, slice(0, m, 2)
+                S_fwd, S_inv, k2 = 2.0 * S[odd, :h], np.ascontiguousarray(S[:h, odd]), k2[odd]
+                flip = H[:h, :h - 1:-1]
+                w, U = sla.eigh(H[:h, :h] + flip)
+                low = np.sort(np.append(w[:2], sla.eigvalsh(H[:h, :h] - flip)[0]))
+            else:
+                S_fwd = S_inv = S
+                w, U = sla.eigh(H)
+                low = w
+            gaps.append(low[1] - low[0])
+            self.forward.append(S_fwd)
+            self.inverse.append(S_inv)
+            kappa.append(k2)
             eigs.append(w)
-            vecs.append(U)
+            self.pre_vecs.append(U)
+        self.V = np.ascontiguousarray(V[self.half])
+        self.m = self.V.shape
+        self.KK = _tensor_sum(kappa)
         self.pre_eigs = _tensor_sum(eigs)
-        self.pre_vecs = vecs
         self.lam0 = float(sum(w[0] for w in eigs))
-        self.gap = float(min(w[1] - w[0] for w in eigs))
+        self.gap = float(min(gaps))
 
     def coefficients(self, p: np.ndarray) -> np.ndarray:
-        b = dstn(p)
+        b = dstn(p, self.forward)
         b /= self.dst_norm
         return b
 
     def from_coefficients(self, b: np.ndarray) -> np.ndarray:
-        p = dstn(b)
+        p = dstn(b, self.inverse)
         p /= 2.0**self.d
         return p
 
@@ -167,6 +216,13 @@ class _Workspace:
             shape = [1] * self.d
             shape[ax] = self.m[ax]
             p = p * np.abs(U[:, 0]).reshape(shape)
+        return p
+
+    def unfold(self, p: np.ndarray) -> np.ndarray:
+        """The full interior array whose working part is ``p``."""
+        if self.sector:
+            for ax in range(self.d):
+                p = np.concatenate([p, np.flip(p, axis=ax)], axis=ax)
         return p
 
     def precondition(self, r: np.ndarray, mu: float) -> np.ndarray:
@@ -225,17 +281,19 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
         raise InvalidParameterError("max_iter must be at least 1")
     if grid.dimension != trap.dimension:
         raise ConfigError("grid and trap dimensions disagree", field="grid")
-    ws = _Workspace(trap, grid)
-    hd = ws.hd
-
+    start = None
     if initial is not None:
-        phi = np.asarray(initial, dtype=float)
-        phi = phi[ws.interior].copy() if phi.shape == grid.shape else phi.copy()
-        if phi.shape != ws.m:
+        start = np.abs(np.asarray(initial, dtype=float))
+        if start.shape == grid.shape:
+            start = start[tuple(slice(1, -1) for _ in grid.points)]
+        if start.shape != tuple(n - 2 for n in grid.points):
             raise ConfigError("initial guess shape does not match the grid", field="initial")
-        phi = np.abs(phi)
-    else:
-        phi = ws.ground_mode()
+    # the minimizer is unique and positive, hence mirror-even on a
+    # mirror-symmetric trap; the flow stays in that sector from an even start
+    ws = _Workspace(trap, grid, sector=start is None or all(
+        mirror_parity(start, ax) == 0 for ax in range(start.ndim)))
+    hd = ws.hd
+    phi = ws.ground_mode() if start is None else np.ascontiguousarray(start[ws.half])
     phi /= math.sqrt(hd * float(np.sum(phi**2)))
 
     def evaluate(p, b):
@@ -323,9 +381,10 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
     total = kinetic + potential + interaction
 
     full = np.zeros(grid.shape)
-    full[ws.interior] = phi
+    full[ws.interior] = ws.unfold(phi)
     peak = float(phi.max())
-    boundary = _boundary_layer_max(phi) / peak
+    # on the sector the inner faces of the half are the centre planes
+    boundary = _boundary_layer_max(phi, (0,) if ws.sector else (0, -1)) / peak
     if trap.kind != "box" and boundary > _BOUNDARY_RATIO:
         raise DomainTooSmallError(
             f"boundary amplitude {boundary:.2e} of peak exceeds {_BOUNDARY_RATIO:.0e}; "
@@ -338,14 +397,11 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
                    energy_trace=tuple(trace), boundary_ratio=boundary)
 
 
-def _boundary_layer_max(interior: np.ndarray) -> float:
+def _boundary_layer_max(interior: np.ndarray, faces=(0, -1)) -> float:
     out = 0.0
     for ax in range(interior.ndim):
-        sl = [slice(None)] * interior.ndim
-        sl[ax] = 0
-        out = max(out, float(np.abs(interior[tuple(sl)]).max()))
-        sl[ax] = -1
-        out = max(out, float(np.abs(interior[tuple(sl)]).max()))
+        for face in faces:
+            out = max(out, float(np.abs(np.take(interior, face, axis=ax)).max()))
     return out
 
 

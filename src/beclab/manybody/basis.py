@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from ..errors import CapacityError, ConfigError, ResolutionError
 from ..gp import sine_matrix
-from ..model import Grid, TrapSpec
+from ..model import Grid, TrapSpec, mirror_parity
 
 
 def hermite_functions(nmax: int, x: np.ndarray, stiffness: float = 1.0) -> np.ndarray:
@@ -90,7 +90,7 @@ class ModeBasis:
         tabulated traps).
         """
         if self.axis_tables is not None:
-            rows = [[_mirror_parity(f, 0) for f in table] for table in self.axis_tables]
+            rows = [[mirror_parity(f, 0) for f in table] for table in self.axis_tables]
             if any(None in r for r in rows):
                 return None
             return np.column_stack([np.array(r)[self.table_rows[:, ax]]
@@ -98,7 +98,7 @@ class ModeBasis:
         out = np.zeros((self.size, self.grid.dimension), dtype=np.int64)
         for m, mode in enumerate(self.modes):
             for ax in range(self.grid.dimension):
-                p = _mirror_parity(mode, ax)
+                p = mirror_parity(mode, ax)
                 if p is None:
                     return None
                 out[m, ax] = p
@@ -119,17 +119,6 @@ class ModeBasis:
     def kinetic_matrix(self) -> np.ndarray:
         """t = diag(energies) - potential matrix (modes are eigenfunctions)."""
         return np.diag(self.energies) - self.potential_matrix()
-
-
-def _mirror_parity(f: np.ndarray, axis: int) -> int | None:
-    """0 when f is even under the mirror along ``axis``, 1 when odd, else None."""
-    tol = 1e-12 * np.abs(f).max()
-    mirror = np.flip(f, axis=axis)
-    if np.abs(f - mirror).max() <= tol:
-        return 0
-    if np.abs(f + mirror).max() <= tol:
-        return 1
-    return None
 
 
 def _factored_gram_error(tables, rows, grid: Grid) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from ..errors import ConfigError
 from ..gp import GPState
@@ -51,13 +50,39 @@ def _pair_amplitude_matrix(ground: ManyBodyGround, fock: FockBasis) -> np.ndarra
     return (fock.annihilator() @ ground.coefficients).reshape(fock.M, fock.M) / np.sqrt(2.0)
 
 
+def _scrambled_sobol(count: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of a scrambled 1D Sobol' sequence in [0, 1).
+
+    Linear matrix scrambling (Matousek, J. Complexity 14, 527 (1998)) plus
+    a random digital shift of the van der Corput direction numbers
+    2^(29-j), in Gray-code order (Bratley & Fox, ACM TOMS 14, 88
+    (1988)), with the shift as the first point.  The random bits are
+    drawn as scipy's ``qmc.Sobol(d=1, scramble=True, seed=seed)`` draws
+    them, so the points are the same.
+    """
+    bits = 30
+    rng = np.random.default_rng(seed)
+    place = 1 << np.arange(bits, dtype=np.int64)
+    shift = int(rng.integers(0, 2, bits, dtype=np.uint32) @ place)
+    lower = np.tril(rng.integers(0, 2, (bits, bits), dtype=np.uint32)).astype(np.int64)
+    np.fill_diagonal(lower, 1)
+    # direction number j is bit j from the top; scrambled, it is column j
+    # of the lower-triangular matrix read from the top bit down
+    directions = place[::-1] @ lower
+    n = np.arange(count, dtype=np.int64)
+    gray = n ^ (n >> 1)
+    x = np.full(count, shift, dtype=np.int64)
+    for j, v in enumerate(directions):
+        x ^= ((gray >> j) & 1) * v
+    return x / 2.0**bits
+
+
 def _sample_indices(density_flat, weights_flat, count, seed):
     """Quasi-random draws of grid nodes from the one-particle density."""
     p = np.maximum(density_flat * weights_flat, 0.0)
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    u = qmc.Sobol(d=1, scramble=True, seed=seed).random(count).ravel()
-    return np.searchsorted(cdf, u)
+    return np.searchsorted(cdf, _scrambled_sobol(count, seed))
 
 
 def localization_profile(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,

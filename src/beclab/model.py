@@ -100,10 +100,6 @@ class Grid:
     def integrate(self, values: np.ndarray) -> float:
         return float(np.sum(values * self.weights))
 
-    def refine(self, factor: int = 2) -> "Grid":
-        """Grid with (roughly) ``factor`` times the points per axis."""
-        return Grid(self.lo, self.extent, tuple((n - 1) * factor + 1 for n in self.points))
-
     @classmethod
     def centered(cls, extent, points) -> "Grid":
         extent = tuple(float(e) for e in np.atleast_1d(extent))
@@ -113,6 +109,25 @@ class Grid:
     @classmethod
     def box(cls, side: float, points: int, dimension: int = 3) -> "Grid":
         return cls((0.0,) * dimension, (float(side),) * dimension, (int(points),) * dimension)
+
+
+def mirror_parity(f: np.ndarray, axis: int) -> int | None:
+    """0 when f is even under the mirror along ``axis``, 1 when odd, else None.
+
+    The mirror reverses the axis, i.e. reflects through the centre of the
+    sampled array; f and its mirror image are compared at 1e-12 of the
+    largest |f|, on the first half of the axis and its centre plane, if
+    any (the rest repeats it).
+    """
+    tol = 1e-12 * np.abs(f).max()
+    head = tuple(slice(0, (f.shape[axis] + 1) // 2) if ax == axis else slice(None)
+                 for ax in range(f.ndim))
+    f, mirror = f[head], np.flip(f, axis=axis)[head]
+    if np.abs(f - mirror).max() <= tol:
+        return 0
+    if np.abs(f + mirror).max() <= tol:
+        return 1
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -198,20 +198,28 @@ def check_inequality(inst: PoincareInstance, C: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs >= rhs - 1e-12)}
 
 
-def weighted_check(inst: PoincareInstance, weight: np.ndarray, C: float) -> dict:
+def _normalized_weight(weight: np.ndarray, region: Region) -> np.ndarray:
+    """``weight`` checked positive and finite on K, scaled to unit mean over K."""
+    wvals = weight[region.mask]
+    if wvals.min() <= 0 or not np.isfinite(wvals).all():
+        raise InvalidParameterError("weight must be positive and finite on K")
+    return weight * region.volume / float(np.sum(weight * region.node_weights))
+
+
+def weighted_check(inst: PoincareInstance, weight: np.ndarray, C: float,
+                   normalized: bool = False) -> dict:
     """The same functional with all three integrals carrying ``weight``.
 
     The weight must be bounded above and below by positive constants on K;
     it is normalized to unit mean over K, and f is re-projected so its
-    weighted h-mean vanishes.
+    weighted h-mean vanishes.  ``normalized`` says that ``weight`` is
+    already the checked, normalized weight of this region, as
+    ``weighted_estimate`` passes it to every trial.
     """
     if C <= 0:
         raise InvalidParameterError("constant C must be positive")
     region = inst.region
-    wvals = weight[region.mask]
-    if wvals.min() <= 0 or not np.isfinite(wvals).all():
-        raise InvalidParameterError("weight must be positive and finite on K")
-    wnorm = weight * region.volume / float(np.sum(weight * region.node_weights))
+    wnorm = weight if normalized else _normalized_weight(weight, region)
     f = project_mean_zero(inst.f.copy(), inst.h, region, weight=wnorm)
     lhs, f2 = _sides_arrays(region, inst.omega, f, weight=wnorm)
     rhs = f2 / C
@@ -364,8 +372,9 @@ def weighted_estimate(region: Region, weight: np.ndarray, c_star: float, trials:
     ensemble of ``estimate_constant``, and the worst one has the smallest
     margin lhs - rhs.
     """
+    wnorm = _normalized_weight(weight, region)
     wk = weight[region.mask]
-    ratio = float(wk.max() / max(wk.min(), 1e-300))
+    ratio = float(wk.max() / wk.min())
     c_prime = c_star * ratio**2
     rng = np.random.default_rng(seed)
     worst = None
@@ -374,7 +383,7 @@ def weighted_estimate(region: Region, weight: np.ndarray, c_star: float, trials:
         f = _random_field(rng, region)
         omega, desc = _random_omega(rng, region)
         res = weighted_check(PoincareInstance.build(region, omega, f, description=desc),
-                             weight, c_prime)
+                             wnorm, c_prime, normalized=True)
         holds &= res["holds"]
         margin = res["lhs"] - res["rhs"]
         if worst is None or margin < worst["margin"]:

@@ -340,3 +340,29 @@ def omega_x_mask(points, radius, region):
             rr = rr + (x - p[ax]) ** 2
         mask &= rr >= radius**2
     return mask
+
+
+def per_trial_weighted_estimate(region, weight, c_star, trials, seed):
+    """``poincare.weighted_estimate`` as it was before the weight check and
+    normalization were hoisted: ``weighted_check`` re-checks and re-normalizes
+    the raw weight on every trial."""
+    from beclab.poincare import (PoincareInstance, _random_field, _random_omega,
+                                 weighted_check)
+
+    wk = weight[region.mask]
+    ratio = float(wk.max() / max(wk.min(), 1e-300))
+    c_prime = c_star * ratio**2
+    rng = np.random.default_rng(seed)
+    worst = None
+    holds = True
+    for _ in range(trials):
+        f = _random_field(rng, region)
+        omega, desc = _random_omega(rng, region)
+        res = weighted_check(PoincareInstance.build(region, omega, f, description=desc),
+                             weight, c_prime)
+        holds &= res["holds"]
+        margin = res["lhs"] - res["rhs"]
+        if worst is None or margin < worst["margin"]:
+            worst = {"margin": margin, **desc}
+    return {"C_prime": c_prime, "weight_ratio": ratio, "holds_all": bool(holds),
+            "worst_trial": worst}

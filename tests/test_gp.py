@@ -201,12 +201,14 @@ def test_sine_matrix_entries_are_correctly_reduced(m):
     assert np.abs(S @ S - 2 * (m + 1) * np.eye(m)).max() <= 1e-13 * (m + 1)
 
 
-@pytest.mark.parametrize("trap_, grid", [
-    (bl.TrapSpec.harmonic((1.0, 1.7, 0.6)), bl.Grid.centered((14.0, 12.0, 10.0), (32, 48, 40))),
-    (bl.TrapSpec.harmonic((1.0, 1.0)), bl.Grid.centered((14.0, 14.0), (96, 64))),
-], ids=["3d", "2d"])
-def test_coefficient_round_trip(trap_, grid):
-    ws = gp._Workspace(trap_, grid)
+@pytest.mark.parametrize("trap_, grid, sector", [
+    (bl.TrapSpec.harmonic((1.0, 1.7, 0.6)), bl.Grid.centered((14.0, 12.0, 10.0), (32, 48, 40)), False),
+    (bl.TrapSpec.harmonic((1.0, 1.0)), bl.Grid.centered((14.0, 14.0), (96, 64)), False),
+    (bl.TrapSpec.harmonic((1.0, 1.7, 0.6)), bl.Grid.centered((14.0, 12.0, 10.0), (32, 48, 40)), True),
+], ids=["3d", "2d", "3d_sector"])
+def test_coefficient_round_trip(trap_, grid, sector):
+    ws = gp._Workspace(trap_, grid, sector=sector)
+    assert ws.sector == sector and ws.m == tuple((n - 2) // (2 if sector else 1) for n in grid.points)
     p = np.random.default_rng(1).standard_normal(ws.m)
     assert np.abs(ws.from_coefficients(ws.coefficients(p)) - p).max() <= 1e-13 * np.abs(p).max()
 
@@ -219,3 +221,88 @@ def test_axis_apply_matches_tensordot(shape, transpose):
     mats = [rng.standard_normal((n, n)) for n in shape]      # not symmetric
     out = gp._axis_apply(arr, mats, transpose)
     np.testing.assert_allclose(out, tensor_apply(arr, mats, transpose), rtol=0, atol=1e-12)
+
+
+def _solve(monkeypatch, trap_, g, grid, full=False, **kw):
+    """minimize_gp plus whether it ran on the mirror-even sector; ``full``
+    forces the full-grid route."""
+    made = []
+    workspace = gp._Workspace
+
+    def spy(trap, grid, sector=False):
+        made.append(workspace(trap, grid, sector=sector and not full))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(gp, "_Workspace", spy)
+        state = bl.minimize_gp(trap_, g, grid, **kw)
+    return state, made[0].sector
+
+
+def _offcentre_table(grid):
+    x, y, z = np.meshgrid(*grid.axes, indexing="ij")
+    return bl.TrapSpec.tabulated(grid, (x - 0.25) ** 2 + y**2 + z**2)
+
+
+@pytest.mark.parametrize("trap_, g, grid", [
+    (bl.TrapSpec.harmonic((1.0, 1.0, 1.0)), 2.0, GRID32),
+    (bl.TrapSpec.harmonic((1.0, 1.7, 0.6)), 3.0, bl.Grid.centered((14.0, 12.0, 16.0), (32, 48, 40))),
+    (bl.TrapSpec.box(1.0, 3), 5.0, bl.Grid.box(1.0, 32)),
+    (_tabulated("anharmonic"), 2.0, GRID32),
+    (bl.TrapSpec.harmonic((1.0, 1.0)), 20.0, bl.Grid.centered((14.0, 14.0), (96, 64))),
+], ids=["isotropic", "anisotropic", "box", "tabulated", "2d"])
+def test_sector_solve_matches_full_solve(monkeypatch, trap_, g, grid):
+    sector, on_sector = _solve(monkeypatch, trap_, g, grid)
+    full, on_full = _solve(monkeypatch, trap_, g, grid, full=True)
+    assert on_sector and not on_full
+    assert sector.iterations == full.iterations
+    for name in ("energy_total", "energy_kinetic", "energy_potential", "energy_interaction", "mu"):
+        assert getattr(sector, name) == pytest.approx(getattr(full, name), rel=1e-12, abs=1e-300)
+    assert sector.phi.shape == full.phi.shape == grid.shape
+    assert np.abs(sector.phi - full.phi).max() <= 1e-10 * full.phi.max()
+    # the unfolded state is mirror-even and vanishes on the grid boundary
+    for ax in range(grid.dimension):
+        assert np.array_equal(sector.phi, np.flip(sector.phi, axis=ax))
+        assert not np.take(sector.phi, [0, -1], axis=ax).any()
+
+
+@pytest.mark.parametrize("case", ["offcentre_table", "odd_m", "uneven_initial"])
+def test_full_route_when_the_sector_does_not_apply(monkeypatch, trap, case):
+    grid, trap_, kw = GRID32, trap, {}
+    if case == "offcentre_table":
+        trap_ = _offcentre_table(GRID32)
+    elif case == "odd_m":
+        grid = bl.Grid.centered((14.0,) * 3, (33,) * 3)
+    else:
+        rng = np.random.default_rng(3)
+        kw["initial"] = 1.0 + 0.3 * rng.random(tuple(n - 2 for n in grid.points))
+    state, on_sector = _solve(monkeypatch, trap_, 2.0, grid, **kw)
+    assert not on_sector
+    assert state.residual <= 1e-8 and state.norm_error() < 1e-10
+    components = (state.energy_kinetic, state.energy_potential, state.energy_interaction)
+    assert bl.gp_energy_components(state) == pytest.approx(components, rel=1e-12)
+
+
+def test_even_initial_keeps_the_sector(monkeypatch, trap):
+    mesh = GRID32.meshgrid()
+    start = np.exp(-sum(x**2 for x in mesh) / 3.0)
+    state, on_sector = _solve(monkeypatch, trap, 2.0, GRID32, initial=start)
+    assert on_sector and state.residual <= 1e-8
+
+
+@pytest.mark.parametrize("m", [2, 30, 46, 94])
+def test_sector_blocks_are_the_sine_matrix_on_even_vectors(m):
+    grid = bl.Grid.centered((10.0,) * 2, (m + 2, 6))
+    ws = gp._Workspace(bl.TrapSpec.harmonic((1.0, 1.0)), grid, sector=True)
+    assert ws.sector and ws.m == (m // 2, 2)
+    S, fwd, inv = gp.sine_matrix(m), ws.forward[0], ws.inverse[0]
+    rng = np.random.default_rng(m)
+    half = rng.standard_normal(m // 2)
+    b = S @ np.concatenate([half, half[::-1]])         # an even vector
+    assert np.abs(b[1::2]).max() <= 1e-13 * np.abs(b).max()
+    assert np.abs(fwd @ half - b[0::2]).max() <= 1e-13 * np.abs(b).max()
+    c = np.zeros(m)
+    c[0::2] = rng.standard_normal(m // 2)                # odd wavenumbers only
+    p = S @ c
+    assert np.abs(p - p[::-1]).max() <= 1e-13 * np.abs(p).max()
+    assert np.abs(inv @ c[0::2] - p[:m // 2]).max() <= 1e-13 * np.abs(p).max()

@@ -1,11 +1,20 @@
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 import beclab as bl
 from beclab.errors import BasisInsufficientError, ResolutionError
 from beclab.manybody import (build_mode_basis, condensate_metrics,
                              expand_reference, ground_state,
                              localization_profile, momentum_distribution)
+from beclab.manybody.localization import _scrambled_sobol
 from beclab.manybody.metrics import default_momentum_axes
 from beclab.manybody.tensor import interaction_tensor
 
@@ -131,6 +140,35 @@ def test_localization_monotone_fractions(basis_q2, interacting):
     fr = prof.fractions
     assert all(fr[i] <= fr[i + 1] + 1e-12 for i in range(len(fr) - 1))
     assert 0.0 <= fr[0] and fr[-1] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20260810, 2**40])
+@pytest.mark.parametrize("count", [1, 2, 3, 64, 100, 513])
+def test_scrambled_sobol_matches_scipy(seed, count):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # scipy warns on counts that are not 2^k
+        ref = qmc.Sobol(d=1, scramble=True, seed=seed).random(count).ravel()
+    assert np.array_equal(_scrambled_sobol(count, seed), ref)
+
+
+def test_scrambled_sobol_matches_stored_draws():
+    # pinned draws: a future scipy cannot move the localization samples
+    doc = json.loads((Path(__file__).parent / "data" / "sobol_draws.json").read_text())
+    for draw in doc["draws"]:
+        want = np.array(draw["numerators"]) / 2.0**30
+        assert np.array_equal(_scrambled_sobol(draw["count"], draw["seed"]), want), draw["seed"]
+
+
+def test_no_module_imports_scipy_stats():
+    code = ("import importlib, pkgutil, sys, beclab\n"
+            "for m in pkgutil.walk_packages(beclab.__path__, 'beclab.'):\n"
+            "    importlib.import_module(m.name)\n"
+            "assert 'beclab.manybody.localization' in sys.modules\n"
+            "print(sorted(k for k in sys.modules if k.startswith('scipy.stats')))\n")
+    src = str(Path(bl.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _state(phi, grid, trap):

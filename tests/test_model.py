@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import beclab as bl
 from beclab.errors import ConfigError, InvalidParameterError, OutOfDomainError
-from beclab.model import problem_from_config
+from beclab.model import mirror_parity, problem_from_config
 
 
 def test_harmonic_trap_examples():
@@ -121,3 +121,17 @@ def test_box_grid_mismatch_rejected():
     trap = bl.TrapSpec.box(1.0, 3)
     with pytest.raises(ConfigError):
         trap.sample(bl.Grid.centered((2.0,) * 3, (8,) * 3))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_mirror_parity(n):
+    x = np.linspace(-1.0, 1.0, n)
+    y = np.linspace(-2.0, 2.0, 5)
+    assert mirror_parity(np.add.outer(x**2, y), 0) == 0
+    assert mirror_parity(np.multiply.outer(x**3, y**2), 0) == 1
+    assert mirror_parity(np.multiply.outer(x**3, y**2), 1) == 0
+    assert mirror_parity(np.add.outer(x**2, y), 1) is None
+    assert mirror_parity(x + 0.1, 0) is None
+    assert mirror_parity(x**2 * (1 + 1e-13 * x), 0) == 0       # within 1e-12 of max |f|
+    centre = np.where(np.abs(x) < 1e-12, 0.5, x**3)              # odd but for the centre node
+    assert mirror_parity(centre, 0) == (None if n % 2 else 1)

@@ -10,7 +10,7 @@ from beclab.errors import InvalidParameterError
 from beclab.model import Grid
 from beclab.poincare import (PoincareInstance, Region, _random_field, check_inequality,
                              estimate_constant, masked_gradient_sq,
-                             omega_x_mask, weighted_check)
+                             omega_x_mask, weighted_check, weighted_estimate)
 
 from . import oracles
 
@@ -135,6 +135,23 @@ def test_weighted_rejects_vanishing_weight(box3):
     w = np.zeros(box3.grid.shape)
     with pytest.raises(InvalidParameterError):
         weighted_check(inst, w, 1.0)
+
+
+def test_weighted_estimate_matches_per_trial_normalization(ball3):
+    # one check and normalization per estimate gives the same dict, bit for
+    # bit, as checking and normalizing the raw weight on every trial
+    mesh = ball3.grid.meshgrid()
+    w = 0.2 + np.exp(-sum((x - 0.1 * ax) ** 2 for ax, x in enumerate(mesh)) / 0.3)
+    got = weighted_estimate(ball3, w, 0.4, trials=24, seed=5)
+    want = oracles.per_trial_weighted_estimate(ball3, w, 0.4, trials=24, seed=5)
+    assert got == want
+
+
+def test_weighted_estimate_rejects_vanishing_weight(ball3):
+    w = np.where(ball3.mask, 1.0, 0.0)
+    w[tuple(n // 2 for n in ball3.grid.shape)] = 0.0
+    with pytest.raises(InvalidParameterError):
+        weighted_estimate(ball3, w, 0.4, trials=3, seed=1)
 
 
 def test_omega_x_mask_geometry(ball3):
