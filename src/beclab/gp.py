@@ -21,10 +21,10 @@ The minimizer is unique and positive, so on a mirror-symmetric trap it is
 even under the mirror of every axis, and so is every iterate of the flow
 from an even start: every operator above commutes with the mirrors.  The
 flow then runs on that sector, on the first m/2 interior nodes of each
-axis and the odd sine wavenumbers (1/2^d of the points, 1/4^d of the
-transform work; the even-odd reduction of sine-spectral methods,
-Solomonoff, J. Comput. Phys. 98, 174 (1992)), and the half is mirrored
-onto the full grid at the end.  The route rule: the sector is taken when
+axis and the odd sine wavenumbers (1/2^d of the points, 1/2^(d+1) of
+the transform work, 1/16 in 3D; the even-odd reduction of sine-spectral
+methods, Solomonoff, J. Comput. Phys. 98, 174 (1992)), and the half is
+mirrored onto the full grid at the end.  The route rule: the sector is taken when
 every interior count m is even (an odd m has a centre plane of
 multiplicity 1), the sampled V equals its mirror image on every axis to
 1e-12 of max |V|, and the initial guess, if any, is mirror-even too;

@@ -112,17 +112,9 @@ class Grid:
 
 
 def mirror_parity(f: np.ndarray, axis: int) -> int | None:
-    """0 when f is even under the mirror along ``axis``, 1 when odd, else None.
-
-    The mirror reverses the axis, i.e. reflects through the centre of the
-    sampled array; f and its mirror image are compared at 1e-12 of the
-    largest |f|, on the first half of the axis and its centre plane, if
-    any (the rest repeats it).
-    """
+    """0 when f is even under the mirror along ``axis``, 1 when odd, else None."""
     tol = 1e-12 * np.abs(f).max()
-    head = tuple(slice(0, (f.shape[axis] + 1) // 2) if ax == axis else slice(None)
-                 for ax in range(f.ndim))
-    f, mirror = f[head], np.flip(f, axis=axis)[head]
+    mirror = np.flip(f, axis=axis)
     if np.abs(f - mirror).max() <= tol:
         return 0
     if np.abs(f + mirror).max() <= tol:

@@ -198,30 +198,41 @@ def check_inequality(inst: PoincareInstance, C: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs >= rhs - 1e-12)}
 
 
-def _normalized_weight(weight: np.ndarray, region: Region) -> np.ndarray:
-    """``weight`` checked positive and finite on K, scaled to unit mean over K."""
+@dataclass(frozen=True)
+class _UnitMeanWeight:
+    """A weight checked positive and finite on ``region``'s K, scaled to unit mean there."""
+
+    region: Region
+    values: np.ndarray
+
+
+def _unit_mean_weight(weight: np.ndarray, region: Region) -> _UnitMeanWeight:
     wvals = weight[region.mask]
     if wvals.min() <= 0 or not np.isfinite(wvals).all():
         raise InvalidParameterError("weight must be positive and finite on K")
-    return weight * region.volume / float(np.sum(weight * region.node_weights))
+    return _UnitMeanWeight(region, weight * region.volume
+                           / float(np.sum(weight * region.node_weights)))
 
 
-def weighted_check(inst: PoincareInstance, weight: np.ndarray, C: float,
-                   normalized: bool = False) -> dict:
+def weighted_check(inst: PoincareInstance, weight: np.ndarray | _UnitMeanWeight,
+                   C: float) -> dict:
     """The same functional with all three integrals carrying ``weight``.
 
     The weight must be bounded above and below by positive constants on K;
     it is normalized to unit mean over K, and f is re-projected so its
-    weighted h-mean vanishes.  ``normalized`` says that ``weight`` is
-    already the checked, normalized weight of this region, as
-    ``weighted_estimate`` passes it to every trial.
+    weighted h-mean vanishes.  ``weighted_estimate`` does the check and the
+    normalization once and passes the resulting ``_UnitMeanWeight`` of the
+    same region to every trial.
     """
     if C <= 0:
         raise InvalidParameterError("constant C must be positive")
     region = inst.region
-    wnorm = weight if normalized else _normalized_weight(weight, region)
-    f = project_mean_zero(inst.f.copy(), inst.h, region, weight=wnorm)
-    lhs, f2 = _sides_arrays(region, inst.omega, f, weight=wnorm)
+    if isinstance(weight, _UnitMeanWeight) and weight.region is not region:
+        weight = weight.values
+    if not isinstance(weight, _UnitMeanWeight):
+        weight = _unit_mean_weight(weight, region)
+    f = project_mean_zero(inst.f.copy(), inst.h, region, weight=weight.values)
+    lhs, f2 = _sides_arrays(region, inst.omega, f, weight=weight.values)
     rhs = f2 / C
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs >= rhs - 1e-12)}
 
@@ -372,9 +383,9 @@ def weighted_estimate(region: Region, weight: np.ndarray, c_star: float, trials:
     ensemble of ``estimate_constant``, and the worst one has the smallest
     margin lhs - rhs.
     """
-    wnorm = _normalized_weight(weight, region)
+    wnorm = _unit_mean_weight(weight, region)
     wk = weight[region.mask]
-    ratio = float(wk.max() / wk.min())
+    ratio = float(wk.max() / max(wk.min(), 1e-300))
     c_prime = c_star * ratio**2
     rng = np.random.default_rng(seed)
     worst = None
@@ -383,7 +394,7 @@ def weighted_estimate(region: Region, weight: np.ndarray, c_star: float, trials:
         f = _random_field(rng, region)
         omega, desc = _random_omega(rng, region)
         res = weighted_check(PoincareInstance.build(region, omega, f, description=desc),
-                             wnorm, c_prime, normalized=True)
+                             wnorm, c_prime)
         holds &= res["holds"]
         margin = res["lhs"] - res["rhs"]
         if worst is None or margin < worst["margin"]:

@@ -8,7 +8,8 @@ import beclab as bl
 from beclab.cli import load_config, run_poincare
 from beclab.errors import InvalidParameterError
 from beclab.model import Grid
-from beclab.poincare import (PoincareInstance, Region, _random_field, check_inequality,
+from beclab.poincare import (PoincareInstance, Region, _random_field, _unit_mean_weight,
+                             check_inequality,
                              estimate_constant, masked_gradient_sq,
                              omega_x_mask, weighted_check, weighted_estimate)
 
@@ -282,3 +283,15 @@ def test_poincare_report_matches_pinned_values():
             assert got[key] == pytest.approx(value, rel=1e-12), key
         else:
             assert type(got[key]) is type(value) and got[key] == value, key
+
+
+def test_weighted_check_rechecks_weight_of_another_region(box3, ball3):
+    # a weight checked and normalized on the ball is checked again on the box,
+    # where it vanishes outside the ball
+    w = np.where(ball3.mask, 1.0, 0.0)
+    checked = _unit_mean_weight(w, ball3)
+    inst = PoincareInstance.build(box3, box3.mask.copy(), _smooth_field(box3, seed=9))
+    with pytest.raises(InvalidParameterError):
+        weighted_check(inst, checked.values, 1.0)
+    with pytest.raises(InvalidParameterError):
+        weighted_check(inst, checked, 1.0)
