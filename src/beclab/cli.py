@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import sys
 import time
 from pathlib import Path
@@ -33,12 +34,11 @@ from . import __version__
 from .errors import (BecLabError, CapacityError, ConfigError, IntegrityError,
                      SolverFailureError)
 from .gp import coupling_2d, coupling_3d, minimize_gp
-from .model import (MAX_GRID_NODES, MAX_SAMPLES, _number, _number_list, _require_keys,
-                    grid_from_config, multilinear_interpolate, problem_from_config)
+from .model import (MAX_FOCK_DIMENSION, MAX_GRID_NODES, MAX_QUANTA, MAX_SAMPLES, REQUIRED,
+                    fields, file_path, flag, grid_from_config, kinds, multilinear_interpolate,
+                    number, numbers, problem_from_config, typed)
 from .poincare import Region, estimate_constant, weighted_estimate
 from .scattering import solve_zero_energy
-
-EXPERIMENTS = ("scattering", "gp", "manybody", "sweep", "poincare")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,69 +47,104 @@ EXIT_VERIFY = 4
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration: one field spec per block, parsed whole at load
 # ---------------------------------------------------------------------------
 
-def load_config(path, experiment: str, overrides: dict) -> dict:
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}", field="config")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}", field="config")
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object", field="config")
-    _require_keys(doc, {"experiment", "problem", "solver", "seed",
-                        "reproducible", "output"}, {"experiment"}, "config")
-    if doc["experiment"] != experiment:
-        raise ConfigError(
-            f"config is for experiment {doc['experiment']!r}, command ran {experiment!r}",
-            field="config.experiment")
-    if not isinstance(doc.get("reproducible", True), bool):
-        raise ConfigError(f"must be true or false, got {doc['reproducible']!r}",
-                          field="reproducible")
-    config = {
-        "experiment": experiment,
-        "problem": doc.get("problem", {}),
-        "solver": doc.get("solver", {}),
-        "seed": doc.get("seed", 0),
-        "reproducible": doc.get("reproducible", True),
-        "output": doc.get("output"),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
-    config["seed"] = _number(config["seed"], "seed", integer=True, minimum=0)
-    _validate_solver(experiment, config["solver"])
-    return config
+_FOCK = {"max_quanta": (number(integer=True, minimum=0, cap=MAX_QUANTA), 3),
+         "dimension_cap": (number(integer=True, minimum=1, cap=MAX_FOCK_DIMENSION), 200_000)}
+_DRAWS = number(integer=True, minimum=1, cap=MAX_SAMPLES)
+
+LOCALIZATION = {"radii": (numbers(positive=True), REQUIRED), "samples": (_DRAWS, 64)}
+WEIGHTS = {"constant": {}, "gp_dump": {"phi": (file_path, REQUIRED), "grid": (file_path, REQUIRED)}}
+REGIONS = {kind: {size: (number(), REQUIRED), "points": (number(integer=True), REQUIRED),
+                  "dimension": (number(integer=True), 3)}
+           for kind, size in (("box", "side"), ("ball", "radius"))}
 
 
-_SOLVER_KEYS = {
-    "scattering": ({"r_max", "tol"}, set()),
-    "gp": ({"g", "N", "a", "tol", "max_iter", "dump_phi"}, set()),
-    "manybody": ({"N", "g", "a", "max_quanta", "dimension_cap", "localization"}, {"N"}),
-    "sweep": ({"g", "N_list", "max_quanta", "dimension_cap", "gp_grid", "gp_tol"},
-              {"g", "N_list"}),
-    "poincare": ({"region", "trials", "weight"}, {"region"}),
+def _region(doc, where: str) -> tuple[str, dict]:
+    kind, f = kinds("kind", REGIONS)(doc, where)
+    if f["dimension"] not in (2, 3):
+        raise ConfigError(f"must be 2 or 3, got {f['dimension']}", field=f"{where}.dimension")
+    nodes = f["points"] ** f["dimension"]
+    if nodes > MAX_GRID_NODES:
+        raise CapacityError(f"{nodes} nodes, above the cap {MAX_GRID_NODES}",
+                            field=f"{where}.points")
+    return kind, f
+
+
+SOLVERS = {
+    "scattering": {"r_max": (number(), 50.0), "tol": (number(), 1e-9)},
+    "gp": {"g": (number(), None), "N": (number(integer=True), None), "a": (number(), None),
+           "tol": (number(), 1e-8), "max_iter": (number(integer=True), 5000),
+           "dump_phi": (flag, False)},
+    "manybody": {"N": (number(integer=True, minimum=1, cap=MAX_FOCK_DIMENSION), REQUIRED),
+                 "g": (number(), None), "a": (number(), None), **_FOCK,
+                 "localization": (fields(LOCALIZATION), None)},
+    "sweep": {"g": (number(), REQUIRED),
+              "N_list": (numbers(integer=True, minimum=1, cap=MAX_FOCK_DIMENSION), REQUIRED),
+              **_FOCK, "gp_grid": (typed(dict, "an object"), None), "gp_tol": (number(), 1e-8)},
+    "poincare": {"region": (_region, REQUIRED), "trials": (_DRAWS, 200),
+                 "weight": (kinds("kind", WEIGHTS), {"kind": "constant"})},
 }
 
+CONFIGS = {experiment: {
+    "problem": (problem_from_config, {}),
+    "solver": (fields(solver), {}),
+    "seed": (number(integer=True, minimum=0), 0),
+    "reproducible": (flag, True),
+    "output": (typed((str, type(None)), "a directory path or null"), None),
+} for experiment, solver in SOLVERS.items()}
 
-def _validate_solver(experiment: str, solver: dict):
-    if not isinstance(solver, dict):
-        raise ConfigError("solver must be an object", field="solver")
-    allowed, required = _SOLVER_KEYS[experiment]
-    _require_keys(solver, allowed, required, "solver")
-    if experiment == "gp" and "g" not in solver and not {"N", "a"} <= set(solver):
-        raise ConfigError("gp needs either g or both N and a", field="solver")
-    if experiment == "manybody" and "g" not in solver and "a" not in solver:
-        raise ConfigError("manybody needs g or a", field="solver")
-    if "localization" in solver:
-        loc = solver["localization"]
-        if not isinstance(loc, dict):
-            raise ConfigError("localization must be an object", field="solver.localization")
-        _require_keys(loc, {"radii", "samples"}, {"radii"}, "solver.localization")
+# the problem blocks each experiment solves on
+_NEEDS = {"scattering": ("pair_potential",), "gp": ("trap", "grid"),
+          "manybody": ("trap", "grid", "pair_potential"),
+          "sweep": ("trap", "grid", "pair_potential"), "poincare": ()}
+
+
+def load_config(path, experiment: str, overrides: dict) -> dict:
+    """The run config of a strict JSON file, checked by ``validate``: the raw
+    document with its top-level defaults and the overrides filled in."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read config as JSON: {exc}", field="config")
+    if not isinstance(doc, dict) or doc.get("experiment", experiment) != experiment:
+        raise ConfigError(f"must be a JSON object of a {experiment} run", field="config")
+    doc.update((key, value) for key, value in overrides.items() if value is not None)
+    validate(doc)
+    return {"experiment": experiment} | {key: doc.get(key, default)
+                                         for key, (_, default) in CONFIGS[experiment].items()}
+
+
+def validate(config: dict) -> dict:
+    """The run config with every field parsed and checked (the problem as a
+    ``Problem``, solver defaults and couplings filled in); nothing is solved.
+    The first bad field raises a ConfigError (a CapacityError above a cap)
+    naming its dotted path."""
+    experiment, c = kinds("experiment", CONFIGS)(config, "")
+    problem, s = c["problem"], c["solver"]
+    if any(getattr(problem, part) is None for part in _NEEDS[experiment]):
+        raise ConfigError(f"{experiment} needs {' and '.join(_NEEDS[experiment])}", field="problem")
+    if experiment == "gp" and s["g"] is None:
+        if s["N"] is None or s["a"] is None:
+            raise ConfigError("gp needs either g or both N and a", field="solver")
+        s["g"] = (coupling_2d if problem.trap.dimension == 2 else coupling_3d)(s["N"], s["a"])
+    if experiment == "manybody":
+        if s["a"] is not None:
+            s["g"] = coupling_3d(s["N"], s["a"])
+        elif s["g"] is not None:
+            s["a"] = s["g"] / (4.0 * math.pi * s["N"])
+        else:
+            raise ConfigError("manybody needs g or a", field="solver")
+    if experiment in ("manybody", "sweep"):
+        N = s["N"] if experiment == "manybody" else max(s["N_list"], default=1)
+        states = math.comb(N + math.comb(s["max_quanta"] + 3, 3) - 1, N)
+        if states > s["dimension_cap"]:
+            raise CapacityError(f"N = {N} has {states} occupation states, above the "
+                                f"cap {s['dimension_cap']}", field="solver.dimension_cap")
+    if experiment == "sweep" and s["gp_grid"] is not None:
+        s["gp_grid"] = grid_from_config(s["gp_grid"], problem.trap, where="solver.gp_grid")
+    return c | {"experiment": experiment}
 
 
 def canonical_hash(config: dict) -> str:
@@ -143,13 +178,10 @@ def dump_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 def run_scattering(config: dict):
-    problem = problem_from_config(config["problem"])
-    if problem.pair_potential is None:
-        raise ConfigError("scattering needs problem.pair_potential", field="problem")
-    solver = config["solver"]
-    sol = solve_zero_energy(problem.pair_potential,
-                            r_max=_solver_number(solver, "r_max", 50.0),
-                            tol=_solver_number(solver, "tol", 1e-9))
+    c = validate(config)
+    solver = c["solver"]
+    sol = solve_zero_energy(c["problem"].pair_potential, r_max=solver["r_max"],
+                            tol=solver["tol"])
     stride = max(1, len(sol.r_grid) // 512)
     report = {
         "kind": "scattering",
@@ -163,36 +195,11 @@ def run_scattering(config: dict):
     return report, {}
 
 
-def _solver_number(solver: dict, key: str, default=None, integer: bool = False,
-                   minimum=None):
-    return _number(solver.get(key, default), f"solver.{key}", integer, minimum)
-
-
-def _sample_count(value, field: str) -> int:
-    """A count of random draws: an integer from 1 to MAX_SAMPLES."""
-    n = _number(value, field, integer=True, minimum=1)
-    if n > MAX_SAMPLES:
-        raise CapacityError(f"{n} draws, above the cap {MAX_SAMPLES}", field=field)
-    return n
-
-
-def _gp_coupling(solver: dict, dimension: int) -> float:
-    if "g" in solver:
-        return _solver_number(solver, "g")
-    N = _solver_number(solver, "N", integer=True)
-    a = _solver_number(solver, "a")
-    return coupling_2d(N, a) if dimension == 2 else coupling_3d(N, a)
-
-
 def run_gp(config: dict):
-    problem = problem_from_config(config["problem"])
-    if problem.trap is None or problem.grid is None:
-        raise ConfigError("gp needs problem.trap and problem.grid", field="problem")
-    solver = config["solver"]
-    g = _gp_coupling(solver, problem.trap.dimension)
-    tol = _solver_number(solver, "tol", 1e-8)
-    state = minimize_gp(problem.trap, g, problem.grid, tol=tol,
-                        max_iter=_solver_number(solver, "max_iter", 5000, integer=True))
+    c = validate(config)
+    problem, solver = c["problem"], c["solver"]
+    state = minimize_gp(problem.trap, solver["g"], problem.grid, tol=solver["tol"],
+                        max_iter=solver["max_iter"])
     trace = np.asarray(state.energy_trace)
     max_increase = float(np.max(np.diff(trace))) if len(trace) > 1 else 0.0
     report = {
@@ -213,10 +220,10 @@ def run_gp(config: dict):
         "norm_error": state.norm_error(),
         "boundary_ratio": state.boundary_ratio,
         "energy_trace_max_increase": max_increase,
-        "solver_tol": tol,
+        "solver_tol": solver["tol"],
     }
     aux = {}
-    if solver.get("dump_phi"):
+    if solver["dump_phi"]:
         aux["phi.f64"] = state.phi.astype("<f8").tobytes()
         aux["phi_grid.json"] = dump_json({
             "lo": state.grid.lo, "extent": state.grid.extent,
@@ -228,26 +235,13 @@ def run_gp(config: dict):
 def run_manybody(config: dict):
     from .manybody import localization_profile, prepare_pipeline, solve_instance
 
-    problem = problem_from_config(config["problem"])
-    if problem.trap is None or problem.grid is None or problem.pair_potential is None:
-        raise ConfigError("manybody needs trap, grid, and pair_potential", field="problem")
-    solver = config["solver"]
-    N = _solver_number(solver, "N", integer=True, minimum=1)
-    if "a" in solver:
-        a = _solver_number(solver, "a")
-        g = coupling_3d(N, a)
-    else:
-        g = _solver_number(solver, "g")
-        a = g / (4.0 * math.pi * N)
-    max_quanta = _solver_number(solver, "max_quanta", 3, integer=True, minimum=0)
-    cap = _solver_number(solver, "dimension_cap", 200_000, integer=True, minimum=1)
-    loc_cfg = solver.get("localization")
-    if loc_cfg is not None:
-        samples = _sample_count(loc_cfg.get("samples", 64), "solver.localization.samples")
-        radii = _number_list(loc_cfg["radii"], "solver.localization.radii", positive=True)
-
-    setup = prepare_pipeline(problem.trap, problem.pair_potential, g, problem.grid, max_quanta)
-    ground, report_metrics, rayleigh = solve_instance(setup, N, a, g, dimension_cap=cap)
+    c = validate(config)
+    problem, solver = c["problem"], c["solver"]
+    N, a, g, loc = solver["N"], solver["a"], solver["g"], solver["localization"]
+    setup = prepare_pipeline(problem.trap, problem.pair_potential, g, problem.grid,
+                             solver["max_quanta"])
+    ground, report_metrics, rayleigh = solve_instance(setup, N, a, g,
+                                                      dimension_cap=solver["dimension_cap"])
     report = {
         "kind": "manybody",
         "N": N, "a": a, "g": g,
@@ -272,9 +266,9 @@ def run_manybody(config: dict):
         "substituted_potential": setup.substituted,
         "kinetic_fraction_s": setup.s,
     }
-    if loc_cfg is not None:
-        prof = localization_profile(ground, setup.gp, setup.basis, radii=radii,
-                                    samples=samples, seed=config["seed"])
+    if loc is not None:
+        prof = localization_profile(ground, setup.gp, setup.basis, radii=loc["radii"],
+                                    samples=loc["samples"], seed=c["seed"])
         report["localization"] = {
             "radii": prof.radii,
             "fractions": prof.fractions,
@@ -289,22 +283,12 @@ def run_manybody(config: dict):
 def run_sweep(config: dict):
     from .manybody import gp_limit_sweep
 
-    problem = problem_from_config(config["problem"])
-    if problem.trap is None or problem.grid is None or problem.pair_potential is None:
-        raise ConfigError("sweep needs trap, grid, and pair_potential", field="problem")
-    solver = config["solver"]
-    gp_grid = (grid_from_config(solver["gp_grid"], problem.trap, where="solver.gp_grid")
-               if "gp_grid" in solver else None)
-    N_list = _number_list(solver["N_list"], "solver.N_list", integer=True, minimum=1)
-    result = gp_limit_sweep(problem.trap, problem.pair_potential,
-                            g=_solver_number(solver, "g"),
-                            N_list=N_list,
-                            max_quanta=_solver_number(solver, "max_quanta", 3,
-                                                      integer=True, minimum=0),
-                            grid=problem.grid, gp_grid=gp_grid,
-                            dimension_cap=_solver_number(solver, "dimension_cap", 200_000,
-                                                         integer=True, minimum=1),
-                            gp_tol=_solver_number(solver, "gp_tol", 1e-8))
+    c = validate(config)
+    problem, solver = c["problem"], c["solver"]
+    result = gp_limit_sweep(problem.trap, problem.pair_potential, g=solver["g"],
+                            N_list=solver["N_list"], max_quanta=solver["max_quanta"],
+                            grid=problem.grid, gp_grid=solver["gp_grid"],
+                            dimension_cap=solver["dimension_cap"], gp_tol=solver["gp_tol"])
     report = {
         "kind": "sweep",
         "rows": list(result.rows),
@@ -316,31 +300,11 @@ def run_sweep(config: dict):
     return report, {"sweep.csv": result.to_csv()}
 
 
-def _region_from_config(doc: dict) -> Region:
-    if not isinstance(doc, dict):
-        raise ConfigError("region must be an object", field="solver.region")
-    kind = doc.get("kind")
-    if kind not in ("box", "ball"):
-        raise ConfigError(f"unknown region kind {kind!r}", field="solver.region.kind")
-    size_key = "side" if kind == "box" else "radius"
-    _require_keys(doc, {"kind", size_key, "points", "dimension"}, {"kind", size_key, "points"},
-                  "solver.region")
-    size = _number(doc[size_key], f"solver.region.{size_key}")
-    points = _number(doc["points"], "solver.region.points", integer=True)
-    dimension = _number(doc.get("dimension", 3), "solver.region.dimension", integer=True)
-    if dimension not in (2, 3):
-        raise ConfigError(f"must be 2 or 3, got {dimension}", field="solver.region.dimension")
-    if points**dimension > MAX_GRID_NODES:
-        raise CapacityError(f"{points**dimension} nodes, above the cap {MAX_GRID_NODES}",
-                            field="solver.region.points")
-    return getattr(Region, kind)(size, points, dimension)
-
-
 def load_phi_dump(phi_path, sidecar_path):
     try:
-        meta = json.loads(Path(sidecar_path).read_text())
+        meta = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
         raw = Path(phi_path).read_bytes()
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read mean-field dump: {exc}", field="solver.weight")
     if not isinstance(meta, dict) or not {"lo", "extent", "points"} <= set(meta):
         raise ConfigError("grid sidecar needs lo, extent and points", field="solver.weight")
@@ -353,30 +317,13 @@ def load_phi_dump(phi_path, sidecar_path):
     return grid, phi
 
 
-def _weight_from_config(doc) -> tuple[str, str] | None:
-    """The (phi, grid) dump paths of a gp_dump weight; None for a constant one."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"weight must be an object, got {doc!r}", field="solver.weight")
-    kind = doc.get("kind")
-    if kind not in ("constant", "gp_dump"):
-        raise ConfigError("weight kind must be constant or gp_dump", field="solver.weight")
-    keys = {"kind", "phi", "grid"}
-    _require_keys(doc, keys, keys if kind == "gp_dump" else {"kind"}, "solver.weight")
-    if kind == "constant":
-        return None
-    for key in ("phi", "grid"):
-        if not isinstance(doc[key], str):
-            raise ConfigError(f"must be a file path, got {doc[key]!r}",
-                              field=f"solver.weight.{key}")
-    return doc["phi"], doc["grid"]
-
-
 def run_poincare(config: dict):
-    solver = config["solver"]
-    trials = _sample_count(solver.get("trials", 200), "solver.trials")
-    region = _region_from_config(solver["region"])
-    dump = _weight_from_config(solver.get("weight", {"kind": "constant"}))
-    est = estimate_constant(region, trials=trials, seed=config["seed"])
+    c = validate(config)
+    solver = c["solver"]
+    trials = solver["trials"]
+    region_kind, region_fields = solver["region"]
+    region = getattr(Region, region_kind)(**region_fields)
+    est = estimate_constant(region, trials=trials, seed=c["seed"])
     report = {
         "kind": "poincare",
         "C_star": est.c_star,
@@ -386,13 +333,14 @@ def run_poincare(config: dict):
         "dimension": region.m,
         "region_kind": region.kind,
     }
-    if dump is not None:
-        dump_grid, phi = load_phi_dump(*dump)
+    weight_kind, dump = solver["weight"]
+    if weight_kind == "gp_dump":
+        dump_grid, phi = load_phi_dump(dump["phi"], dump["grid"])
         mesh = np.meshgrid(*region.grid.axes, indexing="ij")
         pts = np.stack(mesh, axis=-1)
         w = multilinear_interpolate(dump_grid, phi, pts, field="solver.weight") ** 2
         report["weighted"] = weighted_estimate(region, w, est.c_star,
-                                               trials=min(trials, 200), seed=config["seed"] + 1)
+                                               trials=min(trials, 200), seed=c["seed"] + 1)
     return report, {}
 
 
@@ -632,21 +580,23 @@ def verify(paths) -> int:
     failures = []
     for path in paths:
         try:
-            rep = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            rep = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as exc:
             raise IntegrityError(f"{path}: unreadable report ({exc})")
-        kind = rep.get("kind")
-        if kind not in _VERIFIERS:
-            raise IntegrityError(f"{path}: unknown report kind {kind!r}")
+        kind = rep.get("kind") if isinstance(rep, dict) else None
+        if not isinstance(kind, str) or kind not in _VERIFIERS:
+            raise IntegrityError(f"{path}: not a report of a known kind ({reprlib.repr(rep)})")
         if rep.get("artifact_version") != __version__:
             raise IntegrityError(
-                f"{path}: report version {rep.get('artifact_version')!r} "
+                f"{path}: report version {reprlib.repr(rep.get('artifact_version'))} "
                 f"does not match artifact {__version__!r}")
         print(f"verifying {path} [{kind}]")
         try:
             _VERIFIERS[kind](rep, failures)
         except KeyError as exc:
             raise IntegrityError(f"{path}: missing field {exc}")
+        except (TypeError, ValueError, IndexError, ArithmeticError) as exc:
+            raise IntegrityError(f"{path}: malformed report ({type(exc).__name__}: {exc})")
     if failures:
         print(f"{len(failures)} invariant(s) failed")
         return EXIT_VERIFY
@@ -662,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bec-lab",
                                      description="dilute trapped Bose gas laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS:
+    for name in SOLVERS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="strict JSON configuration")
         p.add_argument("--out", default=None, help="output directory")

@@ -437,9 +437,9 @@ def coupling_2d(N: int, a: float) -> float:
         raise InvalidParameterError("N must be at least 1")
     if a <= 0:
         raise InvalidParameterError("scattering length must be positive")
-    if a * a * N >= 1.0:
+    if not 0.0 < a * a * N < 1.0:       # a^2 N can underflow to 0 for a tiny a
         raise InvalidParameterError(
-            f"a^2 N = {a * a * N} is outside the dilute regime (need < 1)")
+            f"a^2 N = {a * a * N} is outside the dilute regime (need 0 < a^2 N < 1)")
     return 4.0 * math.pi * N / abs(math.log(a * a * N))
 
 

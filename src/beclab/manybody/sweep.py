@@ -113,7 +113,7 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
     gp = setup.gp
     prediction = predict_components(gp, setup.s)
     u_matrix = setup.basis.potential_matrix()
-    t_matrix = setup.basis.kinetic_matrix()
+    t_matrix = np.diag(setup.basis.energies) - u_matrix
 
     rows = []
     for N in N_list:

@@ -8,6 +8,8 @@ function, safe to share across parallel workers.
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +25,16 @@ MAX_GRID_NODES = 2**23
 # localization samples alike: far above the committed 250 trials and 64
 # samples, and refused before any work starts.
 MAX_SAMPLES = 100_000
+
+# Largest many-body truncation a config may ask for: M = C(q+3, 3) modes give
+# a pair matrix of (M(M+1)/2)^2 doubles, 3.2 MB at the committed q = 4 and
+# 102 MB at q = 6.
+MAX_QUANTA = 6
+
+# Ceiling on solver.dimension_cap and on N (M >= 2 modes give more than N
+# states; this bounds M = 1): a Fock build holds 0.4-0.8 KB a state (measured
+# for M = 20 to 84), so 10^6 states bound it near 0.4-0.8 GB.
+MAX_FOCK_DIMENSION = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -418,110 +430,145 @@ def scale_pair_potential(base: PairPotential, a: float) -> PairPotential:
 
 
 # ---------------------------------------------------------------------------
-# strict JSON problem documents
+# strict JSON documents: one field spec per block
 # ---------------------------------------------------------------------------
 
-def _require_keys(doc: dict, allowed: set[str], required: set[str], where: str):
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)}", field=where)
-    missing = required - set(doc)
-    if missing:
-        raise ConfigError(f"missing keys {sorted(missing)}", field=where)
+REQUIRED = object()     # the default of a key its block must give
 
 
-def _number(value, field: str, integer: bool = False, minimum=None, positive: bool = False):
-    """A finite JSON number, an int when ``integer`` is set, else a float;
-    booleans, strings, NaN, infinities, values below ``minimum`` and, with
-    ``positive``, values <= 0 raise a ConfigError naming ``field``."""
-    kinds = int if integer else (int, float)
-    if isinstance(value, kinds) and not isinstance(value, bool):
-        try:
-            if (math.isfinite(value) and (minimum is None or value >= minimum)
-                    and (not positive or value > 0)):
-                return value if integer else float(value)
-        except OverflowError:       # an integer beyond the float range
-            pass
-    kind = "integer" if integer else "number"
+def fields(spec: dict):
+    """Parser of a JSON object by ``spec``, {key: (parse, default)}.
+
+    Each key maps to ``parse(value, path)`` of its given value, else of its
+    default; an absent key with a None default maps to None.  A non-object,
+    an unknown key, a missing ``REQUIRED`` key and every value ``parse``
+    rejects raise a ConfigError naming the dotted path from ``where``.
+    """
+    def parse(doc, where: str) -> dict:
+        if not isinstance(doc, dict):
+            raise ConfigError(f"must be an object, got {reprlib.repr(doc)}", field=where)
+        unknown = set(doc) - set(spec)
+        if unknown:
+            raise ConfigError(f"unknown keys {sorted(unknown)}", field=where)
+        missing = [k for k, (_, default) in spec.items() if default is REQUIRED and k not in doc]
+        if missing:
+            raise ConfigError(f"missing keys {missing}", field=where)
+        return {key: value(doc.get(key, default), f"{where}.{key}".lstrip("."))
+                if key in doc or default is not None else None
+                for key, (value, default) in spec.items()}
+    return parse
+
+
+def kinds(key: str, specs: dict):
+    """Parser of an object whose ``key`` entry names its spec in ``specs``:
+    (that name, the other fields)."""
+    def parse(doc, where: str) -> tuple[str, dict]:
+        kind = doc.get(key) if isinstance(doc, dict) else None
+        if isinstance(doc, dict) and not (isinstance(kind, str) and kind in specs):
+            raise ConfigError(f"must be one of {sorted(specs)}, got {reprlib.repr(kind)}",
+                              field=f"{where}.{key}".lstrip("."))
+        rest = {k: v for k, v in doc.items() if k != key} if kind else doc  # else fields names it
+        return kind, fields(specs.get(kind, {}))(rest, where)
+    return parse
+
+
+def number(integer: bool = False, minimum=None, positive: bool = False, cap=None):
+    """Parser of a finite JSON number, an int when ``integer`` is set, else a
+    float.  Booleans, strings, NaN, infinities, values below ``minimum`` and,
+    with ``positive``, values <= 0 raise a ConfigError; values above ``cap``
+    a CapacityError."""
+    types = int if integer else (int, float)
     bound = " > 0" if positive else "" if minimum is None else f" >= {minimum}"
-    raise ConfigError(f"must be a finite {kind}{bound}, got {value!r}", field=field)
+
+    def parse(value, field: str):
+        # abs() compares an int to the largest float exactly, without overflow
+        if not (isinstance(value, types) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max and (minimum is None or value >= minimum)
+                and (not positive or value > 0)):
+            raise ConfigError(f"must be a finite {'integer' if integer else 'number'}{bound}, "
+                              f"got {reprlib.repr(value)}", field=field)
+        if cap is not None and value > cap:
+            raise CapacityError(f"{value} is above the cap {cap}", field=field)
+        return value if integer else float(value)
+    return parse
 
 
-def _number_list(value, field: str, **kw) -> tuple:
-    """A JSON list whose every entry passes ``_number`` (same keywords)."""
-    if not isinstance(value, list):
-        raise ConfigError(f"must be a list of numbers, got {value!r}", field=field)
-    return tuple(_number(x, f"{field}[{i}]", **kw) for i, x in enumerate(value))
+def numbers(**kw):
+    """Parser of a JSON list whose every entry passes ``number(**kw)``: a tuple."""
+    entry = number(**kw)
+
+    def parse(value, field: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"must be a list of numbers, got {reprlib.repr(value)}",
+                              field=field)
+        return tuple(entry(x, f"{field}[{i}]") for i, x in enumerate(value))
+    return parse
+
+
+def typed(types, what: str):
+    """Parser of a JSON value of the given Python type(s), named ``what`` in errors."""
+    def parse(value, field: str):
+        if not isinstance(value, types):
+            raise ConfigError(f"must be {what}, got {reprlib.repr(value)}", field=field)
+        return value
+    return parse
+
+
+flag = typed(bool, "true or false")
+file_path = typed(str, "a file path")
 
 
 def _flatten(value):
     """Entries of a nested JSON list in row-major order; anything else as is."""
-    if not isinstance(value, list):
-        return value
-    out, stack = [], [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, list):
-            stack.extend(reversed(item))
-        else:
-            out.append(item)
-    return out
+    while isinstance(value, list) and any(isinstance(x, list) for x in value):
+        value = [y for x in value for y in (x if isinstance(x, list) else [x])]
+    return value
 
 
-def trap_from_config(doc: dict) -> TrapSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError("trap must be an object", field="trap")
-    kind = doc.get("kind")
-    if kind == "harmonic":
-        _require_keys(doc, {"kind", "stiffness"}, {"kind", "stiffness"}, "trap")
-        return TrapSpec.harmonic(_number_list(doc["stiffness"], "trap.stiffness"))
-    if kind == "box":
-        _require_keys(doc, {"kind", "side", "dimension"}, {"kind", "side"}, "trap")
-        return TrapSpec.box(_number(doc["side"], "trap.side"),
-                            _number(doc.get("dimension", 3), "trap.dimension", integer=True))
+def _grid_points(value, field: str) -> tuple:
+    points = numbers(integer=True)(value, field)
+    if math.prod(points) > MAX_GRID_NODES:
+        raise CapacityError(f"{math.prod(points)} nodes, above the cap {MAX_GRID_NODES}",
+                            field=field)
+    return points
+
+
+GRID = {"extent": (numbers(), REQUIRED), "points": (_grid_points, REQUIRED),
+        "lo": (numbers(), None)}
+
+TRAPS = {
+    "harmonic": {"stiffness": (numbers(), REQUIRED)},
+    "box": {"side": (number(), REQUIRED), "dimension": (number(integer=True), 3)},
+    "tabulated": {**GRID, "lo": (numbers(), REQUIRED),
+                  "values": (lambda v, where: numbers()(_flatten(v), where), REQUIRED)},
+}
+
+PAIR_POTENTIALS = {
+    "hard_sphere": {"core": (number(), REQUIRED)},
+    "soft_sphere": {"height": (number(), REQUIRED), "radius": (number(), REQUIRED)},
+    "tabulated_radial": {"r": (numbers(), REQUIRED), "v": (numbers(), REQUIRED)},
+}
+
+
+def trap_from_config(doc: dict, where: str = "trap") -> TrapSpec:
+    kind, f = kinds("kind", TRAPS)(doc, where)
     if kind == "tabulated":
-        _require_keys(doc, {"kind", "lo", "extent", "points", "values"},
-                      {"kind", "lo", "extent", "points", "values"}, "trap")
-        grid = grid_from_config({k: doc[k] for k in ("lo", "extent", "points")}, where="trap")
-        return TrapSpec.tabulated(grid, _number_list(_flatten(doc["values"]), "trap.values"))
-    raise ConfigError(f"unknown trap kind {kind!r}", field="trap.kind")
+        return TrapSpec.tabulated(Grid(f["lo"], f["extent"], f["points"]), f["values"])
+    return getattr(TrapSpec, kind)(**f)
 
 
-def pair_potential_from_config(doc: dict) -> PairPotential:
-    if not isinstance(doc, dict):
-        raise ConfigError("pair_potential must be an object", field="pair_potential")
-    shape = doc.get("shape")
-    if shape == "hard_sphere":
-        _require_keys(doc, {"shape", "core"}, {"shape", "core"}, "pair_potential")
-        return PairPotential.hard_sphere(_number(doc["core"], "pair_potential.core"))
-    if shape == "soft_sphere":
-        _require_keys(doc, {"shape", "height", "radius"}, {"shape", "height", "radius"}, "pair_potential")
-        return PairPotential.soft_sphere(_number(doc["height"], "pair_potential.height"),
-                                         _number(doc["radius"], "pair_potential.radius"))
-    if shape == "tabulated_radial":
-        _require_keys(doc, {"shape", "r", "v"}, {"shape", "r", "v"}, "pair_potential")
-        return PairPotential.tabulated_radial(_number_list(doc["r"], "pair_potential.r"),
-                                              _number_list(doc["v"], "pair_potential.v"))
-    raise ConfigError(f"unknown potential shape {shape!r}", field="pair_potential.shape")
+def pair_potential_from_config(doc: dict, where: str = "pair_potential") -> PairPotential:
+    shape, f = kinds("shape", PAIR_POTENTIALS)(doc, where)
+    return getattr(PairPotential, shape)(**f)
 
 
 def grid_from_config(doc: dict, trap: TrapSpec | None = None, where: str = "grid") -> Grid:
-    """Grid from {extent, points[, lo]}; ``where`` names the block in errors."""
-    if not isinstance(doc, dict):
-        raise ConfigError("grid must be an object", field=where)
-    _require_keys(doc, {"extent", "points", "lo"}, {"extent", "points"}, where)
-    extent = _number_list(doc["extent"], f"{where}.extent")
-    points = _number_list(doc["points"], f"{where}.points", integer=True)
-    if math.prod(points) > MAX_GRID_NODES:
-        raise CapacityError(f"{math.prod(points)} nodes, above the cap {MAX_GRID_NODES}",
-                            field=f"{where}.points")
-    if "lo" in doc:
-        lo = _number_list(doc["lo"], f"{where}.lo")
-    elif trap is not None and trap.kind == "box":
-        lo = (0.0,) * len(extent)
-    else:
-        lo = tuple(-e / 2 for e in extent)
-    return Grid(lo, extent, points)
+    """Grid from {extent, points[, lo]}; ``lo`` defaults to 0 on every axis
+    of a box trap's grid and to a centred grid otherwise."""
+    f = fields(GRID)(doc, where)
+    box = trap is not None and trap.kind == "box"
+    lo = f["lo"] if f["lo"] is not None else tuple(0.0 if box else -e / 2 for e in f["extent"])
+    return Grid(lo, f["extent"], f["points"])
 
 
 @dataclass(frozen=True)
@@ -531,14 +578,15 @@ class Problem:
     grid: Grid | None
 
 
-def problem_from_config(doc: dict) -> Problem:
+PROBLEM = {"trap": (trap_from_config, None), "pair_potential": (pair_potential_from_config, None),
+           "grid": (typed(dict, "an object"), None)}     # parsed once its trap is
+
+
+def problem_from_config(doc: dict, where: str = "problem") -> Problem:
     """Parse the strict problem document {trap, pair_potential, grid}."""
-    if not isinstance(doc, dict):
-        raise ConfigError("problem must be an object", field="problem")
-    _require_keys(doc, {"trap", "pair_potential", "grid"}, set(), "problem")
-    trap = trap_from_config(doc["trap"]) if "trap" in doc else None
-    pot = pair_potential_from_config(doc["pair_potential"]) if "pair_potential" in doc else None
-    grid = grid_from_config(doc["grid"], trap) if "grid" in doc else None
+    p = fields(PROBLEM)(doc, where)
+    trap = p["trap"]
+    grid = None if p["grid"] is None else grid_from_config(p["grid"], trap, f"{where}.grid")
     if trap is not None and grid is not None and trap.dimension != grid.dimension:
-        raise ConfigError("trap and grid dimensions disagree", field="problem")
-    return Problem(trap, pot, grid)
+        raise ConfigError("trap and grid dimensions disagree", field=where)
+    return Problem(trap, p["pair_potential"], grid)

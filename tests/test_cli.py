@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beclab import __version__
 from beclab.cli import (canonical_hash, execute, load_config, main, verify)
@@ -464,3 +466,178 @@ def test_cli_subprocess_entry(tmp_path):
     assert res.returncode == 0, res.stderr
     report = Path(res.stdout.strip().splitlines()[-1])
     assert report.exists()
+
+
+# ---------------------------------------------------------------------------
+# the whole config is parsed at load: bad input exits 2 before any work
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("experiment,solver", [
+    ("scattering", {"r_max": "x"}), ("gp", {"g": "x"}), ("gp", {"dump_phi": "no"}),
+    ("manybody", {"localization": {"radii": [1.0], "samples": "64"}}),
+    ("sweep", {"gp_grid": {"extent": ["x", 14, 14], "points": [32, 32, 32]}}),
+    ("poincare", {"trials": "x"}),
+], ids=repr)
+def test_bad_solver_value_exits_2_before_out_dir(tmp_path, capsys, experiment, solver):
+    cfg = SMALL_CONFIGS[experiment]()
+    cfg["solver"].update(solver)
+    p = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main([experiment, "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,solver,field", [
+    # 201^3 loop steps and a 13.7 TiB request at the parent
+    ("manybody", {"max_quanta": 200}, "solver.max_quanta"),
+    # C(44, 10) = 2.1e9 states passed a 10^15 cap and asked for 185 GiB
+    ("manybody", {"N": 10, "max_quanta": 4, "dimension_cap": 10**15}, "solver.dimension_cap"),
+    ("manybody", {"N": 10, "max_quanta": 4}, "solver.dimension_cap"),
+    ("manybody", {"N": 10**12, "max_quanta": 0}, "solver.N"),
+    ("sweep", {"N_list": [2, 12], "max_quanta": 3}, "solver.dimension_cap"),
+    ("sweep", {"max_quanta": 2**70}, "solver.max_quanta"),
+], ids=repr)
+def test_many_body_size_above_cap_exits_2_at_once(tmp_path, capsys, experiment, solver, field):
+    cfg = SMALL_CONFIGS[experiment]()
+    cfg["solver"].update(solver)
+    p = write_config(tmp_path, cfg)
+    start = time.perf_counter()
+    assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err and "cap" in err
+    assert not (tmp_path / "o").exists()
+
+
+def _run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "beclab.cli", *args],
+                          capture_output=True, text=True, cwd=REPO, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+
+
+@pytest.mark.parametrize("content", [
+    b'{"experiment": "gp", "seed": 1, "output": "\xff\xfe"}',
+    b"[" * 200_000 + b"]" * 200_000,
+    b'{"a":' * 200_000 + b"1" + b"}" * 200_000,
+], ids=["not_utf8", "deep_list", "deep_object"])
+def test_unreadable_config_exits_2(tmp_path, content):
+    p = tmp_path / "cfg.json"
+    p.write_bytes(content)
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(p, "gp", {})
+    res = _run_cli("gp", "--config", str(p), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2 and res.stderr.startswith("config error")
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("content", [
+    b"[1, 2]", b'"report"', b'{"kind": ["gp"]}', b'{"kind": "gp"\xff}',
+    b"[" * 200_000 + b"]" * 200_000,
+    json.dumps({"kind": "gp", "artifact_version": __version__, "components": 5}).encode(),
+    json.dumps({"kind": "scattering", "artifact_version": __version__, "a": 1.0, "s": 0.5,
+                "phi1_samples": {"r": [0.0], "phi1": [1.0]}}).encode(),
+    json.dumps({"kind": "sweep", "artifact_version": __version__, "rows": 3}).encode(),
+], ids=["list", "string", "list_kind", "not_utf8", "deep", "components_int", "r_max_zero",
+        "rows_int"])
+def test_malformed_report_exits_4(tmp_path, content):
+    p = tmp_path / "report.json"
+    p.write_bytes(content)
+    res = _run_cli("verify", str(p))
+    assert res.returncode == 4 and "verification error" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("a", [1e-200, 0.9], ids=["a2N_underflows", "not_dilute"])
+def test_planar_gp_coupling_out_of_range_exits_2(tmp_path, capsys, a):
+    cfg = small_gp_config()
+    cfg["problem"] = {"trap": {"kind": "harmonic", "stiffness": [1.0, 1.0]},
+                      "grid": {"extent": [14.0, 14.0], "points": [32, 32]}}
+    cfg["solver"] = {"N": 2, "a": a}
+    p = write_config(tmp_path, cfg)
+    assert main(["gp", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "dilute regime" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment,path", [
+    ("gp", "problem.grid"), ("gp", "problem.trap"), ("sweep", "solver.gp_grid"),
+    ("manybody", "solver.localization"), ("poincare", "solver.weight"),
+], ids=repr)
+def test_null_block_is_not_an_absent_one(tmp_path, capsys, experiment, path):
+    cfg = SMALL_CONFIGS[experiment]()
+    *parents, key = path.split(".")
+    doc = cfg
+    for name in parents:
+        doc = doc[name]
+    doc[key] = None
+    p = write_config(tmp_path, cfg)
+    assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert f"{path}: must be an object" in capsys.readouterr().err
+
+
+def test_output_must_be_a_path(tmp_path, capsys):
+    p = write_config(tmp_path, small_gp_config(output=5))
+    assert main(["gp", "--config", str(p)]) == 2
+    assert "output" in capsys.readouterr().err
+
+
+def test_load_config_fills_top_level_defaults_only(tmp_path):
+    cfg = small_gp_config()
+    for key in ("seed", "reproducible", "output"):
+        del cfg[key]
+    config = load_config(write_config(tmp_path, cfg), "gp", {})
+    assert config == dict(cfg, seed=0, reproducible=True, output=None)
+
+
+# mutations of the committed configs for the load_config fuzz test
+_SWAPS = ["x", "", True, False, None, 0, -1, -2.5, 2**70, -(2**70), float("nan"),
+          float("inf"), float("-inf"), [], {}, [[[1, 2]], [3]], {"a": {"b": [1]}},
+          [1.0, "x"], {"kind": "box"}, {"kind": "ball", "radius": 1.0, "points": 4}]
+
+
+def _mutate(data, doc):
+    """Apply one mutation at a path drawn by walking down ``doc``."""
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = data.draw(st.sampled_from(keys)) if keys else None
+        if key is None:
+            break
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        op = data.draw(st.sampled_from(["swap", "negate", "drop", "extra", "nest"]))
+        if op == "swap":
+            node[key] = data.draw(st.sampled_from(_SWAPS))
+        elif op == "negate" and isinstance(child, (int, float)) and not isinstance(child, bool):
+            node[key] = -child if child else -1
+        elif op == "drop" and isinstance(node, dict):
+            del node[key]
+        elif op == "extra" and isinstance(node, dict):
+            node["surprise"] = data.draw(st.sampled_from(_SWAPS))
+        else:
+            node[key] = [child] if data.draw(st.booleans()) else {"v": child}
+        return
+    if isinstance(node, dict):
+        node["surprise"] = 1
+
+
+_COMMITTED = {p.name: json.loads(p.read_text()) for p in sorted((REPO / "configs").glob("*.json"))}
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(_COMMITTED)), count=st.integers(1, 3), data=st.data())
+def test_load_config_fuzz_returns_or_raises_config_error(tmp_path_factory, name, count, data):
+    doc = json.loads(json.dumps(_COMMITTED[name]))
+    experiment = doc["experiment"]
+    for _ in range(count):
+        _mutate(data, doc)
+    p = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    p.write_text(json.dumps(doc))         # NaN and Infinity as JSON literals
+    try:
+        config = load_config(p, experiment, {})
+    except ConfigError:
+        return
+    assert canonical_hash(config) == canonical_hash(load_config(p, experiment, {}))
