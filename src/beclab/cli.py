@@ -137,6 +137,8 @@ def validate(config: dict) -> dict:
         else:
             raise ConfigError("manybody needs g or a", field="solver")
     if experiment in ("manybody", "sweep"):
+        if problem.trap.dimension != 3:
+            raise ConfigError("mode bases are built in 3D only", field="problem.trap")
         N = s["N"] if experiment == "manybody" else max(s["N_list"], default=1)
         states = math.comb(N + math.comb(s["max_quanta"] + 3, 3) - 1, N)
         if states > s["dimension_cap"]:
@@ -402,7 +404,10 @@ class _DirLock:
 def execute(config: dict, out_dir, force: bool = False) -> Path:
     """Run (or reuse) the experiment; returns the report path."""
     out = Path(out_dir or config.get("output") or "bec-lab-out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory: {exc}", field="out") from None
     cfg_hash = canonical_hash(config)
     run_dir = out / "runs" / cfg_hash[:16]
     report_path = run_dir / "report.json"

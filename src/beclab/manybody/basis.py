@@ -1,7 +1,7 @@
 """Single-particle trap modes and the fixed-N bosonic occupation basis.
 
 Harmonic and box modes are products of per-axis 1D factors, which the
-basis keeps next to the sampled 3D modes; tabulated modes are numeric 3D
+basis keeps in place of 3D arrays; tabulated modes are numeric 3D
 eigenvectors.  The occupation basis holds every state or one reflection-
 parity sector of them.
 """
@@ -50,21 +50,30 @@ class ModeBasis:
     Harmonic and box modes are products of 1D factors: ``axis_tables[ax]``
     holds the factors of axis ax on the grid, shape (max_quanta+1, n_ax),
     and mode m is the product of rows ``table_rows[m]``.  Tabulated traps
-    have no such factors (both None).
+    have no such factors (both None) and keep their sampled eigenvectors
+    in ``numeric_modes``.
     """
 
     trap: TrapSpec
     grid: Grid
-    modes: np.ndarray              # (M, *grid.shape)
     energies: np.ndarray           # (M,)
     quantum_numbers: tuple[tuple[int, ...], ...]
     max_quanta: int
     axis_tables: tuple[np.ndarray, ...] | None = None
     table_rows: np.ndarray | None = None     # (M, 3) int
+    numeric_modes: np.ndarray | None = None  # (M, *grid.shape), tabulated traps
 
     @property
     def size(self) -> int:
         return len(self.energies)
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        """The modes sampled on the grid, (M, *grid.shape).  Product modes
+        are materialized on first use only; the solvers contract the tables."""
+        if self.axis_tables is None:
+            return self.numeric_modes
+        return _product_modes(self.axis_tables, self.table_rows)
 
     @cached_property
     def gram_error(self) -> float:
@@ -111,22 +120,81 @@ class ModeBasis:
         return None if parity is None else parity @ (1 << np.arange(parity.shape[1]))
 
     def potential_matrix(self) -> np.ndarray:
-        """u[i,j] = int V mode_i mode_j by grid quadrature."""
-        v = self.trap.sample(self.grid).ravel()
-        flat = self.modes.reshape(self.size, -1)
-        return (flat * (v * self.grid.weights.ravel())) @ flat.T
+        """u[i,j] = int V mode_i mode_j by grid quadrature.
+
+        For product modes the harmonic V = sum_ax k_ax x_ax^2 gives
+        sum_ax (the V_ax-weighted 1D Gram) * (the 1D Grams of the other
+        axes), elementwise over mode pairs; the box V vanishes on the grid.
+        """
+        if self.axis_tables is None:
+            v = self.trap.sample(self.grid).ravel()
+            flat = self.modes.reshape(self.size, -1)
+            return (flat * (v * self.grid.weights.ravel())) @ flat.T
+        if self.trap.kind == "box":
+            return np.zeros((self.size, self.size))
+        weights = self.grid.axis_weights
+        g0, g1, g2 = _axis_grams(self.axis_tables, self.table_rows, weights)
+        v0, v1, v2 = _axis_grams(self.axis_tables, self.table_rows,
+                                 [k * x**2 * w for k, x, w in
+                                  zip(self.trap.stiffness, self.grid.axes, weights)])
+        return v0 * g1 * g2 + g0 * v1 * g2 + g0 * g1 * v2
+
+    def field(self, coefficients: np.ndarray) -> np.ndarray:
+        """sum_i coefficients[i] mode_i on the grid.
+
+        Product modes: the coefficients fill an (R0, R1, R2) array at the
+        modes' table rows, which meets one table per axis.
+        """
+        if self.axis_tables is None:
+            return (coefficients @ self.modes.reshape(self.size, -1)).reshape(self.grid.shape)
+        c = np.zeros(tuple(len(t) for t in self.axis_tables))
+        c[tuple(self.table_rows.T)] = coefficients
+        return _contract_axes(c, self.axis_tables)
+
+    def density(self, matrix: np.ndarray) -> np.ndarray:
+        """sum_ij matrix[i, j] mode_i mode_j on the grid.
+
+        Product modes: the pair (i, j) sits at row pair (a_i, a_j) of each
+        axis, and a table of 1D factor products per axis takes its place.
+        """
+        if self.axis_tables is None:
+            flat = self.modes.reshape(self.size, -1)
+            return ((matrix @ flat) * flat).sum(axis=0).reshape(self.grid.shape)
+        tables = [(t[:, None, :] * t[None, :, :]).reshape(-1, t.shape[1])
+                  for t in self.axis_tables]
+        c = np.zeros(tuple(len(t) for t in tables))
+        c[tuple(r[:, None] * len(t) + r[None, :]
+                for r, t in zip(self.table_rows.T, self.axis_tables))] = matrix
+        return _contract_axes(c, tables)
+
+    def values_at(self, node) -> np.ndarray:
+        """The M modes' values at one grid node, given as an index tuple."""
+        if self.axis_tables is None:
+            return self.modes[(slice(None),) + tuple(node)]
+        t0, t1, t2 = (t[r, i] for t, r, i in zip(self.axis_tables, self.table_rows.T, node))
+        return t0 * t1 * t2
 
     def kinetic_matrix(self) -> np.ndarray:
         """t = diag(energies) - potential matrix (modes are eigenfunctions)."""
         return np.diag(self.energies) - self.potential_matrix()
 
 
+def _axis_grams(tables, rows, axis_weights) -> list:
+    """Per axis, the (M, M) Gram of the modes' 1D factors under ``axis_weights``."""
+    return [((t * w) @ t.T)[np.ix_(r, r)] for t, r, w in zip(tables, rows.T, axis_weights)]
+
+
 def _factored_gram_error(tables, rows, grid: Grid) -> float:
     # the Gram matrix of product modes is the elementwise product of 1D Grams
-    g = np.ones((len(rows), len(rows)))
-    for table, r, w in zip(tables, rows.T, grid.axis_weights):
-        g = g * ((table * w) @ table.T)[np.ix_(r, r)]
+    g = np.prod(_axis_grams(tables, rows, grid.axis_weights), axis=0)
     return float(np.abs(g - np.eye(len(rows))).max())
+
+
+def _contract_axes(c: np.ndarray, tables) -> np.ndarray:
+    """sum_abc c[a, b, c] t0[a] x t1[b] x t2[c] on the grid, one axis at a time."""
+    t0, t1, t2 = tables
+    a = t1.T @ (c @ t2)                                   # (K0, n1, n2)
+    return (t0.T @ a.reshape(len(t0), -1)).reshape(t0.shape[1], t1.shape[1], t2.shape[1])
 
 
 def _harmonic_quantum_numbers(max_quanta: int, dim: int):
@@ -168,9 +236,8 @@ def build_mode_basis(trap: TrapSpec, grid: Grid, max_quanta: int = 3,
         raise ConfigError(f"unsupported trap kind {trap.kind!r}", field="trap")
     qns, energies, tables, rows = separable_modes(trap, grid, max_quanta,
                                                   gram_tol, energy_check)
-    return ModeBasis(trap=trap, grid=grid, modes=_product_modes(tables, rows),
-                     energies=energies, quantum_numbers=tuple(qns), max_quanta=max_quanta,
-                     axis_tables=tables, table_rows=rows)
+    return ModeBasis(trap=trap, grid=grid, energies=energies, quantum_numbers=tuple(qns),
+                     max_quanta=max_quanta, axis_tables=tables, table_rows=rows)
 
 
 def separable_modes(trap: TrapSpec, grid: Grid, max_quanta: int,
@@ -267,9 +334,9 @@ def _numeric_mode_basis(trap, grid, max_quanta, gram_tol):
         if v[np.argmax(np.abs(v))] < 0:
             v = -v
         modes[i][1:-1, 1:-1, 1:-1] = v.reshape(n)
-    basis = ModeBasis(trap=trap, grid=grid, modes=modes, energies=vals[order],
+    basis = ModeBasis(trap=trap, grid=grid, energies=vals[order],
                       quantum_numbers=tuple((i, 0, 0) for i in range(count)),
-                      max_quanta=max_quanta)
+                      max_quanta=max_quanta, numeric_modes=modes)
     if basis.gram_error > gram_tol:
         raise ResolutionError(f"numeric modes off orthonormality by {basis.gram_error:.2e}")
     return basis
@@ -312,12 +379,7 @@ class FockBasis:
 
     @cached_property
     def _rank_table(self) -> np.ndarray:
-        # F[j, r]; every entry is at most the basis size, so int64 is exact
-        F = np.zeros((self.M, self.N + 1), dtype=np.int64)
-        for j in range(self.M - 1):
-            for r in range(1, self.N + 1):
-                F[j, r] = comb(r + self.M - j - 2, r - 1)
-        return F
+        return _rank_table(self.N, self.M)
 
     def rank(self, occ: np.ndarray) -> np.ndarray:
         """Full-space indices of occupation rows (vectorized)."""
@@ -371,11 +433,66 @@ class FockBasis:
         if size > dimension_cap:
             raise CapacityError(
                 f"occupation basis has {size} states, above the cap {dimension_cap}")
+        if mode_codes is not None:
+            mode_codes = np.asarray(mode_codes)
+            code = int(mode_codes[0] * (N % 2))
+            occ, ranks = _sector_states(N, M, mode_codes, code)
+            return cls(N=N, M=M, occupations=occ, ranks=ranks, mode_codes=mode_codes,
+                       code=code)
         modes = np.fromiter(chain.from_iterable(combinations_with_replacement(range(M), N)),
                             dtype=np.int64, count=size * N)
         modes += np.repeat(np.arange(size) * M, N)
         occ = np.bincount(modes, minlength=size * M).reshape(size, M)
-        fock = cls(N=N, M=M, occupations=occ, ranks=np.arange(size))
-        if mode_codes is None:
-            return fock
-        return fock.sector(mode_codes, mode_codes[0] * (N % 2))
+        return cls(N=N, M=M, occupations=occ, ranks=np.arange(size))
+
+
+def _rank_table(N: int, M: int) -> np.ndarray:
+    # F[j, r]; every entry is at most the basis size, so int64 is exact
+    F = np.zeros((M, N + 1), dtype=np.int64)
+    for j in range(M - 1):
+        for r in range(1, N + 1):
+            F[j, r] = comb(r + M - j - 2, r - 1)
+    return F
+
+
+def _sector_states(N: int, M: int, mode_codes: np.ndarray, code: int):
+    """Occupations and full-space ranks of the N-boson states of parity
+    ``code``, in basis order, without enumerating the other sectors.
+
+    Modes are filled in order, each partial state taking n_j = rem, rem - 1,
+    ..., 0 bosons in turn (the basis order).  A partial state is kept only
+    while the modes after it can still complete ``code`` with the bosons
+    left: ``reach[j, r]`` marks the codes that modes j.. give with r bosons.
+    Each state's rank accumulates F_j(rem_j) on the way; its occupations
+    are read back through the parent links.
+    """
+    F = _rank_table(N, M)
+    codes = np.arange(1 << int(mode_codes.max()).bit_length())
+    reach = np.zeros((M + 1, N + 1, len(codes)), dtype=bool)
+    reach[M, 0, 0] = True
+    for j in range(M - 1, -1, -1):
+        for r in range(N + 1):
+            for n in range(r + 1):
+                reach[j, r] |= reach[j + 1, r - n][codes ^ (mode_codes[j] * (n % 2))]
+
+    rem = np.array([N])
+    acc = np.array([0])               # parity code of the modes filled so far
+    rank = np.array([0])
+    parents, counts = [], []
+    for j in range(M):
+        take = rem + 1
+        parent = np.repeat(np.arange(len(rem)), take)
+        n = rem[parent] - (np.arange(len(parent)) - np.repeat(np.cumsum(take) - take, take))
+        r = rem[parent] - n
+        c = acc[parent] ^ (mode_codes[j] * (n % 2))
+        keep = reach[j + 1, r, c ^ code]
+        parent, n, rem, acc = parent[keep], n[keep], r[keep], c[keep]
+        rank = rank[parent] + F[j, rem]
+        parents.append(parent)
+        counts.append(n)
+    occ = np.empty((len(rem), M), dtype=np.int64)
+    state = np.arange(len(rem))
+    for j in range(M - 1, -1, -1):
+        occ[:, j] = counts[j][state]
+        state = parents[j][state]
+    return occ, rank

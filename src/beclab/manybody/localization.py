@@ -14,6 +14,8 @@ averaged over quasi-random r2 draws from the one-particle density.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,13 +87,38 @@ def _sample_indices(density_flat, weights_flat, count, seed):
     return np.searchsorted(cdf, _scrambled_sobol(count, seed))
 
 
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _ball_box(sq, r2: float):
+    """The nodes with sum_ax sq[ax] <= r2, as their bounding index box and
+    the mask inside it.
+
+    ``sq[ax]`` holds each node's squared offset along axis ax.  A sum of
+    nonnegative terms is at least each term, so no node of the ball lies
+    outside the box, and the box's sums are the full grid's sums.
+    """
+    box = []
+    for s in sq:
+        inside = np.flatnonzero(s <= r2)
+        box.append(slice(inside[0], inside[-1] + 1))
+    dx, dy, dz = (s[b] for s, b in zip(sq, box))
+    return tuple(box), (dx[:, None, None] + dy[:, None] + dz) <= r2
+
+
 def localization_profile(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
                          radii, samples: int = 64, seed: int = 0) -> LocalizationProfile:
     """Average in-ball fractions of the weighted correlation gradient energy.
 
     Requires N = 2 and a mean-field state solved on the mode grid.  Nodes
     where the mean-field profile is below 1e-12 of its peak are excluded
-    from the division and counted in the report.
+    from the division and counted in the report.  The samples run on a
+    thread pool, one worker per available CPU; each writes its own rows,
+    so the result does not depend on the worker count.
     """
     if ground.N != 2:
         raise ConfigError("localization profile is defined for N = 2 runs")
@@ -104,34 +131,34 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
 
     fock = FockBasis.build(2, basis.size, dimension_cap=10**9)
     C = _pair_amplitude_matrix(ground, fock)
-    flat_modes = basis.modes.reshape(basis.size, -1)
 
-    phi = gp.phi.ravel()
-    cutoff = 1e-12 * phi.max()
-    valid = phi > cutoff
+    phi = gp.phi
+    valid = phi > 1e-12 * phi.max()
     excluded = int(np.size(phi) - np.count_nonzero(valid))
-    support = Region(grid=grid, mask=valid.reshape(grid.shape), kind="support")
-    weight = (phi**2) * grid.weights.ravel()
+    support = Region(grid=grid, mask=valid, kind="support")
+    inverse = np.zeros(grid.shape)
+    np.divide(1.0, phi, out=inverse, where=valid)
+    weight = phi**2 * grid.weights
 
-    density = ((ground.gamma / ground.N) @ flat_modes * flat_modes).sum(axis=0)
+    density = basis.density(ground.gamma / ground.N).ravel()
     idx = _sample_indices(np.maximum(density, 0.0), grid.weights.ravel(), samples, seed)
 
-    shape = grid.shape
     totals = np.zeros(samples)
     in_ball = np.zeros((samples, len(radii)))
-    for s, cell in enumerate(idx):
-        # squared distance to node r2 as an outer sum of per-axis offsets
-        dx, dy, dz = ((x - x[i]) ** 2 for x, i in zip(grid.axes, np.unravel_index(cell, shape)))
-        dist2 = (dx[:, None, None] + dy[:, None] + dz).ravel()
-        b = C @ flat_modes[:, cell]
-        psi_slice = b @ flat_modes
-        f = np.zeros_like(psi_slice)
-        f[valid] = psi_slice[valid] / phi[valid]
-        grad2 = masked_gradient_sq(f.reshape(shape), support)
-        edens = grad2.ravel() * weight
+
+    def sample(s: int):
+        node = np.unravel_index(idx[s], grid.shape)
+        f = basis.field(C @ basis.values_at(node)) * inverse
+        edens = masked_gradient_sq(f, support) * weight
         totals[s] = edens.sum()
+        # squared distance to node r2 per axis; each ball is summed on its box
+        sq = [(x - x[i]) ** 2 for x, i in zip(grid.axes, node)]
         for di, d in enumerate(radii):
-            in_ball[s, di] = edens[dist2 <= d * d].sum()
+            box, inside = _ball_box(sq, d * d)
+            in_ball[s, di] = edens[box][inside].sum()
+
+    with ThreadPoolExecutor(min(samples, _cpu_count())) as pool:
+        list(pool.map(sample, range(samples)))
 
     total = float(totals.sum())
     if total < _NA_THRESHOLD:

@@ -110,14 +110,19 @@ def masked_gradient_sq(f: np.ndarray, region: Region) -> np.ndarray:
     Central differences where both axis neighbors lie in K, one-sided at
     region edges, zero off K (f must be finite everywhere); the half-order
     boundary error this carries is covered by the module tolerances.
+    Each axis works in place on its two arrays, d and df, with the
+    arithmetic df[i] = fwd[i] d[i] + bwd[i] d[i-1], squared.
     """
     out = np.zeros(region.grid.shape)
     for ax, ((lo, hi, fwd, bwd), h) in enumerate(zip(region._stencil, region.grid.spacing)):
-        d = np.diff(f, axis=ax) / h
+        d = np.diff(f, axis=ax)
+        d /= h
         df = np.zeros(region.grid.shape)
-        df[lo] = fwd * d
-        df[hi] += bwd * d
-        out += df**2
+        np.multiply(fwd, d, out=df[lo])
+        d *= bwd
+        df[hi] += d
+        df *= df
+        out += df
     return out
 
 

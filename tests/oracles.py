@@ -366,3 +366,38 @@ def per_trial_weighted_estimate(region, weight, c_star, trials, seed):
             worst = {"margin": margin, **desc}
     return {"C_prime": c_prime, "weight_ratio": ratio, "holds_all": bool(holds),
             "worst_trial": worst}
+
+
+def materialized_localization(ground, gp, basis, radii, samples, seed):
+    """``localization_profile`` on the materialized 3D modes, one sample at a
+    time: the sample column and psi's slice read all M modes, f divides by
+    phi, and each ball is a full-grid squared-distance mask.  Returns the
+    fractions, the total energy and the sampled flat node indices."""
+    from beclab.manybody.basis import FockBasis
+    from beclab.manybody.localization import _pair_amplitude_matrix, _sample_indices
+    from beclab.poincare import Region, masked_gradient_sq
+
+    grid = basis.grid
+    C = _pair_amplitude_matrix(ground, FockBasis.build(2, basis.size, dimension_cap=10**9))
+    flat = basis.modes.reshape(basis.size, -1)
+    phi = gp.phi.ravel()
+    valid = phi > 1e-12 * phi.max()
+    support = Region(grid=grid, mask=valid.reshape(grid.shape), kind="support")
+    weight = phi**2 * grid.weights.ravel()
+    density = ((ground.gamma / ground.N) @ flat * flat).sum(axis=0)
+    idx = _sample_indices(np.maximum(density, 0.0), grid.weights.ravel(), samples, seed)
+    totals = np.zeros(samples)
+    in_ball = np.zeros((samples, len(radii)))
+    for s, cell in enumerate(idx):
+        dx, dy, dz = ((x - x[i]) ** 2
+                      for x, i in zip(grid.axes, np.unravel_index(cell, grid.shape)))
+        dist2 = (dx[:, None, None] + dy[:, None] + dz).ravel()
+        psi = (C @ flat[:, cell]) @ flat
+        f = np.zeros_like(psi)
+        f[valid] = psi[valid] / phi[valid]
+        edens = masked_gradient_sq(f.reshape(grid.shape), support).ravel() * weight
+        totals[s] = edens.sum()
+        for di, d in enumerate(radii):
+            in_ball[s, di] = edens[dist2 <= d * d].sum()
+    ok = totals > 0
+    return (in_ball[ok] / totals[ok, None]).mean(axis=0), float(totals.sum()), idx

@@ -641,3 +641,45 @@ def test_load_config_fuzz_returns_or_raises_config_error(tmp_path_factory, name,
     except ConfigError:
         return
     assert canonical_hash(config) == canonical_hash(load_config(p, experiment, {}))
+
+
+@pytest.mark.parametrize("target", ["file", "file/run"])
+def test_out_through_a_regular_file_exits_2(tmp_path, target):
+    (tmp_path / "file").write_text("not a directory")
+    res = _run_cli("scattering", "--config", str(REPO / "configs" / "scattering_soft_sphere.json"),
+                   "--out", str(tmp_path / target))
+    assert res.returncode == 2 and res.stderr.startswith("config error: out:")
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("experiment", ["manybody", "sweep"])
+def test_planar_trap_of_a_mode_basis_run_exits_2_before_any_solve(tmp_path, capsys, experiment):
+    cfg = SMALL_CONFIGS[experiment]()
+    cfg["problem"]["trap"] = {"kind": "harmonic", "stiffness": [1.0, 1.0]}
+    cfg["problem"]["grid"] = {"extent": [14.0, 14.0], "points": [32, 32]}
+    p = write_config(tmp_path, cfg)
+    start = time.perf_counter()
+    assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problem.trap") and "3D only" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment", ["manybody", "sweep"])
+def test_product_basis_run_never_materializes_the_modes(tmp_path, monkeypatch, experiment):
+    from beclab.manybody import basis as basis_module
+    from beclab.manybody import sweep
+
+    made = []
+
+    def spy(*args, **kwargs):
+        made.append(basis_module.build_mode_basis(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(sweep, "build_mode_basis", spy)
+    cfg = (small_manybody_config(localization={"radii": [1.0, 2.0], "samples": 8})
+           if experiment == "manybody" else small_sweep_config())
+    execute(cfg, tmp_path / "o")
+    assert len(made) == 1 and made[0].axis_tables is not None
+    assert "modes" not in made[0].__dict__

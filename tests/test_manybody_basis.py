@@ -52,6 +52,60 @@ def test_axis_parity_of_tabulated_modes():
                                   [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
+FACTORED = {
+    "isotropic": (bl.TrapSpec.harmonic((1.0, 1.0, 1.0)), bl.Grid.centered((14.0,) * 3, (32,) * 3), 3),
+    "anisotropic": (bl.TrapSpec.harmonic((1.0, 1.7, 0.6)),
+                    bl.Grid((-7.1, -6.4, -8.0), (14.0, 13.0, 16.5), (34, 30, 36)), 2),
+    "box": (bl.TrapSpec.box(1.0, 3), bl.Grid.box(1.0, 24), 3),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FACTORED))
+def factored(request):
+    return build_mode_basis(*FACTORED[request.param])
+
+
+def test_factored_basis_matches_the_materialized_modes(factored):
+    # the 3D route, built here so the basis's own modes stay unbuilt
+    basis, grid = factored, factored.grid
+    modes = _product_modes(basis.axis_tables, basis.table_rows)
+    flat = modes.reshape(basis.size, -1)
+    rng = np.random.default_rng(3)
+    b = rng.normal(size=basis.size)
+    g = rng.normal(size=(basis.size,) * 2)
+    g = g + g.T
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+    close(basis.field(b), (b @ flat).reshape(grid.shape))
+    close(basis.density(g), ((g @ flat) * flat).sum(axis=0).reshape(grid.shape))
+    v = basis.trap.sample(grid).ravel()
+    close(basis.potential_matrix(), (flat * (v * grid.weights.ravel())) @ flat.T)
+    for node in [(0, 0, 0), tuple(n // 2 for n in grid.shape), (3, grid.shape[1] - 1, 5)]:
+        assert np.array_equal(basis.values_at(node), modes[(slice(None),) + node])
+    assert "modes" not in basis.__dict__
+    assert np.array_equal(basis.modes, modes)
+
+
+def test_tabulated_basis_keeps_its_numeric_route():
+    grid = bl.Grid.centered((10.0,) * 3, (24,) * 3)
+    x, y, z = grid.meshgrid()
+    trap = bl.TrapSpec.tabulated(grid, x**2 + 2 * y**2 + 3 * z**2)
+    basis = build_mode_basis(trap, grid, 1)
+    assert basis.axis_tables is None and basis.modes is basis.numeric_modes
+    flat = basis.numeric_modes.reshape(basis.size, -1)
+    rng = np.random.default_rng(4)
+    b = rng.normal(size=basis.size)
+    g = rng.normal(size=(basis.size,) * 2)
+    assert np.array_equal(basis.field(b).ravel(), b @ flat)
+    assert np.array_equal(basis.density(g).ravel(), ((g @ flat) * flat).sum(axis=0))
+    v = trap.sample(grid).ravel()
+    assert np.array_equal(basis.potential_matrix(), (flat * (v * grid.weights.ravel())) @ flat.T)
+    assert np.array_equal(basis.values_at((5, 12, 7)), basis.modes[:, 5, 12, 7])
+
+
 def test_kinetic_plus_potential_matches_energies(trap, grid48):
     basis = build_mode_basis(trap, grid48, 2)
     total = basis.kinetic_matrix() + basis.potential_matrix()
@@ -98,6 +152,26 @@ def test_fock_rank_bijection(N, M):
     fock = FockBasis.build(N, M)
     ranks = fock.rank(fock.occupations)
     assert sorted(ranks) == list(range(fock.size))
+
+
+@given(st.integers(0, 6), st.integers(1, 12), st.data())
+@settings(max_examples=80, deadline=None)
+def test_sector_enumeration_matches_the_filter_route(N, M, data):
+    codes = np.array(data.draw(st.lists(st.integers(0, 7), min_size=M, max_size=M)))
+    direct = FockBasis.build(N, M, mode_codes=codes)
+    filtered = FockBasis.build(N, M).sector(codes, codes[0] * (N % 2))
+    assert np.array_equal(direct.occupations, filtered.occupations)
+    assert np.array_equal(direct.ranks, filtered.ranks)
+    assert direct.code == filtered.code and np.array_equal(direct.mode_codes, codes)
+
+
+@pytest.mark.parametrize("N", [2, 3, 6])
+def test_sector_enumeration_at_the_sweep_size(basis_q3, N):
+    codes = basis_q3.parity_codes
+    direct = FockBasis.build(N, basis_q3.size, mode_codes=codes)
+    filtered = FockBasis.build(N, basis_q3.size).sector(codes, codes[0] * (N % 2))
+    assert np.array_equal(direct.occupations, filtered.occupations)
+    assert np.array_equal(direct.ranks, filtered.ranks)
 
 
 def test_capacity_cap():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -14,12 +15,14 @@ from beclab.errors import BasisInsufficientError, ResolutionError
 from beclab.manybody import (build_mode_basis, condensate_metrics,
                              expand_reference, ground_state,
                              localization_profile, momentum_distribution)
-from beclab.manybody.localization import _scrambled_sobol
+from beclab.manybody import localization
+from beclab.manybody.localization import _ball_box, _scrambled_sobol
 from beclab.manybody.metrics import default_momentum_axes
 from beclab.manybody.tensor import interaction_tensor
 
-from .oracles import (analytic_mode_transforms, materialized_momentum_metrics,
-                      quadrature_mode_transforms, quadrature_momentum_l1)
+from .oracles import (analytic_mode_transforms, materialized_localization,
+                      materialized_momentum_metrics, quadrature_mode_transforms,
+                      quadrature_momentum_l1)
 
 TRAP = bl.TrapSpec.harmonic((1.0, 1.0, 1.0))
 GRID = bl.Grid.centered((14.0,) * 3, (32,) * 3)
@@ -140,6 +143,58 @@ def test_localization_monotone_fractions(basis_q2, interacting):
     fr = prof.fractions
     assert all(fr[i] <= fr[i + 1] + 1e-12 for i in range(len(fr) - 1))
     assert 0.0 <= fr[0] and fr[-1] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("grid", [GRID, bl.Grid((-3.0, 0.5, -8.0), (9.0, 4.0, 11.0), (20, 9, 27))],
+                         ids=["cube", "uneven"])
+def test_ball_box_selects_the_full_grid_ball(grid):
+    nodes = [(0, 0, 0), tuple(n // 2 for n in grid.shape), tuple(n - 1 for n in grid.shape),
+             (3, grid.shape[1] - 2, 1)]
+    radii = [0.1, min(grid.spacing), 0.5, 1.0, 2.0, 3.0, 5.0, 40.0]
+    for node in nodes:
+        sq = [(x - x[i]) ** 2 for x, i in zip(grid.axes, node)]
+        for d in radii:
+            full = (sq[0][:, None, None] + sq[1][:, None] + sq[2]) <= d * d
+            box, inside = _ball_box(sq, d * d)
+            embedded = np.zeros(grid.shape, dtype=bool)
+            embedded[box] = inside
+            assert np.array_equal(embedded, full)
+
+
+def test_localization_matches_the_materialized_route(monkeypatch, interacting):
+    tensor, gr = interacting
+    gp = bl.minimize_gp(TRAP, gr.g, GRID)
+    basis = build_mode_basis(TRAP, GRID, 2)
+    drawn = []
+    draw = localization._sample_indices
+    monkeypatch.setattr(localization, "_sample_indices",
+                        lambda *args: drawn.append(draw(*args)) or drawn[-1])
+    radii = (0.5, 1.0, 2.0, 4.0)
+    prof = localization_profile(gr, gp, basis, radii=radii, samples=16, seed=5)
+    assert "modes" not in basis.__dict__
+    fractions, total, idx = materialized_localization(gr, gp, basis, radii, 16, 5)
+    assert np.array_equal(drawn[0], idx)
+    np.testing.assert_allclose(prof.fractions, fractions, rtol=1e-12, atol=0)
+    assert prof.total_energy == pytest.approx(total, rel=1e-12)
+
+
+def test_threaded_profile_equals_one_worker(monkeypatch, basis_q2, interacting):
+    # more workers than samples' worth of cores, with frequent thread switches
+    tensor, gr = interacting
+    gp = bl.minimize_gp(TRAP, gr.g, GRID)
+    args = (gr, gp, basis_q2, (0.5, 1.0, 2.0, 4.0), 24, 9)
+    monkeypatch.setattr(localization, "_cpu_count", lambda: 1)
+    serial = localization_profile(*args)
+    monkeypatch.setattr(localization, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        threaded = localization_profile(*args)
+        assert time.perf_counter() - start < 60.0
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial and not serial.not_applicable
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 20260810, 2**40])
