@@ -404,12 +404,12 @@ class _DirLock:
 def execute(config: dict, out_dir, force: bool = False) -> Path:
     """Run (or reuse) the experiment; returns the report path."""
     out = Path(out_dir or config.get("output") or "bec-lab-out")
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create the output directory: {exc}", field="out") from None
     cfg_hash = canonical_hash(config)
     run_dir = out / "runs" / cfg_hash[:16]
+    try:
+        run_dir.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory: {exc}", field="out") from None
     report_path = run_dir / "report.json"
     if not force and _report_version(report_path) == __version__:
         return report_path

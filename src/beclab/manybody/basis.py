@@ -471,9 +471,13 @@ def _sector_states(N: int, M: int, mode_codes: np.ndarray, code: int):
     reach = np.zeros((M + 1, N + 1, len(codes)), dtype=bool)
     reach[M, 0, 0] = True
     for j in range(M - 1, -1, -1):
-        for r in range(N + 1):
-            for n in range(r + 1):
-                reach[j, r] |= reach[j + 1, r - n][codes ^ (mode_codes[j] * (n % 2))]
+        # same[r]: the codes of modes j+1.. with r - n bosons for an even n;
+        # an odd n reads same[r - 1] and adds mode j's code
+        same = reach[j + 1].copy()
+        for start in (0, 1):
+            same[start::2] = np.logical_or.accumulate(same[start::2], axis=0)
+        reach[j] = same
+        reach[j, 1:] |= same[:-1][:, codes ^ mode_codes[j]]
 
     rem = np.array([N])
     acc = np.array([0])               # parity code of the modes filled so far
@@ -482,8 +486,8 @@ def _sector_states(N: int, M: int, mode_codes: np.ndarray, code: int):
     for j in range(M):
         take = rem + 1
         parent = np.repeat(np.arange(len(rem)), take)
-        n = rem[parent] - (np.arange(len(parent)) - np.repeat(np.cumsum(take) - take, take))
-        r = rem[parent] - n
+        r = np.arange(len(parent)) - np.repeat(np.cumsum(take) - take, take)   # bosons left
+        n = rem[parent] - r
         c = acc[parent] ^ (mode_codes[j] * (n % 2))
         keep = reach[j + 1, r, c ^ code]
         parent, n, rem, acc = parent[keep], n[keep], r[keep], c[keep]

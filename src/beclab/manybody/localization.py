@@ -148,8 +148,10 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
 
     def sample(s: int):
         node = np.unravel_index(idx[s], grid.shape)
-        f = basis.field(C @ basis.values_at(node)) * inverse
-        edens = masked_gradient_sq(f, support) * weight
+        f = basis.field(C @ basis.values_at(node))
+        f *= inverse
+        edens = masked_gradient_sq(f, support)
+        edens *= weight
         totals[s] = edens.sum()
         # squared distance to node r2 per axis; each ball is summed on its box
         sq = [(x - x[i]) ** 2 for x, i in zip(grid.axes, node)]
@@ -157,7 +159,7 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
             box, inside = _ball_box(sq, d * d)
             in_ball[s, di] = edens[box][inside].sum()
 
-    with ThreadPoolExecutor(min(samples, _cpu_count())) as pool:
+    with ThreadPoolExecutor(max(1, min(samples, _cpu_count()))) as pool:
         list(pool.map(sample, range(samples)))
 
     total = float(totals.sum())

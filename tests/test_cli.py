@@ -643,11 +643,13 @@ def test_load_config_fuzz_returns_or_raises_config_error(tmp_path_factory, name,
     assert canonical_hash(config) == canonical_hash(load_config(p, experiment, {}))
 
 
-@pytest.mark.parametrize("target", ["file", "file/run"])
-def test_out_through_a_regular_file_exits_2(tmp_path, target):
-    (tmp_path / "file").write_text("not a directory")
+@pytest.mark.parametrize("blocker,out", [("file", "file"), ("file", "file/run"),
+                                          ("dir/runs", "dir")])
+def test_out_through_a_regular_file_exits_2(tmp_path, blocker, out):
+    (tmp_path / blocker).parent.mkdir(exist_ok=True)
+    (tmp_path / blocker).write_text("not a directory")
     res = _run_cli("scattering", "--config", str(REPO / "configs" / "scattering_soft_sphere.json"),
-                   "--out", str(tmp_path / target))
+                   "--out", str(tmp_path / out))
     assert res.returncode == 2 and res.stderr.startswith("config error: out:")
     assert "Traceback" not in res.stderr
 

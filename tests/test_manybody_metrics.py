@@ -132,6 +132,8 @@ def test_localization_noninteracting_not_applicable(basis_q2, zero_tensor,
     prof = localization_profile(gr, analytic_reference, basis_q2,
                                 radii=(0.5, 1.0, 2.0), samples=8, seed=1)
     assert prof.not_applicable
+    empty = localization_profile(gr, analytic_reference, basis_q2, radii=(1.0,), samples=0)
+    assert empty.not_applicable and empty.total_energy == 0.0
 
 
 def test_localization_monotone_fractions(basis_q2, interacting):
