@@ -454,7 +454,7 @@ def _report_version(path: Path):
     """artifact_version of a stored report; None when missing or unreadable."""
     try:
         rep = json.loads(path.read_text())
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     return rep.get("artifact_version") if isinstance(rep, dict) else None
 

@@ -43,7 +43,7 @@ import scipy.linalg as sla
 
 from .errors import (ConfigError, DomainTooSmallError, InvalidParameterError,
                      SolverFailureError)
-from .model import Grid, TrapSpec, mirror_parity
+from .model import Grid, TrapSpec, axis_apply, mirror_parity
 
 _ENERGY_SLACK = 1e-13          # accepted per-step energy increase
 _BOUNDARY_RATIO = 1e-8         # required boundary decay for confining traps
@@ -125,7 +125,7 @@ def dstn(x: np.ndarray, mats=None) -> np.ndarray:
     """
     if mats is None:
         mats = [sine_matrix(m) for m in x.shape]
-    return _axis_apply(x, mats, transpose=False)
+    return axis_apply(x, mats)
 
 
 class _Workspace:
@@ -233,9 +233,9 @@ class _Workspace:
         (g = 0, or a non-separable V that H0 only models).
         """
         sigma = max(mu - self.lam0, 0.1 * self.gap)
-        c = _axis_apply(r, self.pre_vecs, transpose=True)
+        c = axis_apply(r, [U.T for U in self.pre_vecs])
         c /= self.pre_eigs - (self.lam0 - sigma)
-        return _axis_apply(c, self.pre_vecs, transpose=False)
+        return axis_apply(c, self.pre_vecs)
 
 
 def _tensor_sum(per_axis):
@@ -243,26 +243,6 @@ def _tensor_sum(per_axis):
     for arr in per_axis[1:]:
         out = out[..., None] + arr
     return out
-
-
-def _axis_apply(arr, mats, transpose):
-    """Multiply axis ax of ``arr`` by mats[ax] (by its transpose when
-    ``transpose``), for every axis.
-
-    Each axis is one batched matmul on a reshaped view, so no axis is
-    moved and, for a C-ordered input, only the products are allocated.  The last axis is batched over the one before
-    it: as one tall GEMM it would make BLAS pack the whole array into its
-    own buffer, which stays resident (6.6 MiB more peak RSS on 94^3).
-    """
-    shape = arr.shape
-    for ax, U in enumerate(mats):
-        M = U.T if transpose else U
-        n, post = shape[ax], math.prod(shape[ax + 1:])
-        if post > 1:
-            arr = M @ arr.reshape(-1, n, post)
-        else:
-            arr = arr.reshape(-1, shape[ax - 1] if ax else 1, n) @ M.T
-    return arr.reshape(shape)
 
 
 def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,

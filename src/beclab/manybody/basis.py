@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, product
 from math import comb
 
 import numpy as np
@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from ..errors import CapacityError, ConfigError, ResolutionError
 from ..gp import sine_matrix
-from ..model import Grid, TrapSpec, mirror_parity
+from ..model import Grid, TrapSpec, axis_apply, mirror_parity
 
 
 def hermite_functions(nmax: int, x: np.ndarray, stiffness: float = 1.0) -> np.ndarray:
@@ -85,10 +85,6 @@ class ModeBasis:
         return float(np.abs(g - np.eye(self.size)).max())
 
     @cached_property
-    def quanta(self) -> np.ndarray:
-        return np.array([sum(q) for q in self.quantum_numbers])
-
-    @cached_property
     def axis_parity(self) -> np.ndarray | None:
         """Per-axis reflection parity of the sampled modes, 0 even and 1 odd.
 
@@ -149,23 +145,14 @@ class ModeBasis:
             return (coefficients @ self.modes.reshape(self.size, -1)).reshape(self.grid.shape)
         c = np.zeros(tuple(len(t) for t in self.axis_tables))
         c[tuple(self.table_rows.T)] = coefficients
-        return _contract_axes(c, self.axis_tables)
+        return axis_apply(c, [t.T for t in self.axis_tables])
 
     def density(self, matrix: np.ndarray) -> np.ndarray:
-        """sum_ij matrix[i, j] mode_i mode_j on the grid.
-
-        Product modes: the pair (i, j) sits at row pair (a_i, a_j) of each
-        axis, and a table of 1D factor products per axis takes its place.
-        """
+        """sum_ij matrix[i, j] mode_i mode_j on the grid."""
         if self.axis_tables is None:
             flat = self.modes.reshape(self.size, -1)
             return ((matrix @ flat) * flat).sum(axis=0).reshape(self.grid.shape)
-        tables = [(t[:, None, :] * t[None, :, :]).reshape(-1, t.shape[1])
-                  for t in self.axis_tables]
-        c = np.zeros(tuple(len(t) for t in tables))
-        c[tuple(r[:, None] * len(t) + r[None, :]
-                for r, t in zip(self.table_rows.T, self.axis_tables))] = matrix
-        return _contract_axes(c, tables)
+        return pair_density(matrix, self.axis_tables, self.table_rows)
 
     def values_at(self, node) -> np.ndarray:
         """The M modes' values at one grid node, given as an index tuple."""
@@ -190,28 +177,18 @@ def _factored_gram_error(tables, rows, grid: Grid) -> float:
     return float(np.abs(g - np.eye(len(rows))).max())
 
 
-def _contract_axes(c: np.ndarray, tables) -> np.ndarray:
-    """sum_abc c[a, b, c] t0[a] x t1[b] x t2[c] on the grid, one axis at a time."""
-    t0, t1, t2 = tables
-    a = t1.T @ (c @ t2)                                   # (K0, n1, n2)
-    return (t0.T @ a.reshape(len(t0), -1)).reshape(t0.shape[1], t1.shape[1], t2.shape[1])
+def pair_density(matrix: np.ndarray, tables, rows: np.ndarray) -> np.ndarray:
+    """sum_ij matrix[i, j] T_i conj(T_j) for modes T_i stored as per-axis
+    factor rows: T_i is the product over ax of tables[ax][rows[i, ax]].
 
-
-def _harmonic_quantum_numbers(max_quanta: int, dim: int):
-    out = []
-    rng = range(max_quanta + 1)
-    if dim == 3:
-        for nx in rng:
-            for ny in rng:
-                for nz in rng:
-                    if nx + ny + nz <= max_quanta:
-                        out.append((nx, ny, nz))
-    else:
-        for nx in rng:
-            for ny in rng:
-                if nx + ny <= max_quanta:
-                    out.append((nx, ny))
-    return out
+    The pair (i, j) sits at row pair (a_i, a_j) of each axis, and a table
+    of 1D factor products T[a] conj(T[b]) per axis takes its place, so the
+    sum is one contraction per axis.
+    """
+    products = [(t[:, None, :] * t.conj()[None, :, :]).reshape(-1, t.shape[1]) for t in tables]
+    c = np.zeros(tuple(len(p) for p in products))
+    c[tuple(r[:, None] * len(t) + r[None, :] for r, t in zip(rows.T, tables))] = matrix
+    return axis_apply(c, [p.T for p in products])
 
 
 def build_mode_basis(trap: TrapSpec, grid: Grid, max_quanta: int = 3,
@@ -249,7 +226,7 @@ def separable_modes(trap: TrapSpec, grid: Grid, max_quanta: int,
     of ``build_mode_basis`` run on this grid: the Gram matrix as a product
     of 1D Grams, the highest mode's energy as a sum of 1D quotients.
     """
-    rows = _harmonic_quantum_numbers(max_quanta, 3)
+    rows = [q for q in product(range(max_quanta + 1), repeat=3) if sum(q) <= max_quanta]
     if trap.kind == "harmonic":
         tables = tuple(hermite_functions(max_quanta, grid.axes[ax], trap.stiffness[ax])
                        for ax in range(3))

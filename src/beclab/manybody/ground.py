@@ -31,7 +31,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from ..errors import SolverFailureError
 from .basis import FockBasis, ModeBasis
-from .tensor import InteractionTensor
+from .tensor import InteractionTensor, pair_classes
 
 _RESIDUAL_TOL = 1e-9
 
@@ -98,14 +98,10 @@ class PairOpHamiltonian:
         fock, M, pairs = self.fock, self.fock.M, self.tensor.pairs
         lower = FockBasis.build(fock.N - 2, M, dimension_cap=10**9)
         inner = FockBasis.build(fock.N - 1, M, dimension_cap=10**9).annihilator()
-        if fock.mode_codes is None:
-            groups = [(np.arange(len(pairs)), lower)]
-        else:
-            label = fock.mode_codes[pairs[:, 0]] ^ fock.mode_codes[pairs[:, 1]]
-            groups = [(np.flatnonzero(label == c), lower.sector(fock.mode_codes, fock.code ^ c))
-                      for c in np.unique(label)]
         data, cols, classes, start = [], [], [], 0
-        for members, target in groups:
+        for code, members in pair_classes(fock.mode_codes, pairs):
+            target = (lower if fock.mode_codes is None
+                      else lower.sector(fock.mode_codes, fock.code ^ code))
             k, l = pairs[members].T
             r = target.ranks[:, None]
             pos = self.lowering.indptr[inner.indices.reshape(-1, M)[r, k] * M + l]

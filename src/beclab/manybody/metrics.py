@@ -21,7 +21,9 @@ import numpy as np
 
 from ..errors import BasisInsufficientError, ConfigError
 from ..gp import GPState
-from .basis import ModeBasis
+from ..model import axis_apply
+from .basis import (ModeBasis, build_mode_basis, hermite_functions, pair_density,
+                    separable_modes)
 from .ground import ManyBodyGround, PairOpHamiltonian, pair_moment
 from .tensor import InteractionTensor
 
@@ -56,16 +58,11 @@ def expand_reference(gp: GPState, basis: ModeBasis, min_weight: float = 0.99):
     grid must pass the resolution checks of ``build_mode_basis``.  Product
     modes are contracted with phi one axis at a time.
     """
-    from .basis import build_mode_basis, separable_modes
-
     same_grid = gp.grid.shape == basis.grid.shape and gp.grid.extent == basis.grid.extent
     if basis.axis_tables is not None:
         tables, rows = ((basis.axis_tables, basis.table_rows) if same_grid else
                         separable_modes(basis.trap, gp.grid, basis.max_quanta)[2:])
-        a = gp.phi
-        for table, w in zip(reversed(tables), reversed(gp.grid.axis_weights)):
-            # contract the last grid axis; the table index moves to the front
-            a = np.moveaxis(a @ (table * w).T, -1, 0)
+        a = axis_apply(gp.phi, [t * w for t, w in zip(tables, gp.grid.axis_weights)])
         c = a[tuple(rows.T)]
     else:
         eval_basis = basis if same_grid else build_mode_basis(basis.trap, gp.grid,
@@ -103,19 +100,15 @@ def momentum_density(basis: ModeBasis, k_axes):
     eigenfunctions transform to themselves up to (-i)^n, with the length
     scale inverted; box modes transform their 1D sine factors by
     quadrature.  For both, the matrix is contracted with one table of
-    factor products per axis.  Tabulated modes are transformed as sampled
-    3D arrays.
+    factor products per axis (``pair_density``).  Tabulated modes are
+    transformed as sampled 3D arrays.
     """
-    from .basis import hermite_functions
-
     shape = tuple(len(k) for k in k_axes)
     if basis.axis_tables is None:
-        waves = _plane_waves(basis.grid, k_axes)
+        waves = [w.T for w in _plane_waves(basis.grid, k_axes)]
         flat = np.empty((basis.size, int(np.prod(shape))), dtype=complex)
-        for idx in range(basis.size):
-            t = np.tensordot(basis.modes[idx], waves[0], axes=(0, 0))
-            t = np.tensordot(t, waves[1], axes=(0, 0))
-            flat[idx] = np.tensordot(t, waves[2], axes=(0, 0)).ravel()
+        for idx, mode in enumerate(basis.modes):
+            flat[idx] = axis_apply(mode, waves).ravel()
         return lambda matrix: np.sum((matrix @ flat) * flat.conj(), axis=0).real.reshape(shape)
 
     trap = basis.trap
@@ -126,21 +119,7 @@ def momentum_density(basis: ModeBasis, k_axes):
                   for ax, k in enumerate(k_axes)]
     else:
         tables = [t @ w for t, w in zip(basis.axis_tables, _plane_waves(basis.grid, k_axes))]
-    # products T[a, k] conj(T[b, k]) per axis, rows a * n_rows + b
-    products = [(t[:, None, :] * t.conj()[None, :, :]).reshape(-1, t.shape[1])
-                for t in tables]
-    rows = basis.table_rows
-    n_rows = rows.max(axis=0) + 1
-    index = tuple(rows[:, None, ax] * n_rows[ax] + rows[None, :, ax] for ax in range(3))
-
-    def density(matrix):
-        d = np.zeros(tuple(n_rows**2))
-        d[index] = matrix
-        for product in reversed(products):
-            d = np.moveaxis(d @ product, -1, 0)
-        return d.real
-
-    return density
+    return lambda matrix: pair_density(matrix, tables, basis.table_rows).real
 
 
 def _lattice_weights(k_axes) -> np.ndarray:

@@ -12,7 +12,7 @@ the potential range; contact-scale ranges are handled exactly this way.
 The tensor is stored as B = Re(Phat diag(w_q) Phat^H), the overlap matrix
 of the padded pair-density transforms Phat.  The kernel w_q is even and
 trapezoid weights are mirror-symmetric, so when every mode has a definite
-reflection parity on every axis (``ModeBasis.axis_parity``), B[p, p'] is
+reflection parity on every axis (``ModeBasis.parity_codes``), B[p, p'] is
 exactly zero unless pairs p = (i,k) and p' carry the same per-axis parity
 XOR of their two modes.  Only entries within those (up to 8) classes are
 computed; off-class entries are written as exact zeros.  A basis without
@@ -117,14 +117,14 @@ def _asymmetry(b: np.ndarray) -> float:
     return float(np.abs(b - b.T).max() / max(np.abs(b).max(), 1e-300))
 
 
-def _parity_classes(basis: ModeBasis, pairs: np.ndarray) -> list[np.ndarray]:
-    """Pair indices grouped by the per-axis parity XOR of their two modes."""
-    parity = basis.axis_parity
-    if parity is None:
-        return [np.arange(len(pairs))]
-    code = parity @ (1 << np.arange(parity.shape[1]))
-    label = code[pairs[:, 0]] ^ code[pairs[:, 1]]
-    return [np.flatnonzero(label == c) for c in np.unique(label)]
+def pair_classes(codes: np.ndarray | None, pairs: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Pair indices grouped by the XOR of their two modes' parity codes, as
+    (code, members) in increasing code; one class of code 0 when ``codes``
+    is None (no definite parity)."""
+    if codes is None:
+        return [(0, np.arange(len(pairs)))]
+    label = codes[pairs[:, 0]] ^ codes[pairs[:, 1]]
+    return [(int(c), np.flatnonzero(label == c)) for c in np.unique(label)]
 
 
 def interaction_tensor(basis: ModeBasis, potential: PairPotential) -> InteractionTensor:
@@ -182,7 +182,7 @@ def _factored_pair_matrix(basis, potential, npad, pairs, scale) -> np.ndarray:
     outside the parity classes are never formed and stay exact zeros.
     """
     grid = basis.grid
-    classes = _parity_classes(basis, pairs)
+    classes = [members for _, members in pair_classes(basis.parity_codes, pairs)]
     r = np.concatenate([np.repeat(m, len(m)) for m in classes])
     c = np.concatenate([np.tile(m, len(m)) for m in classes])
     # per axis: A as (K*K, nq) and the row of each in-class entry (r, c) in it
@@ -241,7 +241,7 @@ def _blocked_pair_matrix(basis, potential, npad, pairs, scale) -> np.ndarray:
         return out
 
     B = np.zeros((P, P))
-    for members in _parity_classes(basis, pairs):
+    for _, members in pair_classes(basis.parity_codes, pairs):
         chunks = [members[s:s + block] for s in range(0, len(members), block)]
         for a, rows in enumerate(chunks):
             pa = transform_block(rows)

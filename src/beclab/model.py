@@ -134,6 +134,27 @@ def mirror_parity(f: np.ndarray, axis: int) -> int | None:
     return None
 
 
+def axis_apply(arr: np.ndarray, mats) -> np.ndarray:
+    """Multiply axis ax of ``arr`` by the (out, in) matrix mats[ax], for
+    every axis; the matrices may be rectangular or complex.
+
+    Each axis is one batched matmul on a reshaped view, so no axis is
+    moved and, for a C-ordered input, only the products are allocated.  The
+    last axis is batched over the one before it: as one tall GEMM it would
+    make BLAS pack the whole array into its own buffer, which stays
+    resident (6.6 MiB more peak RSS on 94^3).
+    """
+    shape = list(arr.shape)
+    for ax, M in enumerate(mats):
+        n, post = shape[ax], math.prod(shape[ax + 1:])
+        if post > 1:
+            arr = M @ arr.reshape(-1, n, post)
+        else:
+            arr = arr.reshape(-1, shape[ax - 1] if ax else 1, n) @ M.T
+        shape[ax] = len(M)
+    return arr.reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # traps
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ weight bounded above and below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -273,17 +273,19 @@ def omega_x_mask(points, radius: float, region: Region) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _random_field(rng, region: Region) -> np.ndarray:
-    """Smooth random field built from Gaussian bumps in relative coordinates."""
+    """Smooth random field built from Gaussian bumps in relative coordinates.
+
+    Each bump is separable: the outer product of one 1D Gaussian per axis.
+    """
     g = region.grid
-    mesh = g.meshgrid()
     diam = max(g.extent)
     f = 0.0
     for _ in range(rng.integers(3, 8)):
         center = [lo + rng.random() * e for lo, e in zip(g.lo, g.extent)]
         width = (0.08 + 0.25 * rng.random()) * diam
         amp = rng.normal()
-        rr = sum((x - c) ** 2 for x, c in zip(mesh, center))
-        f += amp * np.exp(-rr / (2 * width**2))
+        f += amp * reduce(np.multiply.outer, [np.exp(-(x - c) ** 2 / (2 * width**2))
+                                              for x, c in zip(g.axes, center)])
     return f
 
 

@@ -342,6 +342,22 @@ def omega_x_mask(points, radius, region):
     return mask
 
 
+def random_field(rng, region):
+    """``poincare._random_field`` on the full grid: each Gaussian bump is
+    one exponential of the full-grid squared distance to its centre."""
+    g = region.grid
+    mesh = g.meshgrid()
+    diam = max(g.extent)
+    f = 0.0
+    for _ in range(rng.integers(3, 8)):
+        center = [lo + rng.random() * e for lo, e in zip(g.lo, g.extent)]
+        width = (0.08 + 0.25 * rng.random()) * diam
+        amp = rng.normal()
+        rr = sum((x - c) ** 2 for x, c in zip(mesh, center))
+        f += amp * np.exp(-rr / (2 * width**2))
+    return f
+
+
 def per_trial_weighted_estimate(region, weight, c_star, trials, seed):
     """``poincare.weighted_estimate`` as it was before the weight check and
     normalization were hoisted: ``weighted_check`` re-checks and re-normalizes

@@ -70,6 +70,17 @@ def test_cache_recomputes_report_of_other_version(tmp_path):
     assert path.read_bytes() == fresh
 
 
+def test_cached_report_too_deep_to_parse_is_rerun(tmp_path, capsys):
+    args = ["scattering", "--config", str(REPO / "configs/scattering_soft_sphere.json"),
+            "--out", str(tmp_path / "o")]
+    assert main(args) == 0
+    [path] = (tmp_path / "o").glob("runs/*/report.json")
+    fresh = path.read_bytes()
+    path.write_bytes(b"[" * 100_000)
+    assert main(args) == 0
+    assert path.read_bytes() == fresh
+
+
 @pytest.mark.parametrize("solver", [
     {"g": "x"}, {"g": float("nan")}, {"g": float("inf")}, {"g": float("-inf")},
     {"g": -1.0}, {"g": True},

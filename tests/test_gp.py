@@ -7,6 +7,7 @@ from scipy.fft import dstn as fft_dstn
 import beclab as bl
 from beclab import gp
 from beclab.errors import DomainTooSmallError, InvalidParameterError
+from beclab.model import axis_apply
 
 from .oracles import tensor_apply
 
@@ -216,11 +217,20 @@ def test_coefficient_round_trip(trap_, grid, sector):
 @pytest.mark.parametrize("transpose", [False, True])
 @pytest.mark.parametrize("shape", [(5, 7, 9), (6, 11), (4, 3, 5, 2), (8,)], ids=str)
 def test_axis_apply_matches_tensordot(shape, transpose):
+    # square (not symmetric), rectangular (each axis narrowed or widened)
+    # and complex rectangular (out, in) matrices; with ``transpose`` each is
+    # passed as the transposed view U.T of a stored U, as the preconditioner does
     rng = np.random.default_rng(len(shape))
     arr = rng.standard_normal(shape)
-    mats = [rng.standard_normal((n, n)) for n in shape]      # not symmetric
-    out = gp._axis_apply(arr, mats, transpose)
-    np.testing.assert_allclose(out, tensor_apply(arr, mats, transpose), rtol=0, atol=1e-12)
+    outs = [n + (3 if ax % 2 else -2) for ax, n in enumerate(shape)]
+    for mats in ([rng.standard_normal((n, n)) for n in shape],
+                 [rng.standard_normal((o, n)) for o, n in zip(outs, shape)],
+                 [rng.standard_normal((o, n)) + 1j * rng.standard_normal((o, n))
+                  for o, n in zip(outs, shape)]):
+        stored = [np.ascontiguousarray(M.T) for M in mats] if transpose else mats
+        out = axis_apply(arr, [U.T for U in stored] if transpose else stored)
+        assert out.shape == tuple(len(M) for M in mats)
+        np.testing.assert_allclose(out, tensor_apply(arr, stored, transpose), rtol=0, atol=1e-12)
 
 
 def _solve(monkeypatch, trap_, g, grid, full=False, **kw):

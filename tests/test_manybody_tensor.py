@@ -5,7 +5,7 @@ import beclab as bl
 from beclab.errors import ConfigError, ResolutionError
 from beclab.manybody import build_mode_basis
 from beclab.manybody import tensor as tensor_module
-from beclab.manybody.tensor import interaction_tensor
+from beclab.manybody.tensor import _pair_table, interaction_tensor, pair_classes
 from .oracles import dense_pair_matrix, sampled_pair_matrix
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
@@ -94,6 +94,24 @@ def test_off_centre_grid_single_class_matches_dense_oracle(monkeypatch, block_by
     assert tabulated_off_centre_basis.axis_tables is None
     assert tabulated_off_centre_basis.axis_parity is None
     _assert_matches_dense(tabulated_off_centre_basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+
+
+@pytest.mark.parametrize("name", ["small_basis", "tabulated_basis", "tabulated_off_centre_basis"])
+def test_pair_classes_match_the_axis_parity_grouping(request, name):
+    # expected: (code, members) from the per-axis parities, in increasing code
+    basis = request.getfixturevalue(name)
+    pairs = _pair_table(basis.size)
+    parity = basis.axis_parity
+    if parity is None:
+        expected = [(0, np.arange(len(pairs)))]
+    else:
+        code = parity @ (1 << np.arange(parity.shape[1]))
+        label = code[pairs[:, 0]] ^ code[pairs[:, 1]]
+        expected = [(c, np.flatnonzero(label == c)) for c in np.unique(label)]
+    assert (parity is None) == (name == "tabulated_off_centre_basis")
+    classes = pair_classes(basis.parity_codes, pairs)
+    assert [c for c, _ in classes] == [c for c, _ in expected]
+    assert all(np.array_equal(m, e) for (_, m), (_, e) in zip(classes, expected))
 
 
 def test_zero_potential_gives_zero_tensor(small_basis):

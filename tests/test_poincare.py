@@ -215,6 +215,17 @@ def test_masked_gradient_matches_full_grid_oracle(name):
                               oracles.masked_gradient_sq(f, region))
 
 
+@pytest.mark.parametrize("name", ["ball32", "box32", "ball96_2d"])
+def test_random_field_matches_full_grid_oracle(name):
+    region = ORACLE_REGIONS[name]()
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(5):
+        f, ref = _random_field(rng, region), oracles.random_field(ref_rng, region)
+        assert f.shape == region.grid.shape
+        assert np.abs(f - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("name", ORACLE_REGIONS)
 def test_omega_x_mask_matches_full_grid_oracle(name):
     region = ORACLE_REGIONS[name]()
