@@ -9,11 +9,11 @@ Surface:
 Runs are content-addressed: the canonical serialization of the full
 configuration is hashed, results live under ``<out>/runs/<hash>/`` and a
 rerun with an unchanged hash is served from cache unless forced or the
-cached report was made by another version.  With the reproducible flag
-the report bytes are identical run to run.  A solver failure writes no
-report; its diagnostics go to stderr and to ``failure.json`` in the run
-directory.  Exit codes: 0 success, 2 configuration error, 3 solver
-failure, 4 verification failure.
+cached run was made by another version or by other code (``code_digest``).
+With the reproducible flag the report bytes are identical run to run.  A
+solver failure writes no report; its diagnostics go to stderr and to
+``failure.json`` in the run directory.  Exit codes: 0 success, 2
+configuration error, 3 solver failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import os
 import reprlib
 import sys
 import time
+from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -154,25 +156,15 @@ def canonical_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so JSON output is canonical."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _jsonable(obj):
+    """numpy scalars and arrays as the Python values they hold."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dump_json(obj) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, default=_jsonable) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -255,30 +247,15 @@ def run_manybody(config: dict):
         "fock_dimension": ground.coefficients.size,
         "natural_occupation_sum": float(ground.natural_occupations.sum()),
         "rayleigh_per_N": rayleigh,
-        "metrics": {
-            "condensate_fraction": report_metrics.condensate_fraction,
-            "gp_overlap": report_metrics.gp_overlap,
-            "trace_distance": report_metrics.trace_distance,
-            "momentum_l1": report_metrics.momentum_l1,
-            "pair_moment": report_metrics.pair_moment,
-            "truncation_weight": report_metrics.truncation_weight,
-            "momentum_coverage": report_metrics.momentum_coverage,
-            "momentum_coverage_warning": report_metrics.momentum_coverage < 0.999,
-        },
+        "metrics": asdict(report_metrics) | {
+            "momentum_coverage_warning": report_metrics.momentum_coverage < 0.999},
         "substituted_potential": setup.substituted,
         "kinetic_fraction_s": setup.s,
     }
     if loc is not None:
         prof = localization_profile(ground, setup.gp, setup.basis, radii=loc["radii"],
                                     samples=loc["samples"], seed=c["seed"])
-        report["localization"] = {
-            "radii": prof.radii,
-            "fractions": prof.fractions,
-            "total_energy": prof.total_energy,
-            "samples": prof.samples,
-            "seed": prof.seed,
-            "excluded_points": prof.excluded_points,
-        }
+        report["localization"] = asdict(prof)
     return report, {}
 
 
@@ -401,17 +378,29 @@ class _DirLock:
         return False
 
 
+@lru_cache(maxsize=1)
+def code_digest() -> str:
+    """sha256 of the package's source, every .py file in path order.  It is
+    computed on the first call (not at import) and kept for the process."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def execute(config: dict, out_dir, force: bool = False) -> Path:
     """Run (or reuse) the experiment; returns the report path."""
     out = Path(out_dir or config.get("output") or "bec-lab-out")
     cfg_hash = canonical_hash(config)
+    digest = code_digest()
     run_dir = out / "runs" / cfg_hash[:16]
     try:
         run_dir.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create the output directory: {exc}", field="out") from None
     report_path = run_dir / "report.json"
-    if not force and _report_version(report_path) == __version__:
+    if (not force and _stored(report_path, "artifact_version") == __version__
+            and _stored(run_dir / "manifest.json", "code_digest") == digest):
         return report_path
     with _DirLock(out):
         started = time.monotonic()
@@ -443,6 +432,7 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
             "seed": config["seed"],
             "wall_time_s": wall,
             "artifact_version": __version__,
+            "code_digest": digest,
             "experiment": config["experiment"],
             "config": config,
         }
@@ -450,13 +440,13 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
     return report_path
 
 
-def _report_version(path: Path):
-    """artifact_version of a stored report; None when missing or unreadable."""
+def _stored(path: Path, key: str):
+    """Entry ``key`` of a stored JSON object; None when missing or unreadable."""
     try:
-        rep = json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except (OSError, ValueError, RecursionError):
         return None
-    return rep.get("artifact_version") if isinstance(rep, dict) else None
+    return doc.get(key) if isinstance(doc, dict) else None
 
 
 def _atomic_write(path: Path, data: bytes):

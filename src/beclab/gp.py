@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.linalg as sla
@@ -188,8 +188,8 @@ class _Workspace:
             self.pre_vecs.append(U)
         self.V = np.ascontiguousarray(V[self.half])
         self.m = self.V.shape
-        self.KK = _tensor_sum(kappa)
-        self.pre_eigs = _tensor_sum(eigs)
+        self.KK = reduce(np.add.outer, kappa)
+        self.pre_eigs = reduce(np.add.outer, eigs)
         self.lam0 = float(sum(w[0] for w in eigs))
         self.gap = float(min(gaps))
 
@@ -211,12 +211,7 @@ class _Workspace:
 
     def ground_mode(self) -> np.ndarray:
         """Lowest eigenvector of H0: the product of the per-axis ones."""
-        p = np.ones(self.m)
-        for ax, U in enumerate(self.pre_vecs):
-            shape = [1] * self.d
-            shape[ax] = self.m[ax]
-            p = p * np.abs(U[:, 0]).reshape(shape)
-        return p
+        return reduce(np.multiply.outer, [np.abs(U[:, 0]) for U in self.pre_vecs])
 
     def unfold(self, p: np.ndarray) -> np.ndarray:
         """The full interior array whose working part is ``p``."""
@@ -238,13 +233,6 @@ class _Workspace:
         return axis_apply(c, self.pre_vecs)
 
 
-def _tensor_sum(per_axis):
-    out = per_axis[0]
-    for arr in per_axis[1:]:
-        out = out[..., None] + arr
-    return out
-
-
 def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
                 tol: float = 1e-8, initial: np.ndarray | None = None) -> GPState:
     """Minimize the functional at coupling ``g`` on ``grid``.
@@ -259,8 +247,7 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
         raise InvalidParameterError("tol must be finite and positive")
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be at least 1")
-    if grid.dimension != trap.dimension:
-        raise ConfigError("grid and trap dimensions disagree", field="grid")
+    trap.check_grid(grid)
     start = None
     if initial is not None:
         start = np.abs(np.asarray(initial, dtype=float))

@@ -118,21 +118,19 @@ class ModeBasis:
     def potential_matrix(self) -> np.ndarray:
         """u[i,j] = int V mode_i mode_j by grid quadrature.
 
-        For product modes the harmonic V = sum_ax k_ax x_ax^2 gives
-        sum_ax (the V_ax-weighted 1D Gram) * (the 1D Grams of the other
-        axes), elementwise over mode pairs; the box V vanishes on the grid.
+        For product modes V = sum_ax V_ax(x_ax) (``TrapSpec.axis_potential``)
+        gives sum_ax (the V_ax-weighted 1D Gram) * (the 1D Grams of the
+        other axes), elementwise over mode pairs.
         """
         if self.axis_tables is None:
             v = self.trap.sample(self.grid).ravel()
             flat = self.modes.reshape(self.size, -1)
             return (flat * (v * self.grid.weights.ravel())) @ flat.T
-        if self.trap.kind == "box":
-            return np.zeros((self.size, self.size))
         weights = self.grid.axis_weights
         g0, g1, g2 = _axis_grams(self.axis_tables, self.table_rows, weights)
         v0, v1, v2 = _axis_grams(self.axis_tables, self.table_rows,
-                                 [k * x**2 * w for k, x, w in
-                                  zip(self.trap.stiffness, self.grid.axes, weights)])
+                                 [self.trap.axis_potential(ax, x) * w
+                                  for ax, (x, w) in enumerate(zip(self.grid.axes, weights))])
         return v0 * g1 * g2 + g0 * v1 * g2 + g0 * g1 * v2
 
     def field(self, coefficients: np.ndarray) -> np.ndarray:
@@ -203,8 +201,7 @@ def build_mode_basis(trap: TrapSpec, grid: Grid, max_quanta: int = 3,
     """
     if trap.dimension != 3:
         raise ConfigError("mode bases are built in 3D only", field="trap")
-    if grid.dimension != trap.dimension:
-        raise ConfigError("grid and trap dimensions disagree", field="grid")
+    trap.check_grid(grid)
     if max_quanta < 0:
         raise ConfigError("max_quanta must be nonnegative", field="max_quanta")
     if trap.kind == "tabulated":
@@ -277,7 +274,7 @@ def _energy_check_error(trap: TrapSpec, grid: Grid, tables, row, energy: float) 
         m, h, e = len(f), grid.spacing[ax], grid.extent[ax]
         b = sine_matrix(m) @ f / (m + 1.0)
         kinetic = float(np.sum(b * b * (np.pi * np.arange(1, m + 1) / e) ** 2)) * e / 2
-        v = trap.stiffness[ax] * grid.axes[ax][1:-1] ** 2 if trap.kind == "harmonic" else 0.0
+        v = trap.axis_potential(ax, grid.axes[ax][1:-1])
         quotient += (kinetic + h * float(np.sum(v * f * f))) / (h * float(np.sum(f * f)))
     return abs(quotient / energy - 1.0)
 

@@ -34,6 +34,7 @@ from .basis import FockBasis, ModeBasis
 from .tensor import InteractionTensor, pair_classes
 
 _RESIDUAL_TOL = 1e-9
+_LANCZOS_MAXITER = 20_000
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,6 @@ class PairOpHamiltonian:
 
 def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
                  dimension_cap: int = 200_000, a: float = 0.0, g: float = 0.0,
-                 maxiter: int = 20_000,
                  ham: PairOpHamiltonian | None = None) -> ManyBodyGround:
     """Lowest eigenpair by implicitly restarted Lanczos on the pair map.
 
@@ -184,7 +184,7 @@ def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
     op = ham.operator()
     for tol in (1e-13, 0.0):
         try:
-            vals, vecs = eigsh(op, k=1, which="SA", v0=v0, tol=tol, maxiter=maxiter)
+            vals, vecs = eigsh(op, k=1, which="SA", v0=v0, tol=tol, maxiter=_LANCZOS_MAXITER)
         except Exception as exc:  # ARPACK non-convergence
             raise SolverFailureError(f"eigensolver stagnation: {exc}") from exc
         x = vecs[:, 0]

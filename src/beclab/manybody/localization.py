@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -106,8 +107,7 @@ def _ball_box(sq, r2: float):
     for s in sq:
         inside = np.flatnonzero(s <= r2)
         box.append(slice(inside[0], inside[-1] + 1))
-    dx, dy, dz = (s[b] for s, b in zip(sq, box))
-    return tuple(box), (dx[:, None, None] + dy[:, None] + dz) <= r2
+    return tuple(box), reduce(np.add.outer, [s[b] for s, b in zip(sq, box)]) <= r2
 
 
 def localization_profile(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,

@@ -16,16 +16,20 @@ the sampled 3D route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from ..errors import BasisInsufficientError, ConfigError
 from ..gp import GPState
-from ..model import axis_apply
+from ..model import axis_apply, trapezoid_weights
 from .basis import (ModeBasis, build_mode_basis, hermite_functions, pair_density,
                     separable_modes)
 from .ground import ManyBodyGround, PairOpHamiltonian, pair_moment
 from .tensor import InteractionTensor
+
+_MIN_REFERENCE_WEIGHT = 0.99    # share of the mean-field state the modes must carry
+_K_MAX, _K_POINTS = 10.0, 61
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class CondensateReport:
             raise ConfigError("normalized pair moment above 1")
 
 
-def expand_reference(gp: GPState, basis: ModeBasis, min_weight: float = 0.99):
+def expand_reference(gp: GPState, basis: ModeBasis):
     """Mode amplitudes of the mean-field state, renormalized in the span.
 
     The modes are evaluated on the reference state's own grid (analytic
@@ -70,16 +74,16 @@ def expand_reference(gp: GPState, basis: ModeBasis, min_weight: float = 0.99):
         flat = eval_basis.modes.reshape(eval_basis.size, -1)
         c = (flat * gp.grid.weights.ravel()) @ gp.phi.ravel()
     weight = float(c @ c)
-    if weight < min_weight:
+    if weight < _MIN_REFERENCE_WEIGHT:
         raise BasisInsufficientError(
             f"mode basis carries only {weight:.4f} of the reference state; "
             "raise max_quanta")
     return c / np.sqrt(weight), weight
 
 
-def default_momentum_axes(basis: ModeBasis, k_max: float = 10.0, n_k: int = 61):
+def default_momentum_axes(basis: ModeBasis):
     """Symmetric odd momentum lattice, one axis per dimension."""
-    ax = np.linspace(-k_max, k_max, n_k)
+    ax = np.linspace(-_K_MAX, _K_MAX, _K_POINTS)
     return (ax,) * basis.grid.dimension
 
 
@@ -123,13 +127,7 @@ def momentum_density(basis: ModeBasis, k_axes):
 
 
 def _lattice_weights(k_axes) -> np.ndarray:
-    w = None
-    for ax in k_axes:
-        ax = np.asarray(ax)
-        wa = np.full(len(ax), ax[1] - ax[0])
-        wa[0] = wa[-1] = 0.5 * (ax[1] - ax[0])
-        w = wa if w is None else np.multiply.outer(w, wa)
-    return w
+    return reduce(np.multiply.outer, [trapezoid_weights(len(k), k[1] - k[0]) for k in k_axes])
 
 
 def momentum_distribution(ground: ManyBodyGround, basis: ModeBasis, k_axes=None):

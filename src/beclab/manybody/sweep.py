@@ -11,7 +11,7 @@ fixed and runs every N with a = g / 4 pi N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -122,23 +122,16 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
         kin = float(np.sum(t_matrix * ground.gamma)) / N
         pot = float(np.sum(u_matrix * ground.gamma)) / N
         inter = ground.energy / N - kin - pot
-        rows.append({
+        rows.append(asdict(report) | {
             "N": N, "a": a, "g": g,
             "E_qm_per_N": ground.energy / N,
             "E_gp": gp.energy_total,
-            "gp_overlap": report.gp_overlap,
-            "trace_distance": report.trace_distance,
-            "momentum_l1": report.momentum_l1,
             "kin": kin, "pot": pot, "int": inter,
             "kin_pred": prediction.kinetic_qm,
             "pot_pred": prediction.potential_qm,
             "int_pred": prediction.interaction_qm,
             "s": setup.s,
             "rayleigh_per_N": rayleigh,
-            "pair_moment": report.pair_moment,
-            "condensate_fraction": report.condensate_fraction,
-            "truncation_weight": report.truncation_weight,
-            "momentum_coverage": report.momentum_coverage,
             "eigen_residual": ground.residual,
         })
     substituted = None if setup.substituted is None else dict(

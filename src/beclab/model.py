@@ -11,7 +11,7 @@ import math
 import reprlib
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -87,20 +87,12 @@ class Grid:
 
     @cached_property
     def axis_weights(self) -> tuple[np.ndarray, ...]:
-        out = []
-        for h, n in zip(self.spacing, self.points):
-            w = np.full(n, h)
-            w[0] = w[-1] = h / 2.0
-            out.append(w)
-        return tuple(out)
+        return tuple(trapezoid_weights(n, h) for h, n in zip(self.spacing, self.points))
 
     @cached_property
     def weights(self) -> np.ndarray:
         """Full tensor quadrature weight array (same shape as the grid)."""
-        w = self.axis_weights[0]
-        for wa in self.axis_weights[1:]:
-            w = np.multiply.outer(w, wa)
-        return w
+        return reduce(np.multiply.outer, self.axis_weights)
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return np.meshgrid(*self.axes, indexing="ij", sparse=True)
@@ -121,6 +113,13 @@ class Grid:
     @classmethod
     def box(cls, side: float, points: int, dimension: int = 3) -> "Grid":
         return cls((0.0,) * dimension, (float(side),) * dimension, (int(points),) * dimension)
+
+
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Trapezoid weights of n nodes spaced h: h, and h/2 on the end nodes."""
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2.0
+    return w
 
 
 def mirror_parity(f: np.ndarray, axis: int) -> int | None:
@@ -216,27 +215,35 @@ class TrapSpec:
             return None
         return np.asarray(self.table_values, dtype=float).reshape(self.table_grid.points)
 
+    def check_grid(self, grid: Grid, where: str = "grid"):
+        """Refuse a grid of another dimension and, for the box kind, one that
+        is not [0, side] on every axis: the walls are the grid boundary."""
+        if grid.dimension != self.dimension:
+            raise ConfigError("grid dimension does not match the trap", field=where)
+        if self.kind == "box" and any(abs(lo) > 1e-12 or abs(e - self.side) > 1e-12
+                                      for lo, e in zip(grid.lo, grid.extent)):
+            raise ConfigError("box trap requires a [0, side] grid on every axis", field=where)
+
+    def axis_potential(self, ax: int, x) -> np.ndarray:
+        """The potential's term along axis ``ax`` at coordinates ``x``: k x^2
+        for the harmonic kind, zero inside the box.  A tabulated trap has no
+        such terms."""
+        if self.kind == "harmonic":
+            return self.stiffness[ax] * x**2
+        if self.kind == "box":
+            return np.zeros(np.shape(x))
+        raise InvalidParameterError("a tabulated trap is not a sum over axes")
+
     def sample(self, grid: Grid) -> np.ndarray:
-        """Potential sampled on every node of ``grid``.
+        """Potential sampled on every node of ``grid`` (see ``check_grid``).
 
         For the box kind the walls live on the grid boundary (Dirichlet),
-        so the sampled field is identically zero; the grid must coincide
-        with the box.
+        so the sampled field is identically zero.
         """
-        if grid.dimension != self.dimension:
-            raise ConfigError("grid dimension does not match the trap", field="grid")
-        mesh = grid.meshgrid()
-        if self.kind == "harmonic":
-            v = np.zeros(grid.shape)
-            for k, x in zip(self.stiffness, mesh):
-                v = v + k * x**2
-            return v
-        if self.kind == "box":
-            for lo, e in zip(grid.lo, grid.extent):
-                if abs(lo) > 1e-12 or abs(e - self.side) > 1e-12:
-                    raise ConfigError("box trap requires a [0, side] grid on every axis", field="grid")
-            return np.zeros(grid.shape)
-        return self._interpolate(np.stack(np.broadcast_arrays(*mesh), axis=-1))
+        self.check_grid(grid)
+        if self.kind == "tabulated":
+            return self._interpolate(np.stack(np.broadcast_arrays(*grid.meshgrid()), axis=-1))
+        return reduce(np.add.outer, [self.axis_potential(ax, x) for ax, x in enumerate(grid.axes)])
 
     def _interpolate(self, pts: np.ndarray) -> np.ndarray:
         return multilinear_interpolate(self.table_grid, self._table, pts,
@@ -279,12 +286,11 @@ def evaluate_trap(trap: TrapSpec, point) -> float:
     point = np.asarray(point, dtype=float)
     if point.shape != (trap.dimension,):
         raise InvalidParameterError(f"point must have dimension {trap.dimension}")
-    if trap.kind == "harmonic":
-        return float(sum(k * x**2 for k, x in zip(trap.stiffness, point)))
-    if trap.kind == "box":
-        inside = all(0.0 < x < trap.side for x in point)
-        return 0.0 if inside else math.inf
-    return float(trap._interpolate(point[None, :])[0])
+    if trap.kind == "tabulated":
+        return float(trap._interpolate(point[None, :])[0])
+    if trap.kind == "box" and not all(0.0 < x < trap.side for x in point):
+        return math.inf
+    return float(sum(trap.axis_potential(ax, x) for ax, x in enumerate(point)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +421,6 @@ class PairPotential:
                 res[s:s + step] = np.trapezoid(vv * rr * np.sin(blk * rr), rr, axis=1) / qs[s:s + step]
             out[~small] = 4 * np.pi * res
         return out.reshape(q.shape)
-
-    def scaled(self, a: float) -> "PairPotential":
-        return scale_pair_potential(self, a)
 
 
 def _sphere_transform(q, height, radius):
@@ -585,11 +588,15 @@ def pair_potential_from_config(doc: dict, where: str = "pair_potential") -> Pair
 
 def grid_from_config(doc: dict, trap: TrapSpec | None = None, where: str = "grid") -> Grid:
     """Grid from {extent, points[, lo]}; ``lo`` defaults to 0 on every axis
-    of a box trap's grid and to a centred grid otherwise."""
+    of a box trap's grid and to a centred grid otherwise.  Given a trap, the
+    grid must pass its ``check_grid``."""
     f = fields(GRID)(doc, where)
     box = trap is not None and trap.kind == "box"
     lo = f["lo"] if f["lo"] is not None else tuple(0.0 if box else -e / 2 for e in f["extent"])
-    return Grid(lo, f["extent"], f["points"])
+    grid = Grid(lo, f["extent"], f["points"])
+    if trap is not None:
+        trap.check_grid(grid, where)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -608,6 +615,4 @@ def problem_from_config(doc: dict, where: str = "problem") -> Problem:
     p = fields(PROBLEM)(doc, where)
     trap = p["trap"]
     grid = None if p["grid"] is None else grid_from_config(p["grid"], trap, f"{where}.grid")
-    if trap is not None and grid is not None and trap.dimension != grid.dimension:
-        raise ConfigError("trap and grid dimensions disagree", field=where)
     return Problem(trap, p["pair_potential"], grid)

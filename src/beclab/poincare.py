@@ -97,10 +97,7 @@ class Region:
     @classmethod
     def ball(cls, radius: float, points: int, dimension: int = 3) -> "Region":
         grid = Grid.centered((2.0 * radius,) * dimension, (int(points),) * dimension)
-        mesh = grid.meshgrid()
-        rr = np.zeros(grid.shape)
-        for x in mesh:
-            rr = rr + x**2
+        rr = reduce(np.add.outer, [x**2 for x in grid.axes])
         return cls(grid=grid, mask=rr <= radius**2 * (1 + 1e-12), kind="ball")
 
 
@@ -262,9 +259,7 @@ def omega_x_mask(points, radius: float, region: Region) -> np.ndarray:
     stop = [a.shape[1] - a[:, ::-1].argmax(1) for a in near]
     for k in np.flatnonzero(np.logical_and.reduce([a.any(1) for a in near])):
         box = tuple(slice(a[k], b[k]) for a, b in zip(start, stop))
-        rr = sum(s[k, b].reshape((-1,) + (1,) * (region.m - 1 - ax))
-                 for ax, (s, b) in enumerate(zip(sq, box)))
-        mask[box] &= rr >= r2
+        mask[box] &= reduce(np.add.outer, [s[k, b] for s, b in zip(sq, box)]) >= r2
     return mask
 
 
@@ -313,11 +308,7 @@ def _random_omega(rng, region: Region) -> tuple[np.ndarray, dict]:
                                            "period": period, "duty": duty}
     if kind == "checkerboard":
         block = max(1, int(rng.integers(1, max(2, min(g.points) // 4))))
-        parity = np.zeros(g.shape, dtype=int)
-        for ax in range(region.m):
-            shape = [1] * region.m
-            shape[ax] = g.points[ax]
-            parity = parity + (np.arange(g.points[ax]) // block).reshape(shape)
+        parity = reduce(np.add.outer, [np.arange(n) // block for n in g.points])
         return mask & (parity % 2 == 0), {"omega": "checkerboard", "block": block}
     if kind == "holes":
         count = int(rng.integers(1, 120))

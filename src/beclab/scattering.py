@@ -18,6 +18,7 @@ from .errors import ConfigError, SolverFailureError
 from .model import PairPotential
 
 _MAX_STEPS = 1 << 21
+_SUBSTITUTE_SHARE = 0.99     # share of the hard-core kinetic fraction a stand-in must reach
 
 
 @dataclass(frozen=True)
@@ -195,17 +196,17 @@ def soft_sphere_with_scattering_length(a: float, radius: float) -> PairPotential
     return PairPotential.soft_sphere(0.5 * (lo + hi), radius)
 
 
-def hard_sphere_substitute(core: float, s_min: float = 0.99) -> PairPotential:
+def hard_sphere_substitute(core: float) -> PairPotential:
     """Tall soft sphere with the same scattering length as a hard core.
 
     Mode-basis expansions cannot represent a hard wall, so many-body runs
     use this stand-in; the height is raised until the kinetic fraction
-    reaches ``s_min`` of its hard-sphere value.
+    reaches ``_SUBSTITUTE_SHARE`` of its hard-sphere value.
     """
     radius = core * 1.25
     while True:
         pot = soft_sphere_with_scattering_length(core, radius)
-        if soft_sphere_kinetic_fraction(pot.height, pot.radius) >= s_min * core:
+        if soft_sphere_kinetic_fraction(pot.height, pot.radius) >= _SUBSTITUTE_SHARE * core:
             return pot
         radius = core + (radius - core) * 0.5
         if radius - core < 1e-12:

@@ -417,3 +417,22 @@ def materialized_localization(ground, gp, basis, radii, samples, seed):
             in_ball[s, di] = edens[dist2 <= d * d].sum()
     ok = totals > 0
     return (in_ball[ok] / totals[ok, None]).mean(axis=0), float(totals.sum()), idx
+
+
+def trap_sample(trap, grid):
+    """``TrapSpec.sample`` for the harmonic and box kinds as a running sum
+    over the sparse mesh, one axis term at a time, from a zero array."""
+    v = np.zeros(grid.shape)
+    if trap.kind == "harmonic":
+        for k, x in zip(trap.stiffness, grid.meshgrid()):
+            v = v + k * x**2
+    return v
+
+
+def ball_mask(grid, radius):
+    """``Region.ball``'s mask on its centred ``grid``, from the running sum
+    of squared coordinates over the sparse mesh."""
+    rr = np.zeros(grid.shape)
+    for x in grid.meshgrid():
+        rr = rr + x**2
+    return rr <= radius**2 * (1 + 1e-12)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beclab import __version__
-from beclab.cli import (canonical_hash, execute, load_config, main, verify)
+from beclab.cli import (canonical_hash, dump_json, execute, load_config, main, verify)
 from beclab.errors import ConfigError
 from beclab.model import MAX_SAMPLES, problem_from_config, trap_from_config
 
@@ -487,6 +487,7 @@ def test_cli_subprocess_entry(tmp_path):
     ("scattering", {"r_max": "x"}), ("gp", {"g": "x"}), ("gp", {"dump_phi": "no"}),
     ("manybody", {"localization": {"radii": [1.0], "samples": "64"}}),
     ("sweep", {"gp_grid": {"extent": ["x", 14, 14], "points": [32, 32, 32]}}),
+    ("sweep", {"gp_grid": {"extent": [14.0, 14.0], "points": [32, 32]}}),
     ("poincare", {"trials": "x"}),
 ], ids=repr)
 def test_bad_solver_value_exits_2_before_out_dir(tmp_path, capsys, experiment, solver):
@@ -677,6 +678,51 @@ def test_planar_trap_of_a_mode_basis_run_exits_2_before_any_solve(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("config error: problem.trap") and "3D only" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_box_trap_off_its_grid_exits_2_before_out_dir(tmp_path, capsys):
+    cfg = small_gp_config()
+    cfg["problem"]["trap"] = {"kind": "box", "side": 1.0}
+    p = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["gp", "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: problem.grid")
+    assert not out.exists()
+
+
+def test_cache_serves_only_runs_of_this_code(tmp_path, monkeypatch):
+    from beclab import cli
+
+    config = load_config(REPO / "configs/scattering_soft_sphere.json", "scattering", {})
+    runs = []
+    monkeypatch.setitem(cli._RUNNERS, "scattering",
+                        lambda c: runs.append(1) or cli.run_scattering(c))
+    out = tmp_path / "out"
+    path = execute(config, out)
+    manifest = path.parent / "manifest.json"
+    assert json.loads(manifest.read_text())["code_digest"] == cli.code_digest()
+    assert execute(config, out) == path and len(runs) == 1     # same code: a cache hit
+    monkeypatch.setattr(cli, "code_digest", lambda: "0" * 64)
+    assert execute(config, out) == path and len(runs) == 2     # other code: redone
+    assert json.loads(manifest.read_text())["code_digest"] == "0" * 64
+    assert execute(config, out) == path and len(runs) == 2
+
+
+def test_dump_json_writes_numpy_values_as_python_ones():
+    record = {"b": {"i": np.int64(7), "f": np.bool_(True), "x": np.float32(0.1),
+                    "m": np.arange(6.0).reshape(2, 3) / 3, "t": (1, np.float64(2.5), "z")},
+              "a": [np.int32(-3), None, float("inf")]}
+    assert dump_json(record) == (
+        '{\n  "a": [\n    -3,\n    null,\n    Infinity\n  ],\n  "b": {\n    "f": true,\n'
+        '    "i": 7,\n    "m": [\n      [\n        0.0,\n        0.3333333333333333,\n'
+        '        0.6666666666666666\n      ],\n      [\n        1.0,\n'
+        '        1.3333333333333333,\n        1.6666666666666667\n      ]\n    ],\n'
+        '    "t": [\n      1,\n      2.5,\n      "z"\n    ],\n'
+        '    "x": 0.10000000149011612\n  }\n}\n')
+    assert dump_json({"z": np.array(1.5)}) == '{\n  "z": 1.5\n}\n'     # a 0-d array: its scalar
+    for other in (object(), {1, 2}, 1j):
+        with pytest.raises(TypeError):
+            dump_json({"z": other})
 
 
 @pytest.mark.parametrize("experiment", ["manybody", "sweep"])

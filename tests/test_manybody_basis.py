@@ -89,6 +89,12 @@ def test_factored_basis_matches_the_materialized_modes(factored):
     assert np.array_equal(basis.modes, modes)
 
 
+def test_box_potential_matrix_is_positive_zero():
+    # the box V vanishes on the grid; its per-axis route gives +0.0 entries
+    u = build_mode_basis(*FACTORED["box"]).potential_matrix()
+    assert u.shape == (20, 20) and not u.any() and not np.signbit(u).any()
+
+
 def test_tabulated_basis_keeps_its_numeric_route():
     grid = bl.Grid.centered((10.0,) * 3, (24,) * 3)
     x, y, z = grid.meshgrid()

@@ -147,16 +147,17 @@ def test_localization_monotone_fractions(basis_q2, interacting):
     assert 0.0 <= fr[0] and fr[-1] <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("grid", [GRID, bl.Grid((-3.0, 0.5, -8.0), (9.0, 4.0, 11.0), (20, 9, 27))],
-                         ids=["cube", "uneven"])
+@pytest.mark.parametrize("grid", [GRID, bl.Grid((-3.0, 0.5, -8.0), (9.0, 4.0, 11.0), (20, 9, 27)),
+                                  bl.Grid((-3.0, 0.5), (9.0, 4.0), (20, 9))],
+                         ids=["cube", "uneven", "planar"])
 def test_ball_box_selects_the_full_grid_ball(grid):
     nodes = [(0, 0, 0), tuple(n // 2 for n in grid.shape), tuple(n - 1 for n in grid.shape),
              (3, grid.shape[1] - 2, 1)]
     radii = [0.1, min(grid.spacing), 0.5, 1.0, 2.0, 3.0, 5.0, 40.0]
-    for node in nodes:
+    for node in (node[:grid.dimension] for node in nodes):
         sq = [(x - x[i]) ** 2 for x, i in zip(grid.axes, node)]
         for d in radii:
-            full = (sq[0][:, None, None] + sq[1][:, None] + sq[2]) <= d * d
+            full = sum((x - x.flat[i]) ** 2 for x, i in zip(grid.meshgrid(), node)) <= d * d
             box, inside = _ball_box(sq, d * d)
             embedded = np.zeros(grid.shape, dtype=bool)
             embedded[box] = inside

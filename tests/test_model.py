@@ -9,6 +9,8 @@ import beclab as bl
 from beclab.errors import ConfigError, InvalidParameterError, OutOfDomainError
 from beclab.model import mirror_parity, problem_from_config
 
+from . import oracles
+
 
 def test_harmonic_trap_examples():
     trap = bl.TrapSpec.harmonic((1.0, 1.0, 1.0))
@@ -121,6 +123,30 @@ def test_box_grid_mismatch_rejected():
     trap = bl.TrapSpec.box(1.0, 3)
     with pytest.raises(ConfigError):
         trap.sample(bl.Grid.centered((2.0,) * 3, (8,) * 3))
+    with pytest.raises(ConfigError, match="dimension"):
+        trap.check_grid(bl.Grid.box(1.0, 8, 2))
+    doc = {"trap": {"kind": "box", "side": 1.0}, "grid": {"extent": [2.0] * 3, "points": [8] * 3}}
+    with pytest.raises(ConfigError, match=r"problem\.grid"):
+        problem_from_config(doc)
+
+
+@pytest.mark.parametrize("trap, grid", [
+    (bl.TrapSpec.harmonic((1.0, 1.7, 0.6)),
+     bl.Grid((-7.1, -6.4, -8.0), (14.0, 13.0, 16.5), (34, 30, 36))),
+    (bl.TrapSpec.harmonic((2.0, 0.5)), bl.Grid.centered((9.0, 11.0), (40, 27))),
+    (bl.TrapSpec.box(1.5, 3), bl.Grid.box(1.5, 24)),
+    (bl.TrapSpec.box(2.0, 2), bl.Grid.box(2.0, 31, 2)),
+], ids=["harmonic3d", "harmonic2d", "box3d", "box2d"])
+def test_sample_matches_the_loop_oracle(trap, grid):
+    v = trap.sample(grid)
+    assert np.array_equal(v, oracles.trap_sample(trap, grid))
+    assert not np.signbit(v).any()
+
+
+def test_tabulated_trap_has_no_axis_potential():
+    grid = bl.Grid.centered((4.0,) * 3, (5,) * 3)
+    with pytest.raises(InvalidParameterError):
+        bl.TrapSpec.tabulated(grid, np.ones(grid.shape)).axis_potential(0, grid.axes[0])
 
 
 @pytest.mark.parametrize("n", [7, 8])

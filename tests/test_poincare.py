@@ -215,6 +215,13 @@ def test_masked_gradient_matches_full_grid_oracle(name):
                               oracles.masked_gradient_sq(f, region))
 
 
+@pytest.mark.parametrize("radius, points, dimension", [
+    (1.0, 32, 3), (2.0, 24, 3), (0.7, 33, 3), (1.0, 96, 2), (3.0, 41, 2)])
+def test_ball_mask_matches_the_loop_oracle(radius, points, dimension):
+    region = Region.ball(radius, points, dimension)
+    assert np.array_equal(region.mask, oracles.ball_mask(region.grid, radius))
+
+
 @pytest.mark.parametrize("name", ["ball32", "box32", "ball96_2d"])
 def test_random_field_matches_full_grid_oracle(name):
     region = ORACLE_REGIONS[name]()
