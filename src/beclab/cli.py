@@ -9,7 +9,9 @@ Surface:
 Runs are content-addressed: the canonical serialization of the full
 configuration is hashed, results live under ``<out>/runs/<hash>/`` and a
 rerun with an unchanged hash is served from cache unless forced or the
-cached run was made by another version or by other code (``code_digest``).
+cached run was made by another version, by other code (``code_digest``),
+by another numpy, or from other content of the input files the config
+names (their sha256 digests in the manifest).
 With the reproducible flag the report bytes are identical run to run.  A
 solver failure writes no report; its diagnostics go to stderr and to
 ``failure.json`` in the run directory.  Exit codes: 0 success, 2
@@ -388,19 +390,41 @@ def code_digest() -> str:
     return digest.hexdigest()
 
 
+def _input_digests(config: dict) -> dict:
+    """sha256 of each file a run reads besides its config, by path: the phi
+    array and grid sidecar of a poincare run's ``gp_dump`` weight."""
+    paths = []
+    if config["experiment"] == "poincare":
+        kind, dump = validate(config)["solver"]["weight"]
+        if kind == "gp_dump":
+            paths = [dump["phi"], dump["grid"]]
+    digests = {}
+    for path in paths:
+        try:
+            digests[path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        except OSError as exc:
+            raise ConfigError(f"cannot read input file: {exc}", field="solver.weight") from None
+    return digests
+
+
 def execute(config: dict, out_dir, force: bool = False) -> Path:
-    """Run (or reuse) the experiment; returns the report path."""
+    """Run (or reuse) the experiment; returns the report path.
+
+    A cached run is served only when its manifest records this code, this
+    numpy and the same content of every input file the config names."""
     out = Path(out_dir or config.get("output") or "bec-lab-out")
     cfg_hash = canonical_hash(config)
-    digest = code_digest()
+    identity = {"code_digest": code_digest(), "numpy_version": np.__version__,
+                "inputs": _input_digests(config)}
     run_dir = out / "runs" / cfg_hash[:16]
     try:
         run_dir.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create the output directory: {exc}", field="out") from None
     report_path = run_dir / "report.json"
-    if (not force and _stored(report_path, "artifact_version") == __version__
-            and _stored(run_dir / "manifest.json", "code_digest") == digest):
+    stored = _stored(run_dir / "manifest.json")
+    if (not force and _stored(report_path).get("artifact_version") == __version__
+            and all(stored.get(key) == value for key, value in identity.items())):
         return report_path
     with _DirLock(out):
         started = time.monotonic()
@@ -432,7 +456,7 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
             "seed": config["seed"],
             "wall_time_s": wall,
             "artifact_version": __version__,
-            "code_digest": digest,
+            **identity,
             "experiment": config["experiment"],
             "config": config,
         }
@@ -440,13 +464,13 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
     return report_path
 
 
-def _stored(path: Path, key: str):
-    """Entry ``key`` of a stored JSON object; None when missing or unreadable."""
+def _stored(path: Path) -> dict:
+    """A stored JSON object; empty when missing, unreadable or not an object."""
     try:
         doc = json.loads(path.read_text())
     except (OSError, ValueError, RecursionError):
-        return None
-    return doc.get(key) if isinstance(doc, dict) else None
+        return {}
+    return doc if isinstance(doc, dict) else {}
 
 
 def _atomic_write(path: Path, data: bytes):

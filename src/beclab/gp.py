@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (ConfigError, DomainTooSmallError, InvalidParameterError,
                      SolverFailureError)
@@ -174,11 +173,11 @@ class _Workspace:
                 h, odd = m // 2, slice(0, m, 2)
                 S_fwd, S_inv, k2 = 2.0 * S[odd, :h], np.ascontiguousarray(S[:h, odd]), k2[odd]
                 flip = H[:h, :h - 1:-1]
-                w, U = sla.eigh(H[:h, :h] + flip)
-                low = np.sort(np.append(w[:2], sla.eigvalsh(H[:h, :h] - flip)[0]))
+                w, U = np.linalg.eigh(H[:h, :h] + flip)
+                low = np.sort(np.append(w[:2], np.linalg.eigvalsh(H[:h, :h] - flip)[0]))
             else:
                 S_fwd = S_inv = S
-                w, U = sla.eigh(H)
+                w, U = np.linalg.eigh(H)
                 low = w
             gaps.append(low[1] - low[0])
             self.forward.append(S_fwd)

@@ -14,7 +14,6 @@ from itertools import chain, combinations_with_replacement, product
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import CapacityError, ConfigError, ResolutionError
 from ..gp import sine_matrix
@@ -370,21 +369,23 @@ class FockBasis:
                          ranks=self.ranks[keep], mode_codes=np.asarray(mode_codes),
                          code=int(code))
 
-    def annihilator(self) -> sp.csr_matrix:
-        """The ladder map a: N -> N-1, shape (D_{N-1} M, size).
+    def annihilator(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ladder map a: N -> N-1 as a gather over D_{N-1} M rows.
 
         Row t*M + i holds a_i x at state t of the full (N-1)-particle
         basis.  a_i reaches t from the single state t + e_i, so every row
-        holds at most one entry (exactly one in the full space; in a
+        reads at most one entry of x (exactly one in the full space; in a
         sector, rows whose source lies outside it are empty): the source
-        state and the amplitude sqrt(n_i).  Removing one boson from mode i
-        lowers rem_j by one for j < i only, so
+        state ``indices`` and the amplitude sqrt(n_i) ``data``.  An empty
+        row has index -1 and amplitude 0, so with a zero appended to x,
+        a x = data * x_ext[indices] (``gather``).  Removing one boson from
+        mode i lowers rem_j by one for j < i only, so
         rank_{N-1}(n - e_i) = rank_N(n) - sum_{j<i} [F_j(rem_j) - F_j(rem_j - 1)].
         """
         M, occ, F = self.M, self.occupations, self._rank_table
         rows = comb(self.N + M - 2, self.N - 1) * M if self.N else 0
         indices = np.full(rows, -1, dtype=np.int64)
-        data = np.empty(rows)
+        data = np.zeros(rows)
         target = self.ranks.copy()
         rem = np.full(self.size, self.N)
         for i in range(M):
@@ -394,9 +395,7 @@ class FockBasis:
             data[row] = np.sqrt(occ[src, i])
             rem -= occ[:, i]
             target -= F[i, rem] - F[i, np.maximum(rem - 1, 0)]
-        filled = indices >= 0
-        indptr = np.concatenate(([0], np.cumsum(filled)))
-        return sp.csr_matrix((data[filled], indices[filled], indptr), shape=(rows, self.size))
+        return indices, data
 
     @classmethod
     def build(cls, N: int, M: int, dimension_cap: int = 200_000,
@@ -418,6 +417,13 @@ class FockBasis:
         modes += np.repeat(np.arange(size) * M, N)
         occ = np.bincount(modes, minlength=size * M).reshape(size, M)
         return cls(N=N, M=M, occupations=occ, ranks=np.arange(size))
+
+
+def gather(ladder: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Apply a one-entry-per-row map (indices, data): row r is
+    data[r] * x[indices[r]], and index -1 reads a zero appended to x."""
+    indices, data = ladder
+    return data * np.append(x, 0.0)[indices]
 
 
 def _rank_table(N: int, M: int) -> np.ndarray:

@@ -1,13 +1,16 @@
-"""Sparse ground states of the second-quantized trapped-boson Hamiltonian.
+"""Ground states of the second-quantized trapped-boson Hamiltonian.
 
 H = sum_i eps_i n_i + (1/2) sum_{ijkl} V[ijkl] a+_i a+_j a_l a_k
 
 over the fixed-N occupation basis.  Every ladder operation comes from the
 one-boson annihilation map a of ``FockBasis``: gamma = W^T W with W = a x,
 and the pair term goes through A = a a: for each unordered mode pair b,
-(A x) collects (a_k a_l x) in the (N-2)-particle basis, so one matvec is two
-sparse products around a dense pair-coefficient multiply; the operator is
-manifestly symmetric and never materialized.
+(A x) collects (a_k a_l x) in the (N-2)-particle basis.  A holds one entry
+per row, so A x is a gather and A^T w a scatter (``np.bincount``) around a
+dense pair-coefficient multiply; the operator is manifestly symmetric and
+never materialized.  The lowest eigenpair comes from a Lanczos loop with
+full reorthogonalization (Paige 1972; Parlett, The Symmetric Eigenvalue
+Problem, ch. 13).
 
 When every mode has a definite reflection parity on every axis, H conserves
 the total parity, and ``ground_state`` solves in the sector of its start
@@ -26,15 +29,17 @@ from functools import cached_property
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from ..errors import SolverFailureError
-from .basis import FockBasis, ModeBasis
+from .basis import FockBasis, ModeBasis, gather
 from .tensor import InteractionTensor, pair_classes
 
 _RESIDUAL_TOL = 1e-9
-_LANCZOS_MAXITER = 20_000
+_LANCZOS_TOL = 1e-13
+# Krylov vectors kept per Lanczos run.  Twice the most a measured solve
+# needed (60 steps, 23,228 states with a strong soft sphere); 120 vectors
+# of a 10^6-state space take 0.96 GB
+_LANCZOS_STEPS = 120
 
 
 @dataclass(frozen=True)
@@ -94,26 +99,27 @@ class PairOpHamiltonian:
     def _build_pair_map(self):
         # (a_k a_l x) for pair j = (k, l) of a class at its (N-2)-particle row
         # r: a_k from the full N-1 basis's map after a_l from ours; each map
-        # holds at most one entry per row, and a_l always finds its source in
-        # our space, so composing them is a gather through our row pointers
+        # reads at most one entry per row, and a_l always finds its source in
+        # our space, so composing them is a gather through our row indices
         fock, M, pairs = self.fock, self.fock.M, self.tensor.pairs
         lower = FockBasis.build(fock.N - 2, M, dimension_cap=10**9)
-        inner = FockBasis.build(fock.N - 1, M, dimension_cap=10**9).annihilator()
-        data, cols, classes, start = [], [], [], 0
+        inner_indices, inner_data = (
+            m.reshape(-1, M)
+            for m in FockBasis.build(fock.N - 1, M, dimension_cap=10**9).annihilator())
+        indices, data = self.lowering
+        cols, amps, classes, start = [], [], [], 0
         for code, members in pair_classes(fock.mode_codes, pairs):
             target = (lower if fock.mode_codes is None
                       else lower.sector(fock.mode_codes, fock.code ^ code))
             k, l = pairs[members].T
             r = target.ranks[:, None]
-            pos = self.lowering.indptr[inner.indices.reshape(-1, M)[r, k] * M + l]
-            data.append((inner.data.reshape(-1, M)[r, k] * self.lowering.data[pos]).ravel())
-            cols.append(self.lowering.indices[pos].ravel())
-            classes.append(PairClass(slice(start, start + pos.size), members, target.ranks,
+            row = inner_indices[r, k] * M + l
+            cols.append(indices[row].ravel())
+            amps.append((inner_data[r, k] * data[row]).ravel())
+            classes.append(PairClass(slice(start, start + row.size), members, target.ranks,
                                      self.pair_fold[np.ix_(members, members)]))
-            start += pos.size
-        pair_map = sp.csr_matrix((np.concatenate(data), np.concatenate(cols),
-                                  np.arange(start + 1)), shape=(start, fock.size))
-        return pair_map, tuple(classes)
+            start += row.size
+        return (np.concatenate(cols), np.concatenate(amps)), tuple(classes)
 
     @property
     def size(self) -> int:
@@ -123,14 +129,13 @@ class PairOpHamiltonian:
         # pair_fold already carries the 1/2 of the normal-ordered pair term
         y = self.diag * x
         if self.pair_map is not None:
-            w = self.pair_map @ x
+            w = gather(self.pair_map, x)
             for cls in self.pair_classes:
                 w[cls.span] = (w[cls.span].reshape(-1, len(cls.pairs)) @ cls.fold).ravel()
-            y = y + self.pair_map.T @ w
+            cols, data = self.pair_map
+            w *= data
+            y += np.bincount(cols, weights=w, minlength=self.size)
         return y
-
-    def operator(self) -> LinearOperator:
-        return LinearOperator((self.size, self.size), matvec=self.matvec, dtype=float)
 
     def expectation(self, x: np.ndarray) -> float:
         return float(x @ self.matvec(x))
@@ -140,7 +145,7 @@ class PairOpHamiltonian:
         full (N-2)-particle basis."""
         if self.pair_map is None:
             raise SolverFailureError("pair annihilation needs N >= 2")
-        w = self.pair_map @ x
+        w = gather(self.pair_map, x)
         weights = self.tensor.pair_weights(c)
         out = np.zeros(comb(self.fock.N + self.fock.M - 3, self.fock.N - 2))
         for cls in self.pair_classes:
@@ -149,22 +154,23 @@ class PairOpHamiltonian:
 
     def one_body_matrix(self, x: np.ndarray) -> np.ndarray:
         """gamma[i, j] = <x| a+_j a_i |x> = (W^T W)[i, j], W[t, i] = (a_i x)(t)."""
-        w = (self.lowering @ x).reshape(-1, self.fock.M)
+        w = gather(self.lowering, x).reshape(-1, self.fock.M)
         return w.T @ w
 
 
 def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
                  dimension_cap: int = 200_000, a: float = 0.0, g: float = 0.0,
                  ham: PairOpHamiltonian | None = None) -> ManyBodyGround:
-    """Lowest eigenpair by implicitly restarted Lanczos on the pair map.
+    """Lowest eigenpair by Lanczos on the pair map.
 
     Deterministic start vector (the fully condensed state); the residual
-    ||Hx - Ex|| <= 1e-9 is verified after the solve and the run is retried
-    at machine tolerance once before declaring failure.  Without ``ham`` the
-    solve runs in the parity sector of the start vector (the full space
-    when the modes have no definite parity); pass the caller's Hamiltonian
-    for this basis, tensor and N to avoid building it again.  The returned
-    coefficients cover the full basis, exact zeros outside the sector.
+    ||Hx - Ex|| <= 1e-9 is verified after the solve, and once more after
+    one restart from the Ritz vector, before declaring failure.  Without
+    ``ham`` the solve runs in the parity sector of the start vector (the
+    full space when the modes have no definite parity); pass the caller's
+    Hamiltonian for this basis, tensor and N to avoid building it again.
+    The returned coefficients cover the full basis, exact zeros outside
+    the sector.
     """
     if ham is None:
         fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap,
@@ -179,29 +185,58 @@ def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
                               gamma=ham.one_body_matrix(x), N=N, a=a, g=g, residual=0.0,
                               basis_size=basis.size)
 
-    v0 = np.zeros(fock.size)
-    v0[0] = 1.0
-    op = ham.operator()
-    for tol in (1e-13, 0.0):
-        try:
-            vals, vecs = eigsh(op, k=1, which="SA", v0=v0, tol=tol, maxiter=_LANCZOS_MAXITER)
-        except Exception as exc:  # ARPACK non-convergence
-            raise SolverFailureError(f"eigensolver stagnation: {exc}") from exc
-        x = vecs[:, 0]
-        x = x / np.linalg.norm(x)
-        if x[np.argmax(np.abs(x))] < 0:
-            x = -x
-        energy = float(vals[0])
+    x = np.zeros(fock.size)
+    x[0] = 1.0
+    matvecs = 0
+    for retried in (False, True):
+        energy, x, steps = _lanczos(ham, x)
         residual = float(np.linalg.norm(ham.matvec(x) - energy * x))
+        matvecs += steps + 1
         if residual <= _RESIDUAL_TOL:
             break
     else:
-        raise SolverFailureError("eigensolver residual above tolerance",
-                                 residual=residual)
+        raise SolverFailureError("eigensolver residual above tolerance", matvecs=matvecs,
+                                 residual=residual, retried=retried)
     gamma = ham.one_body_matrix(x)
     _validate_gamma(gamma, N)
     return ManyBodyGround(energy=energy, coefficients=_scatter(fock, x), gamma=gamma, N=N,
                           a=a, g=g, residual=residual, basis_size=basis.size)
+
+
+def _lanczos(ham: PairOpHamiltonian, v: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """Lowest Ritz pair of H on the Krylov space of the unit vector v, and
+    the number of products with H taken.
+
+    Every new vector is orthogonalized against all earlier ones.  The loop
+    stops when the residual estimate |beta s_m| of the lowest Ritz pair
+    (s_m the last entry of its eigenvector of the tridiagonal T) falls to
+    1e-13 max(1, |theta|), when beta = 0 (the space is invariant), or at
+    ``_LANCZOS_STEPS`` vectors or the full dimension.
+    """
+    basis, alpha, beta = [v], [], []
+    for _ in range(min(_LANCZOS_STEPS, ham.size)):
+        w = ham.matvec(basis[-1])
+        alpha.append(float(basis[-1] @ w))
+        # the three-term recurrence, then one Gram-Schmidt pass over every
+        # vector (a single pass on H v alone loses orthogonality)
+        w -= alpha[-1] * basis[-1]
+        if beta:
+            w -= beta[-1] * basis[-2]
+        for u in basis:
+            w -= (u @ w) * u
+        beta.append(float(np.linalg.norm(w)))
+        off = np.diag(beta[:-1], 1)
+        theta, s = np.linalg.eigh(np.diag(alpha) + off + off.T)
+        if beta[-1] == 0.0 or abs(beta[-1] * s[-1, 0]) <= _LANCZOS_TOL * max(1.0, abs(theta[0])):
+            break
+        basis.append(w / beta[-1])
+    x = np.zeros(ham.size)
+    for c, u in zip(s[:, 0], basis):
+        x += c * u
+    x /= np.linalg.norm(x)
+    if x[np.argmax(np.abs(x))] < 0:
+        x = -x
+    return float(theta[0]), x, len(alpha)
 
 
 def _scatter(fock: FockBasis, x: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..gp import GPState
 from ..poincare import Region, masked_gradient_sq
-from .basis import FockBasis, ModeBasis
+from .basis import FockBasis, ModeBasis, gather
 from .ground import ManyBodyGround
 
 _NA_THRESHOLD = 1e-13
@@ -50,7 +50,7 @@ def _pair_amplitude_matrix(ground: ManyBodyGround, fock: FockBasis) -> np.ndarra
     C_kl = (a_k a_l x) / sqrt(2); state k of the one-particle basis is e_k,
     so a_k a_l x is entry k of a_l x.
     """
-    return (fock.annihilator() @ ground.coefficients).reshape(fock.M, fock.M) / np.sqrt(2.0)
+    return gather(fock.annihilator(), ground.coefficients).reshape(fock.M, fock.M) / np.sqrt(2.0)
 
 
 def _scrambled_sobol(count: int, seed: int) -> np.ndarray:

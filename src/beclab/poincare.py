@@ -124,9 +124,10 @@ def masked_gradient_sq(f: np.ndarray, region: Region) -> np.ndarray:
 
 
 def project_mean_zero(f: np.ndarray, h: np.ndarray, region: Region,
-                      weight: np.ndarray | None = None) -> np.ndarray:
-    """Shift f so that int f h (dmu) = 0 over K, dmu carrying ``weight``."""
-    w = region.node_weights if weight is None else region.node_weights * weight
+                      measure: np.ndarray | None = None) -> np.ndarray:
+    """Shift f so that int f h (dmu) = 0 over K; ``measure`` holds the node
+    weights of dmu (default ``region.node_weights``, the unweighted one)."""
+    w = region.node_weights if measure is None else measure
     denom = float(np.sum(h * w))
     if denom <= 0:
         raise InvalidParameterError("weight h must have positive mass on K")
@@ -172,9 +173,9 @@ class PoincareInstance:
 
 
 def _sides_arrays(region: Region, omega: np.ndarray, f: np.ndarray,
-                  weight: np.ndarray | None = None):
+                  measure: np.ndarray | None = None):
     g = region.grid
-    w = region.node_weights if weight is None else region.node_weights * weight
+    w = region.node_weights if measure is None else measure
     grad2 = masked_gradient_sq(f, region)
     grad_k = float(np.sum(grad2 * w))
     grad_omega = float(np.sum(grad2 * w * omega))
@@ -187,8 +188,8 @@ def _sides_arrays(region: Region, omega: np.ndarray, f: np.ndarray,
     return lhs, f2
 
 
-def _sides(inst: PoincareInstance, weight: np.ndarray | None = None):
-    return _sides_arrays(inst.region, inst.omega, inst.f, weight=weight)
+def _sides(inst: PoincareInstance):
+    return _sides_arrays(inst.region, inst.omega, inst.f)
 
 
 def check_inequality(inst: PoincareInstance, C: float) -> dict:
@@ -206,6 +207,12 @@ class _UnitMeanWeight:
 
     region: Region
     values: np.ndarray
+
+    @cached_property
+    def measure(self) -> np.ndarray:
+        """The node weights of K times the weight: the measure of every
+        weighted integral, formed once for all the trials of an estimate."""
+        return self.region.node_weights * self.values
 
 
 def _unit_mean_weight(weight: np.ndarray, region: Region) -> _UnitMeanWeight:
@@ -233,8 +240,8 @@ def weighted_check(inst: PoincareInstance, weight: np.ndarray | _UnitMeanWeight,
         weight = weight.values
     if not isinstance(weight, _UnitMeanWeight):
         weight = _unit_mean_weight(weight, region)
-    f = project_mean_zero(inst.f.copy(), inst.h, region, weight=weight.values)
-    lhs, f2 = _sides_arrays(region, inst.omega, f, weight=weight.values)
+    f = project_mean_zero(inst.f, inst.h, region, measure=weight.measure)
+    lhs, f2 = _sides_arrays(region, inst.omega, f, measure=weight.measure)
     rhs = f2 / C
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs >= rhs - 1e-12)}
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvalidParameterError, SolverFailureError
 
@@ -37,6 +36,8 @@ class RadialGround:
 def radial_harmonic_ground(g: float, r_max: float = 12.0, n: int = 6000,
                            tol: float = 1e-11, max_scf: int = 500,
                            mixing: float = 0.5) -> RadialGround:
+    import scipy.linalg as sla      # here, so that importing beclab loads no scipy
+
     if g < 0:
         raise InvalidParameterError("coupling g must be nonnegative")
     h = r_max / (n + 1)

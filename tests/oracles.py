@@ -359,11 +359,13 @@ def random_field(rng, region):
 
 
 def per_trial_weighted_estimate(region, weight, c_star, trials, seed):
-    """``poincare.weighted_estimate`` as it was before the weight check and
-    normalization were hoisted: ``weighted_check`` re-checks and re-normalizes
-    the raw weight on every trial."""
+    """``poincare.weighted_estimate`` as it was before the weight check, its
+    normalization and the weighted measure were hoisted: every trial checks
+    and normalizes the raw weight, and the mean-zero projection and the two
+    sides each form node_weights * weight again."""
+    from beclab.errors import InvalidParameterError
     from beclab.poincare import (PoincareInstance, _random_field, _random_omega,
-                                 weighted_check)
+                                 masked_gradient_sq)
 
     wk = weight[region.mask]
     ratio = float(wk.max() / max(wk.min(), 1e-300))
@@ -374,10 +376,21 @@ def per_trial_weighted_estimate(region, weight, c_star, trials, seed):
     for _ in range(trials):
         f = _random_field(rng, region)
         omega, desc = _random_omega(rng, region)
-        res = weighted_check(PoincareInstance.build(region, omega, f, description=desc),
-                             weight, c_prime)
-        holds &= res["holds"]
-        margin = res["lhs"] - res["rhs"]
+        inst = PoincareInstance.build(region, omega, f, description=desc)
+        if wk.min() <= 0 or not np.isfinite(wk).all():
+            raise InvalidParameterError("weight must be positive and finite on K")
+        unit = weight * region.volume / float(np.sum(weight * region.node_weights))
+        w = region.node_weights * unit
+        f = inst.f - float(np.sum(inst.f * inst.h * w)) / float(np.sum(inst.h * w))
+        f[~region.mask] = 0.0
+        w = region.node_weights * unit
+        grad2 = masked_gradient_sq(f, region)
+        vol_omega_c = float(np.sum(region.grid.weights[region.mask & ~omega]))
+        lhs = (float(np.sum(grad2 * w * omega))
+               + (vol_omega_c / region.volume) ** (2.0 / region.m) * float(np.sum(grad2 * w)))
+        rhs = float(np.sum(f**2 * w)) / c_prime
+        holds &= bool(lhs >= rhs - 1e-12)
+        margin = lhs - rhs
         if worst is None or margin < worst["margin"]:
             worst = {"margin": margin, **desc}
     return {"C_prime": c_prime, "weight_ratio": ratio, "holds_all": bool(holds),

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -350,6 +351,21 @@ def test_solver_failure_writes_diagnostics(tmp_path, capsys):
     assert not (run_dir / "report.json").exists()
 
 
+def test_lanczos_failure_writes_its_diagnostics(tmp_path, capsys, monkeypatch):
+    from beclab.manybody import ground
+
+    monkeypatch.setattr(ground, "_LANCZOS_STEPS", 2)
+    p = write_config(tmp_path, small_manybody_config(N=3, max_quanta=2))
+    out = tmp_path / "o"
+    assert main(["manybody", "--config", str(p), "--out", str(out)]) == 3
+    assert "eigensolver residual" in capsys.readouterr().err
+    run_dir = out / "runs" / canonical_hash(load_config(p, "manybody", {}))[:16]
+    diagnostics = json.loads((run_dir / "failure.json").read_text())["diagnostics"]
+    assert diagnostics["matvecs"] == 2 * (2 + 1)     # two runs of two steps, each checked once
+    assert diagnostics["residual"] > 1e-9 and diagnostics["retried"] is True
+    assert not (run_dir / "report.json").exists()
+
+
 def test_hash_sensitivity():
     base = small_gp_config()
     h0 = canonical_hash(base)
@@ -437,6 +453,36 @@ def test_phi_dump_feeds_weighted_poincare(tmp_path):
     assert rep["weighted"]["holds_all"] is True
     assert rep["weighted"]["C_prime"] >= rep["C_star"]
     assert verify([str(po_path)]) == 0
+
+
+def test_cache_rereads_the_input_files_a_config_names(tmp_path):
+    # a weighted Poincare run on a g = 10 dump, then the g = 0 dump copied
+    # over the same two files: a rerun without --force must not serve the
+    # cached weight ratio
+    dumps = {}
+    for g in (10.0, 0.0):
+        cfg = small_gp_config()
+        cfg["solver"] = dict(cfg["solver"], g=g, dump_phi=True)
+        dumps[g] = execute(cfg, tmp_path / f"gp{g:g}").parent
+    phi, grid = tmp_path / "phi.f64", tmp_path / "phi_grid.json"
+    p = write_config(tmp_path, small_poincare_config(
+        {"kind": "gp_dump", "phi": str(phi), "grid": str(grid)}))
+    run_dir = tmp_path / "o" / "runs" / canonical_hash(load_config(p, "poincare", {}))[:16]
+
+    def weight_ratio(g, out):
+        for name in ("phi.f64", "phi_grid.json"):
+            shutil.copyfile(dumps[g] / name, tmp_path / name)
+        assert main(["poincare", "--config", str(p), "--out", str(out)]) == 0
+        return json.loads((out / run_dir.relative_to(tmp_path / "o") / "report.json")
+                          .read_text())["weighted"]["weight_ratio"]
+
+    before = weight_ratio(10.0, tmp_path / "o")
+    after = weight_ratio(0.0, tmp_path / "o")
+    assert after != before
+    assert after == weight_ratio(0.0, tmp_path / "fresh")
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert set(manifest["inputs"]) == {str(phi), str(grid)}
+    assert manifest["numpy_version"] == np.__version__
 
 
 @pytest.mark.parametrize("sidecar,n_bytes", [
@@ -706,6 +752,9 @@ def test_cache_serves_only_runs_of_this_code(tmp_path, monkeypatch):
     assert execute(config, out) == path and len(runs) == 2     # other code: redone
     assert json.loads(manifest.read_text())["code_digest"] == "0" * 64
     assert execute(config, out) == path and len(runs) == 2
+    monkeypatch.setattr(cli.np, "__version__", "0.0")                  # another numpy: redone
+    assert execute(config, out) == path and len(runs) == 3
+    assert json.loads(manifest.read_text())["numpy_version"] == "0.0"
 
 
 def test_dump_json_writes_numpy_values_as_python_ones():

@@ -5,8 +5,8 @@ import pytest
 
 import beclab as bl
 from beclab.manybody import build_mode_basis, ground_state, hartree_energy
-from beclab.manybody.basis import FockBasis
-from beclab.manybody.ground import PairOpHamiltonian, pair_moment
+from beclab.manybody.basis import FockBasis, gather
+from beclab.manybody.ground import PairOpHamiltonian, _lanczos, pair_moment
 from beclab.manybody.localization import _pair_amplitude_matrix
 from beclab.manybody.tensor import interaction_tensor
 
@@ -58,6 +58,32 @@ def test_dense_oracle_equivalence(N, quanta, basis_q1, basis_q2):
     gr = ground_state(basis, tensor, N)
     assert gr.energy == pytest.approx(e_ref, abs=1e-9)
     np.testing.assert_allclose(gr.gamma, gamma_ref, atol=1e-8)
+
+
+@pytest.mark.parametrize("N,quanta", [(2, 2), (3, 2), (4, 1)])
+@pytest.mark.parametrize("height", [5.0, 0.0])
+def test_lanczos_matches_dense_eigh(N, quanta, height, basis_q1, basis_q2):
+    # the in-house Lanczos loop against np.linalg.eigh of the literal
+    # Hamiltonian, on the full space and on the sector; at zero coupling the
+    # start vector (all bosons in mode 0) is an eigenvector, so beta
+    # vanishes at step 1
+    basis = basis_q1 if quanta == 1 else basis_q2
+    tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(height, 1.1))
+    H, _, _ = dense_hamiltonian(basis, tensor, N)
+    for codes in (None, basis.parity_codes):
+        ham = PairOpHamiltonian(basis, tensor, FockBasis.build(N, basis.size, mode_codes=codes))
+        ranks = ham.fock.ranks
+        vals, vecs = np.linalg.eigh(H[np.ix_(ranks, ranks)])
+        x_ref = vecs[:, 0] * np.sign(vecs[np.argmax(np.abs(vecs[:, 0])), 0])
+        start = np.zeros(ham.size)
+        start[0] = 1.0
+        energy, x, steps = _lanczos(ham, start)
+        assert energy == pytest.approx(vals[0], rel=1e-12)
+        np.testing.assert_allclose(x, x_ref, atol=1e-10)
+        assert (steps == 1) == (height == 0.0)
+        gr = ground_state(basis, tensor, N, ham=ham)
+        assert gr.energy == energy and gr.residual <= 1e-9
+        np.testing.assert_array_equal(gr.coefficients[ranks], x)
 
 
 def test_energy_below_random_rayleigh_quotients(basis_q2, soft_tensor_q2):
@@ -122,7 +148,7 @@ def test_ladder_core_on_random_vectors(N, quanta, basis_q1, basis_q2, soft_tenso
         np.testing.assert_allclose(ham.one_body_matrix(x),
                                    dense_gamma(x, states, index, basis.size), atol=1e-12)
         pairs = literal_pair_annihilation(x, N, basis.size, tensor.pairs)
-        np.testing.assert_allclose((ham.pair_map @ x).reshape(-1, tensor.n_pairs), pairs,
+        np.testing.assert_allclose(gather(ham.pair_map, x).reshape(-1, tensor.n_pairs), pairs,
                                    atol=1e-12)
 
 
@@ -195,7 +221,7 @@ def test_sector_pair_map_and_fold_on_random_vectors(N, quanta, basis_q1, basis_q
         full = np.zeros(len(states))
         full[ranks] = x
         literal = literal_pair_annihilation(full, N, basis.size, tensor.pairs)
-        w = ham.pair_map @ x
+        w = gather(ham.pair_map, x)
         covered = np.zeros(literal.shape, dtype=bool)
         for cls in ham.pair_classes:
             np.testing.assert_allclose(w[cls.span].reshape(-1, len(cls.pairs)),

@@ -217,12 +217,14 @@ def test_scrambled_sobol_matches_stored_draws():
         assert np.array_equal(_scrambled_sobol(draw["count"], draw["seed"]), want), draw["seed"]
 
 
-def test_no_module_imports_scipy_stats():
+def test_no_module_imports_scipy():
+    # importing the package loads numpy only; scipy is imported inside the
+    # two functions that call it (the radial oracle, tabulated-trap modes)
     code = ("import importlib, pkgutil, sys, beclab\n"
             "for m in pkgutil.walk_packages(beclab.__path__, 'beclab.'):\n"
             "    importlib.import_module(m.name)\n"
             "assert 'beclab.manybody.localization' in sys.modules\n"
-            "print(sorted(k for k in sys.modules if k.startswith('scipy.stats')))\n")
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n")
     src = str(Path(bl.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)

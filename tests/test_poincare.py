@@ -139,8 +139,8 @@ def test_weighted_rejects_vanishing_weight(box3):
 
 
 def test_weighted_estimate_matches_per_trial_normalization(ball3):
-    # one check and normalization per estimate gives the same dict, bit for
-    # bit, as checking and normalizing the raw weight on every trial
+    # one check, normalization and weighted measure per estimate gives the
+    # same dict, bit for bit, as forming them from the raw weight on every trial
     mesh = ball3.grid.meshgrid()
     w = 0.2 + np.exp(-sum((x - 0.1 * ax) ** 2 for ax, x in enumerate(mesh)) / 0.3)
     got = weighted_estimate(ball3, w, 0.4, trials=24, seed=5)
