@@ -60,7 +60,8 @@ _DRAWS = number(integer=True, minimum=1, cap=MAX_SAMPLES)
 
 LOCALIZATION = {"radii": (numbers(positive=True), REQUIRED), "samples": (_DRAWS, 64)}
 WEIGHTS = {"constant": {}, "gp_dump": {"phi": (file_path, REQUIRED), "grid": (file_path, REQUIRED)}}
-REGIONS = {kind: {size: (number(), REQUIRED), "points": (number(integer=True), REQUIRED),
+REGIONS = {kind: {size: (number(positive=True), REQUIRED),
+                  "points": (number(integer=True, minimum=4), REQUIRED),
                   "dimension": (number(integer=True), 3)}
            for kind, size in (("box", "side"), ("ball", "radius"))}
 

@@ -1,16 +1,20 @@
 """Property testing of the subset-gradient Poincare inequality.
 
-For a nice bounded region K in dimension m, a bounded weight h with
-int_K h = 1, any subset Omega of K (no regularity or connectivity asked
-of it), and any f with int_K f h = 0, there is a constant C with
+For a nice bounded region K in dimension m, any subset Omega of K (no
+regularity or connectivity asked of it), and any f with int_K f = 0,
+there is a constant C with
 
     int_Omega |grad f|^2 + (|Omega^c|/|K|)^(2/m) int_K |grad f|^2
         >= (1/C) int_K |f|^2.
 
-This module evaluates both sides on grid-discretized regions, estimates
-the smallest validating constant over adversarial (f, Omega) ensembles,
-and checks the weighted variant where all integrals carry a positive
-weight bounded above and below.
+The mean-zero weight h of the general statement is taken as h = 1/|K|,
+where it cancels from every formula.  This module evaluates both sides on
+grid-discretized regions, estimates the smallest validating constant over
+adversarial (f, Omega) ensembles, and checks the weighted variant where
+all integrals carry a positive weight bounded above and below.  Either
+way an instance carries its measure dmu and f is projected once so that
+int_K f dmu = 0; one trial generator feeds both estimates, and one check
+(``weighted_check``) evaluates both sides in the instance's measure.
 """
 
 from __future__ import annotations
@@ -123,125 +127,74 @@ def masked_gradient_sq(f: np.ndarray, region: Region) -> np.ndarray:
     return out
 
 
-def project_mean_zero(f: np.ndarray, h: np.ndarray, region: Region,
-                      measure: np.ndarray | None = None) -> np.ndarray:
-    """Shift f so that int f h (dmu) = 0 over K; ``measure`` holds the node
-    weights of dmu (default ``region.node_weights``, the unweighted one)."""
-    w = region.node_weights if measure is None else measure
-    denom = float(np.sum(h * w))
-    if denom <= 0:
-        raise InvalidParameterError("weight h must have positive mass on K")
-    out = f - float(np.sum(f * h * w)) / denom
+def unit_measure(region: Region, weight: np.ndarray | None = None) -> np.ndarray:
+    """The node weights of dmu on K: ``region.node_weights``, or those times
+    ``weight``, checked positive and finite on K and scaled to unit mean there."""
+    if weight is None:
+        return region.node_weights
+    wvals = weight[region.mask]
+    if wvals.min() <= 0 or not np.isfinite(wvals).all():
+        raise InvalidParameterError("weight must be positive and finite on K")
+    unit = weight * region.volume / float(np.sum(weight * region.node_weights))
+    return region.node_weights * unit
+
+
+def project_mean_zero(f: np.ndarray, region: Region, measure: np.ndarray) -> np.ndarray:
+    """f on K shifted so that int_K f dmu = 0, zero off K."""
+    out = np.where(region.mask, f, 0.0)
+    out -= float(np.vdot(out, measure)) / float(np.sum(measure))
     out[~region.mask] = 0.0
     return out
 
 
 @dataclass(frozen=True)
 class PoincareInstance:
-    """One (region, h, Omega, f) tuple with the mean-zero constraint enforced."""
+    """One (region, Omega, f) tuple in the measure dmu, with int_K f dmu = 0."""
 
     region: Region
-    h: np.ndarray
     omega: np.ndarray
     f: np.ndarray
+    measure: np.ndarray
     description: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        w = self.region.node_weights
         if np.any(self.omega & ~self.region.mask):
             raise ConfigError("Omega must be a subset of K", field="omega")
-        hw = float(np.sum(self.h * w))
-        if abs(hw - 1.0) > 1e-8:
-            raise ConfigError(f"int_K h = {hw}, must be 1", field="h")
-        fh = float(np.sum(self.f * self.h * w))
-        if abs(fh) > _MEAN_ZERO_TOL:
-            raise ConfigError(f"int_K f h = {fh}, must vanish", field="f")
+        mean = float(np.vdot(self.f, self.measure)) / self.region.volume
+        if abs(mean) > _MEAN_ZERO_TOL:
+            raise ConfigError(f"int_K f dmu / |K| = {mean}, must vanish", field="f")
 
     @classmethod
     def build(cls, region: Region, omega: np.ndarray, f: np.ndarray,
-              h: np.ndarray | None = None, description: dict | None = None) -> "PoincareInstance":
-        g = region.grid
-        if h is None:
-            h = np.where(region.mask, 1.0 / region.volume, 0.0)
-        else:
-            h = np.where(region.mask, h, 0.0)
-            h = h / float(np.sum(h * g.weights))
-        f = project_mean_zero(np.where(region.mask, f, 0.0), h, region)
-        omega = omega & region.mask
-        return cls(region=region, h=h, omega=omega, f=f,
+              weight: np.ndarray | None = None,
+              description: dict | None = None) -> "PoincareInstance":
+        """f restricted to K and projected once in ``unit_measure(region, weight)``."""
+        measure = unit_measure(region, weight)
+        return cls(region=region, omega=omega & region.mask,
+                   f=project_mean_zero(f, region, measure), measure=measure,
                    description=description or {})
 
 
-def _sides_arrays(region: Region, omega: np.ndarray, f: np.ndarray,
-                  measure: np.ndarray | None = None):
-    g = region.grid
-    w = region.node_weights if measure is None else measure
-    grad2 = masked_gradient_sq(f, region)
+def _sides(inst: PoincareInstance) -> tuple[float, float]:
+    """The left side and int_K f^2 dmu, both in the instance's measure."""
+    region, w, omega = inst.region, inst.measure, inst.omega
+    grad2 = masked_gradient_sq(inst.f, region)
     grad_k = float(np.sum(grad2 * w))
     grad_omega = float(np.sum(grad2 * w * omega))
     # set volumes are unweighted geometry, as in the inequality itself
-    vol_k = region.volume
-    vol_omega_c = float(np.sum(g.weights[region.mask & ~omega]))
-    coeff = (vol_omega_c / vol_k) ** (2.0 / region.m)
+    vol_omega_c = float(np.sum(region.grid.weights[region.mask & ~omega]))
+    coeff = (vol_omega_c / region.volume) ** (2.0 / region.m)
     lhs = grad_omega + coeff * grad_k
-    f2 = float(np.sum(f**2 * w))
+    f2 = float(np.sum(inst.f**2 * w))
     return lhs, f2
 
 
-def _sides(inst: PoincareInstance):
-    return _sides_arrays(inst.region, inst.omega, inst.f)
-
-
-def check_inequality(inst: PoincareInstance, C: float) -> dict:
-    """Evaluate both sides at constant C; degenerate f = 0 trivially holds."""
+def weighted_check(inst: PoincareInstance, C: float) -> dict:
+    """Both sides at constant C in the instance's measure (the unweighted one
+    or a weight's, see ``PoincareInstance.build``); f = 0 trivially holds."""
     if C <= 0:
         raise InvalidParameterError("constant C must be positive")
     lhs, f2 = _sides(inst)
-    rhs = f2 / C
-    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs >= rhs - 1e-12)}
-
-
-@dataclass(frozen=True)
-class _UnitMeanWeight:
-    """A weight checked positive and finite on ``region``'s K, scaled to unit mean there."""
-
-    region: Region
-    values: np.ndarray
-
-    @cached_property
-    def measure(self) -> np.ndarray:
-        """The node weights of K times the weight: the measure of every
-        weighted integral, formed once for all the trials of an estimate."""
-        return self.region.node_weights * self.values
-
-
-def _unit_mean_weight(weight: np.ndarray, region: Region) -> _UnitMeanWeight:
-    wvals = weight[region.mask]
-    if wvals.min() <= 0 or not np.isfinite(wvals).all():
-        raise InvalidParameterError("weight must be positive and finite on K")
-    return _UnitMeanWeight(region, weight * region.volume
-                           / float(np.sum(weight * region.node_weights)))
-
-
-def weighted_check(inst: PoincareInstance, weight: np.ndarray | _UnitMeanWeight,
-                   C: float) -> dict:
-    """The same functional with all three integrals carrying ``weight``.
-
-    The weight must be bounded above and below by positive constants on K;
-    it is normalized to unit mean over K, and f is re-projected so its
-    weighted h-mean vanishes.  ``weighted_estimate`` does the check and the
-    normalization once and passes the resulting ``_UnitMeanWeight`` of the
-    same region to every trial.
-    """
-    if C <= 0:
-        raise InvalidParameterError("constant C must be positive")
-    region = inst.region
-    if isinstance(weight, _UnitMeanWeight) and weight.region is not region:
-        weight = weight.values
-    if not isinstance(weight, _UnitMeanWeight):
-        weight = _unit_mean_weight(weight, region)
-    f = project_mean_zero(inst.f, inst.h, region, measure=weight.measure)
-    lhs, f2 = _sides_arrays(region, inst.omega, f, measure=weight.measure)
     rhs = f2 / C
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs >= rhs - 1e-12)}
 
@@ -335,6 +288,17 @@ def _random_omega(rng, region: Region) -> tuple[np.ndarray, dict]:
                                                "radius": float(radius)}
 
 
+def _ensemble(region: Region, trials: int, seed: int, measure: np.ndarray):
+    """The adversarial trials of both estimates: per trial a random field,
+    then a random Omega, projected in ``measure``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        f = _random_field(rng, region)
+        omega, desc = _random_omega(rng, region)
+        yield PoincareInstance(region=region, omega=omega, measure=measure,
+                               f=project_mean_zero(f, region, measure), description=desc)
+
+
 @dataclass(frozen=True)
 class ConstantEstimate:
     c_star: float
@@ -343,27 +307,22 @@ class ConstantEstimate:
     holds_all: bool
 
 
-def estimate_constant(region: Region, h: np.ndarray | None = None, trials: int = 200,
-                      seed: int = 0) -> ConstantEstimate:
+def estimate_constant(region: Region, trials: int = 200, seed: int = 0) -> ConstantEstimate:
     """Smallest constant validating every observed (f, Omega) trial.
 
     Random smooth fields are paired with adversarial subsets (random cell
     unions, stripes, checkerboards, complements of many tiny balls,
     particle-style exclusions) and C* = max over trials of
     int f^2 / lhs.  The inequality then holds with C = C* for each trial
-    by construction, which is re-asserted (``check_inequality``'s test, on
+    by construction, which is re-asserted (``weighted_check``'s test, on
     each trial's stored sides) before returning.
     """
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
-    rng = np.random.default_rng(seed)
     c_star = 0.0
     worst = {}
     sides = []
-    for t in range(trials):
-        f = _random_field(rng, region)
-        omega, desc = _random_omega(rng, region)
-        inst = PoincareInstance.build(region, omega, f, h=h, description=desc)
+    for t, inst in enumerate(_ensemble(region, trials, seed, unit_measure(region))):
         lhs, f2 = _sides(inst)
         if f2 < 1e-18 or lhs <= 0:
             continue
@@ -374,7 +333,7 @@ def estimate_constant(region: Region, h: np.ndarray | None = None, trials: int =
             worst = dict(inst.description, trial=t, ratio=float(ratio))
     if c_star <= 0:
         raise InvalidParameterError("all trials degenerated; enlarge the ensemble")
-    # check_inequality's predicate at C = C*, on the sides evaluated above
+    # weighted_check's predicate at C = C*, on the sides evaluated above
     holds = all(lhs >= f2 / c_star - 1e-12 for lhs, f2 in sides)
     return ConstantEstimate(c_star=float(c_star), trials=trials,
                             worst_trial=worst, holds_all=bool(holds))
@@ -385,24 +344,20 @@ def weighted_estimate(region: Region, weight: np.ndarray, c_star: float, trials:
     """``weighted_check`` at C' = C* (max w / min w)^2 on K over random trials.
 
     ``c_star`` is the region's unweighted constant; the trials come from the
-    ensemble of ``estimate_constant``, and the worst one has the smallest
-    margin lhs - rhs.
+    ensemble of ``estimate_constant``, here in the weight's measure, and the
+    worst one has the smallest margin lhs - rhs.
     """
-    wnorm = _unit_mean_weight(weight, region)
+    measure = unit_measure(region, weight)
     wk = weight[region.mask]
     ratio = float(wk.max() / max(wk.min(), 1e-300))
     c_prime = c_star * ratio**2
-    rng = np.random.default_rng(seed)
     worst = None
     holds = True
-    for _ in range(trials):
-        f = _random_field(rng, region)
-        omega, desc = _random_omega(rng, region)
-        res = weighted_check(PoincareInstance.build(region, omega, f, description=desc),
-                             wnorm, c_prime)
+    for inst in _ensemble(region, trials, seed, measure):
+        res = weighted_check(inst, c_prime)
         holds &= res["holds"]
         margin = res["lhs"] - res["rhs"]
         if worst is None or margin < worst["margin"]:
-            worst = {"margin": margin, **desc}
+            worst = {"margin": margin, **inst.description}
     return {"C_prime": c_prime, "weight_ratio": ratio, "holds_all": bool(holds),
             "worst_trial": worst}

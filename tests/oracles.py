@@ -358,14 +358,28 @@ def random_field(rng, region):
     return f
 
 
+def _sides(region, f, omega, w):
+    """The left side and int_K f^2 w of the inequality, written out."""
+    from beclab.poincare import masked_gradient_sq
+
+    grad2 = masked_gradient_sq(f, region)
+    vol_omega_c = float(np.sum(region.grid.weights[region.mask & ~omega]))
+    lhs = (float(np.sum(grad2 * w * omega))
+           + (vol_omega_c / region.volume) ** (2.0 / region.m) * float(np.sum(grad2 * w)))
+    return lhs, float(np.sum(f**2 * w))
+
+
+def _worse(worst, margin, desc):
+    return {"margin": margin, **desc} if worst is None or margin < worst["margin"] else worst
+
+
 def per_trial_weighted_estimate(region, weight, c_star, trials, seed):
-    """``poincare.weighted_estimate`` as it was before the weight check, its
-    normalization and the weighted measure were hoisted: every trial checks
-    and normalizes the raw weight, and the mean-zero projection and the two
-    sides each form node_weights * weight again."""
+    """``poincare.weighted_estimate`` written out per trial, with no
+    ``PoincareInstance``: every trial checks and normalizes the raw weight,
+    forms the measure node_weights * weight, projects f once so that
+    int_K f dmu = 0 and takes the two sides in that measure."""
     from beclab.errors import InvalidParameterError
-    from beclab.poincare import (PoincareInstance, _random_field, _random_omega,
-                                 masked_gradient_sq)
+    from beclab.poincare import _random_field, _random_omega
 
     wk = weight[region.mask]
     ratio = float(wk.max() / max(wk.min(), 1e-300))
@@ -376,23 +390,65 @@ def per_trial_weighted_estimate(region, weight, c_star, trials, seed):
     for _ in range(trials):
         f = _random_field(rng, region)
         omega, desc = _random_omega(rng, region)
-        inst = PoincareInstance.build(region, omega, f, description=desc)
         if wk.min() <= 0 or not np.isfinite(wk).all():
             raise InvalidParameterError("weight must be positive and finite on K")
         unit = weight * region.volume / float(np.sum(weight * region.node_weights))
         w = region.node_weights * unit
-        f = inst.f - float(np.sum(inst.f * inst.h * w)) / float(np.sum(inst.h * w))
+        f = np.where(region.mask, f, 0.0)
+        f -= float(np.vdot(f, w)) / float(np.sum(w))
         f[~region.mask] = 0.0
-        w = region.node_weights * unit
-        grad2 = masked_gradient_sq(f, region)
-        vol_omega_c = float(np.sum(region.grid.weights[region.mask & ~omega]))
-        lhs = (float(np.sum(grad2 * w * omega))
-               + (vol_omega_c / region.volume) ** (2.0 / region.m) * float(np.sum(grad2 * w)))
-        rhs = float(np.sum(f**2 * w)) / c_prime
+        lhs, f2 = _sides(region, f, omega, w)
+        rhs = f2 / c_prime
         holds &= bool(lhs >= rhs - 1e-12)
-        margin = lhs - rhs
-        if worst is None or margin < worst["margin"]:
-            worst = {"margin": margin, **desc}
+        worst = _worse(worst, lhs - rhs, desc)
+    return {"C_prime": c_prime, "weight_ratio": ratio, "holds_all": bool(holds),
+            "worst_trial": worst}
+
+
+def _h_route_trials(region, trials, seed):
+    """The trials of the route with a general weight h, at h = 1/|K| on K:
+    h is an array, and f is projected so that int_K f h = 0."""
+    from beclab.poincare import _random_field, _random_omega
+
+    h = np.where(region.mask, 1.0 / region.volume, 0.0)
+    w = region.node_weights
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        f = np.where(region.mask, _random_field(rng, region), 0.0)
+        omega, desc = _random_omega(rng, region)
+        f = f - float(np.sum(f * h * w)) / float(np.sum(h * w))
+        f[~region.mask] = 0.0
+        yield h, f, omega, desc
+
+
+def h_route_estimate_constant(region, trials, seed):
+    """``poincare.estimate_constant``'s C* and worst trial by the h route."""
+    c_star, worst = 0.0, {}
+    for t, (_, f, omega, desc) in enumerate(_h_route_trials(region, trials, seed)):
+        lhs, f2 = _sides(region, f, omega, region.node_weights)
+        if f2 >= 1e-18 and lhs > 0 and f2 / lhs > c_star:
+            c_star = f2 / lhs
+            worst = dict(desc, trial=t, ratio=c_star)
+    return c_star, worst
+
+
+def h_route_weighted_estimate(region, weight, c_star, trials, seed):
+    """``poincare.weighted_estimate`` by the h route: each trial's f, projected
+    in the unweighted measure, is projected again so that its weighted
+    h-mean vanishes."""
+    wk = weight[region.mask]
+    ratio = float(wk.max() / wk.min())
+    c_prime = c_star * ratio**2
+    w = region.node_weights * (weight * region.volume / float(np.sum(weight * region.node_weights)))
+    worst = None
+    holds = True
+    for h, f, omega, desc in _h_route_trials(region, trials, seed):
+        f = f - float(np.sum(f * h * w)) / float(np.sum(h * w))
+        f[~region.mask] = 0.0
+        lhs, f2 = _sides(region, f, omega, w)
+        rhs = f2 / c_prime
+        holds &= bool(lhs >= rhs - 1e-12)
+        worst = _worse(worst, lhs - rhs, desc)
     return {"C_prime": c_prime, "weight_ratio": ratio, "holds_all": bool(holds),
             "worst_trial": worst}
 

@@ -13,8 +13,8 @@ import pytest
 import beclab as bl
 from beclab.manybody import build_mode_basis, ground_state, localization_profile
 from beclab.manybody.tensor import interaction_tensor
-from beclab.poincare import (PoincareInstance, Region, check_inequality,
-                             estimate_constant, weighted_estimate)
+from beclab.poincare import (PoincareInstance, Region, estimate_constant, weighted_check,
+                             weighted_estimate)
 from beclab.scattering import (soft_sphere_kinetic_fraction,
                                soft_sphere_scattering_length)
 
@@ -171,7 +171,7 @@ def test_criterion_8_poincare_suite(gp_g10_96):
     mesh = region.grid.meshgrid()
     f = np.cos(np.pi * mesh[0]) * np.ones(region.grid.shape)
     inst = PoincareInstance.build(region, region.mask.copy(), f)
-    res = check_inequality(inst, 1.0)
+    res = weighted_check(inst, 1.0)
     c_classical = res["rhs"] / res["lhs"]
     oracle_ok = abs(c_classical * np.pi**2 - 1.0) <= 0.02
 

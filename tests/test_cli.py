@@ -535,6 +535,10 @@ def test_cli_subprocess_entry(tmp_path):
     ("sweep", {"gp_grid": {"extent": ["x", 14, 14], "points": [32, 32, 32]}}),
     ("sweep", {"gp_grid": {"extent": [14.0, 14.0], "points": [32, 32]}}),
     ("poincare", {"trials": "x"}),
+    # a bad region entry comes last, and the error names it
+    ("poincare", {"region": {"kind": "ball", "points": 16, "radius": -1.0}}),
+    ("poincare", {"region": {"kind": "box", "points": 16, "side": 0.0}}),
+    ("poincare", {"region": {"kind": "ball", "radius": 1.0, "points": 3}}),
 ], ids=repr)
 def test_bad_solver_value_exits_2_before_out_dir(tmp_path, capsys, experiment, solver):
     cfg = SMALL_CONFIGS[experiment]()
@@ -542,7 +546,10 @@ def test_bad_solver_value_exits_2_before_out_dir(tmp_path, capsys, experiment, s
     p = write_config(tmp_path, cfg)
     out = tmp_path / "o"
     assert main([experiment, "--config", str(p), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error")
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    if "region" in solver:
+        assert f"solver.region.{list(solver['region'])[-1]}" in err
     assert not out.exists()
 
 

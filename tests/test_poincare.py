@@ -8,10 +8,9 @@ import beclab as bl
 from beclab.cli import load_config, run_poincare
 from beclab.errors import InvalidParameterError
 from beclab.model import Grid
-from beclab.poincare import (PoincareInstance, Region, _random_field, _unit_mean_weight,
-                             check_inequality,
-                             estimate_constant, masked_gradient_sq,
-                             omega_x_mask, weighted_check, weighted_estimate)
+from beclab.poincare import (PoincareInstance, Region, _random_field, estimate_constant,
+                             masked_gradient_sq, omega_x_mask, weighted_check,
+                             weighted_estimate)
 
 from . import oracles
 
@@ -43,14 +42,14 @@ def _smooth_field(region, seed=0):
 
 def test_zero_field_holds(box3):
     inst = PoincareInstance.build(box3, box3.mask.copy(), np.zeros(box3.grid.shape))
-    res = check_inequality(inst, 2.0)
+    res = weighted_check(inst, 2.0)
     assert res["holds"] and res["lhs"] == 0.0 and res["rhs"] == 0.0
 
 
 def test_full_omega_reduces_to_classical(box3):
     f = _smooth_field(box3)
     inst = PoincareInstance.build(box3, box3.mask.copy(), f)
-    res = check_inequality(inst, 1.0)
+    res = weighted_check(inst, 1.0)
     grad = float(np.sum(masked_gradient_sq(inst.f, box3) * box3.grid.weights))
     assert res["lhs"] == pytest.approx(grad, rel=1e-12)
 
@@ -58,18 +57,22 @@ def test_full_omega_reduces_to_classical(box3):
 def test_empty_omega_unit_coefficient(box3):
     f = _smooth_field(box3, seed=1)
     inst = PoincareInstance.build(box3, np.zeros_like(box3.mask), f)
-    res = check_inequality(inst, 1.0)
+    res = weighted_check(inst, 1.0)
     grad = float(np.sum(masked_gradient_sq(inst.f, box3) * box3.grid.weights))
     assert res["lhs"] == pytest.approx(grad, rel=1e-12)
 
 
 def test_mean_zero_enforced(box3, ball3):
+    # int_K f dmu = 0 in the instance's own measure, unweighted and weighted
     for region in (box3, ball3):
         f = _smooth_field(region, seed=2) + 3.0
-        inst = PoincareInstance.build(region, region.mask.copy(), f)
-        h = inst.h
-        w = region.grid.weights
-        assert abs(float(np.sum(inst.f * h * w * region.mask))) < 1e-10
+        w = 0.5 + sum(x**2 for x in region.grid.meshgrid())
+        for weight in (None, w):
+            inst = PoincareInstance.build(region, region.mask.copy(), f, weight=weight)
+            mu = region.grid.weights * region.mask
+            if weight is not None:
+                mu = mu * w * region.volume / float(np.sum(mu * w))
+            assert abs(float(np.sum(inst.f * mu))) < 1e-10
 
 
 def test_neumann_eigenvalue_oracle():
@@ -78,7 +81,7 @@ def test_neumann_eigenvalue_oracle():
         mesh = region.grid.meshgrid()
         f = np.cos(np.pi * mesh[0]) * np.ones(region.grid.shape)
         inst = PoincareInstance.build(region, region.mask.copy(), f)
-        res = check_inequality(inst, 1.0)
+        res = weighted_check(inst, 1.0)
         c_star = res["rhs"] / res["lhs"]
         assert c_star == pytest.approx(1.0 / np.pi**2, rel=0.02)
 
@@ -105,8 +108,8 @@ def test_complement_transfer_inequality(ball3):
     omega2 = omega1 & (rng.random(ball3.grid.shape) < 0.6)
     i1 = PoincareInstance.build(ball3, omega1, f)
     i2 = PoincareInstance.build(ball3, omega2, f)
-    r1 = check_inequality(i1, 1.0)
-    r2 = check_inequality(i2, 1.0)
+    r1 = weighted_check(i1, 1.0)
+    r2 = weighted_check(i2, 1.0)
     grad = masked_gradient_sq(i1.f, ball3) * ball3.grid.weights
     moved = float(np.sum(grad * (omega1 & ~omega2)))
     assert r2["lhs"] + moved >= r1["lhs"] - 1e-12
@@ -123,24 +126,24 @@ def test_weighted_constant_weight_matches_plain(box3):
     f = _smooth_field(box3, seed=6)
     omega = box3.mask & (np.random.default_rng(7).random(box3.grid.shape) < 0.5)
     inst = PoincareInstance.build(box3, omega, f)
-    plain = check_inequality(inst, 3.0)
+    plain = weighted_check(inst, 3.0)
     w = np.full(box3.grid.shape, 1.0 / box3.volume)
-    weighted = weighted_check(inst, w, 3.0)
+    weighted = weighted_check(PoincareInstance.build(box3, omega, f, weight=w), 3.0)
     assert weighted["lhs"] == pytest.approx(plain["lhs"], rel=1e-12)
     assert weighted["rhs"] == pytest.approx(plain["rhs"], rel=1e-12)
 
 
 def test_weighted_rejects_vanishing_weight(box3):
     f = _smooth_field(box3, seed=8)
-    inst = PoincareInstance.build(box3, box3.mask.copy(), f)
     w = np.zeros(box3.grid.shape)
     with pytest.raises(InvalidParameterError):
-        weighted_check(inst, w, 1.0)
+        weighted_check(PoincareInstance.build(box3, box3.mask.copy(), f, weight=w), 1.0)
 
 
 def test_weighted_estimate_matches_per_trial_normalization(ball3):
     # one check, normalization and weighted measure per estimate gives the
     # same dict, bit for bit, as forming them from the raw weight on every trial
+    # and projecting f once in that measure
     mesh = ball3.grid.meshgrid()
     w = 0.2 + np.exp(-sum((x - 0.1 * ax) ** 2 for ax, x in enumerate(mesh)) / 0.3)
     got = weighted_estimate(ball3, w, 0.4, trials=24, seed=5)
@@ -233,6 +236,34 @@ def test_random_field_matches_full_grid_oracle(name):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def _assert_close(got, want, key=None):
+    # floats at 1e-12 relative; integers, strings and booleans exact
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_close(got[key], want[key], key)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12), key
+    else:
+        assert type(got) is type(want) and got == want, key
+
+
+@pytest.mark.parametrize("name", ["box32", "ball32", "ball96_2d"])
+def test_estimates_match_the_h_route_oracle(name):
+    # one projection in the check's own measure gives the constant, the worst
+    # trial and the weighted block of the route with an h array and a
+    # weighted re-projection
+    region = ORACLE_REGIONS[name]()
+    mesh = region.grid.meshgrid()
+    w = 0.2 + np.exp(-sum((x - 0.1 * ax) ** 2 for ax, x in enumerate(mesh)) / 0.3)
+    est = estimate_constant(region, trials=60, seed=20260810)
+    c_star, worst = oracles.h_route_estimate_constant(region, trials=60, seed=20260810)
+    _assert_close(est.c_star, c_star)
+    _assert_close(est.worst_trial, worst)
+    _assert_close(weighted_estimate(region, w, c_star, trials=60, seed=11),
+                  oracles.h_route_weighted_estimate(region, w, c_star, trials=60, seed=11))
+
+
 @pytest.mark.parametrize("name", ORACLE_REGIONS)
 def test_omega_x_mask_matches_full_grid_oracle(name):
     region = ORACLE_REGIONS[name]()
@@ -290,26 +321,18 @@ def test_poincare_report_matches_pinned_values():
     config = load_config(ROOT / "configs" / "poincare_ball3d.json", "poincare", {})
     report, _ = run_poincare(config)
     pinned = json.loads((Path(__file__).parent / "data" / "poincare_regression.json").read_text())
-    # floats at 1e-12 relative; integers, strings and booleans exact
     got = dict(report["worst_trial"], C_star=report["C_star"], holds_all=report["holds_all"],
                trials=report["trials"])
     want = dict(pinned["worst_trial"], C_star=pinned["C_star"], holds_all=pinned["holds_all"],
                 trials=pinned["trials"])
-    assert got.keys() == want.keys()
-    for key, value in want.items():
-        if isinstance(value, float):
-            assert got[key] == pytest.approx(value, rel=1e-12), key
-        else:
-            assert type(got[key]) is type(value) and got[key] == value, key
+    _assert_close(got, want)
 
 
 def test_weighted_check_rechecks_weight_of_another_region(box3, ball3):
     # a weight checked and normalized on the ball is checked again on the box,
     # where it vanishes outside the ball
     w = np.where(ball3.mask, 1.0, 0.0)
-    checked = _unit_mean_weight(w, ball3)
-    inst = PoincareInstance.build(box3, box3.mask.copy(), _smooth_field(box3, seed=9))
+    checked = w * ball3.volume / float(np.sum(w * ball3.node_weights))
+    f = _smooth_field(box3, seed=9)
     with pytest.raises(InvalidParameterError):
-        weighted_check(inst, checked.values, 1.0)
-    with pytest.raises(InvalidParameterError):
-        weighted_check(inst, checked, 1.0)
+        weighted_check(PoincareInstance.build(box3, box3.mask.copy(), f, weight=checked), 1.0)
