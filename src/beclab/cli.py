@@ -171,11 +171,10 @@ def dump_json(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: config -> (report dict, auxiliary files)
+# experiment runners: parsed config (``validate``) -> (report dict, auxiliary files)
 # ---------------------------------------------------------------------------
 
-def run_scattering(config: dict):
-    c = validate(config)
+def run_scattering(c: dict):
     solver = c["solver"]
     sol = solve_zero_energy(c["problem"].pair_potential, r_max=solver["r_max"],
                             tol=solver["tol"])
@@ -192,8 +191,7 @@ def run_scattering(config: dict):
     return report, {}
 
 
-def run_gp(config: dict):
-    c = validate(config)
+def run_gp(c: dict):
     problem, solver = c["problem"], c["solver"]
     state = minimize_gp(problem.trap, solver["g"], problem.grid, tol=solver["tol"],
                         max_iter=solver["max_iter"])
@@ -229,10 +227,9 @@ def run_gp(config: dict):
     return report, aux
 
 
-def run_manybody(config: dict):
+def run_manybody(c: dict):
     from .manybody import localization_profile, prepare_pipeline, solve_instance
 
-    c = validate(config)
     problem, solver = c["problem"], c["solver"]
     N, a, g, loc = solver["N"], solver["a"], solver["g"], solver["localization"]
     setup = prepare_pipeline(problem.trap, problem.pair_potential, g, problem.grid,
@@ -262,10 +259,9 @@ def run_manybody(config: dict):
     return report, {}
 
 
-def run_sweep(config: dict):
+def run_sweep(c: dict):
     from .manybody import gp_limit_sweep
 
-    c = validate(config)
     problem, solver = c["problem"], c["solver"]
     result = gp_limit_sweep(problem.trap, problem.pair_potential, g=solver["g"],
                             N_list=solver["N_list"], max_quanta=solver["max_quanta"],
@@ -299,8 +295,7 @@ def load_phi_dump(phi_path, sidecar_path):
     return grid, phi
 
 
-def run_poincare(config: dict):
-    c = validate(config)
+def run_poincare(c: dict):
     solver = c["solver"]
     trials = solver["trials"]
     region_kind, region_fields = solver["region"]
@@ -391,12 +386,13 @@ def code_digest() -> str:
     return digest.hexdigest()
 
 
-def _input_digests(config: dict) -> dict:
+def _input_digests(c: dict) -> dict:
     """sha256 of each file a run reads besides its config, by path: the phi
-    array and grid sidecar of a poincare run's ``gp_dump`` weight."""
+    array and grid sidecar of a poincare run's ``gp_dump`` weight.  ``c`` is
+    the parsed config."""
     paths = []
-    if config["experiment"] == "poincare":
-        kind, dump = validate(config)["solver"]["weight"]
+    if c["experiment"] == "poincare":
+        kind, dump = c["solver"]["weight"]
         if kind == "gp_dump":
             paths = [dump["phi"], dump["grid"]]
     digests = {}
@@ -415,8 +411,9 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
     numpy and the same content of every input file the config names."""
     out = Path(out_dir or config.get("output") or "bec-lab-out")
     cfg_hash = canonical_hash(config)
+    parsed = validate(config)
     identity = {"code_digest": code_digest(), "numpy_version": np.__version__,
-                "inputs": _input_digests(config)}
+                "inputs": _input_digests(parsed)}
     run_dir = out / "runs" / cfg_hash[:16]
     try:
         run_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -430,7 +427,7 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
     with _DirLock(out):
         started = time.monotonic()
         try:
-            report, aux = _RUNNERS[config["experiment"]](config)
+            report, aux = _RUNNERS[config["experiment"]](parsed)
         except SolverFailureError as exc:
             run_dir.mkdir(parents=True, exist_ok=True)
             _atomic_write(run_dir / "failure.json", dump_json({

@@ -3,14 +3,16 @@
 Harmonic and box modes are products of per-axis 1D factors, which the
 basis keeps in place of 3D arrays; tabulated modes are numeric 3D
 eigenvectors.  The occupation basis holds every state or one reflection-
-parity sector of them.
+parity sector of them, both from one enumerator (the full space is the
+sector of all-zero mode codes), and one rank table serves its ladder map
+and the pair map of ``ground``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations_with_replacement, product
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -332,7 +334,9 @@ class FockBasis:
     A basis holds either every state or one reflection-parity sector.  A
     state's parity code is the XOR of ``mode_codes`` over its modes with
     odd occupation; a sector keeps the states of one code in the same
-    order, and ``ranks`` holds their ranks in the full space.
+    order, and ``ranks`` holds their ranks in the full space.  Both are
+    enumerated by ``_sector_states``: the full space is the sector of
+    code 0 when every mode code is 0 (``mode_codes`` None).
     """
 
     N: int
@@ -358,16 +362,6 @@ class FockBasis:
         """Full-space indices of occupation rows (vectorized)."""
         rem = self.N - np.cumsum(np.atleast_2d(occ), axis=1)
         return self._rank_table[np.arange(self.M), rem].sum(axis=1)
-
-    def sector(self, mode_codes: np.ndarray, code: int) -> "FockBasis":
-        """The states of this basis whose parity code is ``code``."""
-        parity = np.zeros(self.size, dtype=np.int64)
-        for i in range(self.M):
-            parity ^= (self.occupations[:, i] & 1) * mode_codes[i]
-        keep = parity == code
-        return FockBasis(N=self.N, M=self.M, occupations=self.occupations[keep],
-                         ranks=self.ranks[keep], mode_codes=np.asarray(mode_codes),
-                         code=int(code))
 
     def annihilator(self) -> tuple[np.ndarray, np.ndarray]:
         """The ladder map a: N -> N-1 as a gather over D_{N-1} M rows.
@@ -397,6 +391,29 @@ class FockBasis:
             target -= F[i, rem] - F[i, np.maximum(rem - 1, 0)]
         return indices, data
 
+    def pair_sources(self, occ: np.ndarray, ranks: np.ndarray, k: np.ndarray,
+                     l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pair map a_k a_l: N -> N-2 at (N-2)-particle states, for pairs
+        k <= l: each state's position in this basis and the amplitude,
+        both (len(occ), len(k)).
+
+        ``occ`` and ``ranks`` are the states' occupations and full-space
+        ranks.  a_k a_l reaches s only from s + e_k + e_l, with amplitude
+        sqrt(s_k + 1) sqrt(s_l + 1 + d_kl), and that state must lie in this
+        basis.  Adding a boson to modes k and l raises rem_j by two for
+        j < k and by one for k <= j < l, so rank_N(s + e_k + e_l) =
+        rank_{N-2}(s) + sum_{j<k} [F_j(rem_j + 2) - F_j(rem_j)]
+        + sum_{k<=j<l} [F_j(rem_j + 1) - F_j(rem_j)].
+        """
+        F, j = self._rank_table, np.arange(self.M)
+        rem = self.N - 2 - np.cumsum(occ, axis=1)
+        # column m: the sum over j < m of the rank steps for two and for one added bosons
+        two, one = (np.cumsum(np.pad(F[j, rem + n] - F[j, rem], ((0, 0), (1, 0))), axis=1)
+                    for n in (2, 1))
+        rank = ranks[:, None] + two[:, k] + one[:, l] - one[:, k]
+        amps = np.sqrt(occ[:, k] + 1) * np.sqrt(occ[:, l] + 1 + (k == l))
+        return np.searchsorted(self.ranks, rank), amps
+
     @classmethod
     def build(cls, N: int, M: int, dimension_cap: int = 200_000,
               mode_codes: np.ndarray | None = None) -> "FockBasis":
@@ -406,17 +423,11 @@ class FockBasis:
         if size > dimension_cap:
             raise CapacityError(
                 f"occupation basis has {size} states, above the cap {dimension_cap}")
-        if mode_codes is not None:
-            mode_codes = np.asarray(mode_codes)
-            code = int(mode_codes[0] * (N % 2))
-            occ, ranks = _sector_states(N, M, mode_codes, code)
-            return cls(N=N, M=M, occupations=occ, ranks=ranks, mode_codes=mode_codes,
-                       code=code)
-        modes = np.fromiter(chain.from_iterable(combinations_with_replacement(range(M), N)),
-                            dtype=np.int64, count=size * N)
-        modes += np.repeat(np.arange(size) * M, N)
-        occ = np.bincount(modes, minlength=size * M).reshape(size, M)
-        return cls(N=N, M=M, occupations=occ, ranks=np.arange(size))
+        codes = np.zeros(M, dtype=np.int64) if mode_codes is None else np.asarray(mode_codes)
+        code = int(codes[0] * (N % 2))
+        occ, ranks = _sector_states(N, M, codes, code)
+        return cls(N=N, M=M, occupations=occ, ranks=ranks,
+                   mode_codes=None if mode_codes is None else codes, code=code)
 
 
 def gather(ladder: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:

@@ -2,15 +2,17 @@
 
 H = sum_i eps_i n_i + (1/2) sum_{ijkl} V[ijkl] a+_i a+_j a_l a_k
 
-over the fixed-N occupation basis.  Every ladder operation comes from the
-one-boson annihilation map a of ``FockBasis``: gamma = W^T W with W = a x,
-and the pair term goes through A = a a: for each unordered mode pair b,
-(A x) collects (a_k a_l x) in the (N-2)-particle basis.  A holds one entry
-per row, so A x is a gather and A^T w a scatter (``np.bincount``) around a
-dense pair-coefficient multiply; the operator is manifestly symmetric and
-never materialized.  The lowest eigenpair comes from a Lanczos loop with
-full reorthogonalization (Paige 1972; Parlett, The Symmetric Eigenvalue
-Problem, ch. 13).
+over the fixed-N occupation basis.  Two ladder maps read their source
+states off the basis's one rank table: the one-boson annihilation map a
+(``FockBasis.annihilator``) gives gamma = W^T W with W = a x, and the pair
+map A (``FockBasis.pair_sources``) carries the pair term: for each
+unordered mode pair b = (k, l), (A x) collects (a_k a_l x) over the
+(N-2)-particle states, the only other occupation space a solve builds.
+A holds one entry per row, so A x is a gather and A^T w a scatter
+(``np.bincount``) around a dense pair-coefficient multiply; the operator is
+manifestly symmetric and never materialized.  The lowest eigenpair comes
+from a Lanczos loop with full reorthogonalization (Paige 1972; Parlett,
+The Symmetric Eigenvalue Problem, ch. 13).
 
 When every mode has a definite reflection parity on every axis, H conserves
 the total parity, and ``ground_state`` solves in the sector of its start
@@ -98,27 +100,22 @@ class PairOpHamiltonian:
 
     def _build_pair_map(self):
         # (a_k a_l x) for pair j = (k, l) of a class at its (N-2)-particle row
-        # r: a_k from the full N-1 basis's map after a_l from ours; each map
-        # reads at most one entry per row, and a_l always finds its source in
-        # our space, so composing them is a gather through our row indices
-        fock, M, pairs = self.fock, self.fock.M, self.tensor.pairs
-        lower = FockBasis.build(fock.N - 2, M, dimension_cap=10**9)
-        inner_indices, inner_data = (
-            m.reshape(-1, M)
-            for m in FockBasis.build(fock.N - 1, M, dimension_cap=10**9).annihilator())
-        indices, data = self.lowering
+        # r reads one state of ours (FockBasis.pair_sources); the pairs of
+        # class c reach the (N-2)-particle states of parity code ours ^ c
+        fock, pairs = self.fock, self.tensor.pairs
+        codes = np.zeros(fock.M, dtype=np.int64) if fock.mode_codes is None else fock.mode_codes
+        lower = FockBasis.build(fock.N - 2, fock.M, dimension_cap=fock.full_size)
+        parity = np.bitwise_xor.reduce((lower.occupations & 1) * codes, axis=1)
         cols, amps, classes, start = [], [], [], 0
-        for code, members in pair_classes(fock.mode_codes, pairs):
-            target = (lower if fock.mode_codes is None
-                      else lower.sector(fock.mode_codes, fock.code ^ code))
+        for code, members in pair_classes(codes, pairs):
+            rows = np.flatnonzero(parity == fock.code ^ code)
             k, l = pairs[members].T
-            r = target.ranks[:, None]
-            row = inner_indices[r, k] * M + l
-            cols.append(indices[row].ravel())
-            amps.append((inner_data[r, k] * data[row]).ravel())
-            classes.append(PairClass(slice(start, start + row.size), members, target.ranks,
+            col, amp = fock.pair_sources(lower.occupations[rows], lower.ranks[rows], k, l)
+            cols.append(col.ravel())
+            amps.append(amp.ravel())
+            classes.append(PairClass(slice(start, start + col.size), members, lower.ranks[rows],
                                      self.pair_fold[np.ix_(members, members)]))
-            start += row.size
+            start += col.size
         return (np.concatenate(cols), np.concatenate(amps)), tuple(classes)
 
     @property

@@ -129,7 +129,7 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
     if any(d <= 0 for d in radii):
         raise ConfigError("ball radii must be positive", field="radii")
 
-    fock = FockBasis.build(2, basis.size, dimension_cap=10**9)
+    fock = FockBasis.build(2, basis.size)
     C = _pair_amplitude_matrix(ground, fock)
 
     phi = gp.phi

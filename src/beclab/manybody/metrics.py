@@ -26,7 +26,6 @@ from ..model import axis_apply, trapezoid_weights
 from .basis import (ModeBasis, build_mode_basis, hermite_functions, pair_density,
                     separable_modes)
 from .ground import ManyBodyGround, PairOpHamiltonian, pair_moment
-from .tensor import InteractionTensor
 
 _MIN_REFERENCE_WEIGHT = 0.99    # share of the mean-field state the modes must carry
 _K_MAX, _K_POINTS = 10.0, 61
@@ -145,16 +144,14 @@ def momentum_distribution(ground: ManyBodyGround, basis: ModeBasis, k_axes=None)
 
 
 def condensate_metrics(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
-                       tensor: InteractionTensor | None = None,
-                       ham: PairOpHamiltonian | None = None,
-                       k_axes=None,
+                       ham: PairOpHamiltonian, k_axes=None,
                        reference: tuple[np.ndarray, float] | None = None) -> CondensateReport:
     """Every scalar the condensation statements speak about, in one pass.
 
-    Pass the already-built Hamiltonian to avoid reassembling its pair map;
-    otherwise a tensor must be supplied to build one for the pair moment.
-    ``reference`` is ``expand_reference(gp, basis)`` when the caller already
-    holds it (a sweep shares one across its rows).
+    ``ham`` is the Hamiltonian the ground state was solved with; its pair
+    map gives the pair moment.  ``reference`` is ``expand_reference(gp,
+    basis)`` when the caller already holds it (a sweep shares one across
+    its rows).
     """
     c, weight = reference if reference is not None else expand_reference(gp, basis)
     gamma_n = ground.gamma / ground.N
@@ -175,13 +172,6 @@ def condensate_metrics(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
     coverage = reference_cov + float(np.sum(delta * kw))
 
     if ground.N >= 2:
-        if ham is None:
-            if tensor is None:
-                raise ConfigError("pair moment needs either a Hamiltonian or a tensor")
-            from .basis import FockBasis
-
-            fock = FockBasis.build(ground.N, basis.size, dimension_cap=10**9)
-            ham = PairOpHamiltonian(basis, tensor, fock)
         pm = pair_moment(ham, ground.coefficients[ham.fock.ranks], c) / ground.N**2
     else:
         pm = 0.0

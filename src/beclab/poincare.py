@@ -129,9 +129,13 @@ def masked_gradient_sq(f: np.ndarray, region: Region) -> np.ndarray:
 
 def unit_measure(region: Region, weight: np.ndarray | None = None) -> np.ndarray:
     """The node weights of dmu on K: ``region.node_weights``, or those times
-    ``weight``, checked positive and finite on K and scaled to unit mean there."""
+    ``weight`` (an array of the grid's shape, read on K only), checked
+    positive and finite on K and scaled to unit mean there."""
     if weight is None:
         return region.node_weights
+    if np.shape(weight) != region.grid.shape:
+        raise InvalidParameterError(f"weight must have the grid's shape {region.grid.shape}")
+    weight = np.where(region.mask, weight, 0.0)
     wvals = weight[region.mask]
     if wvals.min() <= 0 or not np.isfinite(wvals).all():
         raise InvalidParameterError("weight must be positive and finite on K")

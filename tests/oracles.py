@@ -68,6 +68,44 @@ def literal_pair_amplitudes(x, N2_states):
     return C
 
 
+def sector(fock, mode_codes, code):
+    """The states of ``fock`` whose parity code is ``code``, by filtering its
+    rows: the code is the XOR of ``mode_codes`` over odd occupations."""
+    from beclab.manybody.basis import FockBasis
+
+    parity = np.zeros(fock.size, dtype=np.int64)
+    for i in range(fock.M):
+        parity ^= (fock.occupations[:, i] & 1) * mode_codes[i]
+    keep = parity == code
+    return FockBasis(N=fock.N, M=fock.M, occupations=fock.occupations[keep],
+                     ranks=fock.ranks[keep], mode_codes=np.asarray(mode_codes), code=int(code))
+
+
+def composed_pair_map(fock, pairs):
+    """The pair map (cols, amps) of ``PairOpHamiltonian`` composed from two
+    one-boson maps: a_k of the full (N-1)-particle basis after a_l of
+    ``fock``, at the (N-2)-particle rows of each pair class in class order
+    (a class of code c reaches the rows of parity code ``fock.code ^ c``)."""
+    from beclab.manybody.basis import FockBasis
+    from beclab.manybody.tensor import pair_classes
+
+    M = fock.M
+    lower = FockBasis.build(fock.N - 2, M, dimension_cap=10**9)
+    inner = FockBasis.build(fock.N - 1, M, dimension_cap=10**9)
+    inner_indices, inner_data = (m.reshape(-1, M) for m in inner.annihilator())
+    indices, data = fock.annihilator()
+    cols, amps = [], []
+    for code, members in pair_classes(fock.mode_codes, pairs):
+        target = (lower if fock.mode_codes is None
+                  else sector(lower, fock.mode_codes, fock.code ^ code))
+        k, l = pairs[members].T
+        r = target.ranks[:, None]
+        row = inner_indices[r, k] * M + l
+        cols.append(indices[row].ravel())
+        amps.append((inner_data[r, k] * data[row]).ravel())
+    return np.concatenate(cols), np.concatenate(amps)
+
+
 def dense_hamiltonian(basis, tensor, N):
     """Dense H by literal application of the normal-ordered pair term."""
     from beclab.manybody.basis import FockBasis

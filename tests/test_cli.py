@@ -485,6 +485,28 @@ def test_cache_rereads_the_input_files_a_config_names(tmp_path):
     assert manifest["numpy_version"] == np.__version__
 
 
+def test_execute_parses_the_config_once(tmp_path, monkeypatch):
+    # the parsed config serves both the input digests and the runner
+    from beclab import cli
+
+    cfg = small_gp_config()
+    cfg["solver"] = dict(cfg["solver"], dump_phi=True)
+    dump = execute(cfg, tmp_path / "gp").parent
+    p = write_config(tmp_path, small_poincare_config(
+        {"kind": "gp_dump", "phi": str(dump / "phi.f64"), "grid": str(dump / "phi_grid.json")}))
+    config = load_config(p, "poincare", {})
+    parsed, validate = [], cli.validate
+    monkeypatch.setattr(cli, "validate", lambda c: parsed.append(validate(c)) or parsed[-1])
+    ran = []
+    monkeypatch.setitem(cli._RUNNERS, "poincare",
+                        lambda c: ran.append(c) or cli.run_poincare(c))
+    execute(config, tmp_path / "o")
+    assert len(parsed) == 1 and ran == parsed
+    assert set(json.loads((tmp_path / "o" / "runs" / canonical_hash(config)[:16]
+                           / "manifest.json").read_text())["inputs"]) == {
+        str(dump / "phi.f64"), str(dump / "phi_grid.json")}
+
+
 @pytest.mark.parametrize("sidecar,n_bytes", [
     ({"lo": [-7.0] * 3, "extent": [14.0] * 3, "points": [8] * 3}, 8 * 8**3 - 4),
     ({"extent": [14.0] * 3, "points": [8] * 3}, 8 * 8**3),

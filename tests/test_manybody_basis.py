@@ -9,7 +9,7 @@ from beclab.manybody import build_mode_basis
 from beclab.manybody.basis import (FockBasis, _energy_check_error, _product_modes,
                                    separable_modes)
 
-from .oracles import fock_states, literal_annihilation, rayleigh_quotient_3d
+from .oracles import fock_states, literal_annihilation, rayleigh_quotient_3d, sector
 
 
 def test_single_mode_basis(trap, grid48):
@@ -165,7 +165,7 @@ def test_fock_rank_bijection(N, M):
 def test_sector_enumeration_matches_the_filter_route(N, M, data):
     codes = np.array(data.draw(st.lists(st.integers(0, 7), min_size=M, max_size=M)))
     direct = FockBasis.build(N, M, mode_codes=codes)
-    filtered = FockBasis.build(N, M).sector(codes, codes[0] * (N % 2))
+    filtered = sector(FockBasis.build(N, M), codes, codes[0] * (N % 2))
     assert np.array_equal(direct.occupations, filtered.occupations)
     assert np.array_equal(direct.ranks, filtered.ranks)
     assert direct.code == filtered.code and np.array_equal(direct.mode_codes, codes)
@@ -175,7 +175,7 @@ def test_sector_enumeration_matches_the_filter_route(N, M, data):
 def test_sector_enumeration_at_the_sweep_size(basis_q3, N):
     codes = basis_q3.parity_codes
     direct = FockBasis.build(N, basis_q3.size, mode_codes=codes)
-    filtered = FockBasis.build(N, basis_q3.size).sector(codes, codes[0] * (N % 2))
+    filtered = sector(FockBasis.build(N, basis_q3.size), codes, codes[0] * (N % 2))
     assert np.array_equal(direct.occupations, filtered.occupations)
     assert np.array_equal(direct.ranks, filtered.ranks)
 
@@ -185,11 +185,13 @@ def test_capacity_cap():
         FockBasis.build(12, 20, dimension_cap=200_000)
 
 
-@pytest.mark.parametrize("N,M", [(0, 1), (0, 4), (1, 1), (1, 5), (3, 1), (2, 4), (4, 3)])
+@pytest.mark.parametrize("N,M", [(0, 1), (0, 4), (1, 1), (1, 5), (3, 1), (2, 4), (4, 3),
+                                 (6, 8), (5, 7)])
 def test_fock_build_order_matches_combinations(N, M):
     states, _ = fock_states(N, M)
     fock = FockBasis.build(N, M)
     np.testing.assert_array_equal(fock.occupations, np.array(states).reshape(len(states), M))
+    np.testing.assert_array_equal(fock.ranks, np.arange(len(states)))
 
 
 @pytest.mark.parametrize("N,M", [(2, 84), (3, 30), (1, 5), (2, 1)])

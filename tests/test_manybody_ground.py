@@ -10,8 +10,8 @@ from beclab.manybody.ground import PairOpHamiltonian, _lanczos, pair_moment
 from beclab.manybody.localization import _pair_amplitude_matrix
 from beclab.manybody.tensor import interaction_tensor
 
-from .oracles import (dense_gamma, dense_ground, dense_hamiltonian, fock_states,
-                      literal_pair_amplitudes, literal_pair_annihilation)
+from .oracles import (composed_pair_map, dense_gamma, dense_ground, dense_hamiltonian,
+                      fock_states, literal_pair_amplitudes, literal_pair_annihilation)
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
 TRAP = bl.TrapSpec.harmonic((1.0, 1.0, 1.0))
@@ -234,3 +234,51 @@ def test_sector_pair_map_and_fold_on_random_vectors(N, quanta, basis_q1, basis_q
         c = _random_unit(rng, basis.size)
         np.testing.assert_allclose(ham.pair_annihilation(x, c),
                                    literal @ tensor.pair_weights(c), atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def sweep_tensor_q3(basis_q3):
+    return interaction_tensor(basis_q3, bl.PairPotential.soft_sphere(0.01, 8.853088605086427))
+
+
+def _assert_pair_map_is_composed(ham):
+    cols, amps = composed_pair_map(ham.fock, ham.tensor.pairs)
+    assert np.array_equal(ham.pair_map[0], cols)
+    assert np.array_equal(ham.pair_map[1], amps)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_pair_map_matches_the_composed_map_on_sweep_sectors(N, basis_q3, sweep_tensor_q3):
+    _assert_pair_map_is_composed(_sector_hamiltonian(basis_q3, sweep_tensor_q3, N))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_pair_map_matches_the_composed_map_in_the_full_space(N):
+    h = GRID.spacing[0]
+    shifted = bl.Grid(tuple(lo + h / 2 for lo in GRID.lo), GRID.extent, GRID.points)
+    basis = build_mode_basis(TRAP, shifted, 2)
+    assert basis.parity_codes is None
+    tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    _assert_pair_map_is_composed(PairOpHamiltonian(basis, tensor,
+                                                   FockBasis.build(N, basis.size)))
+
+
+def test_sector_hamiltonian_builds_only_the_n_minus_2_space(monkeypatch, basis_q2,
+                                                           soft_tensor_q2):
+    fock = FockBasis.build(4, basis_q2.size, mode_codes=basis_q2.parity_codes)
+    built, lowered = [], []
+    build, annihilator = FockBasis.build.__func__, FockBasis.annihilator
+
+    def build_spy(cls, N, *args, **kwargs):
+        built.append(N)
+        return build(cls, N, *args, **kwargs)
+
+    def annihilator_spy(self):
+        lowered.append(self.N)
+        return annihilator(self)
+
+    monkeypatch.setattr(FockBasis, "build", classmethod(build_spy))
+    monkeypatch.setattr(FockBasis, "annihilator", annihilator_spy)
+    PairOpHamiltonian(basis_q2, soft_tensor_q2, fock)
+    assert built == [2]
+    assert lowered == [4]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import beclab as bl
-from beclab.cli import load_config, run_poincare
+from beclab.cli import load_config, run_poincare, validate
 from beclab.errors import InvalidParameterError
 from beclab.model import Grid
 from beclab.poincare import (PoincareInstance, Region, _random_field, estimate_constant,
@@ -156,6 +156,26 @@ def test_weighted_estimate_rejects_vanishing_weight(ball3):
     w[tuple(n // 2 for n in ball3.grid.shape)] = 0.0
     with pytest.raises(InvalidParameterError):
         weighted_estimate(ball3, w, 0.4, trials=3, seed=1)
+
+
+def test_weight_must_have_the_grid_shape(ball3):
+    # a weight that only broadcasts to the grid is refused, not indexed
+    w = 0.5 + ball3.grid.meshgrid()[0] ** 2
+    assert w.shape != ball3.grid.shape
+    with pytest.raises(InvalidParameterError, match="shape"):
+        PoincareInstance.build(ball3, ball3.mask.copy(), _smooth_field(ball3, seed=8), weight=w)
+    with pytest.raises(InvalidParameterError, match="shape"):
+        weighted_estimate(ball3, w, 0.4, trials=3, seed=1)
+
+
+def test_weight_is_read_on_k_only():
+    # NaN off K neither trips the on-K check nor reaches the measure
+    region = Region.ball(1.0, 16, 3)
+    w = 1.0 + sum(x**2 for x in region.grid.meshgrid())
+    want = weighted_estimate(region, w, 0.4, trials=5, seed=2)
+    got = weighted_estimate(region, np.where(region.mask, w, np.nan), 0.4, trials=5, seed=2)
+    assert got == want
+    assert got["holds_all"] and np.isfinite(got["worst_trial"]["margin"])
 
 
 def test_omega_x_mask_geometry(ball3):
@@ -319,7 +339,7 @@ def test_region_mask_is_read_only():
 
 def test_poincare_report_matches_pinned_values():
     config = load_config(ROOT / "configs" / "poincare_ball3d.json", "poincare", {})
-    report, _ = run_poincare(config)
+    report, _ = run_poincare(validate(config))
     pinned = json.loads((Path(__file__).parent / "data" / "poincare_regression.json").read_text())
     got = dict(report["worst_trial"], C_star=report["C_star"], holds_all=report["holds_all"],
                trials=report["trials"])
