@@ -141,6 +141,9 @@ def validate(config: dict) -> dict:
             s["a"] = s["g"] / (4.0 * math.pi * s["N"])
         else:
             raise ConfigError("manybody needs g or a", field="solver")
+        if s["localization"] is not None and s["N"] != 2:
+            raise ConfigError("localization profile is defined for N = 2 runs",
+                              field="solver.localization")
     if experiment in ("manybody", "sweep"):
         if problem.trap.dimension != 3:
             raise ConfigError("mode bases are built in 3D only", field="problem.trap")
@@ -171,7 +174,7 @@ def dump_json(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: parsed config (``validate``) -> (report dict, auxiliary files)
+# experiment runners: parsed config (``validate``, ``_read_inputs``) -> (report, aux files)
 # ---------------------------------------------------------------------------
 
 def run_scattering(c: dict):
@@ -244,7 +247,7 @@ def run_manybody(c: dict):
         "E_gp": setup.gp.energy_total,
         "eigen_residual": ground.residual,
         "mode_count": setup.basis.size,
-        "fock_dimension": ground.coefficients.size,
+        "fock_dimension": ground.ham.fock.full_size,
         "natural_occupation_sum": float(ground.natural_occupations.sum()),
         "rayleigh_per_N": rayleigh,
         "metrics": asdict(report_metrics) | {
@@ -278,11 +281,11 @@ def run_sweep(c: dict):
     return report, {"sweep.csv": result.to_csv()}
 
 
-def load_phi_dump(phi_path, sidecar_path):
+def load_phi_dump(raw: bytes, sidecar: bytes):
+    """The checked grid and phi array of a mean-field dump, from its bytes."""
     try:
-        meta = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
-        raw = Path(phi_path).read_bytes()
-    except (OSError, ValueError, RecursionError) as exc:
+        meta = json.loads(sidecar.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read mean-field dump: {exc}", field="solver.weight")
     if not isinstance(meta, dict) or not {"lo", "extent", "points"} <= set(meta):
         raise ConfigError("grid sidecar needs lo, extent and points", field="solver.weight")
@@ -312,7 +315,7 @@ def run_poincare(c: dict):
     }
     weight_kind, dump = solver["weight"]
     if weight_kind == "gp_dump":
-        dump_grid, phi = load_phi_dump(dump["phi"], dump["grid"])
+        dump_grid, phi = dump["loaded"]
         mesh = np.meshgrid(*region.grid.axes, indexing="ij")
         pts = np.stack(mesh, axis=-1)
         w = multilinear_interpolate(dump_grid, phi, pts, field="solver.weight") ** 2
@@ -386,22 +389,20 @@ def code_digest() -> str:
     return digest.hexdigest()
 
 
-def _input_digests(c: dict) -> dict:
+def _read_inputs(c: dict) -> dict:
     """sha256 of each file a run reads besides its config, by path: the phi
     array and grid sidecar of a poincare run's ``gp_dump`` weight.  ``c`` is
-    the parsed config."""
-    paths = []
-    if c["experiment"] == "poincare":
-        kind, dump = c["solver"]["weight"]
-        if kind == "gp_dump":
-            paths = [dump["phi"], dump["grid"]]
-    digests = {}
-    for path in paths:
-        try:
-            digests[path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        except OSError as exc:
-            raise ConfigError(f"cannot read input file: {exc}", field="solver.weight") from None
-    return digests
+    the parsed config.  Each is read once; the dump is checked and its (grid,
+    phi) put in the weight block as ``loaded`` for the run."""
+    if c["experiment"] != "poincare" or c["solver"]["weight"][0] != "gp_dump":
+        return {}
+    dump = c["solver"]["weight"][1]
+    try:
+        raw = {path: Path(path).read_bytes() for path in (dump["phi"], dump["grid"])}
+    except OSError as exc:
+        raise ConfigError(f"cannot read input file: {exc}", field="solver.weight") from None
+    dump["loaded"] = load_phi_dump(raw[dump["phi"]], raw[dump["grid"]])
+    return {path: hashlib.sha256(data).hexdigest() for path, data in raw.items()}
 
 
 def execute(config: dict, out_dir, force: bool = False) -> Path:
@@ -413,7 +414,7 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
     cfg_hash = canonical_hash(config)
     parsed = validate(config)
     identity = {"code_digest": code_digest(), "numpy_version": np.__version__,
-                "inputs": _input_digests(parsed)}
+                "inputs": _read_inputs(parsed)}
     run_dir = out / "runs" / cfg_hash[:16]
     try:
         run_dir.parent.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,10 @@
 """Exact few-boson ground states in a truncated trap-mode basis.
 
 Builds single-particle mode bases, second-quantized interaction tensors,
-sparse ground-state solves over the fixed-N occupation basis, condensate
-diagnostics against a mean-field reference state, pair-correlation
-localization profiles, and the coupled sweep over particle number at
-fixed interaction strength.
+Lanczos ground states that keep the Hamiltonian they were solved with,
+condensate diagnostics against a mean-field reference state, pair-
+correlation localization profiles, and the coupled sweep over particle
+number at fixed interaction strength.
 """
 
 from .basis import FockBasis, ModeBasis, build_mode_basis

@@ -21,12 +21,13 @@ is then grouped by pair parity class c (the XOR of the two modes' codes):
 the pairs of class c take sector s to the (N-2)-particle sector s ^ c, and
 the pair fold F is block-diagonal by class because the tensor is, so the
 dense multiply becomes one small GEMM per class.  The full space is one
-class over every (N-2)-particle state.
+class over every (N-2)-particle state.  ``ground_state`` alone builds a
+solve's space and H; its result keeps H for the metrics and localization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 
@@ -46,11 +47,13 @@ _LANCZOS_STEPS = 120
 
 @dataclass(frozen=True)
 class ManyBodyGround:
-    """Ground eigenpair with its one-particle density matrix.
+    """Ground eigenpair, its one-particle density matrix and its Hamiltonian.
 
     gamma[i, j] = <a+_j a_i>, Hermitian, positive semidefinite, trace N.
-    ``a`` and ``g`` record the scattering length and coupling the
-    instance was built for (zero when no interaction was supplied).
+    ``coefficients`` cover ``ham.fock``, the space solved (no ``asdict``:
+    it would copy ``ham``).  ``a`` and ``g`` record the scattering length
+    and coupling the instance was built for (zero when no interaction was
+    supplied).
     """
 
     energy: float
@@ -60,7 +63,7 @@ class ManyBodyGround:
     a: float
     g: float
     residual: float
-    basis_size: int
+    ham: PairOpHamiltonian = field(compare=False, repr=False)
 
     @cached_property
     def natural_occupations(self) -> np.ndarray:
@@ -156,31 +159,22 @@ class PairOpHamiltonian:
 
 
 def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
-                 dimension_cap: int = 200_000, a: float = 0.0, g: float = 0.0,
-                 ham: PairOpHamiltonian | None = None) -> ManyBodyGround:
+                 dimension_cap: int = 200_000, a: float = 0.0, g: float = 0.0) -> ManyBodyGround:
     """Lowest eigenpair by Lanczos on the pair map.
 
-    Deterministic start vector (the fully condensed state); the residual
-    ||Hx - Ex|| <= 1e-9 is verified after the solve, and once more after
-    one restart from the Ritz vector, before declaring failure.  Without
-    ``ham`` the solve runs in the parity sector of the start vector (the
-    full space when the modes have no definite parity); pass the caller's
-    Hamiltonian for this basis, tensor and N to avoid building it again.
-    The returned coefficients cover the full basis, exact zeros outside
-    the sector.
+    The occupation space is the parity sector of the start vector, the
+    fully condensed state (the full space when the modes have no definite
+    parity); its Hamiltonian is built here and kept by the result.  The
+    residual ||Hx - Ex|| <= 1e-9 is verified after the solve, and once more
+    after one restart from the Ritz vector, before declaring failure.
     """
-    if ham is None:
-        fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap,
-                               mode_codes=basis.parity_codes)
-        ham = PairOpHamiltonian(basis, tensor, fock)
-    elif ham.basis is not basis or ham.tensor is not tensor or ham.fock.N != N:
-        raise SolverFailureError("Hamiltonian was built for another basis, tensor or N")
-    fock = ham.fock
+    fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap,
+                           mode_codes=basis.parity_codes)
+    ham = PairOpHamiltonian(basis, tensor, fock)
     if fock.size == 1:
         x = np.ones(1)
-        return ManyBodyGround(energy=ham.expectation(x), coefficients=_scatter(fock, x),
-                              gamma=ham.one_body_matrix(x), N=N, a=a, g=g, residual=0.0,
-                              basis_size=basis.size)
+        return ManyBodyGround(energy=ham.expectation(x), coefficients=x,
+                              gamma=ham.one_body_matrix(x), N=N, a=a, g=g, residual=0.0, ham=ham)
 
     x = np.zeros(fock.size)
     x[0] = 1.0
@@ -196,8 +190,8 @@ def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
                                  residual=residual, retried=retried)
     gamma = ham.one_body_matrix(x)
     _validate_gamma(gamma, N)
-    return ManyBodyGround(energy=energy, coefficients=_scatter(fock, x), gamma=gamma, N=N,
-                          a=a, g=g, residual=residual, basis_size=basis.size)
+    return ManyBodyGround(energy=energy, coefficients=x, gamma=gamma, N=N, a=a, g=g,
+                          residual=residual, ham=ham)
 
 
 def _lanczos(ham: PairOpHamiltonian, v: np.ndarray) -> tuple[float, np.ndarray, int]:
@@ -234,12 +228,6 @@ def _lanczos(ham: PairOpHamiltonian, v: np.ndarray) -> tuple[float, np.ndarray, 
     if x[np.argmax(np.abs(x))] < 0:
         x = -x
     return float(theta[0]), x, len(alpha)
-
-
-def _scatter(fock: FockBasis, x: np.ndarray) -> np.ndarray:
-    full = np.zeros(fock.full_size)
-    full[fock.ranks] = x
-    return full
 
 
 def _validate_gamma(gamma: np.ndarray, N: int):

@@ -9,7 +9,8 @@ profile leaves the correlation factor
 whose weighted gradient energy int |phi|^2 |grad f|^2 concentrates in a
 small ball around r2 for short-range repulsion.  This module reports, for
 a list of ball radii, the fraction of that energy carried by the ball,
-averaged over quasi-random r2 draws from the one-particle density.
+averaged over quasi-random r2 draws from the one-particle density.  Psi
+comes from the pair map of the solve's own Hamiltonian.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from ..errors import ConfigError
 from ..gp import GPState
 from ..poincare import Region, masked_gradient_sq
-from .basis import FockBasis, ModeBasis, gather
-from .ground import ManyBodyGround
+from .basis import ModeBasis, gather
+from .ground import ManyBodyGround, PairOpHamiltonian
 
 _NA_THRESHOLD = 1e-13
 
@@ -44,13 +45,20 @@ class LocalizationProfile:
         return self.fractions is None
 
 
-def _pair_amplitude_matrix(ground: ManyBodyGround, fock: FockBasis) -> np.ndarray:
-    """Symmetric C with Psi(r1, r2) = sum_ij C_ij mode_i(r1) mode_j(r2).
+def _pair_amplitude_matrix(ham: PairOpHamiltonian, x: np.ndarray) -> np.ndarray:
+    """Symmetric C with Psi(r1, r2) = sum_ij C_ij mode_i(r1) mode_j(r2) for
+    the two-boson state x over ``ham.fock``.
 
-    C_kl = (a_k a_l x) / sqrt(2); state k of the one-particle basis is e_k,
-    so a_k a_l x is entry k of a_l x.
+    C_kl = (a_k a_l x) / sqrt(2) at the vacuum: the pair map holds it at the
+    one row of each pair class that reaches the vacuum (others own none).
     """
-    return gather(fock.annihilator(), ground.coefficients).reshape(fock.M, fock.M) / np.sqrt(2.0)
+    w = gather(ham.pair_map, x) / np.sqrt(2.0)
+    C = np.zeros((ham.fock.M, ham.fock.M))
+    for cls in ham.pair_classes:
+        if cls.lower.size:
+            k, l = ham.tensor.pairs[cls.pairs].T
+            C[k, l] = C[l, k] = w[cls.span]
+    return C
 
 
 def _scrambled_sobol(count: int, seed: int) -> np.ndarray:
@@ -129,8 +137,7 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
     if any(d <= 0 for d in radii):
         raise ConfigError("ball radii must be positive", field="radii")
 
-    fock = FockBasis.build(2, basis.size)
-    C = _pair_amplitude_matrix(ground, fock)
+    C = _pair_amplitude_matrix(ground.ham, ground.coefficients)
 
     phi = gp.phi
     valid = phi > 1e-12 * phi.max()

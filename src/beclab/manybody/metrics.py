@@ -25,7 +25,7 @@ from ..gp import GPState
 from ..model import axis_apply, trapezoid_weights
 from .basis import (ModeBasis, build_mode_basis, hermite_functions, pair_density,
                     separable_modes)
-from .ground import ManyBodyGround, PairOpHamiltonian, pair_moment
+from .ground import ManyBodyGround, pair_moment
 
 _MIN_REFERENCE_WEIGHT = 0.99    # share of the mean-field state the modes must carry
 _K_MAX, _K_POINTS = 10.0, 61
@@ -143,15 +143,13 @@ def momentum_distribution(ground: ManyBodyGround, basis: ModeBasis, k_axes=None)
     return rho, coverage
 
 
-def condensate_metrics(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
-                       ham: PairOpHamiltonian, k_axes=None,
+def condensate_metrics(ground: ManyBodyGround, gp: GPState, basis: ModeBasis, k_axes=None,
                        reference: tuple[np.ndarray, float] | None = None) -> CondensateReport:
     """Every scalar the condensation statements speak about, in one pass.
 
-    ``ham`` is the Hamiltonian the ground state was solved with; its pair
-    map gives the pair moment.  ``reference`` is ``expand_reference(gp,
-    basis)`` when the caller already holds it (a sweep shares one across
-    its rows).
+    The pair moment reads the pair map of the ground state's Hamiltonian.
+    ``reference`` is ``expand_reference(gp, basis)`` when the caller
+    already holds it (a sweep shares one across its rows).
     """
     c, weight = reference if reference is not None else expand_reference(gp, basis)
     gamma_n = ground.gamma / ground.N
@@ -172,7 +170,7 @@ def condensate_metrics(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
     coverage = reference_cov + float(np.sum(delta * kw))
 
     if ground.N >= 2:
-        pm = pair_moment(ham, ground.coefficients[ham.fock.ranks], c) / ground.N**2
+        pm = pair_moment(ground.ham, ground.coefficients, c) / ground.N**2
     else:
         pm = 0.0
 

@@ -19,8 +19,8 @@ from ..errors import ConfigError
 from ..gp import GPState, minimize_gp, predict_components
 from ..model import Grid, PairPotential, TrapSpec, scale_pair_potential
 from ..scattering import hard_sphere_substitute, solve_zero_energy
-from .basis import FockBasis, ModeBasis, build_mode_basis
-from .ground import ManyBodyGround, PairOpHamiltonian, ground_state, hartree_energy
+from .basis import ModeBasis, build_mode_basis
+from .ground import ManyBodyGround, ground_state, hartree_energy
 from .metrics import CondensateReport, condensate_metrics, expand_reference
 from .tensor import interaction_tensor
 
@@ -67,11 +67,8 @@ def solve_instance(setup: PipelineSetup, N: int, a: float, g: float, dimension_c
     basis = setup.basis
     tensor = interaction_tensor(basis, scale_pair_potential(setup.potential,
                                                             a / setup.scattering_length))
-    fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap,
-                           mode_codes=basis.parity_codes)
-    ham = PairOpHamiltonian(basis, tensor, fock)
-    ground = ground_state(basis, tensor, N, a=a, g=g, ham=ham)
-    metrics = condensate_metrics(ground, setup.gp, basis, ham=ham, reference=setup.reference)
+    ground = ground_state(basis, tensor, N, dimension_cap=dimension_cap, a=a, g=g)
+    metrics = condensate_metrics(ground, setup.gp, basis, reference=setup.reference)
     return ground, metrics, hartree_energy(basis, tensor, N, setup.reference[0]) / N
 
 
@@ -134,6 +131,8 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
             "rayleigh_per_N": rayleigh,
             "eigen_residual": ground.residual,
         })
+        # ground keeps its Hamiltonian: holding it into the next solve raises the peak RSS
+        del ground
     substituted = None if setup.substituted is None else dict(
         setup.substituted, reason="hard core replaced for the mode expansion")
     return SweepResult(rows=tuple(rows), s=float(setup.s),

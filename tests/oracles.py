@@ -68,6 +68,19 @@ def literal_pair_amplitudes(x, N2_states):
     return C
 
 
+def full_space_pair_amplitudes(fock, x):
+    """The two-boson matrix C_kl = (a_k a_l x) / sqrt(2) of a state x over
+    ``fock`` (N = 2, the full space or a sector), through the full N = 2
+    basis: x scattered there by its ranks, then one annihilator.  State k
+    of the one-particle basis is e_k, so a_k a_l x is entry k of a_l x."""
+    from beclab.manybody.basis import FockBasis, gather
+
+    full = FockBasis.build(2, fock.M, dimension_cap=10**9)
+    coefficients = np.zeros(full.size)
+    coefficients[fock.ranks] = x
+    return gather(full.annihilator(), coefficients).reshape(fock.M, fock.M) / np.sqrt(2.0)
+
+
 def sector(fock, mode_codes, code):
     """The states of ``fock`` whose parity code is ``code``, by filtering its
     rows: the code is the XOR of ``mode_codes`` over odd occupations."""
@@ -493,15 +506,15 @@ def h_route_weighted_estimate(region, weight, c_star, trials, seed):
 
 def materialized_localization(ground, gp, basis, radii, samples, seed):
     """``localization_profile`` on the materialized 3D modes, one sample at a
-    time: the sample column and psi's slice read all M modes, f divides by
+    time: C comes from the full N = 2 basis (``full_space_pair_amplitudes``),
+    the sample column and psi's slice read all M modes, f divides by
     phi, and each ball is a full-grid squared-distance mask.  Returns the
     fractions, the total energy and the sampled flat node indices."""
-    from beclab.manybody.basis import FockBasis
-    from beclab.manybody.localization import _pair_amplitude_matrix, _sample_indices
+    from beclab.manybody.localization import _sample_indices
     from beclab.poincare import Region, masked_gradient_sq
 
     grid = basis.grid
-    C = _pair_amplitude_matrix(ground, FockBasis.build(2, basis.size, dimension_cap=10**9))
+    C = full_space_pair_amplitudes(ground.ham.fock, ground.coefficients)
     flat = basis.modes.reshape(basis.size, -1)
     phi = gp.phi.ravel()
     valid = phi > 1e-12 * phi.max()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -510,16 +511,41 @@ def test_execute_parses_the_config_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("sidecar,n_bytes", [
     ({"lo": [-7.0] * 3, "extent": [14.0] * 3, "points": [8] * 3}, 8 * 8**3 - 4),
     ({"extent": [14.0] * 3, "points": [8] * 3}, 8 * 8**3),
-], ids=["truncated", "sidecar_without_lo"])
+    ({"lo": [-7.0] * 3, "extent": [14.0] * 3, "points": [4] * 3}, 80),
+    ({"lo": [-7.0] * 3, "extent": [14.0] * 3}, 8 * 8**3),
+], ids=["truncated", "sidecar_without_lo", "80_bytes_for_4_cubed", "sidecar_without_points"])
 def test_bad_phi_dump_exits_2(tmp_path, capsys, sidecar, n_bytes):
+    # the dump is read and checked before the output directory exists
     (tmp_path / "phi.f64").write_bytes(b"\0" * n_bytes)
     (tmp_path / "phi_grid.json").write_text(json.dumps(sidecar))
     p = write_config(tmp_path, small_poincare_config(
         {"kind": "gp_dump", "phi": str(tmp_path / "phi.f64"),
          "grid": str(tmp_path / "phi_grid.json")}))
-    assert main(["poincare", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["poincare", "--config", str(p), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "solver.weight" in err
+    assert not out.exists()
+
+
+def test_phi_dump_is_read_once_per_execute(tmp_path, monkeypatch):
+    # one read serves the manifest's input digest and the weighted run
+    cfg = small_gp_config()
+    cfg["solver"] = dict(cfg["solver"], dump_phi=True)
+    dump = execute(cfg, tmp_path / "gp").parent
+    phi = dump / "phi.f64"
+    config = load_config(write_config(tmp_path, small_poincare_config(
+        {"kind": "gp_dump", "phi": str(phi), "grid": str(dump / "phi_grid.json")})),
+        "poincare", {})
+    reads, read_bytes = [], Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+    for force in (False, True, False):
+        reads.clear()
+        report = execute(config, tmp_path / "o", force=force)
+        assert reads.count(phi) == 1
+    digest = json.loads((report.parent / "manifest.json").read_text())["inputs"][str(phi)]
+    assert digest == hashlib.sha256(read_bytes(phi)).hexdigest()
+    assert json.loads(report.read_text())["weighted"]["holds_all"] is True
 
 
 def test_sweep_csv_contract(tmp_path):
@@ -554,6 +580,8 @@ def test_cli_subprocess_entry(tmp_path):
 @pytest.mark.parametrize("experiment,solver", [
     ("scattering", {"r_max": "x"}), ("gp", {"g": "x"}), ("gp", {"dump_phi": "no"}),
     ("manybody", {"localization": {"radii": [1.0], "samples": "64"}}),
+    # the profile is defined for two bosons only
+    ("manybody", {"N": 3, "localization": {"radii": [1.0]}}),
     ("sweep", {"gp_grid": {"extent": ["x", 14, 14], "points": [32, 32, 32]}}),
     ("sweep", {"gp_grid": {"extent": [14.0, 14.0], "points": [32, 32]}}),
     ("poincare", {"trials": "x"}),
@@ -572,6 +600,8 @@ def test_bad_solver_value_exits_2_before_out_dir(tmp_path, capsys, experiment, s
     assert err.startswith("config error")
     if "region" in solver:
         assert f"solver.region.{list(solver['region'])[-1]}" in err
+    if "localization" in solver:
+        assert "solver.localization" in err
     assert not out.exists()
 
 
@@ -820,3 +850,21 @@ def test_product_basis_run_never_materializes_the_modes(tmp_path, monkeypatch, e
     execute(cfg, tmp_path / "o")
     assert len(made) == 1 and made[0].axis_tables is not None
     assert "modes" not in made[0].__dict__
+
+
+def test_manybody_run_with_localization_builds_one_occupation_space(tmp_path, monkeypatch):
+    # the solve's N = 2 space and its 0-particle pair space; localization
+    # reads the solve's pair map and builds none of its own
+    from beclab.manybody.basis import FockBasis
+
+    built, build = [], FockBasis.build.__func__
+
+    def build_spy(cls, N, *args, **kwargs):
+        built.append(N)
+        return build(cls, N, *args, **kwargs)
+
+    monkeypatch.setattr(FockBasis, "build", classmethod(build_spy))
+    report = execute(small_manybody_config(localization={"radii": [1.0, 2.0], "samples": 8}),
+                     tmp_path / "o")
+    assert built == [2, 0]
+    assert json.loads(report.read_text())["localization"]["fractions"] is not None

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,8 @@ from beclab.manybody.localization import _pair_amplitude_matrix
 from beclab.manybody.tensor import interaction_tensor
 
 from .oracles import (composed_pair_map, dense_gamma, dense_ground, dense_hamiltonian,
-                      fock_states, literal_pair_amplitudes, literal_pair_annihilation)
+                      fock_states, full_space_pair_amplitudes, literal_pair_amplitudes,
+                      literal_pair_annihilation)
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
 TRAP = bl.TrapSpec.harmonic((1.0, 1.0, 1.0))
@@ -66,7 +65,7 @@ def test_lanczos_matches_dense_eigh(N, quanta, height, basis_q1, basis_q2):
     # the in-house Lanczos loop against np.linalg.eigh of the literal
     # Hamiltonian, on the full space and on the sector; at zero coupling the
     # start vector (all bosons in mode 0) is an eigenvector, so beta
-    # vanishes at step 1
+    # vanishes at step 1.  ground_state solves the sector with that loop
     basis = basis_q1 if quanta == 1 else basis_q2
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(height, 1.1))
     H, _, _ = dense_hamiltonian(basis, tensor, N)
@@ -81,9 +80,11 @@ def test_lanczos_matches_dense_eigh(N, quanta, height, basis_q1, basis_q2):
         assert energy == pytest.approx(vals[0], rel=1e-12)
         np.testing.assert_allclose(x, x_ref, atol=1e-10)
         assert (steps == 1) == (height == 0.0)
-        gr = ground_state(basis, tensor, N, ham=ham)
-        assert gr.energy == energy and gr.residual <= 1e-9
-        np.testing.assert_array_equal(gr.coefficients[ranks], x)
+        assert np.linalg.norm(ham.matvec(x) - energy * x) <= 1e-9
+    gr = ground_state(basis, tensor, N)
+    assert np.array_equal(gr.ham.fock.ranks, ranks)
+    assert gr.energy == energy and gr.residual <= 1e-9
+    np.testing.assert_array_equal(gr.coefficients, x)
 
 
 def test_energy_below_random_rayleigh_quotients(basis_q2, soft_tensor_q2):
@@ -104,9 +105,12 @@ def test_hartree_bound_and_pair_moment(basis_q2, soft_tensor_q2):
     c[0] = 1.0
     rq = hartree_energy(basis_q2, soft_tensor_q2, N, c)
     assert gr.energy <= rq + 1e-10
-    fock = FockBasis.build(N, basis_q2.size)
-    ham = PairOpHamiltonian(basis_q2, soft_tensor_q2, fock)
-    pm = pair_moment(ham, gr.coefficients, c) / N**2
+    pm = pair_moment(gr.ham, gr.coefficients, c) / N**2
+    # the same moment on the full space, with the sector state scattered there
+    full = PairOpHamiltonian(basis_q2, soft_tensor_q2, FockBasis.build(N, basis_q2.size))
+    x = np.zeros(full.size)
+    x[gr.ham.fock.ranks] = gr.coefficients
+    assert pm == pytest.approx(pair_moment(full, x, c) / N**2, rel=1e-12)
     overlap = float(c @ gr.gamma @ c) / N
     assert pm <= 1.0 + 1e-10
     assert pm >= overlap**2 - 2.0 / N - 1e-10
@@ -152,12 +156,11 @@ def test_ladder_core_on_random_vectors(N, quanta, basis_q1, basis_q2, soft_tenso
                                    atol=1e-12)
 
 
-def test_pair_amplitude_matrix_matches_state_loop(basis_q2):
-    fock = FockBasis.build(2, basis_q2.size)
+def test_pair_amplitude_matrix_matches_state_loop(basis_q2, soft_tensor_q2):
+    ham = PairOpHamiltonian(basis_q2, soft_tensor_q2, FockBasis.build(2, basis_q2.size))
     rng = np.random.default_rng(5)
-    x = _random_unit(rng, fock.size)
-    ground = SimpleNamespace(coefficients=x)
-    np.testing.assert_allclose(_pair_amplitude_matrix(ground, fock),
+    x = _random_unit(rng, ham.size)
+    np.testing.assert_allclose(_pair_amplitude_matrix(ham, x),
                                literal_pair_amplitudes(x, fock_states(2, basis_q2.size)[0]),
                                atol=1e-15)
 
@@ -169,25 +172,41 @@ def _sector_hamiltonian(basis, tensor, N):
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_sector_solve_matches_full_space(N, basis_q2, soft_tensor_q2):
+    # the reference is the Lanczos solve of the full-space Hamiltonian from
+    # the same start state, which never leaves the start state's sector
     full = PairOpHamiltonian(basis_q2, soft_tensor_q2, FockBasis.build(N, basis_q2.size))
-    ref = ground_state(basis_q2, soft_tensor_q2, N, ham=full)
-    sector = _sector_hamiltonian(basis_q2, soft_tensor_q2, N)
-    assert sector.size < full.size
-    for gr in (ground_state(basis_q2, soft_tensor_q2, N),
-               ground_state(basis_q2, soft_tensor_q2, N, ham=sector)):
-        assert gr.energy == pytest.approx(ref.energy, rel=1e-12)
-        np.testing.assert_allclose(gr.gamma, ref.gamma, atol=1e-12)
-        assert gr.coefficients.shape == ref.coefficients.shape
-        np.testing.assert_allclose(gr.coefficients, ref.coefficients, atol=1e-12)
-        outside = np.setdiff1d(np.arange(full.size), sector.fock.ranks)
-        assert np.all(gr.coefficients[outside] == 0.0)
+    start = np.zeros(full.size)
+    start[0] = 1.0
+    energy, x_ref, _ = _lanczos(full, start)
+    gr = ground_state(basis_q2, soft_tensor_q2, N)
+    sector = gr.ham.fock
+    assert sector.mode_codes is not None and sector.size < full.size
+    assert gr.coefficients.shape == (sector.size,)
+    assert gr.energy == pytest.approx(energy, rel=1e-12)
+    np.testing.assert_allclose(gr.gamma, full.one_body_matrix(x_ref), atol=1e-12)
+    np.testing.assert_allclose(gr.coefficients, x_ref[sector.ranks], atol=1e-12)
+    outside = np.setdiff1d(np.arange(full.size), sector.ranks)
+    assert np.all(x_ref[outside] == 0.0)
 
 
-def test_off_centre_grid_solves_in_full_space(monkeypatch):
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_ground_state_keeps_the_hamiltonian_it_solved(N, basis_q2, soft_tensor_q2):
+    gr = ground_state(basis_q2, soft_tensor_q2, N)
+    assert gr.ham.basis is basis_q2 and gr.ham.tensor is soft_tensor_q2
+    assert gr.ham.fock.N == N and gr.ham.fock.size == gr.coefficients.size
+    np.testing.assert_array_equal(gr.ham.one_body_matrix(gr.coefficients), gr.gamma)
+    assert "ham" not in repr(gr)
+
+
+def _off_centre_basis(quanta):
     # lo shifted by half a cell: no mode has a definite parity on the grid
     h = GRID.spacing[0]
     shifted = bl.Grid(tuple(lo + h / 2 for lo in GRID.lo), GRID.extent, GRID.points)
-    basis = build_mode_basis(TRAP, shifted, 1)
+    return build_mode_basis(TRAP, shifted, quanta)
+
+
+def test_off_centre_grid_solves_in_full_space(monkeypatch):
+    basis = _off_centre_basis(1)
     assert basis.parity_codes is None
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
     sizes = []
@@ -254,9 +273,7 @@ def test_pair_map_matches_the_composed_map_on_sweep_sectors(N, basis_q3, sweep_t
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_pair_map_matches_the_composed_map_in_the_full_space(N):
-    h = GRID.spacing[0]
-    shifted = bl.Grid(tuple(lo + h / 2 for lo in GRID.lo), GRID.extent, GRID.points)
-    basis = build_mode_basis(TRAP, shifted, 2)
+    basis = _off_centre_basis(2)
     assert basis.parity_codes is None
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
     _assert_pair_map_is_composed(PairOpHamiltonian(basis, tensor,
@@ -282,3 +299,26 @@ def test_sector_hamiltonian_builds_only_the_n_minus_2_space(monkeypatch, basis_q
     PairOpHamiltonian(basis_q2, soft_tensor_q2, fock)
     assert built == [2]
     assert lowered == [4]
+
+
+@pytest.mark.parametrize("space", ["sector_q2", "sector_q3", "off_centre_full"])
+def test_pair_amplitude_matrix_matches_the_full_space_route(space, basis_q2, soft_tensor_q2,
+                                                            basis_q3, sweep_tensor_q3):
+    # C from the solve's pair map against C from the full N = 2 basis, its
+    # annihilator and the coefficients scattered there, bit for bit
+    if space == "off_centre_full":
+        basis = _off_centre_basis(2)
+        assert basis.parity_codes is None
+        ham = PairOpHamiltonian(basis, interaction_tensor(basis, bl.PairPotential.soft_sphere(
+            5.0, 1.1)), FockBasis.build(2, basis.size))
+    else:
+        basis, tensor = ((basis_q2, soft_tensor_q2) if space == "sector_q2"
+                         else (basis_q3, sweep_tensor_q3))
+        ham = _sector_hamiltonian(basis, tensor, 2)
+        assert ham.size < ham.fock.full_size
+    rng = np.random.default_rng(ham.size)
+    for _ in range(3):
+        x = _random_unit(rng, ham.size)
+        C = _pair_amplitude_matrix(ham, x)
+        assert np.array_equal(C, full_space_pair_amplitudes(ham.fock, x))
+        assert np.array_equal(C, C.T)

@@ -16,8 +16,6 @@ from beclab.manybody import (build_mode_basis, condensate_metrics,
                              expand_reference, ground_state,
                              localization_profile, momentum_distribution)
 from beclab.manybody import localization
-from beclab.manybody.basis import FockBasis
-from beclab.manybody.ground import PairOpHamiltonian
 from beclab.manybody.localization import _ball_box, _scrambled_sobol
 from beclab.manybody.metrics import default_momentum_axes
 from beclab.manybody.tensor import interaction_tensor
@@ -35,12 +33,6 @@ def basis_q2():
     return build_mode_basis(TRAP, GRID, 2)
 
 
-def _hamiltonian(basis, tensor, N=2):
-    """The pipeline's Hamiltonian: the parity sector of the condensed state."""
-    return PairOpHamiltonian(basis, tensor,
-                             FockBasis.build(N, basis.size, mode_codes=basis.parity_codes))
-
-
 @pytest.fixture(scope="module")
 def zero_tensor(basis_q2):
     return interaction_tensor(basis_q2, bl.PairPotential.soft_sphere(0.0, 1.0))
@@ -49,8 +41,7 @@ def zero_tensor(basis_q2):
 @pytest.fixture(scope="module")
 def interacting(basis_q2):
     tensor = interaction_tensor(basis_q2, bl.PairPotential.soft_sphere(5.0, 1.1))
-    ham = _hamiltonian(basis_q2, tensor)
-    return ham, ground_state(basis_q2, tensor, 2, a=0.42, g=8 * np.pi * 0.42, ham=ham)
+    return ground_state(basis_q2, tensor, 2, a=0.42, g=8 * np.pi * 0.42)
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +58,8 @@ def analytic_reference():
 
 
 def test_noninteracting_metrics_exact(basis_q2, zero_tensor, analytic_reference):
-    ham = _hamiltonian(basis_q2, zero_tensor)
-    gr = ground_state(basis_q2, zero_tensor, 2, ham=ham)
-    rep = condensate_metrics(gr, analytic_reference, basis_q2, ham)
+    gr = ground_state(basis_q2, zero_tensor, 2)
+    rep = condensate_metrics(gr, analytic_reference, basis_q2)
     assert rep.condensate_fraction == pytest.approx(1.0, abs=1e-10)
     assert rep.trace_distance <= 1e-8
     assert rep.gp_overlap == pytest.approx(1.0, abs=1e-8)
@@ -78,8 +68,8 @@ def test_noninteracting_metrics_exact(basis_q2, zero_tensor, analytic_reference)
 
 
 def test_weak_coupling_metrics_regression(basis_q2, interacting, analytic_reference):
-    ham, gr = interacting
-    rep = condensate_metrics(gr, analytic_reference, basis_q2, ham)
+    gr = interacting
+    rep = condensate_metrics(gr, analytic_reference, basis_q2)
     assert 0.9 < rep.gp_overlap <= 1.0
     assert rep.trace_distance < 0.5
     assert rep.momentum_l1 <= rep.trace_distance + 1e-6
@@ -103,17 +93,17 @@ def test_momentum_distribution_noninteracting(basis_q2, zero_tensor):
 
 
 def test_momentum_parity_symmetry(basis_q2, interacting):
-    _, gr = interacting
+    gr = interacting
     rho, _ = momentum_distribution(gr, basis_q2)
     np.testing.assert_allclose(rho, rho[::-1, ::-1, ::-1], atol=1e-10)
 
 
 def test_momentum_l1_independent_quadrature(basis_q2, interacting, analytic_reference):
-    ham, gr = interacting
+    gr = interacting
     k_axes = tuple(np.linspace(-8.0, 8.0, 33) for _ in range(3))
-    rep = condensate_metrics(gr, analytic_reference, basis_q2, ham, k_axes=k_axes)
+    rep = condensate_metrics(gr, analytic_reference, basis_q2, k_axes=k_axes)
     reference = expand_reference(analytic_reference, basis_q2)
-    assert condensate_metrics(gr, analytic_reference, basis_q2, ham, k_axes=k_axes,
+    assert condensate_metrics(gr, analytic_reference, basis_q2, k_axes=k_axes,
                               reference=reference) == rep
     oracle = quadrature_momentum_l1(gr.gamma / gr.N, reference[0], basis_q2, k_axes)
     assert rep.momentum_l1 == pytest.approx(oracle, abs=1e-6)
@@ -145,7 +135,7 @@ def test_localization_noninteracting_not_applicable(basis_q2, zero_tensor,
 
 
 def test_localization_monotone_fractions(basis_q2, interacting):
-    _, gr = interacting
+    gr = interacting
     gp = bl.minimize_gp(TRAP, gr.g, GRID)
     prof = localization_profile(gr, gp, basis_q2, radii=(0.5, 1.0, 2.0, 4.0),
                                 samples=16, seed=5)
@@ -173,7 +163,7 @@ def test_ball_box_selects_the_full_grid_ball(grid):
 
 
 def test_localization_matches_the_materialized_route(monkeypatch, interacting):
-    _, gr = interacting
+    gr = interacting
     gp = bl.minimize_gp(TRAP, gr.g, GRID)
     basis = build_mode_basis(TRAP, GRID, 2)
     drawn = []
@@ -191,7 +181,7 @@ def test_localization_matches_the_materialized_route(monkeypatch, interacting):
 
 def test_threaded_profile_equals_one_worker(monkeypatch, basis_q2, interacting):
     # more workers than samples' worth of cores, with frequent thread switches
-    _, gr = interacting
+    gr = interacting
     gp = bl.minimize_gp(TRAP, gr.g, GRID)
     args = (gr, gp, basis_q2, (0.5, 1.0, 2.0, 4.0), 24, 9)
     monkeypatch.setattr(localization, "_cpu_count", lambda: 1)
@@ -283,20 +273,19 @@ def test_reference_on_too_coarse_grid_refused(basis_q2):
 @pytest.mark.parametrize("kind", ["harmonic", "box"])
 def test_factored_momentum_metrics_match_materialized_transforms(kind, basis_q2, interacting):
     if kind == "harmonic":
-        basis, (ham, gr) = basis_q2, interacting
+        basis, gr = basis_q2, interacting
         k_axes = default_momentum_axes(basis)
         transforms = analytic_mode_transforms(basis, k_axes)
     else:
         trap, grid, _, _ = _case(kind)
         basis = build_mode_basis(trap, grid, 1)
         tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(50.0, 0.3))
-        ham = _hamiltonian(basis, tensor)
-        gr = ground_state(basis, tensor, 2, ham=ham)
+        gr = ground_state(basis, tensor, 2)
         k_axes = tuple(np.linspace(-30.0, 30.0, 41) for _ in range(3))
         transforms = quadrature_mode_transforms(basis, k_axes)
     c = np.random.default_rng(3).standard_normal(basis.size)
     c /= np.linalg.norm(c)
-    rep = condensate_metrics(gr, None, basis, ham, k_axes=k_axes, reference=(c, 1.0))
+    rep = condensate_metrics(gr, None, basis, k_axes=k_axes, reference=(c, 1.0))
     l1, coverage = materialized_momentum_metrics(gr.gamma / gr.N, c, transforms, k_axes)
     assert rep.momentum_l1 == pytest.approx(l1, rel=1e-13)
     assert rep.momentum_coverage == pytest.approx(coverage, rel=1e-13)

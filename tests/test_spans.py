@@ -2,7 +2,8 @@
 wraps by module and name still exists, the Poincare spans fire, and a
 small sweep and a small many-body run with localization, each through
 ``cli.execute`` and ``cli.verify``, fire every span their benchmark
-workload expects.
+workload expects and build every occupation space inside
+``ground.solve``.
 
 The tracer rebinds names in every loaded beclab module, so it runs in a
 subprocess that no other test shares; perfbench is only read (no bytecode
@@ -34,6 +35,13 @@ est = poincare.estimate_constant(region, trials=5, seed=1)
 weight = 1.0 + sum(x**2 for x in region.grid.meshgrid())
 poincare.weighted_estimate(region, weight, est.c_star, trials=5, seed=2)
 calls = collections.Counter(s[0] for s in tracer.spans)
+
+def ancestors(i):
+    names = []
+    while (i := tracer.spans[i][1]) is not None:
+        names.append(tracer.spans[i][0])
+    return names
+
 work, runs = Path(sys.argv[1]), {}
 for workload, doc in json.loads(sys.argv[2]).items():
     path = work / (workload + ".json")
@@ -42,7 +50,10 @@ for workload, doc in json.loads(sys.argv[2]).items():
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.verify([cli.execute(cli.load_config(path, doc["experiment"], {}),
                                        work / "out", force=True)])
-    runs[workload] = {"missing": spans.missing_spans(tracer.spans, workload), "verify": code}
+    builds = [ancestors(i) for i, s in enumerate(tracer.spans) if s[0] == "basis.fock_build"]
+    runs[workload] = {"missing": spans.missing_spans(tracer.spans, workload), "verify": code,
+                      "fock_builds": len(builds),
+                      "outside_solve": sum("ground.solve" not in a for a in builds)}
 print(json.dumps({"left": left, "calls": calls, "runs": runs}))
 """
 
@@ -77,5 +88,9 @@ def test_span_bindings_hold_and_poincare_spans_fire(tmp_path):
     assert {name: got["calls"].get(name) for name in
             ("poincare.estimate", "poincare.weighted", "poincare.gradient")} == {
         "poincare.estimate": 1, "poincare.weighted": 5, "poincare.gradient": 10}
-    assert got["runs"] == {workload: {"missing": [], "verify": 0}
-                           for workload in ("fixed_g_sweep", "pair_localization")}
+    # every occupation space is built inside a ground-state solve: two per
+    # solve (the N-particle space and the (N-2)-particle pair space)
+    assert got["runs"] == {
+        "fixed_g_sweep": {"missing": [], "verify": 0, "fock_builds": 4, "outside_solve": 0},
+        "pair_localization": {"missing": [], "verify": 0, "fock_builds": 2,
+                              "outside_solve": 0}}
