@@ -4,8 +4,9 @@ Harmonic and box modes are products of per-axis 1D factors, which the
 basis keeps in place of 3D arrays; tabulated modes are numeric 3D
 eigenvectors.  The occupation basis holds every state or one reflection-
 parity sector of them, both from one enumerator (the full space is the
-sector of all-zero mode codes), and one rank table serves its ladder map
-and the pair map of ``ground``.
+sector of all-zero mode codes), and its rank table serves the one ladder
+map: the pair map of ``ground``, for H, gamma, the pair moment and the
+N = 2 pair amplitudes.
 """
 
 from __future__ import annotations
@@ -159,10 +160,6 @@ class ModeBasis:
             return self.modes[(slice(None),) + tuple(node)]
         t0, t1, t2 = (t[r, i] for t, r, i in zip(self.axis_tables, self.table_rows.T, node))
         return t0 * t1 * t2
-
-    def kinetic_matrix(self) -> np.ndarray:
-        """t = diag(energies) - potential matrix (modes are eigenfunctions)."""
-        return np.diag(self.energies) - self.potential_matrix()
 
 
 def _axis_grams(tables, rows, axis_weights) -> list:
@@ -362,34 +359,6 @@ class FockBasis:
         """Full-space indices of occupation rows (vectorized)."""
         rem = self.N - np.cumsum(np.atleast_2d(occ), axis=1)
         return self._rank_table[np.arange(self.M), rem].sum(axis=1)
-
-    def annihilator(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ladder map a: N -> N-1 as a gather over D_{N-1} M rows.
-
-        Row t*M + i holds a_i x at state t of the full (N-1)-particle
-        basis.  a_i reaches t from the single state t + e_i, so every row
-        reads at most one entry of x (exactly one in the full space; in a
-        sector, rows whose source lies outside it are empty): the source
-        state ``indices`` and the amplitude sqrt(n_i) ``data``.  An empty
-        row has index -1 and amplitude 0, so with a zero appended to x,
-        a x = data * x_ext[indices] (``gather``).  Removing one boson from
-        mode i lowers rem_j by one for j < i only, so
-        rank_{N-1}(n - e_i) = rank_N(n) - sum_{j<i} [F_j(rem_j) - F_j(rem_j - 1)].
-        """
-        M, occ, F = self.M, self.occupations, self._rank_table
-        rows = comb(self.N + M - 2, self.N - 1) * M if self.N else 0
-        indices = np.full(rows, -1, dtype=np.int64)
-        data = np.zeros(rows)
-        target = self.ranks.copy()
-        rem = np.full(self.size, self.N)
-        for i in range(M):
-            src = np.nonzero(occ[:, i])[0]
-            row = target[src] * M + i
-            indices[row] = src
-            data[row] = np.sqrt(occ[src, i])
-            rem -= occ[:, i]
-            target -= F[i, rem] - F[i, np.maximum(rem - 1, 0)]
-        return indices, data
 
     def pair_sources(self, occ: np.ndarray, ranks: np.ndarray, k: np.ndarray,
                      l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,17 +2,16 @@
 
 H = sum_i eps_i n_i + (1/2) sum_{ijkl} V[ijkl] a+_i a+_j a_l a_k
 
-over the fixed-N occupation basis.  Two ladder maps read their source
-states off the basis's one rank table: the one-boson annihilation map a
-(``FockBasis.annihilator``) gives gamma = W^T W with W = a x, and the pair
-map A (``FockBasis.pair_sources``) carries the pair term: for each
-unordered mode pair b = (k, l), (A x) collects (a_k a_l x) over the
-(N-2)-particle states, the only other occupation space a solve builds.
+over the fixed-N occupation basis.  One ladder map serves a solve: the
+pair map A (``FockBasis.pair_sources``, read off the basis's rank table).
+For each unordered mode pair b = (k, l), (A x) collects (a_k a_l x) over
+the (N-2)-particle states, the only other occupation space a solve builds.
 A holds one entry per row, so A x is a gather and A^T w a scatter
-(``np.bincount``) around a dense pair-coefficient multiply; the operator is
-manifestly symmetric and never materialized.  The lowest eigenpair comes
-from a Lanczos loop with full reorthogonalization (Paige 1972; Parlett,
-The Symmetric Eigenvalue Problem, ch. 13).
+(``np.bincount``) around a dense pair-coefficient multiply; the operator
+is manifestly symmetric and never materialized.  The same amplitudes give
+gamma, the pair moment and the N = 2 pair amplitudes.  The lowest
+eigenpair comes from a Lanczos loop with full reorthogonalization (Paige
+1972; Parlett, The Symmetric Eigenvalue Problem, ch. 13).
 
 When every mode has a definite reflection parity on every axis, H conserves
 the total parity, and ``ground_state`` solves in the sector of its start
@@ -96,8 +95,6 @@ class PairOpHamiltonian:
         self.fock = fock
         self.tensor = tensor
         self.diag = fock.occupations @ basis.energies
-        self.pair_fold = tensor.fold_hamiltonian_pairs()
-        self.lowering = fock.annihilator()
         self.pair_map, self.pair_classes = (self._build_pair_map() if fock.N >= 2
                                             else (None, ()))
 
@@ -106,6 +103,7 @@ class PairOpHamiltonian:
         # r reads one state of ours (FockBasis.pair_sources); the pairs of
         # class c reach the (N-2)-particle states of parity code ours ^ c
         fock, pairs = self.fock, self.tensor.pairs
+        fold = self.tensor.fold_hamiltonian_pairs()
         codes = np.zeros(fock.M, dtype=np.int64) if fock.mode_codes is None else fock.mode_codes
         lower = FockBasis.build(fock.N - 2, fock.M, dimension_cap=fock.full_size)
         parity = np.bitwise_xor.reduce((lower.occupations & 1) * codes, axis=1)
@@ -117,7 +115,7 @@ class PairOpHamiltonian:
             cols.append(col.ravel())
             amps.append(amp.ravel())
             classes.append(PairClass(slice(start, start + col.size), members, lower.ranks[rows],
-                                     self.pair_fold[np.ix_(members, members)]))
+                                     fold[np.ix_(members, members)]))
             start += col.size
         return (np.concatenate(cols), np.concatenate(amps)), tuple(classes)
 
@@ -126,7 +124,7 @@ class PairOpHamiltonian:
         return self.fock.size
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        # pair_fold already carries the 1/2 of the normal-ordered pair term
+        # the class folds already carry the 1/2 of the normal-ordered pair term
         y = self.diag * x
         if self.pair_map is not None:
             w = gather(self.pair_map, x)
@@ -140,22 +138,54 @@ class PairOpHamiltonian:
     def expectation(self, x: np.ndarray) -> float:
         return float(x @ self.matvec(x))
 
+    def pair_amplitudes(self, x: np.ndarray) -> list[tuple[PairClass, np.ndarray]]:
+        """(cls, W) per pair class: W[r, j] = (a_k a_l x) at the class's
+        (N-2)-particle row r for its pair j = (k, l), shape (rows, pairs)."""
+        w = gather(self.pair_map, x)
+        return [(cls, w[cls.span].reshape(-1, len(cls.pairs))) for cls in self.pair_classes]
+
     def pair_annihilation(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
         """(b b) x for the dressed mode b = sum_i c_i a_i; a vector over the
         full (N-2)-particle basis."""
         if self.pair_map is None:
             raise SolverFailureError("pair annihilation needs N >= 2")
-        w = gather(self.pair_map, x)
         weights = self.tensor.pair_weights(c)
         out = np.zeros(comb(self.fock.N + self.fock.M - 3, self.fock.N - 2))
-        for cls in self.pair_classes:
-            out[cls.lower] += w[cls.span].reshape(-1, len(cls.pairs)) @ weights[cls.pairs]
+        for cls, w in self.pair_amplitudes(x):
+            out[cls.lower] += w @ weights[cls.pairs]
         return out
 
     def one_body_matrix(self, x: np.ndarray) -> np.ndarray:
-        """gamma[i, j] = <x| a+_j a_i |x> = (W^T W)[i, j], W[t, i] = (a_i x)(t)."""
-        w = gather(self.lowering, x).reshape(-1, self.fock.M)
-        return w.T @ w
+        """gamma[i, j] = <x| a+_j a_i |x>.
+
+        For N >= 2, sum_l a+_j a+_l a_l a_i = (N-1) a+_j a_i gives gamma[i, j]
+        = sum_l G[p(i, l), p(j, l)] / (N-1) for G the pair Gram: W^T W within
+        a class, zero across classes (they own disjoint rows).  gamma couples
+        modes of one parity code only, and for two of them (i, l) and (j, l)
+        share a class at every l, so each code's block is one gather from the
+        class Grams laid end to end.  For N <= 1, a_i x is the amplitude of e_i.
+        """
+        if self.pair_map is None:
+            v = self.fock.occupations.T @ x
+            return np.outer(v, v)
+        # entry (p, q) of a class's Gram sits at row[p] + col[q] of the Grams laid end to end
+        grams, start = [], 0
+        row, col = np.empty((2, self.tensor.n_pairs), dtype=np.int64)
+        for cls, w in self.pair_amplitudes(x):
+            n = len(cls.pairs)
+            col[cls.pairs] = np.arange(n)
+            row[cls.pairs] = start + n * col[cls.pairs]
+            grams.append((w.T @ w).ravel())
+            start += n * n
+        grams = np.concatenate(grams)
+        codes = self.fock.mode_codes
+        codes = np.zeros(self.fock.M, dtype=np.int64) if codes is None else codes
+        gamma = np.zeros((self.fock.M, self.fock.M))
+        for code in np.unique(codes):
+            modes = np.flatnonzero(codes == code)
+            p = self.tensor.pair_index[modes]       # p(i, l) for the modes i of this code
+            gamma[np.ix_(modes, modes)] = grams[row[p][:, None, :] + col[p][None, :, :]].sum(axis=2)
+        return gamma / (self.fock.N - 1)
 
 
 def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,

@@ -25,7 +25,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..gp import GPState
 from ..poincare import Region, masked_gradient_sq
-from .basis import ModeBasis, gather
+from .basis import ModeBasis
 from .ground import ManyBodyGround, PairOpHamiltonian
 
 _NA_THRESHOLD = 1e-13
@@ -49,15 +49,14 @@ def _pair_amplitude_matrix(ham: PairOpHamiltonian, x: np.ndarray) -> np.ndarray:
     """Symmetric C with Psi(r1, r2) = sum_ij C_ij mode_i(r1) mode_j(r2) for
     the two-boson state x over ``ham.fock``.
 
-    C_kl = (a_k a_l x) / sqrt(2) at the vacuum: the pair map holds it at the
-    one row of each pair class that reaches the vacuum (others own none).
+    C_kl = (a_k a_l x) / sqrt(2) at the vacuum: the pair amplitudes hold it
+    at the one row of each pair class that reaches the vacuum (others own none).
     """
-    w = gather(ham.pair_map, x) / np.sqrt(2.0)
     C = np.zeros((ham.fock.M, ham.fock.M))
-    for cls in ham.pair_classes:
-        if cls.lower.size:
+    for cls, w in ham.pair_amplitudes(x):
+        if len(w):
             k, l = ham.tensor.pairs[cls.pairs].T
-            C[k, l] = C[l, k] = w[cls.span]
+            C[k, l] = C[l, k] = w[0] / np.sqrt(2.0)
     return C
 
 

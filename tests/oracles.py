@@ -6,6 +6,7 @@ small enough to afford it.
 """
 
 from itertools import combinations_with_replacement
+from math import comb
 
 import numpy as np
 
@@ -68,6 +69,34 @@ def literal_pair_amplitudes(x, N2_states):
     return C
 
 
+def annihilator(fock):
+    """The one-boson map a: N -> N-1 of ``fock`` as a gather over D_{N-1} M rows.
+
+    Row t*M + i holds a_i x at state t of the full (N-1)-particle basis.
+    a_i reaches t from the single state t + e_i, so every row reads at most
+    one entry of x (exactly one in the full space; in a sector, rows whose
+    source lies outside it are empty): the source state ``indices`` and the
+    amplitude sqrt(n_i) ``data``.  An empty row has index -1 and amplitude
+    0, which ``gather`` reads as zero.  Removing one boson from mode i
+    lowers rem_j by one for j < i only, so
+    rank_{N-1}(n - e_i) = rank_N(n) - sum_{j<i} [F_j(rem_j) - F_j(rem_j - 1)].
+    """
+    M, occ, F = fock.M, fock.occupations, fock._rank_table
+    rows = comb(fock.N + M - 2, fock.N - 1) * M if fock.N else 0
+    indices = np.full(rows, -1, dtype=np.int64)
+    data = np.zeros(rows)
+    target = fock.ranks.copy()
+    rem = np.full(fock.size, fock.N)
+    for i in range(M):
+        src = np.nonzero(occ[:, i])[0]
+        row = target[src] * M + i
+        indices[row] = src
+        data[row] = np.sqrt(occ[src, i])
+        rem -= occ[:, i]
+        target -= F[i, rem] - F[i, np.maximum(rem - 1, 0)]
+    return indices, data
+
+
 def full_space_pair_amplitudes(fock, x):
     """The two-boson matrix C_kl = (a_k a_l x) / sqrt(2) of a state x over
     ``fock`` (N = 2, the full space or a sector), through the full N = 2
@@ -78,7 +107,7 @@ def full_space_pair_amplitudes(fock, x):
     full = FockBasis.build(2, fock.M, dimension_cap=10**9)
     coefficients = np.zeros(full.size)
     coefficients[fock.ranks] = x
-    return gather(full.annihilator(), coefficients).reshape(fock.M, fock.M) / np.sqrt(2.0)
+    return gather(annihilator(full), coefficients).reshape(fock.M, fock.M) / np.sqrt(2.0)
 
 
 def sector(fock, mode_codes, code):
@@ -105,8 +134,8 @@ def composed_pair_map(fock, pairs):
     M = fock.M
     lower = FockBasis.build(fock.N - 2, M, dimension_cap=10**9)
     inner = FockBasis.build(fock.N - 1, M, dimension_cap=10**9)
-    inner_indices, inner_data = (m.reshape(-1, M) for m in inner.annihilator())
-    indices, data = fock.annihilator()
+    inner_indices, inner_data = (m.reshape(-1, M) for m in annihilator(inner))
+    indices, data = annihilator(fock)
     cols, amps = [], []
     for code, members in pair_classes(fock.mode_codes, pairs):
         target = (lower if fock.mode_codes is None

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -138,9 +140,10 @@ def _random_unit(rng, n):
     return x / np.linalg.norm(x)
 
 
-@pytest.mark.parametrize("N,quanta", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("N,quanta", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (1, 1), (1, 2)])
 def test_ladder_core_on_random_vectors(N, quanta, basis_q1, basis_q2, soft_tensor_q2):
-    # gamma = W^T W and the pair map against literal ladder algebra, off eigenvectors
+    # gamma and the pair map against literal ladder algebra, off eigenvectors;
+    # N = 1 has no pair map
     basis = basis_q1 if quanta == 1 else basis_q2
     tensor = (interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
               if quanta == 1 else soft_tensor_q2)
@@ -151,6 +154,9 @@ def test_ladder_core_on_random_vectors(N, quanta, basis_q1, basis_q2, soft_tenso
         x = _random_unit(rng, ham.size)
         np.testing.assert_allclose(ham.one_body_matrix(x),
                                    dense_gamma(x, states, index, basis.size), atol=1e-12)
+        if N == 1:
+            assert ham.pair_map is None
+            continue
         pairs = literal_pair_annihilation(x, N, basis.size, tensor.pairs)
         np.testing.assert_allclose(gather(ham.pair_map, x).reshape(-1, tensor.n_pairs), pairs,
                                    atol=1e-12)
@@ -223,11 +229,12 @@ def test_off_centre_grid_solves_in_full_space(monkeypatch):
     assert gr.energy == pytest.approx(e_ref, abs=1e-9)
 
 
-@pytest.mark.parametrize("N,quanta", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("N,quanta", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (1, 1), (1, 2)])
 def test_sector_pair_map_and_fold_on_random_vectors(N, quanta, basis_q1, basis_q2,
                                                     soft_tensor_q2):
     # per-class blocks of the sector pair map against literal a_k a_l, and the
-    # class-blocked fold against the dense Hamiltonian, off eigenvectors
+    # class-blocked fold and gamma against the dense oracles, off eigenvectors;
+    # N = 1 has no pair map
     basis = basis_q1 if quanta == 1 else basis_q2
     tensor = (interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
               if quanta == 1 else soft_tensor_q2)
@@ -239,17 +246,18 @@ def test_sector_pair_map_and_fold_on_random_vectors(N, quanta, basis_q1, basis_q
         x = _random_unit(rng, ham.size)
         full = np.zeros(len(states))
         full[ranks] = x
-        literal = literal_pair_annihilation(full, N, basis.size, tensor.pairs)
-        w = gather(ham.pair_map, x)
-        covered = np.zeros(literal.shape, dtype=bool)
-        for cls in ham.pair_classes:
-            np.testing.assert_allclose(w[cls.span].reshape(-1, len(cls.pairs)),
-                                       literal[np.ix_(cls.lower, cls.pairs)], atol=1e-12)
-            covered[np.ix_(cls.lower, cls.pairs)] = True
-        assert np.all(literal[~covered] == 0.0)
         np.testing.assert_allclose(ham.matvec(x), (H @ full)[ranks], atol=1e-12)
         np.testing.assert_allclose(ham.one_body_matrix(x),
                                    dense_gamma(full, states, index, basis.size), atol=1e-12)
+        if N == 1:
+            assert ham.pair_map is None
+            continue
+        literal = literal_pair_annihilation(full, N, basis.size, tensor.pairs)
+        covered = np.zeros(literal.shape, dtype=bool)
+        for cls, w in ham.pair_amplitudes(x):
+            np.testing.assert_allclose(w, literal[np.ix_(cls.lower, cls.pairs)], atol=1e-12)
+            covered[np.ix_(cls.lower, cls.pairs)] = True
+        assert np.all(literal[~covered] == 0.0)
         c = _random_unit(rng, basis.size)
         np.testing.assert_allclose(ham.pair_annihilation(x, c),
                                    literal @ tensor.pair_weights(c), atol=1e-12)
@@ -283,29 +291,38 @@ def test_pair_map_matches_the_composed_map_in_the_full_space(N):
 def test_sector_hamiltonian_builds_only_the_n_minus_2_space(monkeypatch, basis_q2,
                                                            soft_tensor_q2):
     fock = FockBasis.build(4, basis_q2.size, mode_codes=basis_q2.parity_codes)
-    built, lowered = [], []
-    build, annihilator = FockBasis.build.__func__, FockBasis.annihilator
+    built = []
+    build = FockBasis.build.__func__
 
     def build_spy(cls, N, *args, **kwargs):
         built.append(N)
         return build(cls, N, *args, **kwargs)
 
-    def annihilator_spy(self):
-        lowered.append(self.N)
-        return annihilator(self)
-
     monkeypatch.setattr(FockBasis, "build", classmethod(build_spy))
-    monkeypatch.setattr(FockBasis, "annihilator", annihilator_spy)
     PairOpHamiltonian(basis_q2, soft_tensor_q2, fock)
     assert built == [2]
-    assert lowered == [4]
+
+
+def test_hamiltonian_keeps_no_full_pair_fold_or_one_boson_map(basis_q2, soft_tensor_q2):
+    # only the per-class fold blocks and the pair map stay: no (P, P) fold
+    # and no map over the (N-1)-particle states
+    ham = _sector_hamiltonian(basis_q2, soft_tensor_q2, 4)
+    M, P = basis_q2.size, soft_tensor_q2.n_pairs
+    one_boson_rows = comb(3 + M - 1, 3) * M
+    arrays = [a for value in vars(ham).values()
+              for a in (value if isinstance(value, tuple) else (value,))
+              if isinstance(a, np.ndarray)]
+    assert len(arrays) == 3         # diag and the pair map's columns and amplitudes
+    assert all(a.shape != (P, P) and a.shape[0] != one_boson_rows for a in arrays)
+    assert all(cls.fold.shape == (len(cls.pairs),) * 2 and len(cls.pairs) < P
+               for cls in ham.pair_classes)
 
 
 @pytest.mark.parametrize("space", ["sector_q2", "sector_q3", "off_centre_full"])
 def test_pair_amplitude_matrix_matches_the_full_space_route(space, basis_q2, soft_tensor_q2,
                                                             basis_q3, sweep_tensor_q3):
-    # C from the solve's pair map against C from the full N = 2 basis, its
-    # annihilator and the coefficients scattered there, bit for bit
+    # C from the solve's pair map against C from the full N = 2 basis, the
+    # oracle annihilator and the coefficients scattered there, bit for bit
     if space == "off_centre_full":
         basis = _off_centre_basis(2)
         assert basis.parity_codes is None
