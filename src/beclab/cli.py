@@ -38,9 +38,9 @@ from . import __version__
 from .errors import (BecLabError, CapacityError, ConfigError, IntegrityError,
                      SolverFailureError)
 from .gp import coupling_2d, coupling_3d, minimize_gp
-from .model import (MAX_FOCK_DIMENSION, MAX_GRID_NODES, MAX_QUANTA, MAX_SAMPLES, REQUIRED,
-                    fields, file_path, flag, grid_from_config, kinds, multilinear_interpolate,
-                    number, numbers, problem_from_config, typed)
+from .model import (MAX_FOCK_DIMENSION, MAX_GRID_NODES, MAX_QUANTA, MAX_SAMPLES, REQUIRED, Grid,
+                    check_pair_scale, fields, file_path, flag, grid_from_config, kinds,
+                    multilinear_interpolate, number, numbers, problem_from_config, typed)
 from .poincare import Region, estimate_constant, weighted_estimate
 from .scattering import solve_zero_energy
 
@@ -74,6 +74,11 @@ def _region(doc, where: str) -> tuple[str, dict]:
     if nodes > MAX_GRID_NODES:
         raise CapacityError(f"{nodes} nodes, above the cap {MAX_GRID_NODES}",
                             field=f"{where}.points")
+    # the bounding grid of ``Region.box`` or ``Region.ball``
+    size = "side" if kind == "box" else "radius"
+    extent = f[size] if kind == "box" else 2.0 * f[size]
+    Grid((0.0,) * f["dimension"], (extent,) * f["dimension"],
+         (f["points"],) * f["dimension"]).check_sizes(f"{where}.{size}")
     return kind, f
 
 
@@ -136,9 +141,11 @@ def validate(config: dict) -> dict:
         s["g"] = (coupling_2d if problem.trap.dimension == 2 else coupling_3d)(s["N"], s["a"])
     if experiment == "manybody":
         if s["a"] is not None:
+            check_pair_scale(s["a"], field="solver.a")
             s["g"] = coupling_3d(s["N"], s["a"])
         elif s["g"] is not None:
             s["a"] = s["g"] / (4.0 * math.pi * s["N"])
+            check_pair_scale(s["a"], field="solver.g")
         else:
             raise ConfigError("manybody needs g or a", field="solver")
         if s["localization"] is not None and s["N"] != 2:
@@ -152,8 +159,11 @@ def validate(config: dict) -> dict:
         if states > s["dimension_cap"]:
             raise CapacityError(f"N = {N} has {states} occupation states, above the "
                                 f"cap {s['dimension_cap']}", field="solver.dimension_cap")
-    if experiment == "sweep" and s["gp_grid"] is not None:
-        s["gp_grid"] = grid_from_config(s["gp_grid"], problem.trap, where="solver.gp_grid")
+    if experiment == "sweep":
+        for N in s["N_list"]:
+            check_pair_scale(s["g"] / (4.0 * math.pi * N), field="solver.g")
+        if s["gp_grid"] is not None:
+            s["gp_grid"] = grid_from_config(s["gp_grid"], problem.trap, where="solver.gp_grid")
     return c | {"experiment": experiment}
 
 
@@ -170,7 +180,23 @@ def _jsonable(obj):
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, default=_jsonable) + "\n"
+    """Strict JSON: a NaN or infinite number raises ValueError."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_jsonable, allow_nan=False) + "\n"
+
+
+def _non_finite(obj, path: str) -> list[str]:
+    """Paths of the NaN and infinite numbers in a report."""
+    if isinstance(obj, dict):
+        return [p for key, value in obj.items() for p in _non_finite(value, f"{path}.{key}")]
+    if isinstance(obj, (list, tuple)):
+        return [p for i, value in enumerate(obj) for p in _non_finite(value, f"{path}[{i}]")]
+    if isinstance(obj, (float, np.floating, np.ndarray)) and not np.isfinite(obj).all():
+        return [path]
+    return []
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +455,16 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
         started = time.monotonic()
         try:
             report, aux = _RUNNERS[config["experiment"]](parsed)
+            bad = _non_finite(report, "report")
+            if bad:
+                raise SolverFailureError("report holds NaN or infinite numbers", fields=bad)
         except SolverFailureError as exc:
             run_dir.mkdir(parents=True, exist_ok=True)
             _atomic_write(run_dir / "failure.json", dump_json({
                 "error": str(exc),
-                "diagnostics": exc.diagnostics,
+                "diagnostics": {key: repr(value) if isinstance(value, float)
+                                and not math.isfinite(value) else value
+                                for key, value in exc.diagnostics.items()},
                 "config_hash": cfg_hash,
                 "artifact_version": __version__,
                 "experiment": config["experiment"],
@@ -598,7 +629,8 @@ def verify(paths) -> int:
     failures = []
     for path in paths:
         try:
-            rep = json.loads(Path(path).read_text(encoding="utf-8"))
+            rep = json.loads(Path(path).read_text(encoding="utf-8"),
+                             parse_constant=_reject_constant)
         except (OSError, ValueError, RecursionError) as exc:
             raise IntegrityError(f"{path}: unreadable report ({exc})")
         kind = rep.get("kind") if isinstance(rep, dict) else None

@@ -401,9 +401,9 @@ class FockBasis:
 
 def gather(ladder: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
     """Apply a one-entry-per-row map (indices, data): row r is
-    data[r] * x[indices[r]], and index -1 reads a zero appended to x."""
+    data[r] * x[indices[r]]; every index is a position in x."""
     indices, data = ladder
-    return data * np.append(x, 0.0)[indices]
+    return data * x[indices]
 
 
 def _rank_table(N: int, M: int) -> np.ndarray:

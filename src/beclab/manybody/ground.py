@@ -34,7 +34,7 @@ import numpy as np
 
 from ..errors import SolverFailureError
 from .basis import FockBasis, ModeBasis, gather
-from .tensor import InteractionTensor, pair_classes
+from .tensor import BlockLayout, InteractionTensor, pair_classes
 
 _RESIDUAL_TOL = 1e-9
 _LANCZOS_TOL = 1e-13
@@ -103,7 +103,6 @@ class PairOpHamiltonian:
         # r reads one state of ours (FockBasis.pair_sources); the pairs of
         # class c reach the (N-2)-particle states of parity code ours ^ c
         fock, pairs = self.fock, self.tensor.pairs
-        fold = self.tensor.fold_hamiltonian_pairs()
         codes = np.zeros(fock.M, dtype=np.int64) if fock.mode_codes is None else fock.mode_codes
         lower = FockBasis.build(fock.N - 2, fock.M, dimension_cap=fock.full_size)
         parity = np.bitwise_xor.reduce((lower.occupations & 1) * codes, axis=1)
@@ -115,7 +114,7 @@ class PairOpHamiltonian:
             cols.append(col.ravel())
             amps.append(amp.ravel())
             classes.append(PairClass(slice(start, start + col.size), members, lower.ranks[rows],
-                                     fold[np.ix_(members, members)]))
+                                     self.tensor.fold_hamiltonian_pairs(members)))
             start += col.size
         return (np.concatenate(cols), np.concatenate(amps)), tuple(classes)
 
@@ -168,23 +167,17 @@ class PairOpHamiltonian:
         if self.pair_map is None:
             v = self.fock.occupations.T @ x
             return np.outer(v, v)
-        # entry (p, q) of a class's Gram sits at row[p] + col[q] of the Grams laid end to end
-        grams, start = [], 0
-        row, col = np.empty((2, self.tensor.n_pairs), dtype=np.int64)
-        for cls, w in self.pair_amplitudes(x):
-            n = len(cls.pairs)
-            col[cls.pairs] = np.arange(n)
-            row[cls.pairs] = start + n * col[cls.pairs]
-            grams.append((w.T @ w).ravel())
-            start += n * n
-        grams = np.concatenate(grams)
+        amplitudes = self.pair_amplitudes(x)
+        grams = np.concatenate([(w.T @ w).ravel() for _, w in amplitudes])
+        layout = BlockLayout.of([cls.pairs for cls, _ in amplitudes], self.tensor.n_pairs)
         codes = self.fock.mode_codes
         codes = np.zeros(self.fock.M, dtype=np.int64) if codes is None else codes
         gamma = np.zeros((self.fock.M, self.fock.M))
         for code in np.unique(codes):
             modes = np.flatnonzero(codes == code)
             p = self.tensor.pair_index[modes]       # p(i, l) for the modes i of this code
-            gamma[np.ix_(modes, modes)] = grams[row[p][:, None, :] + col[p][None, :, :]].sum(axis=2)
+            gram = layout.read(grams, p[:, None, :], p[None, :, :])
+            gamma[np.ix_(modes, modes)] = gram.sum(axis=2)
         return gamma / (self.fock.N - 1)
 
 

@@ -14,9 +14,11 @@ of the padded pair-density transforms Phat.  The kernel w_q is even and
 trapezoid weights are mirror-symmetric, so when every mode has a definite
 reflection parity on every axis (``ModeBasis.parity_codes``), B[p, p'] is
 exactly zero unless pairs p = (i,k) and p' carry the same per-axis parity
-XOR of their two modes.  Only entries within those (up to 8) classes are
-computed; off-class entries are written as exact zeros.  A basis without
-definite parity forms one class.
+XOR of their two modes.  Only the diagonal blocks of those (up to 8)
+classes are computed and stored, laid end to end (``BlockLayout``); the
+symmetry check, the symmetrization, the Hamiltonian's pair fold and the
+Hartree quartic all run block by block.  A basis without definite parity
+forms one class.
 
 Harmonic and box modes are products of 1D factors, so Phat is an outer
 product of 1D transforms and B is sum-factorized: one batched 1D rfft per
@@ -28,13 +30,14 @@ pair blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ..errors import ConfigError
-from ..model import PairPotential
+from ..errors import CapacityError, ConfigError
+from ..model import MAX_GRID_NODES, PairPotential
 from .basis import ModeBasis
 
 
@@ -42,16 +45,58 @@ _BLOCK_BYTES = 3.0e8     # budget for one block of pair transforms
 
 
 @dataclass(frozen=True)
+class BlockLayout:
+    """Where entry (p, q) of a pair-by-pair matrix sits when only its
+    pair-class blocks are kept, laid end to end, each in row-major order.
+
+    Per pair: ``start`` is the offset of its row in the layout, ``pos`` its
+    position within its class and ``label`` the index of its class; entry
+    (p, q) of one class sits at start[p] + pos[q].
+    """
+
+    start: np.ndarray
+    pos: np.ndarray
+    label: np.ndarray
+
+    @classmethod
+    def of(cls, classes, n_pairs: int) -> "BlockLayout":
+        """The layout of ``classes``, the member pair indices of each class,
+        which partition range(n_pairs)."""
+        start, pos = np.empty((2, n_pairs), dtype=np.int64)
+        label = np.empty(n_pairs, dtype=np.min_scalar_type(len(classes)))
+        offset = 0
+        for c, members in enumerate(classes):
+            n = len(members)
+            pos[members] = np.arange(n)
+            start[members] = offset + n * pos[members]
+            label[members] = c
+            offset += n * n
+        return cls(start, pos, label)
+
+    def read(self, flat: np.ndarray, p, q) -> np.ndarray:
+        """Entries (p, q), broadcast, of the matrix whose class blocks
+        ``flat`` holds in this layout; exact zeros across classes."""
+        # an offset across classes is meaningless and may run past the end
+        out = np.asarray(np.take(flat, self.start[p] + self.pos[q], mode="clip"))
+        out[self.label[p] != self.label[q]] = 0.0
+        return out
+
+
+@dataclass(frozen=True)
 class InteractionTensor:
-    """Symmetric 4-index tensor stored as a pair-density overlap matrix.
+    """Symmetric 4-index tensor stored as a pair-density overlap matrix B.
 
     With unordered pair index p(i,k), entry V[i,j,k,l] equals
-    pair_matrix[p(i,k), p(j,l)]; the storage realizes the exchange
-    symmetries in (i,k), in (j,l), and under (i,k) <-> (j,l) identically.
+    B[p(i,k), p(j,l)]; the storage realizes the exchange symmetries in
+    (i,k), in (j,l), and under (i,k) <-> (j,l) identically.  B vanishes
+    across the pair classes ``classes`` (the member pairs of each), so only
+    its class blocks are kept, laid end to end in row-major order
+    (``blocks``, read through ``layout``).
     """
 
     M: int
-    pair_matrix: np.ndarray
+    classes: tuple[np.ndarray, ...]
+    blocks: np.ndarray
 
     @cached_property
     def pairs(self) -> np.ndarray:
@@ -62,43 +107,59 @@ class InteractionTensor:
     def pair_index(self) -> np.ndarray:
         return _pair_index(self.M)
 
+    @cached_property
+    def layout(self) -> BlockLayout:
+        return BlockLayout.of(self.classes, self.n_pairs)
+
     @property
     def n_pairs(self) -> int:
         return self.M * (self.M + 1) // 2
 
+    @property
+    def pair_matrix(self) -> np.ndarray:
+        """B as a dense (n_pairs, n_pairs) array, formed anew on every read."""
+        p = np.arange(self.n_pairs)
+        return self.layout.read(self.blocks, p[:, None], p)
+
+    def class_blocks(self):
+        """(members, block) per class; each block is a view into ``blocks``."""
+        return _views(self.classes, self.blocks)
+
     def __getitem__(self, ijkl) -> float:
         i, j, k, l = ijkl
-        return float(self.pair_matrix[self.pair_index[i, k], self.pair_index[j, l]])
+        return float(self.layout.read(self.blocks, self.pair_index[i, k], self.pair_index[j, l]))
 
     def symmetry_error(self) -> float:
-        return _asymmetry(self.pair_matrix)
+        scale = max(float(np.abs(self.blocks).max()), 1e-300)
+        return max(float(np.abs(b - b.T).max()) for _, b in self.class_blocks()) / scale
 
     def pair_weights(self, c: np.ndarray) -> np.ndarray:
         """c_i c_k (2 - d_ik) over unordered pairs (i, k)."""
         i, k = self.pairs.T
         return c[i] * c[k] * (2.0 - (i == k))
 
-    def fold_hamiltonian_pairs(self) -> np.ndarray:
-        """Coefficients over unordered pairs for the normal-ordered pair term.
+    def fold_hamiltonian_pairs(self, members: np.ndarray) -> np.ndarray:
+        """Coefficients over the unordered pairs ``members`` for the
+        normal-ordered pair term.
 
         The pair interaction equals sum_{ab} F[a,b] P_a^dag P_b with
         P_(k<=l) = a_k a_l and
         F[(i,j),(k,l)] = (2-d_ij)(2-d_kl)/4 * (V[ijkl] + V[ijlk]),
-        the direct plus exchange fold.
+        the direct plus exchange fold; this is F restricted to ``members``.
+        Within one class every entry it reads lies in a block.
         """
         pi = self.pair_index
-        B = self.pair_matrix
-        i, j = self.pairs[:, :1], self.pairs[:, 1:]
-        k, l = self.pairs.T
-        direct = B[pi[i, k], pi[j, l]]
-        exchange = B[pi[i, l], pi[j, k]]
+        i, j = self.pairs[members, :1], self.pairs[members, 1:]
+        k, l = self.pairs[members].T
+        direct = self.layout.read(self.blocks, pi[i, k], pi[j, l])
+        exchange = self.layout.read(self.blocks, pi[i, l], pi[j, k])
         w = 2.0 - (k == l)
         return (w[:, None] * w) * 0.25 * (direct + exchange)
 
     def hartree_quartic(self, c: np.ndarray) -> float:
         """sum_{ijkl} V[ijkl] c_i c_j c_k c_l for a single-mode amplitude c."""
         d = self.pair_weights(c)
-        return float(d @ self.pair_matrix @ d)
+        return float(sum(d[m] @ b @ d[m] for m, b in self.class_blocks()))
 
 
 def _pair_table(M: int) -> np.ndarray:
@@ -113,8 +174,13 @@ def _pair_index(M: int) -> np.ndarray:
     return idx
 
 
-def _asymmetry(b: np.ndarray) -> float:
-    return float(np.abs(b - b.T).max() / max(np.abs(b).max(), 1e-300))
+def _views(classes, flat: np.ndarray):
+    # the (n, n) block of each class of n pairs, in class order
+    start = 0
+    for members in classes:
+        n = len(members)
+        yield members, flat[start:start + n * n].reshape(n, n)
+        start += n * n
 
 
 def pair_classes(codes: np.ndarray | None, pairs: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -144,21 +210,26 @@ def interaction_tensor(basis: ModeBasis, potential: PairPotential) -> Interactio
         raise ConfigError("interaction grids must have equal spacing per axis", field="grid")
 
     M = basis.size
-    P = M * (M + 1) // 2
-    if potential.is_zero:
-        return InteractionTensor(M=M, pair_matrix=np.zeros((P, P)))
-
-    pad = int(np.ceil(potential.range / h[0])) + 2
-    npad = tuple(np.asarray(grid.points) + pad)
     pairs = _pair_table(M)
+    classes = tuple(members for _, members in pair_classes(basis.parity_codes, pairs))
+    if potential.is_zero:
+        return InteractionTensor(M=M, classes=classes,
+                                 blocks=np.zeros(sum(len(m) ** 2 for m in classes)))
+
+    pad = np.ceil(potential.range / h[0]) + 2
+    if math.prod(n + pad for n in grid.points) > MAX_GRID_NODES:
+        raise CapacityError(f"range {potential.range:.3g} pads the grid above the cap of "
+                            f"{MAX_GRID_NODES} nodes", field="pair_potential")
+    npad = tuple(np.asarray(grid.points) + int(pad))
     scale = float(np.prod(npad)) * float(np.prod(h))
-    if basis.axis_tables is not None:
-        B = _factored_pair_matrix(basis, potential, npad, pairs, scale)
-    else:
-        B = _blocked_pair_matrix(basis, potential, npad, pairs, scale)
-    if _asymmetry(B) > 1e-10:
+    build = _factored_pair_blocks if basis.axis_tables is not None else _blocked_pair_blocks
+    tensor = InteractionTensor(M=M, classes=classes,
+                               blocks=build(basis, potential, npad, pairs, classes, scale))
+    if tensor.symmetry_error() > 1e-10:
         raise ConfigError("interaction tensor lost its exchange symmetry")
-    return InteractionTensor(M=M, pair_matrix=0.5 * (B + B.T))
+    for _, b in tensor.class_blocks():
+        b[...] = 0.5 * (b + b.T)
+    return tensor
 
 
 def _half_weights(npad: int) -> np.ndarray:
@@ -170,8 +241,9 @@ def _half_weights(npad: int) -> np.ndarray:
     return d
 
 
-def _factored_pair_matrix(basis, potential, npad, pairs, scale) -> np.ndarray:
-    """B from per-axis transforms of the 1D factor products (sum factorization).
+def _factored_pair_blocks(basis, potential, npad, pairs, classes, scale) -> np.ndarray:
+    """B's class blocks from per-axis transforms of the 1D factor products
+    (sum factorization), laid end to end.
 
     On axis ax the K = R(R+1)/2 products of table rows a <= b transform
     with one batched 1D rfft.  v is even in each frequency and the products
@@ -179,10 +251,9 @@ def _factored_pair_matrix(basis, potential, npad, pairs, scale) -> np.ndarray:
     B[p,p'] = sum_q W(q) prod_ax A_ax[c_ax(p), c_ax(p'), q_ax] with the real
     A_ax = d Re(F F'^*).  The octant sum runs over q_z (one GEMM), q_y (a
     GEMM per q_x) and q_x (a gather of the in-class entries); entries
-    outside the parity classes are never formed and stay exact zeros.
+    outside the parity classes are never formed.
     """
     grid = basis.grid
-    classes = [members for _, members in pair_classes(basis.parity_codes, pairs)]
     r = np.concatenate([np.repeat(m, len(m)) for m in classes])
     c = np.concatenate([np.tile(m, len(m)) for m in classes])
     # per axis: A as (K*K, nq) and the row of each in-class entry (r, c) in it
@@ -206,13 +277,11 @@ def _factored_pair_matrix(basis, potential, npad, pairs, scale) -> np.ndarray:
     vals = np.zeros(len(r))
     for q in range(nqx):
         vals += Ax[rows[0], q] * (Ay @ T1[q]).ravel()[yz]
-    B = np.zeros((len(pairs), len(pairs)))
-    B[r, c] = vals
-    return B
+    return vals
 
 
-def _blocked_pair_matrix(basis, potential, npad, pairs, scale) -> np.ndarray:
-    """B = Re(Phat diag(w_q) Phat^H) from 3D transforms, class by class.
+def _blocked_pair_blocks(basis, potential, npad, pairs, classes, scale) -> np.ndarray:
+    """B's class blocks from 3D transforms, laid end to end.
 
     Each block product is one real GEMM on the interleaved real/imaginary
     view; pairs are transformed in blocks of at most _BLOCK_BYTES.
@@ -226,8 +295,7 @@ def _blocked_pair_matrix(basis, potential, npad, pairs, scale) -> np.ndarray:
     wq = (vq * _half_weights(npad[2])).ravel() / scale
 
     nq = vq.size
-    P = len(pairs)
-    block = max(16, min(P, int(_BLOCK_BYTES / (nq * 16))))
+    block = max(16, min(len(pairs), int(_BLOCK_BYTES / (nq * 16))))
     weights = grid.weights
     inner = tuple(slice(0, s) for s in grid.points)
 
@@ -240,16 +308,16 @@ def _blocked_pair_matrix(basis, potential, npad, pairs, scale) -> np.ndarray:
             out[row] = np.fft.rfftn(buf).ravel()
         return out
 
-    B = np.zeros((P, P))
-    for _, members in pair_classes(basis.parity_codes, pairs):
-        chunks = [members[s:s + block] for s in range(0, len(members), block)]
+    flat = np.empty(sum(len(m) ** 2 for m in classes))
+    for members, B in _views(classes, flat):
+        chunks = [slice(s, s + block) for s in range(0, len(members), block)]
         for a, rows in enumerate(chunks):
-            pa = transform_block(rows)
+            pa = transform_block(members[rows])
             paw = (pa * wq).view(np.float64)
-            B[np.ix_(rows, rows)] = paw @ pa.view(np.float64).T
+            B[rows, rows] = paw @ pa.view(np.float64).T
             for cols in chunks[a + 1:]:
-                blk = paw @ transform_block(cols).view(np.float64).T
-                B[np.ix_(rows, cols)] = blk
-                B[np.ix_(cols, rows)] = blk.T
+                blk = paw @ transform_block(members[cols]).view(np.float64).T
+                B[rows, cols] = blk
+                B[cols, rows] = blk.T
             del pa, paw
-    return B
+    return flat

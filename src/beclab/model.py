@@ -101,6 +101,24 @@ class Grid:
     def volume(self) -> float:
         return float(np.prod(self.extent))
 
+    def check_sizes(self, field: str):
+        """Refuse a grid whose spacing, smallest node weight, volume or
+        kinetic scale is not a finite positive float (a ConfigError naming
+        ``field``): an extent near either end of the float range underflows
+        them to zero or overflows them, and the quadrature sums and spectral
+        matrices built from them with them.  The kinetic scale of an axis is
+        the sum of its squared interior sine wavenumbers (pi k / extent)^2,
+        which bounds every sum its spectral kinetic matrix forms."""
+        kinetic = max((math.pi / e) * (math.pi / e) * (n - 2) * (n - 1) * (2 * n - 3) / 6
+                      for e, n in zip(self.extent, self.points))
+        sizes = {"spacing": min(self.spacing),
+                 "node weight": math.prod(h / 2 for h in self.spacing),
+                 "volume": math.prod(self.extent), "kinetic scale": kinetic}
+        for name, value in sizes.items():
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"grid {name} {value!r} is not a finite positive float",
+                                  field=field)
+
     def integrate(self, values: np.ndarray) -> float:
         return float(np.sum(values * self.weights))
 
@@ -436,14 +454,25 @@ def _sphere_transform(q, height, radius):
     return out
 
 
+def check_pair_scale(a: float, field: str | None = None):
+    """Refuse a scaling length a that is not positive and finite, or whose
+    height factor 1/a^2 is not a finite nonzero float (an
+    InvalidParameterError naming ``field``)."""
+    if not (a > 0 and math.isfinite(a)):
+        raise InvalidParameterError("scaling length a must be positive and finite", field=field)
+    square = a * a
+    if not (0.0 < square < math.inf and 1.0 / square < math.inf):
+        raise InvalidParameterError(f"scaling length a = {a!r}: 1/a^2 is not a finite "
+                                    "nonzero float", field=field)
+
+
 def scale_pair_potential(base: PairPotential, a: float) -> PairPotential:
     """Potential v(r) = v1(r/a) / a^2 obtained from ``base`` at length a.
 
     Scaling composes: scaling by a then b equals scaling by a*b.  The
     scattering length of the result is a times that of ``base``.
     """
-    if not (a > 0) or not math.isfinite(a):
-        raise InvalidParameterError("scaling length a must be positive and finite")
+    check_pair_scale(a)
     if base.shape == "hard_sphere":
         return PairPotential.hard_sphere(base.core * a)
     if base.shape == "soft_sphere":
@@ -577,7 +606,9 @@ PAIR_POTENTIALS = {
 def trap_from_config(doc: dict, where: str = "trap") -> TrapSpec:
     kind, f = kinds("kind", TRAPS)(doc, where)
     if kind == "tabulated":
-        return TrapSpec.tabulated(Grid(f["lo"], f["extent"], f["points"]), f["values"])
+        grid = Grid(f["lo"], f["extent"], f["points"])
+        grid.check_sizes(f"{where}.extent")
+        return TrapSpec.tabulated(grid, f["values"])
     return getattr(TrapSpec, kind)(**f)
 
 
@@ -594,6 +625,7 @@ def grid_from_config(doc: dict, trap: TrapSpec | None = None, where: str = "grid
     box = trap is not None and trap.kind == "box"
     lo = f["lo"] if f["lo"] is not None else tuple(0.0 if box else -e / 2 for e in f["extent"])
     grid = Grid(lo, f["extent"], f["points"])
+    grid.check_sizes(f"{where}.extent")
     if trap is not None:
         trap.check_grid(grid, where)
     return grid

@@ -77,8 +77,9 @@ def annihilator(fock):
     one entry of x (exactly one in the full space; in a sector, rows whose
     source lies outside it are empty): the source state ``indices`` and the
     amplitude sqrt(n_i) ``data``.  An empty row has index -1 and amplitude
-    0, which ``gather`` reads as zero.  Removing one boson from mode i
-    lowers rem_j by one for j < i only, so
+    0; a gather over such rows appends the zero that index -1 reads (the
+    pair map that ``basis.gather`` serves has none).  Removing one boson
+    from mode i lowers rem_j by one for j < i only, so
     rank_{N-1}(n - e_i) = rank_N(n) - sum_{j<i} [F_j(rem_j) - F_j(rem_j - 1)].
     """
     M, occ, F = fock.M, fock.occupations, fock._rank_table
@@ -102,12 +103,13 @@ def full_space_pair_amplitudes(fock, x):
     ``fock`` (N = 2, the full space or a sector), through the full N = 2
     basis: x scattered there by its ranks, then one annihilator.  State k
     of the one-particle basis is e_k, so a_k a_l x is entry k of a_l x."""
-    from beclab.manybody.basis import FockBasis, gather
+    from beclab.manybody.basis import FockBasis
 
     full = FockBasis.build(2, fock.M, dimension_cap=10**9)
-    coefficients = np.zeros(full.size)
+    coefficients = np.zeros(full.size + 1)      # and the zero an empty row reads
     coefficients[fock.ranks] = x
-    return gather(annihilator(full), coefficients).reshape(fock.M, fock.M) / np.sqrt(2.0)
+    indices, data = annihilator(full)
+    return (data * coefficients[indices]).reshape(fock.M, fock.M) / np.sqrt(2.0)
 
 
 def sector(fock, mode_codes, code):
@@ -239,6 +241,18 @@ def dense_pair_matrix(basis, potential, sampled=False):
         dens[p][: n[0], : n[1], : n[2]] = basis.modes[i] * basis.modes[k] * grid.weights
     hat = np.fft.fftn(dens, axes=(1, 2, 3)).reshape(len(pairs), -1)
     return ((hat * w) @ hat.conj().T).real
+
+
+def dense_pair_fold(tensor):
+    """The normal-ordered pair fold F over every pair at once, from the
+    dense B (``InteractionTensor.pair_matrix``): F[(i,j),(k,l)] =
+    (2-d_ij)(2-d_kl)/4 (B[p(i,k), p(j,l)] + B[p(i,l), p(j,k)]), one P x P
+    array with its zeros across pair classes."""
+    pi, B = tensor.pair_index, tensor.pair_matrix
+    i, j = tensor.pairs[:, :1], tensor.pairs[:, 1:]
+    k, l = tensor.pairs.T
+    w = 2.0 - (k == l)
+    return (w[:, None] * w) * 0.25 * (B[pi[i, k], pi[j, l]] + B[pi[i, l], pi[j, k]])
 
 
 def sampled_kernel(potential, npad, h):

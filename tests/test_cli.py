@@ -655,14 +655,46 @@ def test_unreadable_config_exits_2(tmp_path, content):
     json.dumps({"kind": "scattering", "artifact_version": __version__, "a": 1.0, "s": 0.5,
                 "phi1_samples": {"r": [0.0], "phi1": [1.0]}}).encode(),
     json.dumps({"kind": "sweep", "artifact_version": __version__, "rows": 3}).encode(),
+    json.dumps({"kind": "scattering", "artifact_version": __version__, "a": 1.0,
+                "s": float("nan"), "phi1_samples": {"r": [50.0], "phi1": [0.98]}}).encode(),
 ], ids=["list", "string", "list_kind", "not_utf8", "deep", "components_int", "r_max_zero",
-        "rows_int"])
+        "rows_int", "nan_number"])
 def test_malformed_report_exits_4(tmp_path, content):
     p = tmp_path / "report.json"
     p.write_bytes(content)
     res = _run_cli("verify", str(p))
     assert res.returncode == 4 and "verification error" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in strict JSON")
+
+
+@pytest.mark.parametrize("experiment,path,value", [
+    ("poincare", "solver.region.radius", 1e-300),      # node weights underflow
+    ("poincare", "solver.region.radius", 1e300),       # radius**2 overflows
+    ("gp", "problem.grid.extent", [1e-300] * 3),       # singular spectral matrices
+    ("manybody", "problem.grid.extent", [14e-160, 14.0, 14.0]),    # (pi/h)^2 overflows
+    ("manybody", "problem.pair_potential.height", 5e-100),  # scaled range pads to 10^98
+    ("manybody", "solver.a", 1e-300),                  # 1/a^2 overflows
+    ("scattering", "problem.pair_potential.radius", 1e-300),   # s is NaN
+], ids=repr)
+def test_float_extremes_exit_2_or_3_and_write_strict_json(tmp_path, capsys, experiment, path,
+                                                          value):
+    cfg = SMALL_CONFIGS[experiment]()
+    *parents, key = path.split(".")
+    doc = cfg
+    for name in parents:
+        doc = doc[name]
+    doc[key] = value
+    p = write_config(tmp_path, cfg)
+    code = main([experiment, "--config", str(p), "--out", str(tmp_path / "o")])
+    assert code in (2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    assert (code == 3) == any((tmp_path / "o").rglob("failure.json"))
+    for written in (tmp_path / "o").rglob("*.json"):
+        json.loads(written.read_text(), parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("a", [1e-200, 0.9], ids=["a2N_underflows", "not_dilute"])
@@ -819,9 +851,9 @@ def test_cache_serves_only_runs_of_this_code(tmp_path, monkeypatch):
 def test_dump_json_writes_numpy_values_as_python_ones():
     record = {"b": {"i": np.int64(7), "f": np.bool_(True), "x": np.float32(0.1),
                     "m": np.arange(6.0).reshape(2, 3) / 3, "t": (1, np.float64(2.5), "z")},
-              "a": [np.int32(-3), None, float("inf")]}
+              "a": [np.int32(-3), None, 1e300]}
     assert dump_json(record) == (
-        '{\n  "a": [\n    -3,\n    null,\n    Infinity\n  ],\n  "b": {\n    "f": true,\n'
+        '{\n  "a": [\n    -3,\n    null,\n    1e+300\n  ],\n  "b": {\n    "f": true,\n'
         '    "i": 7,\n    "m": [\n      [\n        0.0,\n        0.3333333333333333,\n'
         '        0.6666666666666666\n      ],\n      [\n        1.0,\n'
         '        1.3333333333333333,\n        1.6666666666666667\n      ]\n    ],\n'
@@ -831,6 +863,9 @@ def test_dump_json_writes_numpy_values_as_python_ones():
     for other in (object(), {1, 2}, 1j):
         with pytest.raises(TypeError):
             dump_json({"z": other})
+    for non_finite in (float("inf"), np.float64("nan"), np.array([1.0, -np.inf])):
+        with pytest.raises(ValueError):        # strict JSON has no NaN or Infinity
+            dump_json({"z": non_finite})
 
 
 @pytest.mark.parametrize("experiment", ["manybody", "sweep"])

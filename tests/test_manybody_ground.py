@@ -1,3 +1,4 @@
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -316,6 +317,31 @@ def test_hamiltonian_keeps_no_full_pair_fold_or_one_boson_map(basis_q2, soft_ten
     assert all(a.shape != (P, P) and a.shape[0] != one_boson_rows for a in arrays)
     assert all(cls.fold.shape == (len(cls.pairs),) * 2 and len(cls.pairs) < P
                for cls in ham.pair_classes)
+
+
+def _held_arrays(obj):
+    """Every array held by obj's attributes (its cached properties formed
+    first), through tuples and the many-body objects it keeps: tensors,
+    pair classes and layouts, not bases or occupation spaces."""
+    for name, attr in vars(type(obj)).items():
+        if isinstance(attr, cached_property):
+            getattr(obj, name)
+    for value in vars(obj).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+            elif type(item).__module__ in ("beclab.manybody.ground", "beclab.manybody.tensor"):
+                yield from _held_arrays(item)
+
+
+def test_parity_solve_holds_no_pair_by_pair_array(basis_q2, soft_tensor_q2):
+    # the tensor keeps B's class blocks and the Hamiltonian its class folds:
+    # no (P, P) array, a dense B included, is held by either
+    ham = ground_state(basis_q2, soft_tensor_q2, 3).ham
+    P = soft_tensor_q2.n_pairs
+    arrays = list(_held_arrays(ham))
+    assert all(a.shape != (P, P) for a in arrays)
+    assert any(a is soft_tensor_q2.blocks for a in arrays)
 
 
 @pytest.mark.parametrize("space", ["sector_q2", "sector_q3", "off_centre_full"])

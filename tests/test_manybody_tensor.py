@@ -3,10 +3,11 @@ import pytest
 
 import beclab as bl
 from beclab.errors import ConfigError, ResolutionError
-from beclab.manybody import build_mode_basis
+from beclab.manybody import FockBasis, build_mode_basis
 from beclab.manybody import tensor as tensor_module
+from beclab.manybody.ground import PairOpHamiltonian
 from beclab.manybody.tensor import _pair_table, interaction_tensor, pair_classes
-from .oracles import dense_pair_matrix, sampled_pair_matrix
+from .oracles import dense_pair_fold, dense_pair_matrix, sampled_pair_matrix
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
 
@@ -112,6 +113,38 @@ def test_pair_classes_match_the_axis_parity_grouping(request, name):
     classes = pair_classes(basis.parity_codes, pairs)
     assert [c for c, _ in classes] == [c for c, _ in expected]
     assert all(np.array_equal(m, e) for (_, m), (_, e) in zip(classes, expected))
+
+
+def _parity_basis(request, name):
+    if name == "tabulated":
+        return request.getfixturevalue("tabulated_basis")
+    if name == "box":
+        return build_mode_basis(bl.TrapSpec.box(6.0), bl.Grid.box(6.0, 32), 2)
+    return build_mode_basis(bl.TrapSpec.harmonic((1.0, 1.0, 1.0)), GRID, 2)
+
+
+@pytest.mark.parametrize("name", ["harmonic", "box", "tabulated"])
+def test_class_folds_are_the_dense_fold_blocks(request, name):
+    # each class folds only its own pairs: the same numbers, bit for bit, as
+    # the block of that class cut out of the fold over all pairs
+    basis = _parity_basis(request, name)
+    t = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    dense = dense_pair_fold(t)
+    fock = FockBasis.build(2, basis.size, mode_codes=basis.parity_codes)
+    classes = PairOpHamiltonian(basis, t, fock).pair_classes
+    assert len(classes) > 1
+    for cls in classes:
+        assert np.array_equal(cls.fold, dense[np.ix_(cls.pairs, cls.pairs)])
+
+
+@pytest.mark.parametrize("name", ["tabulated_off_centre_basis", "small_basis"])
+def test_single_class_fold_is_the_dense_fold(request, name):
+    # no parity (off-centre), or the full space over a parity basis: the
+    # Hamiltonian folds all pairs as one class, zeros across tensor classes
+    basis = request.getfixturevalue(name)
+    t = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    (cls,) = PairOpHamiltonian(basis, t, FockBasis.build(2, basis.size)).pair_classes
+    assert np.array_equal(cls.fold, dense_pair_fold(t))
 
 
 def test_zero_potential_gives_zero_tensor(small_basis):
