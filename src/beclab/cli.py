@@ -38,9 +38,10 @@ from . import __version__
 from .errors import (BecLabError, CapacityError, ConfigError, IntegrityError,
                      SolverFailureError)
 from .gp import coupling_2d, coupling_3d, minimize_gp
-from .model import (MAX_FOCK_DIMENSION, MAX_GRID_NODES, MAX_QUANTA, MAX_SAMPLES, REQUIRED, Grid,
-                    check_pair_scale, fields, file_path, flag, grid_from_config, kinds,
-                    multilinear_interpolate, number, numbers, problem_from_config, typed)
+from .model import (FOCK_DIMENSION_CAP, MAX_FOCK_DIMENSION, MAX_GRID_NODES, MAX_QUANTA,
+                    MAX_SAMPLES, REQUIRED, Grid, check_pair_scale, fields, file_path, flag,
+                    grid_from_config, kinds, multilinear_interpolate, number, numbers,
+                    problem_from_config, typed)
 from .poincare import Region, estimate_constant, weighted_estimate
 from .scattering import solve_zero_energy
 
@@ -55,7 +56,8 @@ EXIT_VERIFY = 4
 # ---------------------------------------------------------------------------
 
 _FOCK = {"max_quanta": (number(integer=True, minimum=0, cap=MAX_QUANTA), 3),
-         "dimension_cap": (number(integer=True, minimum=1, cap=MAX_FOCK_DIMENSION), 200_000)}
+         "dimension_cap": (number(integer=True, minimum=1, cap=MAX_FOCK_DIMENSION),
+                           FOCK_DIMENSION_CAP)}
 _DRAWS = number(integer=True, minimum=1, cap=MAX_SAMPLES)
 
 LOCALIZATION = {"radii": (numbers(positive=True), REQUIRED), "samples": (_DRAWS, 64)}
@@ -263,7 +265,7 @@ def run_manybody(c: dict):
     N, a, g, loc = solver["N"], solver["a"], solver["g"], solver["localization"]
     setup = prepare_pipeline(problem.trap, problem.pair_potential, g, problem.grid,
                              solver["max_quanta"])
-    ground, report_metrics, rayleigh = solve_instance(setup, N, a, g,
+    ground, report_metrics, rayleigh = solve_instance(setup, N, a,
                                                       dimension_cap=solver["dimension_cap"])
     report = {
         "kind": "manybody",
@@ -282,7 +284,7 @@ def run_manybody(c: dict):
         "kinetic_fraction_s": setup.s,
     }
     if loc is not None:
-        prof = localization_profile(ground, setup.gp, setup.basis, radii=loc["radii"],
+        prof = localization_profile(ground, setup.gp, radii=loc["radii"],
                                     samples=loc["samples"], seed=c["seed"])
         report["localization"] = asdict(prof)
     return report, {}

@@ -279,6 +279,9 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
     for it in range(1, max_iter + 1):
         if residual <= tol:
             break
+        if not math.isfinite(residual):
+            raise SolverFailureError("mean-field residual is not finite", residual=residual,
+                                     iterations=it)
         # preconditioned Polak-Ribiere+ direction in the tangent space of
         # the sphere
         z = ws.precondition(r, mu)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import CapacityError, ConfigError, ResolutionError
 from ..gp import sine_matrix
-from ..model import Grid, TrapSpec, axis_apply, mirror_parity
+from ..model import FOCK_DIMENSION_CAP, Grid, TrapSpec, axis_apply, mirror_parity
 
 
 def hermite_functions(nmax: int, x: np.ndarray, stiffness: float = 1.0) -> np.ndarray:
@@ -384,7 +384,7 @@ class FockBasis:
         return np.searchsorted(self.ranks, rank), amps
 
     @classmethod
-    def build(cls, N: int, M: int, dimension_cap: int = 200_000,
+    def build(cls, N: int, M: int, dimension_cap: int = FOCK_DIMENSION_CAP,
               mode_codes: np.ndarray | None = None) -> "FockBasis":
         """Every state, or with ``mode_codes`` the sector of state 0 (all
         bosons in mode 0).  The cap applies to the full count."""
@@ -397,13 +397,6 @@ class FockBasis:
         occ, ranks = _sector_states(N, M, codes, code)
         return cls(N=N, M=M, occupations=occ, ranks=ranks,
                    mode_codes=None if mode_codes is None else codes, code=code)
-
-
-def gather(ladder: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Apply a one-entry-per-row map (indices, data): row r is
-    data[r] * x[indices[r]]; every index is a position in x."""
-    indices, data = ladder
-    return data * x[indices]
 
 
 def _rank_table(N: int, M: int) -> np.ndarray:

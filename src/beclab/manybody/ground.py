@@ -21,7 +21,8 @@ the pairs of class c take sector s to the (N-2)-particle sector s ^ c, and
 the pair fold F is block-diagonal by class because the tensor is, so the
 dense multiply becomes one small GEMM per class.  The full space is one
 class over every (N-2)-particle state.  ``ground_state`` alone builds a
-solve's space and H; its result keeps H for the metrics and localization.
+solve's space and H; its result keeps H, and every reader downstream
+takes the modes, the tensor and N from it (``ground.ham``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from math import comb
 import numpy as np
 
 from ..errors import SolverFailureError
-from .basis import FockBasis, ModeBasis, gather
+from ..model import FOCK_DIMENSION_CAP
+from .basis import FockBasis, ModeBasis
 from .tensor import BlockLayout, InteractionTensor, pair_classes
 
 _RESIDUAL_TOL = 1e-9
@@ -50,19 +52,18 @@ class ManyBodyGround:
 
     gamma[i, j] = <a+_j a_i>, Hermitian, positive semidefinite, trace N.
     ``coefficients`` cover ``ham.fock``, the space solved (no ``asdict``:
-    it would copy ``ham``).  ``a`` and ``g`` record the scattering length
-    and coupling the instance was built for (zero when no interaction was
-    supplied).
+    it would copy ``ham``); ``ham`` also holds the modes, the tensor and N.
     """
 
     energy: float
     coefficients: np.ndarray
     gamma: np.ndarray
-    N: int
-    a: float
-    g: float
     residual: float
     ham: PairOpHamiltonian = field(compare=False, repr=False)
+
+    @property
+    def N(self) -> int:
+        return self.ham.fock.N
 
     @cached_property
     def natural_occupations(self) -> np.ndarray:
@@ -126,10 +127,10 @@ class PairOpHamiltonian:
         # the class folds already carry the 1/2 of the normal-ordered pair term
         y = self.diag * x
         if self.pair_map is not None:
-            w = gather(self.pair_map, x)
+            cols, data = self.pair_map
+            w = data * x[cols]
             for cls in self.pair_classes:
                 w[cls.span] = (w[cls.span].reshape(-1, len(cls.pairs)) @ cls.fold).ravel()
-            cols, data = self.pair_map
             w *= data
             y += np.bincount(cols, weights=w, minlength=self.size)
         return y
@@ -140,7 +141,8 @@ class PairOpHamiltonian:
     def pair_amplitudes(self, x: np.ndarray) -> list[tuple[PairClass, np.ndarray]]:
         """(cls, W) per pair class: W[r, j] = (a_k a_l x) at the class's
         (N-2)-particle row r for its pair j = (k, l), shape (rows, pairs)."""
-        w = gather(self.pair_map, x)
+        cols, data = self.pair_map
+        w = data * x[cols]
         return [(cls, w[cls.span].reshape(-1, len(cls.pairs))) for cls in self.pair_classes]
 
     def pair_annihilation(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -182,7 +184,7 @@ class PairOpHamiltonian:
 
 
 def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
-                 dimension_cap: int = 200_000, a: float = 0.0, g: float = 0.0) -> ManyBodyGround:
+                 dimension_cap: int = FOCK_DIMENSION_CAP) -> ManyBodyGround:
     """Lowest eigenpair by Lanczos on the pair map.
 
     The occupation space is the parity sector of the start vector, the
@@ -197,7 +199,7 @@ def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
     if fock.size == 1:
         x = np.ones(1)
         return ManyBodyGround(energy=ham.expectation(x), coefficients=x,
-                              gamma=ham.one_body_matrix(x), N=N, a=a, g=g, residual=0.0, ham=ham)
+                              gamma=ham.one_body_matrix(x), residual=0.0, ham=ham)
 
     x = np.zeros(fock.size)
     x[0] = 1.0
@@ -213,8 +215,8 @@ def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
                                  residual=residual, retried=retried)
     gamma = ham.one_body_matrix(x)
     _validate_gamma(gamma, N)
-    return ManyBodyGround(energy=energy, coefficients=x, gamma=gamma, N=N, a=a, g=g,
-                          residual=residual, ham=ham)
+    return ManyBodyGround(energy=energy, coefficients=x, gamma=gamma, residual=residual,
+                          ham=ham)
 
 
 def _lanczos(ham: PairOpHamiltonian, v: np.ndarray) -> tuple[float, np.ndarray, int]:
@@ -262,18 +264,17 @@ def _validate_gamma(gamma: np.ndarray, N: int):
         raise SolverFailureError("gamma has a negative occupation")
 
 
-def hartree_energy(basis: ModeBasis, tensor: InteractionTensor, N: int,
-                   c: np.ndarray) -> float:
-    """Rayleigh quotient of the product state with every boson in mode c.
+def hartree_energy(ham: PairOpHamiltonian, c: np.ndarray) -> float:
+    """Rayleigh quotient under H of the product state with every boson in mode c.
 
     <H> = N sum eps_i c_i^2 + N(N-1)/2 sum V[ijkl] c_i c_j c_k c_l ; this is
     a rigorous upper bound for the ground energy in the same truncated
     space, exercised as the variational check.
     """
-    c = np.asarray(c, dtype=float)
-    c = c / np.linalg.norm(c)
-    one = float(N * (c * c) @ basis.energies)
-    two = 0.5 * N * (N - 1) * tensor.hartree_quartic(c)
+    c = np.asarray(c, dtype=float) / np.linalg.norm(c)
+    N = ham.fock.N
+    one = float(N * (c * c) @ ham.basis.energies)
+    two = 0.5 * N * (N - 1) * ham.tensor.hartree_quartic(c)
     return one + two
 
 

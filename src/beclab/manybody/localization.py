@@ -9,8 +9,8 @@ profile leaves the correlation factor
 whose weighted gradient energy int |phi|^2 |grad f|^2 concentrates in a
 small ball around r2 for short-range repulsion.  This module reports, for
 a list of ball radii, the fraction of that energy carried by the ball,
-averaged over quasi-random r2 draws from the one-particle density.  Psi
-comes from the pair map of the solve's own Hamiltonian.
+averaged over quasi-random r2 draws from the one-particle density.  Psi,
+the modes and the grid come from the solve's own Hamiltonian (``ground.ham``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from ..errors import ConfigError
 from ..gp import GPState
 from ..poincare import Region, masked_gradient_sq
-from .basis import ModeBasis
 from .ground import ManyBodyGround, PairOpHamiltonian
 
 _NA_THRESHOLD = 1e-13
@@ -117,18 +116,19 @@ def _ball_box(sq, r2: float):
     return tuple(box), reduce(np.add.outer, [s[b] for s, b in zip(sq, box)]) <= r2
 
 
-def localization_profile(ground: ManyBodyGround, gp: GPState, basis: ModeBasis,
-                         radii, samples: int = 64, seed: int = 0) -> LocalizationProfile:
+def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: int = 64,
+                         seed: int = 0) -> LocalizationProfile:
     """Average in-ball fractions of the weighted correlation gradient energy.
 
-    Requires N = 2 and a mean-field state solved on the mode grid.  Nodes
-    where the mean-field profile is below 1e-12 of its peak are excluded
-    from the division and counted in the report.  The samples run on a
+    Requires N = 2 and a mean-field state solved on the grid of the modes
+    ``ground.ham.basis``.  Nodes where the mean-field profile is below 1e-12
+    of its peak are excluded from the division and counted in the report.  The samples run on a
     thread pool, one worker per available CPU; each writes its own rows,
     so the result does not depend on the worker count.
     """
     if ground.N != 2:
         raise ConfigError("localization profile is defined for N = 2 runs")
+    basis = ground.ham.basis
     grid = basis.grid
     if gp.grid.shape != grid.shape or gp.grid.extent != grid.extent:
         raise ConfigError("mean-field state must live on the mode grid", field="grid")

@@ -1,11 +1,12 @@
 """Condensation diagnostics of a few-boson ground state.
 
-All comparisons run inside the truncated mode space: the mean-field
-reference is expanded over the modes, renormalized there (the dropped
-weight is reported), and the rank-one projector onto it is compared with
-gamma/N in trace norm.  The momentum-side distance uses the same
-truncated reference, so the trace-norm bound applies exactly up to
-quadrature error on the momentum lattice.
+All comparisons run inside the truncated mode space ``ground.ham.basis``
+of the solve: the mean-field reference is expanded over the modes,
+renormalized there (the dropped weight is reported), and the rank-one
+projector onto it is compared with gamma/N in trace norm.  The
+momentum-side distance uses the same truncated reference, so the
+trace-norm bound applies exactly up to quadrature error on the momentum
+lattice.
 
 Harmonic and box modes are products of 1D factors, so both the reference
 expansion and the momentum densities are sum-factorized: one 1D
@@ -129,55 +130,47 @@ def _lattice_weights(k_axes) -> np.ndarray:
     return reduce(np.multiply.outer, [trapezoid_weights(len(k), k[1] - k[0]) for k in k_axes])
 
 
-def momentum_distribution(ground: ManyBodyGround, basis: ModeBasis, k_axes=None):
-    """Momentum density per particle on the lattice, rho(k)/N.
+def momentum_distribution(ground: ManyBodyGround, k_axes=None):
+    """Momentum density per particle on the lattice, rho(k)/N, over ``ground.ham.basis``.
 
     Normalized so that the lattice quadrature of the result is 1 up to
     truncation of the lattice; the coverage (that quadrature) is returned
     alongside and a value below 0.999 flags an insufficient lattice.
     """
     if k_axes is None:
-        k_axes = default_momentum_axes(basis)
-    rho = momentum_density(basis, k_axes)(ground.gamma / ground.N)
+        k_axes = default_momentum_axes(ground.ham.basis)
+    rho = momentum_density(ground.ham.basis, k_axes)(ground.gamma / ground.N)
     coverage = float(np.sum(rho * _lattice_weights(k_axes)))
     return rho, coverage
 
 
-def condensate_metrics(ground: ManyBodyGround, gp: GPState, basis: ModeBasis, k_axes=None,
-                       reference: tuple[np.ndarray, float] | None = None) -> CondensateReport:
+def condensate_metrics(ground: ManyBodyGround, reference: tuple[np.ndarray, float],
+                       k_axes=None) -> CondensateReport:
     """Every scalar the condensation statements speak about, in one pass.
 
-    The pair moment reads the pair map of the ground state's Hamiltonian.
-    ``reference`` is ``expand_reference(gp, basis)`` when the caller
-    already holds it (a sweep shares one across its rows).
+    ``reference`` is ``expand_reference(gp, ground.ham.basis)`` (a sweep
+    shares one across its rows).  The momentum densities use the modes of
+    the ground state's Hamiltonian, and the pair moment reads its pair map.
     """
-    c, weight = reference if reference is not None else expand_reference(gp, basis)
+    c, weight = reference
     gamma_n = ground.gamma / ground.N
 
     gp_overlap = float(c @ gamma_n @ c)
-    condensate_fraction = ground.condensate_fraction
 
     diff = gamma_n - np.outer(c, c)
     trace_distance = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
     if k_axes is None:
-        k_axes = default_momentum_axes(basis)
-    density = momentum_density(basis, k_axes)
+        k_axes = default_momentum_axes(ground.ham.basis)
+    density = momentum_density(ground.ham.basis, k_axes)
     kw = _lattice_weights(k_axes)
     delta = density(diff)
     momentum_l1 = float(np.sum(np.abs(delta) * kw))
     reference_cov = float(np.sum(density(np.outer(c, c)) * kw))
     coverage = reference_cov + float(np.sum(delta * kw))
 
-    if ground.N >= 2:
-        pm = pair_moment(ground.ham, ground.coefficients, c) / ground.N**2
-    else:
-        pm = 0.0
-
-    return CondensateReport(condensate_fraction=condensate_fraction,
-                            gp_overlap=gp_overlap,
-                            trace_distance=trace_distance,
-                            momentum_l1=momentum_l1,
-                            pair_moment=float(pm),
-                            truncation_weight=weight,
-                            momentum_coverage=coverage)
+    pm = pair_moment(ground.ham, ground.coefficients, c) / ground.N**2 if ground.N >= 2 else 0.0
+    return CondensateReport(condensate_fraction=ground.condensate_fraction,
+                            gp_overlap=gp_overlap, trace_distance=trace_distance,
+                            momentum_l1=momentum_l1, pair_moment=pm,
+                            truncation_weight=weight, momentum_coverage=coverage)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..gp import GPState, minimize_gp, predict_components
-from ..model import Grid, PairPotential, TrapSpec, scale_pair_potential
+from ..model import FOCK_DIMENSION_CAP, Grid, PairPotential, TrapSpec, scale_pair_potential
 from ..scattering import hard_sphere_substitute, solve_zero_energy
 from .basis import ModeBasis, build_mode_basis
 from .ground import ManyBodyGround, ground_state, hartree_energy
@@ -59,17 +59,16 @@ def prepare_pipeline(trap: TrapSpec, potential: PairPotential, g: float, grid: G
                          reference=expand_reference(gp, basis))
 
 
-def solve_instance(setup: PipelineSetup, N: int, a: float, g: float, dimension_cap: int = 200_000
+def solve_instance(setup: PipelineSetup, N: int, a: float, dimension_cap: int = FOCK_DIMENSION_CAP
                    ) -> tuple[ManyBodyGround, CondensateReport, float]:
     """Ground state of N bosons at scattering length a, its metrics against
     the mean-field reference, and the Hartree bound per particle.  The
     solve runs in the parity sector of the fully condensed state."""
-    basis = setup.basis
-    tensor = interaction_tensor(basis, scale_pair_potential(setup.potential,
-                                                            a / setup.scattering_length))
-    ground = ground_state(basis, tensor, N, dimension_cap=dimension_cap, a=a, g=g)
-    metrics = condensate_metrics(ground, setup.gp, basis, reference=setup.reference)
-    return ground, metrics, hartree_energy(basis, tensor, N, setup.reference[0]) / N
+    tensor = interaction_tensor(setup.basis, scale_pair_potential(setup.potential,
+                                                                  a / setup.scattering_length))
+    ground = ground_state(setup.basis, tensor, N, dimension_cap=dimension_cap)
+    metrics = condensate_metrics(ground, setup.reference)
+    return ground, metrics, hartree_energy(ground.ham, setup.reference[0]) / N
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,8 @@ class SweepResult:
 
 
 def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
-                   N_list, max_quanta: int = 3, grid: Grid | None = None,
-                   gp_grid: Grid | None = None, dimension_cap: int = 200_000,
+                   N_list, grid: Grid, max_quanta: int = 3,
+                   gp_grid: Grid | None = None, dimension_cap: int = FOCK_DIMENSION_CAP,
                    gp_tol: float = 1e-8) -> SweepResult:
     """Run every N with a = g / (4 pi N) and collect the comparison table.
 
@@ -103,8 +102,6 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
     N_list = [int(n) for n in N_list]
     if any(n < 1 for n in N_list):
         raise ConfigError("particle numbers must be positive", field="N_list")
-    if grid is None:
-        grid = Grid.centered((14.0,) * 3, (48,) * 3)
 
     setup = prepare_pipeline(trap, base_potential, g, grid, max_quanta, gp_grid, gp_tol)
     gp = setup.gp
@@ -115,7 +112,7 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
     rows = []
     for N in N_list:
         a = g / (4.0 * math.pi * N)
-        ground, report, rayleigh = solve_instance(setup, N, a, g, dimension_cap)
+        ground, report, rayleigh = solve_instance(setup, N, a, dimension_cap)
         kin = float(np.sum(t_matrix * ground.gamma)) / N
         pot = float(np.sum(u_matrix * ground.gamma)) / N
         inter = ground.energy / N - kin - pot

@@ -50,13 +50,14 @@ class BlockLayout:
     pair-class blocks are kept, laid end to end, each in row-major order.
 
     Per pair: ``start`` is the offset of its row in the layout, ``pos`` its
-    position within its class and ``label`` the index of its class; entry
-    (p, q) of one class sits at start[p] + pos[q].
+    position within its class and ``label`` the index of its class (None
+    when there is one class); entry (p, q) of one class sits at
+    start[p] + pos[q].
     """
 
     start: np.ndarray
     pos: np.ndarray
-    label: np.ndarray
+    label: np.ndarray | None
 
     @classmethod
     def of(cls, classes, n_pairs: int) -> "BlockLayout":
@@ -71,14 +72,15 @@ class BlockLayout:
             start[members] = offset + n * pos[members]
             label[members] = c
             offset += n * n
-        return cls(start, pos, label)
+        return cls(start, pos, label if len(classes) > 1 else None)
 
     def read(self, flat: np.ndarray, p, q) -> np.ndarray:
         """Entries (p, q), broadcast, of the matrix whose class blocks
         ``flat`` holds in this layout; exact zeros across classes."""
         # an offset across classes is meaningless and may run past the end
         out = np.asarray(np.take(flat, self.start[p] + self.pos[q], mode="clip"))
-        out[self.label[p] != self.label[q]] = 0.0
+        if self.label is not None:
+            out[self.label[p] != self.label[q]] = 0.0
         return out
 
 

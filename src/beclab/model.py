@@ -35,6 +35,7 @@ MAX_QUANTA = 6
 # states; this bounds M = 1): a Fock build holds 0.4-0.8 KB a state (measured
 # for M = 20 to 84), so 10^6 states bound it near 0.4-0.8 GB.
 MAX_FOCK_DIMENSION = 1_000_000
+FOCK_DIMENSION_CAP = 200_000      # the default solver.dimension_cap
 
 
 # ---------------------------------------------------------------------------

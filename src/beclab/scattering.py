@@ -78,6 +78,11 @@ def solve_zero_energy(potential: PairPotential, r_max: float = 50.0,
     while True:
         r_in, u_in, du_in = _integrate_outward(potential, rng, n)
         a, alpha = _asymptotic_fit(r_in[-1], u_in[-1], du_in[-1], r_max)
+        # a = r_max - u/alpha rounds at about eps r_max: no step resolves an a below that
+        floor = np.finfo(float).eps * r_max
+        if not floor < tol * abs(a):
+            raise SolverFailureError("scattering length not above the fit's rounding floor",
+                                     a=float(a), floor=floor, tol=tol)
         if prev_a is not None and abs(a - prev_a) <= tol * max(1.0, abs(a)):
             break
         if 2 * n > _MAX_STEPS:
@@ -109,7 +114,8 @@ def _integrate_outward(potential, rng, n):
     # v on the half-step lattice; the end node takes the interior limit so
     # a sharp edge at the range (soft sphere) never leaks into the last step
     r_half = np.minimum(0.5 * h * np.arange(2 * n + 1), rng * (1.0 - 1e-13))
-    f_half = 0.5 * potential.evaluate(r_half)
+    # Python floats: an overflow of u reads inf without a warning, and the fit refuses it
+    f_half = (0.5 * potential.evaluate(r_half)).tolist()
     u = np.empty(n + 1)
     du = np.empty(n + 1)
     u[0], du[0] = 0.0, 1.0
@@ -129,10 +135,11 @@ def _integrate_outward(potential, rng, n):
 
 def _asymptotic_fit(r_end, u_end, du_end, r_max):
     # u is exactly linear beyond the range; sample it at r_max/2 and r_max
-    u_half = u_end + du_end * (r_max / 2 - r_end)
-    u_full = u_end + du_end * (r_max - r_end)
-    alpha = (u_full - u_half) / (r_max / 2)
-    if alpha <= 0:
+    with np.errstate(invalid="ignore"):
+        u_half = u_end + du_end * (r_max / 2 - r_end)
+        u_full = u_end + du_end * (r_max - r_end)
+        alpha = (u_full - u_half) / (r_max / 2)
+    if not alpha > 0:       # also an overflow of u across the range
         raise SolverFailureError("asymptotic slope not positive; potential too strong or not repulsive")
     a = r_max - u_full / alpha
     return a, alpha

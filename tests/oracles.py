@@ -78,7 +78,7 @@ def annihilator(fock):
     source lies outside it are empty): the source state ``indices`` and the
     amplitude sqrt(n_i) ``data``.  An empty row has index -1 and amplitude
     0; a gather over such rows appends the zero that index -1 reads (the
-    pair map that ``basis.gather`` serves has none).  Removing one boson
+    pair map of a Hamiltonian has none).  Removing one boson
     from mode i lowers rem_j by one for j < i only, so
     rank_{N-1}(n - e_i) = rank_N(n) - sum_{j<i} [F_j(rem_j) - F_j(rem_j - 1)].
     """
@@ -547,7 +547,7 @@ def h_route_weighted_estimate(region, weight, c_star, trials, seed):
             "worst_trial": worst}
 
 
-def materialized_localization(ground, gp, basis, radii, samples, seed):
+def materialized_localization(ground, gp, radii, samples, seed):
     """``localization_profile`` on the materialized 3D modes, one sample at a
     time: C comes from the full N = 2 basis (``full_space_pair_amplitudes``),
     the sample column and psi's slice read all M modes, f divides by
@@ -556,6 +556,7 @@ def materialized_localization(ground, gp, basis, radii, samples, seed):
     from beclab.manybody.localization import _sample_indices
     from beclab.poincare import Region, masked_gradient_sq
 
+    basis = ground.ham.basis
     grid = basis.grid
     C = full_space_pair_amplitudes(ground.ham.fock, ground.coefficients)
     flat = basis.modes.reshape(basis.size, -1)

@@ -201,8 +201,8 @@ def test_criterion_9_localization_contrast(trap, grid48):
     for tag, height, rng_ in (("R", 2.8025944061981067, 1.0),
                               ("R/2", 48.57272081680449, 0.5)):
         tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(height, rng_))
-        gr = ground_state(basis, tensor, 2, a=0.3, g=g)
-        prof = localization_profile(gr, gp, basis, radii, samples=64, seed=20260810)
+        gr = ground_state(basis, tensor, 2)
+        prof = localization_profile(gr, gp, radii, samples=64, seed=20260810)
         fr = prof.fractions
         assert all(fr[i] <= fr[i + 1] + 1e-12 for i in range(len(fr) - 1))
         fractions[tag] = fr

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -694,6 +697,43 @@ def test_float_extremes_exit_2_or_3_and_write_strict_json(tmp_path, capsys, expe
     assert "Traceback" not in capsys.readouterr().err
     assert (code == 3) == any((tmp_path / "o").rglob("failure.json"))
     for written in (tmp_path / "o").rglob("*.json"):
+        json.loads(written.read_text(), parse_constant=_reject_constant)
+
+
+def _float_fields(doc, path=()):
+    """Paths of the float-valued leaves of a config, list entries included."""
+    if isinstance(doc, dict):
+        return [p for key, value in doc.items() for p in _float_fields(value, path + (key,))]
+    if isinstance(doc, list):
+        return [p for i, value in enumerate(doc) for p in _float_fields(value, path + (i,))]
+    return [path] if isinstance(doc, float) else []
+
+
+_MAGNITUDE_FIELDS = [(experiment, path) for experiment, make in SMALL_CONFIGS.items()
+                     for path in _float_fields(make())]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(field=st.sampled_from(_MAGNITUDE_FIELDS), k=st.integers(-330, 310))
+def test_any_magnitude_of_a_float_field_exits_0_2_or_3(tmp_path_factory, field, k):
+    # one float field scaled by 10^k, from underflow to 0 to overflow to inf
+    experiment, path = field
+    cfg = SMALL_CONFIGS[experiment]()
+    if experiment == "gp":
+        cfg["solver"]["max_iter"] = 200     # a tiny scaled tol stops here, not at 5000
+    *parents, key = path
+    doc = cfg
+    for name in parents:
+        doc = doc[name]
+    doc[key] = float(Decimal(repr(doc[key])) * Decimal(10) ** k)
+    tmp = tmp_path_factory.mktemp("magnitude")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([experiment, "--config", str(write_config(tmp, cfg)),
+                     "--out", str(tmp / "o")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    for written in (tmp / "o").rglob("*.json"):
         json.loads(written.read_text(), parse_constant=_reject_constant)
 
 

@@ -6,7 +6,7 @@ from scipy.fft import dstn as fft_dstn
 
 import beclab as bl
 from beclab import gp
-from beclab.errors import DomainTooSmallError, InvalidParameterError
+from beclab.errors import DomainTooSmallError, InvalidParameterError, SolverFailureError
 from beclab.model import axis_apply
 
 from .oracles import tensor_apply
@@ -316,3 +316,11 @@ def test_sector_blocks_are_the_sine_matrix_on_even_vectors(m):
     p = S @ c
     assert np.abs(p - p[::-1]).max() <= 1e-13 * np.abs(p).max()
     assert np.abs(inv @ c[0::2] - p[:m // 2]).max() <= 1e-13 * np.abs(p).max()
+
+
+def test_non_finite_residual_fails_at_once():
+    # the residual of a 1e250 stiffness overflows; the flow used to run to max_iter on NaN
+    trap = bl.TrapSpec.harmonic((1e250, 1.0, 1.0))
+    with pytest.raises(SolverFailureError, match="not finite") as info:
+        bl.minimize_gp(trap, 0.4, bl.Grid.centered((14.0,) * 3, (32,) * 3))
+    assert info.value.diagnostics["iterations"] == 1

@@ -1,3 +1,5 @@
+import inspect
+from dataclasses import fields
 from functools import cached_property
 from math import comb
 
@@ -5,8 +7,10 @@ import numpy as np
 import pytest
 
 import beclab as bl
-from beclab.manybody import build_mode_basis, ground_state, hartree_energy
-from beclab.manybody.basis import FockBasis, gather
+from beclab.manybody import (ManyBodyGround, build_mode_basis, condensate_metrics,
+                             ground_state, hartree_energy, localization_profile,
+                             momentum_distribution, solve_instance)
+from beclab.manybody.basis import FockBasis
 from beclab.manybody.ground import PairOpHamiltonian, _lanczos, pair_moment
 from beclab.manybody.localization import _pair_amplitude_matrix
 from beclab.manybody.tensor import interaction_tensor
@@ -106,7 +110,7 @@ def test_hartree_bound_and_pair_moment(basis_q2, soft_tensor_q2):
     gr = ground_state(basis_q2, soft_tensor_q2, N)
     c = np.zeros(basis_q2.size)
     c[0] = 1.0
-    rq = hartree_energy(basis_q2, soft_tensor_q2, N, c)
+    rq = hartree_energy(gr.ham, c)
     assert gr.energy <= rq + 1e-10
     pm = pair_moment(gr.ham, gr.coefficients, c) / N**2
     # the same moment on the full space, with the sector state scattered there
@@ -159,7 +163,8 @@ def test_ladder_core_on_random_vectors(N, quanta, basis_q1, basis_q2, soft_tenso
             assert ham.pair_map is None
             continue
         pairs = literal_pair_annihilation(x, N, basis.size, tensor.pairs)
-        np.testing.assert_allclose(gather(ham.pair_map, x).reshape(-1, tensor.n_pairs), pairs,
+        cols, data = ham.pair_map
+        np.testing.assert_allclose((data * x[cols]).reshape(-1, tensor.n_pairs), pairs,
                                    atol=1e-12)
 
 
@@ -365,3 +370,18 @@ def test_pair_amplitude_matrix_matches_the_full_space_route(space, basis_q2, sof
         C = _pair_amplitude_matrix(ham, x)
         assert np.array_equal(C, full_space_pair_amplitudes(ham.fock, x))
         assert np.array_equal(C, C.T)
+
+
+def test_readers_take_the_solve_from_the_ground_state(basis_q2, soft_tensor_q2):
+    # the modes, the tensor and N of a solve live on ground.ham, and nothing
+    # downstream takes them again
+    for reader in (condensate_metrics, momentum_distribution, localization_profile,
+                   hartree_energy):
+        assert not {"basis", "tensor", "N"} & set(inspect.signature(reader).parameters)
+    assert not {"a", "g"} & set(inspect.signature(ground_state).parameters)
+    assert "g" not in inspect.signature(solve_instance).parameters
+    assert [f.name for f in fields(ManyBodyGround)] == ["energy", "coefficients", "gamma",
+                                                         "residual", "ham"]
+    gr = ground_state(basis_q2, soft_tensor_q2, 3)
+    assert gr.N == gr.ham.fock.N == 3
+    assert gr.ham.basis is basis_q2 and gr.ham.tensor is soft_tensor_q2

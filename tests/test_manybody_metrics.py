@@ -26,6 +26,8 @@ from .oracles import (analytic_mode_transforms, materialized_localization,
 
 TRAP = bl.TrapSpec.harmonic((1.0, 1.0, 1.0))
 GRID = bl.Grid.centered((14.0,) * 3, (32,) * 3)
+# the coupling 8 pi a of the ``interacting`` two-boson solve at a = 0.42
+G_INTERACTING = 8 * np.pi * 0.42
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +43,7 @@ def zero_tensor(basis_q2):
 @pytest.fixture(scope="module")
 def interacting(basis_q2):
     tensor = interaction_tensor(basis_q2, bl.PairPotential.soft_sphere(5.0, 1.1))
-    return ground_state(basis_q2, tensor, 2, a=0.42, g=8 * np.pi * 0.42)
+    return ground_state(basis_q2, tensor, 2)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +61,7 @@ def analytic_reference():
 
 def test_noninteracting_metrics_exact(basis_q2, zero_tensor, analytic_reference):
     gr = ground_state(basis_q2, zero_tensor, 2)
-    rep = condensate_metrics(gr, analytic_reference, basis_q2)
+    rep = condensate_metrics(gr, expand_reference(analytic_reference, basis_q2))
     assert rep.condensate_fraction == pytest.approx(1.0, abs=1e-10)
     assert rep.trace_distance <= 1e-8
     assert rep.gp_overlap == pytest.approx(1.0, abs=1e-8)
@@ -69,7 +71,7 @@ def test_noninteracting_metrics_exact(basis_q2, zero_tensor, analytic_reference)
 
 def test_weak_coupling_metrics_regression(basis_q2, interacting, analytic_reference):
     gr = interacting
-    rep = condensate_metrics(gr, analytic_reference, basis_q2)
+    rep = condensate_metrics(gr, expand_reference(analytic_reference, basis_q2))
     assert 0.9 < rep.gp_overlap <= 1.0
     assert rep.trace_distance < 0.5
     assert rep.momentum_l1 <= rep.trace_distance + 1e-6
@@ -80,7 +82,7 @@ def test_weak_coupling_metrics_regression(basis_q2, interacting, analytic_refere
 def test_momentum_distribution_noninteracting(basis_q2, zero_tensor):
     gr = ground_state(basis_q2, zero_tensor, 2)
     k_axes = default_momentum_axes(basis_q2)
-    rho, coverage = momentum_distribution(gr, basis_q2, k_axes)
+    rho, coverage = momentum_distribution(gr, k_axes)
     assert coverage == pytest.approx(1.0, abs=1e-6)
     assert rho.min() >= -1e-10
     center = tuple(len(k) // 2 for k in k_axes)
@@ -94,17 +96,18 @@ def test_momentum_distribution_noninteracting(basis_q2, zero_tensor):
 
 def test_momentum_parity_symmetry(basis_q2, interacting):
     gr = interacting
-    rho, _ = momentum_distribution(gr, basis_q2)
+    rho, _ = momentum_distribution(gr)
     np.testing.assert_allclose(rho, rho[::-1, ::-1, ::-1], atol=1e-10)
 
 
 def test_momentum_l1_independent_quadrature(basis_q2, interacting, analytic_reference):
     gr = interacting
     k_axes = tuple(np.linspace(-8.0, 8.0, 33) for _ in range(3))
-    rep = condensate_metrics(gr, analytic_reference, basis_q2, k_axes=k_axes)
     reference = expand_reference(analytic_reference, basis_q2)
-    assert condensate_metrics(gr, analytic_reference, basis_q2, k_axes=k_axes,
-                              reference=reference) == rep
+    rep = condensate_metrics(gr, reference, k_axes=k_axes)
+    assert condensate_metrics(gr, expand_reference(analytic_reference, gr.ham.basis),
+                              k_axes=k_axes) == rep
+    assert rep.truncation_weight == reference[1]
     oracle = quadrature_momentum_l1(gr.gamma / gr.N, reference[0], basis_q2, k_axes)
     assert rep.momentum_l1 == pytest.approx(oracle, abs=1e-6)
 
@@ -127,18 +130,17 @@ def test_truncation_weight_guard(basis_q2, analytic_reference):
 def test_localization_noninteracting_not_applicable(basis_q2, zero_tensor,
                                                     analytic_reference):
     gr = ground_state(basis_q2, zero_tensor, 2)
-    prof = localization_profile(gr, analytic_reference, basis_q2,
-                                radii=(0.5, 1.0, 2.0), samples=8, seed=1)
+    prof = localization_profile(gr, analytic_reference, radii=(0.5, 1.0, 2.0), samples=8,
+                                seed=1)
     assert prof.not_applicable
-    empty = localization_profile(gr, analytic_reference, basis_q2, radii=(1.0,), samples=0)
+    empty = localization_profile(gr, analytic_reference, radii=(1.0,), samples=0)
     assert empty.not_applicable and empty.total_energy == 0.0
 
 
 def test_localization_monotone_fractions(basis_q2, interacting):
     gr = interacting
-    gp = bl.minimize_gp(TRAP, gr.g, GRID)
-    prof = localization_profile(gr, gp, basis_q2, radii=(0.5, 1.0, 2.0, 4.0),
-                                samples=16, seed=5)
+    gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
+    prof = localization_profile(gr, gp, radii=(0.5, 1.0, 2.0, 4.0), samples=16, seed=5)
     assert not prof.not_applicable
     fr = prof.fractions
     assert all(fr[i] <= fr[i + 1] + 1e-12 for i in range(len(fr) - 1))
@@ -162,28 +164,30 @@ def test_ball_box_selects_the_full_grid_ball(grid):
             assert np.array_equal(embedded, full)
 
 
-def test_localization_matches_the_materialized_route(monkeypatch, interacting):
-    gr = interacting
-    gp = bl.minimize_gp(TRAP, gr.g, GRID)
+def test_localization_matches_the_materialized_route(monkeypatch):
+    # a basis of its own, so that no other test has materialized its modes
     basis = build_mode_basis(TRAP, GRID, 2)
+    tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    gr = ground_state(basis, tensor, 2)
+    gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
     drawn = []
     draw = localization._sample_indices
     monkeypatch.setattr(localization, "_sample_indices",
                         lambda *args: drawn.append(draw(*args)) or drawn[-1])
     radii = (0.5, 1.0, 2.0, 4.0)
-    prof = localization_profile(gr, gp, basis, radii=radii, samples=16, seed=5)
+    prof = localization_profile(gr, gp, radii=radii, samples=16, seed=5)
     assert "modes" not in basis.__dict__
-    fractions, total, idx = materialized_localization(gr, gp, basis, radii, 16, 5)
+    fractions, total, idx = materialized_localization(gr, gp, radii, 16, 5)
     assert np.array_equal(drawn[0], idx)
     np.testing.assert_allclose(prof.fractions, fractions, rtol=1e-12, atol=0)
     assert prof.total_energy == pytest.approx(total, rel=1e-12)
 
 
-def test_threaded_profile_equals_one_worker(monkeypatch, basis_q2, interacting):
+def test_threaded_profile_equals_one_worker(monkeypatch, interacting):
     # more workers than samples' worth of cores, with frequent thread switches
     gr = interacting
-    gp = bl.minimize_gp(TRAP, gr.g, GRID)
-    args = (gr, gp, basis_q2, (0.5, 1.0, 2.0, 4.0), 24, 9)
+    gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
+    args = (gr, gp, (0.5, 1.0, 2.0, 4.0), 24, 9)
     monkeypatch.setattr(localization, "_cpu_count", lambda: 1)
     serial = localization_profile(*args)
     monkeypatch.setattr(localization, "_cpu_count", lambda: 8)
@@ -285,11 +289,11 @@ def test_factored_momentum_metrics_match_materialized_transforms(kind, basis_q2,
         transforms = quadrature_mode_transforms(basis, k_axes)
     c = np.random.default_rng(3).standard_normal(basis.size)
     c /= np.linalg.norm(c)
-    rep = condensate_metrics(gr, None, basis, k_axes=k_axes, reference=(c, 1.0))
+    rep = condensate_metrics(gr, (c, 1.0), k_axes=k_axes)
     l1, coverage = materialized_momentum_metrics(gr.gamma / gr.N, c, transforms, k_axes)
     assert rep.momentum_l1 == pytest.approx(l1, rel=1e-13)
     assert rep.momentum_coverage == pytest.approx(coverage, rel=1e-13)
-    rho, cov = momentum_distribution(gr, basis, k_axes)
+    rho, cov = momentum_distribution(gr, k_axes)
     ref = np.einsum("ij,i...,j...->...", gr.gamma / gr.N, transforms, np.conj(transforms)).real
     assert np.abs(rho - ref).max() <= 1e-13 * np.abs(ref).max()
     assert cov == pytest.approx(coverage, rel=1e-13)

@@ -1,8 +1,12 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 import beclab as bl
-from beclab.errors import ConfigError
+from beclab.cli import main
+from beclab.errors import ConfigError, SolverFailureError
 from beclab.scattering import (soft_sphere_kinetic_fraction,
                                soft_sphere_scattering_length,
                                soft_sphere_with_scattering_length)
@@ -95,3 +99,34 @@ def test_hard_sphere_substitute_properties():
     sol = bl.solve_zero_energy(sub)
     assert sol.a == pytest.approx(0.5, rel=1e-6)
     assert sol.s >= 0.99 * sol.a
+
+
+@pytest.mark.parametrize("radius", [1e-4, 1e-5, 1e-6, 1e-160])
+def test_scattering_length_at_the_fit_floor_is_refused(tmp_path, radius):
+    # a = r_max - u/alpha rounds at about eps r_max: at radius 1e-4 (a = 1.67e-12)
+    # the fit read 1.6556e-12, at 1e-6 it read 0, and at 1e-160 s was NaN
+    pot = bl.PairPotential.soft_sphere(10.0, radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailureError) as info:
+            bl.solve_zero_energy(pot, r_max=50.0, tol=1e-9)
+        diagnostics = info.value.diagnostics
+        assert diagnostics["floor"] >= 1e-9 * abs(diagnostics["a"])
+        assert soft_sphere_scattering_length(10.0, radius) < diagnostics["floor"] / 1e-9
+        cfg = {"experiment": "scattering",
+               "problem": {"pair_potential": {"shape": "soft_sphere", "height": 10.0,
+                                              "radius": radius}},
+               "solver": {"r_max": 50.0, "tol": 1e-9}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["scattering", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    [failure] = (tmp_path / "o").rglob("failure.json")
+    assert set(json.loads(failure.read_text())["diagnostics"]) == {"a", "floor", "tol"}
+
+
+def test_overflowing_radial_solution_is_refused_at_once():
+    # u grows like exp(sqrt(h/2) r) and overflows; the step used to halve to 2^21 on NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailureError, match="asymptotic slope"):
+            bl.solve_zero_energy(bl.PairPotential.soft_sphere(5e6, 1.1), r_max=80.0)
