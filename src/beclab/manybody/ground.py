@@ -160,26 +160,42 @@ class PairOpHamiltonian:
         """gamma[i, j] = <x| a+_j a_i |x>.
 
         For N >= 2, sum_l a+_j a+_l a_l a_i = (N-1) a+_j a_i gives gamma[i, j]
-        = sum_l G[p(i, l), p(j, l)] / (N-1) for G the pair Gram: W^T W within
-        a class, zero across classes (they own disjoint rows).  gamma couples
+        = sum_l G[p(i, l), p(j, l)] / (N-1) for G = W^T W the pair Gram, W
+        the pair amplitudes over the (N-2)-particle states.  gamma couples
         modes of one parity code only, and for two of them (i, l) and (j, l)
-        share a class at every l, so each code's block is one gather from the
-        class Grams laid end to end.  For N <= 1, a_i x is the amplitude of e_i.
+        share a class at every l, so each code's block is one gather from
+        the class Grams laid end to end (G vanishes across classes, which own
+        disjoint rows).  When there are fewer (N-2)-particle states than
+        pairs (N = 2, 3), the pairs x pairs Gram is never formed: a block is
+        the product of the gathered columns of W over every such state.
+        For N <= 1, a_i x is the amplitude of e_i.
         """
         if self.pair_map is None:
             v = self.fock.occupations.T @ x
             return np.outer(v, v)
         amplitudes = self.pair_amplitudes(x)
-        grams = np.concatenate([(w.T @ w).ravel() for _, w in amplitudes])
-        layout = BlockLayout.of([cls.pairs for cls, _ in amplitudes], self.tensor.n_pairs)
+        n_lower = comb(self.fock.N + self.fock.M - 3, self.fock.N - 2)
+        if n_lower < self.tensor.n_pairs:
+            W = np.zeros((n_lower, self.tensor.n_pairs))
+            for cls, w in amplitudes:
+                W[np.ix_(cls.lower, cls.pairs)] = w
+
+            def block(p):
+                a = W[:, p]
+                return np.tensordot(a, a, axes=([0, 2], [0, 2]))
+        else:
+            grams = np.concatenate([(w.T @ w).ravel() for _, w in amplitudes])
+            layout = BlockLayout.of([cls.pairs for cls, _ in amplitudes], self.tensor.n_pairs)
+
+            def block(p):
+                return layout.read(grams, p[:, None, :], p[None, :, :]).sum(axis=2)
         codes = self.fock.mode_codes
         codes = np.zeros(self.fock.M, dtype=np.int64) if codes is None else codes
         gamma = np.zeros((self.fock.M, self.fock.M))
         for code in np.unique(codes):
             modes = np.flatnonzero(codes == code)
-            p = self.tensor.pair_index[modes]       # p(i, l) for the modes i of this code
-            gram = layout.read(grams, p[:, None, :], p[None, :, :])
-            gamma[np.ix_(modes, modes)] = gram.sum(axis=2)
+            # p(i, l) for the modes i of this code
+            gamma[np.ix_(modes, modes)] = block(self.tensor.pair_index[modes])
         return gamma / (self.fock.N - 1)
 
 

@@ -102,19 +102,27 @@ class Grid:
     def volume(self) -> float:
         return float(np.prod(self.extent))
 
+    @property
+    def min_weight(self) -> float:
+        """The smallest node weight, a corner's."""
+        return math.prod(h / 2 for h in self.spacing)
+
+    @property
+    def kinetic_scale(self) -> float:
+        """The largest over the axes of the sum of the squared interior sine
+        wavenumbers (pi k / extent)^2, which bounds every sum the axis's
+        spectral kinetic matrix forms."""
+        return max((math.pi / e) * (math.pi / e) * (n - 2) * (n - 1) * (2 * n - 3) / 6
+                   for e, n in zip(self.extent, self.points))
+
     def check_sizes(self, field: str):
         """Refuse a grid whose spacing, smallest node weight, volume or
         kinetic scale is not a finite positive float (a ConfigError naming
         ``field``): an extent near either end of the float range underflows
         them to zero or overflows them, and the quadrature sums and spectral
-        matrices built from them with them.  The kinetic scale of an axis is
-        the sum of its squared interior sine wavenumbers (pi k / extent)^2,
-        which bounds every sum its spectral kinetic matrix forms."""
-        kinetic = max((math.pi / e) * (math.pi / e) * (n - 2) * (n - 1) * (2 * n - 3) / 6
-                      for e, n in zip(self.extent, self.points))
-        sizes = {"spacing": min(self.spacing),
-                 "node weight": math.prod(h / 2 for h in self.spacing),
-                 "volume": math.prod(self.extent), "kinetic scale": kinetic}
+        matrices built from them with them."""
+        sizes = {"spacing": min(self.spacing), "node weight": self.min_weight,
+                 "volume": math.prod(self.extent), "kinetic scale": self.kinetic_scale}
         for name, value in sizes.items():
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"grid {name} {value!r} is not a finite positive float",
@@ -242,6 +250,25 @@ class TrapSpec:
         if self.kind == "box" and any(abs(lo) > 1e-12 or abs(e - self.side) > 1e-12
                                       for lo, e in zip(grid.lo, grid.extent)):
             raise ConfigError("box trap requires a [0, side] grid on every axis", field=where)
+
+    def check_scale(self, grid: Grid, where: str = "grid"):
+        """Refuse a grid on which the energy scale (kinetic scale + the peak
+        of |V| on the nodes) / (smallest node weight) is not a finite float
+        (a ConfigError naming ``where``).  A field of unit norm reaches
+        1 / (smallest node weight) in square at a node, so past this scale
+        the potential, the mean-field energy and its residual overflow.  The
+        peak is bounded by the sum of the per-axis peaks, or by the table's
+        peak (interpolation stays within the table's range)."""
+        if self.kind == "tabulated":
+            peak = float(np.abs(self._table).max())
+        else:
+            with np.errstate(over="ignore"):
+                peak = sum(float(np.abs(self.axis_potential(ax, x)).max())
+                           for ax, x in enumerate(grid.axes))
+        scale = (grid.kinetic_scale + peak) / grid.min_weight
+        if not scale < math.inf:
+            raise ConfigError(f"energy scale {scale!r} of the trap on this grid is not a "
+                              "finite float", field=where)
 
     def axis_potential(self, ax: int, x) -> np.ndarray:
         """The potential's term along axis ``ax`` at coordinates ``x``: k x^2
@@ -629,6 +656,7 @@ def grid_from_config(doc: dict, trap: TrapSpec | None = None, where: str = "grid
     grid.check_sizes(f"{where}.extent")
     if trap is not None:
         trap.check_grid(grid, where)
+        trap.check_scale(grid, where)
     return grid
 
 

@@ -28,6 +28,9 @@ from .errors import ConfigError, InvalidParameterError
 from .model import Grid
 
 _MEAN_ZERO_TOL = 1e-10
+# window nodes per batch of excluded balls in ``omega_x_mask`` (32 MiB of
+# d^2), so that many balls about the grid's size are not all held at once
+_WINDOW_NODES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,13 @@ class Region:
     @cached_property
     def volume(self) -> float:
         return float(np.sum(self.grid.weights[self.mask]))
+
+    @cached_property
+    def indicator(self) -> np.ndarray:
+        """1.0 on the nodes of K, 0.0 off K (read-only)."""
+        ind = self.mask.astype(float)
+        ind.flags.writeable = False
+        return ind
 
     @cached_property
     def node_weights(self) -> np.ndarray:
@@ -144,10 +154,10 @@ def unit_measure(region: Region, weight: np.ndarray | None = None) -> np.ndarray
 
 
 def project_mean_zero(f: np.ndarray, region: Region, measure: np.ndarray) -> np.ndarray:
-    """f on K shifted so that int_K f dmu = 0, zero off K."""
-    out = np.where(region.mask, f, 0.0)
+    """f on K shifted so that int_K f dmu = 0, zero off K (f finite)."""
+    out = f * region.indicator
     out -= float(np.vdot(out, measure)) / float(np.sum(measure))
-    out[~region.mask] = 0.0
+    out *= region.indicator
     return out
 
 
@@ -182,14 +192,19 @@ class PoincareInstance:
 def _sides(inst: PoincareInstance) -> tuple[float, float]:
     """The left side and int_K f^2 dmu, both in the instance's measure."""
     region, w, omega = inst.region, inst.measure, inst.omega
-    grad2 = masked_gradient_sq(inst.f, region)
-    grad_k = float(np.sum(grad2 * w))
-    grad_omega = float(np.sum(grad2 * w * omega))
-    # set volumes are unweighted geometry, as in the inequality itself
-    vol_omega_c = float(np.sum(region.grid.weights[region.mask & ~omega]))
+    g = masked_gradient_sq(inst.f, region)
+    g *= w
+    grad_k = float(np.sum(g))
+    g *= omega
+    grad_omega = float(np.sum(g))
+    # set volumes are unweighted geometry, as in the inequality itself; K
+    # minus Omega is K xor Omega, since Omega lies in K
+    vol_omega_c = float(np.sum(region.grid.weights[region.mask ^ omega]))
     coeff = (vol_omega_c / region.volume) ** (2.0 / region.m)
     lhs = grad_omega + coeff * grad_k
-    f2 = float(np.sum(inst.f**2 * w))
+    np.multiply(inst.f, inst.f, out=g)
+    g *= w
+    f2 = float(np.sum(g))
     return lhs, f2
 
 
@@ -201,6 +216,13 @@ def weighted_check(inst: PoincareInstance, C: float) -> dict:
     lhs, f2 = _sides(inst)
     rhs = f2 / C
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs >= rhs - 1e-12)}
+
+
+def _row_mesh(parts):
+    """The (rows, n_ax) arrays ``parts`` as an open mesh per row: part ax
+    viewed with shape (rows, 1, ..., n_ax, ..., 1)."""
+    return [p.reshape((len(p),) + (1,) * ax + (-1,) + (1,) * (len(parts) - 1 - ax))
+            for ax, p in enumerate(parts)]
 
 
 def omega_x_mask(points, radius: float, region: Region) -> np.ndarray:
@@ -219,11 +241,26 @@ def omega_x_mask(points, radius: float, region: Region) -> np.ndarray:
     # ball one axis term alone reaches r2, so a point changes only its box
     sq = [(x - pts[:, [ax]]) ** 2 for ax, x in enumerate(g.axes)]
     near = [s < r2 for s in sq]
-    start = [a.argmax(1) for a in near]
-    stop = [a.shape[1] - a[:, ::-1].argmax(1) for a in near]
-    for k in np.flatnonzero(np.logical_and.reduce([a.any(1) for a in near])):
-        box = tuple(slice(a[k], b[k]) for a, b in zip(start, stop))
-        mask[box] &= reduce(np.add.outer, [s[k, b] for s, b in zip(sq, box)]) >= r2
+    hit = np.logical_and.reduce([a.any(1) for a in near])
+    if not hit.any():
+        return mask
+    # each box widened to a common window per axis (shifted to stay on the
+    # grid): per point the window's node indices and squared offsets
+    start = [a[hit].argmax(1) for a in near]
+    stop = [a.shape[1] - a[hit, ::-1].argmax(1) for a in near]
+    width = [int((e - b).max()) for b, e in zip(start, stop)]
+    idx = [np.minimum(b, n - w)[:, None] + np.arange(w)
+           for b, n, w in zip(start, g.points, width)]
+    sq = [np.take_along_axis(s[hit], i, axis=1) for s, i in zip(sq, idx)]
+    # per point the window's squared distances, summed in the order of
+    # reduce(np.add.outer, ...), and flat node indices; in batches of points,
+    # then one scatter of the nodes inside a ball
+    step = max(1, _WINDOW_NODES // int(np.prod(width)))
+    out = mask.reshape(-1)
+    for b in range(0, len(idx[0]), step):
+        d2 = reduce(np.add, _row_mesh([s[b:b + step] for s in sq]))
+        at = np.ravel_multi_index(_row_mesh([i[b:b + step] for i in idx]), g.shape)
+        out[at[d2 < r2]] = False
     return mask
 
 
@@ -234,18 +271,31 @@ def omega_x_mask(points, radius: float, region: Region) -> np.ndarray:
 def _random_field(rng, region: Region) -> np.ndarray:
     """Smooth random field built from Gaussian bumps in relative coordinates.
 
-    Each bump is separable: the outer product of one 1D Gaussian per axis.
+    Each bump is separable, one 1D Gaussian per axis, so the field is a CP
+    tensor of rank <= 7: the amplitude-scaled first-axis factors times the
+    middle axes' factors row by row (Khatri-Rao), one GEMM with the last
+    axis's factors.
     """
     g = region.grid
     diam = max(g.extent)
-    f = 0.0
+    draws = []                      # per bump: centre, width, amplitude
     for _ in range(rng.integers(3, 8)):
         center = [lo + rng.random() * e for lo, e in zip(g.lo, g.extent)]
         width = (0.08 + 0.25 * rng.random()) * diam
-        amp = rng.normal()
-        f += amp * reduce(np.multiply.outer, [np.exp(-(x - c) ** 2 / (2 * width**2))
-                                              for x, c in zip(g.axes, center)])
-    return f
+        draws.append((*center, width, rng.normal()))
+    *centers, width, amp = np.array(draws).T
+    first, *middle, last = (np.exp(-(x - c[:, None]) ** 2 / (2 * width[:, None] ** 2))
+                            for x, c in zip(g.axes, centers))     # (bumps, points)
+    rows = first * amp[:, None]
+    for fac in middle:
+        rows = (rows[:, :, None] * fac[:, None, :]).reshape(len(amp), -1)
+    return (rows.T @ last).reshape(g.shape)
+
+
+def _random_points(rng, grid: Grid, count: int) -> np.ndarray:
+    """``count`` uniform points of the grid's box, drawn point by point (the
+    draws of a loop over the points and, within one, over the axes)."""
+    return np.array(grid.lo) + rng.random((count, grid.dimension)) * np.array(grid.extent)
 
 
 def _random_omega(rng, region: Region) -> tuple[np.ndarray, dict]:
@@ -272,22 +322,20 @@ def _random_omega(rng, region: Region) -> tuple[np.ndarray, dict]:
                                            "period": period, "duty": duty}
     if kind == "checkerboard":
         block = max(1, int(rng.integers(1, max(2, min(g.points) // 4))))
-        parity = reduce(np.add.outer, [np.arange(n) // block for n in g.points])
-        return mask & (parity % 2 == 0), {"omega": "checkerboard", "block": block}
+        odd = reduce(np.logical_xor.outer, [np.arange(n) // block % 2 == 1 for n in g.points])
+        return mask & ~odd, {"omega": "checkerboard", "block": block}
     if kind == "holes":
         count = int(rng.integers(1, 120))
         frac = 0.02 + 0.06 * rng.random()
         radius = max(frac * max(g.extent), 1.01 * max(g.spacing) + 1e-12)
-        pts = np.array([[lo + rng.random() * e for lo, e in zip(g.lo, g.extent)]
-                        for _ in range(count)])
+        pts = _random_points(rng, g, count)
         return omega_x_mask(pts, radius, region), {"omega": "holes", "count": count,
                                                    "radius": float(radius)}
     # omega_x: particle-like exclusion, radius labeled by the N^(-7/17) rule
     n_pts = int(rng.integers(2, 40))
     radius = max(float(n_pts) ** (-7.0 / 17.0) * max(g.extent) / 4.0,
                  1.01 * max(g.spacing) + 1e-12)
-    pts = np.array([[lo + rng.random() * e for lo, e in zip(g.lo, g.extent)]
-                    for _ in range(n_pts)])
+    pts = _random_points(rng, g, n_pts)
     return omega_x_mask(pts, radius, region), {"omega": "omega_x", "points": n_pts,
                                                "radius": float(radius)}
 

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -735,6 +736,29 @@ def test_any_magnitude_of_a_float_field_exits_0_2_or_3(tmp_path_factory, field, 
     assert "Traceback" not in err.getvalue()
     for written in (tmp / "o").rglob("*.json"):
         json.loads(written.read_text(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("path,k", [
+    (("problem", "grid", "extent", 0), 162),      # the trap potential overflows
+    (("problem", "grid", "extent", 0), -148),     # the kinetic term per node weight
+    (("problem", "trap", "stiffness", 0), 307),
+], ids=repr)
+def test_gp_energy_scale_overflow_exits_2_without_warnings(tmp_path, capsys, path, k):
+    # these ran into exit 3 with numpy overflow warnings on the way
+    cfg = small_gp_config()
+    *parents, key = path
+    doc = cfg
+    for name in parents:
+        doc = doc[name]
+    doc[key] = float(Decimal(repr(doc[key])) * Decimal(10) ** k)
+    p = write_config(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["gp", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "problem.grid" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("a", [1e-200, 0.9], ids=["a2N_underflows", "not_dilute"])

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 from dataclasses import fields
 from functools import cached_property
 from math import comb
@@ -292,6 +293,32 @@ def test_pair_map_matches_the_composed_map_in_the_full_space(N):
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
     _assert_pair_map_is_composed(PairOpHamiltonian(basis, tensor,
                                                    FockBasis.build(N, basis.size)))
+
+
+@pytest.mark.parametrize("N, sector", [(2, False), (3, False), (2, True), (3, True)])
+def test_gamma_forms_no_pair_gram_below_the_pair_count(N, sector):
+    # fewer (N-2)-particle states than pairs: gamma reads W's gathered
+    # columns, matching the Gram route of W^T W, and never holds a pairs x
+    # pairs array (3.2 MB at M = 35) or half of one
+    basis = (build_mode_basis(TRAP, GRID, 4) if sector else _off_centre_basis(4))
+    assert (basis.parity_codes is not None) == sector
+    tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    fock = FockBasis.build(N, basis.size, mode_codes=basis.parity_codes if sector else None)
+    ham = PairOpHamiltonian(basis, tensor, fock)
+    x = _random_unit(np.random.default_rng(N), ham.size)
+    W = np.zeros((comb(N + basis.size - 3, N - 2), tensor.n_pairs))
+    for cls, w in ham.pair_amplitudes(x):
+        W[np.ix_(cls.lower, cls.pairs)] = w
+    p = tensor.pair_index
+    want = (W.T @ W)[p[:, None, :], p[None, :, :]].sum(axis=2) / (N - 1)
+    tracemalloc.start()
+    try:
+        got = ham.one_body_matrix(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    assert peak < tensor.n_pairs**2 * 8 / 2
 
 
 def test_sector_hamiltonian_builds_only_the_n_minus_2_space(monkeypatch, basis_q2,

@@ -1,11 +1,15 @@
+import gc
 import json
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import beclab as bl
-from beclab.cli import load_config, run_poincare, validate
+from beclab import poincare
+from beclab.cli import execute, load_config, run_poincare, validate
 from beclab.errors import InvalidParameterError
 from beclab.model import Grid
 from beclab.poincare import (PoincareInstance, Region, _random_field, estimate_constant,
@@ -302,6 +306,7 @@ def test_omega_x_mask_matches_full_grid_oracle(name):
         "far_outside": hi + 2.0 * radius + rng.random((5, region.m)),
         # inside the ball's bounding box on every axis, yet nearer no node
         "diagonal_miss": np.array([hi + 0.65 * radius, lo - 0.65 * radius]),
+        "holes_120": lo + rng.random((120, region.m)) * (hi - lo),     # the most a trial draws
     }
     for label, pts in cases.items():
         got = omega_x_mask(pts, radius, region)
@@ -320,6 +325,49 @@ def test_omega_x_mask_matches_full_grid_oracle(name):
     pts = np.concatenate([cases["straddling"], cases["corners"]])
     assert np.array_equal(omega_x_mask(pts, tiny, region),
                           oracles.omega_x_mask(pts, tiny, region))
+    # a radius just above the spacing around nodes: each clears its axis neighbours
+    nodes = np.array([[x[i] for x, i in zip(g.axes, rng.integers(0, g.points))]
+                      for _ in range(120)])
+    just = max(g.spacing) * (1 + 1e-9)
+    assert np.array_equal(omega_x_mask(nodes, just, region),
+                          oracles.omega_x_mask(nodes, just, region))
+
+
+def test_poincare_keeps_no_state_between_regions(monkeypatch):
+    # once the caller drops a region, neither it nor a measure of it lives on
+    measures = []
+    unit_measure = poincare.unit_measure
+
+    def spy(*args):
+        measure = unit_measure(*args)
+        measures.append(weakref.ref(measure))
+        return measure
+
+    monkeypatch.setattr(poincare, "unit_measure", spy)
+    region = Region.ball(1.0, 16, 3)
+    w = 1.0 + sum(x**2 for x in region.grid.meshgrid())
+    est = estimate_constant(region, trials=20, seed=2)
+    weighted_estimate(region, w, est.c_star, trials=20, seed=2)
+    refs = [weakref.ref(region), weakref.ref(region.indicator)] + measures
+    assert len(refs) == 4
+    del region, w
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_execute_memory_stays_flat_across_passes(tmp_path):
+    # a cache that outlives its region grows the traced memory on every pass
+    config = load_config(ROOT / "configs" / "poincare_ball3d.json", "poincare", {})
+    after = []
+    tracemalloc.start()
+    try:
+        for _ in range(6):
+            execute(config, tmp_path / "out", force=True)
+            gc.collect()
+            after.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert abs(after[5] - after[1]) < 2**20, after
 
 
 def test_region_mask_is_read_only():
