@@ -83,23 +83,35 @@ class Region:
 
     @cached_property
     def _stencil(self) -> tuple:
-        """Per axis, the weights of the difference d[i] = (f[i+1] - f[i]) / h
-        at node i (forward) and at node i + 1 (backward), on the n - 1
-        difference positions.
+        """Per axis, its C-order flat stride s and the flat indices of the
+        nodes where the average 0.5 * (d[k] + d[k - s]) of the flat
+        differences d[k] = (f[k + s] - f[k]) / h of f = 0 off K is not the
+        node's share (read-only integer arrays, as many as edge nodes).
 
-        A difference exists where both its nodes lie in K; a node averages
-        the ones it has (0.5/0.5 inside K, 1/0 or 0/1 at an edge of K, 0/0
-        for a node with neither, which includes every node off K).
+        A difference exists where both its nodes lie in K; a node of K with
+        only the forward (``fwd``) or only the backward (``bwd``) one takes
+        that one.  ``zero`` holds the nodes with neither that lie next to K
+        or at an axis end, where the flat differences wrapping across rows
+        land; at every other node with neither, d[k] = -d[k - s] (0 - 0 off
+        K, (0 - f) / h against (f - 0) / h in K) and the average is 0.
         """
+        mask = self.mask
         out = []
         for ax in range(self.m):
             lo = (slice(None),) * ax + (slice(None, -1),)
             hi = (slice(None),) * ax + (slice(1, None),)
-            has = np.zeros((2,) + self.mask.shape)  # forward, backward difference exists
-            has[0][lo] = has[1][hi] = self.mask[lo] & self.mask[hi]
-            share = 1.0 / np.maximum(has.sum(axis=0), 1.0)
-            out.append((lo, hi, np.ascontiguousarray((has[0] * share)[lo]),
-                        np.ascontiguousarray((has[1] * share)[hi])))
+            fwd, bwd = np.zeros_like(mask), np.zeros_like(mask)
+            fwd[lo] = bwd[hi] = mask[lo] & mask[hi]
+            near = np.zeros_like(mask)      # next to K along the axis, or at its ends
+            near[lo] = mask[hi]
+            near[hi] |= mask[lo]
+            near[(slice(None),) * ax + ((0, -1),)] = True
+            stride = int(np.prod(mask.shape[ax + 1:]))
+            idx = [np.flatnonzero(fwd & ~bwd), np.flatnonzero(bwd & ~fwd),
+                   np.flatnonzero(near & ~fwd & ~bwd)]
+            for a in idx:
+                a.flags.writeable = False
+            out.append((stride, *idx))
         return tuple(out)
 
     @classmethod
@@ -119,22 +131,38 @@ def masked_gradient_sq(f: np.ndarray, region: Region) -> np.ndarray:
     """|grad f|^2 per node, differences restricted to nodes of K.
 
     Central differences where both axis neighbors lie in K, one-sided at
-    region edges, zero off K (f must be finite everywhere); the half-order
-    boundary error this carries is covered by the module tolerances.
-    Each axis works in place on its two arrays, d and df, with the
-    arithmetic df[i] = fwd[i] d[i] + bwd[i] d[i-1], squared.
+    region edges, zero off K (f must be finite everywhere, and is not
+    modified); the half-order boundary error this carries is covered by the
+    module tolerances.  The arithmetic is that of the full-grid oracle,
+    df = 0.5 * (d[i] + d[i-1]) with d = (f[i+1] - f[i]) / h, squared and
+    summed over the axes, so the result is the same to the bit.  It runs on
+    the flat C-order f masked to K, in contiguous passes per axis over
+    reused buffers, and patches the edge nodes of ``Region._stencil``.
     """
-    out = np.zeros(region.grid.shape)
-    for ax, ((lo, hi, fwd, bwd), h) in enumerate(zip(region._stencil, region.grid.spacing)):
-        d = np.diff(f, axis=ax)
+    shape = region.grid.shape
+    if np.shape(f) != shape:
+        raise InvalidParameterError(f"f must have the grid's shape {shape}, not {np.shape(f)}")
+    n = region.mask.size
+    fk = np.multiply(f, region.indicator, out=np.empty(shape)).reshape(-1)
+    dk = np.empty(n)            # d[k] at dk[k + s], so d[k - s] is dk[k]
+    out = np.empty(n)
+    df = out                    # the first axis squares in place, later ones add
+    for (s, fwd, bwd, zero), h in zip(region._stencil, region.grid.spacing):
+        d = dk[s:]
+        np.subtract(fk[s:], fk[:-s], out=d)
         d /= h
-        df = np.zeros(region.grid.shape)
-        np.multiply(fwd, d, out=df[lo])
-        d *= bwd
-        df[hi] += d
-        df *= df
-        out += df
-    return out
+        mid = df[s:n - s]
+        np.add(d[s:], d[:-s], out=mid)
+        mid *= 0.5
+        df[fwd] = d[fwd]
+        df[bwd] = dk[bwd]
+        df[zero] = 0.0
+        np.square(df, out=df)
+        if df is out:
+            df = np.empty(n)
+        else:
+            out += df
+    return out.reshape(shape)
 
 
 def unit_measure(region: Region, weight: np.ndarray | None = None) -> np.ndarray:

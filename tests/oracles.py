@@ -390,8 +390,10 @@ def masked_gradient_sq(f, region):
     """|grad f|^2 per node by boolean masks rebuilt from ``region.mask``.
 
     Central differences where both axis neighbors lie in K, one-sided at
-    region edges, zero off K: the full-grid loop the cached stencil of
-    ``poincare.masked_gradient_sq`` must reproduce bit for bit.
+    region edges, zero off K (f must be finite everywhere): the full-grid
+    loop whose arithmetic, df = 0.5 * (d[i] + d[i-1]) with d = (f[i+1] -
+    f[i]) / h, squared and summed over the axes in order, the flat passes of
+    ``poincare.masked_gradient_sq`` repeat, so that they match it bit for bit.
     """
     mask = region.mask
     out = np.zeros(region.grid.shape)

@@ -221,6 +221,25 @@ def _support_region():
     return Region(grid=grid, mask=mask, kind="support")
 
 
+def _node_set_region(extent, points, mask_of):
+    """A region of the centred grid ``extent`` x ``points`` whose mask is
+    ``mask_of(grid)``."""
+    grid = Grid.centered(extent, points)
+    return Region(grid=grid, mask=mask_of(grid), kind="support")
+
+
+def _ellipsoid(semi_axes):
+    return lambda grid: sum((x / a) ** 2 for x, a in zip(grid.meshgrid(), semi_axes)) <= 1.0
+
+
+def _index_box(*ranges):
+    def mask_of(grid):
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[tuple(slice(*r) for r in ranges)] = True
+        return mask
+    return mask_of
+
+
 ORACLE_REGIONS = {
     "box32": lambda: Region.box(1.0, 32, 3),
     "ball32": lambda: Region.ball(1.0, 32, 3),
@@ -229,17 +248,105 @@ ORACLE_REGIONS = {
     "support48": _support_region,
 }
 
+# more regions for the gradient stencil: anisotropic grids, and thin, tiny
+# and ragged node sets
+STENCIL_REGIONS = {
+    **ORACLE_REGIONS,
+    # anisotropic grids: a stride and a spacing of their own per axis, and
+    # an ellipse or ellipsoid cut by some faces of the grid but not others
+    "ellipsoid_9x33x14": lambda: _node_set_region((2.0, 3.0, 1.6), (9, 33, 14),
+                                                  _ellipsoid((1.1, 1.4, 0.9))),
+    "ellipse_40x7_2d": lambda: _node_set_region((3.0, 1.2), (40, 7), _ellipsoid((1.3, 0.7))),
+    "one_node_thick": lambda: _node_set_region((1.0, 1.0, 1.0), (12, 10, 11),
+                                               _index_box((2, 9), (4, 5), (1, 10))),
+    "single_node": lambda: _node_set_region((1.0, 1.0, 1.0), (6, 7, 5),
+                                            _index_box((3, 4), (2, 3), (4, 5))),
+    "one_face": lambda: _node_set_region((1.0, 1.0, 1.0), (10, 12, 9),
+                                         _index_box((0, 4), (3, 8), (2, 6))),
+    "cells50": lambda: _node_set_region(
+        (1.0, 1.6, 1.2), (11, 17, 13),
+        lambda grid: np.random.default_rng(11).random(grid.shape) < 0.5),
+}
 
-@pytest.mark.parametrize("name", ORACLE_REGIONS)
-def test_masked_gradient_matches_full_grid_oracle(name):
-    region = ORACLE_REGIONS[name]()
+
+def _oracle_fields(region):
+    """Three smooth random fields, a rough one nonzero off K as well, and the
+    first one restricted to K."""
     rng = np.random.default_rng(3)
     fields = [_random_field(rng, region) for _ in range(3)]
     fields.append(rng.normal(size=region.grid.shape))       # nonzero off K as well
     fields.append(np.where(region.mask, fields[0], 0.0))
-    for f in fields:
+    return fields
+
+
+@pytest.mark.parametrize("name", STENCIL_REGIONS)
+def test_masked_gradient_matches_full_grid_oracle(name):
+    region = STENCIL_REGIONS[name]()
+    for f in _oracle_fields(region):
         assert np.array_equal(masked_gradient_sq(f, region),
                               oracles.masked_gradient_sq(f, region))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e154])
+@pytest.mark.parametrize("name", STENCIL_REGIONS)
+def test_masked_gradient_matches_the_oracle_at_extreme_scales(name, scale):
+    # near the ends of the float range, forms equal at unit scale, such as
+    # (d[i] + d[i-1])^2 / 4, round (1e-160) or overflow (1e154) otherwise
+    # than the oracle's 0.5 * (d[i] + d[i-1]); at 1e154 the largest squares
+    # reach inf in the oracle too
+    region = STENCIL_REGIONS[name]()
+    for f in _oracle_fields(region):
+        f = f * scale
+        with np.errstate(over="ignore"):
+            assert np.array_equal(masked_gradient_sq(f, region),
+                                  oracles.masked_gradient_sq(f, region))
+
+
+def _other_layouts(f):
+    """f as a Fortran-ordered copy, as a view with permuted axes and as a
+    strided slice of a larger array: the same values, none C-contiguous."""
+    roll = tuple(range(1, f.ndim)) + (0,)
+    permuted = np.ascontiguousarray(f.transpose(roll)).transpose(np.argsort(roll))
+    every_other = (slice(None, None, 2),) * f.ndim
+    big = np.zeros(tuple(2 * n for n in f.shape))
+    big[every_other] = f
+    return [np.asfortranarray(f), permuted, big[every_other]]
+
+
+@pytest.mark.parametrize("name", STENCIL_REGIONS)
+def test_masked_gradient_reads_any_memory_layout_and_leaves_f_alone(name):
+    region = STENCIL_REGIONS[name]()
+    f = np.random.default_rng(5).normal(size=region.grid.shape)
+    ref = oracles.masked_gradient_sq(f, region)
+    for g in [f] + _other_layouts(f):
+        assert np.array_equal(g, f) and (g is f or not g.flags.c_contiguous)
+        kept = g.copy()
+        g.flags.writeable = False
+        assert np.array_equal(masked_gradient_sq(g, region), ref)
+        assert np.array_equal(g, kept)
+
+
+def test_masked_gradient_refuses_a_field_off_the_grid_shape():
+    region = STENCIL_REGIONS["ellipsoid_9x33x14"]()
+    f = np.ones(region.grid.shape)
+    # the flat array, the axes permuted (same size) and a node short
+    for bad in (f.reshape(-1), f.transpose(1, 0, 2), f[:, :, :-1], np.float64(1.0)):
+        with pytest.raises(InvalidParameterError, match="shape"):
+            masked_gradient_sq(bad, region)
+
+
+def test_stencil_holds_read_only_edge_indices():
+    counts = {}
+    for points in (32, 64):
+        region = Region.ball(1.0, points, 3)
+        arrays = [a for axis in region._stencil for a in axis if isinstance(a, np.ndarray)]
+        assert arrays
+        assert all(a.dtype.kind == "i" and not a.flags.writeable for a in arrays)
+        # less than one float array of the grid for all axes together
+        assert sum(a.nbytes for a in arrays) < 8 * region.mask.size
+        counts[points] = sum(a.size for a in arrays)
+    # edge nodes grow with the surface, 4x per doubling, where the grid grows 8x
+    assert counts[64] < 5 * counts[32]
 
 
 @pytest.mark.parametrize("radius, points, dimension", [
