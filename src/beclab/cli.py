@@ -475,8 +475,8 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
         wall = time.monotonic() - started
         report["artifact_version"] = __version__
         report["config_hash"] = cfg_hash
-        report["seed"] = config["seed"]
-        report["reproducible"] = config["reproducible"]
+        report["seed"] = parsed["seed"]
+        report["reproducible"] = parsed["reproducible"]
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "failure.json").unlink(missing_ok=True)
         _atomic_write(report_path, dump_json(report).encode())
@@ -485,7 +485,7 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
             _atomic_write(run_dir / name, data)
         manifest = {
             "config_hash": cfg_hash,
-            "seed": config["seed"],
+            "seed": parsed["seed"],
             "wall_time_s": wall,
             "artifact_version": __version__,
             **identity,
@@ -592,7 +592,7 @@ def _verify_manybody(rep: dict, failures: list):
 
 
 def _verify_sweep(rep: dict, failures: list):
-    rows = rep["rows"]
+    rows = sorted(rep["rows"], key=lambda row: row["N"])    # the trends run in N
     for row in rows:
         _verify_metric_block(row, row["N"], f"sweep.N{row['N']}", failures)
         _check(row["E_qm_per_N"] <= row["rayleigh_per_N"] + 1e-10,

@@ -112,10 +112,13 @@ class ModeBasis:
         return out
 
     @cached_property
-    def parity_codes(self) -> np.ndarray | None:
-        """Per-mode parity code, bit ax set when the mode is odd on axis ax."""
+    def parity_codes(self) -> np.ndarray:
+        """Per-mode parity code, bit ax set when the mode is odd on axis ax; all
+        zero when some mode has no definite parity (one class, the full space)."""
         parity = self.axis_parity
-        return None if parity is None else parity @ (1 << np.arange(parity.shape[1]))
+        if parity is None:
+            return np.zeros(self.size, dtype=np.int64)
+        return parity @ (1 << np.arange(parity.shape[1]))
 
     def potential_matrix(self) -> np.ndarray:
         """u[i,j] = int V mode_i mode_j by grid quadrature.
@@ -333,14 +336,14 @@ class FockBasis:
     odd occupation; a sector keeps the states of one code in the same
     order, and ``ranks`` holds their ranks in the full space.  Both are
     enumerated by ``_sector_states``: the full space is the sector of
-    code 0 when every mode code is 0 (``mode_codes`` None).
+    code 0 when every mode code is 0.
     """
 
     N: int
     M: int
     occupations: np.ndarray         # (size, M) int64
     ranks: np.ndarray               # (size,) full-space ranks, increasing
-    mode_codes: np.ndarray | None = None     # per-mode parity codes of a sector
+    mode_codes: np.ndarray          # (M,) int64 per-mode parity codes
     code: int = 0                   # the sector's parity code
 
     @property
@@ -386,8 +389,8 @@ class FockBasis:
     @classmethod
     def build(cls, N: int, M: int, dimension_cap: int = FOCK_DIMENSION_CAP,
               mode_codes: np.ndarray | None = None) -> "FockBasis":
-        """Every state, or with ``mode_codes`` the sector of state 0 (all
-        bosons in mode 0).  The cap applies to the full count."""
+        """The sector of state 0 (all bosons in mode 0) under ``mode_codes``,
+        every state when they are all zero or None.  The cap is on the full count."""
         size = comb(N + M - 1, N)
         if size > dimension_cap:
             raise CapacityError(
@@ -395,8 +398,7 @@ class FockBasis:
         codes = np.zeros(M, dtype=np.int64) if mode_codes is None else np.asarray(mode_codes)
         code = int(codes[0] * (N % 2))
         occ, ranks = _sector_states(N, M, codes, code)
-        return cls(N=N, M=M, occupations=occ, ranks=ranks,
-                   mode_codes=None if mode_codes is None else codes, code=code)
+        return cls(N=N, M=M, occupations=occ, ranks=ranks, mode_codes=codes, code=code)
 
 
 def _rank_table(N: int, M: int) -> np.ndarray:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
 
 import numpy as np
 
@@ -96,19 +95,19 @@ class PairOpHamiltonian:
         self.fock = fock
         self.tensor = tensor
         self.diag = fock.occupations @ basis.energies
-        self.pair_map, self.pair_classes = (self._build_pair_map() if fock.N >= 2
-                                            else (None, ()))
+        # lower_size: the states of the (N-2)-particle space the pair map reaches
+        self.pair_map, self.pair_classes, self.lower_size = (
+            self._build_pair_map() if fock.N >= 2 else (None, (), 0))
 
     def _build_pair_map(self):
         # (a_k a_l x) for pair j = (k, l) of a class at its (N-2)-particle row
         # r reads one state of ours (FockBasis.pair_sources); the pairs of
         # class c reach the (N-2)-particle states of parity code ours ^ c
         fock, pairs = self.fock, self.tensor.pairs
-        codes = np.zeros(fock.M, dtype=np.int64) if fock.mode_codes is None else fock.mode_codes
         lower = FockBasis.build(fock.N - 2, fock.M, dimension_cap=fock.full_size)
-        parity = np.bitwise_xor.reduce((lower.occupations & 1) * codes, axis=1)
+        parity = np.bitwise_xor.reduce((lower.occupations & 1) * fock.mode_codes, axis=1)
         cols, amps, classes, start = [], [], [], 0
-        for code, members in pair_classes(codes, pairs):
+        for code, members in pair_classes(fock.mode_codes, pairs):
             rows = np.flatnonzero(parity == fock.code ^ code)
             k, l = pairs[members].T
             col, amp = fock.pair_sources(lower.occupations[rows], lower.ranks[rows], k, l)
@@ -117,7 +116,7 @@ class PairOpHamiltonian:
             classes.append(PairClass(slice(start, start + col.size), members, lower.ranks[rows],
                                      self.tensor.fold_hamiltonian_pairs(members)))
             start += col.size
-        return (np.concatenate(cols), np.concatenate(amps)), tuple(classes)
+        return (np.concatenate(cols), np.concatenate(amps)), tuple(classes), lower.size
 
     @property
     def size(self) -> int:
@@ -151,7 +150,7 @@ class PairOpHamiltonian:
         if self.pair_map is None:
             raise SolverFailureError("pair annihilation needs N >= 2")
         weights = self.tensor.pair_weights(c)
-        out = np.zeros(comb(self.fock.N + self.fock.M - 3, self.fock.N - 2))
+        out = np.zeros(self.lower_size)
         for cls, w in self.pair_amplitudes(x):
             out[cls.lower] += w @ weights[cls.pairs]
         return out
@@ -174,9 +173,8 @@ class PairOpHamiltonian:
             v = self.fock.occupations.T @ x
             return np.outer(v, v)
         amplitudes = self.pair_amplitudes(x)
-        n_lower = comb(self.fock.N + self.fock.M - 3, self.fock.N - 2)
-        if n_lower < self.tensor.n_pairs:
-            W = np.zeros((n_lower, self.tensor.n_pairs))
+        if self.lower_size < self.tensor.n_pairs:
+            W = np.zeros((self.lower_size, self.tensor.n_pairs))
             for cls, w in amplitudes:
                 W[np.ix_(cls.lower, cls.pairs)] = w
 
@@ -190,7 +188,6 @@ class PairOpHamiltonian:
             def block(p):
                 return layout.read(grams, p[:, None, :], p[None, :, :]).sum(axis=2)
         codes = self.fock.mode_codes
-        codes = np.zeros(self.fock.M, dtype=np.int64) if codes is None else codes
         gamma = np.zeros((self.fock.M, self.fock.M))
         for code in np.unique(codes):
             modes = np.flatnonzero(codes == code)
@@ -212,11 +209,6 @@ def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
     fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap,
                            mode_codes=basis.parity_codes)
     ham = PairOpHamiltonian(basis, tensor, fock)
-    if fock.size == 1:
-        x = np.ones(1)
-        return ManyBodyGround(energy=ham.expectation(x), coefficients=x,
-                              gamma=ham.one_body_matrix(x), residual=0.0, ham=ham)
-
     x = np.zeros(fock.size)
     x[0] = 1.0
     matvecs = 0

@@ -121,16 +121,17 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: in
     """Average in-ball fractions of the weighted correlation gradient energy.
 
     Requires N = 2 and a mean-field state solved on the grid of the modes
-    ``ground.ham.basis``.  Nodes where the mean-field profile is below 1e-12
-    of its peak are excluded from the division and counted in the report.  The samples run on a
-    thread pool, one worker per available CPU; each writes its own rows,
-    so the result does not depend on the worker count.
+    ``ground.ham.basis`` (``lo`` included).  Nodes where the mean-field
+    profile is below 1e-12 of its peak are excluded from the division and
+    counted in the report.  The samples run on a thread pool, one worker
+    per available CPU; each writes its own rows, so the result does not
+    depend on the worker count.
     """
     if ground.N != 2:
         raise ConfigError("localization profile is defined for N = 2 runs")
     basis = ground.ham.basis
     grid = basis.grid
-    if gp.grid.shape != grid.shape or gp.grid.extent != grid.extent:
+    if gp.grid != grid:
         raise ConfigError("mean-field state must live on the mode grid", field="grid")
     radii = tuple(float(d) for d in radii)
     if any(d <= 0 for d in radii):

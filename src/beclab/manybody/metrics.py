@@ -21,7 +21,7 @@ from functools import reduce
 
 import numpy as np
 
-from ..errors import BasisInsufficientError, ConfigError
+from ..errors import BasisInsufficientError, SolverFailureError
 from ..gp import GPState
 from ..model import axis_apply, trapezoid_weights
 from .basis import (ModeBasis, build_mode_basis, hermite_functions, pair_density,
@@ -43,34 +43,37 @@ class CondensateReport:
     momentum_coverage: float
 
     def __post_init__(self):
+        # a solved value out of its range is a solver failure (exit 3)
         if not -1e-10 <= self.condensate_fraction <= 1 + 1e-10:
-            raise ConfigError("condensate fraction outside [0, 1]")
+            raise SolverFailureError("condensate fraction outside [0, 1]",
+                                     condensate_fraction=self.condensate_fraction)
         if self.gp_overlap > self.condensate_fraction + 1e-10:
-            raise ConfigError("overlap cannot exceed the condensate fraction")
+            raise SolverFailureError("overlap cannot exceed the condensate fraction",
+                                     gp_overlap=self.gp_overlap)
         if not -1e-12 <= self.trace_distance <= 2 + 1e-10:
-            raise ConfigError("trace distance outside [0, 2]")
+            raise SolverFailureError("trace distance outside [0, 2]",
+                                     trace_distance=self.trace_distance)
         if self.pair_moment > 1 + 1e-10:
-            raise ConfigError("normalized pair moment above 1")
+            raise SolverFailureError("normalized pair moment above 1", pair_moment=self.pair_moment)
 
 
 def expand_reference(gp: GPState, basis: ModeBasis):
     """Mode amplitudes of the mean-field state, renormalized in the span.
 
     The modes are evaluated on the reference state's own grid (analytic
-    trap eigenfunctions do not care which compatible grid samples them),
-    so a finer mean-field grid can back a coarser interaction grid; that
+    trap eigenfunctions do not care which compatible grid samples them), so
+    a finer or shifted mean-field grid can back the interaction grid; that
     grid must pass the resolution checks of ``build_mode_basis``.  Product
-    modes are contracted with phi one axis at a time.
+    modes are contracted with phi one axis at a time; tabulated modes are
+    rebuilt there unless the two grids are equal (``lo`` included).
     """
-    same_grid = gp.grid.shape == basis.grid.shape and gp.grid.extent == basis.grid.extent
     if basis.axis_tables is not None:
-        tables, rows = ((basis.axis_tables, basis.table_rows) if same_grid else
-                        separable_modes(basis.trap, gp.grid, basis.max_quanta)[2:])
+        tables = separable_modes(basis.trap, gp.grid, basis.max_quanta)[2]
         a = axis_apply(gp.phi, [t * w for t, w in zip(tables, gp.grid.axis_weights)])
-        c = a[tuple(rows.T)]
+        c = a[tuple(basis.table_rows.T)]
     else:
-        eval_basis = basis if same_grid else build_mode_basis(basis.trap, gp.grid,
-                                                              basis.max_quanta)
+        eval_basis = (basis if gp.grid == basis.grid else
+                      build_mode_basis(basis.trap, gp.grid, basis.max_quanta))
         flat = eval_basis.modes.reshape(eval_basis.size, -1)
         c = (flat * gp.grid.weights.ravel()) @ gp.phi.ravel()
     weight = float(c @ c)

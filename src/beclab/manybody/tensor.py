@@ -185,12 +185,10 @@ def _views(classes, flat: np.ndarray):
         start += n * n
 
 
-def pair_classes(codes: np.ndarray | None, pairs: np.ndarray) -> list[tuple[int, np.ndarray]]:
+def pair_classes(codes: np.ndarray, pairs: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Pair indices grouped by the XOR of their two modes' parity codes, as
-    (code, members) in increasing code; one class of code 0 when ``codes``
-    is None (no definite parity)."""
-    if codes is None:
-        return [(0, np.arange(len(pairs)))]
+    (code, members) in increasing code; one class of code 0 when the codes
+    are all zero (no definite parity)."""
     label = codes[pairs[:, 0]] ^ codes[pairs[:, 1]]
     return [(int(c), np.flatnonzero(label == c)) for c in np.unique(label)]
 

@@ -566,6 +566,43 @@ def test_sweep_csv_contract(tmp_path):
     assert "wall_time_s" in manifest
 
 
+def test_sweep_on_a_shifted_gp_grid_reports_the_aligned_rows(tmp_path):
+    # the mean-field grid of the mode grid's points and extent, lo moved by
+    # 0.3: only the mean-field discretization moves the rows
+    aligned = json.loads(execute(small_sweep_config(), tmp_path / "a").read_text())["rows"]
+    cfg = small_sweep_config(gp_grid={"extent": [14.0] * 3, "points": [32] * 3,
+                                      "lo": [-6.7] * 3})
+    rows = json.loads(execute(cfg, tmp_path / "b").read_text())["rows"]
+    for want, got in zip(aligned, rows, strict=True):
+        assert got == pytest.approx(want, rel=1e-8, abs=0)
+
+
+def test_sweep_trends_are_checked_in_n_order(tmp_path, capsys):
+    descending = execute(small_sweep_config(N_list=[3, 2]), tmp_path / "o")
+    assert [row["N"] for row in json.loads(descending.read_text())["rows"]] == [3, 2]
+    assert verify([str(descending)]) == 0
+    # an ascending report whose N = 3 trace distance exceeds N = 2's
+    rep = json.loads(execute(small_sweep_config(), tmp_path / "o").read_text())
+    assert [row["N"] for row in rep["rows"]] == [2, 3]
+    rep["rows"][1]["trace_distance"] = rep["rows"][0]["trace_distance"] * 1.01
+    bad = tmp_path / "raised.json"
+    bad.write_text(json.dumps(rep))
+    capsys.readouterr()
+    assert verify([str(bad)]) == 4
+    assert "FAIL sweep.trace_distance_trend" in capsys.readouterr().out
+
+
+def test_execute_takes_run_fields_from_the_validated_config(tmp_path):
+    # a library caller's config may leave out what load_config fills in
+    cfg = small_gp_config()
+    for key in ("seed", "reproducible", "output"):
+        del cfg[key]
+    path = execute(cfg, tmp_path / "o")
+    rep = json.loads(path.read_text())
+    assert rep["seed"] == 0 and rep["reproducible"] is True
+    assert json.loads((path.parent / "manifest.json").read_text())["seed"] == 0
+
+
 def test_cli_subprocess_entry(tmp_path):
     p = write_config(tmp_path, small_gp_config())
     res = subprocess.run(

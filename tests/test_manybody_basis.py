@@ -53,6 +53,24 @@ def test_axis_parity_of_tabulated_modes():
                                   [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
+def test_no_definite_parity_gives_all_zero_codes(trap, grid48):
+    # lo moved by half a cell: no mode is even or odd about the grid centre
+    h = grid48.spacing[0]
+    shifted = bl.Grid(tuple(lo + h / 2 for lo in grid48.lo), grid48.extent, grid48.points)
+    basis = build_mode_basis(trap, shifted, 1)
+    assert basis.axis_parity is None
+    codes = basis.parity_codes
+    assert codes.dtype == np.int64 and codes.shape == (basis.size,) and not codes.any()
+    centred = build_mode_basis(trap, grid48, 1).parity_codes
+    for N in (0, 1, 2, 3):
+        full, zero, sector = (FockBasis.build(N, basis.size, mode_codes=m)
+                              for m in (None, codes, centred))
+        for fock in (full, zero, sector):
+            assert isinstance(fock.mode_codes, np.ndarray)
+            assert fock.mode_codes.dtype == np.int64 and fock.mode_codes.shape == (basis.size,)
+        assert np.array_equal(zero.occupations, full.occupations)
+
+
 FACTORED = {
     "isotropic": (bl.TrapSpec.harmonic((1.0, 1.0, 1.0)), bl.Grid.centered((14.0,) * 3, (32,) * 3), 3),
     "anisotropic": (bl.TrapSpec.harmonic((1.0, 1.7, 0.6)),

@@ -211,6 +211,25 @@ def test_ground_state_keeps_the_hamiltonian_it_solved(N, basis_q2, soft_tensor_q
     assert "ham" not in repr(gr)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_one_state_space_solves_by_lanczos(monkeypatch, N):
+    # one mode: one occupation state, one Lanczos step, then beta = 0; the
+    # result passes the gamma checks like every other solve
+    from beclab.manybody import ground as ground_module
+
+    checked = []
+    validate = ground_module._validate_gamma
+    monkeypatch.setattr(ground_module, "_validate_gamma",
+                        lambda gamma, n: checked.append(n) or validate(gamma, n))
+    basis = build_mode_basis(TRAP, GRID, 0)
+    gr = ground_state(basis, interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1)), N)
+    x = np.ones(1)
+    assert gr.ham.size == 1 and checked == [N]
+    assert gr.energy == gr.ham.expectation(x) and gr.residual == 0.0
+    assert np.array_equal(gr.coefficients, x)
+    assert np.array_equal(gr.gamma, gr.ham.one_body_matrix(x))
+
+
 def _off_centre_basis(quanta):
     # lo shifted by half a cell: no mode has a definite parity on the grid
     h = GRID.spacing[0]
@@ -220,7 +239,7 @@ def _off_centre_basis(quanta):
 
 def test_off_centre_grid_solves_in_full_space(monkeypatch):
     basis = _off_centre_basis(1)
-    assert basis.parity_codes is None
+    assert basis.axis_parity is None
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
     sizes = []
     build = PairOpHamiltonian.__init__
@@ -289,7 +308,7 @@ def test_pair_map_matches_the_composed_map_on_sweep_sectors(N, basis_q3, sweep_t
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_pair_map_matches_the_composed_map_in_the_full_space(N):
     basis = _off_centre_basis(2)
-    assert basis.parity_codes is None
+    assert basis.axis_parity is None
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
     _assert_pair_map_is_composed(PairOpHamiltonian(basis, tensor,
                                                    FockBasis.build(N, basis.size)))
@@ -301,7 +320,7 @@ def test_gamma_forms_no_pair_gram_below_the_pair_count(N, sector):
     # columns, matching the Gram route of W^T W, and never holds a pairs x
     # pairs array (3.2 MB at M = 35) or half of one
     basis = (build_mode_basis(TRAP, GRID, 4) if sector else _off_centre_basis(4))
-    assert (basis.parity_codes is not None) == sector
+    assert (basis.axis_parity is not None) == sector
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
     fock = FockBasis.build(N, basis.size, mode_codes=basis.parity_codes if sector else None)
     ham = PairOpHamiltonian(basis, tensor, fock)
@@ -383,7 +402,7 @@ def test_pair_amplitude_matrix_matches_the_full_space_route(space, basis_q2, sof
     # oracle annihilator and the coefficients scattered there, bit for bit
     if space == "off_centre_full":
         basis = _off_centre_basis(2)
-        assert basis.parity_codes is None
+        assert basis.axis_parity is None
         ham = PairOpHamiltonian(basis, interaction_tensor(basis, bl.PairPotential.soft_sphere(
             5.0, 1.1)), FockBasis.build(2, basis.size))
     else:

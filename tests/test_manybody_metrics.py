@@ -11,8 +11,9 @@ import pytest
 from scipy.stats import qmc
 
 import beclab as bl
-from beclab.errors import BasisInsufficientError, ResolutionError
-from beclab.manybody import (build_mode_basis, condensate_metrics,
+from beclab.errors import (BasisInsufficientError, ConfigError, ResolutionError,
+                           SolverFailureError)
+from beclab.manybody import (CondensateReport, build_mode_basis, condensate_metrics,
                              expand_reference, ground_state,
                              localization_profile, momentum_distribution)
 from beclab.manybody import localization
@@ -297,3 +298,87 @@ def test_factored_momentum_metrics_match_materialized_transforms(kind, basis_q2,
     ref = np.einsum("ij,i...,j...->...", gr.gamma / gr.N, transforms, np.conj(transforms)).real
     assert np.abs(rho - ref).max() <= 1e-13 * np.abs(ref).max()
     assert cov == pytest.approx(coverage, rel=1e-13)
+
+
+def _shifted(grid):
+    # the same points and extent, lo moved by 0.3 on every axis
+    return bl.Grid(tuple(lo + 0.3 for lo in grid.lo), grid.extent, grid.points)
+
+
+def test_reference_on_a_shifted_grid_is_read_on_its_nodes():
+    # a mean-field grid that matches the mode grid in points and extent but
+    # not in lo: the modes are sampled on the mean-field grid's own nodes
+    trap, grid, _, outside = _case("harmonic")
+    gp_grid = _shifted(grid)
+    basis = build_mode_basis(trap, grid, 2)
+    sampled = build_mode_basis(trap, gp_grid, 2)
+    a = np.random.default_rng(11).standard_normal(basis.size)
+    phi = np.tensordot(a / np.linalg.norm(a), sampled.modes, axes=(0, 0))
+    phi = phi + 0.05 * outside(*gp_grid.meshgrid())
+    phi /= np.sqrt(gp_grid.integrate(phi**2))
+    flat = sampled.modes.reshape(basis.size, -1)
+    c_ref = (flat * gp_grid.weights.ravel()) @ phi.ravel()
+    c, weight = expand_reference(_state(phi, gp_grid, trap), basis)
+    assert weight == pytest.approx(c_ref @ c_ref, rel=1e-13)
+    np.testing.assert_allclose(c, c_ref / np.sqrt(c_ref @ c_ref), rtol=0, atol=1e-13)
+
+
+def test_localization_refuses_a_shifted_mean_field_grid(interacting):
+    gp_grid = _shifted(GRID)
+    phi = np.exp(-sum(x**2 for x in gp_grid.meshgrid()) / 2)
+    phi /= np.sqrt(gp_grid.integrate(phi**2))
+    with pytest.raises(ConfigError, match="mode grid"):
+        localization_profile(interacting, _state(phi, gp_grid, TRAP), radii=(1.0,), samples=4)
+
+
+@pytest.fixture(scope="module")
+def tabulated_ground():
+    # distinct stiffnesses: no degenerate eigenvectors; the modes are sampled
+    # 3D arrays, so every metric takes its tabulated route
+    grid = bl.Grid.centered((10.0,) * 3, (24,) * 3)
+    x, y, z = grid.meshgrid()
+    basis = build_mode_basis(bl.TrapSpec.tabulated(grid, x**2 + 2 * y**2 + 3 * z**2), grid, 1)
+    assert basis.axis_tables is None
+    return ground_state(basis, interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1)),
+                        2)
+
+
+def test_sampled_momentum_metrics_match_materialized_transforms(tabulated_ground):
+    gr = tabulated_ground
+    k_axes = default_momentum_axes(gr.ham.basis)
+    transforms = quadrature_mode_transforms(gr.ham.basis, k_axes)
+    c = np.random.default_rng(3).standard_normal(gr.ham.basis.size)
+    c /= np.linalg.norm(c)
+    rep = condensate_metrics(gr, (c, 1.0), k_axes=k_axes)
+    l1, coverage = materialized_momentum_metrics(gr.gamma / gr.N, c, transforms, k_axes)
+    assert rep.momentum_l1 == pytest.approx(l1, rel=1e-13)
+    assert rep.momentum_coverage == pytest.approx(coverage, rel=1e-13)
+
+
+def test_sampled_reference_expansion_matches_direct_quadrature(tabulated_ground):
+    basis = tabulated_ground.ham.basis
+    grid = basis.grid
+    a = np.random.default_rng(7).standard_normal(basis.size)
+    phi = np.tensordot(a / np.linalg.norm(a), basis.modes, axes=(0, 0))
+    x, y, z = grid.meshgrid()
+    phi = phi + 0.05 * x * y * z * np.exp(-(x * x + y * y + z * z) / 2)
+    phi /= np.sqrt(grid.integrate(phi**2))
+    flat = basis.modes.reshape(basis.size, -1)
+    c_ref = (flat * grid.weights.ravel()) @ phi.ravel()
+    c, weight = expand_reference(_state(phi, grid, basis.trap), basis)
+    assert 0.99 < weight < 0.9999
+    assert weight == pytest.approx(c_ref @ c_ref, rel=1e-13)
+    np.testing.assert_allclose(c, c_ref / np.sqrt(c_ref @ c_ref), rtol=0, atol=1e-13)
+
+
+_IN_RANGE = dict(condensate_fraction=0.9, gp_overlap=0.8, trace_distance=0.1, momentum_l1=0.05,
+                 pair_moment=0.7, truncation_weight=1.0, momentum_coverage=1.0)
+
+
+@pytest.mark.parametrize("field, value", [("condensate_fraction", 1.5), ("gp_overlap", 0.95),
+                                          ("trace_distance", 2.5), ("pair_moment", 1.5)])
+def test_out_of_range_result_is_a_solver_failure(field, value):
+    # a solved value outside its range: exit 3 with the value as a diagnostic
+    with pytest.raises(SolverFailureError) as info:
+        CondensateReport(**(_IN_RANGE | {field: value}))
+    assert info.value.diagnostics[field] == value
