@@ -27,6 +27,7 @@ import math
 import os
 import reprlib
 import sys
+import tempfile
 import time
 from dataclasses import asdict
 from functools import lru_cache
@@ -323,6 +324,9 @@ def load_phi_dump(raw: bytes, sidecar: bytes):
         raise ConfigError(f"dump holds {len(raw)} bytes, its grid needs "
                           f"{8 * math.prod(grid.points)}", field="solver.weight")
     phi = np.frombuffer(raw, dtype="<f8").reshape(grid.points)
+    bad = phi.size - np.count_nonzero(np.isfinite(phi))
+    if bad:
+        raise ConfigError(f"dump holds {bad} NaN or infinite values", field="solver.weight")
     return grid, phi
 
 
@@ -344,9 +348,7 @@ def run_poincare(c: dict):
     weight_kind, dump = solver["weight"]
     if weight_kind == "gp_dump":
         dump_grid, phi = dump["loaded"]
-        mesh = np.meshgrid(*region.grid.axes, indexing="ij")
-        pts = np.stack(mesh, axis=-1)
-        w = multilinear_interpolate(dump_grid, phi, pts, field="solver.weight") ** 2
+        w = multilinear_interpolate(dump_grid, phi, region.grid.axes, field="solver.weight") ** 2
         report["weighted"] = weighted_estimate(region, w, est.c_star,
                                                trials=min(trials, 200), seed=c["seed"] + 1)
     return report, {}
@@ -366,28 +368,30 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 class _DirLock:
-    """Exclusive ``.lock`` file holding the owner's pid.
-
-    A lock whose pid is no longer alive is left over from a killed run and
-    is reclaimed; a live holder or an unreadable lock refuses the run.
-    """
+    """Exclusive ``.lock`` file holding the owner's pid, hard-linked from a
+    private file that holds the pid already, so it never exists without it.
+    A lock whose pid is no longer alive is left over from a killed run and is
+    reclaimed; a live holder or an unreadable lock refuses the run."""
 
     def __init__(self, directory: Path):
         self.path = directory / ".lock"
 
     def __enter__(self):
-        while True:
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if not self._holder_dead():
-                    raise ConfigError(
-                        f"output directory is locked by another run ({self.path})")
-                self.path.unlink(missing_ok=True)
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-        return self
+        fd, own = tempfile.mkstemp(prefix=".lock-", dir=self.path.parent)
+        try:
+            os.write(fd, str(os.getpid()).encode())
+            while True:
+                try:
+                    os.link(own, self.path)
+                    return self
+                except FileExistsError:
+                    if not self._holder_dead():
+                        raise ConfigError(
+                            f"output directory is locked by another run ({self.path})")
+                    self.path.unlink(missing_ok=True)
+        finally:
+            os.close(fd)
+            os.unlink(own)
 
     def __exit__(self, *exc):
         try:

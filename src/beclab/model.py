@@ -218,6 +218,8 @@ class TrapSpec:
                 raise ConfigError("tabulated trap needs grid and values", field="trap")
             if len(self.table_values) != int(np.prod(self.table_grid.points)):
                 raise ConfigError("table size does not match its grid", field="trap.values")
+            if not np.isfinite(self._table).all():
+                raise ConfigError("table values must be finite", field="trap.values")
         else:
             raise ConfigError(f"unknown trap kind {self.kind!r}", field="trap.kind")
 
@@ -288,42 +290,34 @@ class TrapSpec:
         """
         self.check_grid(grid)
         if self.kind == "tabulated":
-            return self._interpolate(np.stack(np.broadcast_arrays(*grid.meshgrid()), axis=-1))
+            return multilinear_interpolate(self.table_grid, self._table, grid.axes, field="trap")
         return reduce(np.add.outer, [self.axis_potential(ax, x) for ax, x in enumerate(grid.axes)])
 
-    def _interpolate(self, pts: np.ndarray) -> np.ndarray:
-        return multilinear_interpolate(self.table_grid, self._table, pts,
-                                       field="trap")
 
-
-def multilinear_interpolate(table_grid: Grid, table: np.ndarray, pts: np.ndarray,
+def multilinear_interpolate(table_grid: Grid, table: np.ndarray, axes,
                             field: str = "table") -> np.ndarray:
-    """Multilinear interpolation of a grid-sampled field at points.
-
-    ``pts[..., ax]`` are coordinates; anything outside the grid extent
-    raises OutOfDomainError.
-    """
-    tg = table_grid
-    idx = []
-    frac = []
-    for ax in range(tg.dimension):
-        x = (pts[..., ax] - tg.lo[ax]) / tg.spacing[ax]
-        eps = 1e-9
-        if np.any(x < -eps) or np.any(x > tg.points[ax] - 1 + eps):
+    """Multilinear interpolation of a grid-sampled field on the tensor grid of
+    the per-axis coordinates ``axes`` (``grid.axes``, or one-element arrays
+    for one point): axis by axis, the two table slabs around each coordinate
+    are weighed, on the table cut to the rows the coordinates reach.  A NaN
+    coordinate, or one over 1e-9 of a cell outside the table, raises
+    OutOfDomainError."""
+    if len(axes) != table_grid.dimension:
+        raise InvalidParameterError(f"{len(axes)}-dimensional points on a "
+                                    f"{table_grid.dimension}-dimensional table", field=field)
+    cells = []
+    for x, lo, h, n in zip(axes, table_grid.lo, table_grid.spacing, table_grid.points):
+        x = (np.asarray(x, dtype=float) - lo) / h
+        if not (np.all(x >= -1e-9) and np.all(x <= n - 1 + 1e-9)):     # NaN included
             raise OutOfDomainError("point outside the tabulated extent", field=field)
-        x = np.clip(x, 0.0, tg.points[ax] - 1)
-        i0 = np.minimum(x.astype(int), tg.points[ax] - 2)
-        idx.append(i0)
-        frac.append(x - i0)
-    out = np.zeros(pts.shape[:-1])
-    for corner in range(2 ** tg.dimension):
-        w = np.ones(pts.shape[:-1])
-        sel = []
-        for ax in range(tg.dimension):
-            bit = (corner >> ax) & 1
-            sel.append(idx[ax] + bit)
-            w = w * (frac[ax] if bit else 1.0 - frac[ax])
-        out += w * table[tuple(sel)]
+        x = np.clip(x, 0.0, n - 1)
+        i0 = np.minimum(x.astype(int), n - 2)
+        cells.append((i0, x - i0))
+    out = table[tuple(slice(i0.min(), i0.max() + 2) for i0, _ in cells)]
+    for ax, (i0, frac) in enumerate(cells):
+        i0 = i0 - i0.min()
+        frac = frac.reshape((-1,) + (1,) * (out.ndim - 1 - ax))
+        out = np.take(out, i0, axis=ax) * (1.0 - frac) + np.take(out, i0 + 1, axis=ax) * frac
     return out
 
 
@@ -333,7 +327,8 @@ def evaluate_trap(trap: TrapSpec, point) -> float:
     if point.shape != (trap.dimension,):
         raise InvalidParameterError(f"point must have dimension {trap.dimension}")
     if trap.kind == "tabulated":
-        return float(trap._interpolate(point[None, :])[0])
+        return float(multilinear_interpolate(trap.table_grid, trap._table, point[:, None],
+                                             field="trap").item())
     if trap.kind == "box" and not all(0.0 < x < trap.side for x in point):
         return math.inf
     return float(sum(trap.axis_potential(ax, x) for ax, x in enumerate(point)))

@@ -602,3 +602,33 @@ def ball_mask(grid, radius):
     for x in grid.meshgrid():
         rr = rr + x**2
     return rr <= radius**2 * (1 + 1e-12)
+
+
+def point_interpolate(table_grid, table, pts):
+    """Multilinear interpolation at the points ``pts[..., ax]``, as the sum
+    over the 2^d corners of each point's cell.  Raises OutOfDomainError for
+    a point more than 1e-9 of a cell outside the table's extent."""
+    from beclab.errors import OutOfDomainError
+
+    tg = table_grid
+    idx = []
+    frac = []
+    for ax in range(tg.dimension):
+        x = (pts[..., ax] - tg.lo[ax]) / tg.spacing[ax]
+        eps = 1e-9
+        if np.any(x < -eps) or np.any(x > tg.points[ax] - 1 + eps):
+            raise OutOfDomainError("point outside the tabulated extent", field="table")
+        x = np.clip(x, 0.0, tg.points[ax] - 1)
+        i0 = np.minimum(x.astype(int), tg.points[ax] - 2)
+        idx.append(i0)
+        frac.append(x - i0)
+    out = np.zeros(pts.shape[:-1])
+    for corner in range(2 ** tg.dimension):
+        w = np.ones(pts.shape[:-1])
+        sel = []
+        for ax in range(tg.dimension):
+            bit = (corner >> ax) & 1
+            sel.append(idx[ax] + bit)
+            w = w * (frac[ax] if bit else 1.0 - frac[ax])
+        out += w * table[tuple(sel)]
+    return out

@@ -179,8 +179,7 @@ def test_criterion_8_poincare_suite(gp_g10_96):
     ball = Region.ball(2.0, 32, 3)
     from beclab.model import multilinear_interpolate
 
-    pts = np.stack(np.meshgrid(*ball.grid.axes, indexing="ij"), axis=-1)
-    w = multilinear_interpolate(gp_g10_96.grid, gp_g10_96.phi, pts) ** 2
+    w = multilinear_interpolate(gp_g10_96.grid, gp_g10_96.phi, ball.grid.axes) ** 2
     est_ball = estimate_constant(ball, trials=120, seed=11)
     weighted = weighted_estimate(ball, w, est_ball.c_star, trials=120, seed=11)
     elapsed = time.monotonic() - t0

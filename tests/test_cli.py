@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beclab import __version__
+from beclab import __version__, hard_sphere_substitute
 from beclab.cli import (canonical_hash, dump_json, execute, load_config, main, verify)
 from beclab.errors import ConfigError
 from beclab.model import MAX_SAMPLES, problem_from_config, trap_from_config
@@ -340,6 +341,22 @@ def test_live_or_unreadable_lock_exits_2(tmp_path, capsys, holder):
     assert (out / ".lock").exists()
 
 
+def test_run_whose_pid_write_fails_leaves_no_lock(tmp_path, monkeypatch):
+    p = write_config(tmp_path, small_scattering_config())
+    out = tmp_path / "o"
+
+    def disk_full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", disk_full)
+    with pytest.raises(OSError):
+        main(["scattering", "--config", str(p), "--out", str(out)])
+    monkeypatch.undo()
+    assert [path.name for path in out.iterdir()] == ["runs"]     # no .lock, no pid file
+    assert main(["scattering", "--config", str(p), "--out", str(out)]) == 0
+    assert [path.name for path in out.iterdir()] == ["runs"]
+
+
 def test_solver_failure_writes_diagnostics(tmp_path, capsys):
     cfg = small_gp_config()
     cfg["solver"] = dict(cfg["solver"], max_iter=2)
@@ -428,6 +445,120 @@ def test_verify_flags_tampered_report(tmp_path, capsys):
     assert verify([str(bad)]) == 4
     out = capsys.readouterr().out
     assert "condensate_fraction_range" in out and "FAIL" in out
+
+
+def test_hard_core_manybody_run_solves_its_soft_stand_in(tmp_path):
+    cfg = small_manybody_config(a=0.3, max_quanta=2)
+    cfg["problem"]["pair_potential"] = {"shape": "hard_sphere", "core": 1.0}
+    del cfg["solver"]["g"]
+    path = execute(cfg, tmp_path / "o")
+    rep = json.loads(path.read_text())
+    stand_in = hard_sphere_substitute(1.0)
+    assert rep["substituted_potential"] == {"height": stand_in.height, "radius": stand_in.radius}
+    assert rep["substituted_potential"] == {"height": 8192.0, "radius": 1.015625}
+    assert rep["kinetic_fraction_s"] >= 0.99
+    assert verify([str(path)]) == 0
+
+
+@pytest.fixture(scope="module")
+def small_reports(tmp_path_factory):
+    """One passing report per kind: the manybody run has a localization
+    block and the poincare run is weighted by the gp run's dump."""
+    root = tmp_path_factory.mktemp("reports")
+    gp = small_gp_config()
+    gp["solver"] = dict(gp["solver"], dump_phi=True)
+    gp_path = execute(gp, root / "gp")
+    dump = {"kind": "gp_dump", "phi": str(gp_path.parent / "phi.f64"),
+            "grid": str(gp_path.parent / "phi_grid.json")}
+    paths = {"gp": gp_path,
+             "scattering": execute(small_scattering_config(), root / "scattering"),
+             "manybody": execute(small_manybody_config(
+                 localization={"radii": [1.0, 2.0], "samples": 8}), root / "manybody"),
+             "sweep": execute(small_sweep_config(), root / "sweep"),
+             "poincare": execute(small_poincare_config(dump), root / "poincare")}
+    return {kind: json.loads(path.read_text()) for kind, path in paths.items()}
+
+
+# one edit of a metrics block (with its N) per invariant of the block
+METRIC_EDITS = {
+    "condensate_fraction_range": lambda m, N: m.update(condensate_fraction=1.2),
+    "overlap_below_fraction": lambda m, N: m.update(gp_overlap=m["condensate_fraction"] + 0.1),
+    "trace_distance_range": lambda m, N: m.update(trace_distance=2.5),
+    "momentum_dominated": lambda m, N: m.update(momentum_l1=m["trace_distance"] + 0.1),
+    "pair_moment_upper": lambda m, N: m.update(pair_moment=1.5),
+    "pair_moment_chain": lambda m, N: m.update(pair_moment=m["gp_overlap"] ** 2 - 2 / N - 0.1),
+}
+
+
+def _components(c):
+    # K and P move in opposite directions: the sum holds, the virial does not
+    c.update(kinetic=c["kinetic"] + 10.0, potential=c["potential"] - 10.0)
+
+
+def _widen_energy_gap(rows):
+    # below E_gp, so the variational bound still holds
+    first, last = rows[0], rows[-1]
+    last["E_qm_per_N"] = last["E_gp"] - abs(first["E_qm_per_N"] - first["E_gp"]) - 1.0
+
+
+TAMPERS = [
+    ("gp", lambda r: r.update(E_GP=r["E_GP"] + 1.0), "gp.component_sum"),
+    ("gp", lambda r: r.update(mu=r["mu"] + 1.0), "gp.chemical_potential"),
+    ("gp", lambda r: r.update(residual=10 * r["solver_tol"]), "gp.residual"),
+    ("gp", lambda r: r.update(norm_error=1e-6), "gp.normalization"),
+    ("gp", lambda r: r.update(energy_trace_max_increase=1e-6), "gp.energy_monotone"),
+    ("gp", lambda r: _components(r["components"]), "gp.virial"),
+    ("gp", lambda r: r.update(boundary_ratio=1e-3), "gp.decay"),
+    ("scattering", lambda r: r.update(s=2 * r["a"]), "scattering.kinetic_fraction_bound"),
+    ("scattering", lambda r: r["phi1_samples"]["phi1"].__setitem__(0, -0.1),
+     "scattering.phi_nonnegative"),
+    ("scattering", lambda r: r["phi1_samples"]["phi1"].__setitem__(-1, 2.0),
+     "scattering.asymptotics"),
+    *[("manybody", lambda r, e=edit: e(r["metrics"], r["N"]), f"manybody.{name}")
+      for name, edit in METRIC_EDITS.items()],
+    ("manybody", lambda r: r.update(natural_occupation_sum=1.1), "manybody.occupation_sum"),
+    ("manybody", lambda r: r.update(E_qm_per_N=r["rayleigh_per_N"] + 1.0),
+     "manybody.variational_bound"),
+    ("manybody", lambda r: r["localization"]["fractions"].__setitem__(
+        0, r["localization"]["fractions"][-1] + 0.1), "manybody.localization_monotone"),
+    *[("sweep", lambda r, e=edit: e(r["rows"][0], 2), f"sweep.N2.{name}")
+      for name, edit in METRIC_EDITS.items()],
+    ("sweep", lambda r: r["rows"][0].update(E_qm_per_N=r["rows"][0]["rayleigh_per_N"] + 1.0),
+     "sweep.N2.variational_bound"),
+    ("sweep", lambda r: r["rows"][0].update(kin_pred=r["rows"][0]["kin_pred"] + 1.0),
+     "sweep.N2.prediction_sum"),
+    ("sweep", lambda r: r["rows"][-1].update(trace_distance=r["rows"][0]["trace_distance"] + 0.1),
+     "sweep.trace_distance_trend"),
+    ("sweep", lambda r: _widen_energy_gap(r["rows"]), "sweep.energy_gap_trend"),
+    ("poincare", lambda r: r.update(holds_all=False), "poincare.holds_all"),
+    ("poincare", lambda r: r.update(C_star=-1.0), "poincare.constant_finite"),
+    ("poincare", lambda r: r["weighted"].update(holds_all=False), "poincare.weighted_holds"),
+]
+
+
+@pytest.mark.parametrize("kind,edit,name", TAMPERS, ids=[name for _, _, name in TAMPERS])
+def test_verify_flags_each_broken_invariant(small_reports, tmp_path, capsys, kind, edit, name):
+    rep = json.loads(json.dumps(small_reports[kind]))
+    edit(rep)
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(rep))
+    capsys.readouterr()
+    assert verify([str(bad)]) == 4
+    assert f"FAIL {name}:" in capsys.readouterr().out
+
+
+def test_every_invariant_has_a_tamper_case(small_reports, tmp_path, capsys):
+    # the small reports pass and reach every check verify makes; the sweep's
+    # rows share their invariants, so its N = 3 row needs no cases of its own
+    paths = []
+    for kind, rep in small_reports.items():
+        paths.append(tmp_path / f"{kind}.json")
+        paths[-1].write_text(json.dumps(rep))
+    capsys.readouterr()
+    assert verify([str(p) for p in paths]) == 0
+    checked = {line.split()[1].rstrip(":").replace("sweep.N3.", "sweep.N2.")
+               for line in capsys.readouterr().out.splitlines() if line.startswith("ok ")}
+    assert checked == {name for _, _, name in TAMPERS}
 
 
 def test_phi_dump_feeds_weighted_poincare(tmp_path):
@@ -530,6 +661,40 @@ def test_bad_phi_dump_exits_2(tmp_path, capsys, sidecar, n_bytes):
     err = capsys.readouterr().err
     assert err.startswith("config error") and "solver.weight" in err
     assert not out.exists()
+
+
+def _gaussian_dump(tmp_path, dimension=3):
+    """A positive phi on an 8-point grid over [-7, 7] per axis, and its sidecar."""
+    grid = {"lo": [-7.0] * dimension, "extent": [14.0] * dimension, "points": [8] * dimension}
+    x = np.linspace(-7.0, 7.0, 8)
+    phi = np.exp(-sum(np.meshgrid(*[x**2 / 2] * dimension, indexing="ij")))
+    (tmp_path / "phi_grid.json").write_text(json.dumps(grid))
+    return phi, {"kind": "gp_dump", "phi": str(tmp_path / "phi.f64"),
+                 "grid": str(tmp_path / "phi_grid.json")}
+
+
+@pytest.mark.parametrize("value", [NAN, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_phi_dump_exits_2(tmp_path, capsys, value):
+    # both values sit on corners of the dump, far from the ball's cells, so
+    # only a check of the whole dump sees them
+    phi, weight = _gaussian_dump(tmp_path)
+    phi[0, 0, 0] = phi[-1, -1, -1] = value
+    (tmp_path / "phi.f64").write_bytes(phi.astype("<f8").tobytes())
+    p = write_config(tmp_path, small_poincare_config(weight))
+    out = tmp_path / "o"
+    assert main(["poincare", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "solver.weight" in err and "2 NaN or infinite values" in err
+    assert not out.exists()
+
+
+def test_phi_dump_of_another_dimension_exits_2(tmp_path, capsys):
+    phi, weight = _gaussian_dump(tmp_path, dimension=2)
+    (tmp_path / "phi.f64").write_bytes(phi.astype("<f8").tobytes())
+    p = write_config(tmp_path, small_poincare_config(weight))
+    assert main(["poincare", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "solver.weight" in err and "3-dimensional points on a 2-dimensional table" in err
 
 
 def test_phi_dump_is_read_once_per_execute(tmp_path, monkeypatch):

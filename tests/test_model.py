@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import beclab as bl
 from beclab.errors import ConfigError, InvalidParameterError, OutOfDomainError
-from beclab.model import mirror_parity, problem_from_config
+from beclab.model import mirror_parity, multilinear_interpolate, problem_from_config
 
 from . import oracles
 
@@ -43,6 +44,100 @@ def test_tabulated_trap_interpolation_and_domain():
     assert bl.evaluate_trap(trap, (1.0, 1.0)) == pytest.approx(2.0)
     with pytest.raises(OutOfDomainError):
         bl.evaluate_trap(trap, (3.0, 0.0))
+
+
+def _table_case(seed, points):
+    """A random table on a grid with random lo and extent per axis."""
+    rng = np.random.default_rng(seed)
+    d = len(points)
+    grid = bl.Grid(tuple(rng.uniform(-4.0, 1.0, d)), tuple(rng.uniform(2.0, 9.0, d)), points)
+    return rng, grid, 10.0 * rng.standard_normal(points)
+
+
+def _edges(grid, ax, cells):
+    """The coordinates ``cells`` of a cell below the first node and above the
+    last node of axis ``ax``."""
+    h = grid.spacing[ax]
+    return np.array([grid.lo[ax] - cells * h, grid.lo[ax] + grid.extent[ax] + cells * h])
+
+
+def _corner_sum(grid, table, axes):
+    """The oracle on the tensor grid of ``axes``."""
+    return oracles.point_interpolate(grid, table,
+                                     np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+
+
+@pytest.mark.parametrize("points", [(7, 11), (13, 4), (5, 9, 6), (12, 4, 7)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_separable_interpolation_matches_the_corner_sum(points, seed):
+    # per axis, unsorted: random interior coordinates, every node, both ends
+    # and the 0.5e-9-cell edges just outside them, which clip onto the ends
+    rng, grid, table = _table_case(seed, points)
+    axes = [rng.permutation(np.concatenate([
+        rng.uniform(lo, lo + e, 2 * n), x, [lo, lo + e], _edges(grid, ax, 0.5e-9)]))
+        for ax, (lo, e, n, x) in enumerate(zip(grid.lo, grid.extent, points, grid.axes))]
+    got = multilinear_interpolate(grid, table, axes)
+    want = _corner_sum(grid, table, axes)
+    assert got.shape == want.shape == tuple(len(x) for x in axes)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(table).max()
+
+
+@pytest.mark.parametrize("points", [(7, 11), (5, 9, 6)])
+def test_one_point_axes_match_the_corner_sum(points):
+    # single points, the table's corners among them, and lines through them
+    rng, grid, table = _table_case(2, points)
+    corners = [list(c) for c in itertools.product(*[(x[0], x[-1]) for x in grid.axes])]
+    inner = [[rng.uniform(lo, lo + e) for lo, e in zip(grid.lo, grid.extent)] for _ in range(8)]
+    for point in corners + inner:
+        for axes in ([[x] for x in point], [grid.axes[0]] + [[x] for x in point[1:]]):
+            got = multilinear_interpolate(grid, table, axes)
+            want = _corner_sum(grid, table, axes)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(table).max()
+
+
+@pytest.mark.parametrize("points", [(7, 11), (5, 9, 6)])
+@pytest.mark.parametrize("cells,outside", [(0.5e-9, False), (2e-9, True), (0.5, True)])
+def test_both_routes_refuse_the_same_coordinates(points, cells, outside):
+    _, grid, table = _table_case(3, points)
+
+    def raises(route, axes):
+        try:
+            route(grid, table, axes)
+        except OutOfDomainError:
+            return True
+        return False
+
+    for ax in range(len(points)):
+        for side in (0, 1):
+            axes = list(grid.axes)
+            axes[ax] = np.append(grid.axes[ax], _edges(grid, ax, cells)[side])
+            assert (raises(multilinear_interpolate, axes) == raises(_corner_sum, axes)
+                    == outside)
+
+
+def test_nan_coordinate_is_out_of_domain():
+    _, grid, table = _table_case(5, (7, 11))
+    trap = bl.TrapSpec.tabulated(grid, table)
+    with pytest.raises(OutOfDomainError):
+        bl.evaluate_trap(trap, (np.nan, grid.lo[1]))
+    with pytest.raises(OutOfDomainError):
+        multilinear_interpolate(grid, table, [grid.axes[0], np.append(grid.axes[1], np.nan)])
+
+
+def test_interpolation_refuses_points_of_another_dimension():
+    _, grid, table = _table_case(4, (5, 9, 6))
+    with pytest.raises(ConfigError, match="2-dimensional points on a 3-dimensional table"):
+        multilinear_interpolate(grid, table, grid.axes[:2])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_tabulated_trap_refuses_non_finite_values(value):
+    g = bl.Grid.centered((4.0, 4.0), (5, 5))
+    vals = np.ones(g.shape)
+    vals[2, 3] = value
+    with pytest.raises(ConfigError, match="finite"):
+        bl.TrapSpec.tabulated(g, vals)
 
 
 def test_quadrature_exactness():
