@@ -29,6 +29,7 @@ import reprlib
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
@@ -251,7 +252,7 @@ def run_gp(c: dict):
     }
     aux = {}
     if solver["dump_phi"]:
-        aux["phi.f64"] = state.phi.astype("<f8").tobytes()
+        aux["phi.f64"] = np.asarray(state.phi, dtype="<f8").tobytes()
         aux["phi_grid.json"] = dump_json({
             "lo": state.grid.lo, "extent": state.grid.extent,
             "points": state.grid.points, "order": "row-major", "dtype": "<f8",
@@ -441,7 +442,9 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
     """Run (or reuse) the experiment; returns the report path.
 
     A cached run is served only when its manifest records this code, this
-    numpy and the same content of every input file the config names."""
+    numpy and the same content of every input file the config names.  An
+    OSError while taking the lock or writing the run's files is a
+    ConfigError on ``out`` (exit 2), and leaves no lock or ``.tmp`` file."""
     out = Path(out_dir or config.get("output") or "bec-lab-out")
     cfg_hash = canonical_hash(config)
     parsed = validate(config)
@@ -457,7 +460,7 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
     if (not force and _stored(report_path).get("artifact_version") == __version__
             and all(stored.get(key) == value for key, value in identity.items())):
         return report_path
-    with _DirLock(out):
+    with _output_errors(), _DirLock(out):
         started = time.monotonic()
         try:
             report, aux = _RUNNERS[config["experiment"]](parsed)
@@ -500,6 +503,16 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
     return report_path
 
 
+@contextmanager
+def _output_errors():
+    """An OSError inside (no space, no permission) is a fault of the output
+    directory, not of the solve: a ConfigError on ``out``, which exits 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write the run's files: {exc}", field="out") from None
+
+
 def _stored(path: Path) -> dict:
     """A stored JSON object; empty when missing, unreadable or not an object."""
     try:
@@ -511,8 +524,12 @@ def _stored(path: Path) -> dict:
 
 def _atomic_write(path: Path, data: bytes):
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -212,12 +212,18 @@ class _Workspace:
         """Lowest eigenvector of H0: the product of the per-axis ones."""
         return reduce(np.multiply.outer, [np.abs(U[:, 0]) for U in self.pre_vecs])
 
-    def unfold(self, p: np.ndarray) -> np.ndarray:
-        """The full interior array whose working part is ``p``."""
-        if self.sector:
-            for ax in range(self.d):
-                p = np.concatenate([p, np.flip(p, axis=ax)], axis=ax)
-        return p
+    def unfold(self, p: np.ndarray, out: np.ndarray):
+        """Write into ``out`` the full interior array whose working part is
+        ``p``: on the sector, p at the low corner and its mirror images
+        along each axis in turn."""
+        out[tuple(slice(0, n) for n in p.shape)] = p
+        if not self.sector:
+            return
+        for ax, n in enumerate(p.shape):
+            # axes before ax are unfolded already, those from ax on are not
+            done = tuple(slice(None) if a < ax else slice(0, m) for a, m in enumerate(p.shape))
+            upper = done[:ax] + (slice(n, 2 * n),) + done[ax + 1:]
+            out[upper] = np.flip(out[done], axis=ax)
 
     def precondition(self, r: np.ndarray, mu: float) -> np.ndarray:
         """(H0 - lam0 + sigma)^-1 r in the per-axis eigenbases.
@@ -350,7 +356,7 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
     total = kinetic + potential + interaction
 
     full = np.zeros(grid.shape)
-    full[ws.interior] = ws.unfold(phi)
+    ws.unfold(phi, full[ws.interior])
     peak = float(phi.max())
     # on the sector the inner faces of the half are the centre planes
     boundary = _boundary_layer_max(phi, (0,) if ws.sector else (0, -1)) / peak

@@ -124,8 +124,9 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: in
     ``ground.ham.basis`` (``lo`` included).  Nodes where the mean-field
     profile is below 1e-12 of its peak are excluded from the division and
     counted in the report.  The samples run on a thread pool, one worker
-    per available CPU; each writes its own rows, so the result does not
-    depend on the worker count.
+    per available CPU, dealt round-robin into one block per worker; each
+    sample writes its own rows, so the result does not depend on the worker
+    count.
     """
     if ground.N != 2:
         raise ConfigError("localization profile is defined for N = 2 runs")
@@ -153,21 +154,29 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: in
     totals = np.zeros(samples)
     in_ball = np.zeros((samples, len(radii)))
 
-    def sample(s: int):
-        node = np.unravel_index(idx[s], grid.shape)
-        f = basis.field(C @ basis.values_at(node))
-        f *= inverse
-        edens = masked_gradient_sq(f, support)
-        edens *= weight
-        totals[s] = edens.sum()
-        # squared distance to node r2 per axis; each ball is summed on its box
-        sq = [(x - x[i]) ** 2 for x, i in zip(grid.axes, node)]
-        for di, d in enumerate(radii):
-            box, inside = _ball_box(sq, d * d)
-            in_ball[s, di] = edens[box][inside].sum()
+    def block(first: int, field: np.ndarray, work: list):
+        # samples first, first + workers, ...; ``field`` and ``work`` are the
+        # block's own grid-sized scratch, reused sample after sample
+        for s in range(first, samples, workers):
+            node = np.unravel_index(idx[s], grid.shape)
+            f = basis.field(C @ basis.values_at(node), out=field)
+            f *= inverse
+            edens = masked_gradient_sq(f, support, work=work)
+            edens *= weight
+            totals[s] = edens.sum()
+            # squared distance to node r2 per axis; each ball is summed on its box
+            sq = [(x - x[i]) ** 2 for x, i in zip(grid.axes, node)]
+            for di, d in enumerate(radii):
+                box, inside = _ball_box(sq, d * d)
+                in_ball[s, di] = edens[box][inside].sum()
 
-    with ThreadPoolExecutor(max(1, min(samples, _cpu_count()))) as pool:
-        list(pool.map(sample, range(samples)))
+    # the scratch is allocated here, in the calling thread, so that no worker
+    # leaves grid-sized blocks in a malloc arena of its own
+    workers = max(1, min(samples, _cpu_count()))
+    fields = [np.empty(grid.shape) for _ in range(workers)]
+    works = [[np.empty(phi.size) for _ in range(4)] for _ in range(workers)]
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(block, range(workers), fields, works))
 
     total = float(totals.sum())
     if total < _NA_THRESHOLD:

@@ -25,7 +25,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
-from .model import Grid
+from .model import Grid, check_buffer
 
 _MEAN_ZERO_TOL = 1e-10
 # window nodes per batch of excluded balls in ``omega_x_mask`` (32 MiB of
@@ -127,7 +127,7 @@ class Region:
         return cls(grid=grid, mask=rr <= radius**2 * (1 + 1e-12), kind="ball")
 
 
-def masked_gradient_sq(f: np.ndarray, region: Region) -> np.ndarray:
+def masked_gradient_sq(f: np.ndarray, region: Region, *, work=None) -> np.ndarray:
     """|grad f|^2 per node, differences restricted to nodes of K.
 
     Central differences where both axis neighbors lie in K, one-sided at
@@ -136,16 +136,29 @@ def masked_gradient_sq(f: np.ndarray, region: Region) -> np.ndarray:
     module tolerances.  The arithmetic is that of the full-grid oracle,
     df = 0.5 * (d[i] + d[i-1]) with d = (f[i+1] - f[i]) / h, squared and
     summed over the axes, so the result is the same to the bit.  It runs on
-    the flat C-order f masked to K, in contiguous passes per axis over
-    reused buffers, and patches the edge nodes of ``Region._stencil``.
+    the flat C-order f masked to K, in contiguous passes per axis over four
+    buffers, and patches the edge nodes of ``Region._stencil``.
+
+    ``work``, four distinct writeable C-contiguous float64 arrays of
+    ``region.mask.size`` elements that do not overlap f, are those buffers,
+    so a caller can reuse them from call to call; the result is then a
+    grid-shaped view of one of them.  Without it they are allocated here.
     """
     shape = region.grid.shape
     if np.shape(f) != shape:
         raise InvalidParameterError(f"f must have the grid's shape {shape}, not {np.shape(f)}")
     n = region.mask.size
-    fk = np.multiply(f, region.indicator, out=np.empty(shape)).reshape(-1)
-    dk = np.empty(n)            # d[k] at dk[k + s], so d[k - s] is dk[k]
-    out = np.empty(n)
+    if work is None:
+        work = [np.empty(n) for _ in range(4)]
+    elif len(work) != 4:
+        raise InvalidParameterError(f"work must hold 4 arrays, not {len(work)}")
+    else:
+        for i, w in enumerate(work):
+            check_buffer(w, (n,), np.float64, "work")
+            if any(np.may_share_memory(w, other) for other in [f, *work[:i]]):
+                raise InvalidParameterError("work arrays must not overlap f or each other")
+    fk, dk, out, spare = work   # d[k] at dk[k + s], so d[k - s] is dk[k]
+    np.multiply(f, region.indicator, out=fk.reshape(shape))
     df = out                    # the first axis squares in place, later ones add
     for (s, fwd, bwd, zero), h in zip(region._stencil, region.grid.spacing):
         d = dk[s:]
@@ -159,7 +172,7 @@ def masked_gradient_sq(f: np.ndarray, region: Region) -> np.ndarray:
         df[zero] = 0.0
         np.square(df, out=df)
         if df is out:
-            df = np.empty(n)
+            df = spare
         else:
             out += df
     return out.reshape(shape)

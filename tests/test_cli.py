@@ -341,7 +341,7 @@ def test_live_or_unreadable_lock_exits_2(tmp_path, capsys, holder):
     assert (out / ".lock").exists()
 
 
-def test_run_whose_pid_write_fails_leaves_no_lock(tmp_path, monkeypatch):
+def test_run_whose_pid_write_fails_leaves_no_lock(tmp_path, monkeypatch, capsys):
     p = write_config(tmp_path, small_scattering_config())
     out = tmp_path / "o"
 
@@ -349,12 +349,33 @@ def test_run_whose_pid_write_fails_leaves_no_lock(tmp_path, monkeypatch):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.setattr(os, "write", disk_full)
-    with pytest.raises(OSError):
-        main(["scattering", "--config", str(p), "--out", str(out)])
+    assert main(["scattering", "--config", str(p), "--out", str(out)]) == 2
     monkeypatch.undo()
+    assert capsys.readouterr().err.startswith("config error")
     assert [path.name for path in out.iterdir()] == ["runs"]     # no .lock, no pid file
     assert main(["scattering", "--config", str(p), "--out", str(out)]) == 0
     assert [path.name for path in out.iterdir()] == ["runs"]
+
+
+def test_run_whose_report_write_fails_exits_2_and_leaves_nothing(tmp_path, monkeypatch, capsys):
+    p = write_config(tmp_path, small_scattering_config())
+    out = tmp_path / "o"
+    write_bytes = Path.write_bytes
+
+    def disk_full_on_report(path, data):
+        if path.name == "report.json.tmp":
+            write_bytes(path, data[:len(data) // 2])        # a partial file, then no space
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", disk_full_on_report)
+    assert main(["scattering", "--config", str(p), "--out", str(out)]) == 2
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "out" in err and "No space" in err
+    assert not (out / ".lock").exists()
+    assert not list(out.rglob("*.tmp")) and not list(out.rglob("report.json"))
+    assert main(["scattering", "--config", str(p), "--out", str(out)]) == 0
 
 
 def test_solver_failure_writes_diagnostics(tmp_path, capsys):

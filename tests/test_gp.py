@@ -214,6 +214,22 @@ def test_coefficient_round_trip(trap_, grid, sector):
     assert np.abs(ws.from_coefficients(ws.coefficients(p)) - p).max() <= 1e-13 * np.abs(p).max()
 
 
+@pytest.mark.parametrize("grid", [GRID32, bl.Grid.centered((14.0, 12.0, 10.0), (32, 48, 40)),
+                                  bl.Grid.centered((14.0, 14.0), (96, 64))],
+                         ids=["cube", "uneven", "planar"])
+def test_unfold_mirrors_the_sector_along_each_axis(grid):
+    trap_ = bl.TrapSpec.harmonic((1.0,) * grid.dimension)
+    ws = gp._Workspace(trap_, grid, sector=True)
+    assert ws.sector
+    p = np.random.default_rng(4).standard_normal(ws.m)
+    want = p
+    for ax in range(grid.dimension):
+        want = np.concatenate([want, np.flip(want, axis=ax)], axis=ax)
+    out = np.full(tuple(n - 2 for n in grid.points), np.nan)
+    ws.unfold(p, out)
+    assert np.array_equal(out, want)
+
+
 @pytest.mark.parametrize("transpose", [False, True])
 @pytest.mark.parametrize("shape", [(5, 7, 9), (6, 11), (4, 3, 5, 2), (8,)], ids=str)
 def test_axis_apply_matches_tensordot(shape, transpose):
@@ -228,9 +244,25 @@ def test_axis_apply_matches_tensordot(shape, transpose):
                  [rng.standard_normal((o, n)) + 1j * rng.standard_normal((o, n))
                   for o, n in zip(outs, shape)]):
         stored = [np.ascontiguousarray(M.T) for M in mats] if transpose else mats
-        out = axis_apply(arr, [U.T for U in stored] if transpose else stored)
+        passed = [U.T for U in stored] if transpose else stored
+        out = axis_apply(arr, passed)
         assert out.shape == tuple(len(M) for M in mats)
         np.testing.assert_allclose(out, tensor_apply(arr, stored, transpose), rtol=0, atol=1e-12)
+        # the last product written into a caller's array: the same bits
+        buf = np.full(out.shape, np.nan, dtype=out.dtype)
+        assert axis_apply(arr, passed, out=buf) is buf and np.array_equal(buf, out)
+
+
+def test_axis_apply_refuses_an_out_it_cannot_fill():
+    rng = np.random.default_rng(2)
+    arr = rng.standard_normal((5, 7, 9))
+    mats = [rng.standard_normal((n + 1, n)) for n in arr.shape]
+    shape = (6, 8, 10)
+    for bad in (np.empty((6, 8, 9)), np.empty(shape, dtype=np.float32),
+                np.empty(shape, dtype=complex), np.empty((6, 8, 20))[:, :, ::2],
+                np.empty(shape, order="F")):
+        with pytest.raises(InvalidParameterError, match="out"):
+            axis_apply(arr, mats, out=bad)
 
 
 def _solve(monkeypatch, trap_, g, grid, full=False, **kw):

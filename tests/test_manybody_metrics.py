@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -184,14 +186,16 @@ def test_localization_matches_the_materialized_route(monkeypatch):
     assert prof.total_energy == pytest.approx(total, rel=1e-12)
 
 
-def test_threaded_profile_equals_one_worker(monkeypatch, interacting):
-    # more workers than samples' worth of cores, with frequent thread switches
+@pytest.mark.parametrize("samples, workers", [(24, 8), (3, 8), (25, 2)])
+def test_threaded_profile_equals_one_worker(monkeypatch, interacting, samples, workers):
+    # more workers than samples' worth of cores, or blocks of unequal length,
+    # with frequent thread switches
     gr = interacting
     gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
-    args = (gr, gp, (0.5, 1.0, 2.0, 4.0), 24, 9)
+    args = (gr, gp, (0.5, 1.0, 2.0, 4.0), samples, 9)
     monkeypatch.setattr(localization, "_cpu_count", lambda: 1)
     serial = localization_profile(*args)
-    monkeypatch.setattr(localization, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(localization, "_cpu_count", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -201,6 +205,22 @@ def test_threaded_profile_equals_one_worker(monkeypatch, interacting):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial and not serial.not_applicable
+
+
+def test_localization_memory_stays_flat_across_calls(monkeypatch, interacting):
+    # the workers' scratch is the call's own: nothing grid-sized outlives it
+    gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
+    monkeypatch.setattr(localization, "_cpu_count", lambda: 2)
+    after = []
+    tracemalloc.start()
+    try:
+        for _ in range(4):
+            localization_profile(interacting, gp, (0.5, 1.0, 2.0), 8, 3)
+            gc.collect()
+            after.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert abs(after[3] - after[1]) < 2**20, after
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 20260810, 2**40])

@@ -335,6 +335,41 @@ def test_masked_gradient_refuses_a_field_off_the_grid_shape():
             masked_gradient_sq(bad, region)
 
 
+@pytest.mark.parametrize("name", STENCIL_REGIONS)
+def test_masked_gradient_on_reused_scratch_matches_the_oracle(name):
+    # NaN-filled scratch, then the same scratch for a second field: every
+    # element the result reads is written first, whatever the buffers held
+    region = STENCIL_REGIONS[name]()
+    work = [np.full(region.mask.size, np.nan) for _ in range(4)]
+    for f in _oracle_fields(region)[:2]:
+        kept = f.copy()
+        got = masked_gradient_sq(f, region, work=work)
+        assert got.shape == region.grid.shape and any(np.shares_memory(got, w) for w in work)
+        assert np.array_equal(got, oracles.masked_gradient_sq(f, region))
+        assert np.array_equal(f, kept)
+
+
+def test_masked_gradient_refuses_scratch_it_cannot_write_exactly():
+    region = STENCIL_REGIONS["ellipsoid_9x33x14"]()
+    f = np.ones(region.grid.shape)
+    n = region.mask.size
+    good = [np.empty(n) for _ in range(3)]
+    read_only = np.empty(n)
+    read_only.flags.writeable = False
+    bad = {"short": np.empty(n - 1), "grid_shaped": np.empty(region.grid.shape),
+           "float32": np.empty(n, dtype=np.float32), "strided": np.empty(2 * n)[::2],
+           "read_only": read_only, "a_list": [0.0] * n}
+    for w in bad.values():
+        with pytest.raises(InvalidParameterError, match="work"):
+            masked_gradient_sq(f, region, work=good + [w])
+    # overlapping f or one another, or not four of them
+    buf = np.empty(2 * n)
+    for work in (good + [f.reshape(-1)], good + [good[0]],
+                 [buf[:n], buf[n // 2:n // 2 + n]] + good[:2], good, good + good[:2]):
+        with pytest.raises(InvalidParameterError, match="work"):
+            masked_gradient_sq(f, region, work=work)
+
+
 def test_stencil_holds_read_only_edge_indices():
     counts = {}
     for points in (32, 64):
