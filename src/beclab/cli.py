@@ -3,16 +3,16 @@
 Surface:
 
     bec-lab <scattering|gp|manybody|sweep|poincare> --config FILE
-            [--out DIR] [--force] [--reproducible] [--seed N]
+            [--out DIR] [--force] [--seed N]
     bec-lab verify REPORT [REPORT ...]
 
 Runs are content-addressed: the canonical serialization of the full
-configuration is hashed, results live under ``<out>/runs/<hash>/`` and a
-rerun with an unchanged hash is served from cache unless forced or the
-cached run was made by another version, by other code (``code_digest``),
-by another numpy, or from other content of the input files the config
-names (their sha256 digests in the manifest).
-With the reproducible flag the report bytes are identical run to run.  A
+configuration is hashed, results live under ``<out>/runs/<hash>/`` (``--out``,
+default ``bec-lab-out``, is not part of the config) and a rerun with an
+unchanged hash is served from cache unless forced or the cached run was made
+by another version, by other code (``code_digest``), by another numpy, or
+from other content of the input files the config names (their sha256 digests
+in the manifest).  A regenerated report is byte-identical to the first.  A
 solver failure writes no report; its diagnostics go to stderr and to
 ``failure.json`` in the run directory.  Exit codes: 0 success, 2
 configuration error, 3 solver failure, 4 verification failure.
@@ -20,7 +20,6 @@ configuration error, 3 solver failure, 4 verification failure.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -42,7 +41,7 @@ from .errors import (BecLabError, CapacityError, ConfigError, IntegrityError,
 from .gp import coupling_2d, coupling_3d, minimize_gp
 from .model import (FOCK_DIMENSION_CAP, MAX_FOCK_DIMENSION, MAX_GRID_NODES, MAX_QUANTA,
                     MAX_SAMPLES, REQUIRED, Grid, check_pair_scale, fields, file_path, flag,
-                    grid_from_config, kinds, multilinear_interpolate, number, numbers,
+                    grid_from_config, kinds, located, multilinear_interpolate, number, numbers,
                     problem_from_config, typed)
 from .poincare import Region, estimate_constant, weighted_estimate
 from .scattering import solve_zero_energy
@@ -87,16 +86,16 @@ def _region(doc, where: str) -> tuple[str, dict]:
 
 
 SOLVERS = {
-    "scattering": {"r_max": (number(), 50.0), "tol": (number(), 1e-9)},
-    "gp": {"g": (number(), None), "N": (number(integer=True), None), "a": (number(), None),
-           "tol": (number(), 1e-8), "max_iter": (number(integer=True), 5000),
-           "dump_phi": (flag, False)},
+    "scattering": {"r_max": (number(positive=True), 50.0), "tol": (number(positive=True), 1e-9)},
+    "gp": {"g": (number(minimum=0), None), "N": (number(integer=True, minimum=1), None),
+           "a": (number(minimum=0), None), "tol": (number(positive=True), 1e-8),
+           "max_iter": (number(integer=True, minimum=1), 5000), "dump_phi": (flag, False)},
     "manybody": {"N": (number(integer=True, minimum=1, cap=MAX_FOCK_DIMENSION), REQUIRED),
                  "g": (number(), None), "a": (number(), None), **_FOCK,
                  "localization": (fields(LOCALIZATION), None)},
     "sweep": {"g": (number(), REQUIRED),
               "N_list": (numbers(integer=True, minimum=1, cap=MAX_FOCK_DIMENSION), REQUIRED),
-              **_FOCK, "gp_grid": (typed(dict, "an object"), None), "gp_tol": (number(), 1e-8)},
+              **_FOCK, "gp_grid": (typed(dict, "an object"), None)},
     "poincare": {"region": (_region, REQUIRED), "trials": (_DRAWS, 200),
                  "weight": (kinds("kind", WEIGHTS), {"kind": "constant"})},
 }
@@ -105,8 +104,6 @@ CONFIGS = {experiment: {
     "problem": (problem_from_config, {}),
     "solver": (fields(solver), {}),
     "seed": (number(integer=True, minimum=0), 0),
-    "reproducible": (flag, True),
-    "output": (typed((str, type(None)), "a directory path or null"), None),
 } for experiment, solver in SOLVERS.items()}
 
 # the problem blocks each experiment solves on
@@ -139,10 +136,15 @@ def validate(config: dict) -> dict:
     problem, s = c["problem"], c["solver"]
     if any(getattr(problem, part) is None for part in _NEEDS[experiment]):
         raise ConfigError(f"{experiment} needs {' and '.join(_NEEDS[experiment])}", field="problem")
+    if experiment == "scattering" and problem.pair_potential.range >= s["r_max"] / 2:
+        raise ConfigError("must exceed twice the pair potential's range", field="solver.r_max")
     if experiment == "gp" and s["g"] is None:
         if s["N"] is None or s["a"] is None:
             raise ConfigError("gp needs either g or both N and a", field="solver")
-        s["g"] = (coupling_2d if problem.trap.dimension == 2 else coupling_3d)(s["N"], s["a"])
+        coupling = coupling_2d if problem.trap.dimension == 2 else coupling_3d
+        s["g"] = located("solver.a", coupling, s["N"], s["a"])
+        if not math.isfinite(s["g"]):
+            raise ConfigError(f"the coupling of N and a, {s['g']}, is not finite", field="solver.a")
     if experiment == "manybody":
         if s["a"] is not None:
             check_pair_scale(s["a"], field="solver.a")
@@ -158,7 +160,7 @@ def validate(config: dict) -> dict:
     if experiment in ("manybody", "sweep"):
         if problem.trap.dimension != 3:
             raise ConfigError("mode bases are built in 3D only", field="problem.trap")
-        N = s["N"] if experiment == "manybody" else max(s["N_list"], default=1)
+        N = s["N"] if experiment == "manybody" else max(s["N_list"])
         states = math.comb(N + math.comb(s["max_quanta"] + 3, 3) - 1, N)
         if states > s["dimension_cap"]:
             raise CapacityError(f"N = {N} has {states} occupation states, above the "
@@ -299,7 +301,7 @@ def run_sweep(c: dict):
     result = gp_limit_sweep(problem.trap, problem.pair_potential, g=solver["g"],
                             N_list=solver["N_list"], max_quanta=solver["max_quanta"],
                             grid=problem.grid, gp_grid=solver["gp_grid"],
-                            dimension_cap=solver["dimension_cap"], gp_tol=solver["gp_tol"])
+                            dimension_cap=solver["dimension_cap"])
     report = {
         "kind": "sweep",
         "rows": list(result.rows),
@@ -445,7 +447,7 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
     numpy and the same content of every input file the config names.  An
     OSError while taking the lock or writing the run's files is a
     ConfigError on ``out`` (exit 2), and leaves no lock or ``.tmp`` file."""
-    out = Path(out_dir or config.get("output") or "bec-lab-out")
+    out = Path(out_dir)
     cfg_hash = canonical_hash(config)
     parsed = validate(config)
     identity = {"code_digest": code_digest(), "numpy_version": np.__version__,
@@ -483,7 +485,6 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
         report["artifact_version"] = __version__
         report["config_hash"] = cfg_hash
         report["seed"] = parsed["seed"]
-        report["reproducible"] = parsed["reproducible"]
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "failure.json").unlink(missing_ok=True)
         _atomic_write(report_path, dump_json(report).encode())
@@ -681,17 +682,16 @@ def verify(paths) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse     # here, not at module level: only the command line needs it
     parser = argparse.ArgumentParser(prog="bec-lab",
                                      description="dilute trapped Bose gas laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in SOLVERS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="strict JSON configuration")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default="bec-lab-out", help="output directory")
         p.add_argument("--force", action="store_true", help="ignore cached results")
-        p.add_argument("--reproducible", action="store_true", default=None,
-                       help="force deterministic seeding and byte-stable reports")
         p.add_argument("--seed", type=int, default=None)
     v = sub.add_parser("verify", help="re-check invariants of stored reports")
     v.add_argument("reports", nargs="+", help="report.json paths")
@@ -703,10 +703,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return verify(args.reports)
-        config = load_config(args.config, args.command, {
-            "seed": args.seed,
-            "reproducible": args.reproducible,
-        })
+        config = load_config(args.config, args.command, {"seed": args.seed})
         path = execute(config, args.out, force=args.force)
         print(path)
         return EXIT_OK

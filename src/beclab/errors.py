@@ -14,6 +14,7 @@ class ConfigError(BecLabError):
     """Invalid configuration, schema violation, or inadequate setup."""
 
     def __init__(self, message, field=None):
+        self.detail = message           # the message without its field
         if field:
             message = f"{field}: {message}"
         super().__init__(message)

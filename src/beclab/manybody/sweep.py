@@ -40,8 +40,7 @@ class PipelineSetup:
 
 
 def prepare_pipeline(trap: TrapSpec, potential: PairPotential, g: float, grid: Grid,
-                     max_quanta: int = 3, gp_grid: Grid | None = None,
-                     gp_tol: float = 1e-8) -> PipelineSetup:
+                     max_quanta: int = 3, gp_grid: Grid | None = None) -> PipelineSetup:
     """Shared set-up; ``gp_grid`` (default: ``grid``) carries the reference.
     Hard spheres become tall soft spheres of equal scattering length."""
     substituted = None
@@ -52,7 +51,7 @@ def prepare_pipeline(trap: TrapSpec, potential: PairPotential, g: float, grid: G
     if scat.a <= 0 or scat.s is None:
         raise ConfigError("needs a repulsive potential with positive scattering length",
                           field="pair_potential")
-    gp = minimize_gp(trap, g, grid if gp_grid is None else gp_grid, tol=gp_tol)
+    gp = minimize_gp(trap, g, grid if gp_grid is None else gp_grid)
     basis = build_mode_basis(trap, grid, max_quanta)
     return PipelineSetup(potential=potential, substituted=substituted,
                          scattering_length=scat.a, s=scat.s / scat.a, basis=basis, gp=gp,
@@ -88,10 +87,9 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
-                   N_list, grid: Grid, max_quanta: int = 3,
-                   gp_grid: Grid | None = None, dimension_cap: int = FOCK_DIMENSION_CAP,
-                   gp_tol: float = 1e-8) -> SweepResult:
+def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float, N_list, grid: Grid,
+                   max_quanta: int = 3, gp_grid: Grid | None = None,
+                   dimension_cap: int = FOCK_DIMENSION_CAP) -> SweepResult:
     """Run every N with a = g / (4 pi N) and collect the comparison table.
 
     ``grid`` carries the interaction tensors and mode basis; ``gp_grid``
@@ -103,7 +101,7 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float,
     if any(n < 1 for n in N_list):
         raise ConfigError("particle numbers must be positive", field="N_list")
 
-    setup = prepare_pipeline(trap, base_potential, g, grid, max_quanta, gp_grid, gp_tol)
+    setup = prepare_pipeline(trap, base_potential, g, grid, max_quanta, gp_grid)
     gp = setup.gp
     prediction = predict_components(gp, setup.s)
     u_matrix = setup.basis.potential_matrix()

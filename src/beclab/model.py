@@ -549,12 +549,12 @@ def fields(spec: dict):
     def parse(doc, where: str) -> dict:
         if not isinstance(doc, dict):
             raise ConfigError(f"must be an object, got {reprlib.repr(doc)}", field=where)
-        unknown = set(doc) - set(spec)
+        unknown = sorted(set(doc) - set(spec))
         if unknown:
-            raise ConfigError(f"unknown keys {sorted(unknown)}", field=where)
+            raise ConfigError("unknown key", field=f"{where}.{unknown[0]}".lstrip("."))
         missing = [k for k, (_, default) in spec.items() if default is REQUIRED and k not in doc]
         if missing:
-            raise ConfigError(f"missing keys {missing}", field=where)
+            raise ConfigError("missing key", field=f"{where}.{missing[0]}".lstrip("."))
         return {key: value(doc.get(key, default), f"{where}.{key}".lstrip("."))
                 if key in doc or default is not None else None
                 for key, (value, default) in spec.items()}
@@ -596,12 +596,12 @@ def number(integer: bool = False, minimum=None, positive: bool = False, cap=None
 
 
 def numbers(**kw):
-    """Parser of a JSON list whose every entry passes ``number(**kw)``: a tuple."""
+    """Parser of a non-empty JSON list whose every entry passes ``number(**kw)``: a tuple."""
     entry = number(**kw)
 
     def parse(value, field: str) -> tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"must be a list of numbers, got {reprlib.repr(value)}",
+        if not (isinstance(value, list) and value):
+            raise ConfigError(f"must be a non-empty list of numbers, got {reprlib.repr(value)}",
                               field=field)
         return tuple(entry(x, f"{field}[{i}]") for i, x in enumerate(value))
     return parse
@@ -628,42 +628,53 @@ def _flatten(value):
 
 
 def _grid_points(value, field: str) -> tuple:
-    points = numbers(integer=True)(value, field)
+    points = numbers(integer=True, minimum=4)(value, field)
     if math.prod(points) > MAX_GRID_NODES:
         raise CapacityError(f"{math.prod(points)} nodes, above the cap {MAX_GRID_NODES}",
                             field=field)
     return points
 
 
-GRID = {"extent": (numbers(), REQUIRED), "points": (_grid_points, REQUIRED),
+GRID = {"extent": (numbers(positive=True), REQUIRED), "points": (_grid_points, REQUIRED),
         "lo": (numbers(), None)}
 
 TRAPS = {
-    "harmonic": {"stiffness": (numbers(), REQUIRED)},
-    "box": {"side": (number(), REQUIRED), "dimension": (number(integer=True), 3)},
+    "harmonic": {"stiffness": (numbers(positive=True), REQUIRED)},
+    "box": {"side": (number(positive=True), REQUIRED), "dimension": (number(integer=True), 3)},
     "tabulated": {**GRID, "lo": (numbers(), REQUIRED),
                   "values": (lambda v, where: numbers()(_flatten(v), where), REQUIRED)},
 }
 
 PAIR_POTENTIALS = {
-    "hard_sphere": {"core": (number(), REQUIRED)},
-    "soft_sphere": {"height": (number(), REQUIRED), "radius": (number(), REQUIRED)},
-    "tabulated_radial": {"r": (numbers(), REQUIRED), "v": (numbers(), REQUIRED)},
+    "hard_sphere": {"core": (number(positive=True), REQUIRED)},
+    "soft_sphere": {"height": (number(minimum=0), REQUIRED),
+                    "radius": (number(positive=True), REQUIRED)},
+    "tabulated_radial": {"r": (numbers(minimum=0), REQUIRED), "v": (numbers(minimum=0), REQUIRED)},
 }
+
+
+def located(where: str, make, *args, **kw):
+    """``make(*args, **kw)``, its ConfigError re-raised under ``where``: the
+    field it names starts with its type's name ("trap.values") or is None."""
+    try:
+        return make(*args, **kw)
+    except ConfigError as exc:
+        _, dot, rest = (exc.field or "").partition(".")
+        raise type(exc)(exc.detail, field=where + dot + rest) from None
 
 
 def trap_from_config(doc: dict, where: str = "trap") -> TrapSpec:
     kind, f = kinds("kind", TRAPS)(doc, where)
-    if kind == "tabulated":
-        grid = Grid(f["lo"], f["extent"], f["points"])
-        grid.check_sizes(f"{where}.extent")
-        return TrapSpec.tabulated(grid, f["values"])
-    return getattr(TrapSpec, kind)(**f)
+    if kind != "tabulated":
+        return located(where, getattr(TrapSpec, kind), **f)
+    grid = located(where, Grid, f["lo"], f["extent"], f["points"])
+    grid.check_sizes(f"{where}.extent")
+    return located(where, TrapSpec.tabulated, grid, f["values"])
 
 
 def pair_potential_from_config(doc: dict, where: str = "pair_potential") -> PairPotential:
     shape, f = kinds("shape", PAIR_POTENTIALS)(doc, where)
-    return getattr(PairPotential, shape)(**f)
+    return located(where, getattr(PairPotential, shape), **f)
 
 
 def grid_from_config(doc: dict, trap: TrapSpec | None = None, where: str = "grid") -> Grid:
@@ -673,7 +684,7 @@ def grid_from_config(doc: dict, trap: TrapSpec | None = None, where: str = "grid
     f = fields(GRID)(doc, where)
     box = trap is not None and trap.kind == "box"
     lo = f["lo"] if f["lo"] is not None else tuple(0.0 if box else -e / 2 for e in f["extent"])
-    grid = Grid(lo, f["extent"], f["points"])
+    grid = located(where, Grid, lo, f["extent"], f["points"])
     grid.check_sizes(f"{where}.extent")
     if trap is not None:
         trap.check_grid(grid, where)

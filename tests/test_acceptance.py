@@ -228,7 +228,7 @@ def test_criterion_10_reproducibility(tmp_path):
             "problem": {"pair_potential": {"shape": "soft_sphere", "height": 10.0,
                                            "radius": 1.0}},
             "solver": {"r_max": 50.0, "tol": 1e-9},
-            "seed": 5, "reproducible": True, "output": None,
+            "seed": 5,
         },
         {
             "experiment": "gp",
@@ -237,7 +237,7 @@ def test_criterion_10_reproducibility(tmp_path):
                 "grid": {"extent": [14.0, 14.0, 14.0], "points": [32, 32, 32]},
             },
             "solver": {"g": 2.0, "tol": 1e-8, "max_iter": 5000},
-            "seed": 5, "reproducible": True, "output": None,
+            "seed": 5,
         },
         {
             "experiment": "poincare",
@@ -245,7 +245,7 @@ def test_criterion_10_reproducibility(tmp_path):
             "solver": {"region": {"kind": "ball", "radius": 1.0, "points": 24,
                                   "dimension": 3},
                        "trials": 60, "weight": {"kind": "constant"}},
-            "seed": 5, "reproducible": True, "output": None,
+            "seed": 5,
         },
         {
             "experiment": "sweep",
@@ -256,7 +256,7 @@ def test_criterion_10_reproducibility(tmp_path):
                 "grid": {"extent": [14.0, 14.0, 14.0], "points": [32, 32, 32]},
             },
             "solver": {"g": 0.4, "N_list": [2, 3], "max_quanta": 1},
-            "seed": 5, "reproducible": True, "output": None,
+            "seed": 5,
         },
     ]
     identical = True

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import errno
 import hashlib
 import io
@@ -19,9 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beclab import __version__, hard_sphere_substitute
-from beclab.cli import (canonical_hash, dump_json, execute, load_config, main, verify)
-from beclab.errors import ConfigError
-from beclab.model import MAX_SAMPLES, problem_from_config, trap_from_config
+from beclab.cli import (CONFIGS, canonical_hash, dump_json, execute, load_config, load_phi_dump,
+                        main, validate, verify)
+from beclab.errors import ConfigError, InvalidParameterError
+from beclab.model import (MAX_SAMPLES, grid_from_config, pair_potential_from_config,
+                          problem_from_config, trap_from_config)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -35,8 +38,6 @@ def small_gp_config(**overrides):
         },
         "solver": {"g": 1.0, "tol": 1e-08, "max_iter": 5000},
         "seed": 7,
-        "reproducible": True,
-        "output": None,
     }
     cfg.update(overrides)
     return cfg
@@ -113,8 +114,6 @@ def small_manybody_config(**solver):
         },
         "solver": {"N": 2, "g": 0.4, "max_quanta": 1, **solver},
         "seed": 1,
-        "reproducible": True,
-        "output": None,
     }
 
 
@@ -129,8 +128,6 @@ def small_sweep_config(**solver):
         },
         "solver": {"g": 0.4, "N_list": [2, 3], "max_quanta": 1, **solver},
         "seed": 1,
-        "reproducible": True,
-        "output": None,
     }
 
 
@@ -161,8 +158,6 @@ def small_scattering_config():
                                        "radius": 1.0}},
         "solver": {"r_max": 50.0, "tol": 1e-9},
         "seed": 1,
-        "reproducible": True,
-        "output": None,
     }
 
 
@@ -173,8 +168,6 @@ def small_poincare_config(weight=None):
         "solver": {"region": {"kind": "ball", "radius": 2.0, "points": 16, "dimension": 3},
                    "trials": 5, "weight": weight or {"kind": "constant"}},
         "seed": 3,
-        "reproducible": True,
-        "output": None,
     }
 
 
@@ -223,8 +216,29 @@ TABLE = {"kind": "tabulated", "lo": [-7, -7, -7], "extent": [14, 14, 14], "point
     ("gp", "problem.trap", dict(TABLE, values=[[float("inf")] + [0.0] * 15] * 4)),
     ("gp", "problem.trap", dict(TABLE, values=[0.0] * 63)),
     ("gp", "problem.grid.points", [100000, 100000, 100000]),
-    ("gp", "reproducible", "yes"),
-    ("gp", "reproducible", 1),
+    # solver bounds, checked at load rather than inside the solve
+    ("gp", "solver.tol", -1),
+    ("gp", "solver.max_iter", 0),
+    ("gp", "solver.g", -1),
+    ("scattering", "solver.tol", 0),
+    ("scattering", "solver.r_max", 2.0),    # twice the range 1.0
+    ("scattering", "solver.r_max", 1.5),
+    # trap, grid and pair-potential bounds
+    ("gp", "problem.trap.stiffness", [1.0, -1.0, 1.0]),
+    ("gp", "problem.grid.extent", [14, -14, 14]),
+    ("gp", "problem.grid.points", [32, 3, 32]),
+    ("sweep", "solver.gp_grid", {"extent": [14, -14, 14], "points": [32, 32, 32]}),
+    ("scattering", "problem.pair_potential.radius", -1.0),
+    ("scattering", "problem.pair_potential.height", -1.0),
+    # a missing key, named by its own path
+    ("manybody", "solver.localization", {"samples": 8}),
+    # empty lists
+    ("sweep", "solver.N_list", []),
+    ("manybody", "solver.localization", {"radii": []}),
+    # removed keys are refused
+    ("gp", "reproducible", True),
+    ("gp", "output", None),
+    ("sweep", "solver.gp_tol", 1e-8),
 ], ids=repr)
 def test_bad_structured_input_exits_2(tmp_path, capsys, experiment, path, value):
     cfg = SMALL_CONFIGS[experiment]()
@@ -235,8 +249,52 @@ def test_bad_structured_input_exits_2(tmp_path, capsys, experiment, path, value)
     doc[key] = value
     p = write_config(tmp_path, cfg)     # json writes NaN literals
     assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and key in err
+    assert capsys.readouterr().err.startswith(f"config error: {path}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_errors_carry_the_full_path():
+    def sidecar(**grid):
+        return json.dumps({"lo": [0, 0, 0], "extent": [1, 1, 1], "points": [4, 4, 4],
+                           **grid}).encode()
+
+    def gp_from(N, a, dimension):
+        return validate(dict(small_gp_config(), solver={"N": N, "a": a}, problem={
+            "trap": {"kind": "harmonic", "stiffness": [1.0] * dimension},
+            "grid": {"extent": [14.0] * dimension, "points": [32] * dimension}}))
+    cases = [
+        # bounds of the spec tables
+        ("solver.gp_grid.extent[1]", lambda: grid_from_config(
+            {"extent": [14, -14, 14], "points": [32, 32, 32]}, where="solver.gp_grid")),
+        ("solver.weight.grid.extent[1]", lambda: load_phi_dump(b"", sidecar(extent=[1, -1, 1]))),
+        # couplings out of range: a^2 N not dilute, 4 pi N a not finite
+        ("solver.a", lambda: gp_from(1, 2.0, 2)),
+        ("solver.a", lambda: gp_from(10, 1e308, 3)),
+        # errors of the constructors, re-raised under the block's path
+        ("solver.gp_grid", lambda: grid_from_config(
+            {"extent": [14, 14], "points": [32, 32, 32]}, where="solver.gp_grid")),
+        ("solver.weight.grid", lambda: load_phi_dump(b"", sidecar(lo=[0, 0]))),
+        ("problem.trap.values", lambda: trap_from_config(
+            dict(TABLE, values=[0.0] * 63), "problem.trap")),
+        ("problem.trap.dimension", lambda: trap_from_config(
+            {"kind": "box", "side": 1.0, "dimension": 4}, "problem.trap")),
+        ("problem.pair_potential", lambda: pair_potential_from_config(
+            {"shape": "tabulated_radial", "r": [1.0, 0.5], "v": [1.0, 0.0]},
+            "problem.pair_potential")),
+    ]
+    for field, parse in cases:
+        with pytest.raises(ConfigError) as info:
+            parse()
+        assert info.value.field == field and str(info.value).startswith(f"{field}: ")
+    assert info.type is InvalidParameterError       # the constructor's error type is kept
+
+
+def test_removed_run_settings_are_refused(capsys):
+    assert all(set(spec) == {"problem", "solver", "seed"} for spec in CONFIGS.values())
+    config = str(REPO / "configs/scattering_soft_sphere.json")
+    with pytest.raises(SystemExit) as info:
+        main(["scattering", "--config", config, "--reproducible"])
+    assert info.value.code == 2 and "--reproducible" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("region", [
@@ -453,8 +511,6 @@ def test_verify_flags_tampered_report(tmp_path, capsys):
         },
         "solver": {"N": 2, "a": 0.42, "max_quanta": 2},
         "seed": 1,
-        "reproducible": True,
-        "output": None,
     }
     path = execute(cfg, tmp_path / "o")
     assert verify([str(path)]) == 0
@@ -601,8 +657,6 @@ def test_phi_dump_feeds_weighted_poincare(tmp_path):
                        "grid": str(run_dir / "phi_grid.json")},
         },
         "seed": 3,
-        "reproducible": True,
-        "output": None,
     }
     po_path = execute(po_cfg, tmp_path / "o2")
     rep = json.loads(po_path.read_text())
@@ -781,11 +835,10 @@ def test_sweep_trends_are_checked_in_n_order(tmp_path, capsys):
 def test_execute_takes_run_fields_from_the_validated_config(tmp_path):
     # a library caller's config may leave out what load_config fills in
     cfg = small_gp_config()
-    for key in ("seed", "reproducible", "output"):
-        del cfg[key]
+    del cfg["seed"]
     path = execute(cfg, tmp_path / "o")
     rep = json.loads(path.read_text())
-    assert rep["seed"] == 0 and rep["reproducible"] is True
+    assert rep["seed"] == 0
     assert json.loads((path.parent / "manifest.json").read_text())["seed"] == 0
 
 
@@ -1012,18 +1065,11 @@ def test_null_block_is_not_an_absent_one(tmp_path, capsys, experiment, path):
     assert f"{path}: must be an object" in capsys.readouterr().err
 
 
-def test_output_must_be_a_path(tmp_path, capsys):
-    p = write_config(tmp_path, small_gp_config(output=5))
-    assert main(["gp", "--config", str(p)]) == 2
-    assert "output" in capsys.readouterr().err
-
-
 def test_load_config_fills_top_level_defaults_only(tmp_path):
     cfg = small_gp_config()
-    for key in ("seed", "reproducible", "output"):
-        del cfg[key]
+    del cfg["seed"]
     config = load_config(write_config(tmp_path, cfg), "gp", {})
-    assert config == dict(cfg, seed=0, reproducible=True, output=None)
+    assert config == dict(cfg, seed=0)
 
 
 # mutations of the committed configs for the load_config fuzz test
@@ -1045,14 +1091,14 @@ def _mutate(data, doc):
             node = child
             continue
         op = data.draw(st.sampled_from(["swap", "negate", "drop", "extra", "nest"]))
-        if op == "swap":
-            node[key] = data.draw(st.sampled_from(_SWAPS))
+        if op == "swap":     # a copy: a later mutation must not reach into _SWAPS
+            node[key] = copy.deepcopy(data.draw(st.sampled_from(_SWAPS)))
         elif op == "negate" and isinstance(child, (int, float)) and not isinstance(child, bool):
             node[key] = -child if child else -1
         elif op == "drop" and isinstance(node, dict):
             del node[key]
         elif op == "extra" and isinstance(node, dict):
-            node["surprise"] = data.draw(st.sampled_from(_SWAPS))
+            node["surprise"] = copy.deepcopy(data.draw(st.sampled_from(_SWAPS)))
         else:
             node[key] = [child] if data.draw(st.booleans()) else {"v": child}
         return
