@@ -40,9 +40,9 @@ from .errors import (BecLabError, CapacityError, ConfigError, IntegrityError,
                      SolverFailureError)
 from .gp import coupling_2d, coupling_3d, minimize_gp
 from .model import (FOCK_DIMENSION_CAP, MAX_FOCK_DIMENSION, MAX_GRID_NODES, MAX_QUANTA,
-                    MAX_SAMPLES, REQUIRED, Grid, check_pair_scale, fields, file_path, flag,
-                    grid_from_config, kinds, located, multilinear_interpolate, number, numbers,
-                    problem_from_config, typed)
+                    MAX_SAMPLES, REQUIRED, Grid, check_coupling_scale, check_pair_scale, fields,
+                    file_path, flag, grid_from_config, kinds, located, multilinear_interpolate,
+                    number, numbers, problem_from_config, typed)
 from .poincare import Region, estimate_constant, weighted_estimate
 from .scattering import solve_zero_energy
 
@@ -138,20 +138,26 @@ def validate(config: dict) -> dict:
         raise ConfigError(f"{experiment} needs {' and '.join(_NEEDS[experiment])}", field="problem")
     if experiment == "scattering" and problem.pair_potential.range >= s["r_max"] / 2:
         raise ConfigError("must exceed twice the pair potential's range", field="solver.r_max")
-    if experiment == "gp" and s["g"] is None:
-        if s["N"] is None or s["a"] is None:
-            raise ConfigError("gp needs either g or both N and a", field="solver")
-        coupling = coupling_2d if problem.trap.dimension == 2 else coupling_3d
-        s["g"] = located("solver.a", coupling, s["N"], s["a"])
-        if not math.isfinite(s["g"]):
-            raise ConfigError(f"the coupling of N and a, {s['g']}, is not finite", field="solver.a")
+    # gp, manybody and sweep hand g to minimize_gp: check_coupling_scale
+    # refuses it under the key it came from
+    if experiment == "gp":
+        if s["g"] is None:
+            if s["N"] is None or s["a"] is None:
+                raise ConfigError("gp needs either g or both N and a", field="solver")
+            coupling = coupling_2d if problem.trap.dimension == 2 else coupling_3d
+            s["g"] = located("solver.a", coupling, s["N"], s["a"])
+            check_coupling_scale(s["g"], problem.grid, field="solver.a")
+        else:
+            check_coupling_scale(s["g"], problem.grid, field="solver.g")
     if experiment == "manybody":
         if s["a"] is not None:
             check_pair_scale(s["a"], field="solver.a")
             s["g"] = coupling_3d(s["N"], s["a"])
+            check_coupling_scale(s["g"], problem.grid, field="solver.a")
         elif s["g"] is not None:
             s["a"] = s["g"] / (4.0 * math.pi * s["N"])
             check_pair_scale(s["a"], field="solver.g")
+            check_coupling_scale(s["g"], problem.grid, field="solver.g")
         else:
             raise ConfigError("manybody needs g or a", field="solver")
         if s["localization"] is not None and s["N"] != 2:
@@ -170,6 +176,7 @@ def validate(config: dict) -> dict:
             check_pair_scale(s["g"] / (4.0 * math.pi * N), field="solver.g")
         if s["gp_grid"] is not None:
             s["gp_grid"] = grid_from_config(s["gp_grid"], problem.trap, where="solver.gp_grid")
+        check_coupling_scale(s["g"], s["gp_grid"] or problem.grid, field="solver.g")
     return c | {"experiment": experiment}
 
 
@@ -254,7 +261,8 @@ def run_gp(c: dict):
     }
     aux = {}
     if solver["dump_phi"]:
-        aux["phi.f64"] = np.asarray(state.phi, dtype="<f8").tobytes()
+        # a byte view, no copy of the grid: len is the byte count
+        aux["phi.f64"] = memoryview(np.asarray(state.phi, dtype="<f8")).cast("B")
         aux["phi_grid.json"] = dump_json({
             "lo": state.grid.lo, "extent": state.grid.extent,
             "points": state.grid.points, "order": "row-major", "dtype": "<f8",
@@ -489,7 +497,7 @@ def execute(config: dict, out_dir, force: bool = False) -> Path:
         (run_dir / "failure.json").unlink(missing_ok=True)
         _atomic_write(report_path, dump_json(report).encode())
         for name, content in aux.items():
-            data = content if isinstance(content, bytes) else content.encode()
+            data = content.encode() if isinstance(content, str) else content
             _atomic_write(run_dir / name, data)
         manifest = {
             "config_hash": cfg_hash,
@@ -523,7 +531,9 @@ def _stored(path: Path) -> dict:
     return doc if isinstance(doc, dict) else {}
 
 
-def _atomic_write(path: Path, data: bytes):
+def _atomic_write(path: Path, data):
+    """Write ``data`` (bytes or a byte view) to ``path`` through a ``.tmp``
+    file, so ``path`` holds either the old content or all of the new."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         tmp.write_bytes(data)

@@ -34,6 +34,7 @@ loop runs on the full interior.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -50,7 +51,14 @@ _BOUNDARY_RATIO = 1e-8         # required boundary decay for confining traps
 
 @dataclass(frozen=True)
 class GPState:
-    """Normalized nonnegative minimizer on a grid plus its energy split."""
+    """Normalized nonnegative minimizer on a grid plus its energy split.
+
+    ``phi`` is the one grid-sized array of the state; it vanishes on the
+    Dirichlet boundary, where alone the trapezoid weights differ from the
+    interior weight hd = (hx hy) hz.  The integrals below use that: they
+    equal ``grid.integrate(phi**k)`` bit for bit (the same products, summed
+    in the same order) without building ``Grid.weights``.
+    """
 
     phi: np.ndarray            # full grid, zero on the Dirichlet boundary
     grid: Grid
@@ -70,12 +78,18 @@ class GPState:
     def dimension(self) -> int:
         return self.grid.dimension
 
+    def _power_integral(self, k: int) -> float:
+        """int phi^k over the grid: sum(phi**k * hd), one temporary."""
+        t = self.phi**k
+        t *= math.prod(self.grid.spacing)
+        return float(np.sum(t))
+
     def norm_error(self) -> float:
-        return abs(self.grid.integrate(self.phi**2) - 1.0)
+        return abs(self._power_integral(2) - 1.0)
 
     def interaction_density_integral(self) -> float:
         """int |phi|^4, the quantity every coupling multiplies."""
-        return self.grid.integrate(self.phi**4)
+        return self._power_integral(4)
 
 
 @dataclass(frozen=True)
@@ -144,8 +158,9 @@ class _Workspace:
     def __init__(self, trap: TrapSpec, grid: Grid, sector: bool = False):
         self.d = grid.dimension
         full = tuple(n - 2 for n in grid.points)
-        self.interior = tuple(slice(1, -1) for _ in range(self.d))
-        V = trap.sample(grid)[self.interior]
+        # V on the interior nodes only (the same bits as there in the
+        # whole grid's sample), a contiguous array, so argmin copies nothing
+        V = trap.sample_axes(tuple(x[1:-1] for x in grid.axes))
         self.sector = sector and all(m % 2 == 0 for m in full) and all(
             mirror_parity(V, ax) == 0 for ax in range(self.d))
         self.half = tuple(slice(0, m // 2 if self.sector else m) for m in full)
@@ -212,19 +227,6 @@ class _Workspace:
         """Lowest eigenvector of H0: the product of the per-axis ones."""
         return reduce(np.multiply.outer, [np.abs(U[:, 0]) for U in self.pre_vecs])
 
-    def unfold(self, p: np.ndarray, out: np.ndarray):
-        """Write into ``out`` the full interior array whose working part is
-        ``p``: on the sector, p at the low corner and its mirror images
-        along each axis in turn."""
-        out[tuple(slice(0, n) for n in p.shape)] = p
-        if not self.sector:
-            return
-        for ax, n in enumerate(p.shape):
-            # axes before ax are unfolded already, those from ax on are not
-            done = tuple(slice(None) if a < ax else slice(0, m) for a, m in enumerate(p.shape))
-            upper = done[:ax] + (slice(n, 2 * n),) + done[ax + 1:]
-            out[upper] = np.flip(out[done], axis=ax)
-
     def precondition(self, r: np.ndarray, mu: float) -> np.ndarray:
         """(H0 - lam0 + sigma)^-1 r in the per-axis eigenbases.
 
@@ -262,8 +264,30 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
             raise ConfigError("initial guess shape does not match the grid", field="initial")
     # the minimizer is unique and positive, hence mirror-even on a
     # mirror-symmetric trap; the flow stays in that sector from an even start
-    ws = _Workspace(trap, grid, sector=start is None or all(
-        mirror_parity(start, ax) == 0 for ax in range(start.ndim)))
+    even = start is None or all(mirror_parity(start, ax) == 0 for ax in range(start.ndim))
+    phi, sector, fields = _minimize_interior(trap, g, grid, start, even, max_iter, tol)
+    if trap.kind != "box" and fields["boundary_ratio"] > _BOUNDARY_RATIO:
+        raise DomainTooSmallError(
+            f"boundary amplitude {fields['boundary_ratio']:.2e} of peak exceeds "
+            f"{_BOUNDARY_RATIO:.0e}; enlarge the grid extent")
+    # the flow's arrays are gone: phi (on the sector, 1/2^d of the interior)
+    # is the only one left beside the full grid
+    full = np.zeros(grid.shape)
+    unfold(phi, full[tuple(slice(1, -1) for _ in grid.points)], sector)
+    return GPState(phi=full, grid=grid, trap=trap, g=float(g), **fields)
+
+
+def _minimize_interior(trap: TrapSpec, g: float, grid: Grid, start, even: bool,
+                       max_iter: int, tol: float):
+    """The flow of ``minimize_gp`` and its finish, on the sector when ``even``
+    allows it (see ``_Workspace``), else on the full interior.
+
+    Returns (phi on the working nodes, whether they are the sector, the
+    GPState fields but phi, grid, trap and g).  Every array of the flow and
+    of its workspace dies with this call, before the caller allocates the
+    full grid.
+    """
+    ws = _Workspace(trap, grid, sector=even)
     hd = ws.hd
     phi = ws.ground_mode() if start is None else np.ascontiguousarray(start[ws.half])
     phi /= math.sqrt(hd * float(np.sum(phi**2)))
@@ -355,21 +379,26 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
     interaction = g * hd * float(np.sum(phi**4))
     total = kinetic + potential + interaction
 
-    full = np.zeros(grid.shape)
-    ws.unfold(phi, full[ws.interior])
     peak = float(phi.max())
     # on the sector the inner faces of the half are the centre planes
     boundary = _boundary_layer_max(phi, (0,) if ws.sector else (0, -1)) / peak
-    if trap.kind != "box" and boundary > _BOUNDARY_RATIO:
-        raise DomainTooSmallError(
-            f"boundary amplitude {boundary:.2e} of peak exceeds {_BOUNDARY_RATIO:.0e}; "
-            "enlarge the grid extent")
+    return phi, ws.sector, dict(
+        energy_total=total, energy_kinetic=kinetic, energy_potential=potential,
+        energy_interaction=interaction, mu=total + interaction, residual=residual,
+        iterations=it, energy_trace=tuple(trace), boundary_ratio=boundary)
 
-    return GPState(phi=full, grid=grid, trap=trap, g=float(g),
-                   energy_total=total, energy_kinetic=kinetic,
-                   energy_potential=potential, energy_interaction=interaction,
-                   mu=total + interaction, residual=residual, iterations=it,
-                   energy_trace=tuple(trace), boundary_ratio=boundary)
+
+def unfold(p: np.ndarray, out: np.ndarray, mirror: bool):
+    """Write into ``out`` the full interior array whose working part is
+    ``p``: p itself, or on the sector (``mirror``) the 2^d blocks of out,
+    each p mirrored along the axes where the block lies in the upper half.
+
+    Each block is written from a reversed view of p, which out does not
+    overlap, so numpy copies nothing on the way.
+    """
+    for flips in itertools.product((False, True) if mirror else (False,), repeat=p.ndim):
+        block = tuple(slice(n, 2 * n) if f else slice(0, n) for f, n in zip(flips, p.shape))
+        out[block] = p[tuple(slice(None, None, -1) if f else slice(None) for f in flips)]
 
 
 def _boundary_layer_max(interior: np.ndarray, faces=(0, -1)) -> float:
@@ -385,7 +414,7 @@ def gp_energy_components(state: GPState) -> tuple[float, float, float]:
     if state.norm_error() > 1e-8:
         raise InvalidParameterError("state is not normalized")
     ws = _Workspace(state.trap, state.grid)
-    p = state.phi[ws.interior]
+    p = state.phi[tuple(slice(1, -1) for _ in state.grid.points)]
     b = ws.coefficients(p)
     kinetic = ws.kinetic(b)
     potential = ws.hd * float(np.sum(ws.V * p * p))

@@ -230,7 +230,10 @@ class TrapSpec:
 
     def __post_init__(self):
         if self.dimension not in (2, 3):
-            raise ConfigError("trap dimension must be 2 or 3", field="trap.dimension")
+            # the key the dimension comes from: one stiffness per axis, the
+            # table grid's points, or the box's own dimension
+            source = {"harmonic": "stiffness", "tabulated": "points"}.get(self.kind, "dimension")
+            raise ConfigError("trap dimension must be 2 or 3", field=f"trap.{source}")
         if self.kind == "harmonic":
             if self.stiffness is None or len(self.stiffness) != self.dimension:
                 raise ConfigError("harmonic trap needs one stiffness per axis", field="trap.stiffness")
@@ -271,13 +274,18 @@ class TrapSpec:
         return np.asarray(self.table_values, dtype=float).reshape(self.table_grid.points)
 
     def check_grid(self, grid: Grid, where: str = "grid"):
-        """Refuse a grid of another dimension and, for the box kind, one that
-        is not [0, side] on every axis: the walls are the grid boundary."""
+        """Refuse a grid of another dimension; for the box kind, one that is
+        not [0, side] on every axis (the walls are the grid boundary); for
+        the tabulated kind, one with a node, boundary included, outside the
+        table (an OutOfDomainError, the refusal ``sample`` would raise)."""
         if grid.dimension != self.dimension:
             raise ConfigError("grid dimension does not match the trap", field=where)
         if self.kind == "box" and any(abs(lo) > 1e-12 or abs(e - self.side) > 1e-12
                                       for lo, e in zip(grid.lo, grid.extent)):
             raise ConfigError("box trap requires a [0, side] grid on every axis", field=where)
+        if self.kind == "tabulated":        # the axes are increasing: their ends decide
+            multilinear_interpolate(self.table_grid, self._table,
+                                    [x[[0, -1]] for x in grid.axes], field=where)
 
     def check_scale(self, grid: Grid, where: str = "grid"):
         """Refuse a grid on which the energy scale (kinetic scale + the peak
@@ -315,9 +323,18 @@ class TrapSpec:
         so the sampled field is identically zero.
         """
         self.check_grid(grid)
+        return self.sample_axes(grid.axes)
+
+    def sample_axes(self, axes) -> np.ndarray:
+        """Potential on the tensor grid of the per-axis coordinates ``axes``.
+
+        Every route is elementwise per node, so the nodes of a sub-grid (the
+        interior nodes, ``x[1:-1]`` per axis) get the same bits as in the
+        sample of the whole grid.  Unlike ``sample`` it checks no grid.
+        """
         if self.kind == "tabulated":
-            return multilinear_interpolate(self.table_grid, self._table, grid.axes, field="trap")
-        return reduce(np.add.outer, [self.axis_potential(ax, x) for ax, x in enumerate(grid.axes)])
+            return multilinear_interpolate(self.table_grid, self._table, axes, field="trap")
+        return reduce(np.add.outer, [self.axis_potential(ax, x) for ax, x in enumerate(axes)])
 
 
 def multilinear_interpolate(table_grid: Grid, table: np.ndarray, axes,
@@ -513,6 +530,19 @@ def check_pair_scale(a: float, field: str | None = None):
     if not (0.0 < square < math.inf and 1.0 / square < math.inf):
         raise InvalidParameterError(f"scaling length a = {a!r}: 1/a^2 is not a finite "
                                     "nonzero float", field=field)
+
+
+def check_coupling_scale(g: float, grid: Grid, field: str):
+    """Refuse a mean-field coupling ``g`` whose term in the residual norm is
+    not a finite float on ``grid`` (a ConfigError naming ``field``), the
+    companion of ``TrapSpec.check_scale``.  A field of unit norm reaches
+    1 / (smallest node weight) in square at a node, so g's share of the
+    chemical potential reaches g / (smallest node weight), and the residual
+    norm divides by the square of the chemical potential."""
+    scale = g / grid.min_weight
+    if not scale * scale < math.inf:
+        raise ConfigError(f"coupling {g!r} gives the mean-field scale {scale!r} on this "
+                          "grid, whose square is not a finite float", field=field)
 
 
 def scale_pair_potential(base: PairPotential, a: float) -> PairPotential:

@@ -632,3 +632,17 @@ def point_interpolate(table_grid, table, pts):
             w = w * (frac[ax] if bit else 1.0 - frac[ax])
         out += w * table[tuple(sel)]
     return out
+
+
+def unfold_axis_by_axis(p, out, mirror):
+    """``gp.unfold`` as a loop over the axes: p at the low corner of out,
+    then, on the sector, out's unfolded part mirrored into the upper half
+    of each axis in turn."""
+    out[tuple(slice(0, n) for n in p.shape)] = p
+    if not mirror:
+        return
+    for ax, n in enumerate(p.shape):
+        # axes before ax are unfolded already, those from ax on are not
+        done = tuple(slice(None) if a < ax else slice(0, m) for a, m in enumerate(p.shape))
+        upper = done[:ax] + (slice(n, 2 * n),) + done[ax + 1:]
+        out[upper] = np.flip(out[done], axis=ax)

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from decimal import Decimal
 from pathlib import Path
@@ -19,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beclab import __version__, hard_sphere_substitute
+import beclab as bl
+from beclab import __version__, cli, hard_sphere_substitute
 from beclab.cli import (CONFIGS, canonical_hash, dump_json, execute, load_config, load_phi_dump,
-                        main, validate, verify)
+                        main, run_gp, validate, verify)
 from beclab.errors import ConfigError, InvalidParameterError
 from beclab.model import (MAX_SAMPLES, grid_from_config, pair_potential_from_config,
                           problem_from_config, trap_from_config)
@@ -278,6 +280,11 @@ def test_config_errors_carry_the_full_path():
             dict(TABLE, values=[0.0] * 63), "problem.trap")),
         ("problem.trap.dimension", lambda: trap_from_config(
             {"kind": "box", "side": 1.0, "dimension": 4}, "problem.trap")),
+        # a trap dimension names the key it comes from
+        ("problem.trap.stiffness", lambda: trap_from_config(
+            {"kind": "harmonic", "stiffness": [1.0]}, "problem.trap")),
+        ("problem.trap.points", lambda: trap_from_config(
+            dict(TABLE, lo=[0], extent=[1], points=[4], values=[0.0] * 4), "problem.trap")),
         ("problem.pair_potential", lambda: pair_potential_from_config(
             {"shape": "tabulated_radial", "r": [1.0, 0.5], "v": [1.0, 0.0]},
             "problem.pair_potential")),
@@ -636,6 +643,72 @@ def test_every_invariant_has_a_tamper_case(small_reports, tmp_path, capsys):
     checked = {line.split()[1].rstrip(":").replace("sweep.N3.", "sweep.N2.")
                for line in capsys.readouterr().out.splitlines() if line.startswith("ok ")}
     assert checked == {name for _, _, name in TAMPERS}
+
+
+def test_phi_dump_is_the_state_written_from_a_byte_view(tmp_path, monkeypatch):
+    cfg = small_gp_config()
+    cfg["solver"] = dict(cfg["solver"], dump_phi=True)
+    written = {}
+    atomic_write = cli._atomic_write
+
+    def spy(path, data):
+        written[path.name] = len(data)
+        atomic_write(path, data)
+
+    monkeypatch.setattr(cli, "_atomic_write", spy)
+    run_dir = execute(cfg, tmp_path / "o").parent
+    points = cfg["problem"]["grid"]["points"]
+    state = bl.minimize_gp(bl.TrapSpec.harmonic((1.0, 1.0, 1.0)), 1.0,
+                           bl.Grid.centered((14.0,) * 3, points))
+    assert (run_dir / "phi.f64").read_bytes() == state.phi.astype("<f8").tobytes()
+    assert written["phi.f64"] == 8 * math.prod(points)
+
+
+def test_gp_run_holds_two_grids_at_most():
+    # phi and one temporary: the report integrals build no Grid.weights, the
+    # dump copies nothing, and the flow's arrays die before phi is unfolded
+    cfg = small_gp_config()
+    cfg["problem"]["grid"]["points"] = [64, 64, 64]
+    cfg["solver"] = dict(cfg["solver"], g=10.0, dump_phi=True)
+    parsed = validate(cfg)
+    tracemalloc.start()
+    try:
+        run_gp(parsed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * 64**3, peak / (8 * 64**3)
+
+
+@pytest.mark.parametrize("experiment, solver, field", [
+    ("gp", {"g": 1e200}, "solver.g"),
+    ("gp", {"g": 1e302}, "solver.g"),
+    ("gp", {"N": 10, "a": 1e200}, "solver.a"),
+    # a 1/a^2 that check_pair_scale passes
+    ("manybody", {"g": 1e154}, "solver.g"),
+    ("manybody", {"a": 1e153}, "solver.a"),
+    ("sweep", {"g": 1e154}, "solver.g"),
+], ids=str)
+def test_huge_coupling_exits_2_at_load(tmp_path, capsys, experiment, solver, field):
+    # refused before <out> is made, not by a non-finite residual in the solve
+    cfg = SMALL_CONFIGS[experiment]()
+    cfg["problem"]["grid"] = {"extent": [14.0] * 3, "points": [16] * 3}
+    cfg["solver"] = {key: value for key, value in cfg["solver"].items()
+                     if key not in ("g", "a")} | solver
+    p = write_config(tmp_path, cfg)
+    assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_tabulated_trap_not_covering_the_grid_exits_2_at_load(tmp_path, capsys):
+    cfg = small_gp_config()
+    cfg["problem"]["trap"] = dict(TABLE, values=[0.0] * 64)
+    cfg["problem"]["grid"]["extent"] = [14.2, 14.0, 14.0]
+    p = write_config(tmp_path, cfg)
+    assert main(["gp", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "problem.grid: point outside the tabulated extent" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_phi_dump_feeds_weighted_poincare(tmp_path):

@@ -6,10 +6,11 @@ from scipy.fft import dstn as fft_dstn
 
 import beclab as bl
 from beclab import gp
-from beclab.errors import DomainTooSmallError, InvalidParameterError, SolverFailureError
+from beclab.errors import (DomainTooSmallError, InvalidParameterError, OutOfDomainError,
+                           SolverFailureError)
 from beclab.model import axis_apply
 
-from .oracles import tensor_apply
+from .oracles import tensor_apply, unfold_axis_by_axis
 
 GRID32 = bl.Grid.centered((14.0,) * 3, (32,) * 3)
 GRID48 = bl.Grid.centered((14.0,) * 3, (48,) * 3)
@@ -226,7 +227,7 @@ def test_unfold_mirrors_the_sector_along_each_axis(grid):
     for ax in range(grid.dimension):
         want = np.concatenate([want, np.flip(want, axis=ax)], axis=ax)
     out = np.full(tuple(n - 2 for n in grid.points), np.nan)
-    ws.unfold(p, out)
+    gp.unfold(p, out, ws.sector)
     assert np.array_equal(out, want)
 
 
@@ -356,3 +357,71 @@ def test_non_finite_residual_fails_at_once():
     with pytest.raises(SolverFailureError, match="not finite") as info:
         bl.minimize_gp(trap, 0.4, bl.Grid.centered((14.0,) * 3, (32,) * 3))
     assert info.value.diagnostics["iterations"] == 1
+
+
+@pytest.mark.parametrize("points, mirror", [
+    ((32, 32, 32), True), ((32, 48, 40), True), ((96, 64), True), ((8, 6), True),
+    ((33, 32, 31), False), ((32, 32), False),
+], ids=str)
+def test_unfold_matches_the_axis_by_axis_oracle(points, mirror):
+    interior = tuple(n - 2 for n in points)
+    p = np.random.default_rng(len(points)).standard_normal(
+        tuple(m // 2 for m in interior) if mirror else interior)
+    got, want = np.full(interior, np.nan), np.full(interior, np.nan)
+    gp.unfold(p, got, mirror)
+    unfold_axis_by_axis(p, want, mirror)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("points, sector", [
+    ((32, 32, 32), True), ((33, 33, 33), False), ((96, 64), True), ((65, 63), False),
+], ids=str)
+def test_state_integrals_equal_grid_integrate_bit_for_bit(monkeypatch, points, sector):
+    # sum(phi**k * hd) against the trapezoid sum with Grid.weights, on a
+    # sector solve and on a full-interior one (odd m)
+    d = len(points)
+    grid = bl.Grid.centered((14.0,) * d, points)
+    state, on_sector = _solve(monkeypatch, bl.TrapSpec.harmonic((1.0,) * d), 3.0, grid)
+    assert on_sector == sector
+    assert state.norm_error() == abs(grid.integrate(state.phi**2) - 1.0)
+    assert state.interaction_density_integral() == grid.integrate(state.phi**4)
+
+
+def _table_on(grid, centre):
+    mesh = grid.meshgrid()
+    return bl.TrapSpec.tabulated(grid, sum((x - c) ** 2 * (1 + ax) + 0.05 * x**4
+                                           for ax, (x, c) in enumerate(zip(mesh, centre))))
+
+
+@pytest.mark.parametrize("case", ["harmonic", "harmonic_offcentre", "box", "tabulated",
+                                  "tabulated_offcentre", "harmonic_2d_offcentre"])
+def test_workspace_samples_v_on_the_interior_nodes(case):
+    # the interior sample has the bits of the whole grid's sample there
+    grid = bl.Grid.centered((14.0, 12.0, 10.0), (32, 30, 28))
+    trap_ = bl.TrapSpec.harmonic((1.0, 1.7, 0.6))
+    if case == "harmonic_offcentre":
+        grid = bl.Grid((-6.9, -6.1, -4.7), grid.extent, grid.points)
+    elif case == "box":
+        trap_, grid = bl.TrapSpec.box(1.0, 3), bl.Grid.box(1.0, 32)
+    elif case.startswith("tabulated"):
+        table_grid = bl.Grid.centered((15.0, 13.0, 11.0), (23, 21, 19))
+        trap_ = _table_on(table_grid, (0.0, 0.0, 0.0) if case == "tabulated" else (0.3, -0.2, 0.1))
+    elif case == "harmonic_2d_offcentre":
+        trap_ = bl.TrapSpec.harmonic((1.0, 2.0))
+        grid = bl.Grid((-7.3, -6.6), (14.0, 14.0), (34, 30))
+    ws = gp._Workspace(trap_, grid, sector=True)
+    assert ws.sector == (not case.endswith("offcentre"))
+    interior = tuple(slice(1, -1) for _ in grid.points)
+    assert ws.V.flags.c_contiguous
+    assert np.array_equal(ws.V, trap_.sample(grid)[interior][ws.half])
+
+
+def test_tabulated_trap_refuses_a_grid_whose_boundary_it_does_not_cover():
+    # the table covers every interior node of the grid but not its boundary
+    grid = bl.Grid.centered((14.2,) * 3, (32,) * 3)
+    table = _tabulated("isotropic")
+    table.sample_axes(tuple(x[1:-1] for x in grid.axes))
+    with pytest.raises(OutOfDomainError):
+        bl.minimize_gp(table, 2.0, grid)
+    with pytest.raises(OutOfDomainError):
+        table.sample(grid)
