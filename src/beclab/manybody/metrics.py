@@ -12,12 +12,19 @@ Harmonic and box modes are products of 1D factors, so both the reference
 expansion and the momentum densities are sum-factorized: one 1D
 contraction per axis instead of M full 3D arrays.  Tabulated modes take
 the sampled 3D route.
+
+The momentum sums of ``condensate_metrics`` are taken slab by slab along
+the first lattice axis, for both mode routes: each slab's densities are
+weighed with the per-axis trapezoid weights and summed, so no array the
+size of the lattice is built.  ``_SLAB_NODES`` bounds one slab's block:
+its density on the product route, the M sampled modes' transforms on the
+tabulated route (at least one k-plane per slab).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -30,6 +37,7 @@ from .ground import ManyBodyGround, pair_moment
 
 _MIN_REFERENCE_WEIGHT = 0.99    # share of the mean-field state the modes must carry
 _K_MAX, _K_POINTS = 10.0, 61
+_SLAB_NODES = 1 << 16           # k-points times rows (M sampled modes, else 1) per slab
 
 
 @dataclass(frozen=True)
@@ -108,14 +116,17 @@ def momentum_density(basis: ModeBasis, k_axes):
     scale inverted; box modes transform their 1D sine factors by
     quadrature.  For both, the matrix is contracted with one table of
     factor products per axis (``pair_density``).  Tabulated modes are
-    transformed as sampled 3D arrays.
+    transformed as sampled 3D arrays, once per call: every matrix the
+    returned function is given shares the (M, lattice nodes) transforms.
+    ``k_axes`` may be a slab of a larger lattice (a run of its first-axis
+    points), as in ``condensate_metrics``.
     """
     shape = tuple(len(k) for k in k_axes)
     if basis.axis_tables is None:
         waves = [w.T for w in _plane_waves(basis.grid, k_axes)]
-        flat = np.empty((basis.size, int(np.prod(shape))), dtype=complex)
+        flat = np.empty((basis.size, math.prod(shape)), dtype=complex)
         for idx, mode in enumerate(basis.modes):
-            flat[idx] = axis_apply(mode, waves).ravel()
+            axis_apply(mode, waves, out=flat[idx].reshape(shape))
         return lambda matrix: np.sum((matrix @ flat) * flat.conj(), axis=0).real.reshape(shape)
 
     trap = basis.trap
@@ -129,8 +140,13 @@ def momentum_density(basis: ModeBasis, k_axes):
     return lambda matrix: pair_density(matrix, tables, basis.table_rows).real
 
 
-def _lattice_weights(k_axes) -> np.ndarray:
-    return reduce(np.multiply.outer, [trapezoid_weights(len(k), k[1] - k[0]) for k in k_axes])
+def _lattice_sum(values: np.ndarray, weights) -> float:
+    # sum_k w_k values(k), the trapezoid weight w_k a product of per-axis weights
+    return float(axis_apply(values, [w[None, :] for w in weights]).item())
+
+
+def _axis_weights(k_axes):
+    return [trapezoid_weights(len(k), k[1] - k[0]) for k in k_axes]
 
 
 def momentum_distribution(ground: ManyBodyGround, k_axes=None):
@@ -143,8 +159,7 @@ def momentum_distribution(ground: ManyBodyGround, k_axes=None):
     if k_axes is None:
         k_axes = default_momentum_axes(ground.ham.basis)
     rho = momentum_density(ground.ham.basis, k_axes)(ground.gamma / ground.N)
-    coverage = float(np.sum(rho * _lattice_weights(k_axes)))
-    return rho, coverage
+    return rho, _lattice_sum(rho, _axis_weights(k_axes))
 
 
 def condensate_metrics(ground: ManyBodyGround, reference: tuple[np.ndarray, float],
@@ -154,23 +169,35 @@ def condensate_metrics(ground: ManyBodyGround, reference: tuple[np.ndarray, floa
     ``reference`` is ``expand_reference(gp, ground.ham.basis)`` (a sweep
     shares one across its rows).  The momentum densities use the modes of
     the ground state's Hamiltonian, and the pair moment reads its pair map.
+    The three lattice sums (of |delta|, of delta and of the reference
+    density) are accumulated slab by slab along the first lattice axis.
     """
     c, weight = reference
     gamma_n = ground.gamma / ground.N
 
     gp_overlap = float(c @ gamma_n @ c)
 
-    diff = gamma_n - np.outer(c, c)
+    projector = np.outer(c, c)
+    diff = gamma_n - projector
     trace_distance = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
+    basis = ground.ham.basis
     if k_axes is None:
-        k_axes = default_momentum_axes(ground.ham.basis)
-    density = momentum_density(ground.ham.basis, k_axes)
-    kw = _lattice_weights(k_axes)
-    delta = density(diff)
-    momentum_l1 = float(np.sum(np.abs(delta) * kw))
-    reference_cov = float(np.sum(density(np.outer(c, c)) * kw))
-    coverage = reference_cov + float(np.sum(delta * kw))
+        k_axes = default_momentum_axes(basis)
+    weights = _axis_weights(k_axes)
+    rows = basis.size if basis.axis_tables is None else 1
+    step = max(1, _SLAB_NODES // (rows * math.prod(len(k) for k in k_axes[1:])))
+    momentum_l1 = delta_sum = reference_cov = 0.0
+    for start in range(0, len(k_axes[0]), step):
+        planes = slice(start, start + step)
+        density = momentum_density(basis, (np.asarray(k_axes[0])[planes], *k_axes[1:]))
+        slab_weights = [weights[0][planes], *weights[1:]]
+        delta = density(diff)
+        momentum_l1 += _lattice_sum(np.abs(delta), slab_weights)
+        delta_sum += _lattice_sum(delta, slab_weights)
+        del delta       # one slab's density alive at a time
+        reference_cov += _lattice_sum(density(projector), slab_weights)
+    coverage = reference_cov + delta_sum
 
     pm = pair_moment(ground.ham, ground.coefficients, c) / ground.N**2 if ground.N >= 2 else 0.0
     return CondensateReport(condensate_fraction=ground.condensate_fraction,

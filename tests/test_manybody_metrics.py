@@ -18,9 +18,9 @@ from beclab.errors import (BasisInsufficientError, ConfigError, ResolutionError,
 from beclab.manybody import (CondensateReport, build_mode_basis, condensate_metrics,
                              expand_reference, ground_state,
                              localization_profile, momentum_distribution)
-from beclab.manybody import localization
+from beclab.manybody import localization, metrics
 from beclab.manybody.localization import _ball_box, _scrambled_sobol
-from beclab.manybody.metrics import default_momentum_axes
+from beclab.manybody.metrics import _K_POINTS, default_momentum_axes
 from beclab.manybody.tensor import interaction_tensor
 
 from .oracles import (analytic_mode_transforms, materialized_localization,
@@ -373,6 +373,66 @@ def test_sampled_momentum_metrics_match_materialized_transforms(tabulated_ground
     l1, coverage = materialized_momentum_metrics(gr.gamma / gr.N, c, transforms, k_axes)
     assert rep.momentum_l1 == pytest.approx(l1, rel=1e-13)
     assert rep.momentum_coverage == pytest.approx(coverage, rel=1e-13)
+
+
+# three axes of different lengths and ranges: a mix-up between axes fails
+_UNEVEN_LATTICE = (np.linspace(-8.0, 8.0, 31), np.linspace(-10.0, 10.0, 45),
+                   np.linspace(-12.0, 12.0, 61))
+
+
+@pytest.mark.parametrize("lattice", ["default", "uneven"])
+@pytest.mark.parametrize("planes", [1, 7, "whole"])
+@pytest.mark.parametrize("route", ["product", "tabulated"])
+def test_momentum_slabs_match_materialized_transforms(monkeypatch, route, planes, lattice,
+                                                      interacting, tabulated_ground):
+    gr = interacting if route == "product" else tabulated_ground
+    basis = gr.ham.basis
+    k_axes = default_momentum_axes(basis) if lattice == "default" else _UNEVEN_LATTICE
+    n0 = len(k_axes[0])
+    planes = n0 if planes == "whole" else planes
+    rows = basis.size if route == "tabulated" else 1
+    monkeypatch.setattr(metrics, "_SLAB_NODES",
+                        planes * rows * len(k_axes[1]) * len(k_axes[2]))
+    slabs = []
+    density = metrics.momentum_density
+    monkeypatch.setattr(metrics, "momentum_density",
+                        lambda b, k: slabs.append(len(k[0])) or density(b, k))
+    transforms = (analytic_mode_transforms if route == "product"
+                  else quadrature_mode_transforms)(basis, k_axes)
+    c = np.random.default_rng(3).standard_normal(basis.size)
+    c /= np.linalg.norm(c)
+    rep = condensate_metrics(gr, (c, 1.0), k_axes=k_axes)
+    assert slabs == [planes] * (n0 // planes) + [n0 % planes] * (n0 % planes > 0)
+    l1, coverage = materialized_momentum_metrics(gr.gamma / gr.N, c, transforms, k_axes)
+    assert rep.momentum_l1 == pytest.approx(l1, rel=1e-13)
+    assert rep.momentum_coverage == pytest.approx(coverage, rel=1e-13)
+
+
+def _metrics_peak(gr):
+    c = np.random.default_rng(3).standard_normal(gr.ham.basis.size)
+    c /= np.linalg.norm(c)
+    tracemalloc.start()
+    try:
+        condensate_metrics(gr, (c, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * _K_POINTS**3)       # in complex arrays of the default lattice
+
+
+def test_product_metrics_build_no_lattice_array():
+    # the sweep's M = 20 harmonic basis at N = 4: the momentum sums run slab
+    # by slab, so no complex array of the whole lattice is made
+    basis = build_mode_basis(TRAP, bl.Grid.centered((14.0,) * 3, (48,) * 3), 3)
+    assert basis.size == 20
+    gr = ground_state(basis, interaction_tensor(basis, bl.PairPotential.soft_sphere(0.01, 8.85)),
+                      4)
+    assert _metrics_peak(gr) <= 0.75
+
+
+def test_tabulated_metrics_hold_one_slab_of_transforms(tabulated_ground):
+    # the sampled modes' transforms are built for one slab of k-planes at a time
+    assert _metrics_peak(tabulated_ground) <= 2.0
 
 
 def test_sampled_reference_expansion_matches_direct_quadrature(tabulated_ground):
