@@ -14,14 +14,14 @@ from .errors import (BasisInsufficientError, BecLabError, CapacityError,
                      ConfigError, DomainTooSmallError, IntegrityError,
                      InvalidParameterError, OutOfDomainError, ResolutionError,
                      SolverFailureError)
-from .model import (Grid, PairPotential, Problem, TrapSpec, evaluate_trap,
-                    problem_from_config, scale_pair_potential)
+from .model import (Grid, PairPotential, Problem, TrapSpec, problem_from_config,
+                    scale_pair_potential)
 from .scattering import (ScatteringSolution, hard_sphere_substitute,
                          soft_sphere_kinetic_fraction,
                          soft_sphere_scattering_length,
                          soft_sphere_with_scattering_length, solve_zero_energy)
-from .gp import (EnergyComponentPrediction, GPState, coupling_2d, coupling_3d,
-                 gp_energy_components, minimize_gp, predict_components)
+from .gp import (EnergyComponentPrediction, GPState, coupling_2d, coupling_3d, minimize_gp,
+                 predict_components)
 from .radial import RadialGround, radial_harmonic_ground
 
 __all__ = [
@@ -30,11 +30,11 @@ __all__ = [
     "DomainTooSmallError", "CapacityError", "ResolutionError", "BasisInsufficientError",
     "SolverFailureError", "IntegrityError",
     "Grid", "PairPotential", "Problem", "TrapSpec",
-    "evaluate_trap", "problem_from_config", "scale_pair_potential",
+    "problem_from_config", "scale_pair_potential",
     "ScatteringSolution", "solve_zero_energy", "soft_sphere_scattering_length",
     "soft_sphere_kinetic_fraction", "soft_sphere_with_scattering_length",
     "hard_sphere_substitute",
     "GPState", "EnergyComponentPrediction", "minimize_gp",
-    "gp_energy_components", "predict_components", "coupling_2d", "coupling_3d",
+    "predict_components", "coupling_2d", "coupling_3d",
     "RadialGround", "radial_harmonic_ground",
 ]

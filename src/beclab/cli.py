@@ -40,7 +40,7 @@ from .errors import (BecLabError, CapacityError, ConfigError, IntegrityError,
                      SolverFailureError)
 from .gp import coupling_2d, coupling_3d, minimize_gp
 from .model import (FOCK_DIMENSION_CAP, MAX_FOCK_DIMENSION, MAX_GRID_NODES, MAX_QUANTA,
-                    MAX_SAMPLES, REQUIRED, Grid, check_coupling_scale, check_pair_scale, fields,
+                    MAX_SAMPLES, REQUIRED, check_coupling_scale, check_pair_scale, fields,
                     file_path, flag, grid_from_config, kinds, located, multilinear_interpolate,
                     number, numbers, problem_from_config, typed)
 from .poincare import Region, estimate_constant, weighted_estimate
@@ -77,11 +77,9 @@ def _region(doc, where: str) -> tuple[str, dict]:
     if nodes > MAX_GRID_NODES:
         raise CapacityError(f"{nodes} nodes, above the cap {MAX_GRID_NODES}",
                             field=f"{where}.points")
-    # the bounding grid of ``Region.box`` or ``Region.ball``
     size = "side" if kind == "box" else "radius"
-    extent = f[size] if kind == "box" else 2.0 * f[size]
-    Grid((0.0,) * f["dimension"], (extent,) * f["dimension"],
-         (f["points"],) * f["dimension"]).check_sizes(f"{where}.{size}")
+    Region.bounding_grid(kind, f[size], f["points"], f["dimension"]).check_sizes(
+        f"{where}.{size}")
     return kind, f
 
 
@@ -141,6 +139,9 @@ def validate(config: dict) -> dict:
     # gp, manybody and sweep hand g to minimize_gp: check_coupling_scale
     # refuses it under the key it came from
     if experiment == "gp":
+        given = [key for key in ("N", "a") if s[key] is not None]
+        if s["g"] is not None and given:
+            raise ConfigError("give g or both N and a, not both", field=f"solver.{given[0]}")
         if s["g"] is None:
             if s["N"] is None or s["a"] is None:
                 raise ConfigError("gp needs either g or both N and a", field="solver")
@@ -150,6 +151,8 @@ def validate(config: dict) -> dict:
         else:
             check_coupling_scale(s["g"], problem.grid, field="solver.g")
     if experiment == "manybody":
+        if s["a"] is not None and s["g"] is not None:
+            raise ConfigError("give g or a, not both", field="solver.a")
         if s["a"] is not None:
             check_pair_scale(s["a"], field="solver.a")
             s["g"] = coupling_3d(s["N"], s["a"])

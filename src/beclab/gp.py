@@ -26,10 +26,10 @@ the transform work, 1/16 in 3D; the even-odd reduction of sine-spectral
 methods, Solomonoff, J. Comput. Phys. 98, 174 (1992)), and the half is
 mirrored onto the full grid at the end.  The route rule: the sector is taken when
 every interior count m is even (an odd m has a centre plane of
-multiplicity 1), the sampled V equals its mirror image on every axis to
-1e-12 of max |V|, and the initial guess, if any, is mirror-even too;
-otherwise (off-centre tabulated traps, odd m, a generic start) the same
-loop runs on the full interior.
+multiplicity 1) and the sampled V equals its mirror image on every axis to
+1e-12 of max |V|; otherwise (off-centre tabulated traps, odd m) the same
+loop runs on the full interior.  Either way the flow starts from the
+lowest eigenvector of the preconditioner's separable model.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import (ConfigError, DomainTooSmallError, InvalidParameterError,
-                     SolverFailureError)
+from .errors import DomainTooSmallError, InvalidParameterError, SolverFailureError
 from .model import Grid, TrapSpec, axis_apply, mirror_parity
 
 _ENERGY_SLACK = 1e-13          # accepted per-step energy increase
@@ -241,7 +240,7 @@ class _Workspace:
 
 
 def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
-                tol: float = 1e-8, initial: np.ndarray | None = None) -> GPState:
+                tol: float = 1e-8) -> GPState:
     """Minimize the functional at coupling ``g`` on ``grid``.
 
     Raises SolverFailureError when the residual target is not reached and
@@ -255,17 +254,7 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be at least 1")
     trap.check_grid(grid)
-    start = None
-    if initial is not None:
-        start = np.abs(np.asarray(initial, dtype=float))
-        if start.shape == grid.shape:
-            start = start[tuple(slice(1, -1) for _ in grid.points)]
-        if start.shape != tuple(n - 2 for n in grid.points):
-            raise ConfigError("initial guess shape does not match the grid", field="initial")
-    # the minimizer is unique and positive, hence mirror-even on a
-    # mirror-symmetric trap; the flow stays in that sector from an even start
-    even = start is None or all(mirror_parity(start, ax) == 0 for ax in range(start.ndim))
-    phi, sector, fields = _minimize_interior(trap, g, grid, start, even, max_iter, tol)
+    phi, sector, fields = _minimize_interior(trap, g, grid, max_iter, tol)
     if trap.kind != "box" and fields["boundary_ratio"] > _BOUNDARY_RATIO:
         raise DomainTooSmallError(
             f"boundary amplitude {fields['boundary_ratio']:.2e} of peak exceeds "
@@ -277,19 +266,19 @@ def minimize_gp(trap: TrapSpec, g: float, grid: Grid, max_iter: int = 5000,
     return GPState(phi=full, grid=grid, trap=trap, g=float(g), **fields)
 
 
-def _minimize_interior(trap: TrapSpec, g: float, grid: Grid, start, even: bool,
-                       max_iter: int, tol: float):
-    """The flow of ``minimize_gp`` and its finish, on the sector when ``even``
-    allows it (see ``_Workspace``), else on the full interior.
+def _minimize_interior(trap: TrapSpec, g: float, grid: Grid, max_iter: int, tol: float):
+    """The flow of ``minimize_gp`` and its finish, on the sector when the
+    interior counts and V allow it (see ``_Workspace``), else on the full
+    interior.
 
     Returns (phi on the working nodes, whether they are the sector, the
     GPState fields but phi, grid, trap and g).  Every array of the flow and
     of its workspace dies with this call, before the caller allocates the
     full grid.
     """
-    ws = _Workspace(trap, grid, sector=even)
+    ws = _Workspace(trap, grid, sector=True)
     hd = ws.hd
-    phi = ws.ground_mode() if start is None else np.ascontiguousarray(start[ws.half])
+    phi = ws.ground_mode()
     phi /= math.sqrt(hd * float(np.sum(phi**2)))
 
     def evaluate(p, b):
@@ -407,19 +396,6 @@ def _boundary_layer_max(interior: np.ndarray, faces=(0, -1)) -> float:
         for face in faces:
             out = max(out, float(np.abs(np.take(interior, face, axis=ax)).max()))
     return out
-
-
-def gp_energy_components(state: GPState) -> tuple[float, float, float]:
-    """(kinetic, potential, interaction) recomputed from the stored phi."""
-    if state.norm_error() > 1e-8:
-        raise InvalidParameterError("state is not normalized")
-    ws = _Workspace(state.trap, state.grid)
-    p = state.phi[tuple(slice(1, -1) for _ in state.grid.points)]
-    b = ws.coefficients(p)
-    kinetic = ws.kinetic(b)
-    potential = ws.hd * float(np.sum(ws.V * p * p))
-    interaction = state.g * ws.hd * float(np.sum(p**4))
-    return kinetic, potential, interaction
 
 
 def predict_components(state: GPState, s: float) -> EnergyComponentPrediction:

@@ -9,8 +9,7 @@ number at fixed interaction strength.
 
 from .basis import FockBasis, ModeBasis, build_mode_basis
 from .ground import ManyBodyGround, ground_state, hartree_energy
-from .metrics import (CondensateReport, condensate_metrics, expand_reference,
-                      momentum_distribution)
+from .metrics import CondensateReport, condensate_metrics, expand_reference
 from .localization import localization_profile
 from .sweep import SweepResult, gp_limit_sweep, prepare_pipeline, solve_instance
 
@@ -18,6 +17,6 @@ __all__ = [
     "FockBasis", "ModeBasis", "build_mode_basis",
     "ManyBodyGround", "ground_state", "hartree_energy",
     "CondensateReport", "condensate_metrics", "expand_reference",
-    "momentum_distribution", "localization_profile",
+    "localization_profile",
     "SweepResult", "gp_limit_sweep", "prepare_pipeline", "solve_instance",
 ]

@@ -342,13 +342,15 @@ class FockBasis:
     odd occupation; a sector keeps the states of one code in the same
     order, and ``ranks`` holds their ranks in the full space.  Both are
     enumerated by ``_sector_states``: the full space is the sector of
-    code 0 when every mode code is 0.
+    code 0 when every mode code is 0.  ``rank_table`` holds F_j(r), the
+    table that enumeration ranked the states with.
     """
 
     N: int
     M: int
     occupations: np.ndarray         # (size, M) int64
     ranks: np.ndarray               # (size,) full-space ranks, increasing
+    rank_table: np.ndarray          # (M, N + 1) int64, F[j, r] = F_j(r)
     mode_codes: np.ndarray          # (M,) int64 per-mode parity codes
     code: int = 0                   # the sector's parity code
 
@@ -359,15 +361,6 @@ class FockBasis:
     @property
     def full_size(self) -> int:
         return comb(self.N + self.M - 1, self.N)
-
-    @cached_property
-    def _rank_table(self) -> np.ndarray:
-        return _rank_table(self.N, self.M)
-
-    def rank(self, occ: np.ndarray) -> np.ndarray:
-        """Full-space indices of occupation rows (vectorized)."""
-        rem = self.N - np.cumsum(np.atleast_2d(occ), axis=1)
-        return self._rank_table[np.arange(self.M), rem].sum(axis=1)
 
     def pair_sources(self, occ: np.ndarray, ranks: np.ndarray, k: np.ndarray,
                      l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,7 +376,7 @@ class FockBasis:
         rank_{N-2}(s) + sum_{j<k} [F_j(rem_j + 2) - F_j(rem_j)]
         + sum_{k<=j<l} [F_j(rem_j + 1) - F_j(rem_j)].
         """
-        F, j = self._rank_table, np.arange(self.M)
+        F, j = self.rank_table, np.arange(self.M)
         rem = self.N - 2 - np.cumsum(occ, axis=1)
         # column m: the sum over j < m of the rank steps for two and for one added bosons
         two, one = (np.cumsum(np.pad(F[j, rem + n] - F[j, rem], ((0, 0), (1, 0))), axis=1)
@@ -403,8 +396,10 @@ class FockBasis:
                 f"occupation basis has {size} states, above the cap {dimension_cap}")
         codes = np.zeros(M, dtype=np.int64) if mode_codes is None else np.asarray(mode_codes)
         code = int(codes[0] * (N % 2))
-        occ, ranks = _sector_states(N, M, codes, code)
-        return cls(N=N, M=M, occupations=occ, ranks=ranks, mode_codes=codes, code=code)
+        F = _rank_table(N, M)
+        occ, ranks = _sector_states(F, codes, code)
+        return cls(N=N, M=M, occupations=occ, ranks=ranks, rank_table=F, mode_codes=codes,
+                   code=code)
 
 
 def _rank_table(N: int, M: int) -> np.ndarray:
@@ -416,9 +411,10 @@ def _rank_table(N: int, M: int) -> np.ndarray:
     return F
 
 
-def _sector_states(N: int, M: int, mode_codes: np.ndarray, code: int):
+def _sector_states(F: np.ndarray, mode_codes: np.ndarray, code: int):
     """Occupations and full-space ranks of the N-boson states of parity
-    ``code``, in basis order, without enumerating the other sectors.
+    ``code`` among M modes, in basis order, without enumerating the other
+    sectors; F = ``_rank_table(N, M)``.
 
     Modes are filled in order, each partial state taking n_j = rem, rem - 1,
     ..., 0 bosons in turn (the basis order).  A partial state is kept only
@@ -427,7 +423,7 @@ def _sector_states(N: int, M: int, mode_codes: np.ndarray, code: int):
     Each state's rank accumulates F_j(rem_j) on the way; its occupations
     are read back through the parent links.
     """
-    F = _rank_table(N, M)
+    M, N = F.shape[0], F.shape[1] - 1
     codes = np.arange(1 << int(mode_codes.max()).bit_length())
     reach = np.zeros((M + 1, N + 1, len(codes)), dtype=bool)
     reach[M, 0, 0] = True

@@ -85,8 +85,7 @@ class PairClass:
 
 
 class PairOpHamiltonian:
-    """Matrix-free H over a FockBasis (all of it or one parity sector);
-    also serves expectation values."""
+    """Matrix-free H over a FockBasis (all of it or one parity sector)."""
 
     def __init__(self, basis: ModeBasis, tensor: InteractionTensor, fock: FockBasis):
         if tensor.M != basis.size or fock.M != basis.size:
@@ -133,9 +132,6 @@ class PairOpHamiltonian:
             w *= data
             y += np.bincount(cols, weights=w, minlength=self.size)
         return y
-
-    def expectation(self, x: np.ndarray) -> float:
-        return float(x @ self.matvec(x))
 
     def pair_amplitudes(self, x: np.ndarray) -> list[tuple[PairClass, np.ndarray]]:
         """(cls, W) per pair class: W[r, j] = (a_k a_l x) at the class's

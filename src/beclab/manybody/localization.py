@@ -39,10 +39,6 @@ class LocalizationProfile:
     seed: int
     excluded_points: int
 
-    @property
-    def not_applicable(self) -> bool:
-        return self.fractions is None
-
 
 def _pair_amplitude_matrix(ham: PairOpHamiltonian, x: np.ndarray) -> np.ndarray:
     """Symmetric C with Psi(r1, r2) = sum_ij C_ij mode_i(r1) mode_j(r2) for

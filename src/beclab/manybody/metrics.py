@@ -149,19 +149,6 @@ def _axis_weights(k_axes):
     return [trapezoid_weights(len(k), k[1] - k[0]) for k in k_axes]
 
 
-def momentum_distribution(ground: ManyBodyGround, k_axes=None):
-    """Momentum density per particle on the lattice, rho(k)/N, over ``ground.ham.basis``.
-
-    Normalized so that the lattice quadrature of the result is 1 up to
-    truncation of the lattice; the coverage (that quadrature) is returned
-    alongside and a value below 0.999 flags an insufficient lattice.
-    """
-    if k_axes is None:
-        k_axes = default_momentum_axes(ground.ham.basis)
-    rho = momentum_density(ground.ham.basis, k_axes)(ground.gamma / ground.N)
-    return rho, _lattice_sum(rho, _axis_weights(k_axes))
-
-
 def condensate_metrics(ground: ManyBodyGround, reference: tuple[np.ndarray, float],
                        k_axes=None) -> CondensateReport:
     """Every scalar the condensation statements speak about, in one pass.

@@ -127,10 +127,6 @@ class InteractionTensor:
         """(members, block) per class; each block is a view into ``blocks``."""
         return _views(self.classes, self.blocks)
 
-    def __getitem__(self, ijkl) -> float:
-        i, j, k, l = ijkl
-        return float(self.layout.read(self.blocks, self.pair_index[i, k], self.pair_index[j, l]))
-
     def symmetry_error(self) -> float:
         scale = max(float(np.abs(self.blocks).max()), 1e-300)
         return max(float(np.abs(b - b.T).max()) for _, b in self.class_blocks()) / scale

@@ -309,7 +309,8 @@ class TrapSpec:
     def axis_potential(self, ax: int, x) -> np.ndarray:
         """The potential's term along axis ``ax`` at coordinates ``x``: k x^2
         for the harmonic kind, zero inside the box.  A tabulated trap has no
-        such terms."""
+        such terms.  Sampling (``sample_axes``), ``check_scale`` and the mode
+        basis's potential matrix and energy check all read V through it."""
         if self.kind == "harmonic":
             return self.stiffness[ax] * x**2
         if self.kind == "box":
@@ -362,19 +363,6 @@ def multilinear_interpolate(table_grid: Grid, table: np.ndarray, axes,
         frac = frac.reshape((-1,) + (1,) * (out.ndim - 1 - ax))
         out = np.take(out, i0, axis=ax) * (1.0 - frac) + np.take(out, i0 + 1, axis=ax) * frac
     return out
-
-
-def evaluate_trap(trap: TrapSpec, point) -> float:
-    """V(r) at a single point; the box kind signals its wall with +inf."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != (trap.dimension,):
-        raise InvalidParameterError(f"point must have dimension {trap.dimension}")
-    if trap.kind == "tabulated":
-        return float(multilinear_interpolate(trap.table_grid, trap._table, point[:, None],
-                                             field="trap").item())
-    if trap.kind == "box" and not all(0.0 < x < trap.side for x in point):
-        return math.inf
-    return float(sum(trap.axis_potential(ax, x) for ax, x in enumerate(point)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +453,6 @@ class PairPotential:
         if self.shape == "soft_sphere":
             return np.where(r < self.radius, self.height, 0.0)
         return np.interp(r, self.r_table, self.v_table, left=self.v_table[0], right=0.0)
-
-    def integral(self) -> float:
-        """int v d^3r, the leading contact-limit strength."""
-        if self.shape == "hard_sphere":
-            raise InvalidParameterError("hard sphere potential is not integrable")
-        if self.shape == "soft_sphere":
-            return float(self.height * 4 * np.pi * self.radius**3 / 3)
-        r = np.linspace(0.0, self.range, 20001)
-        return float(4 * np.pi * np.trapezoid(self.evaluate(r) * r**2, r))
 
     def fourier_radial(self, q) -> np.ndarray:
         """Exact transform vhat(q) = int v(r) exp(-iq.r) d^3r.

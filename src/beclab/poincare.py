@@ -114,15 +114,23 @@ class Region:
             out.append((stride, *idx))
         return tuple(out)
 
+    @staticmethod
+    def bounding_grid(kind: str, size, points: int, dimension: int = 3) -> Grid:
+        """The grid of ``box`` (side ``size``, one or one per axis, from the
+        origin) or of ``ball`` (radius ``size``, centred on the origin)."""
+        if kind == "ball":
+            return Grid.centered((2.0 * size,) * dimension, (int(points),) * dimension)
+        sides = np.broadcast_to(np.atleast_1d(np.asarray(size, dtype=float)), (dimension,))
+        return Grid((0.0,) * dimension, tuple(sides), (int(points),) * dimension)
+
     @classmethod
     def box(cls, side, points: int, dimension: int = 3) -> "Region":
-        sides = np.broadcast_to(np.atleast_1d(np.asarray(side, dtype=float)), (dimension,))
-        grid = Grid((0.0,) * dimension, tuple(sides), (int(points),) * dimension)
+        grid = cls.bounding_grid("box", side, points, dimension)
         return cls(grid=grid, mask=np.ones(grid.shape, dtype=bool), kind="box")
 
     @classmethod
     def ball(cls, radius: float, points: int, dimension: int = 3) -> "Region":
-        grid = Grid.centered((2.0 * radius,) * dimension, (int(points),) * dimension)
+        grid = cls.bounding_grid("ball", radius, points, dimension)
         rr = reduce(np.add.outer, [x**2 for x in grid.axes])
         return cls(grid=grid, mask=rr <= radius**2 * (1 + 1e-12), kind="ball")
 

@@ -69,6 +69,13 @@ def literal_pair_amplitudes(x, N2_states):
     return C
 
 
+def rank(fock, occ):
+    """Full-space indices of occupation rows: sum_j F_j(rem_j) read off
+    ``fock.rank_table`` (the additive rank of ``FockBasis``)."""
+    rem = fock.N - np.cumsum(np.atleast_2d(occ), axis=1)
+    return fock.rank_table[np.arange(fock.M), rem].sum(axis=1)
+
+
 def annihilator(fock):
     """The one-boson map a: N -> N-1 of ``fock`` as a gather over D_{N-1} M rows.
 
@@ -82,7 +89,7 @@ def annihilator(fock):
     from mode i lowers rem_j by one for j < i only, so
     rank_{N-1}(n - e_i) = rank_N(n) - sum_{j<i} [F_j(rem_j) - F_j(rem_j - 1)].
     """
-    M, occ, F = fock.M, fock.occupations, fock._rank_table
+    M, occ, F = fock.M, fock.occupations, fock.rank_table
     rows = comb(fock.N + M - 2, fock.N - 1) * M if fock.N else 0
     indices = np.full(rows, -1, dtype=np.int64)
     data = np.zeros(rows)
@@ -122,7 +129,8 @@ def sector(fock, mode_codes, code):
         parity ^= (fock.occupations[:, i] & 1) * mode_codes[i]
     keep = parity == code
     return FockBasis(N=fock.N, M=fock.M, occupations=fock.occupations[keep],
-                     ranks=fock.ranks[keep], mode_codes=np.asarray(mode_codes), code=int(code))
+                     ranks=fock.ranks[keep], rank_table=fock.rank_table,
+                     mode_codes=np.asarray(mode_codes), code=int(code))
 
 
 def composed_pair_map(fock, pairs):
@@ -148,6 +156,12 @@ def composed_pair_map(fock, pairs):
         cols.append(indices[row].ravel())
         amps.append((inner_data[r, k] * data[row]).ravel())
     return np.concatenate(cols), np.concatenate(amps)
+
+
+def tensor_entry(tensor, i, j, k, l):
+    """V[i, j, k, l] = B[p(i, k), p(j, l)], read from the tensor's class blocks."""
+    pi = tensor.pair_index
+    return float(tensor.layout.read(tensor.blocks, pi[i, k], pi[j, l]))
 
 
 def dense_hamiltonian(basis, tensor, N):
@@ -182,7 +196,8 @@ def dense_hamiltonian(basis, tensor, N):
                         amp4 = np.sqrt(s2[i] + 1)
                         s2[i] += 1
                         H[index[tuple(s2)], si] += (
-                            0.5 * tensor[i, j, k, l] * amp1 * amp2 * amp3 * amp4)
+                            0.5 * tensor_entry(tensor, i, j, k, l)
+                            * amp1 * amp2 * amp3 * amp4)
     return H, states, index
 
 
@@ -280,6 +295,23 @@ def sampled_pair_matrix(basis, potential):
             f"potential range {potential.range:.3g} below two grid spacings "
             f"({2 * max(h):.3g}); the sampled kernel misses it")
     return dense_pair_matrix(basis, potential, sampled=True)
+
+
+def gp_energy_components(state):
+    """(kinetic, potential, interaction) of a mean-field state recomputed from
+    its stored phi on the full interior (no mirror sector)."""
+    from beclab.errors import InvalidParameterError
+    from beclab.gp import _Workspace
+
+    if state.norm_error() > 1e-8:
+        raise InvalidParameterError("state is not normalized")
+    ws = _Workspace(state.trap, state.grid)
+    p = state.phi[tuple(slice(1, -1) for _ in state.grid.points)]
+    b = ws.coefficients(p)
+    kinetic = ws.kinetic(b)
+    potential = ws.hd * float(np.sum(ws.V * p * p))
+    interaction = state.g * ws.hd * float(np.sum(p**4))
+    return kinetic, potential, interaction
 
 
 def rayleigh_quotient_3d(trap, grid, mode):

@@ -351,6 +351,7 @@ def test_tabulated_values_may_be_nested():
 def test_manybody_without_scattering_length_exits_2(tmp_path, capsys):
     cfg = small_manybody_config(a=0.01)
     cfg["problem"]["pair_potential"]["height"] = 0.0
+    del cfg["solver"]["g"]
     p = write_config(tmp_path, cfg)
     assert main(["manybody", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "positive scattering length" in capsys.readouterr().err
@@ -678,6 +679,23 @@ def test_gp_run_holds_two_grids_at_most():
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * 8 * 64**3, peak / (8 * 64**3)
+
+
+@pytest.mark.parametrize("experiment, solver, field", [
+    # the given g used to win in gp and lose to a in manybody (g = 7.54 here)
+    ("manybody", {"g": 123.0, "a": 0.3}, "solver.a"),
+    ("gp", {"g": 10.0, "N": 5, "a": 0.9}, "solver.N"),
+    ("gp", {"g": 10.0, "a": 0.9}, "solver.a"),
+], ids=str)
+def test_coupling_with_its_inputs_exits_2_before_out_dir(tmp_path, capsys, experiment, solver,
+                                                         field):
+    cfg = SMALL_CONFIGS[experiment]()
+    cfg["solver"].update(solver)
+    p = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main([experiment, "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment, solver, field", [

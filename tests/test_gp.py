@@ -10,7 +10,7 @@ from beclab.errors import (DomainTooSmallError, InvalidParameterError, OutOfDoma
                            SolverFailureError)
 from beclab.model import axis_apply
 
-from .oracles import tensor_apply, unfold_axis_by_axis
+from .oracles import gp_energy_components, tensor_apply, unfold_axis_by_axis
 
 GRID32 = bl.Grid.centered((14.0,) * 3, (32,) * 3)
 GRID48 = bl.Grid.centered((14.0,) * 3, (48,) * 3)
@@ -65,15 +65,6 @@ def test_virial_identity(g1_state):
     assert abs(vir) <= 5e-3 * st.energy_total
 
 
-def test_uniqueness_probe(trap):
-    rng = np.random.default_rng(3)
-    bump = 1.0 + 0.3 * rng.random(tuple(n - 2 for n in GRID32.points))
-    st1 = bl.minimize_gp(trap, 2.0, GRID32, tol=1e-10)
-    st2 = bl.minimize_gp(trap, 2.0, GRID32, tol=1e-10, initial=bump)
-    diff = st1.grid.integrate((st1.phi - st2.phi) ** 2) ** 0.5
-    assert diff < 1e-6
-
-
 def test_grid_refinement_convergence(trap):
     coarse = bl.minimize_gp(trap, 1.0, GRID32)
     fine = bl.minimize_gp(trap, 1.0, bl.Grid.centered((14.0,) * 3, (64,) * 3))
@@ -123,7 +114,7 @@ def test_tabulated_isotropic_matches_harmonic(trap):
 
 
 def test_components_recompute(g1_state):
-    k, p, i = bl.gp_energy_components(g1_state)
+    k, p, i = gp_energy_components(g1_state)
     assert k == pytest.approx(g1_state.energy_kinetic, rel=1e-12)
     assert p == pytest.approx(g1_state.energy_potential, rel=1e-12)
     assert i == pytest.approx(g1_state.energy_interaction, rel=1e-12)
@@ -266,7 +257,7 @@ def test_axis_apply_refuses_an_out_it_cannot_fill():
             axis_apply(arr, mats, out=bad)
 
 
-def _solve(monkeypatch, trap_, g, grid, full=False, **kw):
+def _solve(monkeypatch, trap_, g, grid, full=False):
     """minimize_gp plus whether it ran on the mirror-even sector; ``full``
     forces the full-grid route."""
     made = []
@@ -278,7 +269,7 @@ def _solve(monkeypatch, trap_, g, grid, full=False, **kw):
 
     with monkeypatch.context() as m:
         m.setattr(gp, "_Workspace", spy)
-        state = bl.minimize_gp(trap_, g, grid, **kw)
+        state = bl.minimize_gp(trap_, g, grid)
     return state, made[0].sector
 
 
@@ -309,28 +300,18 @@ def test_sector_solve_matches_full_solve(monkeypatch, trap_, g, grid):
         assert not np.take(sector.phi, [0, -1], axis=ax).any()
 
 
-@pytest.mark.parametrize("case", ["offcentre_table", "odd_m", "uneven_initial"])
+@pytest.mark.parametrize("case", ["offcentre_table", "odd_m"])
 def test_full_route_when_the_sector_does_not_apply(monkeypatch, trap, case):
-    grid, trap_, kw = GRID32, trap, {}
+    grid, trap_ = GRID32, trap
     if case == "offcentre_table":
         trap_ = _offcentre_table(GRID32)
-    elif case == "odd_m":
-        grid = bl.Grid.centered((14.0,) * 3, (33,) * 3)
     else:
-        rng = np.random.default_rng(3)
-        kw["initial"] = 1.0 + 0.3 * rng.random(tuple(n - 2 for n in grid.points))
-    state, on_sector = _solve(monkeypatch, trap_, 2.0, grid, **kw)
+        grid = bl.Grid.centered((14.0,) * 3, (33,) * 3)
+    state, on_sector = _solve(monkeypatch, trap_, 2.0, grid)
     assert not on_sector
     assert state.residual <= 1e-8 and state.norm_error() < 1e-10
     components = (state.energy_kinetic, state.energy_potential, state.energy_interaction)
-    assert bl.gp_energy_components(state) == pytest.approx(components, rel=1e-12)
-
-
-def test_even_initial_keeps_the_sector(monkeypatch, trap):
-    mesh = GRID32.meshgrid()
-    start = np.exp(-sum(x**2 for x in mesh) / 3.0)
-    state, on_sector = _solve(monkeypatch, trap, 2.0, GRID32, initial=start)
-    assert on_sector and state.residual <= 1e-8
+    assert gp_energy_components(state) == pytest.approx(components, rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [2, 30, 46, 94])

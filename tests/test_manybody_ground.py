@@ -10,7 +10,7 @@ import pytest
 import beclab as bl
 from beclab.manybody import (ManyBodyGround, build_mode_basis, condensate_metrics,
                              ground_state, hartree_energy, localization_profile,
-                             momentum_distribution, solve_instance)
+                             solve_instance)
 from beclab.manybody.basis import FockBasis
 from beclab.manybody.ground import PairOpHamiltonian, _lanczos, pair_moment
 from beclab.manybody.localization import _pair_amplitude_matrix
@@ -103,7 +103,7 @@ def test_energy_below_random_rayleigh_quotients(basis_q2, soft_tensor_q2):
     for _ in range(5):
         x = rng.standard_normal(fock.size)
         x /= np.linalg.norm(x)
-        assert gr.energy <= ham.expectation(x) + 1e-10
+        assert gr.energy <= x @ ham.matvec(x) + 1e-10
 
 
 def test_hartree_bound_and_pair_moment(basis_q2, soft_tensor_q2):
@@ -225,7 +225,7 @@ def test_one_state_space_solves_by_lanczos(monkeypatch, N):
     gr = ground_state(basis, interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1)), N)
     x = np.ones(1)
     assert gr.ham.size == 1 and checked == [N]
-    assert gr.energy == gr.ham.expectation(x) and gr.residual == 0.0
+    assert gr.energy == x @ gr.ham.matvec(x) and gr.residual == 0.0
     assert np.array_equal(gr.coefficients, x)
     assert np.array_equal(gr.gamma, gr.ham.one_body_matrix(x))
 
@@ -418,11 +418,23 @@ def test_pair_amplitude_matrix_matches_the_full_space_route(space, basis_q2, sof
         assert np.array_equal(C, C.T)
 
 
+def test_one_rank_table_per_space_in_a_solve(monkeypatch, basis_q2, soft_tensor_q2):
+    # the N- and (N-2)-particle spaces each rank their states with one table,
+    # and the pair map reads the N-particle space's table again
+    from beclab.manybody import basis as basis_module
+
+    calls = []
+    table = basis_module._rank_table
+    monkeypatch.setattr(basis_module, "_rank_table",
+                        lambda N, M: calls.append((N, M)) or table(N, M))
+    ground_state(basis_q2, soft_tensor_q2, 4)
+    assert calls == [(4, basis_q2.size), (2, basis_q2.size)]
+
+
 def test_readers_take_the_solve_from_the_ground_state(basis_q2, soft_tensor_q2):
     # the modes, the tensor and N of a solve live on ground.ham, and nothing
     # downstream takes them again
-    for reader in (condensate_metrics, momentum_distribution, localization_profile,
-                   hartree_energy):
+    for reader in (condensate_metrics, localization_profile, hartree_energy):
         assert not {"basis", "tensor", "N"} & set(inspect.signature(reader).parameters)
     assert not {"a", "g"} & set(inspect.signature(ground_state).parameters)
     assert "g" not in inspect.signature(solve_instance).parameters

@@ -16,11 +16,10 @@ import beclab as bl
 from beclab.errors import (BasisInsufficientError, ConfigError, ResolutionError,
                            SolverFailureError)
 from beclab.manybody import (CondensateReport, build_mode_basis, condensate_metrics,
-                             expand_reference, ground_state,
-                             localization_profile, momentum_distribution)
+                             expand_reference, ground_state, localization_profile)
 from beclab.manybody import localization, metrics
 from beclab.manybody.localization import _ball_box, _scrambled_sobol
-from beclab.manybody.metrics import _K_POINTS, default_momentum_axes
+from beclab.manybody.metrics import _K_POINTS, default_momentum_axes, momentum_density
 from beclab.manybody.tensor import interaction_tensor
 
 from .oracles import (analytic_mode_transforms, materialized_localization,
@@ -85,7 +84,9 @@ def test_weak_coupling_metrics_regression(basis_q2, interacting, analytic_refere
 def test_momentum_distribution_noninteracting(basis_q2, zero_tensor):
     gr = ground_state(basis_q2, zero_tensor, 2)
     k_axes = default_momentum_axes(basis_q2)
-    rho, coverage = momentum_distribution(gr, k_axes)
+    rho = momentum_density(basis_q2, k_axes)(gr.gamma / gr.N)
+    c = np.eye(basis_q2.size)[0]
+    coverage = condensate_metrics(gr, (c, 1.0), k_axes=k_axes).momentum_coverage
     assert coverage == pytest.approx(1.0, abs=1e-6)
     assert rho.min() >= -1e-10
     center = tuple(len(k) // 2 for k in k_axes)
@@ -99,7 +100,7 @@ def test_momentum_distribution_noninteracting(basis_q2, zero_tensor):
 
 def test_momentum_parity_symmetry(basis_q2, interacting):
     gr = interacting
-    rho, _ = momentum_distribution(gr)
+    rho = momentum_density(basis_q2, default_momentum_axes(basis_q2))(gr.gamma / gr.N)
     np.testing.assert_allclose(rho, rho[::-1, ::-1, ::-1], atol=1e-10)
 
 
@@ -135,16 +136,16 @@ def test_localization_noninteracting_not_applicable(basis_q2, zero_tensor,
     gr = ground_state(basis_q2, zero_tensor, 2)
     prof = localization_profile(gr, analytic_reference, radii=(0.5, 1.0, 2.0), samples=8,
                                 seed=1)
-    assert prof.not_applicable
+    assert prof.fractions is None
     empty = localization_profile(gr, analytic_reference, radii=(1.0,), samples=0)
-    assert empty.not_applicable and empty.total_energy == 0.0
+    assert empty.fractions is None and empty.total_energy == 0.0
 
 
 def test_localization_monotone_fractions(basis_q2, interacting):
     gr = interacting
     gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
     prof = localization_profile(gr, gp, radii=(0.5, 1.0, 2.0, 4.0), samples=16, seed=5)
-    assert not prof.not_applicable
+    assert prof.fractions is not None
     fr = prof.fractions
     assert all(fr[i] <= fr[i + 1] + 1e-12 for i in range(len(fr) - 1))
     assert 0.0 <= fr[0] and fr[-1] <= 1.0 + 1e-12
@@ -204,7 +205,7 @@ def test_threaded_profile_equals_one_worker(monkeypatch, interacting, samples, w
         assert time.perf_counter() - start < 60.0
     finally:
         sys.setswitchinterval(interval)
-    assert threaded == serial and not serial.not_applicable
+    assert threaded == serial and serial.fractions is not None
 
 
 def test_localization_memory_stays_flat_across_calls(monkeypatch, interacting):
@@ -314,10 +315,9 @@ def test_factored_momentum_metrics_match_materialized_transforms(kind, basis_q2,
     l1, coverage = materialized_momentum_metrics(gr.gamma / gr.N, c, transforms, k_axes)
     assert rep.momentum_l1 == pytest.approx(l1, rel=1e-13)
     assert rep.momentum_coverage == pytest.approx(coverage, rel=1e-13)
-    rho, cov = momentum_distribution(gr, k_axes)
+    rho = momentum_density(basis, k_axes)(gr.gamma / gr.N)
     ref = np.einsum("ij,i...,j...->...", gr.gamma / gr.N, transforms, np.conj(transforms)).real
     assert np.abs(rho - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert cov == pytest.approx(coverage, rel=1e-13)
 
 
 def _shifted(grid):
