@@ -348,7 +348,7 @@ class FockBasis:
 
     N: int
     M: int
-    occupations: np.ndarray         # (size, M) int64
+    occupations: np.ndarray         # (size, M) np.min_scalar_type(N): uint8 for N < 256
     ranks: np.ndarray               # (size,) full-space ranks, increasing
     rank_table: np.ndarray          # (M, N + 1) int64, F[j, r] = F_j(r)
     mode_codes: np.ndarray          # (M,) int64 per-mode parity codes
@@ -369,14 +369,18 @@ class FockBasis:
         both (len(occ), len(k)).
 
         ``occ`` and ``ranks`` are the states' occupations and full-space
-        ranks.  a_k a_l reaches s only from s + e_k + e_l, with amplitude
-        sqrt(s_k + 1) sqrt(s_l + 1 + d_kl), and that state must lie in this
-        basis.  Adding a boson to modes k and l raises rem_j by two for
-        j < k and by one for k <= j < l, so rank_N(s + e_k + e_l) =
+        ranks; ``occ`` may be the table's narrow unsigned type, and only
+        these rows are cast to int64 (n + 1 must not wrap, and the square
+        root of a uint8 is a float16).  a_k a_l reaches s only from
+        s + e_k + e_l, with amplitude sqrt(s_k + 1) sqrt(s_l + 1 + d_kl),
+        and that state must lie in this basis.  Adding a boson to modes k
+        and l raises rem_j by two for j < k and by one for k <= j < l, so
+        rank_N(s + e_k + e_l) =
         rank_{N-2}(s) + sum_{j<k} [F_j(rem_j + 2) - F_j(rem_j)]
         + sum_{k<=j<l} [F_j(rem_j + 1) - F_j(rem_j)].
         """
         F, j = self.rank_table, np.arange(self.M)
+        occ = occ.astype(np.int64)
         rem = self.N - 2 - np.cumsum(occ, axis=1)
         # column m: the sum over j < m of the rank steps for two and for one added bosons
         two, one = (np.cumsum(np.pad(F[j, rem + n] - F[j, rem], ((0, 0), (1, 0))), axis=1)
@@ -421,9 +425,12 @@ def _sector_states(F: np.ndarray, mode_codes: np.ndarray, code: int):
     while the modes after it can still complete ``code`` with the bosons
     left: ``reach[j, r]`` marks the codes that modes j.. give with r bosons.
     Each state's rank accumulates F_j(rem_j) on the way; its occupations
-    are read back through the parent links.
+    are read back through the parent links.  The occupations, and the
+    per-mode counts they are read from, take the smallest unsigned type
+    that holds N (one byte per entry for N < 256).
     """
     M, N = F.shape[0], F.shape[1] - 1
+    dtype = np.min_scalar_type(N)
     codes = np.arange(1 << int(mode_codes.max()).bit_length())
     reach = np.zeros((M + 1, N + 1, len(codes)), dtype=bool)
     reach[M, 0, 0] = True
@@ -450,8 +457,8 @@ def _sector_states(F: np.ndarray, mode_codes: np.ndarray, code: int):
         parent, n, rem, acc = parent[keep], n[keep], r[keep], c[keep]
         rank = rank[parent] + F[j, rem]
         parents.append(parent)
-        counts.append(n)
-    occ = np.empty((len(rem), M), dtype=np.int64)
+        counts.append(n.astype(dtype))
+    occ = np.empty((len(rem), M), dtype=dtype)
     state = np.arange(len(rem))
     for j in range(M - 1, -1, -1):
         occ[:, j] = counts[j][state]

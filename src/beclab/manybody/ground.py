@@ -6,9 +6,11 @@ over the fixed-N occupation basis.  One ladder map serves a solve: the
 pair map A (``FockBasis.pair_sources``, read off the basis's rank table).
 For each unordered mode pair b = (k, l), (A x) collects (a_k a_l x) over
 the (N-2)-particle states, the only other occupation space a solve builds.
-A holds one entry per row, so A x is a gather and A^T w a scatter
-(``np.bincount``) around a dense pair-coefficient multiply; the operator
-is manifestly symmetric and never materialized.  The same amplitudes give
+A holds one entry per row, so A x is a gather and A^T w a scatter around a
+dense pair-coefficient multiply, taken one pair class at a time: the
+scatter adds each class into one accumulator in map order (``np.add.at``),
+the order of a single bincount over the whole map.  The operator is
+manifestly symmetric and never materialized.  The same amplitudes give
 gamma, the pair moment and the N = 2 pair amplitudes.  The lowest
 eigenpair comes from a Lanczos loop with full reorthogonalization (Paige
 1972; Parlett, The Symmetric Eigenvalue Problem, ch. 13).
@@ -93,7 +95,10 @@ class PairOpHamiltonian:
         self.basis = basis
         self.fock = fock
         self.tensor = tensor
-        self.diag = fock.occupations @ basis.energies
+        # column by column: the narrow occupation table is never cast whole
+        self.diag = np.zeros(fock.size)
+        for j, e in enumerate(basis.energies):
+            self.diag += e * fock.occupations[:, j]
         # lower_size: the states of the (N-2)-particle space the pair map reaches
         self.pair_map, self.pair_classes, self.lower_size = (
             self._build_pair_map() if fock.N >= 2 else (None, (), 0))
@@ -105,32 +110,41 @@ class PairOpHamiltonian:
         fock, pairs = self.fock, self.tensor.pairs
         lower = FockBasis.build(fock.N - 2, fock.M, dimension_cap=fock.full_size)
         parity = np.bitwise_xor.reduce((lower.occupations & 1) * fock.mode_codes, axis=1)
-        cols, amps, classes, start = [], [], [], 0
-        for code, members in pair_classes(fock.mode_codes, pairs):
-            rows = np.flatnonzero(parity == fock.code ^ code)
+        groups = [(members, np.flatnonzero(parity == fock.code ^ code))
+                  for code, members in pair_classes(fock.mode_codes, pairs)]
+        # the map is allocated once at its full size and filled class by class
+        total = sum(len(rows) * len(members) for members, rows in groups)
+        cols, amps = np.empty(total, dtype=np.int64), np.empty(total)
+        classes, start = [], 0
+        for members, rows in groups:
+            span = slice(start, start + len(rows) * len(members))
             k, l = pairs[members].T
             col, amp = fock.pair_sources(lower.occupations[rows], lower.ranks[rows], k, l)
-            cols.append(col.ravel())
-            amps.append(amp.ravel())
-            classes.append(PairClass(slice(start, start + col.size), members, lower.ranks[rows],
+            cols[span], amps[span] = col.ravel(), amp.ravel()
+            classes.append(PairClass(span, members, lower.ranks[rows],
                                      self.tensor.fold_hamiltonian_pairs(members)))
-            start += col.size
-        return (np.concatenate(cols), np.concatenate(amps)), tuple(classes), lower.size
+            start = span.stop
+        return (cols, amps), tuple(classes), lower.size
 
     @property
     def size(self) -> int:
         return self.fock.size
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        # the class folds already carry the 1/2 of the normal-ordered pair term
+        # the class folds already carry the 1/2 of the normal-ordered pair
+        # term.  One class at a time, so no array spans the whole map; one
+        # accumulator keeps the map's order of additions (a bincount per
+        # class would regroup them)
         y = self.diag * x
         if self.pair_map is not None:
             cols, data = self.pair_map
-            w = data * x[cols]
+            acc = np.zeros(self.size)
             for cls in self.pair_classes:
-                w[cls.span] = (w[cls.span].reshape(-1, len(cls.pairs)) @ cls.fold).ravel()
-            w *= data
-            y += np.bincount(cols, weights=w, minlength=self.size)
+                col, d = cols[cls.span], data[cls.span]
+                w = ((d * x[col]).reshape(-1, len(cls.pairs)) @ cls.fold).ravel()
+                w *= d
+                np.add.at(acc, col, w)
+            y += acc
         return y
 
     def pair_amplitudes(self, x: np.ndarray) -> list[tuple[PairClass, np.ndarray]]:

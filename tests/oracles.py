@@ -99,7 +99,7 @@ def annihilator(fock):
         src = np.nonzero(occ[:, i])[0]
         row = target[src] * M + i
         indices[row] = src
-        data[row] = np.sqrt(occ[src, i])
+        data[row] = np.sqrt(occ[src, i].astype(float))   # not float16 on a uint8 table
         rem -= occ[:, i]
         target -= F[i, rem] - F[i, np.maximum(rem - 1, 0)]
     return indices, data
@@ -169,7 +169,7 @@ def dense_hamiltonian(basis, tensor, N):
     from beclab.manybody.basis import FockBasis
 
     fock = FockBasis.build(N, basis.size, dimension_cap=10**9)
-    states = [tuple(s) for s in fock.occupations]
+    states = [tuple(s) for s in fock.occupations.tolist()]   # Python ints, not uint8
     index = {s: i for i, s in enumerate(states)}
     M = basis.size
     eps = basis.energies

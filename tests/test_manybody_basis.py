@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,3 +234,28 @@ def test_ladder_targets_and_rank_match_dict_oracle(N, M):
 def test_annihilator_of_the_vacuum_is_empty():
     indices, data = annihilator(FockBasis.build(0, 4))
     assert indices.shape == data.shape == (0,)
+
+
+@pytest.mark.parametrize("N,M", [(255, 2), (256, 2), (70_000, 1)])
+def test_narrow_occupation_table_and_pair_sources(N, M):
+    # the table takes the smallest unsigned type that holds N: uint8 at 255,
+    # uint16 at 256 (whose (N-2)-particle table is uint8, where 254 + 2
+    # wraps), uint32 at 70,000 with one mode.  The pair map's amplitudes
+    # are float64 and match Python-int arithmetic, and each source state
+    # is s + e_k + e_l
+    fock = FockBasis.build(N, M)
+    lower = FockBasis.build(N - 2, M)
+    assert fock.occupations.dtype == np.min_scalar_type(N)
+    assert lower.occupations.dtype == np.min_scalar_type(N - 2)
+    k, l = np.triu_indices(M)
+    cols, amps = fock.pair_sources(lower.occupations, lower.ranks, k, l)
+    assert amps.dtype == np.float64
+    states = lower.occupations.tolist()
+    want = [[math.sqrt((s[a] + 1) * (s[b] + 1 + (a == b))) for a, b in zip(k, l)]
+            for s in states]
+    np.testing.assert_allclose(amps, want, rtol=1e-15, atol=0)
+    sources = fock.occupations[cols].astype(np.int64)
+    added = np.zeros((len(k), M), dtype=np.int64)
+    np.add.at(added, (np.arange(len(k)), k), 1)
+    np.add.at(added, (np.arange(len(k)), l), 1)
+    np.testing.assert_array_equal(sources, np.array(states)[:, None, :] + added)

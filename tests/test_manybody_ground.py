@@ -1,6 +1,6 @@
 import inspect
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import cached_property
 from math import comb
 
@@ -443,3 +443,97 @@ def test_readers_take_the_solve_from_the_ground_state(basis_q2, soft_tensor_q2):
     gr = ground_state(basis_q2, soft_tensor_q2, 3)
     assert gr.N == gr.ham.fock.N == 3
     assert gr.ham.basis is basis_q2 and gr.ham.tensor is soft_tensor_q2
+
+
+def _two_mode_basis(basis):
+    # the first two product modes of a basis: energies 3 and 5
+    return replace(basis, energies=basis.energies[:2], quantum_numbers=basis.quantum_numbers[:2],
+                   table_rows=basis.table_rows[:2])
+
+
+@pytest.mark.parametrize("N, quanta", [(255, 1), (256, 1), (70_000, 0)])
+def test_diag_on_a_narrow_occupation_table(N, quanta):
+    # uint8, uint16 and uint32 tables: diag, accumulated by mode column,
+    # equals the float table times the energies (exact integers here)
+    basis = build_mode_basis(TRAP, GRID, quanta)
+    if quanta:
+        basis = _two_mode_basis(basis)
+    tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    for codes in (None, basis.parity_codes):
+        fock = FockBasis.build(N, basis.size, mode_codes=codes)
+        assert fock.occupations.dtype == np.min_scalar_type(N)
+        ham = PairOpHamiltonian(basis, tensor, fock)
+        assert ham.diag.dtype == np.float64
+        assert np.array_equal(ham.diag, fock.occupations.astype(float) @ basis.energies)
+
+
+@pytest.fixture(scope="module")
+def sweep_sector_n6(basis_q3):
+    # the sweep's largest row: N = 6 in the sector of 23,228 of the 177,100
+    # states of M = 20 modes; its pair map has 236,864 entries (3.61 MiB)
+    return FockBasis.build(6, basis_q3.size, mode_codes=basis_q3.parity_codes)
+
+
+def test_occupation_table_holds_one_byte_per_entry(basis_q3, sweep_sector_n6):
+    # the build keeps D M table bytes and 8 D rank bytes: 0.63 MiB measured,
+    # against 3.73 MiB with an int64 table.  The bound allows a second byte
+    # per entry
+    tracemalloc.start()
+    try:
+        fock = FockBasis.build(6, basis_q3.size, mode_codes=basis_q3.parity_codes)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert fock.occupations.itemsize == 1
+    assert np.array_equal(fock.occupations, sweep_sector_n6.occupations)
+    assert held < fock.size * (2 * fock.M + 8)
+
+
+def test_hamiltonian_build_casts_no_table_and_copies_no_pair_map(monkeypatch, sweep_sector_n6,
+                                                                 basis_q3, sweep_tensor_q3):
+    # diag, formed before the pair map, peaks at two D-vectors (0.42 MiB
+    # measured, 3.72 with a float64 copy of the D x M table; the bound is
+    # 0.89).  The map is filled in place: the whole build peaks at 6.77 MiB
+    # measured, 9.16 when the per-class pieces were concatenated, against
+    # the bound of twice the map, 7.23 MiB.  No (D, M) table is kept
+    fock = sweep_sector_n6
+    peaks = []
+    build = PairOpHamiltonian._build_pair_map
+
+    def spy(self):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return build(self)
+
+    monkeypatch.setattr(PairOpHamiltonian, "_build_pair_map", spy)
+    tracemalloc.start()
+    try:
+        ham = PairOpHamiltonian(basis_q3, sweep_tensor_q3, fock)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    cols, amps = ham.pair_map
+    assert peaks[0] < fock.size * fock.M * 8 / 4
+    assert peaks[1] < 2 * (cols.nbytes + amps.nbytes)
+    assert not any(a.ndim == 2 and len(a) == fock.size for a in _held_arrays(ham))
+
+
+def test_matvec_forms_no_array_of_the_pair_map_size(sweep_sector_n6, basis_q3, sweep_tensor_q3):
+    # one class at a time: 1.21 MiB peak measured, against 2.41 MiB when
+    # the products of the whole map were formed at once; the bound is one
+    # float per map entry, 1.81 MiB.  The scatter adds in map order, so the
+    # product is bit for bit that of one bincount over the whole map
+    ham = PairOpHamiltonian(basis_q3, sweep_tensor_q3, sweep_sector_n6)
+    x = _random_unit(np.random.default_rng(6), ham.size)
+    tracemalloc.start()
+    try:
+        y = ham.matvec(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cols, data = ham.pair_map
+    assert peak < cols.size * 8
+    w = data * x[cols]
+    for cls in ham.pair_classes:
+        w[cls.span] = (w[cls.span].reshape(-1, len(cls.pairs)) @ cls.fold).ravel()
+    assert np.array_equal(y, ham.diag * x + np.bincount(cols, weights=w * data,
+                                                        minlength=ham.size))
