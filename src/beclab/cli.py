@@ -169,6 +169,7 @@ def validate(config: dict) -> dict:
     if experiment in ("manybody", "sweep"):
         if problem.trap.dimension != 3:
             raise ConfigError("mode bases are built in 3D only", field="problem.trap")
+        problem.grid.check_equal_spacing("problem.grid")
         N = s["N"] if experiment == "manybody" else max(s["N_list"])
         states = math.comb(N + math.comb(s["max_quanta"] + 3, 3) - 1, N)
         if states > s["dimension_cap"]:
@@ -621,7 +622,8 @@ def _verify_manybody(rep: dict, failures: list):
            "manybody.variational_bound",
            f"{rep['E_qm_per_N']!r} <= {rep['rayleigh_per_N']!r}", failures)
     if rep.get("localization") and rep["localization"]["fractions"] is not None:
-        fr = rep["localization"]["fractions"]
+        loc = rep["localization"]    # the trend runs in the radius, not in config order
+        fr = [f for _, f in sorted(zip(loc["radii"], loc["fractions"]))]
         _check(all(fr[i] <= fr[i + 1] + 1e-12 for i in range(len(fr) - 1)),
                "manybody.localization_monotone", repr(fr), failures)
 

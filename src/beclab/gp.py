@@ -129,14 +129,11 @@ def sine_matrix(m: int) -> np.ndarray:
     return S
 
 
-def dstn(x: np.ndarray, mats=None) -> np.ndarray:
-    """Unnormalized DST-I along every axis, equal to scipy's ``dstn(x, type=1)``.
-
-    ``mats`` replaces the per-axis sine matrices, e.g. by the blocks of the
-    transform that act on the mirror-even sector (``_Workspace``).
+def dstn(x: np.ndarray, mats) -> np.ndarray:
+    """Unnormalized DST-I along every axis through the per-axis matrices
+    ``mats``: the sine matrices give scipy's ``dstn(x, type=1)``, and their
+    blocks that act on the mirror-even sector its restriction (``_Workspace``).
     """
-    if mats is None:
-        mats = [sine_matrix(m) for m in x.shape]
     return axis_apply(x, mats)
 
 
@@ -390,7 +387,7 @@ def unfold(p: np.ndarray, out: np.ndarray, mirror: bool):
         out[block] = p[tuple(slice(None, None, -1) if f else slice(None) for f in flips)]
 
 
-def _boundary_layer_max(interior: np.ndarray, faces=(0, -1)) -> float:
+def _boundary_layer_max(interior: np.ndarray, faces) -> float:
     out = 0.0
     for ax in range(interior.ndim):
         for face in faces:

@@ -4,9 +4,9 @@ Harmonic and box modes are products of per-axis 1D factors, which the
 basis keeps in place of 3D arrays; tabulated modes are numeric 3D
 eigenvectors.  The occupation basis holds every state or one reflection-
 parity sector of them, both from one enumerator (the full space is the
-sector of all-zero mode codes), and its rank table serves the one ladder
-map: the pair map of ``ground``, for H, gamma, the pair moment and the
-N = 2 pair amplitudes.
+sector of all-zero mode codes).  Its rank table serves the one ladder
+map, the pair map of ``ground`` (H, gamma, the pair moment and the N = 2
+pair amplitudes), whose (N-2)-particle states the same enumerator gives.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from ..errors import CapacityError, ConfigError, ResolutionError
 from ..gp import sine_matrix
 from ..model import (FOCK_DIMENSION_CAP, Grid, TrapSpec, axis_apply, check_buffer,
                      mirror_parity)
+
+_GRAM_TOL = 1e-8        # the resolution checks of build_mode_basis
+_ENERGY_CHECK = 0.01
 
 
 def hermite_functions(nmax: int, x: np.ndarray, stiffness: float = 1.0) -> np.ndarray:
@@ -196,15 +199,14 @@ def pair_density(matrix: np.ndarray, tables, rows: np.ndarray) -> np.ndarray:
     return axis_apply(c, [p.T for p in products])
 
 
-def build_mode_basis(trap: TrapSpec, grid: Grid, max_quanta: int = 3,
-                     gram_tol: float = 1e-8, energy_check: float = 0.01) -> ModeBasis:
+def build_mode_basis(trap: TrapSpec, grid: Grid, max_quanta: int = 3) -> ModeBasis:
     """Assemble the truncated orthonormal mode set for the trap.
 
     Harmonic and box traps get analytic eigenfunctions sampled on the
     grid; tabulated traps are diagonalized numerically.  Raises
     ResolutionError when the grid cannot hold the highest mode (quadrature
-    Rayleigh quotient off by more than ``energy_check`` relative, or the
-    Gram matrix off orthonormality by more than ``gram_tol``).
+    Rayleigh quotient off by more than ``_ENERGY_CHECK`` relative, or the
+    Gram matrix off orthonormality by more than ``_GRAM_TOL``).
     """
     if trap.dimension != 3:
         raise ConfigError("mode bases are built in 3D only", field="trap")
@@ -212,17 +214,15 @@ def build_mode_basis(trap: TrapSpec, grid: Grid, max_quanta: int = 3,
     if max_quanta < 0:
         raise ConfigError("max_quanta must be nonnegative", field="max_quanta")
     if trap.kind == "tabulated":
-        return _numeric_mode_basis(trap, grid, max_quanta, gram_tol)
+        return _numeric_mode_basis(trap, grid, max_quanta)
     if trap.kind not in ("harmonic", "box"):
         raise ConfigError(f"unsupported trap kind {trap.kind!r}", field="trap")
-    qns, energies, tables, rows = separable_modes(trap, grid, max_quanta,
-                                                  gram_tol, energy_check)
+    qns, energies, tables, rows = separable_modes(trap, grid, max_quanta)
     return ModeBasis(trap=trap, grid=grid, energies=energies, quantum_numbers=tuple(qns),
                      max_quanta=max_quanta, axis_tables=tables, table_rows=rows)
 
 
-def separable_modes(trap: TrapSpec, grid: Grid, max_quanta: int,
-                    gram_tol: float = 1e-8, energy_check: float = 0.01):
+def separable_modes(trap: TrapSpec, grid: Grid, max_quanta: int):
     """Harmonic or box modes on ``grid``'s axes, without the 3D arrays.
 
     Returns the quantum numbers and energies in mode order, the per-axis
@@ -254,11 +254,11 @@ def separable_modes(trap: TrapSpec, grid: Grid, max_quanta: int,
     energies = np.array([energies[i] for i in order])
     rows = np.array([rows[i] for i in order], dtype=np.int64)
     gram_error = _factored_gram_error(tables, rows, grid)
-    if gram_error > gram_tol:
+    if gram_error > _GRAM_TOL:
         raise ResolutionError(
             f"mode Gram matrix off by {gram_error:.2e}; grid too coarse")
     err = _energy_check_error(trap, grid, tables, rows[-1], energies[-1])
-    if err > energy_check:
+    if err > _ENERGY_CHECK:
         raise ResolutionError(
             f"highest-mode energy off by {err:.2%} on this grid")
     return qns, energies, tables, rows
@@ -286,7 +286,7 @@ def _energy_check_error(trap: TrapSpec, grid: Grid, tables, row, energy: float) 
     return abs(quotient / energy - 1.0)
 
 
-def _numeric_mode_basis(trap, grid, max_quanta, gram_tol):
+def _numeric_mode_basis(trap, grid, max_quanta):
     from scipy.sparse import diags, identity, kron
     from scipy.sparse.linalg import eigsh
 
@@ -318,7 +318,7 @@ def _numeric_mode_basis(trap, grid, max_quanta, gram_tol):
     basis = ModeBasis(trap=trap, grid=grid, energies=vals[order],
                       quantum_numbers=tuple((i, 0, 0) for i in range(count)),
                       max_quanta=max_quanta, numeric_modes=modes)
-    if basis.gram_error > gram_tol:
+    if basis.gram_error > _GRAM_TOL:
         raise ResolutionError(f"numeric modes off orthonormality by {basis.gram_error:.2e}")
     return basis
 
@@ -343,7 +343,8 @@ class FockBasis:
     order, and ``ranks`` holds their ranks in the full space.  Both are
     enumerated by ``_sector_states``: the full space is the sector of
     code 0 when every mode code is 0.  ``rank_table`` holds F_j(r), the
-    table that enumeration ranked the states with.
+    table that enumeration ranked the states with; F_j does not depend on
+    N, so its first N - 1 columns rank the (N-2)-particle states.
     """
 
     N: int
@@ -389,6 +390,11 @@ class FockBasis:
         amps = np.sqrt(occ[:, k] + 1) * np.sqrt(occ[:, l] + 1 + (k == l))
         return np.searchsorted(self.ranks, rank), amps
 
+    def lower_states(self, codes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Occupations, full-space ranks and codes of the (N-2)-particle
+        states whose parity code is in ``codes``, in basis order."""
+        return _sector_states(self.rank_table[:, :self.N - 1], self.mode_codes, codes)
+
     @classmethod
     def build(cls, N: int, M: int, dimension_cap: int = FOCK_DIMENSION_CAP,
               mode_codes: np.ndarray | None = None) -> "FockBasis":
@@ -401,7 +407,7 @@ class FockBasis:
         codes = np.zeros(M, dtype=np.int64) if mode_codes is None else np.asarray(mode_codes)
         code = int(codes[0] * (N % 2))
         F = _rank_table(N, M)
-        occ, ranks = _sector_states(F, codes, code)
+        occ, ranks, _ = _sector_states(F, codes, [code])
         return cls(N=N, M=M, occupations=occ, ranks=ranks, rank_table=F, mode_codes=codes,
                    code=code)
 
@@ -410,24 +416,23 @@ def _rank_table(N: int, M: int) -> np.ndarray:
     # F[j, r]; every entry is at most the basis size, so int64 is exact
     F = np.zeros((M, N + 1), dtype=np.int64)
     for j in range(M - 1):
-        for r in range(1, N + 1):
-            F[j, r] = comb(r + M - j - 2, r - 1)
+        F[j, 1:] = [comb(r + M - j - 2, r - 1) for r in range(1, N + 1)]
     return F
 
 
-def _sector_states(F: np.ndarray, mode_codes: np.ndarray, code: int):
-    """Occupations and full-space ranks of the N-boson states of parity
-    ``code`` among M modes, in basis order, without enumerating the other
-    sectors; F = ``_rank_table(N, M)``.
+def _sector_states(F: np.ndarray, mode_codes: np.ndarray, wanted):
+    """Occupations, full-space ranks and parity codes of the N-boson states
+    among M modes whose code is in ``wanted``, in basis order, without
+    enumerating the other codes; F is ``_rank_table(N, M)`` or its slice.
 
     Modes are filled in order, each partial state taking n_j = rem, rem - 1,
     ..., 0 bosons in turn (the basis order).  A partial state is kept only
-    while the modes after it can still complete ``code`` with the bosons
-    left: ``reach[j, r]`` marks the codes that modes j.. give with r bosons.
-    Each state's rank accumulates F_j(rem_j) on the way; its occupations
-    are read back through the parent links.  The occupations, and the
-    per-mode counts they are read from, take the smallest unsigned type
-    that holds N (one byte per entry for N < 256).
+    while the modes after it can still complete a wanted code with the
+    bosons left: ``reach[j, r]`` marks the codes that modes j.. give with
+    r bosons.  Each state's rank accumulates F_j(rem_j) on the way, and its
+    code those of its odd modes; its occupations are read back through the
+    parent links, in the smallest unsigned type that holds N (as are the
+    per-mode counts they are read from: one byte per entry for N < 256).
     """
     M, N = F.shape[0], F.shape[1] - 1
     dtype = np.min_scalar_type(N)
@@ -442,6 +447,8 @@ def _sector_states(F: np.ndarray, mode_codes: np.ndarray, code: int):
             same[start::2] = np.logical_or.accumulate(same[start::2], axis=0)
         reach[j] = same
         reach[j, 1:] |= same[:-1][:, codes ^ mode_codes[j]]
+    # completes[j, r, c]: modes j.. with r bosons can turn code c into a wanted one
+    completes = np.logical_or.reduce([reach[:, :, codes ^ code] for code in set(wanted)])
 
     rem = np.array([N])
     acc = np.array([0])               # parity code of the modes filled so far
@@ -453,7 +460,7 @@ def _sector_states(F: np.ndarray, mode_codes: np.ndarray, code: int):
         r = np.arange(len(parent)) - np.repeat(np.cumsum(take) - take, take)   # bosons left
         n = rem[parent] - r
         c = acc[parent] ^ (mode_codes[j] * (n % 2))
-        keep = reach[j + 1, r, c ^ code]
+        keep = completes[j + 1, r, c]
         parent, n, rem, acc = parent[keep], n[keep], r[keep], c[keep]
         rank = rank[parent] + F[j, rem]
         parents.append(parent)
@@ -463,4 +470,4 @@ def _sector_states(F: np.ndarray, mode_codes: np.ndarray, code: int):
     for j in range(M - 1, -1, -1):
         occ[:, j] = counts[j][state]
         state = parents[j][state]
-    return occ, rank
+    return occ, rank, acc

@@ -5,11 +5,12 @@ H = sum_i eps_i n_i + (1/2) sum_{ijkl} V[ijkl] a+_i a+_j a_l a_k
 over the fixed-N occupation basis.  One ladder map serves a solve: the
 pair map A (``FockBasis.pair_sources``, read off the basis's rank table).
 For each unordered mode pair b = (k, l), (A x) collects (a_k a_l x) over
-the (N-2)-particle states, the only other occupation space a solve builds.
-A holds one entry per row, so A x is a gather and A^T w a scatter around a
-dense pair-coefficient multiply, taken one pair class at a time: the
-scatter adds each class into one accumulator in map order (``np.add.at``),
-the order of a single bincount over the whole map.  The operator is
+the (N-2)-particle states, enumerated once for every pair class with no
+second space or rank table (``FockBasis.lower_states``).  Each class owns
+its part of A, one entry per row, so A x is a gather and A^T w a scatter
+around a dense pair-coefficient multiply, class by class: the scatter adds
+into one accumulator in class order (``np.add.at``), the order of one
+bincount over the class parts laid end to end.  The operator is
 manifestly symmetric and never materialized.  The same amplitudes give
 gamma, the pair moment and the N = 2 pair amplitudes.  The lowest
 eigenpair comes from a Lanczos loop with full reorthogonalization (Paige
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -78,11 +80,13 @@ class ManyBodyGround:
 
 @dataclass(frozen=True)
 class PairClass:
-    """The pairs of one parity class and the pair-map rows they own."""
+    """The pairs of one parity class and its part of the pair map, whose
+    entry r * len(pairs) + j is a_k a_l for pair j at (N-2)-particle row r."""
 
-    span: slice                     # rows offset + r * len(pairs) + j of the pair map
     pairs: np.ndarray               # pair indices j -> tensor pair
     lower: np.ndarray               # full-space ranks of the (N-2)-particle rows r
+    cols: np.ndarray                # the source state's position in the basis
+    amps: np.ndarray                # the amplitude sqrt(s_k + 1) sqrt(s_l + 1 + d_kl)
     fold: np.ndarray                # the class's diagonal block of the pair fold
 
 
@@ -99,32 +103,25 @@ class PairOpHamiltonian:
         self.diag = np.zeros(fock.size)
         for j, e in enumerate(basis.energies):
             self.diag += e * fock.occupations[:, j]
-        # lower_size: the states of the (N-2)-particle space the pair map reaches
-        self.pair_map, self.pair_classes, self.lower_size = (
-            self._build_pair_map() if fock.N >= 2 else (None, (), 0))
+        # lower_size: the states of the (N-2)-particle space ``lower`` ranks index
+        self.pair_classes = self._build_pair_classes() if fock.N >= 2 else ()
+        self.lower_size = comb(fock.N + fock.M - 3, fock.N - 2) if fock.N >= 2 else 0
 
-    def _build_pair_map(self):
+    def _build_pair_classes(self):
         # (a_k a_l x) for pair j = (k, l) of a class at its (N-2)-particle row
         # r reads one state of ours (FockBasis.pair_sources); the pairs of
         # class c reach the (N-2)-particle states of parity code ours ^ c
         fock, pairs = self.fock, self.tensor.pairs
-        lower = FockBasis.build(fock.N - 2, fock.M, dimension_cap=fock.full_size)
-        parity = np.bitwise_xor.reduce((lower.occupations & 1) * fock.mode_codes, axis=1)
-        groups = [(members, np.flatnonzero(parity == fock.code ^ code))
-                  for code, members in pair_classes(fock.mode_codes, pairs)]
-        # the map is allocated once at its full size and filled class by class
-        total = sum(len(rows) * len(members) for members, rows in groups)
-        cols, amps = np.empty(total, dtype=np.int64), np.empty(total)
-        classes, start = [], 0
-        for members, rows in groups:
-            span = slice(start, start + len(rows) * len(members))
+        groups = pair_classes(fock.mode_codes, pairs)
+        occ, ranks, codes = fock.lower_states([fock.code ^ code for code, _ in groups])
+        classes = []
+        for code, members in groups:
+            rows = np.flatnonzero(codes == fock.code ^ code)
             k, l = pairs[members].T
-            col, amp = fock.pair_sources(lower.occupations[rows], lower.ranks[rows], k, l)
-            cols[span], amps[span] = col.ravel(), amp.ravel()
-            classes.append(PairClass(span, members, lower.ranks[rows],
+            cols, amps = fock.pair_sources(occ[rows], ranks[rows], k, l)
+            classes.append(PairClass(members, ranks[rows], cols.ravel(), amps.ravel(),
                                      self.tensor.fold_hamiltonian_pairs(members)))
-            start = span.stop
-        return (cols, amps), tuple(classes), lower.size
+        return tuple(classes)
 
     @property
     def size(self) -> int:
@@ -135,29 +132,23 @@ class PairOpHamiltonian:
         # term.  One class at a time, so no array spans the whole map; one
         # accumulator keeps the map's order of additions (a bincount per
         # class would regroup them)
-        y = self.diag * x
-        if self.pair_map is not None:
-            cols, data = self.pair_map
-            acc = np.zeros(self.size)
-            for cls in self.pair_classes:
-                col, d = cols[cls.span], data[cls.span]
-                w = ((d * x[col]).reshape(-1, len(cls.pairs)) @ cls.fold).ravel()
-                w *= d
-                np.add.at(acc, col, w)
-            y += acc
-        return y
+        acc = np.zeros(self.size)
+        for cls in self.pair_classes:
+            w = ((cls.amps * x[cls.cols]).reshape(-1, len(cls.pairs)) @ cls.fold).ravel()
+            w *= cls.amps
+            np.add.at(acc, cls.cols, w)
+        return self.diag * x + acc
 
     def pair_amplitudes(self, x: np.ndarray) -> list[tuple[PairClass, np.ndarray]]:
         """(cls, W) per pair class: W[r, j] = (a_k a_l x) at the class's
         (N-2)-particle row r for its pair j = (k, l), shape (rows, pairs)."""
-        cols, data = self.pair_map
-        w = data * x[cols]
-        return [(cls, w[cls.span].reshape(-1, len(cls.pairs))) for cls in self.pair_classes]
+        return [(cls, (cls.amps * x[cls.cols]).reshape(-1, len(cls.pairs)))
+                for cls in self.pair_classes]
 
     def pair_annihilation(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
         """(b b) x for the dressed mode b = sum_i c_i a_i; a vector over the
         full (N-2)-particle basis."""
-        if self.pair_map is None:
+        if not self.pair_classes:
             raise SolverFailureError("pair annihilation needs N >= 2")
         weights = self.tensor.pair_weights(c)
         out = np.zeros(self.lower_size)
@@ -179,7 +170,7 @@ class PairOpHamiltonian:
         the product of the gathered columns of W over every such state.
         For N <= 1, a_i x is the amplitude of e_i.
         """
-        if self.pair_map is None:
+        if not self.pair_classes:
             v = self.fock.occupations.T @ x
             return np.outer(v, v)
         amplitudes = self.pair_amplitudes(x)

@@ -201,17 +201,11 @@ def interaction_tensor(basis: ModeBasis, potential: PairPotential) -> Interactio
         raise ConfigError(
             "hard cores cannot enter a mode expansion; substitute a tall soft sphere",
             field="pair_potential")
-    h = grid.spacing
-    if max(h) - min(h) > 1e-9 * max(h):
-        raise ConfigError("interaction grids must have equal spacing per axis", field="grid")
+    grid.check_equal_spacing("grid")
 
-    M = basis.size
+    M, h = basis.size, grid.spacing
     pairs = _pair_table(M)
     classes = tuple(members for _, members in pair_classes(basis.parity_codes, pairs))
-    if potential.is_zero:
-        return InteractionTensor(M=M, classes=classes,
-                                 blocks=np.zeros(sum(len(m) ** 2 for m in classes)))
-
     pad = np.ceil(potential.range / h[0]) + 2
     if math.prod(n + pad for n in grid.points) > MAX_GRID_NODES:
         raise CapacityError(f"range {potential.range:.3g} pads the grid above the cap of "

@@ -128,6 +128,13 @@ class Grid:
                 raise ConfigError(f"grid {name} {value!r} is not a finite positive float",
                                   field=field)
 
+    def check_equal_spacing(self, field: str):
+        """Refuse a grid whose axes have different spacings: the interaction
+        tensor's transforms take one spacing."""
+        h = self.spacing
+        if max(h) - min(h) > 1e-9 * max(h):
+            raise ConfigError("interaction grids must have equal spacing per axis", field=field)
+
     def integrate(self, values: np.ndarray) -> float:
         return float(np.sum(values * self.weights))
 

@@ -230,6 +230,9 @@ TABLE = {"kind": "tabulated", "lo": [-7, -7, -7], "extent": [14, 14, 14], "point
     ("gp", "problem.grid.extent", [14, -14, 14]),
     ("gp", "problem.grid.points", [32, 3, 32]),
     ("sweep", "solver.gp_grid", {"extent": [14, -14, 14], "points": [32, 32, 32]}),
+    # the interaction tensor takes one spacing on every axis
+    ("manybody", "problem.grid", {"extent": [14.0, 14.0, 14.0], "points": [32, 32, 28]}),
+    ("sweep", "problem.grid", {"extent": [14.0, 14.0, 12.0], "points": [32, 32, 32]}),
     ("scattering", "problem.pair_potential.radius", -1.0),
     ("scattering", "problem.pair_potential.height", -1.0),
     # a missing key, named by its own path
@@ -630,6 +633,26 @@ def test_verify_flags_each_broken_invariant(small_reports, tmp_path, capsys, kin
     capsys.readouterr()
     assert verify([str(bad)]) == 4
     assert f"FAIL {name}:" in capsys.readouterr().out
+
+
+def test_verify_reads_localization_fractions_in_radius_order(small_reports, tmp_path, capsys):
+    # radii given largest first: the report keeps config order, and verify
+    # sorts the fractions by radius before the trend check
+    report = execute(small_manybody_config(localization={"radii": [2.0, 1.0], "samples": 8}),
+                     tmp_path / "o")
+    loc, ascending = json.loads(report.read_text())["localization"], small_reports["manybody"]
+    assert loc["radii"] == ascending["localization"]["radii"][::-1] == [2.0, 1.0]
+    assert loc["fractions"] == ascending["localization"]["fractions"][::-1]
+    assert loc["fractions"][0] > loc["fractions"][1]
+    capsys.readouterr()
+    assert verify([str(report)]) == 0
+    # a fraction that falls as the radius grows still fails in this order
+    rep = json.loads(report.read_text())
+    rep["localization"]["fractions"] = loc["fractions"][::-1]
+    bad = tmp_path / "falling.json"
+    bad.write_text(json.dumps(rep))
+    assert verify([str(bad)]) == 4
+    assert "FAIL manybody.localization_monotone:" in capsys.readouterr().out
 
 
 def test_every_invariant_has_a_tamper_case(small_reports, tmp_path, capsys):
@@ -1312,8 +1335,8 @@ def test_product_basis_run_never_materializes_the_modes(tmp_path, monkeypatch, e
 
 
 def test_manybody_run_with_localization_builds_one_occupation_space(tmp_path, monkeypatch):
-    # the solve's N = 2 space and its 0-particle pair space; localization
-    # reads the solve's pair map and builds none of its own
+    # the solve's N = 2 space only (its pair map enumerates the vacuum with
+    # no FockBasis); localization reads the solve's pair map and builds none
     from beclab.manybody.basis import FockBasis
 
     built, build = [], FockBasis.build.__func__
@@ -1325,5 +1348,5 @@ def test_manybody_run_with_localization_builds_one_occupation_space(tmp_path, mo
     monkeypatch.setattr(FockBasis, "build", classmethod(build_spy))
     report = execute(small_manybody_config(localization={"radii": [1.0, 2.0], "samples": 8}),
                      tmp_path / "o")
-    assert built == [2, 0]
+    assert built == [2]
     assert json.loads(report.read_text())["localization"]["fractions"] is not None

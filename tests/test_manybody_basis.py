@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import beclab as bl
 from beclab.errors import CapacityError, ResolutionError
+from beclab.manybody import basis as basis_module
 from beclab.manybody import build_mode_basis
 from beclab.manybody.basis import (FockBasis, _energy_check_error, _product_modes,
-                                   separable_modes)
+                                   _rank_table, _sector_states, separable_modes)
 
 from .oracles import (annihilator, fock_states, literal_annihilation, rank,
                       rayleigh_quotient_3d, sector)
@@ -148,20 +149,23 @@ def test_resolution_error_on_coarse_grid(trap):
     (bl.TrapSpec.harmonic((1.0, 1.0, 1.0)), bl.Grid.centered((14.0,) * 3, (16,) * 3), 4),
     (bl.TrapSpec.box(1.0, 3), bl.Grid.box(1.0, 24), 3),
 ])
-def test_energy_check_is_the_3d_rayleigh_quotient(trap, grid, max_quanta):
-    # per-axis 1D quotients against the 3D DST-I quotient of the materialized mode
-    _, energies, tables, rows = separable_modes(trap, grid, max_quanta,
-                                                gram_tol=np.inf, energy_check=np.inf)
+def test_energy_check_is_the_3d_rayleigh_quotient(monkeypatch, trap, grid, max_quanta):
+    # per-axis 1D quotients against the 3D DST-I quotient of the materialized
+    # mode, with both checks disarmed
+    monkeypatch.setattr(basis_module, "_GRAM_TOL", np.inf)
+    monkeypatch.setattr(basis_module, "_ENERGY_CHECK", np.inf)
+    _, energies, tables, rows = separable_modes(trap, grid, max_quanta)
     mode = _product_modes(tables, rows[-1:])[0]
     ref = abs(rayleigh_quotient_3d(trap, grid, mode) / energies[-1] - 1.0)
     assert _energy_check_error(trap, grid, tables, rows[-1], energies[-1]) == pytest.approx(
         ref, abs=1e-12)
 
 
-def test_energy_check_fires_on_coarse_grid(trap):
+def test_energy_check_fires_on_coarse_grid(monkeypatch, trap):
     # with the Gram check disarmed, the energy check alone refuses 16^3 at Q = 4
+    monkeypatch.setattr(basis_module, "_GRAM_TOL", np.inf)
     with pytest.raises(ResolutionError, match="highest-mode energy"):
-        separable_modes(trap, bl.Grid.centered((14.0,) * 3, (16,) * 3), 4, gram_tol=np.inf)
+        separable_modes(trap, bl.Grid.centered((14.0,) * 3, (16,) * 3), 4)
 
 
 def test_fock_enumeration_matches_rank():
@@ -197,6 +201,35 @@ def test_sector_enumeration_at_the_sweep_size(basis_q3, N):
     filtered = sector(FockBasis.build(N, basis_q3.size), codes, codes[0] * (N % 2))
     assert np.array_equal(direct.occupations, filtered.occupations)
     assert np.array_equal(direct.ranks, filtered.ranks)
+
+
+@pytest.fixture(scope="module")
+def basis_q4(trap, grid48):
+    return build_mode_basis(trap, grid48, 4)
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("quanta", [3, 4])
+def test_sector_states_of_a_code_set_are_the_union_of_one_code_sectors(quanta, n, basis_q3,
+                                                                       basis_q4):
+    # the (N-2)-particle states of a solve at M = 20 and M = 35: ranked with
+    # a table sliced from the N-particle one, the states of several codes
+    # are the one-code sectors merged in basis order, each with its code
+    codes = (basis_q3 if quanta == 3 else basis_q4).parity_codes
+    M = len(codes)
+    F = _rank_table(n + 2, M)[:, :n + 1]
+    assert np.array_equal(F, _rank_table(n, M))
+    class_codes = np.unique(codes[:, None] ^ codes[None, :])
+    for wanted in (class_codes, class_codes[1::2], class_codes[-1:]):
+        occ, ranks, got = _sector_states(F, codes, set(wanted.tolist()))
+        parts = [_sector_states(F, codes, [c]) for c in wanted]
+        assert all(np.all(part[2] == c) for c, part in zip(wanted, parts))
+        order = np.argsort(np.concatenate([part[1] for part in parts]))
+        for i, merged in enumerate((occ, ranks, got)):
+            assert merged.dtype == parts[0][i].dtype
+            assert np.array_equal(merged, np.concatenate([part[i] for part in parts])[order])
+    # every code: the whole space, in rank order
+    assert np.array_equal(_sector_states(F, codes, range(8))[1], np.arange(math.comb(n + M - 1, n)))
 
 
 def test_capacity_cap():

@@ -14,7 +14,7 @@ from beclab.manybody import (ManyBodyGround, build_mode_basis, condensate_metric
 from beclab.manybody.basis import FockBasis
 from beclab.manybody.ground import PairOpHamiltonian, _lanczos, pair_moment
 from beclab.manybody.localization import _pair_amplitude_matrix
-from beclab.manybody.tensor import interaction_tensor
+from beclab.manybody.tensor import interaction_tensor, pair_classes
 
 from .oracles import (composed_pair_map, dense_gamma, dense_ground, dense_hamiltonian,
                       fock_states, full_space_pair_amplitudes, literal_pair_amplitudes,
@@ -161,11 +161,13 @@ def test_ladder_core_on_random_vectors(N, quanta, basis_q1, basis_q2, soft_tenso
         np.testing.assert_allclose(ham.one_body_matrix(x),
                                    dense_gamma(x, states, index, basis.size), atol=1e-12)
         if N == 1:
-            assert ham.pair_map is None
+            assert ham.pair_classes == ()
             continue
         pairs = literal_pair_annihilation(x, N, basis.size, tensor.pairs)
-        cols, data = ham.pair_map
-        np.testing.assert_allclose((data * x[cols]).reshape(-1, tensor.n_pairs), pairs,
+        # the full space folds every pair as one class, over every row
+        (cls,) = ham.pair_classes
+        assert np.array_equal(cls.pairs, np.arange(tensor.n_pairs))
+        np.testing.assert_allclose((cls.amps * x[cls.cols]).reshape(-1, tensor.n_pairs), pairs,
                                    atol=1e-12)
 
 
@@ -276,7 +278,7 @@ def test_sector_pair_map_and_fold_on_random_vectors(N, quanta, basis_q1, basis_q
         np.testing.assert_allclose(ham.one_body_matrix(x),
                                    dense_gamma(full, states, index, basis.size), atol=1e-12)
         if N == 1:
-            assert ham.pair_map is None
+            assert ham.pair_classes == ()
             continue
         literal = literal_pair_annihilation(full, N, basis.size, tensor.pairs)
         covered = np.zeros(literal.shape, dtype=bool)
@@ -295,9 +297,10 @@ def sweep_tensor_q3(basis_q3):
 
 
 def _assert_pair_map_is_composed(ham):
+    # the class arrays laid end to end, in class order
     cols, amps = composed_pair_map(ham.fock, ham.tensor.pairs)
-    assert np.array_equal(ham.pair_map[0], cols)
-    assert np.array_equal(ham.pair_map[1], amps)
+    assert np.array_equal(np.concatenate([cls.cols for cls in ham.pair_classes]), cols)
+    assert np.array_equal(np.concatenate([cls.amps for cls in ham.pair_classes]), amps)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
@@ -342,31 +345,46 @@ def test_gamma_forms_no_pair_gram_below_the_pair_count(N, sector):
 
 def test_sector_hamiltonian_builds_only_the_n_minus_2_space(monkeypatch, basis_q2,
                                                            soft_tensor_q2):
+    # one enumeration of the (N-2)-particle states, for every class code at
+    # once, and no second occupation space
+    from beclab.manybody import basis as basis_module
+
     fock = FockBasis.build(4, basis_q2.size, mode_codes=basis_q2.parity_codes)
-    built = []
-    build = FockBasis.build.__func__
+    built, enumerated = [], []
+    build, states = FockBasis.build.__func__, basis_module._sector_states
 
     def build_spy(cls, N, *args, **kwargs):
         built.append(N)
         return build(cls, N, *args, **kwargs)
 
+    def states_spy(F, mode_codes, wanted):
+        enumerated.append((F.shape[1] - 1, sorted(wanted)))
+        return states(F, mode_codes, wanted)
+
     monkeypatch.setattr(FockBasis, "build", classmethod(build_spy))
-    PairOpHamiltonian(basis_q2, soft_tensor_q2, fock)
-    assert built == [2]
+    monkeypatch.setattr(basis_module, "_sector_states", states_spy)
+    ham = PairOpHamiltonian(basis_q2, soft_tensor_q2, fock)
+    assert built == []
+    assert enumerated == [(2, sorted(fock.code ^ code for code, _ in
+                                     pair_classes(fock.mode_codes, soft_tensor_q2.pairs)))]
+    assert ham.lower_size == comb(2 + basis_q2.size - 1, 2)
 
 
 def test_hamiltonian_keeps_no_full_pair_fold_or_one_boson_map(basis_q2, soft_tensor_q2):
-    # only the per-class fold blocks and the pair map stay: no (P, P) fold
-    # and no map over the (N-1)-particle states
+    # only diag and each class's fold block and part of the pair map stay:
+    # no (P, P) fold and no map over the (N-1)-particle states
     ham = _sector_hamiltonian(basis_q2, soft_tensor_q2, 4)
     M, P = basis_q2.size, soft_tensor_q2.n_pairs
     one_boson_rows = comb(3 + M - 1, 3) * M
-    arrays = [a for value in vars(ham).values()
-              for a in (value if isinstance(value, tuple) else (value,))
-              if isinstance(a, np.ndarray)]
-    assert len(arrays) == 3         # diag and the pair map's columns and amplitudes
+    held = [a for value in vars(ham).values()
+            for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray)]
+    assert len(held) == 1 and held[0] is ham.diag
+    arrays = held + [a for cls in ham.pair_classes
+                     for a in (cls.pairs, cls.lower, cls.cols, cls.amps, cls.fold)]
     assert all(a.shape != (P, P) and a.shape[0] != one_boson_rows for a in arrays)
     assert all(cls.fold.shape == (len(cls.pairs),) * 2 and len(cls.pairs) < P
+               and cls.cols.size == cls.amps.size == len(cls.lower) * len(cls.pairs)
                for cls in ham.pair_classes)
 
 
@@ -419,8 +437,8 @@ def test_pair_amplitude_matrix_matches_the_full_space_route(space, basis_q2, sof
 
 
 def test_one_rank_table_per_space_in_a_solve(monkeypatch, basis_q2, soft_tensor_q2):
-    # the N- and (N-2)-particle spaces each rank their states with one table,
-    # and the pair map reads the N-particle space's table again
+    # the N-particle space ranks its states with one table; the pair map
+    # reads it again, and its first N - 1 columns rank the (N-2)-particle states
     from beclab.manybody import basis as basis_module
 
     calls = []
@@ -428,7 +446,7 @@ def test_one_rank_table_per_space_in_a_solve(monkeypatch, basis_q2, soft_tensor_
     monkeypatch.setattr(basis_module, "_rank_table",
                         lambda N, M: calls.append((N, M)) or table(N, M))
     ground_state(basis_q2, soft_tensor_q2, 4)
-    assert calls == [(4, basis_q2.size), (2, basis_q2.size)]
+    assert calls == [(4, basis_q2.size)]
 
 
 def test_readers_take_the_solve_from_the_ground_state(basis_q2, soft_tensor_q2):
@@ -470,7 +488,8 @@ def test_diag_on_a_narrow_occupation_table(N, quanta):
 @pytest.fixture(scope="module")
 def sweep_sector_n6(basis_q3):
     # the sweep's largest row: N = 6 in the sector of 23,228 of the 177,100
-    # states of M = 20 modes; its pair map has 236,864 entries (3.61 MiB)
+    # states of M = 20 modes; its pair map has 236,864 entries (3.61 MiB
+    # of columns and amplitudes)
     return FockBasis.build(6, basis_q3.size, mode_codes=basis_q3.parity_codes)
 
 
@@ -489,39 +508,60 @@ def test_occupation_table_holds_one_byte_per_entry(basis_q3, sweep_sector_n6):
     assert held < fock.size * (2 * fock.M + 8)
 
 
+def _map_bytes(ham):
+    return sum(cls.cols.nbytes + cls.amps.nbytes for cls in ham.pair_classes)
+
+
 def test_hamiltonian_build_casts_no_table_and_copies_no_pair_map(monkeypatch, sweep_sector_n6,
                                                                  basis_q3, sweep_tensor_q3):
     # diag, formed before the pair map, peaks at two D-vectors (0.42 MiB
     # measured, 3.72 with a float64 copy of the D x M table; the bound is
-    # 0.89).  The map is filled in place: the whole build peaks at 6.77 MiB
-    # measured, 9.16 when the per-class pieces were concatenated, against
-    # the bound of twice the map, 7.23 MiB.  No (D, M) table is kept
+    # 0.89).  Each class keeps its part of the map as pair_sources returned
+    # it: the whole build peaks at 5.37 MiB measured, 9.16 when the
+    # per-class pieces were concatenated, against the bound of twice the
+    # map, 7.23 MiB.  No (D, M) table is kept
     fock = sweep_sector_n6
     peaks = []
-    build = PairOpHamiltonian._build_pair_map
+    build = PairOpHamiltonian._build_pair_classes
 
     def spy(self):
         peaks.append(tracemalloc.get_traced_memory()[1])
         return build(self)
 
-    monkeypatch.setattr(PairOpHamiltonian, "_build_pair_map", spy)
+    monkeypatch.setattr(PairOpHamiltonian, "_build_pair_classes", spy)
     tracemalloc.start()
     try:
         ham = PairOpHamiltonian(basis_q3, sweep_tensor_q3, fock)
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    cols, amps = ham.pair_map
     assert peaks[0] < fock.size * fock.M * 8 / 4
-    assert peaks[1] < 2 * (cols.nbytes + amps.nbytes)
+    assert peaks[1] < 2 * _map_bytes(ham)
     assert not any(a.ndim == 2 and len(a) == fock.size for a in _held_arrays(ham))
+
+
+def test_hamiltonian_build_enumerates_no_second_space(sweep_sector_n6, basis_q3,
+                                                      sweep_tensor_q3):
+    # the (N-2)-particle states of the reached codes only, from the N-space's
+    # rank table, with their codes from the enumeration: the build peaks at
+    # 5.37 MiB measured, against 6.77 MiB with a second FockBasis of the whole
+    # (N-2)-particle space and its D_(N-2) x M int64 parity table.  The bound
+    # is 1.65 times the map's 3.61 MiB, 5.96 MiB
+    tracemalloc.start()
+    try:
+        ham = PairOpHamiltonian(basis_q3, sweep_tensor_q3, sweep_sector_n6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.65 * _map_bytes(ham)
 
 
 def test_matvec_forms_no_array_of_the_pair_map_size(sweep_sector_n6, basis_q3, sweep_tensor_q3):
     # one class at a time: 1.21 MiB peak measured, against 2.41 MiB when
     # the products of the whole map were formed at once; the bound is one
     # float per map entry, 1.81 MiB.  The scatter adds in map order, so the
-    # product is bit for bit that of one bincount over the whole map
+    # product is bit for bit that of one bincount over the class arrays
+    # laid end to end
     ham = PairOpHamiltonian(basis_q3, sweep_tensor_q3, sweep_sector_n6)
     x = _random_unit(np.random.default_rng(6), ham.size)
     tracemalloc.start()
@@ -530,10 +570,9 @@ def test_matvec_forms_no_array_of_the_pair_map_size(sweep_sector_n6, basis_q3, s
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    cols, data = ham.pair_map
+    classes = ham.pair_classes
+    cols = np.concatenate([cls.cols for cls in classes])
     assert peak < cols.size * 8
-    w = data * x[cols]
-    for cls in ham.pair_classes:
-        w[cls.span] = (w[cls.span].reshape(-1, len(cls.pairs)) @ cls.fold).ravel()
-    assert np.array_equal(y, ham.diag * x + np.bincount(cols, weights=w * data,
-                                                        minlength=ham.size))
+    w = np.concatenate([((cls.amps * x[cls.cols]).reshape(-1, len(cls.pairs)) @ cls.fold).ravel()
+                        * cls.amps for cls in classes])
+    assert np.array_equal(y, ham.diag * x + np.bincount(cols, weights=w, minlength=ham.size))

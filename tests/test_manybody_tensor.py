@@ -147,9 +147,13 @@ def test_single_class_fold_is_the_dense_fold(request, name):
     assert np.array_equal(cls.fold, dense_pair_fold(t))
 
 
-def test_zero_potential_gives_zero_tensor(small_basis):
-    t = interaction_tensor(small_basis, bl.PairPotential.soft_sphere(0.0, 1.0))
-    assert np.all(t.pair_matrix == 0.0)
+def test_zero_potential_gives_zero_tensor(small_basis, tabulated_off_centre_basis):
+    # the general route: both block builders transform a zero vhat, of a
+    # zero-height sphere or an all-zero table, to exact zeros
+    for basis in (small_basis, tabulated_off_centre_basis):
+        for pot in (bl.PairPotential.soft_sphere(0.0, 1.0),
+                    bl.PairPotential.tabulated_radial([0.0, 0.5, 1.0], [0.0] * 3)):
+            assert np.all(interaction_tensor(basis, pot).pair_matrix == 0.0)
 
 
 def test_single_mode_positive(trap, grid48):
@@ -221,3 +225,12 @@ def test_sampled_route_refuses_contact_scale(small_basis):
 def test_hard_core_rejected(small_basis):
     with pytest.raises(ConfigError):
         interaction_tensor(small_basis, bl.PairPotential.hard_sphere(0.5))
+
+
+def test_unequal_spacing_rejected():
+    # library callers get the check the CLI makes at load on problem.grid
+    basis = build_mode_basis(bl.TrapSpec.harmonic((1.0, 1.0, 1.0)),
+                             bl.Grid.centered((12.0, 12.0, 12.0), (32, 32, 28)), 1)
+    with pytest.raises(ConfigError, match="equal spacing") as err:
+        interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    assert err.value.field == "grid"

@@ -88,9 +88,10 @@ def test_span_bindings_hold_and_poincare_spans_fire(tmp_path):
     assert {name: got["calls"].get(name) for name in
             ("poincare.estimate", "poincare.weighted", "poincare.gradient")} == {
         "poincare.estimate": 1, "poincare.weighted": 5, "poincare.gradient": 10}
-    # every occupation space is built inside a ground-state solve: two per
-    # solve (the N-particle space and the (N-2)-particle pair space)
+    # every occupation space is built inside a ground-state solve: one per
+    # solve (the N-particle space; the pair map enumerates its (N-2)-particle
+    # states without a FockBasis)
     assert got["runs"] == {
-        "fixed_g_sweep": {"missing": [], "verify": 0, "fock_builds": 4, "outside_solve": 0},
-        "pair_localization": {"missing": [], "verify": 0, "fock_builds": 2,
+        "fixed_g_sweep": {"missing": [], "verify": 0, "fock_builds": 2, "outside_solve": 0},
+        "pair_localization": {"missing": [], "verify": 0, "fock_builds": 1,
                               "outside_solve": 0}}
