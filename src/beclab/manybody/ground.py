@@ -22,10 +22,12 @@ state (all bosons in mode 0), which holds the ground state.  The pair map
 is then grouped by pair parity class c (the XOR of the two modes' codes):
 the pairs of class c take sector s to the (N-2)-particle sector s ^ c, and
 the pair fold F is block-diagonal by class because the tensor is, so the
-dense multiply becomes one small GEMM per class.  The full space is one
-class over every (N-2)-particle state.  ``ground_state`` alone builds a
-solve's space and H; its result keeps H, and every reader downstream
-takes the modes, the tensor and N from it (``ground.ham``).
+dense multiply becomes one small GEMM per class.  A class whose sector
+s ^ c holds no (N-2)-particle state (seven of eight at N = 2) is dropped.
+The full space is one class over every (N-2)-particle state.
+``ground_state`` alone builds a solve's space and H; its result keeps H,
+and every reader downstream takes the modes, the tensor and N from it
+(``ground.ham``).
 """
 
 from __future__ import annotations
@@ -110,13 +112,16 @@ class PairOpHamiltonian:
     def _build_pair_classes(self):
         # (a_k a_l x) for pair j = (k, l) of a class at its (N-2)-particle row
         # r reads one state of ours (FockBasis.pair_sources); the pairs of
-        # class c reach the (N-2)-particle states of parity code ours ^ c
+        # class c reach the (N-2)-particle states of parity code ours ^ c,
+        # and a class that reaches none is neither kept nor folded
         fock, pairs = self.fock, self.tensor.pairs
         groups = pair_classes(fock.mode_codes, pairs)
         occ, ranks, codes = fock.lower_states([fock.code ^ code for code, _ in groups])
         classes = []
         for code, members in groups:
             rows = np.flatnonzero(codes == fock.code ^ code)
+            if not len(rows):
+                continue
             k, l = pairs[members].T
             cols, amps = fock.pair_sources(occ[rows], ranks[rows], k, l)
             classes.append(PairClass(members, ranks[rows], cols.ravel(), amps.ravel(),
@@ -165,9 +170,10 @@ class PairOpHamiltonian:
         modes of one parity code only, and for two of them (i, l) and (j, l)
         share a class at every l, so each code's block is one gather from
         the class Grams laid end to end (G vanishes across classes, which own
-        disjoint rows).  When there are fewer (N-2)-particle states than
-        pairs (N = 2, 3), the pairs x pairs Gram is never formed: a block is
-        the product of the gathered columns of W over every such state.
+        disjoint rows, and on a class that owns none).  When there are fewer
+        (N-2)-particle states than pairs (N = 2, 3), the pairs x pairs Gram
+        is never formed: a block is the product of the gathered columns of W
+        over every such state.
         For N <= 1, a_i x is the amplitude of e_i.
         """
         if not self.pair_classes:
@@ -183,8 +189,15 @@ class PairOpHamiltonian:
                 a = W[:, p]
                 return np.tensordot(a, a, axes=([0, 2], [0, 2]))
         else:
-            grams = np.concatenate([(w.T @ w).ravel() for _, w in amplitudes])
-            layout = BlockLayout.of([cls.pairs for cls, _ in amplitudes], self.tensor.n_pairs)
+            # the class Grams in the layout of every class of the space, zero
+            # for the classes that reach no (N-2)-particle state
+            groups = [members for _, members in pair_classes(self.fock.mode_codes,
+                                                             self.tensor.pairs)]
+            layout = BlockLayout.of(groups, self.tensor.n_pairs)
+            grams = np.zeros(sum(len(members) ** 2 for members in groups))
+            for cls, w in amplitudes:
+                start = layout.start[cls.pairs[0]]
+                grams[start:start + w.shape[1] ** 2] = (w.T @ w).ravel()
 
             def block(p):
                 return layout.read(grams, p[:, None, :], p[None, :, :]).sum(axis=2)

@@ -45,13 +45,12 @@ def _pair_amplitude_matrix(ham: PairOpHamiltonian, x: np.ndarray) -> np.ndarray:
     the two-boson state x over ``ham.fock``.
 
     C_kl = (a_k a_l x) / sqrt(2) at the vacuum: the pair amplitudes hold it
-    at the one row of each pair class that reaches the vacuum (others own none).
+    at the one row of each pair class (only classes that reach the vacuum are kept).
     """
     C = np.zeros((ham.fock.M, ham.fock.M))
     for cls, w in ham.pair_amplitudes(x):
-        if len(w):
-            k, l = ham.tensor.pairs[cls.pairs].T
-            C[k, l] = C[l, k] = w[0] / np.sqrt(2.0)
+        k, l = ham.tensor.pairs[cls.pairs].T
+        C[k, l] = C[l, k] = w[0] / np.sqrt(2.0)
     return C
 
 
@@ -112,17 +111,35 @@ def _ball_box(sq, r2: float):
     return tuple(box), reduce(np.add.outer, [s[b] for s, b in zip(sq, box)]) <= r2
 
 
+def _draws(ground: ManyBodyGround, phi: np.ndarray, samples: int, seed: int):
+    """The sampled flat node indices and the weight phi^2 dV.
+
+    The quadrature weights are formed here as ``Grid.weights`` forms them,
+    so the mode grid caches no array of its size, and they die with the
+    density and its cdf on return.
+    """
+    basis = ground.ham.basis
+    dv = reduce(np.multiply.outer, basis.grid.axis_weights)
+    density = basis.density(ground.gamma / ground.N).ravel()
+    idx = _sample_indices(np.maximum(density, 0.0), dv.ravel(), samples, seed)
+    return idx, phi**2 * dv
+
+
 def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: int = 64,
                          seed: int = 0) -> LocalizationProfile:
     """Average in-ball fractions of the weighted correlation gradient energy.
 
-    Requires N = 2 and a mean-field state solved on the grid of the modes
-    ``ground.ham.basis`` (``lo`` included).  Nodes where the mean-field
-    profile is below 1e-12 of its peak are excluded from the division and
-    counted in the report.  The samples run on a thread pool, one worker
-    per available CPU, dealt round-robin into one block per worker; each
-    sample writes its own rows, so the result does not depend on the worker
-    count.
+    Requires N = 2, a mean-field state solved on the grid of the modes
+    ``ground.ham.basis`` (``lo`` included), radii that are positive (inf is
+    the whole grid) and a nonnegative sample count.  Nodes where the
+    mean-field profile is below 1e-12 of its peak are excluded from the
+    division and counted in the report.  The samples are dealt round-robin
+    into one block per available CPU; the calling thread runs block 0 and a
+    pool of one thread fewer the others.  Each sample writes its own rows,
+    so the result does not depend on the worker count.  A block's
+    grid-sized scratch is the four buffers of ``masked_gradient_sq``, the
+    first of which holds the sample's field; besides them, only 1/phi and
+    the quadrature weight phi^2 dV are held while the samples run.
     """
     if ground.N != 2:
         raise ConfigError("localization profile is defined for N = 2 runs")
@@ -131,8 +148,10 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: in
     if gp.grid != grid:
         raise ConfigError("mean-field state must live on the mode grid", field="grid")
     radii = tuple(float(d) for d in radii)
-    if any(d <= 0 for d in radii):
+    if not all(d > 0 for d in radii):      # NaN compares false
         raise ConfigError("ball radii must be positive", field="radii")
+    if samples < 0:
+        raise ConfigError("the sample count must be nonnegative", field="samples")
 
     C = _pair_amplitude_matrix(ground.ham, ground.coefficients)
 
@@ -142,20 +161,18 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: in
     support = Region(grid=grid, mask=valid, kind="support")
     inverse = np.zeros(grid.shape)
     np.divide(1.0, phi, out=inverse, where=valid)
-    weight = phi**2 * grid.weights
-
-    density = basis.density(ground.gamma / ground.N).ravel()
-    idx = _sample_indices(np.maximum(density, 0.0), grid.weights.ravel(), samples, seed)
+    idx, weight = _draws(ground, phi, samples, seed)
 
     totals = np.zeros(samples)
     in_ball = np.zeros((samples, len(radii)))
 
-    def block(first: int, field: np.ndarray, work: list):
-        # samples first, first + workers, ...; ``field`` and ``work`` are the
-        # block's own grid-sized scratch, reused sample after sample
+    def block(first: int, work: list):
+        # samples first, first + workers, ...; ``work`` is the block's own
+        # gradient scratch, reused sample after sample, whose first buffer
+        # holds the sample's field
         for s in range(first, samples, workers):
             node = np.unravel_index(idx[s], grid.shape)
-            f = basis.field(C @ basis.values_at(node), out=field)
+            f = basis.field(C @ basis.values_at(node), out=work[0])
             f *= inverse
             edens = masked_gradient_sq(f, support, work=work)
             edens *= weight
@@ -169,10 +186,13 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: in
     # the scratch is allocated here, in the calling thread, so that no worker
     # leaves grid-sized blocks in a malloc arena of its own
     workers = max(1, min(samples, _cpu_count()))
-    fields = [np.empty(grid.shape) for _ in range(workers)]
-    works = [[np.empty(phi.size) for _ in range(4)] for _ in range(workers)]
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(block, range(workers), fields, works))
+    works = [[np.empty(grid.shape)] + [np.empty(phi.size) for _ in range(3)]
+             for _ in range(workers)]
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:     # starts no thread for one block
+        pending = [pool.submit(block, w, works[w]) for w in range(1, workers)]
+        block(0, works[0])
+        for task in pending:
+            task.result()
 
     total = float(totals.sum())
     if total < _NA_THRESHOLD:
@@ -183,3 +203,4 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: in
     return LocalizationProfile(radii=radii, fractions=tuple(float(x) for x in fracs),
                                total_energy=total, samples=samples, seed=seed,
                                excluded_points=excluded)
+

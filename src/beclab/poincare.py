@@ -140,17 +140,21 @@ def masked_gradient_sq(f: np.ndarray, region: Region, *, work=None) -> np.ndarra
 
     Central differences where both axis neighbors lie in K, one-sided at
     region edges, zero off K (f must be finite everywhere, and is not
-    modified); the half-order boundary error this carries is covered by the
-    module tolerances.  The arithmetic is that of the full-grid oracle,
-    df = 0.5 * (d[i] + d[i-1]) with d = (f[i+1] - f[i]) / h, squared and
-    summed over the axes, so the result is the same to the bit.  It runs on
-    the flat C-order f masked to K, in contiguous passes per axis over four
-    buffers, and patches the edge nodes of ``Region._stencil``.
+    modified unless it is the first work buffer); the half-order boundary
+    error this carries is covered by the module tolerances.  The arithmetic
+    is that of the full-grid oracle, df = 0.5 * (d[i] + d[i-1]) with d =
+    (f[i+1] - f[i]) / h, squared and summed over the axes, so the result is
+    the same to the bit.  It runs on the flat C-order f masked to K (f times
+    ``region.mask``), in contiguous passes per axis over four buffers, and
+    patches the edge nodes of ``Region._stencil``.
 
     ``work``, four distinct writeable C-contiguous float64 arrays of
     ``region.mask.size`` elements that do not overlap f, are those buffers,
     so a caller can reuse them from call to call; the result is then a
-    grid-shaped view of one of them.  Without it they are allocated here.
+    grid-shaped view of one of them.  ``work[0]`` may also be f itself, a
+    writeable C-contiguous float64 array of the grid's shape, which is then
+    masked to K in place: a caller that evaluates f into it needs no fifth
+    buffer.  Without ``work`` the buffers are allocated here.
     """
     shape = region.grid.shape
     if np.shape(f) != shape:
@@ -162,11 +166,16 @@ def masked_gradient_sq(f: np.ndarray, region: Region, *, work=None) -> np.ndarra
         raise InvalidParameterError(f"work must hold 4 arrays, not {len(work)}")
     else:
         for i, w in enumerate(work):
+            if i == 0 and w is f:
+                check_buffer(w, shape, np.float64, "work")
+                continue
             check_buffer(w, (n,), np.float64, "work")
             if any(np.may_share_memory(w, other) for other in [f, *work[:i]]):
                 raise InvalidParameterError("work arrays must not overlap f or each other")
     fk, dk, out, spare = work   # d[k] at dk[k + s], so d[k - s] is dk[k]
-    np.multiply(f, region.indicator, out=fk.reshape(shape))
+    # f times the boolean mask: the bits of f times the float indicator
+    np.multiply(f, region.mask, out=fk.reshape(shape))
+    fk = fk.reshape(n)          # flat, also when it is f itself
     df = out                    # the first axis squares in place, later ones add
     for (s, fwd, bwd, zero), h in zip(region._stencil, region.grid.spacing):
         d = dk[s:]

@@ -14,11 +14,11 @@ from beclab.manybody import (ManyBodyGround, build_mode_basis, condensate_metric
 from beclab.manybody.basis import FockBasis
 from beclab.manybody.ground import PairOpHamiltonian, _lanczos, pair_moment
 from beclab.manybody.localization import _pair_amplitude_matrix
-from beclab.manybody.tensor import interaction_tensor, pair_classes
+from beclab.manybody.tensor import InteractionTensor, interaction_tensor, pair_classes
 
 from .oracles import (composed_pair_map, dense_gamma, dense_ground, dense_hamiltonian,
-                      fock_states, full_space_pair_amplitudes, literal_pair_amplitudes,
-                      literal_pair_annihilation)
+                      dense_pair_fold, fock_states, full_space_pair_amplitudes,
+                      literal_pair_amplitudes, literal_pair_annihilation)
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
 TRAP = bl.TrapSpec.harmonic((1.0, 1.0, 1.0))
@@ -386,6 +386,39 @@ def test_hamiltonian_keeps_no_full_pair_fold_or_one_boson_map(basis_q2, soft_ten
     assert all(cls.fold.shape == (len(cls.pairs),) * 2 and len(cls.pairs) < P
                and cls.cols.size == cls.amps.size == len(cls.lower) * len(cls.pairs)
                for cls in ham.pair_classes)
+
+
+def test_two_boson_sector_keeps_only_the_class_that_reaches_the_vacuum(monkeypatch):
+    # N = 2 at M = 35: of the eight pair classes only the one of the start
+    # state's code reaches the vacuum.  The others are neither kept nor
+    # folded, and H and gamma are still those of the dense oracles: H = eps
+    # + D F D over the two-boson states in pair order (D = sqrt 2 on a
+    # doubly occupied mode, 1 otherwise) and the literal ladder gamma
+    basis = build_mode_basis(TRAP, GRID, 4)
+    tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    folded = []
+    fold = InteractionTensor.fold_hamiltonian_pairs
+    monkeypatch.setattr(InteractionTensor, "fold_hamiltonian_pairs",
+                        lambda self, members: folded.append(members) or fold(self, members))
+    ham = _sector_hamiltonian(basis, tensor, 2)
+    assert basis.size == 35 and len(pair_classes(ham.fock.mode_codes, tensor.pairs)) == 8
+    (cls,) = ham.pair_classes
+    assert len(folded) == 1 and folded[0] is cls.pairs
+    assert np.array_equal(cls.lower, [0])
+    k, l = tensor.pairs.T
+    amp = np.where(k == l, np.sqrt(2.0), 1.0)
+    H = np.diag(basis.energies[k] + basis.energies[l])
+    H += amp[:, None] * dense_pair_fold(tensor) * amp
+    states, index = fock_states(2, basis.size)
+    ranks = ham.fock.ranks
+    rng = np.random.default_rng(35)
+    for _ in range(2):
+        x = _random_unit(rng, ham.size)
+        np.testing.assert_allclose(ham.matvec(x), H[np.ix_(ranks, ranks)] @ x, rtol=0, atol=1e-12)
+        full = np.zeros(len(states))
+        full[ranks] = x
+        np.testing.assert_allclose(ham.one_body_matrix(x),
+                                   dense_gamma(full, states, index, basis.size), atol=1e-12)
 
 
 def _held_arrays(obj):

@@ -224,6 +224,44 @@ def test_localization_memory_stays_flat_across_calls(monkeypatch, interacting):
     assert abs(after[3] - after[1]) < 2**20, after
 
 
+def test_localization_scratch_is_the_gradient_buffers(monkeypatch, interacting):
+    # two workers, each with the four gradient buffers (the first holds the
+    # sample's field), plus 1/phi and phi^2 dV: ten grid-sized arrays and the
+    # per-sample temporaries, 11.4 measured on this grid (15.5 when each
+    # worker also kept a field buffer and the draw's density and weights
+    # lived through the pool).  The mode grid caches no weight array
+    gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
+    monkeypatch.setattr(localization, "_cpu_count", lambda: 2)
+    GRID.__dict__.pop("weights", None)
+    localization_profile(interacting, gp, (0.5,), 2, 3)      # imports done once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        localization_profile(interacting, gp, (0.5, 1.0, 2.0), 8, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "weights" not in GRID.__dict__
+    assert peak <= 13 * 8 * np.prod(GRID.shape), peak / (8 * np.prod(GRID.shape))
+
+
+@pytest.mark.parametrize("radii, samples, field", [((float("nan"),), 4, "radii"),
+                                                   ((1.0, float("nan")), 4, "radii"),
+                                                   ((1.0,), -1, "samples")])
+def test_localization_refuses_nan_radii_and_negative_sample_counts(interacting,
+                                                                  analytic_reference,
+                                                                  radii, samples, field):
+    with pytest.raises(ConfigError) as err:
+        localization_profile(interacting, analytic_reference, radii=radii, samples=samples)
+    assert err.value.field == field
+
+
+def test_localization_infinite_radius_is_the_whole_grid(interacting):
+    gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
+    prof = localization_profile(interacting, gp, radii=(1.0, float("inf")), samples=4, seed=2)
+    assert prof.fractions[-1] == pytest.approx(1.0, rel=1e-15)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 20260810, 2**40])
 @pytest.mark.parametrize("count", [1, 2, 3, 64, 100, 513])
 def test_scrambled_sobol_matches_scipy(seed, count):

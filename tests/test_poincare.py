@@ -370,6 +370,40 @@ def test_masked_gradient_refuses_scratch_it_cannot_write_exactly():
             masked_gradient_sq(f, region, work=work)
 
 
+@pytest.mark.parametrize("name", STENCIL_REGIONS)
+def test_masked_gradient_masks_f_in_place_as_its_first_buffer(name):
+    # f itself as work[0]: no fifth buffer, the oracle's result to the bit,
+    # and f left as f times the indicator (signed zeros included)
+    region = STENCIL_REGIONS[name]()
+    n = region.mask.size
+    for g in _oracle_fields(region):
+        f = g.copy()
+        work = [f] + [np.full(n, np.nan) for _ in range(3)]
+        got = masked_gradient_sq(f, region, work=work)
+        assert np.array_equal(got, oracles.masked_gradient_sq(g, region))
+        assert np.array_equal(f.view(np.int64), (g * region.indicator).view(np.int64))
+
+
+def test_masked_gradient_takes_f_as_a_buffer_only_first_and_writeable():
+    # f may be work[0] itself; a view or copy of it there, f later in the
+    # list, or an f that cannot be written in place is still refused
+    region = STENCIL_REGIONS["ellipsoid_9x33x14"]()
+    n = region.mask.size
+    good = [np.empty(n) for _ in range(3)]
+    f = np.ones(region.grid.shape)
+    fortran, reversed_ = np.asfortranarray(f), f[:, :, ::-1]
+    read_only = f.copy()
+    read_only.flags.writeable = False
+    cases = [(f, [f.reshape(-1)] + good), (f, [f.copy()] + good),
+             (f, good[:1] + [f] + good[1:]), (f, [f, f.reshape(-1)] + good[:2]),
+             (f, [f, good[0], good[0], good[1]]), (fortran, [fortran] + good),
+             (reversed_, [reversed_] + good), (read_only, [read_only] + good)]
+    for g, work in cases:
+        with pytest.raises(InvalidParameterError, match="work"):
+            masked_gradient_sq(g, region, work=work)
+    assert np.all(f == 1.0)
+
+
 def test_stencil_holds_read_only_edge_indices():
     counts = {}
     for points in (32, 64):
