@@ -63,10 +63,11 @@ _DRAWS = number(integer=True, minimum=1, cap=MAX_SAMPLES)
 
 LOCALIZATION = {"radii": (numbers(positive=True), REQUIRED), "samples": (_DRAWS, 64)}
 WEIGHTS = {"constant": {}, "gp_dump": {"phi": (file_path, REQUIRED), "grid": (file_path, REQUIRED)}}
+_REGION_SIZE = {"box": "side", "ball": "radius"}
 REGIONS = {kind: {size: (number(positive=True), REQUIRED),
                   "points": (number(integer=True, minimum=4), REQUIRED),
                   "dimension": (number(integer=True), 3)}
-           for kind, size in (("box", "side"), ("ball", "radius"))}
+           for kind, size in _REGION_SIZE.items()}
 
 
 def _region(doc, where: str) -> tuple[str, dict]:
@@ -77,7 +78,7 @@ def _region(doc, where: str) -> tuple[str, dict]:
     if nodes > MAX_GRID_NODES:
         raise CapacityError(f"{nodes} nodes, above the cap {MAX_GRID_NODES}",
                             field=f"{where}.points")
-    size = "side" if kind == "box" else "radius"
+    size = _REGION_SIZE[kind]
     Region.bounding_grid(kind, f[size], f["points"], f["dimension"]).check_sizes(
         f"{where}.{size}")
     return kind, f
@@ -170,6 +171,7 @@ def validate(config: dict) -> dict:
         if problem.trap.dimension != 3:
             raise ConfigError("mode bases are built in 3D only", field="problem.trap")
         problem.grid.check_equal_spacing("problem.grid")
+        problem.trap.check_eigensolve(problem.grid, "problem.grid.points")
         N = s["N"] if experiment == "manybody" else max(s["N_list"])
         states = math.comb(N + math.comb(s["max_quanta"] + 3, 3) - 1, N)
         if states > s["dimension_cap"]:
@@ -178,8 +180,9 @@ def validate(config: dict) -> dict:
     if experiment == "sweep":
         for N in s["N_list"]:
             check_pair_scale(s["g"] / (4.0 * math.pi * N), field="solver.g")
-        if s["gp_grid"] is not None:
+        if s["gp_grid"] is not None:    # tabulated modes are solved again there
             s["gp_grid"] = grid_from_config(s["gp_grid"], problem.trap, where="solver.gp_grid")
+            problem.trap.check_eigensolve(s["gp_grid"], "solver.gp_grid.points")
         check_coupling_scale(s["g"], s["gp_grid"] or problem.grid, field="solver.g")
     return c | {"experiment": experiment}
 
@@ -440,7 +443,8 @@ def _read_inputs(c: dict) -> dict:
     """sha256 of each file a run reads besides its config, by path: the phi
     array and grid sidecar of a poincare run's ``gp_dump`` weight.  ``c`` is
     the parsed config.  Each is read once; the dump is checked and its (grid,
-    phi) put in the weight block as ``loaded`` for the run."""
+    phi) put in the weight block as ``loaded`` for the run, once the dump
+    covers the region's grid (its corner nodes, as ``TrapSpec.check_grid``)."""
     if c["experiment"] != "poincare" or c["solver"]["weight"][0] != "gp_dump":
         return {}
     dump = c["solver"]["weight"][1]
@@ -448,7 +452,10 @@ def _read_inputs(c: dict) -> dict:
         raw = {path: Path(path).read_bytes() for path in (dump["phi"], dump["grid"])}
     except OSError as exc:
         raise ConfigError(f"cannot read input file: {exc}", field="solver.weight") from None
-    dump["loaded"] = load_phi_dump(raw[dump["phi"]], raw[dump["grid"]])
+    dump["loaded"] = dump_grid, phi = load_phi_dump(raw[dump["phi"]], raw[dump["grid"]])
+    kind, f = c["solver"]["region"]
+    grid = Region.bounding_grid(kind, f[_REGION_SIZE[kind]], f["points"], f["dimension"])
+    multilinear_interpolate(dump_grid, phi, [x[[0, -1]] for x in grid.axes], field="solver.weight")
     return {path: hashlib.sha256(data).hexdigest() for path, data in raw.items()}
 
 

@@ -215,8 +215,6 @@ def build_mode_basis(trap: TrapSpec, grid: Grid, max_quanta: int = 3) -> ModeBas
         raise ConfigError("max_quanta must be nonnegative", field="max_quanta")
     if trap.kind == "tabulated":
         return _numeric_mode_basis(trap, grid, max_quanta)
-    if trap.kind not in ("harmonic", "box"):
-        raise ConfigError(f"unsupported trap kind {trap.kind!r}", field="trap")
     qns, energies, tables, rows = separable_modes(trap, grid, max_quanta)
     return ModeBasis(trap=trap, grid=grid, energies=energies, quantum_numbers=tuple(qns),
                      max_quanta=max_quanta, axis_tables=tables, table_rows=rows)
@@ -290,10 +288,9 @@ def _numeric_mode_basis(trap, grid, max_quanta):
     from scipy.sparse import diags, identity, kron
     from scipy.sparse.linalg import eigsh
 
+    trap.check_eigensolve(grid)
     count = comb(max_quanta + 3, 3)
     n = [p - 2 for p in grid.points]
-    if np.prod(n) > 4e5:
-        raise CapacityError("tabulated-trap eigensolve grid too large")
     mats = []
     for ax in range(3):
         h = grid.spacing[ax]

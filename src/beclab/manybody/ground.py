@@ -18,13 +18,13 @@ eigenpair comes from a Lanczos loop with full reorthogonalization (Paige
 
 When every mode has a definite reflection parity on every axis, H conserves
 the total parity, and ``ground_state`` solves in the sector of its start
-state (all bosons in mode 0), which holds the ground state.  The pair map
-is then grouped by pair parity class c (the XOR of the two modes' codes):
-the pairs of class c take sector s to the (N-2)-particle sector s ^ c, and
-the pair fold F is block-diagonal by class because the tensor is, so the
-dense multiply becomes one small GEMM per class.  A class whose sector
-s ^ c holds no (N-2)-particle state (seven of eight at N = 2) is dropped.
-The full space is one class over every (N-2)-particle state.
+state (all bosons in mode 0), which holds the ground state.  The space
+takes the tensor's mode codes, and the pair map its pair classes
+(``InteractionTensor.classes``).  The pairs of class c take sector s to the
+(N-2)-particle sector s ^ c, and the fold F is block-diagonal by class as
+the tensor is, so the dense multiply is one small GEMM per class.  A class
+whose sector s ^ c holds no (N-2)-particle state (seven of eight at N = 2)
+is dropped.  Without parity one class covers every pair and state.
 ``ground_state`` alone builds a solve's space and H; its result keeps H,
 and every reader downstream takes the modes, the tensor and N from it
 (``ground.ham``).
@@ -41,7 +41,7 @@ import numpy as np
 from ..errors import SolverFailureError
 from ..model import FOCK_DIMENSION_CAP
 from .basis import FockBasis, ModeBasis
-from .tensor import BlockLayout, InteractionTensor, pair_classes
+from .tensor import InteractionTensor
 
 _RESIDUAL_TOL = 1e-9
 _LANCZOS_TOL = 1e-13
@@ -93,14 +93,15 @@ class PairClass:
 
 
 class PairOpHamiltonian:
-    """Matrix-free H over a FockBasis (all of it or one parity sector)."""
+    """Matrix-free H over a FockBasis (all of it or one parity sector) under
+    the tensor's mode codes, its pair map grouped by the tensor's classes."""
 
     def __init__(self, basis: ModeBasis, tensor: InteractionTensor, fock: FockBasis):
         if tensor.M != basis.size or fock.M != basis.size:
             raise SolverFailureError("basis, tensor, and occupation space sizes disagree")
-        self.basis = basis
-        self.fock = fock
-        self.tensor = tensor
+        if not np.array_equal(fock.mode_codes, tensor.mode_codes):
+            raise SolverFailureError("occupation space and tensor parity codes disagree")
+        self.basis, self.fock, self.tensor = basis, fock, tensor
         # column by column: the narrow occupation table is never cast whole
         self.diag = np.zeros(fock.size)
         for j, e in enumerate(basis.energies):
@@ -114,18 +115,17 @@ class PairOpHamiltonian:
         # r reads one state of ours (FockBasis.pair_sources); the pairs of
         # class c reach the (N-2)-particle states of parity code ours ^ c,
         # and a class that reaches none is neither kept nor folded
-        fock, pairs = self.fock, self.tensor.pairs
-        groups = pair_classes(fock.mode_codes, pairs)
-        occ, ranks, codes = fock.lower_states([fock.code ^ code for code, _ in groups])
+        fock, tensor = self.fock, self.tensor
+        occ, ranks, codes = fock.lower_states([fock.code ^ code for code, _ in tensor.classes])
         classes = []
-        for code, members in groups:
+        for c, (code, members) in enumerate(tensor.classes):
             rows = np.flatnonzero(codes == fock.code ^ code)
             if not len(rows):
                 continue
-            k, l = pairs[members].T
+            k, l = tensor.pairs[members].T
             cols, amps = fock.pair_sources(occ[rows], ranks[rows], k, l)
             classes.append(PairClass(members, ranks[rows], cols.ravel(), amps.ravel(),
-                                     self.tensor.fold_hamiltonian_pairs(members)))
+                                     tensor.fold_hamiltonian_pairs(c)))
         return tuple(classes)
 
     @property
@@ -169,11 +169,11 @@ class PairOpHamiltonian:
         the pair amplitudes over the (N-2)-particle states.  gamma couples
         modes of one parity code only, and for two of them (i, l) and (j, l)
         share a class at every l, so each code's block is one gather from
-        the class Grams laid end to end (G vanishes across classes, which own
-        disjoint rows, and on a class that owns none).  When there are fewer
-        (N-2)-particle states than pairs (N = 2, 3), the pairs x pairs Gram
-        is never formed: a block is the product of the gathered columns of W
-        over every such state.
+        the class Grams in the tensor's layout (G vanishes across classes,
+        which own disjoint rows, and on a class that owns none).  When there
+        are fewer (N-2)-particle states than pairs (N = 2, 3), the pairs x
+        pairs Gram is never formed: a block is the product of the gathered
+        columns of W over every such state.
         For N <= 1, a_i x is the amplitude of e_i.
         """
         if not self.pair_classes:
@@ -189,12 +189,10 @@ class PairOpHamiltonian:
                 a = W[:, p]
                 return np.tensordot(a, a, axes=([0, 2], [0, 2]))
         else:
-            # the class Grams in the layout of every class of the space, zero
-            # for the classes that reach no (N-2)-particle state
-            groups = [members for _, members in pair_classes(self.fock.mode_codes,
-                                                             self.tensor.pairs)]
-            layout = BlockLayout.of(groups, self.tensor.n_pairs)
-            grams = np.zeros(sum(len(members) ** 2 for members in groups))
+            # the class Grams in the tensor's layout, zero for the classes
+            # that reach no (N-2)-particle state
+            layout = self.tensor.layout
+            grams = np.zeros(self.tensor.blocks.size)
             for cls, w in amplitudes:
                 start = layout.start[cls.pairs[0]]
                 grams[start:start + w.shape[1] ** 2] = (w.T @ w).ravel()
@@ -214,14 +212,14 @@ def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
                  dimension_cap: int = FOCK_DIMENSION_CAP) -> ManyBodyGround:
     """Lowest eigenpair by Lanczos on the pair map.
 
-    The occupation space is the parity sector of the start vector, the
-    fully condensed state (the full space when the modes have no definite
-    parity); its Hamiltonian is built here and kept by the result.  The
+    The occupation space is the sector of the start vector, the fully
+    condensed state, under the tensor's mode codes (the full space when they
+    are all zero); its Hamiltonian is built here and kept by the result.  The
     residual ||Hx - Ex|| <= 1e-9 is verified after the solve, and once more
     after one restart from the Ritz vector, before declaring failure.
     """
-    fock = FockBasis.build(N, basis.size, dimension_cap=dimension_cap,
-                           mode_codes=basis.parity_codes)
+    fock = FockBasis.build(N, tensor.M, dimension_cap=dimension_cap,
+                           mode_codes=tensor.mode_codes)
     ham = PairOpHamiltonian(basis, tensor, fock)
     x = np.zeros(fock.size)
     x[0] = 1.0

@@ -14,11 +14,12 @@ of the padded pair-density transforms Phat.  The kernel w_q is even and
 trapezoid weights are mirror-symmetric, so when every mode has a definite
 reflection parity on every axis (``ModeBasis.parity_codes``), B[p, p'] is
 exactly zero unless pairs p = (i,k) and p' carry the same per-axis parity
-XOR of their two modes.  Only the diagonal blocks of those (up to 8)
-classes are computed and stored, laid end to end (``BlockLayout``); the
-symmetry check, the symmetrization, the Hamiltonian's pair fold and the
-Hartree quartic all run block by block.  A basis without definite parity
-forms one class.
+XOR of their two modes.  The tensor groups the pairs into those (up to
+8) classes once; a solve's space, pair map and gamma take their codes and
+classes from it.  Only the class blocks are computed and stored, laid end
+to end (``BlockLayout``, read within a class); the symmetry check, the
+symmetrization, the pair fold and the Hartree quartic run block by block.
+A basis without definite parity forms one class.
 
 Harmonic and box modes are products of 1D factors, so Phat is an outer
 product of 1D transforms and B is sum-factorized: one batched 1D rfft per
@@ -49,39 +50,31 @@ class BlockLayout:
     """Where entry (p, q) of a pair-by-pair matrix sits when only its
     pair-class blocks are kept, laid end to end, each in row-major order.
 
-    Per pair: ``start`` is the offset of its row in the layout, ``pos`` its
-    position within its class and ``label`` the index of its class (None
-    when there is one class); entry (p, q) of one class sits at
-    start[p] + pos[q].
+    Per pair: ``start`` is the offset of its row in the layout and ``pos``
+    its position within its class; entry (p, q) of one class sits at
+    start[p] + pos[q].  Entries across classes have no place.
     """
 
     start: np.ndarray
     pos: np.ndarray
-    label: np.ndarray | None
 
     @classmethod
     def of(cls, classes, n_pairs: int) -> "BlockLayout":
-        """The layout of ``classes``, the member pair indices of each class,
-        which partition range(n_pairs)."""
+        """The layout of ``classes``, (code, members) per class, whose members
+        partition range(n_pairs)."""
         start, pos = np.empty((2, n_pairs), dtype=np.int64)
-        label = np.empty(n_pairs, dtype=np.min_scalar_type(len(classes)))
         offset = 0
-        for c, members in enumerate(classes):
+        for _, members in classes:
             n = len(members)
             pos[members] = np.arange(n)
             start[members] = offset + n * pos[members]
-            label[members] = c
             offset += n * n
-        return cls(start, pos, label if len(classes) > 1 else None)
+        return cls(start, pos)
 
     def read(self, flat: np.ndarray, p, q) -> np.ndarray:
         """Entries (p, q), broadcast, of the matrix whose class blocks
-        ``flat`` holds in this layout; exact zeros across classes."""
-        # an offset across classes is meaningless and may run past the end
-        out = np.asarray(np.take(flat, self.start[p] + self.pos[q], mode="clip"))
-        if self.label is not None:
-            out[self.label[p] != self.label[q]] = 0.0
-        return out
+        ``flat`` holds in this layout; each p and its q of one class."""
+        return flat[self.start[p] + self.pos[q]]
 
 
 @dataclass(frozen=True)
@@ -90,15 +83,19 @@ class InteractionTensor:
 
     With unordered pair index p(i,k), entry V[i,j,k,l] equals
     B[p(i,k), p(j,l)]; the storage realizes the exchange symmetries in
-    (i,k), in (j,l), and under (i,k) <-> (j,l) identically.  B vanishes
-    across the pair classes ``classes`` (the member pairs of each), so only
-    its class blocks are kept, laid end to end in row-major order
-    (``blocks``, read through ``layout``).
+    (i,k), in (j,l), and under (i,k) <-> (j,l) identically.  ``classes``
+    holds (code, members) per class of pairs, grouped by the XOR of their
+    modes' ``mode_codes``.  B vanishes across classes, so only its class
+    blocks are kept, laid end to end (``blocks``, read through ``layout``).
     """
 
-    M: int
-    classes: tuple[np.ndarray, ...]
+    mode_codes: np.ndarray
+    classes: tuple[tuple[int, np.ndarray], ...]
     blocks: np.ndarray
+
+    @property
+    def M(self) -> int:
+        return len(self.mode_codes)
 
     @cached_property
     def pairs(self) -> np.ndarray:
@@ -120,8 +117,10 @@ class InteractionTensor:
     @property
     def pair_matrix(self) -> np.ndarray:
         """B as a dense (n_pairs, n_pairs) array, formed anew on every read."""
-        p = np.arange(self.n_pairs)
-        return self.layout.read(self.blocks, p[:, None], p)
+        B = np.zeros((self.n_pairs, self.n_pairs))
+        for members, b in self.class_blocks():
+            B[np.ix_(members, members)] = b
+        return B
 
     def class_blocks(self):
         """(members, block) per class; each block is a view into ``blocks``."""
@@ -136,19 +135,19 @@ class InteractionTensor:
         i, k = self.pairs.T
         return c[i] * c[k] * (2.0 - (i == k))
 
-    def fold_hamiltonian_pairs(self, members: np.ndarray) -> np.ndarray:
-        """Coefficients over the unordered pairs ``members`` for the
-        normal-ordered pair term.
+    def fold_hamiltonian_pairs(self, c: int) -> np.ndarray:
+        """Coefficients over the pairs of class ``c`` (an index into
+        ``classes``) for the normal-ordered pair term.
 
-        The pair interaction equals sum_{ab} F[a,b] P_a^dag P_b with
-        P_(k<=l) = a_k a_l and
-        F[(i,j),(k,l)] = (2-d_ij)(2-d_kl)/4 * (V[ijkl] + V[ijlk]),
-        the direct plus exchange fold; this is F restricted to ``members``.
-        Within one class every entry it reads lies in a block.
+        The pair interaction is sum_{ab} F[a,b] P_a^dag P_b, P_(k<=l) = a_k a_l,
+        F[(i,j),(k,l)] = (2-d_ij)(2-d_kl)/4 * (V[ijkl] + V[ijlk]) (direct plus
+        exchange); this is F on the class.  Each entry read lies in one block:
+        the codes of p(i, k) and p(j, l), and of p(i, l) and p(j, k), XOR to
+        the class code XOR itself, 0.
         """
-        pi = self.pair_index
-        i, j = self.pairs[members, :1], self.pairs[members, 1:]
-        k, l = self.pairs[members].T
+        pi, p = self.pair_index, self.pairs[self.classes[c][1]]
+        i, j = p[:, :1], p[:, 1:]
+        k, l = p.T
         direct = self.layout.read(self.blocks, pi[i, k], pi[j, l])
         exchange = self.layout.read(self.blocks, pi[i, l], pi[j, k])
         w = 2.0 - (k == l)
@@ -175,7 +174,7 @@ def _pair_index(M: int) -> np.ndarray:
 def _views(classes, flat: np.ndarray):
     # the (n, n) block of each class of n pairs, in class order
     start = 0
-    for members in classes:
+    for _, members in classes:
         n = len(members)
         yield members, flat[start:start + n * n].reshape(n, n)
         start += n * n
@@ -205,7 +204,7 @@ def interaction_tensor(basis: ModeBasis, potential: PairPotential) -> Interactio
 
     M, h = basis.size, grid.spacing
     pairs = _pair_table(M)
-    classes = tuple(members for _, members in pair_classes(basis.parity_codes, pairs))
+    classes = tuple(pair_classes(basis.parity_codes, pairs))
     pad = np.ceil(potential.range / h[0]) + 2
     if math.prod(n + pad for n in grid.points) > MAX_GRID_NODES:
         raise CapacityError(f"range {potential.range:.3g} pads the grid above the cap of "
@@ -213,7 +212,7 @@ def interaction_tensor(basis: ModeBasis, potential: PairPotential) -> Interactio
     npad = tuple(np.asarray(grid.points) + int(pad))
     scale = float(np.prod(npad)) * float(np.prod(h))
     build = _factored_pair_blocks if basis.axis_tables is not None else _blocked_pair_blocks
-    tensor = InteractionTensor(M=M, classes=classes,
+    tensor = InteractionTensor(mode_codes=basis.parity_codes, classes=classes,
                                blocks=build(basis, potential, npad, pairs, classes, scale))
     if tensor.symmetry_error() > 1e-10:
         raise ConfigError("interaction tensor lost its exchange symmetry")
@@ -244,8 +243,8 @@ def _factored_pair_blocks(basis, potential, npad, pairs, classes, scale) -> np.n
     outside the parity classes are never formed.
     """
     grid = basis.grid
-    r = np.concatenate([np.repeat(m, len(m)) for m in classes])
-    c = np.concatenate([np.tile(m, len(m)) for m in classes])
+    r = np.concatenate([np.repeat(m, len(m)) for _, m in classes])
+    c = np.concatenate([np.tile(m, len(m)) for _, m in classes])
     # per axis: A as (K*K, nq) and the row of each in-class entry (r, c) in it
     A, rows, freqs = [], [], []
     for ax, (table, w) in enumerate(zip(basis.axis_tables, grid.axis_weights)):
@@ -298,7 +297,7 @@ def _blocked_pair_blocks(basis, potential, npad, pairs, classes, scale) -> np.nd
             out[row] = np.fft.rfftn(buf).ravel()
         return out
 
-    flat = np.empty(sum(len(m) ** 2 for m in classes))
+    flat = np.empty(sum(len(m) ** 2 for _, m in classes))
     for members, B in _views(classes, flat):
         chunks = [slice(s, s + block) for s in range(0, len(members), block)]
         for a, rows in enumerate(chunks):

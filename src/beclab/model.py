@@ -31,6 +31,10 @@ MAX_SAMPLES = 100_000
 # 102 MB at q = 6.
 MAX_QUANTA = 6
 
+# Largest grid interior (the nodes off the boundary) on which a tabulated
+# trap's modes are a sparse eigensolve: a 75^3 grid's 73^3 fits, 76^3's not.
+MAX_EIGENSOLVE_NODES = 400_000
+
 # Ceiling on solver.dimension_cap and on N (M >= 2 modes give more than N
 # states; this bounds M = 1): a Fock build holds 0.4-0.8 KB a state (measured
 # for M = 20 to 84), so 10^6 states bound it near 0.4-0.8 GB.
@@ -293,6 +297,15 @@ class TrapSpec:
         if self.kind == "tabulated":        # the axes are increasing: their ends decide
             multilinear_interpolate(self.table_grid, self._table,
                                     [x[[0, -1]] for x in grid.axes], field=where)
+
+    def check_eigensolve(self, grid: Grid, where: str = "grid"):
+        """Refuse, for the tabulated kind, a grid whose interior holds more
+        than ``MAX_EIGENSOLVE_NODES`` nodes, where its modes are solved for
+        (a CapacityError naming ``where``)."""
+        nodes = math.prod(n - 2 for n in grid.points)
+        if self.kind == "tabulated" and nodes > MAX_EIGENSOLVE_NODES:
+            raise CapacityError(f"tabulated-trap eigensolve on {nodes} interior nodes, above "
+                                f"the cap {MAX_EIGENSOLVE_NODES}", field=where)
 
     def check_scale(self, grid: Grid, where: str = "grid"):
         """Refuse a grid on which the energy scale (kinetic scale + the peak

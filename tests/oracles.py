@@ -158,10 +158,23 @@ def composed_pair_map(fock, pairs):
     return np.concatenate(cols), np.concatenate(amps)
 
 
-def tensor_entry(tensor, i, j, k, l):
-    """V[i, j, k, l] = B[p(i, k), p(j, l)], read from the tensor's class blocks."""
+def tensor_entry(tensor, i, j, k, l, B=None):
+    """V[i, j, k, l] = B[p(i, k), p(j, l)], read from the dense B
+    (``InteractionTensor.pair_matrix``, formed here unless given)."""
     pi = tensor.pair_index
-    return float(tensor.layout.read(tensor.blocks, pi[i, k], pi[j, l]))
+    return float((tensor.pair_matrix if B is None else B)[pi[i, k], pi[j, l]])
+
+
+def one_class(tensor):
+    """The same tensor as one class of every pair: all-zero mode codes and
+    the dense B (``pair_matrix``) as its one block, so a Hamiltonian over
+    the full occupation space can take it.  Its fold over all pairs is
+    ``dense_pair_fold(tensor)``, zeros across the parity classes included."""
+    from beclab.manybody.tensor import InteractionTensor
+
+    return InteractionTensor(mode_codes=np.zeros(tensor.M, dtype=np.int64),
+                             classes=((0, np.arange(tensor.n_pairs)),),
+                             blocks=tensor.pair_matrix.ravel())
 
 
 def dense_hamiltonian(basis, tensor, N):
@@ -173,6 +186,7 @@ def dense_hamiltonian(basis, tensor, N):
     index = {s: i for i, s in enumerate(states)}
     M = basis.size
     eps = basis.energies
+    B = tensor.pair_matrix
     S = len(states)
     H = np.zeros((S, S))
     for si, s in enumerate(states):
@@ -196,7 +210,7 @@ def dense_hamiltonian(basis, tensor, N):
                         amp4 = np.sqrt(s2[i] + 1)
                         s2[i] += 1
                         H[index[tuple(s2)], si] += (
-                            0.5 * tensor_entry(tensor, i, j, k, l)
+                            0.5 * tensor_entry(tensor, i, j, k, l, B)
                             * amp1 * amp2 * amp3 * amp4)
     return H, states, index
 

@@ -752,6 +752,28 @@ def test_tabulated_trap_not_covering_the_grid_exits_2_at_load(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("experiment, path", [("manybody", "problem.grid.points"),
+                                              ("sweep", "solver.gp_grid.points")])
+def test_tabulated_eigensolve_grid_above_cap_exits_2_at_load(tmp_path, capsys, experiment,
+                                                             path):
+    # an 80^3 grid has 78^3 interior nodes, above the eigensolve cap: the
+    # mode grid, or a sweep's mean-field grid, where expand_reference solves
+    # the tabulated modes again.  A 75^3 grid (73^3 inside) passes the check
+    cfg = SMALL_CONFIGS[experiment]()
+    cfg["problem"]["trap"] = dict(TABLE, values=[0.0] * 64)
+    if experiment == "sweep":
+        cfg["solver"]["gp_grid"] = {"extent": [14.0] * 3}
+    grid = cfg["problem"]["grid"] if experiment == "manybody" else cfg["solver"]["gp_grid"]
+    grid["points"] = [75] * 3
+    validate(copy.deepcopy(cfg))
+    grid["points"] = [80] * 3
+    p = write_config(tmp_path, cfg)
+    assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and "cap 400000" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_phi_dump_feeds_weighted_poincare(tmp_path):
     gp_cfg = small_gp_config()
     gp_cfg["solver"] = dict(gp_cfg["solver"], dump_phi=True)
@@ -884,6 +906,30 @@ def test_phi_dump_of_another_dimension_exits_2(tmp_path, capsys):
     assert main(["poincare", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "solver.weight" in err and "3-dimensional points on a 2-dimensional table" in err
+
+
+@pytest.mark.parametrize("region, message", [
+    ({"kind": "ball", "radius": 2.0, "points": 16, "dimension": 2},
+     "2-dimensional points on a 3-dimensional table"),
+    ({"kind": "ball", "radius": 9.0, "points": 16, "dimension": 3},
+     "point outside the tabulated extent"),
+], ids=["planar_region", "ball_past_the_dump"])
+def test_phi_dump_not_covering_the_region_exits_2_at_load(tmp_path, capsys, monkeypatch,
+                                                          region, message):
+    # a 3D dump over [-7, 7] per axis, as the committed one: the region grid's
+    # dimension and corner nodes are checked with the dump, before <out>
+    # exists and before any trial runs
+    phi, weight = _gaussian_dump(tmp_path)
+    (tmp_path / "phi.f64").write_bytes(phi.astype("<f8").tobytes())
+    cfg = small_poincare_config(weight)
+    cfg["solver"]["region"] = region
+    p = write_config(tmp_path, cfg)
+    monkeypatch.setattr(cli, "estimate_constant", None)
+    out = tmp_path / "o"
+    assert main(["poincare", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solver.weight: ") and message in err
+    assert not out.exists()
 
 
 def test_phi_dump_is_read_once_per_execute(tmp_path, monkeypatch):

@@ -138,6 +138,15 @@ def test_tabulated_basis_keeps_its_numeric_route():
     assert np.array_equal(basis.values_at((5, 12, 7)), basis.modes[:, 5, 12, 7])
 
 
+def test_tabulated_eigensolve_above_the_cap_is_refused():
+    # the cap the CLI checks at load: 78^3 interior nodes of an 80^3 grid
+    table = bl.Grid.centered((10.0,) * 3, (4,) * 3)
+    trap = bl.TrapSpec.tabulated(table, np.zeros(table.shape))
+    with pytest.raises(CapacityError, match="above the cap 400000") as err:
+        build_mode_basis(trap, bl.Grid.centered((10.0,) * 3, (80,) * 3), 1)
+    assert err.value.field == "grid"
+
+
 def test_resolution_error_on_coarse_grid(trap):
     with pytest.raises(ResolutionError):
         build_mode_basis(trap, bl.Grid.centered((14.0,) * 3, (8,) * 3), 3)

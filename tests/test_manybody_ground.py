@@ -1,4 +1,5 @@
 import inspect
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from functools import cached_property
@@ -8,17 +9,19 @@ import numpy as np
 import pytest
 
 import beclab as bl
+from beclab.errors import SolverFailureError
 from beclab.manybody import (ManyBodyGround, build_mode_basis, condensate_metrics,
                              ground_state, hartree_energy, localization_profile,
                              solve_instance)
 from beclab.manybody.basis import FockBasis
 from beclab.manybody.ground import PairOpHamiltonian, _lanczos, pair_moment
 from beclab.manybody.localization import _pair_amplitude_matrix
-from beclab.manybody.tensor import InteractionTensor, interaction_tensor, pair_classes
+from beclab.manybody.tensor import (BlockLayout, InteractionTensor, interaction_tensor,
+                                    pair_classes)
 
 from .oracles import (composed_pair_map, dense_gamma, dense_ground, dense_hamiltonian,
                       dense_pair_fold, fock_states, full_space_pair_amplitudes,
-                      literal_pair_amplitudes, literal_pair_annihilation)
+                      literal_pair_amplitudes, literal_pair_annihilation, one_class)
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
 TRAP = bl.TrapSpec.harmonic((1.0, 1.0, 1.0))
@@ -73,12 +76,14 @@ def test_lanczos_matches_dense_eigh(N, quanta, height, basis_q1, basis_q2):
     # the in-house Lanczos loop against np.linalg.eigh of the literal
     # Hamiltonian, on the full space and on the sector; at zero coupling the
     # start vector (all bosons in mode 0) is an eigenvector, so beta
-    # vanishes at step 1.  ground_state solves the sector with that loop
+    # vanishes at step 1.  ground_state solves the sector with that loop; the
+    # full space takes the tensor as one class
     basis = basis_q1 if quanta == 1 else basis_q2
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(height, 1.1))
     H, _, _ = dense_hamiltonian(basis, tensor, N)
-    for codes in (None, basis.parity_codes):
-        ham = PairOpHamiltonian(basis, tensor, FockBasis.build(N, basis.size, mode_codes=codes))
+    for space_tensor, codes in ((one_class(tensor), None), (tensor, basis.parity_codes)):
+        ham = PairOpHamiltonian(basis, space_tensor,
+                                FockBasis.build(N, basis.size, mode_codes=codes))
         ranks = ham.fock.ranks
         vals, vecs = np.linalg.eigh(H[np.ix_(ranks, ranks)])
         x_ref = vecs[:, 0] * np.sign(vecs[np.argmax(np.abs(vecs[:, 0])), 0])
@@ -98,7 +103,7 @@ def test_lanczos_matches_dense_eigh(N, quanta, height, basis_q1, basis_q2):
 def test_energy_below_random_rayleigh_quotients(basis_q2, soft_tensor_q2):
     gr = ground_state(basis_q2, soft_tensor_q2, 3)
     fock = FockBasis.build(3, basis_q2.size)
-    ham = PairOpHamiltonian(basis_q2, soft_tensor_q2, fock)
+    ham = PairOpHamiltonian(basis_q2, one_class(soft_tensor_q2), fock)
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = rng.standard_normal(fock.size)
@@ -115,7 +120,8 @@ def test_hartree_bound_and_pair_moment(basis_q2, soft_tensor_q2):
     assert gr.energy <= rq + 1e-10
     pm = pair_moment(gr.ham, gr.coefficients, c) / N**2
     # the same moment on the full space, with the sector state scattered there
-    full = PairOpHamiltonian(basis_q2, soft_tensor_q2, FockBasis.build(N, basis_q2.size))
+    full = PairOpHamiltonian(basis_q2, one_class(soft_tensor_q2),
+                             FockBasis.build(N, basis_q2.size))
     x = np.zeros(full.size)
     x[gr.ham.fock.ranks] = gr.coefficients
     assert pm == pytest.approx(pair_moment(full, x, c) / N**2, rel=1e-12)
@@ -153,7 +159,7 @@ def test_ladder_core_on_random_vectors(N, quanta, basis_q1, basis_q2, soft_tenso
     basis = basis_q1 if quanta == 1 else basis_q2
     tensor = (interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
               if quanta == 1 else soft_tensor_q2)
-    ham = PairOpHamiltonian(basis, tensor, FockBasis.build(N, basis.size))
+    ham = PairOpHamiltonian(basis, one_class(tensor), FockBasis.build(N, basis.size))
     states, index = fock_states(N, basis.size)
     rng = np.random.default_rng(N + 10 * quanta)
     for _ in range(3):
@@ -172,7 +178,8 @@ def test_ladder_core_on_random_vectors(N, quanta, basis_q1, basis_q2, soft_tenso
 
 
 def test_pair_amplitude_matrix_matches_state_loop(basis_q2, soft_tensor_q2):
-    ham = PairOpHamiltonian(basis_q2, soft_tensor_q2, FockBasis.build(2, basis_q2.size))
+    ham = PairOpHamiltonian(basis_q2, one_class(soft_tensor_q2),
+                            FockBasis.build(2, basis_q2.size))
     rng = np.random.default_rng(5)
     x = _random_unit(rng, ham.size)
     np.testing.assert_allclose(_pair_amplitude_matrix(ham, x),
@@ -188,8 +195,10 @@ def _sector_hamiltonian(basis, tensor, N):
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_sector_solve_matches_full_space(N, basis_q2, soft_tensor_q2):
     # the reference is the Lanczos solve of the full-space Hamiltonian from
-    # the same start state, which never leaves the start state's sector
-    full = PairOpHamiltonian(basis_q2, soft_tensor_q2, FockBasis.build(N, basis_q2.size))
+    # the same start state, which never leaves the start state's sector (the
+    # full space takes the tensor as one class)
+    full = PairOpHamiltonian(basis_q2, one_class(soft_tensor_q2),
+                             FockBasis.build(N, basis_q2.size))
     start = np.zeros(full.size)
     start[0] = 1.0
     energy, x_ref, _ = _lanczos(full, start)
@@ -343,6 +352,42 @@ def test_gamma_forms_no_pair_gram_below_the_pair_count(N, sector):
     assert peak < tensor.n_pairs**2 * 8 / 2
 
 
+@pytest.mark.parametrize("N", [2, 4])
+def test_one_pair_grouping_and_one_layout_per_solve(monkeypatch, N, basis_q2):
+    # the tensor groups the pairs and lays out its class blocks once; the
+    # space, the Hamiltonian's classes and folds and gamma (its Gram route at
+    # N = 4) read them.  The spy is bound in every module holding the original
+    grouped, laid_out = [], []
+    group, lay = pair_classes, BlockLayout.of.__func__
+
+    def group_spy(codes, pairs):
+        grouped.append(len(codes))
+        return group(codes, pairs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("beclab")]:
+        for attr, value in list(vars(module).items()):
+            if value is group:
+                monkeypatch.setattr(module, attr, group_spy)
+    monkeypatch.setattr(BlockLayout, "of", classmethod(
+        lambda cls, classes, n: laid_out.append(n) or lay(cls, classes, n)))
+    tensor = interaction_tensor(basis_q2, bl.PairPotential.soft_sphere(5.0, 1.1))
+    gr = ground_state(basis_q2, tensor, N)
+    assert grouped == [basis_q2.size] and laid_out == [tensor.n_pairs]
+    assert (gr.ham.lower_size >= tensor.n_pairs) == (N == 4)
+
+
+def test_hamiltonian_takes_the_codes_of_its_tensor(basis_q2, soft_tensor_q2):
+    # the full space's all-zero codes are not those of a parity tensor; the
+    # same tensor as one class solves there, from the start state's sector
+    with pytest.raises(SolverFailureError, match="parity codes"):
+        PairOpHamiltonian(basis_q2, soft_tensor_q2, FockBasis.build(3, basis_q2.size))
+    full = ground_state(basis_q2, one_class(soft_tensor_q2), 3)
+    sector = ground_state(basis_q2, soft_tensor_q2, 3)
+    assert full.ham.fock.size == full.ham.fock.full_size > sector.ham.fock.size
+    assert full.energy == pytest.approx(sector.energy, rel=1e-12)
+    np.testing.assert_allclose(full.gamma, sector.gamma, atol=1e-12)
+
+
 def test_sector_hamiltonian_builds_only_the_n_minus_2_space(monkeypatch, basis_q2,
                                                            soft_tensor_q2):
     # one enumeration of the (N-2)-particle states, for every class code at
@@ -399,11 +444,11 @@ def test_two_boson_sector_keeps_only_the_class_that_reaches_the_vacuum(monkeypat
     folded = []
     fold = InteractionTensor.fold_hamiltonian_pairs
     monkeypatch.setattr(InteractionTensor, "fold_hamiltonian_pairs",
-                        lambda self, members: folded.append(members) or fold(self, members))
+                        lambda self, c: folded.append(c) or fold(self, c))
     ham = _sector_hamiltonian(basis, tensor, 2)
     assert basis.size == 35 and len(pair_classes(ham.fock.mode_codes, tensor.pairs)) == 8
     (cls,) = ham.pair_classes
-    assert len(folded) == 1 and folded[0] is cls.pairs
+    assert len(folded) == 1 and tensor.classes[folded[0]][1] is cls.pairs
     assert np.array_equal(cls.lower, [0])
     k, l = tensor.pairs.T
     amp = np.where(k == l, np.sqrt(2.0), 1.0)
@@ -510,10 +555,10 @@ def test_diag_on_a_narrow_occupation_table(N, quanta):
     if quanta:
         basis = _two_mode_basis(basis)
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
-    for codes in (None, basis.parity_codes):
+    for space_tensor, codes in ((one_class(tensor), None), (tensor, basis.parity_codes)):
         fock = FockBasis.build(N, basis.size, mode_codes=codes)
         assert fock.occupations.dtype == np.min_scalar_type(N)
-        ham = PairOpHamiltonian(basis, tensor, fock)
+        ham = PairOpHamiltonian(basis, space_tensor, fock)
         assert ham.diag.dtype == np.float64
         assert np.array_equal(ham.diag, fock.occupations.astype(float) @ basis.energies)
 

@@ -7,7 +7,8 @@ from beclab.manybody import FockBasis, build_mode_basis
 from beclab.manybody import tensor as tensor_module
 from beclab.manybody.ground import PairOpHamiltonian
 from beclab.manybody.tensor import _pair_table, interaction_tensor, pair_classes
-from .oracles import dense_pair_fold, dense_pair_matrix, sampled_pair_matrix, tensor_entry
+from .oracles import (dense_pair_fold, dense_pair_matrix, one_class, sampled_pair_matrix,
+                      tensor_entry)
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
 
@@ -141,11 +142,16 @@ def test_class_folds_are_the_dense_fold_blocks(request, name):
 
 @pytest.mark.parametrize("name", ["tabulated_off_centre_basis", "small_basis"])
 def test_single_class_fold_is_the_dense_fold(request, name):
-    # no parity (off-centre), or the full space over a parity basis: the
-    # Hamiltonian folds all pairs as one class, zeros across tensor classes
+    # no parity (off-centre): the tensor is one class.  Over a parity basis
+    # the full space takes the same tensor as one class (oracles.one_class):
+    # either way the Hamiltonian folds all pairs as one class, zeros across
+    # the parity classes included
     basis = request.getfixturevalue(name)
     t = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
-    (cls,) = PairOpHamiltonian(basis, t, FockBasis.build(2, basis.size)).pair_classes
+    parity = name == "small_basis"
+    assert (len(t.classes) > 1) == parity
+    one = one_class(t) if parity else t
+    (cls,) = PairOpHamiltonian(basis, one, FockBasis.build(2, basis.size)).pair_classes
     assert np.array_equal(cls.fold, dense_pair_fold(t))
 
 
