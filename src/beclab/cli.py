@@ -42,7 +42,7 @@ from .gp import coupling_2d, coupling_3d, minimize_gp
 from .model import (FOCK_DIMENSION_CAP, MAX_FOCK_DIMENSION, MAX_GRID_NODES, MAX_QUANTA,
                     MAX_SAMPLES, REQUIRED, check_coupling_scale, check_pair_scale, fields,
                     file_path, flag, grid_from_config, kinds, located, multilinear_interpolate,
-                    number, numbers, problem_from_config, typed)
+                    number, numbers, pair_fft_lattice, problem_from_config, typed)
 from .poincare import Region, estimate_constant, weighted_estimate
 from .scattering import solve_zero_energy
 
@@ -172,6 +172,9 @@ def validate(config: dict) -> dict:
             raise ConfigError("mode bases are built in 3D only", field="problem.trap")
         problem.grid.check_equal_spacing("problem.grid")
         problem.trap.check_eigensolve(problem.grid, "problem.grid.points")
+        # the smallest lattice of the pair transforms; a wider potential's
+        # pad needs its scattering length, so the tensor checks that in the run
+        pair_fft_lattice(problem.grid.points, 0, "problem.grid.points")
         N = s["N"] if experiment == "manybody" else max(s["N_list"])
         states = math.comb(N + math.comb(s["max_quanta"] + 3, 3) - 1, N)
         if states > s["dimension_cap"]:
@@ -284,8 +287,7 @@ def run_manybody(c: dict):
     N, a, g, loc = solver["N"], solver["a"], solver["g"], solver["localization"]
     setup = prepare_pipeline(problem.trap, problem.pair_potential, g, problem.grid,
                              solver["max_quanta"])
-    ground, report_metrics, rayleigh = solve_instance(setup, N, a,
-                                                      dimension_cap=solver["dimension_cap"])
+    ground, report_metrics, rayleigh = solve_instance(setup, N, a)
     report = {
         "kind": "manybody",
         "N": N, "a": a, "g": g,
@@ -315,8 +317,7 @@ def run_sweep(c: dict):
     problem, solver = c["problem"], c["solver"]
     result = gp_limit_sweep(problem.trap, problem.pair_potential, g=solver["g"],
                             N_list=solver["N_list"], max_quanta=solver["max_quanta"],
-                            grid=problem.grid, gp_grid=solver["gp_grid"],
-                            dimension_cap=solver["dimension_cap"])
+                            grid=problem.grid, gp_grid=solver["gp_grid"])
     report = {
         "kind": "sweep",
         "rows": list(result.rows),

@@ -6,7 +6,8 @@ eigenvectors.  The occupation basis holds every state or one reflection-
 parity sector of them, both from one enumerator (the full space is the
 sector of all-zero mode codes).  Its rank table serves the one ladder
 map, the pair map of ``ground`` (H, gamma, the pair moment and the N = 2
-pair amplitudes), whose (N-2)-particle states the same enumerator gives.
+pair amplitudes), whose (N-2)-particle states the same enumerator gives
+in rank order.  The one size it checks is ``MAX_FOCK_DIMENSION``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from ..errors import CapacityError, ConfigError, ResolutionError
 from ..gp import sine_matrix
-from ..model import (FOCK_DIMENSION_CAP, Grid, TrapSpec, axis_apply, check_buffer,
+from ..model import (MAX_FOCK_DIMENSION, Grid, TrapSpec, axis_apply, check_buffer,
                      mirror_parity)
 
 _GRAM_TOL = 1e-8        # the resolution checks of build_mode_basis
@@ -345,12 +346,15 @@ class FockBasis:
     """
 
     N: int
-    M: int
     occupations: np.ndarray         # (size, M) np.min_scalar_type(N): uint8 for N < 256
     ranks: np.ndarray               # (size,) full-space ranks, increasing
     rank_table: np.ndarray          # (M, N + 1) int64, F[j, r] = F_j(r)
     mode_codes: np.ndarray          # (M,) int64 per-mode parity codes
     code: int = 0                   # the sector's parity code
+
+    @property
+    def M(self) -> int:
+        return len(self.mode_codes)
 
     @property
     def size(self) -> int:
@@ -389,24 +393,23 @@ class FockBasis:
 
     def lower_states(self, codes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Occupations, full-space ranks and codes of the (N-2)-particle
-        states whose parity code is in ``codes``, in basis order."""
+        states whose parity code is in ``codes``, in basis (rank) order."""
         return _sector_states(self.rank_table[:, :self.N - 1], self.mode_codes, codes)
 
     @classmethod
-    def build(cls, N: int, M: int, dimension_cap: int = FOCK_DIMENSION_CAP,
-              mode_codes: np.ndarray | None = None) -> "FockBasis":
+    def build(cls, N: int, M: int, mode_codes: np.ndarray | None = None) -> "FockBasis":
         """The sector of state 0 (all bosons in mode 0) under ``mode_codes``,
-        every state when they are all zero or None.  The cap is on the full count."""
+        every state when they are all zero or None.  The cap is the fixed
+        ceiling on the full count; a config's own cap is checked at load."""
         size = comb(N + M - 1, N)
-        if size > dimension_cap:
+        if size > MAX_FOCK_DIMENSION:
             raise CapacityError(
-                f"occupation basis has {size} states, above the cap {dimension_cap}")
+                f"occupation basis has {size} states, above the cap {MAX_FOCK_DIMENSION}")
         codes = np.zeros(M, dtype=np.int64) if mode_codes is None else np.asarray(mode_codes)
         code = int(codes[0] * (N % 2))
         F = _rank_table(N, M)
         occ, ranks, _ = _sector_states(F, codes, [code])
-        return cls(N=N, M=M, occupations=occ, ranks=ranks, rank_table=F, mode_codes=codes,
-                   code=code)
+        return cls(N=N, occupations=occ, ranks=ranks, rank_table=F, mode_codes=codes, code=code)
 
 
 def _rank_table(N: int, M: int) -> np.ndarray:

@@ -6,12 +6,13 @@ over the fixed-N occupation basis.  One ladder map serves a solve: the
 pair map A (``FockBasis.pair_sources``, read off the basis's rank table).
 For each unordered mode pair b = (k, l), (A x) collects (a_k a_l x) over
 the (N-2)-particle states, enumerated once for every pair class with no
-second space or rank table (``FockBasis.lower_states``).  Each class owns
-its part of A, one entry per row, so A x is a gather and A^T w a scatter
-around a dense pair-coefficient multiply, class by class: the scatter adds
-into one accumulator in class order (``np.add.at``), the order of one
-bincount over the class parts laid end to end.  The operator is
-manifestly symmetric and never materialized.  The same amplitudes give
+second space or rank table (``FockBasis.lower_states``); a row is a
+state's position in that list, so no array is sized by a full-space count.
+Each class owns its part of A, one entry per row, so A x is a gather and
+A^T w a scatter around a dense pair-coefficient multiply, class by class:
+the scatter adds into one accumulator in class order (``np.add.at``), the
+order of one bincount over the class parts laid end to end.  The operator
+is manifestly symmetric and never materialized.  The same amplitudes give
 gamma, the pair moment and the N = 2 pair amplitudes.  The lowest
 eigenpair comes from a Lanczos loop with full reorthogonalization (Paige
 1972; Parlett, The Symmetric Eigenvalue Problem, ch. 13).
@@ -24,7 +25,8 @@ takes the tensor's mode codes, and the pair map its pair classes
 (N-2)-particle sector s ^ c, and the fold F is block-diagonal by class as
 the tensor is, so the dense multiply is one small GEMM per class.  A class
 whose sector s ^ c holds no (N-2)-particle state (seven of eight at N = 2)
-is dropped.  Without parity one class covers every pair and state.
+is dropped, and so is an (N-2)-particle state that no class reaches.
+Without parity one class covers every pair and state.
 ``ground_state`` alone builds a solve's space and H; its result keeps H,
 and every reader downstream takes the modes, the tensor and N from it
 (``ground.ham``).
@@ -34,12 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
 
 import numpy as np
 
 from ..errors import SolverFailureError
-from ..model import FOCK_DIMENSION_CAP
 from .basis import FockBasis, ModeBasis
 from .tensor import InteractionTensor
 
@@ -86,7 +86,7 @@ class PairClass:
     entry r * len(pairs) + j is a_k a_l for pair j at (N-2)-particle row r."""
 
     pairs: np.ndarray               # pair indices j -> tensor pair
-    lower: np.ndarray               # full-space ranks of the (N-2)-particle rows r
+    rows: np.ndarray                # each row r's position among the (N-2)-particle states
     cols: np.ndarray                # the source state's position in the basis
     amps: np.ndarray                # the amplitude sqrt(s_k + 1) sqrt(s_l + 1 + d_kl)
     fold: np.ndarray                # the class's diagonal block of the pair fold
@@ -106,9 +106,8 @@ class PairOpHamiltonian:
         self.diag = np.zeros(fock.size)
         for j, e in enumerate(basis.energies):
             self.diag += e * fock.occupations[:, j]
-        # lower_size: the states of the (N-2)-particle space ``lower`` ranks index
-        self.pair_classes = self._build_pair_classes() if fock.N >= 2 else ()
-        self.lower_size = comb(fock.N + fock.M - 3, fock.N - 2) if fock.N >= 2 else 0
+        # lower_size: the (N-2)-particle states enumerated, which ``rows`` index
+        self.pair_classes, self.lower_size = self._build_pair_classes() if fock.N >= 2 else ((), 0)
 
     def _build_pair_classes(self):
         # (a_k a_l x) for pair j = (k, l) of a class at its (N-2)-particle row
@@ -124,9 +123,9 @@ class PairOpHamiltonian:
                 continue
             k, l = tensor.pairs[members].T
             cols, amps = fock.pair_sources(occ[rows], ranks[rows], k, l)
-            classes.append(PairClass(members, ranks[rows], cols.ravel(), amps.ravel(),
+            classes.append(PairClass(members, rows, cols.ravel(), amps.ravel(),
                                      tensor.fold_hamiltonian_pairs(c)))
-        return tuple(classes)
+        return tuple(classes), len(occ)
 
     @property
     def size(self) -> int:
@@ -152,13 +151,13 @@ class PairOpHamiltonian:
 
     def pair_annihilation(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
         """(b b) x for the dressed mode b = sum_i c_i a_i; a vector over the
-        full (N-2)-particle basis."""
+        (N-2)-particle states the solve enumerated (``lower_size``)."""
         if not self.pair_classes:
             raise SolverFailureError("pair annihilation needs N >= 2")
         weights = self.tensor.pair_weights(c)
         out = np.zeros(self.lower_size)
         for cls, w in self.pair_amplitudes(x):
-            out[cls.lower] += w @ weights[cls.pairs]
+            out[cls.rows] += w @ weights[cls.pairs]
         return out
 
     def one_body_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -183,7 +182,7 @@ class PairOpHamiltonian:
         if self.lower_size < self.tensor.n_pairs:
             W = np.zeros((self.lower_size, self.tensor.n_pairs))
             for cls, w in amplitudes:
-                W[np.ix_(cls.lower, cls.pairs)] = w
+                W[np.ix_(cls.rows, cls.pairs)] = w
 
             def block(p):
                 a = W[:, p]
@@ -192,10 +191,9 @@ class PairOpHamiltonian:
             # the class Grams in the tensor's layout, zero for the classes
             # that reach no (N-2)-particle state
             layout = self.tensor.layout
-            grams = np.zeros(self.tensor.blocks.size)
+            grams = np.zeros(layout.size)
             for cls, w in amplitudes:
-                start = layout.start[cls.pairs[0]]
-                grams[start:start + w.shape[1] ** 2] = (w.T @ w).ravel()
+                layout.block(grams, cls.pairs)[...] = w.T @ w
 
             def block(p):
                 return layout.read(grams, p[:, None, :], p[None, :, :]).sum(axis=2)
@@ -208,8 +206,7 @@ class PairOpHamiltonian:
         return gamma / (self.fock.N - 1)
 
 
-def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
-                 dimension_cap: int = FOCK_DIMENSION_CAP) -> ManyBodyGround:
+def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int) -> ManyBodyGround:
     """Lowest eigenpair by Lanczos on the pair map.
 
     The occupation space is the sector of the start vector, the fully
@@ -218,8 +215,7 @@ def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int,
     residual ||Hx - Ex|| <= 1e-9 is verified after the solve, and once more
     after one restart from the Ritz vector, before declaring failure.
     """
-    fock = FockBasis.build(N, tensor.M, dimension_cap=dimension_cap,
-                           mode_codes=tensor.mode_codes)
+    fock = FockBasis.build(N, tensor.M, mode_codes=tensor.mode_codes)
     ham = PairOpHamiltonian(basis, tensor, fock)
     x = np.zeros(fock.size)
     x[0] = 1.0

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..gp import GPState, minimize_gp, predict_components
-from ..model import FOCK_DIMENSION_CAP, Grid, PairPotential, TrapSpec, scale_pair_potential
+from ..model import Grid, PairPotential, TrapSpec, scale_pair_potential
 from ..scattering import hard_sphere_substitute, solve_zero_energy
 from .basis import ModeBasis, build_mode_basis
 from .ground import ManyBodyGround, ground_state, hartree_energy
@@ -58,14 +58,14 @@ def prepare_pipeline(trap: TrapSpec, potential: PairPotential, g: float, grid: G
                          reference=expand_reference(gp, basis))
 
 
-def solve_instance(setup: PipelineSetup, N: int, a: float, dimension_cap: int = FOCK_DIMENSION_CAP
+def solve_instance(setup: PipelineSetup, N: int, a: float
                    ) -> tuple[ManyBodyGround, CondensateReport, float]:
     """Ground state of N bosons at scattering length a, its metrics against
     the mean-field reference, and the Hartree bound per particle.  The
     solve runs in the parity sector of the fully condensed state."""
     tensor = interaction_tensor(setup.basis, scale_pair_potential(setup.potential,
                                                                   a / setup.scattering_length))
-    ground = ground_state(setup.basis, tensor, N, dimension_cap=dimension_cap)
+    ground = ground_state(setup.basis, tensor, N)
     metrics = condensate_metrics(ground, setup.reference)
     return ground, metrics, hartree_energy(ground.ham, setup.reference[0]) / N
 
@@ -88,8 +88,7 @@ class SweepResult:
 
 
 def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float, N_list, grid: Grid,
-                   max_quanta: int = 3, gp_grid: Grid | None = None,
-                   dimension_cap: int = FOCK_DIMENSION_CAP) -> SweepResult:
+                   max_quanta: int = 3, gp_grid: Grid | None = None) -> SweepResult:
     """Run every N with a = g / (4 pi N) and collect the comparison table.
 
     ``grid`` carries the interaction tensors and mode basis; ``gp_grid``
@@ -110,7 +109,7 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float, N_li
     rows = []
     for N in N_list:
         a = g / (4.0 * math.pi * N)
-        ground, report, rayleigh = solve_instance(setup, N, a, dimension_cap)
+        ground, report, rayleigh = solve_instance(setup, N, a)
         kin = float(np.sum(t_matrix * ground.gamma)) / N
         pot = float(np.sum(u_matrix * ground.gamma)) / N
         inter = ground.energy / N - kin - pot

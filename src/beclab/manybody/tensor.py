@@ -17,7 +17,8 @@ exactly zero unless pairs p = (i,k) and p' carry the same per-axis parity
 XOR of their two modes.  The tensor groups the pairs into those (up to
 8) classes once; a solve's space, pair map and gamma take their codes and
 classes from it.  Only the class blocks are computed and stored, laid end
-to end (``BlockLayout``, read within a class); the symmetry check, the
+to end by ``BlockLayout``, which alone places them: a build lays them out
+once and every block is a view it hands out.  The symmetry check, the
 symmetrization, the pair fold and the Hartree quartic run block by block.
 A basis without definite parity forms one class.
 
@@ -31,14 +32,13 @@ pair blocks.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from ..errors import CapacityError, ConfigError
-from ..model import MAX_GRID_NODES, PairPotential
+from ..errors import ConfigError
+from ..model import PairPotential, pair_fft_lattice
 from .basis import ModeBasis
 
 
@@ -57,6 +57,7 @@ class BlockLayout:
 
     start: np.ndarray
     pos: np.ndarray
+    size: int                       # every block's entries
 
     @classmethod
     def of(cls, classes, n_pairs: int) -> "BlockLayout":
@@ -69,7 +70,12 @@ class BlockLayout:
             pos[members] = np.arange(n)
             start[members] = offset + n * pos[members]
             offset += n * n
-        return cls(start, pos)
+        return cls(start, pos, offset)
+
+    def block(self, flat: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """The square block of the class ``members`` in ``flat``, a view."""
+        start, n = self.start[members[0]], len(members)
+        return flat[start:start + n * n].reshape(n, n)
 
     def read(self, flat: np.ndarray, p, q) -> np.ndarray:
         """Entries (p, q), broadcast, of the matrix whose class blocks
@@ -92,6 +98,12 @@ class InteractionTensor:
     mode_codes: np.ndarray
     classes: tuple[tuple[int, np.ndarray], ...]
     blocks: np.ndarray
+    # the layout of classes; interaction_tensor passes the one it built B in
+    layout: BlockLayout | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.layout is None:
+            object.__setattr__(self, "layout", BlockLayout.of(self.classes, self.n_pairs))
 
     @property
     def M(self) -> int:
@@ -105,10 +117,6 @@ class InteractionTensor:
     @cached_property
     def pair_index(self) -> np.ndarray:
         return _pair_index(self.M)
-
-    @cached_property
-    def layout(self) -> BlockLayout:
-        return BlockLayout.of(self.classes, self.n_pairs)
 
     @property
     def n_pairs(self) -> int:
@@ -124,7 +132,8 @@ class InteractionTensor:
 
     def class_blocks(self):
         """(members, block) per class; each block is a view into ``blocks``."""
-        return _views(self.classes, self.blocks)
+        return ((members, self.layout.block(self.blocks, members))
+                for _, members in self.classes)
 
     def symmetry_error(self) -> float:
         scale = max(float(np.abs(self.blocks).max()), 1e-300)
@@ -171,15 +180,6 @@ def _pair_index(M: int) -> np.ndarray:
     return idx
 
 
-def _views(classes, flat: np.ndarray):
-    # the (n, n) block of each class of n pairs, in class order
-    start = 0
-    for _, members in classes:
-        n = len(members)
-        yield members, flat[start:start + n * n].reshape(n, n)
-        start += n * n
-
-
 def pair_classes(codes: np.ndarray, pairs: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Pair indices grouped by the XOR of their two modes' parity codes, as
     (code, members) in increasing code; one class of code 0 when the codes
@@ -202,18 +202,15 @@ def interaction_tensor(basis: ModeBasis, potential: PairPotential) -> Interactio
             field="pair_potential")
     grid.check_equal_spacing("grid")
 
-    M, h = basis.size, grid.spacing
-    pairs = _pair_table(M)
-    classes = tuple(pair_classes(basis.parity_codes, pairs))
-    pad = np.ceil(potential.range / h[0]) + 2
-    if math.prod(n + pad for n in grid.points) > MAX_GRID_NODES:
-        raise CapacityError(f"range {potential.range:.3g} pads the grid above the cap of "
-                            f"{MAX_GRID_NODES} nodes", field="pair_potential")
-    npad = tuple(np.asarray(grid.points) + int(pad))
+    h = grid.spacing
+    npad = pair_fft_lattice(grid.points, int(np.ceil(potential.range / h[0])), "pair_potential")
     scale = float(np.prod(npad)) * float(np.prod(h))
+    pairs = _pair_table(basis.size)
+    classes = tuple(pair_classes(basis.parity_codes, pairs))
+    layout = BlockLayout.of(classes, len(pairs))
     build = _factored_pair_blocks if basis.axis_tables is not None else _blocked_pair_blocks
-    tensor = InteractionTensor(mode_codes=basis.parity_codes, classes=classes,
-                               blocks=build(basis, potential, npad, pairs, classes, scale))
+    tensor = InteractionTensor(mode_codes=basis.parity_codes, classes=classes, layout=layout,
+                               blocks=build(basis, potential, npad, pairs, classes, layout, scale))
     if tensor.symmetry_error() > 1e-10:
         raise ConfigError("interaction tensor lost its exchange symmetry")
     for _, b in tensor.class_blocks():
@@ -230,9 +227,9 @@ def _half_weights(npad: int) -> np.ndarray:
     return d
 
 
-def _factored_pair_blocks(basis, potential, npad, pairs, classes, scale) -> np.ndarray:
-    """B's class blocks from per-axis transforms of the 1D factor products
-    (sum factorization), laid end to end.
+def _factored_pair_blocks(basis, potential, npad, pairs, classes, layout, scale) -> np.ndarray:
+    """B's class blocks in ``layout`` from per-axis transforms of the 1D
+    factor products (sum factorization).
 
     On axis ax the K = R(R+1)/2 products of table rows a <= b transform
     with one batched 1D rfft.  v is even in each frequency and the products
@@ -263,14 +260,15 @@ def _factored_pair_blocks(basis, potential, npad, pairs, classes, scale) -> np.n
     Ax, Ay, Az = A
     T1 = (W.reshape(nqx * nqy, nqz) @ Az.T).reshape(nqx, nqy, -1)
     yz = rows[1] * len(Az) + rows[2]
-    vals = np.zeros(len(r))
+    # allocated after the transforms: before them it cost repeated sweeps 6 MiB RSS
+    vals = np.zeros(layout.size)
     for q in range(nqx):
         vals += Ax[rows[0], q] * (Ay @ T1[q]).ravel()[yz]
     return vals
 
 
-def _blocked_pair_blocks(basis, potential, npad, pairs, classes, scale) -> np.ndarray:
-    """B's class blocks from 3D transforms, laid end to end.
+def _blocked_pair_blocks(basis, potential, npad, pairs, classes, layout, scale) -> np.ndarray:
+    """B's class blocks in ``layout`` from 3D transforms.
 
     Each block product is one real GEMM on the interleaved real/imaginary
     view; pairs are transformed in blocks of at most _BLOCK_BYTES.
@@ -297,8 +295,9 @@ def _blocked_pair_blocks(basis, potential, npad, pairs, classes, scale) -> np.nd
             out[row] = np.fft.rfftn(buf).ravel()
         return out
 
-    flat = np.empty(sum(len(m) ** 2 for _, m in classes))
-    for members, B in _views(classes, flat):
+    flat = np.empty(layout.size)
+    for _, members in classes:
+        B = layout.block(flat, members)
         chunks = [slice(s, s + block) for s in range(0, len(members), block)]
         for a, rows in enumerate(chunks):
             pa = transform_block(members[rows])

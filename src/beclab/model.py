@@ -36,8 +36,9 @@ MAX_QUANTA = 6
 MAX_EIGENSOLVE_NODES = 400_000
 
 # Ceiling on solver.dimension_cap and on N (M >= 2 modes give more than N
-# states; this bounds M = 1): a Fock build holds 0.4-0.8 KB a state (measured
-# for M = 20 to 84), so 10^6 states bound it near 0.4-0.8 GB.
+# states; this bounds M = 1), and the one cap FockBasis.build checks, on the
+# full count: a Fock build holds 0.4-0.8 KB a state (measured for M = 20 to
+# 84), so 10^6 states bound it near 0.4-0.8 GB.
 MAX_FOCK_DIMENSION = 1_000_000
 FOCK_DIMENSION_CAP = 200_000      # the default solver.dimension_cap
 
@@ -662,6 +663,19 @@ def _grid_points(value, field: str) -> tuple:
         raise CapacityError(f"{math.prod(points)} nodes, above the cap {MAX_GRID_NODES}",
                             field=field)
     return points
+
+
+def pair_fft_lattice(points, range_nodes: int, field: str) -> tuple[int, ...]:
+    """The zero-padded lattice of the interaction tensor's transforms: each
+    axis of ``points`` padded by ``range_nodes`` (the pair potential's range
+    in grid steps) plus 2.  Above ``MAX_GRID_NODES`` it is a CapacityError
+    on ``field``; with ``range_nodes`` 0 this is the smallest such lattice,
+    checked at load."""
+    shape = tuple(n + range_nodes + 2 for n in points)
+    if math.prod(shape) > MAX_GRID_NODES:
+        raise CapacityError(f"the pair transforms pad the grid to {math.prod(shape)} nodes, "
+                            f"above the cap {MAX_GRID_NODES}", field=field)
+    return shape
 
 
 GRID = {"extent": (numbers(positive=True), REQUIRED), "points": (_grid_points, REQUIRED),

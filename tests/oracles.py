@@ -112,7 +112,7 @@ def full_space_pair_amplitudes(fock, x):
     of the one-particle basis is e_k, so a_k a_l x is entry k of a_l x."""
     from beclab.manybody.basis import FockBasis
 
-    full = FockBasis.build(2, fock.M, dimension_cap=10**9)
+    full = FockBasis.build(2, fock.M)
     coefficients = np.zeros(full.size + 1)      # and the zero an empty row reads
     coefficients[fock.ranks] = x
     indices, data = annihilator(full)
@@ -128,7 +128,7 @@ def sector(fock, mode_codes, code):
     for i in range(fock.M):
         parity ^= (fock.occupations[:, i] & 1) * mode_codes[i]
     keep = parity == code
-    return FockBasis(N=fock.N, M=fock.M, occupations=fock.occupations[keep],
+    return FockBasis(N=fock.N, occupations=fock.occupations[keep],
                      ranks=fock.ranks[keep], rank_table=fock.rank_table,
                      mode_codes=np.asarray(mode_codes), code=int(code))
 
@@ -142,8 +142,8 @@ def composed_pair_map(fock, pairs):
     from beclab.manybody.tensor import pair_classes
 
     M = fock.M
-    lower = FockBasis.build(fock.N - 2, M, dimension_cap=10**9)
-    inner = FockBasis.build(fock.N - 1, M, dimension_cap=10**9)
+    lower = FockBasis.build(fock.N - 2, M)
+    inner = FockBasis.build(fock.N - 1, M)
     inner_indices, inner_data = (m.reshape(-1, M) for m in annihilator(inner))
     indices, data = annihilator(fock)
     cols, amps = [], []
@@ -181,7 +181,7 @@ def dense_hamiltonian(basis, tensor, N):
     """Dense H by literal application of the normal-ordered pair term."""
     from beclab.manybody.basis import FockBasis
 
-    fock = FockBasis.build(N, basis.size, dimension_cap=10**9)
+    fock = FockBasis.build(N, basis.size)
     states = [tuple(s) for s in fock.occupations.tolist()]   # Python ints, not uint8
     index = {s: i for i, s in enumerate(states)}
     M = basis.size

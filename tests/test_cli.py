@@ -25,8 +25,8 @@ from beclab import __version__, cli, hard_sphere_substitute
 from beclab.cli import (CONFIGS, canonical_hash, dump_json, execute, load_config, load_phi_dump,
                         main, run_gp, validate, verify)
 from beclab.errors import ConfigError, InvalidParameterError
-from beclab.model import (MAX_SAMPLES, grid_from_config, pair_potential_from_config,
-                          problem_from_config, trap_from_config)
+from beclab.model import (MAX_GRID_NODES, MAX_SAMPLES, grid_from_config,
+                          pair_potential_from_config, problem_from_config, trap_from_config)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -1064,6 +1064,25 @@ def test_many_body_size_above_cap_exits_2_at_once(tmp_path, capsys, experiment, 
     assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
     assert err.startswith("config error") and field in err and "cap" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment", ["manybody", "sweep"])
+def test_grid_the_pair_transforms_pad_above_the_cap_exits_2_at_load(tmp_path, capsys,
+                                                                    experiment):
+    # 202^3 nodes are under MAX_GRID_NODES, but the tensor pads each axis by
+    # at least 2 nodes, and 204^3 is above it; 201^3 pads to 203^3, under it
+    cfg = SMALL_CONFIGS[experiment]()
+    cfg["problem"]["grid"]["points"] = [201] * 3
+    validate(copy.deepcopy(cfg))
+    cfg["problem"]["grid"]["points"] = [202] * 3
+    assert 202**3 <= MAX_GRID_NODES < 204**3
+    p = write_config(tmp_path, cfg)
+    start = time.perf_counter()
+    assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problem.grid.points: ") and "cap" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from beclab.manybody import basis as basis_module
 from beclab.manybody import build_mode_basis
 from beclab.manybody.basis import (FockBasis, _energy_check_error, _product_modes,
                                    _rank_table, _sector_states, separable_modes)
+from beclab.model import MAX_FOCK_DIMENSION
 
 from .oracles import (annihilator, fock_states, literal_annihilation, rank,
                       rayleigh_quotient_3d, sector)
@@ -242,8 +244,16 @@ def test_sector_states_of_a_code_set_are_the_union_of_one_code_sectors(quanta, n
 
 
 def test_capacity_cap():
-    with pytest.raises(CapacityError):
-        FockBasis.build(12, 20, dimension_cap=200_000)
+    # one fixed ceiling on the full count, whatever the sector; a config's
+    # lower cap is checked at load.  C(29, 10) = 20,030,010 states at N = 10,
+    # M = 20 are refused, C(24, 5) = 42,504 built
+    assert "dimension_cap" not in inspect.signature(FockBasis.build).parameters
+    codes = np.array([0, 1, 2, 4] * 5)
+    for mode_codes in (None, codes):
+        with pytest.raises(CapacityError, match=f"above the cap {MAX_FOCK_DIMENSION}"):
+            FockBasis.build(10, 20, mode_codes=mode_codes)
+    assert math.comb(10 + 20 - 1, 10) > MAX_FOCK_DIMENSION
+    assert FockBasis.build(5, 20).size == math.comb(24, 5)
 
 
 @pytest.mark.parametrize("N,M", [(0, 1), (0, 4), (1, 1), (1, 5), (3, 1), (2, 4), (4, 3),

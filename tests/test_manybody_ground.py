@@ -192,6 +192,13 @@ def _sector_hamiltonian(basis, tensor, N):
     return PairOpHamiltonian(basis, tensor, fock)
 
 
+def _lower_ranks(ham):
+    """Full-space ranks of the (N-2)-particle states ``ham`` enumerated, in
+    the order ``PairClass.rows`` indexes them."""
+    fock = ham.fock
+    return fock.lower_states([fock.code ^ code for code, _ in ham.tensor.classes])[1]
+
+
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_sector_solve_matches_full_space(N, basis_q2, soft_tensor_q2):
     # the reference is the Lanczos solve of the full-space Hamiltonian from
@@ -266,12 +273,15 @@ def test_off_centre_grid_solves_in_full_space(monkeypatch):
     assert gr.energy == pytest.approx(e_ref, abs=1e-9)
 
 
-@pytest.mark.parametrize("N,quanta", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (1, 1), (1, 2)])
+@pytest.mark.parametrize("N,quanta", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (1, 1),
+                                     (1, 2)])
 def test_sector_pair_map_and_fold_on_random_vectors(N, quanta, basis_q1, basis_q2,
                                                     soft_tensor_q2):
     # per-class blocks of the sector pair map against literal a_k a_l, and the
-    # class-blocked fold and gamma against the dense oracles, off eigenvectors;
-    # N = 1 has no pair map
+    # class-blocked fold, gamma and the pair moment against the dense oracles,
+    # off eigenvectors; N = 1 has no pair map.  The (N-2)-particle rows are
+    # the states a_k a_l reaches: at q = 1, N = 5 no class reaches code 7
+    # (one boson in each odd mode), so 19 of the 20 three-boson states
     basis = basis_q1 if quanta == 1 else basis_q2
     tensor = (interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
               if quanta == 1 else soft_tensor_q2)
@@ -290,14 +300,19 @@ def test_sector_pair_map_and_fold_on_random_vectors(N, quanta, basis_q1, basis_q
             assert ham.pair_classes == ()
             continue
         literal = literal_pair_annihilation(full, N, basis.size, tensor.pairs)
+        lower = _lower_ranks(ham)
+        assert len(lower) == ham.lower_size == np.count_nonzero(literal.any(axis=1))
+        assert ham.lower_size == (19 if (N, quanta) == (5, 1) else comb(N + basis.size - 3, N - 2))
         covered = np.zeros(literal.shape, dtype=bool)
         for cls, w in ham.pair_amplitudes(x):
-            np.testing.assert_allclose(w, literal[np.ix_(cls.lower, cls.pairs)], atol=1e-12)
-            covered[np.ix_(cls.lower, cls.pairs)] = True
+            np.testing.assert_allclose(w, literal[np.ix_(lower[cls.rows], cls.pairs)],
+                                       atol=1e-12)
+            covered[np.ix_(lower[cls.rows], cls.pairs)] = True
         assert np.all(literal[~covered] == 0.0)
         c = _random_unit(rng, basis.size)
-        np.testing.assert_allclose(ham.pair_annihilation(x, c),
-                                   literal @ tensor.pair_weights(c), atol=1e-12)
+        dressed = literal @ tensor.pair_weights(c)
+        np.testing.assert_allclose(ham.pair_annihilation(x, c), dressed[lower], atol=1e-12)
+        assert pair_moment(ham, x, c) == pytest.approx(float(np.sum(dressed**2)), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -338,8 +353,9 @@ def test_gamma_forms_no_pair_gram_below_the_pair_count(N, sector):
     ham = PairOpHamiltonian(basis, tensor, fock)
     x = _random_unit(np.random.default_rng(N), ham.size)
     W = np.zeros((comb(N + basis.size - 3, N - 2), tensor.n_pairs))
+    lower = _lower_ranks(ham)
     for cls, w in ham.pair_amplitudes(x):
-        W[np.ix_(cls.lower, cls.pairs)] = w
+        W[np.ix_(lower[cls.rows], cls.pairs)] = w
     p = tensor.pair_index
     want = (W.T @ W)[p[:, None, :], p[None, :, :]].sum(axis=2) / (N - 1)
     tracemalloc.start()
@@ -352,9 +368,18 @@ def test_gamma_forms_no_pair_gram_below_the_pair_count(N, sector):
     assert peak < tensor.n_pairs**2 * 8 / 2
 
 
+@pytest.fixture(scope="module")
+def tabulated_basis_q2():
+    grid = bl.Grid.centered((12.0,) * 3, (24,) * 3)
+    x, y, z = grid.meshgrid()
+    return build_mode_basis(bl.TrapSpec.tabulated(grid, x**2 + 2 * y**2 + 3 * z**2), grid, 2)
+
+
 @pytest.mark.parametrize("N", [2, 4])
-def test_one_pair_grouping_and_one_layout_per_solve(monkeypatch, N, basis_q2):
-    # the tensor groups the pairs and lays out its class blocks once; the
+def test_one_pair_grouping_and_one_layout_per_solve(monkeypatch, N, basis_q2,
+                                                    tabulated_basis_q2):
+    # the tensor groups the pairs and lays out its class blocks once, as it
+    # is built, on the factored and the blocked (tabulated) route alike; the
     # space, the Hamiltonian's classes and folds and gamma (its Gram route at
     # N = 4) read them.  The spy is bound in every module holding the original
     grouped, laid_out = [], []
@@ -370,10 +395,14 @@ def test_one_pair_grouping_and_one_layout_per_solve(monkeypatch, N, basis_q2):
                 monkeypatch.setattr(module, attr, group_spy)
     monkeypatch.setattr(BlockLayout, "of", classmethod(
         lambda cls, classes, n: laid_out.append(n) or lay(cls, classes, n)))
-    tensor = interaction_tensor(basis_q2, bl.PairPotential.soft_sphere(5.0, 1.1))
-    gr = ground_state(basis_q2, tensor, N)
-    assert grouped == [basis_q2.size] and laid_out == [tensor.n_pairs]
-    assert (gr.ham.lower_size >= tensor.n_pairs) == (N == 4)
+    for basis in (basis_q2, tabulated_basis_q2):
+        grouped.clear()
+        laid_out.clear()
+        tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+        assert grouped == [basis.size] and laid_out == [tensor.n_pairs]
+        gr = ground_state(basis, tensor, N)
+        assert grouped == [basis.size] and laid_out == [tensor.n_pairs]
+        assert (gr.ham.lower_size >= tensor.n_pairs) == (N == 4)
 
 
 def test_hamiltonian_takes_the_codes_of_its_tensor(basis_q2, soft_tensor_q2):
@@ -426,10 +455,10 @@ def test_hamiltonian_keeps_no_full_pair_fold_or_one_boson_map(basis_q2, soft_ten
             if isinstance(a, np.ndarray)]
     assert len(held) == 1 and held[0] is ham.diag
     arrays = held + [a for cls in ham.pair_classes
-                     for a in (cls.pairs, cls.lower, cls.cols, cls.amps, cls.fold)]
+                     for a in (cls.pairs, cls.rows, cls.cols, cls.amps, cls.fold)]
     assert all(a.shape != (P, P) and a.shape[0] != one_boson_rows for a in arrays)
     assert all(cls.fold.shape == (len(cls.pairs),) * 2 and len(cls.pairs) < P
-               and cls.cols.size == cls.amps.size == len(cls.lower) * len(cls.pairs)
+               and cls.cols.size == cls.amps.size == len(cls.rows) * len(cls.pairs)
                for cls in ham.pair_classes)
 
 
@@ -449,7 +478,7 @@ def test_two_boson_sector_keeps_only_the_class_that_reaches_the_vacuum(monkeypat
     assert basis.size == 35 and len(pair_classes(ham.fock.mode_codes, tensor.pairs)) == 8
     (cls,) = ham.pair_classes
     assert len(folded) == 1 and tensor.classes[folded[0]][1] is cls.pairs
-    assert np.array_equal(cls.lower, [0])
+    assert np.array_equal(cls.rows, [0])
     k, l = tensor.pairs.T
     amp = np.where(k == l, np.sqrt(2.0), 1.0)
     H = np.diag(basis.energies[k] + basis.energies[l])
