@@ -183,9 +183,11 @@ def validate(config: dict) -> dict:
     if experiment == "sweep":
         for N in s["N_list"]:
             check_pair_scale(s["g"] / (4.0 * math.pi * N), field="solver.g")
-        if s["gp_grid"] is not None:    # tabulated modes are solved again there
+        if s["gp_grid"] is not None:
             s["gp_grid"] = grid_from_config(s["gp_grid"], problem.trap, where="solver.gp_grid")
-            problem.trap.check_eigensolve(s["gp_grid"], "solver.gp_grid.points")
+            if problem.trap.kind == "tabulated" and s["gp_grid"] != problem.grid:
+                raise ConfigError("tabulated modes read the mean-field reference on "
+                                  "problem.grid only", field="solver.gp_grid")
         check_coupling_scale(s["g"], s["gp_grid"] or problem.grid, field="solver.g")
     return c | {"experiment": experiment}
 

@@ -1,13 +1,15 @@
 """Single-particle trap modes and the fixed-N bosonic occupation basis.
 
 Harmonic and box modes are products of per-axis 1D factors, which the
-basis keeps in place of 3D arrays; tabulated modes are numeric 3D
-eigenvectors.  The occupation basis holds every state or one reflection-
-parity sector of them, both from one enumerator (the full space is the
-sector of all-zero mode codes).  Its rank table serves the one ladder
-map, the pair map of ``ground`` (H, gamma, the pair moment and the N = 2
-pair amplitudes), whose (N-2)-particle states the same enumerator gives
-in rank order.  The one size it checks is ``MAX_FOCK_DIMENSION``.
+basis keeps in place of 3D arrays: nothing here samples them in 3D.
+Tabulated modes are numeric 3D eigenvectors, solved once on the mode
+grid.  The occupation basis is built from N and the per-mode parity
+codes alone (M is their count).  It holds one reflection-parity sector,
+from one enumerator; the full space is the sector of all-zero codes.
+Its rank table serves the one ladder map, the pair map of ``ground`` (H,
+gamma, the pair moment and the N = 2 pair amplitudes), whose
+(N-2)-particle states the same enumerator gives in rank order.  The one
+size it checks is ``MAX_FOCK_DIMENSION``.
 """
 
 from __future__ import annotations
@@ -56,40 +58,22 @@ class ModeBasis:
 
     Harmonic and box modes are products of 1D factors: ``axis_tables[ax]``
     holds the factors of axis ax on the grid, shape (max_quanta+1, n_ax),
-    and mode m is the product of rows ``table_rows[m]``.  Tabulated traps
-    have no such factors (both None) and keep their sampled eigenvectors
-    in ``numeric_modes``.
+    and mode m is the product of rows ``table_rows[m]``; such modes are
+    never sampled in 3D (``modes`` is None).  Tabulated traps have no such
+    factors (both None) and keep their sampled eigenvectors in ``modes``.
     """
 
     trap: TrapSpec
     grid: Grid
     energies: np.ndarray           # (M,)
-    quantum_numbers: tuple[tuple[int, ...], ...]
     max_quanta: int
     axis_tables: tuple[np.ndarray, ...] | None = None
     table_rows: np.ndarray | None = None     # (M, 3) int
-    numeric_modes: np.ndarray | None = None  # (M, *grid.shape), tabulated traps
+    modes: np.ndarray | None = None          # (M, *grid.shape), tabulated traps
 
     @property
     def size(self) -> int:
         return len(self.energies)
-
-    @cached_property
-    def modes(self) -> np.ndarray:
-        """The modes sampled on the grid, (M, *grid.shape).  Product modes
-        are materialized on first use only; the solvers contract the tables."""
-        if self.axis_tables is None:
-            return self.numeric_modes
-        return _product_modes(self.axis_tables, self.table_rows)
-
-    @cached_property
-    def gram_error(self) -> float:
-        if self.axis_tables is not None:
-            return _factored_gram_error(self.axis_tables, self.table_rows, self.grid)
-        flat = self.modes.reshape(self.size, -1)
-        w = self.grid.weights.ravel()
-        g = (flat * w) @ flat.T
-        return float(np.abs(g - np.eye(self.size)).max())
 
     @cached_property
     def axis_parity(self) -> np.ndarray | None:
@@ -180,12 +164,6 @@ def _axis_grams(tables, rows, axis_weights) -> list:
     return [((t * w) @ t.T)[np.ix_(r, r)] for t, r, w in zip(tables, rows.T, axis_weights)]
 
 
-def _factored_gram_error(tables, rows, grid: Grid) -> float:
-    # the Gram matrix of product modes is the elementwise product of 1D Grams
-    g = np.prod(_axis_grams(tables, rows, grid.axis_weights), axis=0)
-    return float(np.abs(g - np.eye(len(rows))).max())
-
-
 def pair_density(matrix: np.ndarray, tables, rows: np.ndarray) -> np.ndarray:
     """sum_ij matrix[i, j] T_i conj(T_j) for modes T_i stored as per-axis
     factor rows: T_i is the product over ax of tables[ax][rows[i, ax]].
@@ -216,26 +194,25 @@ def build_mode_basis(trap: TrapSpec, grid: Grid, max_quanta: int = 3) -> ModeBas
         raise ConfigError("max_quanta must be nonnegative", field="max_quanta")
     if trap.kind == "tabulated":
         return _numeric_mode_basis(trap, grid, max_quanta)
-    qns, energies, tables, rows = separable_modes(trap, grid, max_quanta)
-    return ModeBasis(trap=trap, grid=grid, energies=energies, quantum_numbers=tuple(qns),
-                     max_quanta=max_quanta, axis_tables=tables, table_rows=rows)
+    energies, tables, rows = separable_modes(trap, grid, max_quanta)
+    return ModeBasis(trap=trap, grid=grid, energies=energies, max_quanta=max_quanta,
+                     axis_tables=tables, table_rows=rows)
 
 
 def separable_modes(trap: TrapSpec, grid: Grid, max_quanta: int):
     """Harmonic or box modes on ``grid``'s axes, without the 3D arrays.
 
-    Returns the quantum numbers and energies in mode order, the per-axis
-    1D tables and each mode's (M, 3) rows in them.  The resolution checks
-    of ``build_mode_basis`` run on this grid: the Gram matrix as a product
-    of 1D Grams, the highest mode's energy as a sum of 1D quotients.
+    Returns the energies in mode order, the per-axis 1D tables and each
+    mode's (M, 3) rows in them.  The resolution checks of
+    ``build_mode_basis`` run on this grid: the Gram matrix as a product of
+    1D Grams, the highest mode's energy as a sum of 1D quotients.
     """
     rows = [q for q in product(range(max_quanta + 1), repeat=3) if sum(q) <= max_quanta]
     if trap.kind == "harmonic":
         tables = tuple(hermite_functions(max_quanta, grid.axes[ax], trap.stiffness[ax])
                        for ax in range(3))
-        qns = rows
         energies = [sum(np.sqrt(trap.stiffness[ax]) * (2 * q[ax] + 1) for ax in range(3))
-                    for q in qns]
+                    for q in rows]
     else:
         sides = grid.extent
         tables = []
@@ -245,14 +222,17 @@ def separable_modes(trap: TrapSpec, grid: Grid, max_quanta: int):
                 np.sqrt(2.0 / sides[ax]) * np.sin(n * np.pi * x / sides[ax])
                 for n in range(1, max_quanta + 2)]))
         tables = tuple(tables)
-        qns = [tuple(n + 1 for n in q) for q in rows]
-        energies = [np.pi**2 * sum((q[ax] / sides[ax]) ** 2 for ax in range(3)) for q in qns]
+        # the quantum numbers of a box mode are its table rows plus one
+        energies = [np.pi**2 * sum(((q[ax] + 1) / sides[ax]) ** 2 for ax in range(3))
+                    for q in rows]
 
-    order = sorted(range(len(qns)), key=lambda i: (energies[i], qns[i]))
-    qns = [qns[i] for i in order]
+    # ties broken by quantum numbers, whose order the table rows share
+    order = sorted(range(len(rows)), key=lambda i: (energies[i], rows[i]))
     energies = np.array([energies[i] for i in order])
     rows = np.array([rows[i] for i in order], dtype=np.int64)
-    gram_error = _factored_gram_error(tables, rows, grid)
+    # the Gram matrix of product modes is the elementwise product of 1D Grams
+    gram = np.prod(_axis_grams(tables, rows, grid.axis_weights), axis=0)
+    gram_error = float(np.abs(gram - np.eye(len(rows))).max())
     if gram_error > _GRAM_TOL:
         raise ResolutionError(
             f"mode Gram matrix off by {gram_error:.2e}; grid too coarse")
@@ -260,13 +240,7 @@ def separable_modes(trap: TrapSpec, grid: Grid, max_quanta: int):
     if err > _ENERGY_CHECK:
         raise ResolutionError(
             f"highest-mode energy off by {err:.2%} on this grid")
-    return qns, energies, tables, rows
-
-
-def _product_modes(tables, rows) -> np.ndarray:
-    return (tables[0][rows[:, 0], :, None, None]
-            * tables[1][rows[:, 1], None, :, None]
-            * tables[2][rows[:, 2], None, None, :])
+    return energies, tables, rows
 
 
 def _energy_check_error(trap: TrapSpec, grid: Grid, tables, row, energy: float) -> float:
@@ -313,12 +287,12 @@ def _numeric_mode_basis(trap, grid, max_quanta):
         if v[np.argmax(np.abs(v))] < 0:
             v = -v
         modes[i][1:-1, 1:-1, 1:-1] = v.reshape(n)
-    basis = ModeBasis(trap=trap, grid=grid, energies=vals[order],
-                      quantum_numbers=tuple((i, 0, 0) for i in range(count)),
-                      max_quanta=max_quanta, numeric_modes=modes)
-    if basis.gram_error > _GRAM_TOL:
-        raise ResolutionError(f"numeric modes off orthonormality by {basis.gram_error:.2e}")
-    return basis
+    flat = modes.reshape(count, -1)
+    gram_error = float(np.abs((flat * grid.weights.ravel()) @ flat.T - np.eye(count)).max())
+    if gram_error > _GRAM_TOL:
+        raise ResolutionError(f"numeric modes off orthonormality by {gram_error:.2e}")
+    return ModeBasis(trap=trap, grid=grid, energies=vals[order], max_quanta=max_quanta,
+                     modes=modes)
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +371,17 @@ class FockBasis:
         return _sector_states(self.rank_table[:, :self.N - 1], self.mode_codes, codes)
 
     @classmethod
-    def build(cls, N: int, M: int, mode_codes: np.ndarray | None = None) -> "FockBasis":
-        """The sector of state 0 (all bosons in mode 0) under ``mode_codes``,
-        every state when they are all zero or None.  The cap is the fixed
-        ceiling on the full count; a config's own cap is checked at load."""
+    def build(cls, N: int, mode_codes: np.ndarray) -> "FockBasis":
+        """The sector of state 0 (all bosons in mode 0) under the M =
+        len(mode_codes) per-mode codes, every state when they are all zero.
+        The cap is the fixed ceiling on the full count; a config's own cap
+        is checked at load."""
+        codes = np.asarray(mode_codes)
+        M = len(codes)
         size = comb(N + M - 1, N)
         if size > MAX_FOCK_DIMENSION:
             raise CapacityError(
                 f"occupation basis has {size} states, above the cap {MAX_FOCK_DIMENSION}")
-        codes = np.zeros(M, dtype=np.int64) if mode_codes is None else np.asarray(mode_codes)
         code = int(codes[0] * (N % 2))
         F = _rank_table(N, M)
         occ, ranks, _ = _sector_states(F, codes, [code])

@@ -19,16 +19,17 @@ eigenpair comes from a Lanczos loop with full reorthogonalization (Paige
 
 When every mode has a definite reflection parity on every axis, H conserves
 the total parity, and ``ground_state`` solves in the sector of its start
-state (all bosons in mode 0), which holds the ground state.  The space
-takes the tensor's mode codes, and the pair map its pair classes
+state (all bosons in mode 0), which holds the ground state.  The
+Hamiltonian builds that space from N and the tensor's mode codes, and
+its pair map takes the tensor's pair classes
 (``InteractionTensor.classes``).  The pairs of class c take sector s to the
 (N-2)-particle sector s ^ c, and the fold F is block-diagonal by class as
 the tensor is, so the dense multiply is one small GEMM per class.  A class
 whose sector s ^ c holds no (N-2)-particle state (seven of eight at N = 2)
 is dropped, and so is an (N-2)-particle state that no class reaches.
-Without parity one class covers every pair and state.
-``ground_state`` alone builds a solve's space and H; its result keeps H,
-and every reader downstream takes the modes, the tensor and N from it
+Without parity the codes are all zero, and one class covers every pair
+and state.  ``ground_state`` alone builds a solve's H; its result keeps
+H, and every reader downstream takes the modes, the tensor and N from it
 (``ground.ham``).
 """
 
@@ -93,14 +94,15 @@ class PairClass:
 
 
 class PairOpHamiltonian:
-    """Matrix-free H over a FockBasis (all of it or one parity sector) under
-    the tensor's mode codes, its pair map grouped by the tensor's classes."""
+    """Matrix-free H of N bosons over the occupation space of the tensor's
+    mode codes (``FockBasis.build``: the start state's parity sector, all
+    of the space when the codes are zero), its pair map grouped by the
+    tensor's classes."""
 
-    def __init__(self, basis: ModeBasis, tensor: InteractionTensor, fock: FockBasis):
-        if tensor.M != basis.size or fock.M != basis.size:
-            raise SolverFailureError("basis, tensor, and occupation space sizes disagree")
-        if not np.array_equal(fock.mode_codes, tensor.mode_codes):
-            raise SolverFailureError("occupation space and tensor parity codes disagree")
+    def __init__(self, basis: ModeBasis, tensor: InteractionTensor, N: int):
+        if tensor.M != basis.size:
+            raise SolverFailureError("basis and tensor sizes disagree")
+        fock = FockBasis.build(N, tensor.mode_codes)
         self.basis, self.fock, self.tensor = basis, fock, tensor
         # column by column: the narrow occupation table is never cast whole
         self.diag = np.zeros(fock.size)
@@ -211,13 +213,13 @@ def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int) -> ManyBod
 
     The occupation space is the sector of the start vector, the fully
     condensed state, under the tensor's mode codes (the full space when they
-    are all zero); its Hamiltonian is built here and kept by the result.  The
-    residual ||Hx - Ex|| <= 1e-9 is verified after the solve, and once more
-    after one restart from the Ritz vector, before declaring failure.
+    are all zero); its Hamiltonian builds it, and the result keeps both
+    (``ham.fock``).  The residual ||Hx - Ex|| <= 1e-9 is verified after the
+    solve, and once more after one restart from the Ritz vector, before
+    declaring failure.
     """
-    fock = FockBasis.build(N, tensor.M, mode_codes=tensor.mode_codes)
-    ham = PairOpHamiltonian(basis, tensor, fock)
-    x = np.zeros(fock.size)
+    ham = PairOpHamiltonian(basis, tensor, N)
+    x = np.zeros(ham.size)
     x[0] = 1.0
     matvecs = 0
     for retried in (False, True):

@@ -10,8 +10,10 @@ lattice.
 
 Harmonic and box modes are products of 1D factors, so both the reference
 expansion and the momentum densities are sum-factorized: one 1D
-contraction per axis instead of M full 3D arrays.  Tabulated modes take
-the sampled 3D route.
+contraction per axis instead of M full 3D arrays.  On the mode grid the
+reference reads the basis's own tables; another mean-field grid takes the
+same modes' tables there.  Tabulated modes take the sampled 3D route and
+read the reference on the mode grid only, where they were solved.
 
 The momentum sums of ``condensate_metrics`` are taken slab by slab along
 the first lattice axis, for both mode routes: each slab's densities are
@@ -28,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BasisInsufficientError, SolverFailureError
+from ..errors import BasisInsufficientError, ConfigError, SolverFailureError
 from ..gp import GPState
 from ..model import axis_apply, trapezoid_weights
-from .basis import (ModeBasis, build_mode_basis, hermite_functions, pair_density,
-                    separable_modes)
+from .basis import ModeBasis, hermite_functions, pair_density, separable_modes
 from .ground import ManyBodyGround, pair_moment
 
 _MIN_REFERENCE_WEIGHT = 0.99    # share of the mean-field state the modes must carry
@@ -68,21 +69,23 @@ class CondensateReport:
 def expand_reference(gp: GPState, basis: ModeBasis):
     """Mode amplitudes of the mean-field state, renormalized in the span.
 
-    The modes are evaluated on the reference state's own grid (analytic
-    trap eigenfunctions do not care which compatible grid samples them), so
-    a finer or shifted mean-field grid can back the interaction grid; that
-    grid must pass the resolution checks of ``build_mode_basis``.  Product
-    modes are contracted with phi one axis at a time; tabulated modes are
-    rebuilt there unless the two grids are equal (``lo`` included).
+    Product modes are contracted with phi one axis at a time: on the mode
+    grid with the basis's own tables, on another grid (finer or shifted;
+    analytic trap eigenfunctions do not care which compatible grid samples
+    them) with the tables ``separable_modes`` gives there, after its
+    resolution checks.  Tabulated modes exist on the mode grid alone, so a
+    reference on another grid (``lo`` included) is refused.
     """
     if basis.axis_tables is not None:
-        tables = separable_modes(basis.trap, gp.grid, basis.max_quanta)[2]
+        tables = (basis.axis_tables if gp.grid == basis.grid else
+                  separable_modes(basis.trap, gp.grid, basis.max_quanta)[1])
         a = axis_apply(gp.phi, [t * w for t, w in zip(tables, gp.grid.axis_weights)])
         c = a[tuple(basis.table_rows.T)]
     else:
-        eval_basis = (basis if gp.grid == basis.grid else
-                      build_mode_basis(basis.trap, gp.grid, basis.max_quanta))
-        flat = eval_basis.modes.reshape(eval_basis.size, -1)
+        if gp.grid != basis.grid:
+            raise ConfigError("tabulated modes read the mean-field reference on the mode "
+                              "grid only", field="gp_grid")
+        flat = basis.modes.reshape(basis.size, -1)
         c = (flat * gp.grid.weights.ravel()) @ gp.phi.ravel()
     weight = float(c @ c)
     if weight < _MIN_REFERENCE_WEIGHT:

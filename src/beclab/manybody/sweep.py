@@ -92,7 +92,9 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float, N_li
     """Run every N with a = g / (4 pi N) and collect the comparison table.
 
     ``grid`` carries the interaction tensors and mode basis; ``gp_grid``
-    (default: the same) may be finer for the mean-field reference.
+    (default: the same) may be finer for the mean-field reference of a
+    harmonic or box trap (``expand_reference`` refuses it for a tabulated
+    one).
     """
     if g <= 0:
         raise ConfigError("sweep needs a positive coupling g", field="g")

@@ -98,12 +98,8 @@ class InteractionTensor:
     mode_codes: np.ndarray
     classes: tuple[tuple[int, np.ndarray], ...]
     blocks: np.ndarray
-    # the layout of classes; interaction_tensor passes the one it built B in
-    layout: BlockLayout | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.layout is None:
-            object.__setattr__(self, "layout", BlockLayout.of(self.classes, self.n_pairs))
+    # the layout of classes, the one interaction_tensor built B in
+    layout: BlockLayout = field(repr=False, compare=False)
 
     @property
     def M(self) -> int:

@@ -68,13 +68,6 @@ class Region:
         return float(np.sum(self.grid.weights[self.mask]))
 
     @cached_property
-    def indicator(self) -> np.ndarray:
-        """1.0 on the nodes of K, 0.0 off K (read-only)."""
-        ind = self.mask.astype(float)
-        ind.flags.writeable = False
-        return ind
-
-    @cached_property
     def node_weights(self) -> np.ndarray:
         """Quadrature weights of the nodes of K, zero off K (read-only)."""
         w = np.where(self.mask, self.grid.weights, 0.0)
@@ -173,7 +166,7 @@ def masked_gradient_sq(f: np.ndarray, region: Region, *, work=None) -> np.ndarra
             if any(np.may_share_memory(w, other) for other in [f, *work[:i]]):
                 raise InvalidParameterError("work arrays must not overlap f or each other")
     fk, dk, out, spare = work   # d[k] at dk[k + s], so d[k - s] is dk[k]
-    # f times the boolean mask: the bits of f times the float indicator
+    # f times the boolean mask: the bits of f times 1.0 on K and 0.0 off it
     np.multiply(f, region.mask, out=fk.reshape(shape))
     fk = fk.reshape(n)          # flat, also when it is f itself
     df = out                    # the first axis squares in place, later ones add
@@ -213,9 +206,10 @@ def unit_measure(region: Region, weight: np.ndarray | None = None) -> np.ndarray
 
 def project_mean_zero(f: np.ndarray, region: Region, measure: np.ndarray) -> np.ndarray:
     """f on K shifted so that int_K f dmu = 0, zero off K (f finite)."""
-    out = f * region.indicator
+    # f times the boolean mask: the bits of f times 1.0 on K and 0.0 off it
+    out = f * region.mask
     out -= float(np.vdot(out, measure)) / float(np.sum(measure))
-    out *= region.indicator
+    out *= region.mask
     return out
 
 

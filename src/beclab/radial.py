@@ -30,7 +30,6 @@ class RadialGround:
     kinetic: float
     potential: float
     interaction: float
-    scf_iterations: int
 
 
 def radial_harmonic_ground(g: float, r_max: float = 12.0, n: int = 6000,
@@ -49,8 +48,7 @@ def radial_harmonic_ground(g: float, r_max: float = 12.0, n: int = 6000,
     u /= np.sqrt(h * np.sum(u**2))
     dens = u**2
     mu = 0.0
-    it = 0
-    for it in range(1, max_scf + 1):
+    for _ in range(max_scf):
         diag = diag0 + (g / (2.0 * np.pi)) * dens / r**2
         w, v = sla.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
         unew = v[:, 0] / np.sqrt(h)
@@ -72,4 +70,4 @@ def radial_harmonic_ground(g: float, r_max: float = 12.0, n: int = 6000,
     interaction = float((g / (4.0 * np.pi)) * h * np.sum(u**4 / r**2))
     return RadialGround(r=r, u=u, energy=kinetic + potential + interaction,
                         mu=mu, kinetic=kinetic, potential=potential,
-                        interaction=interaction, scf_iterations=it)
+                        interaction=interaction)

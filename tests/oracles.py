@@ -22,6 +22,29 @@ def fock_states(N, M):
     return states, {s: i for i, s in enumerate(states)}
 
 
+def full_space(N, M):
+    """Every N-boson state of M modes: ``FockBasis.build`` under all-zero codes."""
+    from beclab.manybody.basis import FockBasis
+
+    return FockBasis.build(N, np.zeros(M, dtype=np.int64))
+
+
+def product_modes(tables, rows):
+    """Product modes as 3D arrays, (len(rows), n0, n1, n2): mode m is the
+    product over ax of tables[ax][rows[m, ax]]."""
+    return (tables[0][rows[:, 0], :, None, None]
+            * tables[1][rows[:, 1], None, :, None]
+            * tables[2][rows[:, 2], None, None, :])
+
+
+def sampled_modes(basis):
+    """The modes of ``basis`` on its grid, (M, *grid.shape): a tabulated
+    basis's own samples, product modes formed from their 1D factors."""
+    if basis.axis_tables is None:
+        return basis.modes
+    return product_modes(basis.axis_tables, basis.table_rows)
+
+
 def literal_annihilation(N, M):
     """Entries (row, col, amp) of a: N -> N-1, row t*M + i, by dict lookups."""
     states, _ = fock_states(N, M)
@@ -110,9 +133,7 @@ def full_space_pair_amplitudes(fock, x):
     ``fock`` (N = 2, the full space or a sector), through the full N = 2
     basis: x scattered there by its ranks, then one annihilator.  State k
     of the one-particle basis is e_k, so a_k a_l x is entry k of a_l x."""
-    from beclab.manybody.basis import FockBasis
-
-    full = FockBasis.build(2, fock.M)
+    full = full_space(2, fock.M)
     coefficients = np.zeros(full.size + 1)      # and the zero an empty row reads
     coefficients[fock.ranks] = x
     indices, data = annihilator(full)
@@ -138,18 +159,16 @@ def composed_pair_map(fock, pairs):
     one-boson maps: a_k of the full (N-1)-particle basis after a_l of
     ``fock``, at the (N-2)-particle rows of each pair class in class order
     (a class of code c reaches the rows of parity code ``fock.code ^ c``)."""
-    from beclab.manybody.basis import FockBasis
     from beclab.manybody.tensor import pair_classes
 
     M = fock.M
-    lower = FockBasis.build(fock.N - 2, M)
-    inner = FockBasis.build(fock.N - 1, M)
+    lower = full_space(fock.N - 2, M)
+    inner = full_space(fock.N - 1, M)
     inner_indices, inner_data = (m.reshape(-1, M) for m in annihilator(inner))
     indices, data = annihilator(fock)
     cols, amps = [], []
     for code, members in pair_classes(fock.mode_codes, pairs):
-        target = (lower if fock.mode_codes is None
-                  else sector(lower, fock.mode_codes, fock.code ^ code))
+        target = sector(lower, fock.mode_codes, fock.code ^ code)
         k, l = pairs[members].T
         r = target.ranks[:, None]
         row = inner_indices[r, k] * M + l
@@ -170,18 +189,17 @@ def one_class(tensor):
     the dense B (``pair_matrix``) as its one block, so a Hamiltonian over
     the full occupation space can take it.  Its fold over all pairs is
     ``dense_pair_fold(tensor)``, zeros across the parity classes included."""
-    from beclab.manybody.tensor import InteractionTensor
+    from beclab.manybody.tensor import BlockLayout, InteractionTensor
 
-    return InteractionTensor(mode_codes=np.zeros(tensor.M, dtype=np.int64),
-                             classes=((0, np.arange(tensor.n_pairs)),),
-                             blocks=tensor.pair_matrix.ravel())
+    classes = ((0, np.arange(tensor.n_pairs)),)
+    return InteractionTensor(mode_codes=np.zeros(tensor.M, dtype=np.int64), classes=classes,
+                             blocks=tensor.pair_matrix.ravel(),
+                             layout=BlockLayout.of(classes, tensor.n_pairs))
 
 
 def dense_hamiltonian(basis, tensor, N):
     """Dense H by literal application of the normal-ordered pair term."""
-    from beclab.manybody.basis import FockBasis
-
-    fock = FockBasis.build(N, basis.size)
+    fock = full_space(N, basis.size)
     states = [tuple(s) for s in fock.occupations.tolist()]   # Python ints, not uint8
     index = {s: i for i, s in enumerate(states)}
     M = basis.size
@@ -265,9 +283,10 @@ def dense_pair_matrix(basis, potential, sampled=False):
     w = vq.ravel() / (np.prod(npad) * np.prod(h))
     M = basis.size
     pairs = [(i, k) for i in range(M) for k in range(i, M)]
+    modes = sampled_modes(basis)
     dens = np.zeros((len(pairs),) + npad)
     for p, (i, k) in enumerate(pairs):
-        dens[p][: n[0], : n[1], : n[2]] = basis.modes[i] * basis.modes[k] * grid.weights
+        dens[p][: n[0], : n[1], : n[2]] = modes[i] * modes[k] * grid.weights
     hat = np.fft.fftn(dens, axes=(1, 2, 3)).reshape(len(pairs), -1)
     return ((hat * w) @ hat.conj().T).real
 
@@ -367,8 +386,8 @@ def quadrature_mode_transforms(basis, k_axes):
         w = grid.axis_weights[ax]
         kx = np.asarray(k_axes[ax])
         waves.append((w[:, None] * np.exp(-1j * np.outer(x, kx))) / np.sqrt(2 * np.pi))
-    for idx in range(basis.size):
-        t = np.tensordot(basis.modes[idx], waves[0], axes=(0, 0))
+    for idx, mode in enumerate(sampled_modes(basis)):
+        t = np.tensordot(mode, waves[0], axes=(0, 0))
         t = np.tensordot(t, waves[1], axes=(0, 0))
         t = np.tensordot(t, waves[2], axes=(0, 0))
         out[idx] = t
@@ -379,14 +398,15 @@ def analytic_mode_transforms(basis, k_axes):
     """Closed-form transforms of harmonic modes, materialized on the 3D lattice.
 
     Each oscillator eigenfunction transforms to (-i)^(total quanta) times
-    the eigenfunction of inverted stiffness, scaled by (2 pi)^(-3/2).
+    the eigenfunction of inverted stiffness, scaled by (2 pi)^(-3/2); a
+    harmonic mode's quantum numbers are its table rows.
     """
     from beclab.manybody.basis import hermite_functions
 
     per_axis = [hermite_functions(basis.max_quanta, np.asarray(k), 1.0 / basis.trap.stiffness[ax])
                 for ax, k in enumerate(k_axes)]
     out = np.empty((basis.size,) + tuple(len(k) for k in k_axes), dtype=complex)
-    for idx, q in enumerate(basis.quantum_numbers):
+    for idx, q in enumerate(basis.table_rows.tolist()):
         out[idx] = (-1j) ** sum(q) * (per_axis[0][q[0]][:, None, None]
                                       * per_axis[1][q[1]][None, :, None]
                                       * per_axis[2][q[2]][None, None, :])
@@ -607,7 +627,7 @@ def materialized_localization(ground, gp, radii, samples, seed):
     basis = ground.ham.basis
     grid = basis.grid
     C = full_space_pair_amplitudes(ground.ham.fock, ground.coefficients)
-    flat = basis.modes.reshape(basis.size, -1)
+    flat = sampled_modes(basis).reshape(basis.size, -1)
     phi = gp.phi.ravel()
     valid = phi > 1e-12 * phi.max()
     support = Region(grid=grid, mask=valid.reshape(grid.shape), kind="support")

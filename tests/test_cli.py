@@ -753,24 +753,28 @@ def test_tabulated_trap_not_covering_the_grid_exits_2_at_load(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("experiment, path", [("manybody", "problem.grid.points"),
-                                              ("sweep", "solver.gp_grid.points")])
+                                              ("sweep", "solver.gp_grid")])
 def test_tabulated_eigensolve_grid_above_cap_exits_2_at_load(tmp_path, capsys, experiment,
                                                              path):
-    # an 80^3 grid has 78^3 interior nodes, above the eigensolve cap: the
-    # mode grid, or a sweep's mean-field grid, where expand_reference solves
-    # the tabulated modes again.  A 75^3 grid (73^3 inside) passes the check
+    # an 80^3 mode grid has 78^3 interior nodes, above the eigensolve cap; a
+    # 75^3 grid (73^3 inside) passes the check.  Tabulated modes are solved
+    # on the mode grid alone, so a sweep's mean-field grid passes as that
+    # grid only: an 80^3 one is refused before any eigensolve
     cfg = SMALL_CONFIGS[experiment]()
     cfg["problem"]["trap"] = dict(TABLE, values=[0.0] * 64)
-    if experiment == "sweep":
-        cfg["solver"]["gp_grid"] = {"extent": [14.0] * 3}
-    grid = cfg["problem"]["grid"] if experiment == "manybody" else cfg["solver"]["gp_grid"]
-    grid["points"] = [75] * 3
+    if experiment == "manybody":
+        grid, passing = cfg["problem"]["grid"], [75] * 3
+    else:
+        grid = cfg["solver"]["gp_grid"] = dict(cfg["problem"]["grid"])
+        passing = grid["points"]
+    grid["points"] = passing
     validate(copy.deepcopy(cfg))
     grid["points"] = [80] * 3
     p = write_config(tmp_path, cfg)
     assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {path}: ") and "cap 400000" in err
+    assert err.startswith(f"config error: {path}: ")
+    assert ("cap 400000" if experiment == "manybody" else "problem.grid only") in err
     assert not (tmp_path / "o").exists()
 
 
@@ -1396,7 +1400,7 @@ def test_product_basis_run_never_materializes_the_modes(tmp_path, monkeypatch, e
            if experiment == "manybody" else small_sweep_config())
     execute(cfg, tmp_path / "o")
     assert len(made) == 1 and made[0].axis_tables is not None
-    assert "modes" not in made[0].__dict__
+    assert made[0].modes is None
 
 
 def test_manybody_run_with_localization_builds_one_occupation_space(tmp_path, monkeypatch):

@@ -10,12 +10,19 @@ import beclab as bl
 from beclab.errors import CapacityError, ResolutionError
 from beclab.manybody import basis as basis_module
 from beclab.manybody import build_mode_basis
-from beclab.manybody.basis import (FockBasis, _energy_check_error, _product_modes,
-                                   _rank_table, _sector_states, separable_modes)
+from beclab.manybody.basis import (FockBasis, _energy_check_error, _rank_table,
+                                   _sector_states, separable_modes)
 from beclab.model import MAX_FOCK_DIMENSION
 
-from .oracles import (annihilator, fock_states, literal_annihilation, rank,
-                      rayleigh_quotient_3d, sector)
+from .oracles import (annihilator, fock_states, full_space, literal_annihilation,
+                      product_modes, rank, rayleigh_quotient_3d, sampled_modes, sector)
+
+
+def _gram_error(basis):
+    # the quadrature Gram matrix of the modes sampled on the grid
+    flat = sampled_modes(basis).reshape(basis.size, -1)
+    return float(np.abs((flat * basis.grid.weights.ravel()) @ flat.T
+                        - np.eye(basis.size)).max())
 
 
 def test_single_mode_basis(trap, grid48):
@@ -28,28 +35,29 @@ def test_quanta_two_degeneracies(trap, grid48):
     basis = build_mode_basis(trap, grid48, 2)
     assert basis.size == 10
     np.testing.assert_allclose(np.sort(basis.energies), [3] + [5] * 3 + [7] * 6)
-    assert basis.gram_error < 1e-8
+    assert _gram_error(basis) < 1e-8
 
 
 def test_mode_ordering_ties_lexicographic(trap, grid48):
     basis = build_mode_basis(trap, grid48, 1)
-    assert basis.quantum_numbers == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+    # a harmonic mode's quantum numbers are its table rows
+    assert basis.table_rows.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
 
 def test_box_lowest_mode():
     trap = bl.TrapSpec.box(1.0, 3)
     basis = build_mode_basis(trap, bl.Grid.box(1.0, 48), 1)
     assert basis.energies[0] == pytest.approx(3 * np.pi**2, rel=1e-9)
-    assert basis.gram_error < 1e-10
+    assert _gram_error(basis) < 1e-10
 
 
 def test_axis_parity_from_sampled_modes(trap, grid48):
     basis = build_mode_basis(trap, grid48, 2)
-    np.testing.assert_array_equal(basis.axis_parity, np.array(basis.quantum_numbers) % 2)
+    np.testing.assert_array_equal(basis.axis_parity, basis.table_rows % 2)
 
 
 def test_axis_parity_of_tabulated_modes():
-    # tabulated modes are labelled (i, 0, 0); their parity comes from the samples
+    # tabulated modes have no quantum numbers; their parity comes from the samples
     grid = bl.Grid.centered((10.0,) * 3, (24,) * 3)
     x, y, z = grid.meshgrid()
     trap = bl.TrapSpec.tabulated(grid, x**2 + 2 * y**2 + 3 * z**2)
@@ -68,12 +76,14 @@ def test_no_definite_parity_gives_all_zero_codes(trap, grid48):
     assert codes.dtype == np.int64 and codes.shape == (basis.size,) and not codes.any()
     centred = build_mode_basis(trap, grid48, 1).parity_codes
     for N in (0, 1, 2, 3):
-        full, zero, sector = (FockBasis.build(N, basis.size, mode_codes=m)
-                              for m in (None, codes, centred))
-        for fock in (full, zero, sector):
-            assert isinstance(fock.mode_codes, np.ndarray)
+        # M is the number of codes; all-zero codes give every state, in order
+        full, sector = (FockBasis.build(N, m) for m in (codes, centred))
+        for fock in (full, sector):
             assert fock.mode_codes.dtype == np.int64 and fock.mode_codes.shape == (basis.size,)
-        assert np.array_equal(zero.occupations, full.occupations)
+            assert fock.M == basis.size
+        assert full.size == full.full_size == math.comb(N + basis.size - 1, N) >= sector.size
+        states, _ = fock_states(N, basis.size)
+        assert np.array_equal(full.occupations, np.array(states).reshape(-1, basis.size))
 
 
 FACTORED = {
@@ -90,9 +100,9 @@ def factored(request):
 
 
 def test_factored_basis_matches_the_materialized_modes(factored):
-    # the 3D route, built here so the basis's own modes stay unbuilt
+    # the 3D route, built here: the basis keeps no 3D modes
     basis, grid = factored, factored.grid
-    modes = _product_modes(basis.axis_tables, basis.table_rows)
+    modes = product_modes(basis.axis_tables, basis.table_rows)
     flat = modes.reshape(basis.size, -1)
     rng = np.random.default_rng(3)
     b = rng.normal(size=basis.size)
@@ -111,8 +121,7 @@ def test_factored_basis_matches_the_materialized_modes(factored):
     close(basis.potential_matrix(), (flat * (v * grid.weights.ravel())) @ flat.T)
     for node in [(0, 0, 0), tuple(n // 2 for n in grid.shape), (3, grid.shape[1] - 1, 5)]:
         assert np.array_equal(basis.values_at(node), modes[(slice(None),) + node])
-    assert "modes" not in basis.__dict__
-    assert np.array_equal(basis.modes, modes)
+    assert basis.modes is None
 
 
 def test_box_potential_matrix_is_positive_zero():
@@ -126,8 +135,9 @@ def test_tabulated_basis_keeps_its_numeric_route():
     x, y, z = grid.meshgrid()
     trap = bl.TrapSpec.tabulated(grid, x**2 + 2 * y**2 + 3 * z**2)
     basis = build_mode_basis(trap, grid, 1)
-    assert basis.axis_tables is None and basis.modes is basis.numeric_modes
-    flat = basis.numeric_modes.reshape(basis.size, -1)
+    assert basis.axis_tables is None and basis.modes.shape == (basis.size,) + grid.shape
+    flat = basis.modes.reshape(basis.size, -1)
+    assert _gram_error(basis) < 1e-8
     rng = np.random.default_rng(4)
     b = rng.normal(size=basis.size)
     g = rng.normal(size=(basis.size,) * 2)
@@ -165,8 +175,8 @@ def test_energy_check_is_the_3d_rayleigh_quotient(monkeypatch, trap, grid, max_q
     # mode, with both checks disarmed
     monkeypatch.setattr(basis_module, "_GRAM_TOL", np.inf)
     monkeypatch.setattr(basis_module, "_ENERGY_CHECK", np.inf)
-    _, energies, tables, rows = separable_modes(trap, grid, max_quanta)
-    mode = _product_modes(tables, rows[-1:])[0]
+    energies, tables, rows = separable_modes(trap, grid, max_quanta)
+    mode = product_modes(tables, rows[-1:])[0]
     ref = abs(rayleigh_quotient_3d(trap, grid, mode) / energies[-1] - 1.0)
     assert _energy_check_error(trap, grid, tables, rows[-1], energies[-1]) == pytest.approx(
         ref, abs=1e-12)
@@ -181,7 +191,7 @@ def test_energy_check_fires_on_coarse_grid(monkeypatch, trap):
 
 def test_fock_enumeration_matches_rank():
     for (N, M) in [(2, 3), (3, 4), (4, 5), (1, 2), (0, 4)]:
-        fock = FockBasis.build(N, M)
+        fock = full_space(N, M)
         np.testing.assert_array_equal(rank(fock, fock.occupations), np.arange(fock.size))
         assert np.all(fock.occupations.sum(axis=1) == N)
 
@@ -189,7 +199,7 @@ def test_fock_enumeration_matches_rank():
 @given(st.integers(1, 6), st.integers(2, 7))
 @settings(max_examples=30, deadline=None)
 def test_fock_rank_bijection(N, M):
-    fock = FockBasis.build(N, M)
+    fock = full_space(N, M)
     ranks = rank(fock, fock.occupations)
     assert sorted(ranks) == list(range(fock.size))
 
@@ -198,8 +208,8 @@ def test_fock_rank_bijection(N, M):
 @settings(max_examples=80, deadline=None)
 def test_sector_enumeration_matches_the_filter_route(N, M, data):
     codes = np.array(data.draw(st.lists(st.integers(0, 7), min_size=M, max_size=M)))
-    direct = FockBasis.build(N, M, mode_codes=codes)
-    filtered = sector(FockBasis.build(N, M), codes, codes[0] * (N % 2))
+    direct = FockBasis.build(N, codes)
+    filtered = sector(full_space(N, M), codes, codes[0] * (N % 2))
     assert np.array_equal(direct.occupations, filtered.occupations)
     assert np.array_equal(direct.ranks, filtered.ranks)
     assert direct.code == filtered.code and np.array_equal(direct.mode_codes, codes)
@@ -208,8 +218,8 @@ def test_sector_enumeration_matches_the_filter_route(N, M, data):
 @pytest.mark.parametrize("N", [2, 3, 6])
 def test_sector_enumeration_at_the_sweep_size(basis_q3, N):
     codes = basis_q3.parity_codes
-    direct = FockBasis.build(N, basis_q3.size, mode_codes=codes)
-    filtered = sector(FockBasis.build(N, basis_q3.size), codes, codes[0] * (N % 2))
+    direct = FockBasis.build(N, codes)
+    filtered = sector(full_space(N, basis_q3.size), codes, codes[0] * (N % 2))
     assert np.array_equal(direct.occupations, filtered.occupations)
     assert np.array_equal(direct.ranks, filtered.ranks)
 
@@ -247,20 +257,20 @@ def test_capacity_cap():
     # one fixed ceiling on the full count, whatever the sector; a config's
     # lower cap is checked at load.  C(29, 10) = 20,030,010 states at N = 10,
     # M = 20 are refused, C(24, 5) = 42,504 built
-    assert "dimension_cap" not in inspect.signature(FockBasis.build).parameters
+    assert list(inspect.signature(FockBasis.build).parameters) == ["N", "mode_codes"]
     codes = np.array([0, 1, 2, 4] * 5)
-    for mode_codes in (None, codes):
+    for mode_codes in (np.zeros(20, dtype=np.int64), codes):
         with pytest.raises(CapacityError, match=f"above the cap {MAX_FOCK_DIMENSION}"):
-            FockBasis.build(10, 20, mode_codes=mode_codes)
+            FockBasis.build(10, mode_codes)
     assert math.comb(10 + 20 - 1, 10) > MAX_FOCK_DIMENSION
-    assert FockBasis.build(5, 20).size == math.comb(24, 5)
+    assert full_space(5, 20).size == math.comb(24, 5)
 
 
 @pytest.mark.parametrize("N,M", [(0, 1), (0, 4), (1, 1), (1, 5), (3, 1), (2, 4), (4, 3),
                                  (6, 8), (5, 7)])
 def test_fock_build_order_matches_combinations(N, M):
     states, _ = fock_states(N, M)
-    fock = FockBasis.build(N, M)
+    fock = full_space(N, M)
     np.testing.assert_array_equal(fock.occupations, np.array(states).reshape(len(states), M))
     np.testing.assert_array_equal(fock.ranks, np.arange(len(states)))
 
@@ -268,10 +278,10 @@ def test_fock_build_order_matches_combinations(N, M):
 @pytest.mark.parametrize("N,M", [(2, 84), (3, 30), (1, 5), (2, 1)])
 def test_ladder_targets_and_rank_match_dict_oracle(N, M):
     # (2, 84): a full binomial table of this size overflows int64
-    fock = FockBasis.build(N, M)
+    fock = full_space(N, M)
     _, lower = fock_states(N - 1, M)
     states = np.array(list(lower)).reshape(len(lower), M)
-    np.testing.assert_array_equal(rank(FockBasis.build(N - 1, M), states),
+    np.testing.assert_array_equal(rank(full_space(N - 1, M), states),
                                   np.arange(len(lower)))
     np.testing.assert_array_equal(rank(fock, fock.occupations), np.arange(fock.size))
     rows, cols, amps = literal_annihilation(N, M)
@@ -284,7 +294,7 @@ def test_ladder_targets_and_rank_match_dict_oracle(N, M):
 
 
 def test_annihilator_of_the_vacuum_is_empty():
-    indices, data = annihilator(FockBasis.build(0, 4))
+    indices, data = annihilator(full_space(0, 4))
     assert indices.shape == data.shape == (0,)
 
 
@@ -295,8 +305,8 @@ def test_narrow_occupation_table_and_pair_sources(N, M):
     # wraps), uint32 at 70,000 with one mode.  The pair map's amplitudes
     # are float64 and match Python-int arithmetic, and each source state
     # is s + e_k + e_l
-    fock = FockBasis.build(N, M)
-    lower = FockBasis.build(N - 2, M)
+    fock = full_space(N, M)
+    lower = full_space(N - 2, M)
     assert fock.occupations.dtype == np.min_scalar_type(N)
     assert lower.occupations.dtype == np.min_scalar_type(N - 2)
     k, l = np.triu_indices(M)

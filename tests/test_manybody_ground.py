@@ -20,7 +20,7 @@ from beclab.manybody.tensor import (BlockLayout, InteractionTensor, interaction_
                                     pair_classes)
 
 from .oracles import (composed_pair_map, dense_gamma, dense_ground, dense_hamiltonian,
-                      dense_pair_fold, fock_states, full_space_pair_amplitudes,
+                      dense_pair_fold, fock_states, full_space, full_space_pair_amplitudes,
                       literal_pair_amplitudes, literal_pair_annihilation, one_class)
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
@@ -61,7 +61,7 @@ def test_single_particle_no_pair_term(basis_q2, soft_tensor_q2):
 def test_dense_oracle_equivalence(N, quanta, basis_q1, basis_q2):
     basis = basis_q1 if quanta == 1 else basis_q2
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
-    fock = FockBasis.build(N, basis.size)
+    fock = full_space(N, basis.size)
     assert fock.size <= 500
     e_ref, x_ref, states, index = dense_ground(basis, tensor, N)
     gamma_ref = dense_gamma(x_ref, states, index, basis.size)
@@ -81,9 +81,8 @@ def test_lanczos_matches_dense_eigh(N, quanta, height, basis_q1, basis_q2):
     basis = basis_q1 if quanta == 1 else basis_q2
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(height, 1.1))
     H, _, _ = dense_hamiltonian(basis, tensor, N)
-    for space_tensor, codes in ((one_class(tensor), None), (tensor, basis.parity_codes)):
-        ham = PairOpHamiltonian(basis, space_tensor,
-                                FockBasis.build(N, basis.size, mode_codes=codes))
+    for space_tensor in (one_class(tensor), tensor):
+        ham = PairOpHamiltonian(basis, space_tensor, N)
         ranks = ham.fock.ranks
         vals, vecs = np.linalg.eigh(H[np.ix_(ranks, ranks)])
         x_ref = vecs[:, 0] * np.sign(vecs[np.argmax(np.abs(vecs[:, 0])), 0])
@@ -102,11 +101,10 @@ def test_lanczos_matches_dense_eigh(N, quanta, height, basis_q1, basis_q2):
 
 def test_energy_below_random_rayleigh_quotients(basis_q2, soft_tensor_q2):
     gr = ground_state(basis_q2, soft_tensor_q2, 3)
-    fock = FockBasis.build(3, basis_q2.size)
-    ham = PairOpHamiltonian(basis_q2, one_class(soft_tensor_q2), fock)
+    ham = PairOpHamiltonian(basis_q2, one_class(soft_tensor_q2), 3)
     rng = np.random.default_rng(11)
     for _ in range(5):
-        x = rng.standard_normal(fock.size)
+        x = rng.standard_normal(ham.size)
         x /= np.linalg.norm(x)
         assert gr.energy <= x @ ham.matvec(x) + 1e-10
 
@@ -120,8 +118,7 @@ def test_hartree_bound_and_pair_moment(basis_q2, soft_tensor_q2):
     assert gr.energy <= rq + 1e-10
     pm = pair_moment(gr.ham, gr.coefficients, c) / N**2
     # the same moment on the full space, with the sector state scattered there
-    full = PairOpHamiltonian(basis_q2, one_class(soft_tensor_q2),
-                             FockBasis.build(N, basis_q2.size))
+    full = PairOpHamiltonian(basis_q2, one_class(soft_tensor_q2), N)
     x = np.zeros(full.size)
     x[gr.ham.fock.ranks] = gr.coefficients
     assert pm == pytest.approx(pair_moment(full, x, c) / N**2, rel=1e-12)
@@ -159,7 +156,7 @@ def test_ladder_core_on_random_vectors(N, quanta, basis_q1, basis_q2, soft_tenso
     basis = basis_q1 if quanta == 1 else basis_q2
     tensor = (interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
               if quanta == 1 else soft_tensor_q2)
-    ham = PairOpHamiltonian(basis, one_class(tensor), FockBasis.build(N, basis.size))
+    ham = PairOpHamiltonian(basis, one_class(tensor), N)
     states, index = fock_states(N, basis.size)
     rng = np.random.default_rng(N + 10 * quanta)
     for _ in range(3):
@@ -178,18 +175,12 @@ def test_ladder_core_on_random_vectors(N, quanta, basis_q1, basis_q2, soft_tenso
 
 
 def test_pair_amplitude_matrix_matches_state_loop(basis_q2, soft_tensor_q2):
-    ham = PairOpHamiltonian(basis_q2, one_class(soft_tensor_q2),
-                            FockBasis.build(2, basis_q2.size))
+    ham = PairOpHamiltonian(basis_q2, one_class(soft_tensor_q2), 2)
     rng = np.random.default_rng(5)
     x = _random_unit(rng, ham.size)
     np.testing.assert_allclose(_pair_amplitude_matrix(ham, x),
                                literal_pair_amplitudes(x, fock_states(2, basis_q2.size)[0]),
                                atol=1e-15)
-
-
-def _sector_hamiltonian(basis, tensor, N):
-    fock = FockBasis.build(N, basis.size, mode_codes=basis.parity_codes)
-    return PairOpHamiltonian(basis, tensor, fock)
 
 
 def _lower_ranks(ham):
@@ -204,14 +195,13 @@ def test_sector_solve_matches_full_space(N, basis_q2, soft_tensor_q2):
     # the reference is the Lanczos solve of the full-space Hamiltonian from
     # the same start state, which never leaves the start state's sector (the
     # full space takes the tensor as one class)
-    full = PairOpHamiltonian(basis_q2, one_class(soft_tensor_q2),
-                             FockBasis.build(N, basis_q2.size))
+    full = PairOpHamiltonian(basis_q2, one_class(soft_tensor_q2), N)
     start = np.zeros(full.size)
     start[0] = 1.0
     energy, x_ref, _ = _lanczos(full, start)
     gr = ground_state(basis_q2, soft_tensor_q2, N)
     sector = gr.ham.fock
-    assert sector.mode_codes is not None and sector.size < full.size
+    assert sector.size < full.size
     assert gr.coefficients.shape == (sector.size,)
     assert gr.energy == pytest.approx(energy, rel=1e-12)
     np.testing.assert_allclose(gr.gamma, full.one_body_matrix(x_ref), atol=1e-12)
@@ -262,13 +252,13 @@ def test_off_centre_grid_solves_in_full_space(monkeypatch):
     sizes = []
     build = PairOpHamiltonian.__init__
 
-    def spy(self, basis, tensor, fock):
-        sizes.append(fock.size)
-        build(self, basis, tensor, fock)
+    def spy(self, basis, tensor, N):
+        build(self, basis, tensor, N)
+        sizes.append(self.fock.size)
 
     monkeypatch.setattr(PairOpHamiltonian, "__init__", spy)
     gr = ground_state(basis, tensor, 3)
-    assert sizes == [FockBasis.build(3, basis.size).size]
+    assert sizes == [full_space(3, basis.size).size]
     e_ref, _, _, _ = dense_ground(basis, tensor, 3)
     assert gr.energy == pytest.approx(e_ref, abs=1e-9)
 
@@ -285,7 +275,7 @@ def test_sector_pair_map_and_fold_on_random_vectors(N, quanta, basis_q1, basis_q
     basis = basis_q1 if quanta == 1 else basis_q2
     tensor = (interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
               if quanta == 1 else soft_tensor_q2)
-    ham = _sector_hamiltonian(basis, tensor, N)
+    ham = PairOpHamiltonian(basis, tensor, N)
     H, states, index = dense_hamiltonian(basis, tensor, N)
     ranks = ham.fock.ranks
     rng = np.random.default_rng(N + 10 * quanta)
@@ -329,7 +319,7 @@ def _assert_pair_map_is_composed(ham):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_pair_map_matches_the_composed_map_on_sweep_sectors(N, basis_q3, sweep_tensor_q3):
-    _assert_pair_map_is_composed(_sector_hamiltonian(basis_q3, sweep_tensor_q3, N))
+    _assert_pair_map_is_composed(PairOpHamiltonian(basis_q3, sweep_tensor_q3, N))
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -337,8 +327,7 @@ def test_pair_map_matches_the_composed_map_in_the_full_space(N):
     basis = _off_centre_basis(2)
     assert basis.axis_parity is None
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
-    _assert_pair_map_is_composed(PairOpHamiltonian(basis, tensor,
-                                                   FockBasis.build(N, basis.size)))
+    _assert_pair_map_is_composed(PairOpHamiltonian(basis, tensor, N))
 
 
 @pytest.mark.parametrize("N, sector", [(2, False), (3, False), (2, True), (3, True)])
@@ -349,8 +338,7 @@ def test_gamma_forms_no_pair_gram_below_the_pair_count(N, sector):
     basis = (build_mode_basis(TRAP, GRID, 4) if sector else _off_centre_basis(4))
     assert (basis.axis_parity is not None) == sector
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
-    fock = FockBasis.build(N, basis.size, mode_codes=basis.parity_codes if sector else None)
-    ham = PairOpHamiltonian(basis, tensor, fock)
+    ham = PairOpHamiltonian(basis, tensor, N)
     x = _random_unit(np.random.default_rng(N), ham.size)
     W = np.zeros((comb(N + basis.size - 3, N - 2), tensor.n_pairs))
     lower = _lower_ranks(ham)
@@ -406,10 +394,20 @@ def test_one_pair_grouping_and_one_layout_per_solve(monkeypatch, N, basis_q2,
 
 
 def test_hamiltonian_takes_the_codes_of_its_tensor(basis_q2, soft_tensor_q2):
-    # the full space's all-zero codes are not those of a parity tensor; the
-    # same tensor as one class solves there, from the start state's sector
-    with pytest.raises(SolverFailureError, match="parity codes"):
-        PairOpHamiltonian(basis_q2, soft_tensor_q2, FockBasis.build(3, basis_q2.size))
+    # the Hamiltonian builds its space from N and the tensor's codes: the
+    # start state's sector of a parity tensor, every state of the same
+    # tensor as one class (all-zero codes), from which the solve stays in
+    # the start state's sector
+    assert list(inspect.signature(PairOpHamiltonian).parameters) == ["basis", "tensor", "N"]
+    for tensor, codes in ((soft_tensor_q2, basis_q2.parity_codes),
+                          (one_class(soft_tensor_q2), np.zeros(basis_q2.size, dtype=np.int64))):
+        fock = PairOpHamiltonian(basis_q2, tensor, 3).fock
+        want = FockBasis.build(3, codes)
+        assert fock.mode_codes is tensor.mode_codes and fock.code == want.code
+        assert np.array_equal(fock.occupations, want.occupations)
+        assert np.array_equal(fock.ranks, want.ranks)
+    with pytest.raises(SolverFailureError, match="sizes disagree"):
+        PairOpHamiltonian(build_mode_basis(TRAP, GRID, 1), soft_tensor_q2, 3)
     full = ground_state(basis_q2, one_class(soft_tensor_q2), 3)
     sector = ground_state(basis_q2, soft_tensor_q2, 3)
     assert full.ham.fock.size == full.ham.fock.full_size > sector.ham.fock.size
@@ -419,11 +417,10 @@ def test_hamiltonian_takes_the_codes_of_its_tensor(basis_q2, soft_tensor_q2):
 
 def test_sector_hamiltonian_builds_only_the_n_minus_2_space(monkeypatch, basis_q2,
                                                            soft_tensor_q2):
-    # one enumeration of the (N-2)-particle states, for every class code at
-    # once, and no second occupation space
+    # the N-particle space, then one enumeration of the (N-2)-particle
+    # states, for every class code at once, and no second occupation space
     from beclab.manybody import basis as basis_module
 
-    fock = FockBasis.build(4, basis_q2.size, mode_codes=basis_q2.parity_codes)
     built, enumerated = [], []
     build, states = FockBasis.build.__func__, basis_module._sector_states
 
@@ -437,9 +434,11 @@ def test_sector_hamiltonian_builds_only_the_n_minus_2_space(monkeypatch, basis_q
 
     monkeypatch.setattr(FockBasis, "build", classmethod(build_spy))
     monkeypatch.setattr(basis_module, "_sector_states", states_spy)
-    ham = PairOpHamiltonian(basis_q2, soft_tensor_q2, fock)
-    assert built == []
-    assert enumerated == [(2, sorted(fock.code ^ code for code, _ in
+    ham = PairOpHamiltonian(basis_q2, soft_tensor_q2, 4)
+    fock = ham.fock
+    assert built == [4]
+    assert enumerated == [(4, [fock.code]),
+                          (2, sorted(fock.code ^ code for code, _ in
                                      pair_classes(fock.mode_codes, soft_tensor_q2.pairs)))]
     assert ham.lower_size == comb(2 + basis_q2.size - 1, 2)
 
@@ -447,7 +446,7 @@ def test_sector_hamiltonian_builds_only_the_n_minus_2_space(monkeypatch, basis_q
 def test_hamiltonian_keeps_no_full_pair_fold_or_one_boson_map(basis_q2, soft_tensor_q2):
     # only diag and each class's fold block and part of the pair map stay:
     # no (P, P) fold and no map over the (N-1)-particle states
-    ham = _sector_hamiltonian(basis_q2, soft_tensor_q2, 4)
+    ham = PairOpHamiltonian(basis_q2, soft_tensor_q2, 4)
     M, P = basis_q2.size, soft_tensor_q2.n_pairs
     one_boson_rows = comb(3 + M - 1, 3) * M
     held = [a for value in vars(ham).values()
@@ -474,7 +473,7 @@ def test_two_boson_sector_keeps_only_the_class_that_reaches_the_vacuum(monkeypat
     fold = InteractionTensor.fold_hamiltonian_pairs
     monkeypatch.setattr(InteractionTensor, "fold_hamiltonian_pairs",
                         lambda self, c: folded.append(c) or fold(self, c))
-    ham = _sector_hamiltonian(basis, tensor, 2)
+    ham = PairOpHamiltonian(basis, tensor, 2)
     assert basis.size == 35 and len(pair_classes(ham.fock.mode_codes, tensor.pairs)) == 8
     (cls,) = ham.pair_classes
     assert len(folded) == 1 and tensor.classes[folded[0]][1] is cls.pairs
@@ -529,11 +528,11 @@ def test_pair_amplitude_matrix_matches_the_full_space_route(space, basis_q2, sof
         basis = _off_centre_basis(2)
         assert basis.axis_parity is None
         ham = PairOpHamiltonian(basis, interaction_tensor(basis, bl.PairPotential.soft_sphere(
-            5.0, 1.1)), FockBasis.build(2, basis.size))
+            5.0, 1.1)), 2)
     else:
         basis, tensor = ((basis_q2, soft_tensor_q2) if space == "sector_q2"
                          else (basis_q3, sweep_tensor_q3))
-        ham = _sector_hamiltonian(basis, tensor, 2)
+        ham = PairOpHamiltonian(basis, tensor, 2)
         assert ham.size < ham.fock.full_size
     rng = np.random.default_rng(ham.size)
     for _ in range(3):
@@ -572,8 +571,7 @@ def test_readers_take_the_solve_from_the_ground_state(basis_q2, soft_tensor_q2):
 
 def _two_mode_basis(basis):
     # the first two product modes of a basis: energies 3 and 5
-    return replace(basis, energies=basis.energies[:2], quantum_numbers=basis.quantum_numbers[:2],
-                   table_rows=basis.table_rows[:2])
+    return replace(basis, energies=basis.energies[:2], table_rows=basis.table_rows[:2])
 
 
 @pytest.mark.parametrize("N, quanta", [(255, 1), (256, 1), (70_000, 0)])
@@ -584,10 +582,10 @@ def test_diag_on_a_narrow_occupation_table(N, quanta):
     if quanta:
         basis = _two_mode_basis(basis)
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
-    for space_tensor, codes in ((one_class(tensor), None), (tensor, basis.parity_codes)):
-        fock = FockBasis.build(N, basis.size, mode_codes=codes)
+    for space_tensor in (one_class(tensor), tensor):
+        ham = PairOpHamiltonian(basis, space_tensor, N)
+        fock = ham.fock
         assert fock.occupations.dtype == np.min_scalar_type(N)
-        ham = PairOpHamiltonian(basis, space_tensor, fock)
         assert ham.diag.dtype == np.float64
         assert np.array_equal(ham.diag, fock.occupations.astype(float) @ basis.energies)
 
@@ -597,7 +595,7 @@ def sweep_sector_n6(basis_q3):
     # the sweep's largest row: N = 6 in the sector of 23,228 of the 177,100
     # states of M = 20 modes; its pair map has 236,864 entries (3.61 MiB
     # of columns and amplitudes)
-    return FockBasis.build(6, basis_q3.size, mode_codes=basis_q3.parity_codes)
+    return FockBasis.build(6, basis_q3.parity_codes)
 
 
 def test_occupation_table_holds_one_byte_per_entry(basis_q3, sweep_sector_n6):
@@ -606,7 +604,7 @@ def test_occupation_table_holds_one_byte_per_entry(basis_q3, sweep_sector_n6):
     # per entry
     tracemalloc.start()
     try:
-        fock = FockBasis.build(6, basis_q3.size, mode_codes=basis_q3.parity_codes)
+        fock = FockBasis.build(6, basis_q3.parity_codes)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -619,16 +617,33 @@ def _map_bytes(ham):
     return sum(cls.cols.nbytes + cls.amps.nbytes for cls in ham.pair_classes)
 
 
+def _measure_past_the_space(monkeypatch):
+    """Once the Hamiltonian's own space is built, record the traced memory
+    (the space included) and reset the traced peak, so that a peak less
+    that record is the build's past its space; the space's own build is
+    measured by ``test_occupation_table_holds_one_byte_per_entry``."""
+    held = []
+    build = FockBasis.build.__func__
+
+    def spy(cls, N, mode_codes):
+        fock = build(cls, N, mode_codes)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return fock
+
+    monkeypatch.setattr(FockBasis, "build", classmethod(spy))
+    return held
+
+
 def test_hamiltonian_build_casts_no_table_and_copies_no_pair_map(monkeypatch, sweep_sector_n6,
                                                                  basis_q3, sweep_tensor_q3):
-    # diag, formed before the pair map, peaks at two D-vectors (0.42 MiB
-    # measured, 3.72 with a float64 copy of the D x M table; the bound is
-    # 0.89).  Each class keeps its part of the map as pair_sources returned
-    # it: the whole build peaks at 5.37 MiB measured, 9.16 when the
-    # per-class pieces were concatenated, against the bound of twice the
-    # map, 7.23 MiB.  No (D, M) table is kept
-    fock = sweep_sector_n6
-    peaks = []
+    # past its space, diag, formed before the pair map, peaks at two
+    # D-vectors (0.42 MiB measured, 3.72 with a float64 copy of the D x M
+    # table; the bound is 0.89).  Each class keeps its part of the map as
+    # pair_sources returned it: the build peaks at 5.37 MiB measured, 9.16
+    # when the per-class pieces were concatenated, against the bound of
+    # twice the map, 7.23 MiB.  No (D, M) table is kept
+    held, peaks = _measure_past_the_space(monkeypatch), []
     build = PairOpHamiltonian._build_pair_classes
 
     def spy(self):
@@ -638,38 +653,42 @@ def test_hamiltonian_build_casts_no_table_and_copies_no_pair_map(monkeypatch, sw
     monkeypatch.setattr(PairOpHamiltonian, "_build_pair_classes", spy)
     tracemalloc.start()
     try:
-        ham = PairOpHamiltonian(basis_q3, sweep_tensor_q3, fock)
+        ham = PairOpHamiltonian(basis_q3, sweep_tensor_q3, 6)
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peaks[0] < fock.size * fock.M * 8 / 4
-    assert peaks[1] < 2 * _map_bytes(ham)
+    fock = ham.fock
+    assert np.array_equal(fock.occupations, sweep_sector_n6.occupations)
+    assert len(held) == 1
+    assert peaks[0] - held[0] < fock.size * fock.M * 8 / 4
+    assert peaks[1] - held[0] < 2 * _map_bytes(ham)
     assert not any(a.ndim == 2 and len(a) == fock.size for a in _held_arrays(ham))
 
 
-def test_hamiltonian_build_enumerates_no_second_space(sweep_sector_n6, basis_q3,
-                                                      sweep_tensor_q3):
+def test_hamiltonian_build_enumerates_no_second_space(monkeypatch, basis_q3, sweep_tensor_q3):
     # the (N-2)-particle states of the reached codes only, from the N-space's
-    # rank table, with their codes from the enumeration: the build peaks at
-    # 5.37 MiB measured, against 6.77 MiB with a second FockBasis of the whole
-    # (N-2)-particle space and its D_(N-2) x M int64 parity table.  The bound
-    # is 1.65 times the map's 3.61 MiB, 5.96 MiB
+    # rank table, with their codes from the enumeration: past its space, the
+    # build peaks at 5.37 MiB measured, against 6.77 MiB with a second
+    # FockBasis of the whole (N-2)-particle space and its D_(N-2) x M int64
+    # parity table.  The bound is 1.65 times the map's 3.61 MiB, 5.96 MiB
+    held = _measure_past_the_space(monkeypatch)
     tracemalloc.start()
     try:
-        ham = PairOpHamiltonian(basis_q3, sweep_tensor_q3, sweep_sector_n6)
+        ham = PairOpHamiltonian(basis_q3, sweep_tensor_q3, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.65 * _map_bytes(ham)
+    assert len(held) == 1
+    assert peak - held[0] < 1.65 * _map_bytes(ham)
 
 
-def test_matvec_forms_no_array_of_the_pair_map_size(sweep_sector_n6, basis_q3, sweep_tensor_q3):
+def test_matvec_forms_no_array_of_the_pair_map_size(basis_q3, sweep_tensor_q3):
     # one class at a time: 1.21 MiB peak measured, against 2.41 MiB when
     # the products of the whole map were formed at once; the bound is one
     # float per map entry, 1.81 MiB.  The scatter adds in map order, so the
     # product is bit for bit that of one bincount over the class arrays
     # laid end to end
-    ham = PairOpHamiltonian(basis_q3, sweep_tensor_q3, sweep_sector_n6)
+    ham = PairOpHamiltonian(basis_q3, sweep_tensor_q3, 6)
     x = _random_unit(np.random.default_rng(6), ham.size)
     tracemalloc.start()
     try:

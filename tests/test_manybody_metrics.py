@@ -21,10 +21,11 @@ from beclab.manybody import localization, metrics
 from beclab.manybody.localization import _ball_box, _scrambled_sobol
 from beclab.manybody.metrics import _K_POINTS, default_momentum_axes, momentum_density
 from beclab.manybody.tensor import interaction_tensor
+from beclab.model import axis_apply
 
 from .oracles import (analytic_mode_transforms, materialized_localization,
                       materialized_momentum_metrics, quadrature_mode_transforms,
-                      quadrature_momentum_l1)
+                      quadrature_momentum_l1, sampled_modes)
 
 TRAP = bl.TrapSpec.harmonic((1.0, 1.0, 1.0))
 GRID = bl.Grid.centered((14.0,) * 3, (32,) * 3)
@@ -169,7 +170,7 @@ def test_ball_box_selects_the_full_grid_ball(grid):
 
 
 def test_localization_matches_the_materialized_route(monkeypatch):
-    # a basis of its own, so that no other test has materialized its modes
+    # the profile reads the product modes' tables; the basis holds no 3D modes
     basis = build_mode_basis(TRAP, GRID, 2)
     tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
     gr = ground_state(basis, tensor, 2)
@@ -180,7 +181,7 @@ def test_localization_matches_the_materialized_route(monkeypatch):
                         lambda *args: drawn.append(draw(*args)) or drawn[-1])
     radii = (0.5, 1.0, 2.0, 4.0)
     prof = localization_profile(gr, gp, radii=radii, samples=16, seed=5)
-    assert "modes" not in basis.__dict__
+    assert basis.modes is None
     fractions, total, idx = materialized_localization(gr, gp, radii, 16, 5)
     assert np.array_equal(drawn[0], idx)
     np.testing.assert_allclose(prof.fractions, fractions, rtol=1e-12, atol=0)
@@ -313,17 +314,36 @@ def _case(kind):
 def test_factored_reference_expansion_matches_sampled_modes(kind):
     trap, grid, gp_grid, outside = _case(kind)
     basis = build_mode_basis(trap, grid, 2)
-    sampled = build_mode_basis(trap, gp_grid, 2)      # the modes as 3D arrays
+    sampled = sampled_modes(build_mode_basis(trap, gp_grid, 2))      # the modes as 3D arrays
     a = np.random.default_rng(7).standard_normal(basis.size)
-    phi = np.tensordot(a / np.linalg.norm(a), sampled.modes, axes=(0, 0))
+    phi = np.tensordot(a / np.linalg.norm(a), sampled, axes=(0, 0))
     phi = phi + 0.05 * outside(*gp_grid.meshgrid())
     phi /= np.sqrt(gp_grid.integrate(phi**2))
-    flat = sampled.modes.reshape(basis.size, -1)
+    flat = sampled.reshape(basis.size, -1)
     c_ref = (flat * gp_grid.weights.ravel()) @ phi.ravel()
     c, weight = expand_reference(_state(phi, gp_grid, trap), basis)
     assert 0.99 < weight < 0.9999
     assert weight == pytest.approx(c_ref @ c_ref, rel=1e-13)
     np.testing.assert_allclose(c, c_ref / np.sqrt(c_ref @ c_ref), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "box"])
+def test_reference_on_the_mode_grid_reads_the_basis_tables(monkeypatch, kind):
+    # no second set of modes: the basis's own tables, which are the bits
+    # separable_modes gives on that grid, so c is the factored contraction
+    # on them, bit for bit
+    trap, grid, _, outside = _case(kind)
+    basis = build_mode_basis(trap, grid, 2)
+    tables = metrics.separable_modes(trap, grid, 2)[1]
+    assert all(np.array_equal(t, u) for t, u in zip(tables, basis.axis_tables))
+    phi = sampled_modes(basis)[0] + 0.05 * outside(*grid.meshgrid())
+    phi /= np.sqrt(grid.integrate(phi**2))
+    monkeypatch.setattr(metrics, "separable_modes", lambda *args: pytest.fail("modes rebuilt"))
+    c, weight = expand_reference(_state(phi, grid, trap), basis)
+    a = axis_apply(phi, [t * w for t, w in zip(tables, grid.axis_weights)])
+    c_ref = a[tuple(basis.table_rows.T)]
+    assert weight == float(c_ref @ c_ref)
+    assert np.array_equal(c, c_ref / np.sqrt(weight))
 
 
 def test_reference_on_too_coarse_grid_refused(basis_q2):
@@ -369,12 +389,12 @@ def test_reference_on_a_shifted_grid_is_read_on_its_nodes():
     trap, grid, _, outside = _case("harmonic")
     gp_grid = _shifted(grid)
     basis = build_mode_basis(trap, grid, 2)
-    sampled = build_mode_basis(trap, gp_grid, 2)
+    sampled = sampled_modes(build_mode_basis(trap, gp_grid, 2))
     a = np.random.default_rng(11).standard_normal(basis.size)
-    phi = np.tensordot(a / np.linalg.norm(a), sampled.modes, axes=(0, 0))
+    phi = np.tensordot(a / np.linalg.norm(a), sampled, axes=(0, 0))
     phi = phi + 0.05 * outside(*gp_grid.meshgrid())
     phi /= np.sqrt(gp_grid.integrate(phi**2))
-    flat = sampled.modes.reshape(basis.size, -1)
+    flat = sampled.reshape(basis.size, -1)
     c_ref = (flat * gp_grid.weights.ravel()) @ phi.ravel()
     c, weight = expand_reference(_state(phi, gp_grid, trap), basis)
     assert weight == pytest.approx(c_ref @ c_ref, rel=1e-13)
@@ -471,6 +491,18 @@ def test_product_metrics_build_no_lattice_array():
 def test_tabulated_metrics_hold_one_slab_of_transforms(tabulated_ground):
     # the sampled modes' transforms are built for one slab of k-planes at a time
     assert _metrics_peak(tabulated_ground) <= 2.0
+
+
+def test_tabulated_reference_on_another_grid_is_refused(tabulated_ground):
+    # tabulated modes exist on the mode grid only: a finer or shifted
+    # mean-field grid is refused, not solved for a second set of modes
+    basis = tabulated_ground.ham.basis
+    finer = bl.Grid.centered(basis.grid.extent, (30,) * 3)
+    for grid in (finer, _shifted(basis.grid)):
+        phi = np.exp(-sum(x**2 for x in grid.meshgrid()) / 2)
+        with pytest.raises(ConfigError, match="mode grid") as err:
+            expand_reference(_state(phi, grid, basis.trap), basis)
+        assert err.value.field == "gp_grid"
 
 
 def test_sampled_reference_expansion_matches_direct_quadrature(tabulated_ground):

@@ -3,12 +3,12 @@ import pytest
 
 import beclab as bl
 from beclab.errors import ConfigError, ResolutionError
-from beclab.manybody import FockBasis, build_mode_basis
+from beclab.manybody import build_mode_basis
 from beclab.manybody import tensor as tensor_module
 from beclab.manybody.ground import PairOpHamiltonian
 from beclab.manybody.tensor import _pair_table, interaction_tensor, pair_classes
-from .oracles import (dense_pair_fold, dense_pair_matrix, one_class, sampled_pair_matrix,
-                      tensor_entry)
+from .oracles import (dense_pair_fold, dense_pair_matrix, one_class, sampled_modes,
+                      sampled_pair_matrix, tensor_entry)
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
 
@@ -133,8 +133,7 @@ def test_class_folds_are_the_dense_fold_blocks(request, name):
     basis = _parity_basis(request, name)
     t = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
     dense = dense_pair_fold(t)
-    fock = FockBasis.build(4, basis.size, mode_codes=basis.parity_codes)
-    classes = PairOpHamiltonian(basis, t, fock).pair_classes
+    classes = PairOpHamiltonian(basis, t, 4).pair_classes
     assert len(classes) == len(t.classes) > 1
     for cls in classes:
         assert np.array_equal(cls.fold, dense[np.ix_(cls.pairs, cls.pairs)])
@@ -151,7 +150,7 @@ def test_single_class_fold_is_the_dense_fold(request, name):
     parity = name == "small_basis"
     assert (len(t.classes) > 1) == parity
     one = one_class(t) if parity else t
-    (cls,) = PairOpHamiltonian(basis, one, FockBasis.build(2, basis.size)).pair_classes
+    (cls,) = PairOpHamiltonian(basis, one, 2).pair_classes
     assert np.array_equal(cls.fold, dense_pair_fold(t))
 
 
@@ -207,7 +206,7 @@ def test_contact_limit_oracle(small_basis):
     t = interaction_tensor(small_basis, pot)
     strength = 4 * np.pi * V0 * R**3 / 3        # int v d^3r
     w = GRID.weights
-    m = small_basis.modes
+    m = sampled_modes(small_basis)
     for (i, j, k, l) in [(0, 0, 0, 0), (0, 1, 0, 1), (1, 1, 1, 1), (0, 0, 1, 1)]:
         quartic = float(np.sum(m[i] * m[j] * m[k] * m[l] * w))
         assert tensor_entry(t, i, j, k, l) == pytest.approx(strength * quartic, rel=0.05)

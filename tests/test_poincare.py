@@ -373,7 +373,7 @@ def test_masked_gradient_refuses_scratch_it_cannot_write_exactly():
 @pytest.mark.parametrize("name", STENCIL_REGIONS)
 def test_masked_gradient_masks_f_in_place_as_its_first_buffer(name):
     # f itself as work[0]: no fifth buffer, the oracle's result to the bit,
-    # and f left as f times the indicator (signed zeros included)
+    # and f left as f times the float indicator of K (signed zeros included)
     region = STENCIL_REGIONS[name]()
     n = region.mask.size
     for g in _oracle_fields(region):
@@ -381,7 +381,8 @@ def test_masked_gradient_masks_f_in_place_as_its_first_buffer(name):
         work = [f] + [np.full(n, np.nan) for _ in range(3)]
         got = masked_gradient_sq(f, region, work=work)
         assert np.array_equal(got, oracles.masked_gradient_sq(g, region))
-        assert np.array_equal(f.view(np.int64), (g * region.indicator).view(np.int64))
+        indicator = region.mask.astype(float)
+        assert np.array_equal(f.view(np.int64), (g * indicator).view(np.int64))
 
 
 def test_masked_gradient_takes_f_as_a_buffer_only_first_and_writeable():
@@ -524,7 +525,11 @@ def test_poincare_keeps_no_state_between_regions(monkeypatch):
     w = 1.0 + sum(x**2 for x in region.grid.meshgrid())
     est = estimate_constant(region, trials=20, seed=2)
     weighted_estimate(region, w, est.c_star, trials=20, seed=2)
-    refs = [weakref.ref(region), weakref.ref(region.indicator)] + measures
+    # the one float grid the region caches is its node weights; the
+    # projection multiplies by the boolean mask
+    assert [name for name, value in vars(region).items()
+            if isinstance(value, np.ndarray) and value.dtype == np.float64] == ["node_weights"]
+    refs = [weakref.ref(region), weakref.ref(region.node_weights)] + measures
     assert len(refs) == 4
     del region, w
     gc.collect()
