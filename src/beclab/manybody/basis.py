@@ -3,13 +3,14 @@
 Harmonic and box modes are products of per-axis 1D factors, which the
 basis keeps in place of 3D arrays: nothing here samples them in 3D.
 Tabulated modes are numeric 3D eigenvectors, solved once on the mode
-grid.  The occupation basis is built from N and the per-mode parity
-codes alone (M is their count).  It holds one reflection-parity sector,
-from one enumerator; the full space is the sector of all-zero codes.
-Its rank table serves the one ladder map, the pair map of ``ground`` (H,
-gamma, the pair moment and the N = 2 pair amplitudes), whose
-(N-2)-particle states the same enumerator gives in rank order.  The one
-size it checks is ``MAX_FOCK_DIMENSION``.
+grid.  The occupation basis is built from N, the per-mode parity codes
+(M is their count) and the mode permutations of the tensor.  It holds one
+reflection-parity sector, from one enumerator, as one vector per orbit of
+the permutations; the full space is the sector of all-zero codes under
+the identity alone.  Its rank table serves the one ladder map, the pair
+map of ``ground`` (H, gamma, the pair moment and the N = 2 pair
+amplitudes), whose (N-2)-particle states the same enumerator gives in
+rank order.  The one size it checks is ``MAX_FOCK_DIMENSION``.
 """
 
 from __future__ import annotations
@@ -313,17 +314,27 @@ class FockBasis:
     state's parity code is the XOR of ``mode_codes`` over its modes with
     odd occupation; a sector keeps the states of one code in the same
     order, and ``ranks`` holds their ranks in the full space.  Both are
-    enumerated by ``_sector_states``: the full space is the sector of
-    code 0 when every mode code is 0.  ``rank_table`` holds F_j(r), the
-    table that enumeration ranked the states with; F_j does not depend on
-    N, so its first N - 1 columns rank the (N-2)-particle states.
+    enumerated by ``_sector_states``: the full space is the sector of code
+    0 when every mode code is 0.  ``rank_table`` holds F_j(r), the table
+    that enumeration ranked the states with; F_j does not depend on N, so
+    its first N - 1 columns rank the (N-2)-particle states.
+
+    The mode permutations ``mode_perms`` (the identity row first) permute
+    the states of the sector into orbits, and ``orbits`` holds each state's.
+    The basis is the orthonormal orbit sums, one per orbit in the order of
+    its representative, the state of lowest rank: ``occupations`` are the
+    representatives' and ``orbit_sizes`` the orbits' sizes.  With the
+    identity alone every state is its own orbit.
     """
 
     N: int
     occupations: np.ndarray         # (size, M) np.min_scalar_type(N): uint8 for N < 256
-    ranks: np.ndarray               # (size,) full-space ranks, increasing
+    orbit_sizes: np.ndarray         # (size,) int64
+    ranks: np.ndarray               # the sector's full-space ranks, increasing
+    orbits: np.ndarray              # each sector state's orbit, an index into the basis
     rank_table: np.ndarray          # (M, N + 1) int64, F[j, r] = F_j(r)
     mode_codes: np.ndarray          # (M,) int64 per-mode parity codes
+    mode_perms: np.ndarray          # (G, M) int64 mode permutations, identity first
     code: int = 0                   # the sector's parity code
 
     @property
@@ -338,22 +349,25 @@ class FockBasis:
     def full_size(self) -> int:
         return comb(self.N + self.M - 1, self.N)
 
-    def pair_sources(self, occ: np.ndarray, ranks: np.ndarray, k: np.ndarray,
-                     l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def pair_sources(self, occ: np.ndarray, ranks: np.ndarray, sizes: np.ndarray,
+                     k: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The pair map a_k a_l: N -> N-2 at (N-2)-particle states, for pairs
-        k <= l: each state's position in this basis and the amplitude,
-        both (len(occ), len(k)).
+        k <= l: each state's orbit in this basis and the amplitude, both
+        (len(occ), len(k)).
 
-        ``occ`` and ``ranks`` are the states' occupations and full-space
-        ranks; ``occ`` may be the table's narrow unsigned type, and only
-        these rows are cast to int64 (n + 1 must not wrap, and the square
-        root of a uint8 is a float16).  a_k a_l reaches s only from
-        s + e_k + e_l, with amplitude sqrt(s_k + 1) sqrt(s_l + 1 + d_kl),
-        and that state must lie in this basis.  Adding a boson to modes k
-        and l raises rem_j by two for j < k and by one for k <= j < l, so
-        rank_N(s + e_k + e_l) =
+        ``occ``, ``ranks`` and ``sizes`` are the states' occupations,
+        full-space ranks and orbit sizes; ``occ`` may be the table's narrow
+        unsigned type, and only these rows are cast to int64 (n + 1 must
+        not wrap, and the square root of a uint8 is a float16).  a_k a_l
+        reaches s only from s + e_k + e_l, with amplitude
+        sqrt(s_k + 1) sqrt(s_l + 1 + d_kl), and that state must lie in the
+        sector.  Adding a boson to modes k and l raises rem_j by two for
+        j < k and by one for k <= j < l, so rank_N(s + e_k + e_l) =
         rank_{N-2}(s) + sum_{j<k} [F_j(rem_j + 2) - F_j(rem_j)]
         + sum_{k<=j<l} [F_j(rem_j + 1) - F_j(rem_j)].
+        The amplitude carries sqrt(size of s's orbit / size of the source's):
+        1/sqrt for the orbit sum the source lies in, and sqrt for the
+        orbit's rows that s stands for.
         """
         F, j = self.rank_table, np.arange(self.M)
         occ = occ.astype(np.int64)
@@ -362,21 +376,28 @@ class FockBasis:
         two, one = (np.cumsum(np.pad(F[j, rem + n] - F[j, rem], ((0, 0), (1, 0))), axis=1)
                     for n in (2, 1))
         rank = ranks[:, None] + two[:, k] + one[:, l] - one[:, k]
-        amps = np.sqrt(occ[:, k] + 1) * np.sqrt(occ[:, l] + 1 + (k == l))
-        return np.searchsorted(self.ranks, rank), amps
+        cols = self.orbits[np.searchsorted(self.ranks, rank)]
+        amps = (np.sqrt(occ[:, k] + 1) * np.sqrt(occ[:, l] + 1 + (k == l))
+                * np.sqrt(sizes[:, None] / self.orbit_sizes[cols]))
+        return cols, amps
 
-    def lower_states(self, codes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Occupations, full-space ranks and codes of the (N-2)-particle
-        states whose parity code is in ``codes``, in basis (rank) order."""
-        return _sector_states(self.rank_table[:, :self.N - 1], self.mode_codes, codes)
+    def lower_states(self, codes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Occupations, full-space ranks, codes and orbit sizes of the
+        representatives of the (N-2)-particle states whose parity code is
+        in ``codes``, in basis (rank) order."""
+        F = self.rank_table[:, :self.N - 1]
+        occ, ranks, found = _sector_states(F, self.mode_codes, codes)
+        rep, sizes, _ = _orbits(occ, ranks, F, self.mode_perms)
+        return occ[rep], ranks[rep], found[rep], sizes[rep]
 
     @classmethod
-    def build(cls, N: int, mode_codes: np.ndarray) -> "FockBasis":
-        """The sector of state 0 (all bosons in mode 0) under the M =
+    def build(cls, N: int, mode_codes: np.ndarray, mode_perms: np.ndarray) -> "FockBasis":
+        """The orbits under the (G, M) ``mode_perms`` (identity row first)
+        of the sector of state 0 (all bosons in mode 0) under the M =
         len(mode_codes) per-mode codes, every state when they are all zero.
         The cap is the fixed ceiling on the full count; a config's own cap
         is checked at load."""
-        codes = np.asarray(mode_codes)
+        codes, perms = np.asarray(mode_codes), np.asarray(mode_perms)
         M = len(codes)
         size = comb(N + M - 1, N)
         if size > MAX_FOCK_DIMENSION:
@@ -385,7 +406,30 @@ class FockBasis:
         code = int(codes[0] * (N % 2))
         F = _rank_table(N, M)
         occ, ranks, _ = _sector_states(F, codes, [code])
-        return cls(N=N, occupations=occ, ranks=ranks, rank_table=F, mode_codes=codes, code=code)
+        rep, sizes, lowest = _orbits(occ, ranks, F, perms)
+        return cls(N=N, occupations=occ[rep], orbit_sizes=sizes[rep], ranks=ranks,
+                   orbits=np.searchsorted(ranks[rep], lowest), rank_table=F,
+                   mode_codes=codes, mode_perms=perms, code=code)
+
+
+def _orbits(occ: np.ndarray, ranks: np.ndarray, F: np.ndarray, perms: np.ndarray):
+    """Per state: whether it represents its orbit under ``perms`` (it is
+    its image of lowest rank), its orbit's size and that lowest rank.
+
+    The states are closed under ``perms``, a group with the identity row
+    first, so a state's G images are its orbit, each met G / |orbit|
+    times.  The images' ranks accumulate mode by mode as the enumeration's
+    do, for every other row at once.
+    """
+    rest = perms[1:]
+    images = np.zeros((len(rest), len(occ)), dtype=np.int64)
+    rem = np.full(images.shape, F.shape[1] - 1, dtype=np.int64)
+    for j in range(F.shape[0]):
+        rem -= occ[:, rest[:, j]].T
+        images += F[j].take(rem)
+    lowest = np.vstack([ranks, images]).min(axis=0)
+    sizes = len(perms) // (1 + np.count_nonzero(images == ranks, axis=0))
+    return lowest == ranks, sizes, lowest
 
 
 def _rank_table(N: int, M: int) -> np.ndarray:

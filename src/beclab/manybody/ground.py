@@ -31,6 +31,20 @@ Without parity the codes are all zero, and one class covers every pair
 and state.  ``ground_state`` alone builds a solve's H; its result keeps
 H, and every reader downstream takes the modes, the tensor and N from it
 (``ground.ham``).
+
+On an isotropic product basis the tensor also keeps the mode permutations
+that the six axis permutations induce (``InteractionTensor.mode_perms``).
+H commutes with them and the start state is invariant, so the solve runs
+on the permutation-invariant vectors: the unit orbit sums of the sector
+(``FockBasis.build``).  ``ham.size`` then counts orbits, and
+``ground.coefficients`` are amplitudes on the orbit sums.  The pair map
+keeps the representative (N-2)-particle rows only, each standing for the
+rows of its orbit, and an amplitude carries sqrt(|row's orbit| /
+|source's orbit|).  Gamma, summed over those rows, is averaged over the
+permutations, gamma = (1/G) sum_s P_s gamma' P_s^T, and the pair moment
+over the permuted dressed mode.  With the identity alone (tabulated
+modes, unequal stiffnesses or axes) every factor is an exact 1.0 and the
+solve is the parity sector's.
 """
 
 from __future__ import annotations
@@ -47,8 +61,8 @@ from .tensor import InteractionTensor
 _RESIDUAL_TOL = 1e-9
 _LANCZOS_TOL = 1e-13
 # Krylov vectors kept per Lanczos run.  Twice the most a measured solve
-# needed (60 steps, 23,228 states with a strong soft sphere); 120 vectors
-# of a 10^6-state space take 0.96 GB
+# needed (60 steps, 4,162 orbits of a 23,228-state sector with a strong
+# soft sphere); 120 vectors of a 10^6-state space take 0.96 GB
 _LANCZOS_STEPS = 120
 
 
@@ -57,8 +71,10 @@ class ManyBodyGround:
     """Ground eigenpair, its one-particle density matrix and its Hamiltonian.
 
     gamma[i, j] = <a+_j a_i>, Hermitian, positive semidefinite, trace N.
-    ``coefficients`` cover ``ham.fock``, the space solved (no ``asdict``:
-    it would copy ``ham``); ``ham`` also holds the modes, the tensor and N.
+    ``coefficients`` cover ``ham.fock``, the space solved: the orbit sums
+    of the parity sector, its states under the identity alone (no
+    ``asdict``: it would copy ``ham``); ``ham`` also holds the modes, the
+    tensor and N.
     """
 
     energy: float
@@ -84,47 +100,50 @@ class ManyBodyGround:
 @dataclass(frozen=True)
 class PairClass:
     """The pairs of one parity class and its part of the pair map, whose
-    entry r * len(pairs) + j is a_k a_l for pair j at (N-2)-particle row r."""
+    entry r * len(pairs) + j is a_k a_l for pair j at (N-2)-particle row r
+    (weighted by the orbits, ``FockBasis.pair_sources``)."""
 
     pairs: np.ndarray               # pair indices j -> tensor pair
     rows: np.ndarray                # each row r's position among the (N-2)-particle states
-    cols: np.ndarray                # the source state's position in the basis
-    amps: np.ndarray                # the amplitude sqrt(s_k + 1) sqrt(s_l + 1 + d_kl)
+    cols: np.ndarray                # the source state's orbit in the basis
+    amps: np.ndarray                # sqrt(s_k + 1) sqrt(s_l + 1 + d_kl), orbit-weighted
     fold: np.ndarray                # the class's diagonal block of the pair fold
 
 
 class PairOpHamiltonian:
     """Matrix-free H of N bosons over the occupation space of the tensor's
-    mode codes (``FockBasis.build``: the start state's parity sector, all
-    of the space when the codes are zero), its pair map grouped by the
+    mode codes and permutations (``FockBasis.build``: the orbit sums of the
+    start state's parity sector, all of the space when the codes are zero
+    and the identity is the one permutation), its pair map grouped by the
     tensor's classes."""
 
     def __init__(self, basis: ModeBasis, tensor: InteractionTensor, N: int):
         if tensor.M != basis.size:
             raise SolverFailureError("basis and tensor sizes disagree")
-        fock = FockBasis.build(N, tensor.mode_codes)
+        fock = FockBasis.build(N, tensor.mode_codes, tensor.mode_perms)
         self.basis, self.fock, self.tensor = basis, fock, tensor
         # column by column: the narrow occupation table is never cast whole
         self.diag = np.zeros(fock.size)
         for j, e in enumerate(basis.energies):
             self.diag += e * fock.occupations[:, j]
-        # lower_size: the (N-2)-particle states enumerated, which ``rows`` index
+        # lower_size: the (N-2)-particle representatives kept, which ``rows`` index
         self.pair_classes, self.lower_size = self._build_pair_classes() if fock.N >= 2 else ((), 0)
 
     def _build_pair_classes(self):
         # (a_k a_l x) for pair j = (k, l) of a class at its (N-2)-particle row
-        # r reads one state of ours (FockBasis.pair_sources); the pairs of
+        # r reads one orbit of ours (FockBasis.pair_sources); the pairs of
         # class c reach the (N-2)-particle states of parity code ours ^ c,
-        # and a class that reaches none is neither kept nor folded
+        # and a class that reaches no representative is neither kept nor folded
         fock, tensor = self.fock, self.tensor
-        occ, ranks, codes = fock.lower_states([fock.code ^ code for code, _ in tensor.classes])
+        occ, ranks, codes, sizes = fock.lower_states(
+            [fock.code ^ code for code, _ in tensor.classes])
         classes = []
         for c, (code, members) in enumerate(tensor.classes):
             rows = np.flatnonzero(codes == fock.code ^ code)
             if not len(rows):
                 continue
             k, l = tensor.pairs[members].T
-            cols, amps = fock.pair_sources(occ[rows], ranks[rows], k, l)
+            cols, amps = fock.pair_sources(occ[rows], ranks[rows], sizes[rows], k, l)
             classes.append(PairClass(members, rows, cols.ravel(), amps.ravel(),
                                      tensor.fold_hamiltonian_pairs(c)))
         return tuple(classes), len(occ)
@@ -147,13 +166,16 @@ class PairOpHamiltonian:
 
     def pair_amplitudes(self, x: np.ndarray) -> list[tuple[PairClass, np.ndarray]]:
         """(cls, W) per pair class: W[r, j] = (a_k a_l x) at the class's
-        (N-2)-particle row r for its pair j = (k, l), shape (rows, pairs)."""
+        (N-2)-particle row r for its pair j = (k, l), shape (rows, pairs),
+        times sqrt(|orbit of r|): with x over the orbit sums, W^T W sums
+        every row of the orbit for a permutation-invariant quantity."""
         return [(cls, (cls.amps * x[cls.cols]).reshape(-1, len(cls.pairs)))
                 for cls in self.pair_classes]
 
     def pair_annihilation(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
         """(b b) x for the dressed mode b = sum_i c_i a_i; a vector over the
-        (N-2)-particle states the solve enumerated (``lower_size``)."""
+        (N-2)-particle representatives the solve enumerated (``lower_size``),
+        each weighted by sqrt(|orbit|) as ``pair_amplitudes`` is."""
         if not self.pair_classes:
             raise SolverFailureError("pair annihilation needs N >= 2")
         weights = self.tensor.pair_weights(c)
@@ -174,11 +196,17 @@ class PairOpHamiltonian:
         which own disjoint rows, and on a class that owns none).  When there
         are fewer (N-2)-particle states than pairs (N = 2, 3), the pairs x
         pairs Gram is never formed: a block is the product of the gathered
-        columns of W over every such state.
-        For N <= 1, a_i x is the amplitude of e_i.
+        columns of W over every such state.  W's rows are the orbits'
+        representatives, weighted (``pair_amplitudes``), so the blocks give
+        gamma' and gamma is its mean over the mode permutations.
+        For N <= 1, a_i x is the amplitude of e_i: the occupations of the
+        representatives weighted by sqrt(|orbit|), averaged over the
+        permutations, are those summed over every state.
         """
+        fock = self.fock
         if not self.pair_classes:
-            v = self.fock.occupations.T @ x
+            v = fock.occupations.T @ (x * np.sqrt(fock.orbit_sizes))
+            v = _permutation_mean(v, fock.mode_perms)
             return np.outer(v, v)
         amplitudes = self.pair_amplitudes(x)
         if self.lower_size < self.tensor.n_pairs:
@@ -199,13 +227,13 @@ class PairOpHamiltonian:
 
             def block(p):
                 return layout.read(grams, p[:, None, :], p[None, :, :]).sum(axis=2)
-        codes = self.fock.mode_codes
-        gamma = np.zeros((self.fock.M, self.fock.M))
+        codes = fock.mode_codes
+        gamma = np.zeros((fock.M, fock.M))
         for code in np.unique(codes):
             modes = np.flatnonzero(codes == code)
             # p(i, l) for the modes i of this code
             gamma[np.ix_(modes, modes)] = block(self.tensor.pair_index[modes])
-        return gamma / (self.fock.N - 1)
+        return _permutation_mean(gamma, fock.mode_perms) / (fock.N - 1)
 
 
 def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int) -> ManyBodyGround:
@@ -213,10 +241,10 @@ def ground_state(basis: ModeBasis, tensor: InteractionTensor, N: int) -> ManyBod
 
     The occupation space is the sector of the start vector, the fully
     condensed state, under the tensor's mode codes (the full space when they
-    are all zero); its Hamiltonian builds it, and the result keeps both
-    (``ham.fock``).  The residual ||Hx - Ex|| <= 1e-9 is verified after the
-    solve, and once more after one restart from the Ritz vector, before
-    declaring failure.
+    are all zero), in orbit sums under its mode permutations; its
+    Hamiltonian builds it, and the result keeps both (``ham.fock``).  The
+    residual ||Hx - Ex|| <= 1e-9 is verified after the solve, and once more
+    after one restart from the Ritz vector, before declaring failure.
     """
     ham = PairOpHamiltonian(basis, tensor, N)
     x = np.zeros(ham.size)
@@ -297,5 +325,18 @@ def hartree_energy(ham: PairOpHamiltonian, c: np.ndarray) -> float:
 
 
 def pair_moment(ham: PairOpHamiltonian, x: np.ndarray, c: np.ndarray) -> float:
-    """<(b+)^2 b^2> for the dressed mode b = sum c_i a_i."""
-    return float(np.sum(ham.pair_annihilation(x, c) ** 2))
+    """<(b+)^2 b^2> for the dressed mode b = sum c_i a_i.
+
+    ``pair_annihilation`` weighs each (N-2)-particle row by its orbit, which
+    sums the orbit's rows for a permutation-invariant c; for any c, the
+    moment is the mean of that sum over the permuted c.
+    """
+    perms = ham.fock.mode_perms
+    return sum(float(np.sum(ham.pair_annihilation(x, c[p]) ** 2)) for p in perms) / len(perms)
+
+
+def _permutation_mean(a: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """The mean of a[p] (a vector) or a[p][:, p] (a matrix) over the mode
+    permutations p, a itself (over 1) when the identity is the only one."""
+    image = (lambda p: a[p]) if a.ndim == 1 else (lambda p: a[np.ix_(p, p)])
+    return sum(map(image, perms[1:]), a) / len(perms)

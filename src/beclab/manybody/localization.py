@@ -45,7 +45,9 @@ def _pair_amplitude_matrix(ham: PairOpHamiltonian, x: np.ndarray) -> np.ndarray:
     the two-boson state x over ``ham.fock``.
 
     C_kl = (a_k a_l x) / sqrt(2) at the vacuum: the pair amplitudes hold it
-    at the one row of each pair class (only classes that reach the vacuum are kept).
+    at the one row of each pair class (only classes that reach the vacuum
+    are kept), for every pair also in the orbit space, whose vacuum is an
+    orbit of its own.
     """
     C = np.zeros((ham.fock.M, ham.fock.M))
     for cls, w in ham.pair_amplitudes(x):

@@ -42,7 +42,12 @@ class PipelineSetup:
 def prepare_pipeline(trap: TrapSpec, potential: PairPotential, g: float, grid: Grid,
                      max_quanta: int = 3, gp_grid: Grid | None = None) -> PipelineSetup:
     """Shared set-up; ``gp_grid`` (default: ``grid``) carries the reference.
-    Hard spheres become tall soft spheres of equal scattering length."""
+    Hard spheres become tall soft spheres of equal scattering length.  A
+    tabulated trap's modes exist on ``grid`` alone, so another ``gp_grid``
+    is refused before any solve (``expand_reference`` refuses it too)."""
+    if trap.kind == "tabulated" and gp_grid not in (None, grid):
+        raise ConfigError("tabulated modes read the mean-field reference on the mode "
+                          "grid only", field="gp_grid")
     substituted = None
     if potential.has_hard_core:
         potential = hard_sphere_substitute(potential.core)

@@ -20,7 +20,10 @@ classes from it.  Only the class blocks are computed and stored, laid end
 to end by ``BlockLayout``, which alone places them: a build lays them out
 once and every block is a view it hands out.  The symmetry check, the
 symmetrization, the pair fold and the Hartree quartic run block by block.
-A basis without definite parity forms one class.
+A basis without definite parity forms one class.  Beside the codes the
+tensor keeps the mode permutations that the axis permutations induce on
+an isotropic product basis (``axis_permutations``), in whose orbit space
+a solve runs; any other basis keeps the identity alone.
 
 Harmonic and box modes are products of 1D factors, so Phat is an outer
 product of 1D transforms and B is sum-factorized: one batched 1D rfft per
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
@@ -93,9 +97,12 @@ class InteractionTensor:
     holds (code, members) per class of pairs, grouped by the XOR of their
     modes' ``mode_codes``.  B vanishes across classes, so only its class
     blocks are kept, laid end to end (``blocks``, read through ``layout``).
+    ``mode_perms`` holds the mode permutations H commutes with (see
+    ``axis_permutations``), the identity row first.
     """
 
     mode_codes: np.ndarray
+    mode_perms: np.ndarray          # (G, M): row g maps mode m to mode_perms[g, m]
     classes: tuple[tuple[int, np.ndarray], ...]
     blocks: np.ndarray
     # the layout of classes, the one interaction_tensor built B in
@@ -184,6 +191,30 @@ def pair_classes(codes: np.ndarray, pairs: np.ndarray) -> list[tuple[int, np.nda
     return [(int(c), np.flatnonzero(label == c)) for c in np.unique(label)]
 
 
+def axis_permutations(basis: ModeBasis) -> np.ndarray:
+    """The distinct permutations of the modes that the six permutations of
+    the axes induce, as a (G, M) array with the identity row first, when the
+    modes are products of three bitwise-equal axis tables, each permuted
+    mode is a mode and the energies are unchanged under each; the identity
+    row alone otherwise (tabulated modes, unequal stiffnesses or axes).  The
+    pair potential is radial, so B is then invariant under them up to the
+    order of its per-axis sums.
+    """
+    identity = np.arange(basis.size)[None]
+    tables = basis.axis_tables
+    if tables is None or not all(np.array_equal(tables[0], t) for t in tables[1:]):
+        return identity
+    rows = [tuple(r) for r in basis.table_rows.tolist()]
+    index = {r: m for m, r in enumerate(rows)}
+    perms = np.array([[index.get(tuple(r[a] for a in axes), -1) for r in rows]
+                      for axes in permutations(range(3))])
+    if (perms < 0).any() or not all(np.array_equal(basis.energies[p], basis.energies)
+                                    for p in perms):
+        return identity
+    # lexicographic order puts the identity first
+    return np.unique(perms, axis=0)
+
+
 def interaction_tensor(basis: ModeBasis, potential: PairPotential) -> InteractionTensor:
     """Build the tensor for a finite-range repulsive potential.
 
@@ -205,7 +236,8 @@ def interaction_tensor(basis: ModeBasis, potential: PairPotential) -> Interactio
     classes = tuple(pair_classes(basis.parity_codes, pairs))
     layout = BlockLayout.of(classes, len(pairs))
     build = _factored_pair_blocks if basis.axis_tables is not None else _blocked_pair_blocks
-    tensor = InteractionTensor(mode_codes=basis.parity_codes, classes=classes, layout=layout,
+    tensor = InteractionTensor(mode_codes=basis.parity_codes, mode_perms=axis_permutations(basis),
+                               classes=classes, layout=layout,
                                blocks=build(basis, potential, npad, pairs, classes, layout, scale))
     if tensor.symmetry_error() > 1e-10:
         raise ConfigError("interaction tensor lost its exchange symmetry")

@@ -24,7 +24,6 @@ from .errors import InvalidParameterError, SolverFailureError
 @dataclass(frozen=True)
 class RadialGround:
     r: np.ndarray
-    u: np.ndarray
     energy: float
     mu: float
     kinetic: float
@@ -68,6 +67,6 @@ def radial_harmonic_ground(g: float, r_max: float = 12.0, n: int = 6000,
     kinetic = float(np.sum(du**2) * h)
     potential = float(h * np.sum(r**2 * u**2))
     interaction = float((g / (4.0 * np.pi)) * h * np.sum(u**4 / r**2))
-    return RadialGround(r=r, u=u, energy=kinetic + potential + interaction,
+    return RadialGround(r=r, energy=kinetic + potential + interaction,
                         mu=mu, kinetic=kinetic, potential=potential,
                         interaction=interaction)

@@ -5,6 +5,7 @@ dictionaries, dense diagonalization, and direct quadrature, for instances
 small enough to afford it.
 """
 
+from dataclasses import replace
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -23,10 +24,11 @@ def fock_states(N, M):
 
 
 def full_space(N, M):
-    """Every N-boson state of M modes: ``FockBasis.build`` under all-zero codes."""
+    """Every N-boson state of M modes: ``FockBasis.build`` under all-zero
+    codes and the identity alone."""
     from beclab.manybody.basis import FockBasis
 
-    return FockBasis.build(N, np.zeros(M, dtype=np.int64))
+    return FockBasis.build(N, np.zeros(M, dtype=np.int64), np.arange(M)[None])
 
 
 def product_modes(tables, rows):
@@ -130,12 +132,13 @@ def annihilator(fock):
 
 def full_space_pair_amplitudes(fock, x):
     """The two-boson matrix C_kl = (a_k a_l x) / sqrt(2) of a state x over
-    ``fock`` (N = 2, the full space or a sector), through the full N = 2
-    basis: x scattered there by its ranks, then one annihilator.  State k
-    of the one-particle basis is e_k, so a_k a_l x is entry k of a_l x."""
+    ``fock`` (N = 2, the full space, a sector or its orbits), through the
+    full N = 2 basis: x scattered there by its ranks (an orbit's amplitude
+    spread over its states), then one annihilator.  State k of the
+    one-particle basis is e_k, so a_k a_l x is entry k of a_l x."""
     full = full_space(2, fock.M)
     coefficients = np.zeros(full.size + 1)      # and the zero an empty row reads
-    coefficients[fock.ranks] = x
+    coefficients[fock.ranks] = x[fock.orbits] / np.sqrt(fock.orbit_sizes[fock.orbits])
     indices, data = annihilator(full)
     return (data * coefficients[indices]).reshape(fock.M, fock.M) / np.sqrt(2.0)
 
@@ -149,9 +152,12 @@ def sector(fock, mode_codes, code):
     for i in range(fock.M):
         parity ^= (fock.occupations[:, i] & 1) * mode_codes[i]
     keep = parity == code
+    size = np.count_nonzero(keep)
     return FockBasis(N=fock.N, occupations=fock.occupations[keep],
-                     ranks=fock.ranks[keep], rank_table=fock.rank_table,
-                     mode_codes=np.asarray(mode_codes), code=int(code))
+                     orbit_sizes=np.ones(size, dtype=np.int64), ranks=fock.ranks[keep],
+                     orbits=np.arange(size), rank_table=fock.rank_table,
+                     mode_codes=np.asarray(mode_codes), mode_perms=fock.mode_perms,
+                     code=int(code))
 
 
 def composed_pair_map(fock, pairs):
@@ -192,9 +198,42 @@ def one_class(tensor):
     from beclab.manybody.tensor import BlockLayout, InteractionTensor
 
     classes = ((0, np.arange(tensor.n_pairs)),)
-    return InteractionTensor(mode_codes=np.zeros(tensor.M, dtype=np.int64), classes=classes,
+    return InteractionTensor(mode_codes=np.zeros(tensor.M, dtype=np.int64),
+                             mode_perms=np.arange(tensor.M)[None], classes=classes,
                              blocks=tensor.pair_matrix.ravel(),
                              layout=BlockLayout.of(classes, tensor.n_pairs))
+
+
+def identity_only(tensor):
+    """The same tensor with the identity as its one mode permutation: every
+    state is its own orbit, so a Hamiltonian over it solves in the parity
+    sector."""
+    return replace(tensor, mode_perms=tensor.mode_perms[:1])
+
+
+def orbit_sums(N, M, ranks, perms):
+    """U of shape (full-space states, orbits): column o is the unit sum over
+    orbit o of the states of full-space ``ranks`` (closed under the mode
+    permutations ``perms``), the orbits ordered by their lowest rank.  By
+    literal permutation of occupation tuples: the image of n under p has
+    n[p[m]] at mode m."""
+    states, index = fock_states(N, M)
+    orbits = {}
+    for r in ranks:
+        images = frozenset(index[tuple(states[r][m] for m in p)] for p in perms)
+        orbits[min(images)] = images
+    U = np.zeros((len(states), len(orbits)))
+    for o, lowest in enumerate(sorted(orbits)):
+        U[sorted(orbits[lowest]), o] = 1.0 / np.sqrt(len(orbits[lowest]))
+    return U
+
+
+def orbit_hamiltonian(basis, tensor, N, fock):
+    """U^T H U: the dense H of ``dense_hamiltonian`` on the orbit sums of
+    ``fock``'s sector under the tensor's mode permutations (``orbit_sums``)."""
+    H, _, _ = dense_hamiltonian(basis, tensor, N)
+    U = orbit_sums(N, basis.size, fock.ranks, tensor.mode_perms)
+    return U.T @ H @ U, U
 
 
 def dense_hamiltonian(basis, tensor, N):

@@ -77,7 +77,8 @@ def test_no_definite_parity_gives_all_zero_codes(trap, grid48):
     centred = build_mode_basis(trap, grid48, 1).parity_codes
     for N in (0, 1, 2, 3):
         # M is the number of codes; all-zero codes give every state, in order
-        full, sector = (FockBasis.build(N, m) for m in (codes, centred))
+        full, sector = (FockBasis.build(N, m, np.arange(basis.size)[None])
+                        for m in (codes, centred))
         for fock in (full, sector):
             assert fock.mode_codes.dtype == np.int64 and fock.mode_codes.shape == (basis.size,)
             assert fock.M == basis.size
@@ -208,7 +209,7 @@ def test_fock_rank_bijection(N, M):
 @settings(max_examples=80, deadline=None)
 def test_sector_enumeration_matches_the_filter_route(N, M, data):
     codes = np.array(data.draw(st.lists(st.integers(0, 7), min_size=M, max_size=M)))
-    direct = FockBasis.build(N, codes)
+    direct = FockBasis.build(N, codes, np.arange(M)[None])
     filtered = sector(full_space(N, M), codes, codes[0] * (N % 2))
     assert np.array_equal(direct.occupations, filtered.occupations)
     assert np.array_equal(direct.ranks, filtered.ranks)
@@ -218,7 +219,7 @@ def test_sector_enumeration_matches_the_filter_route(N, M, data):
 @pytest.mark.parametrize("N", [2, 3, 6])
 def test_sector_enumeration_at_the_sweep_size(basis_q3, N):
     codes = basis_q3.parity_codes
-    direct = FockBasis.build(N, codes)
+    direct = FockBasis.build(N, codes, np.arange(basis_q3.size)[None])
     filtered = sector(full_space(N, basis_q3.size), codes, codes[0] * (N % 2))
     assert np.array_equal(direct.occupations, filtered.occupations)
     assert np.array_equal(direct.ranks, filtered.ranks)
@@ -257,11 +258,12 @@ def test_capacity_cap():
     # one fixed ceiling on the full count, whatever the sector; a config's
     # lower cap is checked at load.  C(29, 10) = 20,030,010 states at N = 10,
     # M = 20 are refused, C(24, 5) = 42,504 built
-    assert list(inspect.signature(FockBasis.build).parameters) == ["N", "mode_codes"]
+    assert list(inspect.signature(FockBasis.build).parameters) == ["N", "mode_codes",
+                                                                   "mode_perms"]
     codes = np.array([0, 1, 2, 4] * 5)
     for mode_codes in (np.zeros(20, dtype=np.int64), codes):
         with pytest.raises(CapacityError, match=f"above the cap {MAX_FOCK_DIMENSION}"):
-            FockBasis.build(10, mode_codes)
+            FockBasis.build(10, mode_codes, np.arange(20)[None])
     assert math.comb(10 + 20 - 1, 10) > MAX_FOCK_DIMENSION
     assert full_space(5, 20).size == math.comb(24, 5)
 
@@ -310,7 +312,7 @@ def test_narrow_occupation_table_and_pair_sources(N, M):
     assert fock.occupations.dtype == np.min_scalar_type(N)
     assert lower.occupations.dtype == np.min_scalar_type(N - 2)
     k, l = np.triu_indices(M)
-    cols, amps = fock.pair_sources(lower.occupations, lower.ranks, k, l)
+    cols, amps = fock.pair_sources(lower.occupations, lower.ranks, lower.orbit_sizes, k, l)
     assert amps.dtype == np.float64
     states = lower.occupations.tolist()
     want = [[math.sqrt((s[a] + 1) * (s[b] + 1 + (a == b))) for a, b in zip(k, l)]

@@ -21,7 +21,8 @@ from beclab.manybody.tensor import (BlockLayout, InteractionTensor, interaction_
 
 from .oracles import (composed_pair_map, dense_gamma, dense_ground, dense_hamiltonian,
                       dense_pair_fold, fock_states, full_space, full_space_pair_amplitudes,
-                      literal_pair_amplitudes, literal_pair_annihilation, one_class)
+                      identity_only, literal_pair_amplitudes, literal_pair_annihilation,
+                      one_class, orbit_hamiltonian, orbit_sums)
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
 TRAP = bl.TrapSpec.harmonic((1.0, 1.0, 1.0))
@@ -38,8 +39,14 @@ def basis_q2():
 
 
 @pytest.fixture(scope="module")
-def soft_tensor_q2(basis_q2):
+def orbit_tensor_q2(basis_q2):
     return interaction_tensor(basis_q2, bl.PairPotential.soft_sphere(5.0, 1.1))
+
+
+@pytest.fixture(scope="module")
+def soft_tensor_q2(orbit_tensor_q2):
+    # the identity alone: solves over it run in the parity sector
+    return identity_only(orbit_tensor_q2)
 
 
 def test_two_noninteracting_bosons(basis_q2):
@@ -79,7 +86,7 @@ def test_lanczos_matches_dense_eigh(N, quanta, height, basis_q1, basis_q2):
     # vanishes at step 1.  ground_state solves the sector with that loop; the
     # full space takes the tensor as one class
     basis = basis_q1 if quanta == 1 else basis_q2
-    tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(height, 1.1))
+    tensor = identity_only(interaction_tensor(basis, bl.PairPotential.soft_sphere(height, 1.1)))
     H, _, _ = dense_hamiltonian(basis, tensor, N)
     for space_tensor in (one_class(tensor), tensor):
         ham = PairOpHamiltonian(basis, space_tensor, N)
@@ -210,6 +217,63 @@ def test_sector_solve_matches_full_space(N, basis_q2, soft_tensor_q2):
     assert np.all(x_ref[outside] == 0.0)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_orbit_matvec_is_the_dense_orbit_hamiltonian(N, basis_q2, orbit_tensor_q2):
+    # the reduced operator against U^T H U, U the orbit sums found by literal
+    # permutation of occupation tuples; the basis's orbits are U's columns
+    ham = PairOpHamiltonian(basis_q2, orbit_tensor_q2, N)
+    fock = ham.fock
+    assert len(orbit_tensor_q2.mode_perms) == 6 and ham.size < len(fock.ranks)
+    H, U = orbit_hamiltonian(basis_q2, orbit_tensor_q2, N, fock)
+    assert U.shape[1] == ham.size
+    assert np.array_equal(np.count_nonzero(U, axis=0), fock.orbit_sizes)
+    assert np.all(U[fock.ranks, fock.orbits] > 0)
+    rng = np.random.default_rng(N)
+    for _ in range(3):
+        y = _random_unit(rng, ham.size)
+        np.testing.assert_allclose(ham.matvec(y), H @ y, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_orbit_route_matches_the_sector_route(N, basis_q2, orbit_tensor_q2, soft_tensor_q2):
+    # the same solve in the orbit sums and in the parity sector: the energy,
+    # the step count, gamma, the pair moment (also of a dressed mode that no
+    # permutation keeps) and the N = 2 pair amplitudes; off eigenvectors,
+    # gamma and the pair moment of an orbit vector and of its sector unfold
+    orbit = PairOpHamiltonian(basis_q2, orbit_tensor_q2, N)
+    sector = PairOpHamiltonian(basis_q2, soft_tensor_q2, N)
+    assert np.array_equal(orbit.fock.ranks, sector.fock.ranks)
+    start = np.zeros(orbit.size), np.zeros(sector.size)
+    start[0][0] = start[1][0] = 1.0
+    (e_orbit, y, steps), (e_sector, x, sector_steps) = map(_lanczos, (orbit, sector), start)
+    assert e_orbit == pytest.approx(e_sector, rel=1e-13) and steps == sector_steps
+    rng = np.random.default_rng(N)
+    c = _random_unit(rng, basis_q2.size)
+    z, fock = _random_unit(rng, orbit.size), orbit.fock
+    for y, x in ((y, x), (z, z[fock.orbits] / np.sqrt(fock.orbit_sizes[fock.orbits]))):
+        np.testing.assert_allclose(orbit.one_body_matrix(y), sector.one_body_matrix(x),
+                                   rtol=0, atol=1e-12)
+        if N >= 2:
+            assert pair_moment(orbit, y, c) == pytest.approx(pair_moment(sector, x, c), rel=1e-12)
+        if N == 2:
+            np.testing.assert_allclose(_pair_amplitude_matrix(orbit, y),
+                                       _pair_amplitude_matrix(sector, x), rtol=0, atol=1e-12)
+
+
+def test_off_centre_grid_solves_in_the_orbits_of_the_full_space():
+    # an equal shift on every axis keeps the axis permutations: the solve
+    # runs in the orbit sums of every state and matches the dense full space
+    basis = _off_centre_basis(1)
+    tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    gr = ground_state(basis, tensor, 3)
+    fock = gr.ham.fock
+    assert len(fock.ranks) == full_space(3, basis.size).size > gr.ham.size
+    assert gr.ham.size == orbit_sums(3, basis.size, fock.ranks, tensor.mode_perms).shape[1]
+    e_ref, x_ref, states, index = dense_ground(basis, tensor, 3)
+    assert gr.energy == pytest.approx(e_ref, abs=1e-9)
+    np.testing.assert_allclose(gr.gamma, dense_gamma(x_ref, states, index, basis.size), atol=1e-8)
+
+
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_ground_state_keeps_the_hamiltonian_it_solved(N, basis_q2, soft_tensor_q2):
     gr = ground_state(basis_q2, soft_tensor_q2, N)
@@ -246,9 +310,11 @@ def _off_centre_basis(quanta):
 
 
 def test_off_centre_grid_solves_in_full_space(monkeypatch):
+    # the equal shift on every axis keeps the axis permutations: the
+    # identity alone is the full space
     basis = _off_centre_basis(1)
     assert basis.axis_parity is None
-    tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    tensor = identity_only(interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1)))
     sizes = []
     build = PairOpHamiltonian.__init__
 
@@ -273,7 +339,7 @@ def test_sector_pair_map_and_fold_on_random_vectors(N, quanta, basis_q1, basis_q
     # the states a_k a_l reaches: at q = 1, N = 5 no class reaches code 7
     # (one boson in each odd mode), so 19 of the 20 three-boson states
     basis = basis_q1 if quanta == 1 else basis_q2
-    tensor = (interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    tensor = (identity_only(interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1)))
               if quanta == 1 else soft_tensor_q2)
     ham = PairOpHamiltonian(basis, tensor, N)
     H, states, index = dense_hamiltonian(basis, tensor, N)
@@ -307,7 +373,8 @@ def test_sector_pair_map_and_fold_on_random_vectors(N, quanta, basis_q1, basis_q
 
 @pytest.fixture(scope="module")
 def sweep_tensor_q3(basis_q3):
-    return interaction_tensor(basis_q3, bl.PairPotential.soft_sphere(0.01, 8.853088605086427))
+    return identity_only(interaction_tensor(basis_q3, bl.PairPotential.soft_sphere(
+        0.01, 8.853088605086427)))
 
 
 def _assert_pair_map_is_composed(ham):
@@ -326,7 +393,7 @@ def test_pair_map_matches_the_composed_map_on_sweep_sectors(N, basis_q3, sweep_t
 def test_pair_map_matches_the_composed_map_in_the_full_space(N):
     basis = _off_centre_basis(2)
     assert basis.axis_parity is None
-    tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    tensor = identity_only(interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1)))
     _assert_pair_map_is_composed(PairOpHamiltonian(basis, tensor, N))
 
 
@@ -337,7 +404,7 @@ def test_gamma_forms_no_pair_gram_below_the_pair_count(N, sector):
     # pairs array (3.2 MB at M = 35) or half of one
     basis = (build_mode_basis(TRAP, GRID, 4) if sector else _off_centre_basis(4))
     assert (basis.axis_parity is not None) == sector
-    tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    tensor = identity_only(interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1)))
     ham = PairOpHamiltonian(basis, tensor, N)
     x = _random_unit(np.random.default_rng(N), ham.size)
     W = np.zeros((comb(N + basis.size - 3, N - 2), tensor.n_pairs))
@@ -388,7 +455,7 @@ def test_one_pair_grouping_and_one_layout_per_solve(monkeypatch, N, basis_q2,
         laid_out.clear()
         tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
         assert grouped == [basis.size] and laid_out == [tensor.n_pairs]
-        gr = ground_state(basis, tensor, N)
+        gr = ground_state(basis, identity_only(tensor), N)
         assert grouped == [basis.size] and laid_out == [tensor.n_pairs]
         assert (gr.ham.lower_size >= tensor.n_pairs) == (N == 4)
 
@@ -402,7 +469,7 @@ def test_hamiltonian_takes_the_codes_of_its_tensor(basis_q2, soft_tensor_q2):
     for tensor, codes in ((soft_tensor_q2, basis_q2.parity_codes),
                           (one_class(soft_tensor_q2), np.zeros(basis_q2.size, dtype=np.int64))):
         fock = PairOpHamiltonian(basis_q2, tensor, 3).fock
-        want = FockBasis.build(3, codes)
+        want = FockBasis.build(3, codes, tensor.mode_perms)
         assert fock.mode_codes is tensor.mode_codes and fock.code == want.code
         assert np.array_equal(fock.occupations, want.occupations)
         assert np.array_equal(fock.ranks, want.ranks)
@@ -468,7 +535,7 @@ def test_two_boson_sector_keeps_only_the_class_that_reaches_the_vacuum(monkeypat
     # + D F D over the two-boson states in pair order (D = sqrt 2 on a
     # doubly occupied mode, 1 otherwise) and the literal ladder gamma
     basis = build_mode_basis(TRAP, GRID, 4)
-    tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    tensor = identity_only(interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1)))
     folded = []
     fold = InteractionTensor.fold_hamiltonian_pairs
     monkeypatch.setattr(InteractionTensor, "fold_hamiltonian_pairs",
@@ -527,8 +594,8 @@ def test_pair_amplitude_matrix_matches_the_full_space_route(space, basis_q2, sof
     if space == "off_centre_full":
         basis = _off_centre_basis(2)
         assert basis.axis_parity is None
-        ham = PairOpHamiltonian(basis, interaction_tensor(basis, bl.PairPotential.soft_sphere(
-            5.0, 1.1)), 2)
+        ham = PairOpHamiltonian(basis, identity_only(interaction_tensor(
+            basis, bl.PairPotential.soft_sphere(5.0, 1.1))), 2)
     else:
         basis, tensor = ((basis_q2, soft_tensor_q2) if space == "sector_q2"
                          else (basis_q3, sweep_tensor_q3))
@@ -595,7 +662,7 @@ def sweep_sector_n6(basis_q3):
     # the sweep's largest row: N = 6 in the sector of 23,228 of the 177,100
     # states of M = 20 modes; its pair map has 236,864 entries (3.61 MiB
     # of columns and amplitudes)
-    return FockBasis.build(6, basis_q3.parity_codes)
+    return FockBasis.build(6, basis_q3.parity_codes, np.arange(basis_q3.size)[None])
 
 
 def test_occupation_table_holds_one_byte_per_entry(basis_q3, sweep_sector_n6):
@@ -604,7 +671,7 @@ def test_occupation_table_holds_one_byte_per_entry(basis_q3, sweep_sector_n6):
     # per entry
     tracemalloc.start()
     try:
-        fock = FockBasis.build(6, basis_q3.parity_codes)
+        fock = FockBasis.build(6, basis_q3.parity_codes, np.arange(basis_q3.size)[None])
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -625,8 +692,8 @@ def _measure_past_the_space(monkeypatch):
     held = []
     build = FockBasis.build.__func__
 
-    def spy(cls, N, mode_codes):
-        fock = build(cls, N, mode_codes)
+    def spy(cls, N, *args):
+        fock = build(cls, N, *args)
         held.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
         return fock

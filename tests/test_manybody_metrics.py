@@ -16,8 +16,9 @@ import beclab as bl
 from beclab.errors import (BasisInsufficientError, ConfigError, ResolutionError,
                            SolverFailureError)
 from beclab.manybody import (CondensateReport, build_mode_basis, condensate_metrics,
-                             expand_reference, ground_state, localization_profile)
-from beclab.manybody import localization, metrics
+                             expand_reference, ground_state, localization_profile,
+                             prepare_pipeline)
+from beclab.manybody import localization, metrics, sweep
 from beclab.manybody.localization import _ball_box, _scrambled_sobol
 from beclab.manybody.metrics import _K_POINTS, default_momentum_axes, momentum_density
 from beclab.manybody.tensor import interaction_tensor
@@ -503,6 +504,22 @@ def test_tabulated_reference_on_another_grid_is_refused(tabulated_ground):
         with pytest.raises(ConfigError, match="mode grid") as err:
             expand_reference(_state(phi, grid, basis.trap), basis)
         assert err.value.field == "gp_grid"
+
+
+def test_pipeline_refuses_a_tabulated_reference_grid_before_any_solve(monkeypatch):
+    # the scattering, GP and mode solves never run: the refusal comes first,
+    # with expand_reference's message and field
+    solved = []
+    for name in ("solve_zero_energy", "minimize_gp", "build_mode_basis"):
+        monkeypatch.setattr(sweep, name, lambda *a, _name=name, **k: solved.append(_name))
+    grid = bl.Grid.centered((10.0,) * 3, (24,) * 3)
+    x, y, z = grid.meshgrid()
+    trap = bl.TrapSpec.tabulated(grid, x**2 + 2 * y**2 + 3 * z**2)
+    for gp_grid in (bl.Grid.centered(grid.extent, (30,) * 3), _shifted(grid)):
+        with pytest.raises(ConfigError, match="mode grid") as err:
+            prepare_pipeline(trap, bl.PairPotential.soft_sphere(5.0, 1.1), 1.0, grid, 1, gp_grid)
+        assert err.value.field == "gp_grid"
+    assert solved == []
 
 
 def test_sampled_reference_expansion_matches_direct_quadrature(tabulated_ground):

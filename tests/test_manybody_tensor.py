@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from beclab.manybody import build_mode_basis
 from beclab.manybody import tensor as tensor_module
 from beclab.manybody.ground import PairOpHamiltonian
 from beclab.manybody.tensor import _pair_table, interaction_tensor, pair_classes
-from .oracles import (dense_pair_fold, dense_pair_matrix, one_class, sampled_modes,
-                      sampled_pair_matrix, tensor_entry)
+from .oracles import (dense_pair_fold, dense_pair_matrix, identity_only, one_class,
+                      sampled_modes, sampled_pair_matrix, tensor_entry)
 
 GRID = bl.Grid.centered((12.0,) * 3, (32,) * 3)
 
@@ -116,6 +118,46 @@ def test_pair_classes_match_the_axis_parity_grouping(request, name):
     assert all(np.array_equal(m, e) for (_, m), (_, e) in zip(classes, expected))
 
 
+def _symmetry_basis(request, name):
+    harmonic = bl.TrapSpec.harmonic((1.0, 1.0, 1.0))
+    if name == "isotropic":
+        return build_mode_basis(harmonic, GRID, 2)
+    if name == "off_centre":
+        # the same half-cell shift on every axis: no parity, equal tables
+        h = GRID.spacing[0]
+        return build_mode_basis(harmonic, bl.Grid(tuple(lo + h / 2 for lo in GRID.lo),
+                                                  GRID.extent, GRID.points), 2)
+    if name == "anisotropic":
+        return build_mode_basis(bl.TrapSpec.harmonic((1.0, 1.7, 0.6)), GRID, 2)
+    if name == "unequal_axes":
+        # equal spacing, one longer axis
+        grid = bl.Grid.centered((12.0, 12.0, 12.0 * 35 / 31), (32, 32, 36))
+        return build_mode_basis(harmonic, grid, 2)
+    return request.getfixturevalue("tabulated_basis")
+
+
+@pytest.mark.parametrize("name", ["isotropic", "off_centre", "anisotropic", "unequal_axes",
+                                  "tabulated"])
+def test_axis_permutations_only_on_equal_axis_tables(request, name):
+    # the six axis permutations, each relabeling the modes' table rows and
+    # keeping every energy, when the three axis tables are equal bit for
+    # bit; otherwise the identity alone (G = 1), and a solve over the
+    # tensor is the parity sector's
+    basis = _symmetry_basis(request, name)
+    perms = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1)).mode_perms
+    assert perms.shape[1] == basis.size
+    assert np.array_equal(perms[0], np.arange(basis.size))
+    if name not in ("isotropic", "off_centre"):
+        assert perms.shape[0] == 1
+        return
+    assert perms.shape[0] == 6
+    rows = basis.table_rows
+    relabels = {axes for p in perms for axes in permutations(range(3))
+                if np.array_equal(rows[p], rows[:, axes])}
+    assert relabels == set(permutations(range(3)))
+    assert all(np.array_equal(basis.energies[p], basis.energies) for p in perms)
+
+
 def _parity_basis(request, name):
     if name == "tabulated":
         return request.getfixturevalue("tabulated_basis")
@@ -130,8 +172,9 @@ def test_class_folds_are_the_dense_fold_blocks(request, name):
     # the block of that class cut out of the fold over all pairs.  N = 4:
     # every class reaches a 2-particle state, so every class is kept (at
     # N = 2 only the class that reaches the vacuum is)
+    # (in the parity sector: in the orbit space a class may own no row)
     basis = _parity_basis(request, name)
-    t = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
+    t = identity_only(interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1)))
     dense = dense_pair_fold(t)
     classes = PairOpHamiltonian(basis, t, 4).pair_classes
     assert len(classes) == len(t.classes) > 1

@@ -20,22 +20,29 @@ SOURCES += sorted((REPO / "perfbench").glob("*.py"))
 WRITTEN_WHOLE = {"CondensateReport", "LocalizationProfile"}
 
 
-def _references(path: Path) -> set[str]:
-    """The names a file reads: loaded names, attributes, imported names and
-    strings (``perfbench/spans.py`` names what it wraps by string).  A def
-    or class statement only defines its name, and a keyword argument (a
-    record's constructor) only writes one, so they read none."""
+def _reads(path: Path) -> set[str]:
+    """What a file reads off objects and modules: attributes, imported
+    names and strings (``perfbench/spans.py`` names what it wraps by
+    string).  A bare name is a local or a module-level name, never a
+    record's field."""
     out = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.add(node.value)
     return out
+
+
+def _references(path: Path) -> set[str]:
+    """The names a file reads: ``_reads`` and its loaded bare names.  A def
+    or class statement only defines its name, and a keyword argument (a
+    record's constructor) only writes one, so they read none."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return _reads(path) | {node.id for node in ast.walk(tree)
+                           if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def _record_fields():
@@ -55,7 +62,7 @@ def test_every_exported_name_is_used_outside_the_package_init(package):
 
 
 def test_every_record_field_is_read():
-    read = set().union(*map(_references, SOURCES))
+    read = set().union(*map(_reads, SOURCES))
     unread = sorted(f"{cls}.{name}" for cls, name in _record_fields()
                     if cls not in WRITTEN_WHOLE and name not in read)
     assert unread == []
