@@ -173,8 +173,9 @@ def validate(config: dict) -> dict:
         problem.grid.check_equal_spacing("problem.grid")
         problem.trap.check_eigensolve(problem.grid, "problem.grid.points")
         # the smallest lattice of the pair transforms; a wider potential's
-        # pad needs its scattering length, so the tensor checks that in the run
-        pair_fft_lattice(problem.grid.points, 0, "problem.grid.points")
+        # pad needs its scattering length, so the pipeline checks that after
+        # the scattering solve
+        pair_fft_lattice(problem.grid, 0.0, "problem.grid.points")
         N = s["N"] if experiment == "manybody" else max(s["N_list"])
         states = math.comb(N + math.comb(s["max_quanta"] + 3, 3) - 1, N)
         if states > s["dimension_cap"]:
@@ -288,7 +289,7 @@ def run_manybody(c: dict):
     problem, solver = c["problem"], c["solver"]
     N, a, g, loc = solver["N"], solver["a"], solver["g"], solver["localization"]
     setup = prepare_pipeline(problem.trap, problem.pair_potential, g, problem.grid,
-                             solver["max_quanta"])
+                             solver["max_quanta"], a_max=a)
     ground, report_metrics, rayleigh = solve_instance(setup, N, a)
     report = {
         "kind": "manybody",

@@ -42,7 +42,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import DomainTooSmallError, InvalidParameterError, SolverFailureError
-from .model import Grid, TrapSpec, axis_apply, mirror_parity
+from .model import Grid, TrapSpec, axis_apply
 
 _ENERGY_SLACK = 1e-13          # accepted per-step energy increase
 _BOUNDARY_RATIO = 1e-8         # required boundary decay for confining traps
@@ -137,6 +137,33 @@ def dstn(x: np.ndarray, mats) -> np.ndarray:
     return axis_apply(x, mats)
 
 
+def _scan_potential(trap: TrapSpec, inner) -> tuple[tuple, float, bool]:
+    """The first minimum of V in C order on the tensor grid of the per-axis
+    coordinates ``inner``, its value, and whether V equals its mirror image
+    on every axis to 1e-12 of max |V| (``mirror_parity`` 0 on each).
+
+    V is sampled in slabs of 1/16 of the first axis (one plane at least),
+    each slab of the lower half with its mirror slab, so no array of the
+    grid's size is formed; every node gets the bits it has in the whole
+    sample (``TrapSpec.sample_axes``).
+    """
+    m, rest = len(inner[0]), inner[1:]
+    step = max(1, m // 16)
+    best, top, gap = (math.inf,), 0.0, 0.0      # (V, node) at the minimum, max |V|, max |V - mirror|
+    for i in range(0, (m + 1) // 2, step):
+        j = min(i + step, (m + 1) // 2)
+        lower, upper = (trap.sample_axes((inner[0][a:b],) + rest) for a, b in ((i, j), (m - j, m - i)))
+        gap = max(gap, float(np.abs(lower - np.flip(upper, 0)).max()))
+        for first, slab in ((i, lower), (m - j, upper)):
+            k = np.unravel_index(np.argmin(slab), slab.shape)
+            best = min(best, (float(slab[k]), first + int(k[0]), *map(int, k[1:])))
+            top = max(top, float(slab.max()), -float(slab.min()))
+            for ax in range(1, slab.ndim):
+                gap = max(gap, float(np.abs(slab - np.flip(slab, ax)).max()))
+    value, *centre = best
+    return tuple(centre), value, gap <= 1e-12 * top
+
+
 class _Workspace:
     """Per-(grid, trap) arrays shared by the minimizer's iterations.
 
@@ -154,11 +181,9 @@ class _Workspace:
     def __init__(self, trap: TrapSpec, grid: Grid, sector: bool = False):
         self.d = grid.dimension
         full = tuple(n - 2 for n in grid.points)
-        # V on the interior nodes only (the same bits as there in the
-        # whole grid's sample), a contiguous array, so argmin copies nothing
-        V = trap.sample_axes(tuple(x[1:-1] for x in grid.axes))
-        self.sector = sector and all(m % 2 == 0 for m in full) and all(
-            mirror_parity(V, ax) == 0 for ax in range(self.d))
+        inner = tuple(x[1:-1] for x in grid.axes)
+        centre, vmin, even = _scan_potential(trap, inner)
+        self.sector = sector and all(m % 2 == 0 for m in full) and even
         self.half = tuple(slice(0, m // 2 if self.sector else m) for m in full)
         self.hd = float(np.prod(grid.spacing)) * (2.0**self.d if self.sector else 1.0)
         self.sine_factor = float(np.prod([e / 2 for e in grid.extent]))
@@ -171,14 +196,14 @@ class _Workspace:
         # even embedding.  The floor of the shift keeps the full per-axis gap,
         # whose first excitation is odd: the full spectrum is that of P^T H0 P
         # joined with that of Q^T H0 Q, Q the normalized odd embedding
-        centre = np.unravel_index(np.argmin(V), V.shape)
-        offset = float(V[centre]) * (self.d - 1) / self.d
+        offset = vmin * (self.d - 1) / self.d
         self.forward, self.inverse, kappa, eigs, self.pre_vecs = [], [], [], [], []
         gaps = []
         for ax, (m, e) in enumerate(zip(full, grid.extent)):
             S = sine_matrix(m)
             k2 = (np.pi * np.arange(1, m + 1) / e) ** 2      # continuum (pi k / L)^2
-            line = V[centre[:ax] + (slice(None),) + centre[ax + 1:]]
+            line = trap.sample_axes(tuple(x if a == ax else x[c:c + 1] for a, (x, c)
+                                          in enumerate(zip(inner, centre)))).ravel()
             H = (S * k2) @ S / (2.0 * (m + 1.0)) + np.diag(line - offset)
             if self.sector:
                 h, odd = m // 2, slice(0, m, 2)
@@ -196,7 +221,7 @@ class _Workspace:
             kappa.append(k2)
             eigs.append(w)
             self.pre_vecs.append(U)
-        self.V = np.ascontiguousarray(V[self.half])
+        self.V = trap.sample_axes(tuple(x[h] for x, h in zip(inner, self.half)))
         self.m = self.V.shape
         self.KK = reduce(np.add.outer, kappa)
         self.pre_eigs = reduce(np.add.outer, eigs)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import comb
+from math import comb, fsum
 
 import numpy as np
 
@@ -204,7 +204,9 @@ def separable_modes(trap: TrapSpec, grid: Grid, max_quanta: int):
     """Harmonic or box modes on ``grid``'s axes, without the 3D arrays.
 
     Returns the energies in mode order, the per-axis 1D tables and each
-    mode's (M, 3) rows in them.  The resolution checks of
+    mode's (M, 3) rows in them.  A mode's per-axis energies are summed
+    exactly rounded (``math.fsum``), so modes that differ by a permutation
+    of equal axes have equal energies.  The resolution checks of
     ``build_mode_basis`` run on this grid: the Gram matrix as a product of
     1D Grams, the highest mode's energy as a sum of 1D quotients.
     """
@@ -212,7 +214,7 @@ def separable_modes(trap: TrapSpec, grid: Grid, max_quanta: int):
     if trap.kind == "harmonic":
         tables = tuple(hermite_functions(max_quanta, grid.axes[ax], trap.stiffness[ax])
                        for ax in range(3))
-        energies = [sum(np.sqrt(trap.stiffness[ax]) * (2 * q[ax] + 1) for ax in range(3))
+        energies = [fsum(np.sqrt(trap.stiffness[ax]) * (2 * q[ax] + 1) for ax in range(3))
                     for q in rows]
     else:
         sides = grid.extent
@@ -224,7 +226,7 @@ def separable_modes(trap: TrapSpec, grid: Grid, max_quanta: int):
                 for n in range(1, max_quanta + 2)]))
         tables = tuple(tables)
         # the quantum numbers of a box mode are its table rows plus one
-        energies = [np.pi**2 * sum(((q[ax] + 1) / sides[ax]) ** 2 for ax in range(3))
+        energies = [np.pi**2 * fsum(((q[ax] + 1) / sides[ax]) ** 2 for ax in range(3))
                     for q in rows]
 
     # ties broken by quantum numbers, whose order the table rows share

@@ -15,8 +15,6 @@ the modes and the grid come from the solve's own Hamiltonian (``ground.ham``).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
@@ -84,47 +82,55 @@ def _scrambled_sobol(count: int, seed: int) -> np.ndarray:
 
 
 def _sample_indices(density_flat, weights_flat, count, seed):
-    """Quasi-random draws of grid nodes from the one-particle density."""
-    p = np.maximum(density_flat * weights_flat, 0.0)
-    cdf = np.cumsum(p)
+    """Quasi-random draws of grid nodes from the one-particle density.
+
+    p = max(density * weights, 0) and its cdf are formed in
+    ``density_flat``, which is overwritten."""
+    cdf = density_flat
+    cdf *= weights_flat
+    np.maximum(cdf, 0.0, out=cdf)
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     return np.searchsorted(cdf, _scrambled_sobol(count, seed))
 
 
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _ball_box(sq, r2: float):
+def _ball_box(sq, r2: float, out: np.ndarray):
     """The nodes with sum_ax sq[ax] <= r2, as their bounding index box and
     the mask inside it.
 
     ``sq[ax]`` holds each node's squared offset along axis ax.  A sum of
     nonnegative terms is at least each term, so no node of the ball lies
-    outside the box, and the box's sums are the full grid's sums.
+    outside the box, and the box's sums are the full grid's sums.  They
+    are formed in ``out``, a flat float64 array of at least the box's node
+    count, so the mask is the only box-sized array allocated here.
     """
     box = []
     for s in sq:
         inside = np.flatnonzero(s <= r2)
         box.append(slice(inside[0], inside[-1] + 1))
-    return tuple(box), reduce(np.add.outer, [s[b] for s, b in zip(sq, box)]) <= r2
+    shape = tuple(b.stop - b.start for b in box)
+    sums = out[:np.prod(shape)].reshape(shape)
+    parts = [s[b] for s, b in zip(sq, box)]
+    np.add.outer(reduce(np.add.outer, parts[:-1]), parts[-1], out=sums)
+    return tuple(box), sums <= r2
 
 
 def _draws(ground: ManyBodyGround, phi: np.ndarray, samples: int, seed: int):
     """The sampled flat node indices and the weight phi^2 dV.
 
     The quadrature weights are formed here as ``Grid.weights`` forms them,
-    so the mode grid caches no array of its size, and they die with the
-    density and its cdf on return.
+    so the mode grid caches no array of its size.  The density, its
+    clipped product with them and its cdf share one array, and the
+    weights die on return.
     """
     basis = ground.ham.basis
     dv = reduce(np.multiply.outer, basis.grid.axis_weights)
     density = basis.density(ground.gamma / ground.N).ravel()
-    idx = _sample_indices(np.maximum(density, 0.0), dv.ravel(), samples, seed)
-    return idx, phi**2 * dv
+    idx = _sample_indices(np.maximum(density, 0.0, out=density), dv.ravel(), samples, seed)
+    del density
+    weight = phi**2
+    weight *= dv
+    return idx, weight
 
 
 def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: int = 64,
@@ -135,13 +141,11 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: in
     ``ground.ham.basis`` (``lo`` included), radii that are positive (inf is
     the whole grid) and a nonnegative sample count.  Nodes where the
     mean-field profile is below 1e-12 of its peak are excluded from the
-    division and counted in the report.  The samples are dealt round-robin
-    into one block per available CPU; the calling thread runs block 0 and a
-    pool of one thread fewer the others.  Each sample writes its own rows,
-    so the result does not depend on the worker count.  A block's
-    grid-sized scratch is the four buffers of ``masked_gradient_sq``, the
-    first of which holds the sample's field; besides them, only 1/phi and
-    the quadrature weight phi^2 dV are held while the samples run.
+    division and counted in the report.  The samples run in draw order on
+    the calling thread.  Their grid-sized scratch is one set of the four
+    buffers of ``masked_gradient_sq``, the first of which holds the
+    sample's field; besides them, only 1/phi and the quadrature weight
+    phi^2 dV are held while the samples run.
     """
     if ground.N != 2:
         raise ConfigError("localization profile is defined for N = 2 runs")
@@ -158,43 +162,34 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: in
     C = _pair_amplitude_matrix(ground.ham, ground.coefficients)
 
     phi = gp.phi
-    valid = phi > 1e-12 * phi.max()
-    excluded = int(np.size(phi) - np.count_nonzero(valid))
-    support = Region(grid=grid, mask=valid, kind="support")
+    support = Region(grid=grid, mask=phi > 1e-12 * phi.max(), kind="support")
+    excluded = int(np.size(phi) - np.count_nonzero(support.mask))
+    # the gradient's edge tables, built now so that their transients do not
+    # stack on the scratch below
+    support._stencil
     inverse = np.zeros(grid.shape)
-    np.divide(1.0, phi, out=inverse, where=valid)
+    np.divide(1.0, phi, out=inverse, where=support.mask)
     idx, weight = _draws(ground, phi, samples, seed)
 
     totals = np.zeros(samples)
     in_ball = np.zeros((samples, len(radii)))
-
-    def block(first: int, work: list):
-        # samples first, first + workers, ...; ``work`` is the block's own
-        # gradient scratch, reused sample after sample, whose first buffer
-        # holds the sample's field
-        for s in range(first, samples, workers):
-            node = np.unravel_index(idx[s], grid.shape)
-            f = basis.field(C @ basis.values_at(node), out=work[0])
-            f *= inverse
-            edens = masked_gradient_sq(f, support, work=work)
-            edens *= weight
-            totals[s] = edens.sum()
-            # squared distance to node r2 per axis; each ball is summed on its box
-            sq = [(x - x[i]) ** 2 for x, i in zip(grid.axes, node)]
-            for di, d in enumerate(radii):
-                box, inside = _ball_box(sq, d * d)
-                in_ball[s, di] = edens[box][inside].sum()
-
-    # the scratch is allocated here, in the calling thread, so that no worker
-    # leaves grid-sized blocks in a malloc arena of its own
-    workers = max(1, min(samples, _cpu_count()))
-    works = [[np.empty(grid.shape)] + [np.empty(phi.size) for _ in range(3)]
-             for _ in range(workers)]
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:     # starts no thread for one block
-        pending = [pool.submit(block, w, works[w]) for w in range(1, workers)]
-        block(0, works[0])
-        for task in pending:
-            task.result()
+    # one scratch set, reused sample after sample: the four buffers of
+    # masked_gradient_sq, the first of which holds the sample's field
+    work = [np.empty(grid.shape)] + [np.empty(phi.size) for _ in range(3)]
+    for s in range(samples):
+        node = np.unravel_index(idx[s], grid.shape)
+        f = basis.field(C @ basis.values_at(node), out=work[0])
+        f *= inverse
+        edens = masked_gradient_sq(f, support, work=work)
+        edens *= weight
+        totals[s] = edens.sum()
+        # squared distance to node r2 per axis; each ball is summed on its
+        # box, whose squared distances fill the difference buffer, free once
+        # the gradient is formed
+        sq = [(x - x[i]) ** 2 for x, i in zip(grid.axes, node)]
+        for di, d in enumerate(radii):
+            box, inside = _ball_box(sq, d * d, work[1])
+            in_ball[s, di] = edens[box][inside].sum()
 
     total = float(totals.sum())
     if total < _NA_THRESHOLD:

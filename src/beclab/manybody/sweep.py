@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..gp import GPState, minimize_gp, predict_components
-from ..model import Grid, PairPotential, TrapSpec, scale_pair_potential
+from ..model import Grid, PairPotential, TrapSpec, pair_fft_lattice, scale_pair_potential
 from ..scattering import hard_sphere_substitute, solve_zero_energy
 from .basis import ModeBasis, build_mode_basis
 from .ground import ManyBodyGround, ground_state, hartree_energy
@@ -40,11 +40,15 @@ class PipelineSetup:
 
 
 def prepare_pipeline(trap: TrapSpec, potential: PairPotential, g: float, grid: Grid,
-                     max_quanta: int = 3, gp_grid: Grid | None = None) -> PipelineSetup:
+                     max_quanta: int = 3, gp_grid: Grid | None = None, *,
+                     a_max: float) -> PipelineSetup:
     """Shared set-up; ``gp_grid`` (default: ``grid``) carries the reference.
     Hard spheres become tall soft spheres of equal scattering length.  A
     tabulated trap's modes exist on ``grid`` alone, so another ``gp_grid``
-    is refused before any solve (``expand_reference`` refuses it too)."""
+    is refused before any solve (``expand_reference`` refuses it too).
+    ``a_max``, the largest scattering length a solve of the set-up asks
+    for, widens the potential most: the pair transforms' lattice it pads
+    is checked before the mean-field solve."""
     if trap.kind == "tabulated" and gp_grid not in (None, grid):
         raise ConfigError("tabulated modes read the mean-field reference on the mode "
                           "grid only", field="gp_grid")
@@ -56,6 +60,8 @@ def prepare_pipeline(trap: TrapSpec, potential: PairPotential, g: float, grid: G
     if scat.a <= 0 or scat.s is None:
         raise ConfigError("needs a repulsive potential with positive scattering length",
                           field="pair_potential")
+    widest = scale_pair_potential(potential, a_max / scat.a)
+    pair_fft_lattice(grid, widest.range, "problem.pair_potential")
     gp = minimize_gp(trap, g, grid if gp_grid is None else gp_grid)
     basis = build_mode_basis(trap, grid, max_quanta)
     return PipelineSetup(potential=potential, substituted=substituted,
@@ -104,10 +110,11 @@ def gp_limit_sweep(trap: TrapSpec, base_potential: PairPotential, g: float, N_li
     if g <= 0:
         raise ConfigError("sweep needs a positive coupling g", field="g")
     N_list = [int(n) for n in N_list]
-    if any(n < 1 for n in N_list):
-        raise ConfigError("particle numbers must be positive", field="N_list")
+    if not N_list or any(n < 1 for n in N_list):
+        raise ConfigError("particle numbers must be given and positive", field="N_list")
 
-    setup = prepare_pipeline(trap, base_potential, g, grid, max_quanta, gp_grid)
+    setup = prepare_pipeline(trap, base_potential, g, grid, max_quanta, gp_grid,
+                             a_max=g / (4.0 * math.pi * min(N_list)))
     gp = setup.gp
     prediction = predict_components(gp, setup.s)
     u_matrix = setup.basis.potential_matrix()

@@ -229,9 +229,8 @@ def interaction_tensor(basis: ModeBasis, potential: PairPotential) -> Interactio
             field="pair_potential")
     grid.check_equal_spacing("grid")
 
-    h = grid.spacing
-    npad = pair_fft_lattice(grid.points, int(np.ceil(potential.range / h[0])), "pair_potential")
-    scale = float(np.prod(npad)) * float(np.prod(h))
+    npad = pair_fft_lattice(grid, potential.range, "pair_potential")
+    scale = float(np.prod(npad)) * float(np.prod(grid.spacing))
     pairs = _pair_table(basis.size)
     classes = tuple(pair_classes(basis.parity_codes, pairs))
     layout = BlockLayout.of(classes, len(pairs))

@@ -665,13 +665,14 @@ def _grid_points(value, field: str) -> tuple:
     return points
 
 
-def pair_fft_lattice(points, range_nodes: int, field: str) -> tuple[int, ...]:
-    """The zero-padded lattice of the interaction tensor's transforms: each
-    axis of ``points`` padded by ``range_nodes`` (the pair potential's range
-    in grid steps) plus 2.  Above ``MAX_GRID_NODES`` it is a CapacityError
-    on ``field``; with ``range_nodes`` 0 this is the smallest such lattice,
-    checked at load."""
-    shape = tuple(n + range_nodes + 2 for n in points)
+def pair_fft_lattice(grid: Grid, pair_range: float, field: str) -> tuple[int, ...]:
+    """The zero-padded lattice of the interaction tensor's transforms on a
+    grid of equal spacing: each axis padded by the pair potential's range
+    in grid steps, rounded up, plus 2.  Above ``MAX_GRID_NODES`` it is a
+    CapacityError on ``field``; with ``pair_range`` 0 this is the smallest
+    such lattice, checked at load."""
+    pad = int(np.ceil(pair_range / grid.spacing[0]))
+    shape = tuple(n + pad + 2 for n in grid.points)
     if math.prod(shape) > MAX_GRID_NODES:
         raise CapacityError(f"the pair transforms pad the grid to {math.prod(shape)} nodes, "
                             f"above the cap {MAX_GRID_NODES}", field=field)

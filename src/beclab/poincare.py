@@ -144,7 +144,7 @@ def masked_gradient_sq(f: np.ndarray, region: Region, *, work=None) -> np.ndarra
     ``work``, four distinct writeable C-contiguous float64 arrays of
     ``region.mask.size`` elements that do not overlap f, are those buffers,
     so a caller can reuse them from call to call; the result is then a
-    grid-shaped view of one of them.  ``work[0]`` may also be f itself, a
+    grid-shaped view of ``work[2]``, and the others are free again.  ``work[0]`` may also be f itself, a
     writeable C-contiguous float64 array of the grid's shape, which is then
     masked to K in place: a caller that evaluates f into it needs no fifth
     buffer.  Without ``work`` the buffers are allocated here.

@@ -25,6 +25,7 @@ from beclab import __version__, cli, hard_sphere_substitute
 from beclab.cli import (CONFIGS, canonical_hash, dump_json, execute, load_config, load_phi_dump,
                         main, run_gp, validate, verify)
 from beclab.errors import ConfigError, InvalidParameterError
+from beclab.manybody import sweep
 from beclab.model import (MAX_GRID_NODES, MAX_SAMPLES, grid_from_config,
                           pair_potential_from_config, problem_from_config, trap_from_config)
 
@@ -1088,6 +1089,22 @@ def test_grid_the_pair_transforms_pad_above_the_cap_exits_2_at_load(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("config error: problem.grid.points: ") and "cap" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment", ["manybody", "sweep"])
+def test_pair_potential_padding_above_the_cap_exits_2_before_the_gp_solve(tmp_path, capsys,
+                                                                          monkeypatch,
+                                                                          experiment):
+    # rescaled to the run's largest a (the sweep's at its smallest N), the
+    # potential's range pads the pair transforms far above the cap: refused
+    # after the scattering solve, before the mean-field one
+    monkeypatch.setattr(sweep, "minimize_gp", lambda *a, **k: pytest.fail("GP solve ran"))
+    cfg = SMALL_CONFIGS[experiment]()
+    cfg["problem"]["pair_potential"] = {"shape": "soft_sphere", "height": 1e-4, "radius": 1.1}
+    p = write_config(tmp_path, cfg)
+    assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problem.pair_potential: ") and "cap" in err
 
 
 def _run_cli(*args):

@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-import time
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -160,11 +160,12 @@ def test_ball_box_selects_the_full_grid_ball(grid):
     nodes = [(0, 0, 0), tuple(n // 2 for n in grid.shape), tuple(n - 1 for n in grid.shape),
              (3, grid.shape[1] - 2, 1)]
     radii = [0.1, min(grid.spacing), 0.5, 1.0, 2.0, 3.0, 5.0, 40.0]
+    out = np.empty(np.prod(grid.shape))
     for node in (node[:grid.dimension] for node in nodes):
         sq = [(x - x[i]) ** 2 for x, i in zip(grid.axes, node)]
         for d in radii:
             full = sum((x - x.flat[i]) ** 2 for x, i in zip(grid.meshgrid(), node)) <= d * d
-            box, inside = _ball_box(sq, d * d)
+            box, inside = _ball_box(sq, d * d, out)
             embedded = np.zeros(grid.shape, dtype=bool)
             embedded[box] = inside
             assert np.array_equal(embedded, full)
@@ -189,31 +190,9 @@ def test_localization_matches_the_materialized_route(monkeypatch):
     assert prof.total_energy == pytest.approx(total, rel=1e-12)
 
 
-@pytest.mark.parametrize("samples, workers", [(24, 8), (3, 8), (25, 2)])
-def test_threaded_profile_equals_one_worker(monkeypatch, interacting, samples, workers):
-    # more workers than samples' worth of cores, or blocks of unequal length,
-    # with frequent thread switches
-    gr = interacting
+def test_localization_memory_stays_flat_across_calls(interacting):
+    # the scratch is the call's own: nothing grid-sized outlives it
     gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
-    args = (gr, gp, (0.5, 1.0, 2.0, 4.0), samples, 9)
-    monkeypatch.setattr(localization, "_cpu_count", lambda: 1)
-    serial = localization_profile(*args)
-    monkeypatch.setattr(localization, "_cpu_count", lambda: workers)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        start = time.perf_counter()
-        threaded = localization_profile(*args)
-        assert time.perf_counter() - start < 60.0
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial and serial.fractions is not None
-
-
-def test_localization_memory_stays_flat_across_calls(monkeypatch, interacting):
-    # the workers' scratch is the call's own: nothing grid-sized outlives it
-    gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
-    monkeypatch.setattr(localization, "_cpu_count", lambda: 2)
     after = []
     tracemalloc.start()
     try:
@@ -226,25 +205,65 @@ def test_localization_memory_stays_flat_across_calls(monkeypatch, interacting):
     assert abs(after[3] - after[1]) < 2**20, after
 
 
-def test_localization_scratch_is_the_gradient_buffers(monkeypatch, interacting):
-    # two workers, each with the four gradient buffers (the first holds the
-    # sample's field), plus 1/phi and phi^2 dV: ten grid-sized arrays and the
-    # per-sample temporaries, 11.4 measured on this grid (15.5 when each
-    # worker also kept a field buffer and the draw's density and weights
-    # lived through the pool).  The mode grid caches no weight array
-    gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
-    monkeypatch.setattr(localization, "_cpu_count", lambda: 2)
+def _profile_peak(ground, gp, radii):
+    """One profile's tracemalloc peak, in grid-sized float64 arrays."""
     GRID.__dict__.pop("weights", None)
-    localization_profile(interacting, gp, (0.5,), 2, 3)      # imports done once
+    localization_profile(ground, gp, (0.5,), 2, 3)      # imports done once
     gc.collect()
     tracemalloc.start()
     try:
-        localization_profile(interacting, gp, (0.5, 1.0, 2.0), 8, 3)
+        localization_profile(ground, gp, radii, 8, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert "weights" not in GRID.__dict__
-    assert peak <= 13 * 8 * np.prod(GRID.shape), peak / (8 * np.prod(GRID.shape))
+    return peak / (8 * np.prod(GRID.shape))
+
+
+def test_localization_scratch_is_the_gradient_buffers(interacting):
+    # one set of the four gradient buffers (the first holds the sample's
+    # field), plus 1/phi and phi^2 dV: six grid-sized arrays, the support's
+    # edge tables and the per-sample temporaries, 6.9 measured on this grid
+    # (11.4 with one set per CPU on two CPUs, 7.4 when the draws built
+    # their density, weights and cdf in arrays of their own).  The mode grid
+    # caches no weight array
+    gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
+    peak = _profile_peak(interacting, gp, (0.5, 1.0, 2.0))
+    assert peak <= 7.0, peak
+
+
+def test_localization_ball_sums_allocate_no_float_box(interacting):
+    # the infinite ball's box is the whole grid: its squared distances are
+    # summed in a gradient buffer, so only the mask and the gathered energy
+    # densities are box-sized, 7.8 grid arrays measured (8.3 when the sums
+    # were a float array of their own)
+    gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
+    peak = _profile_peak(interacting, gp, (0.5, 4.0, float("inf")))
+    assert peak <= 8.0, peak
+    sq = [(x - x[i]) ** 2 for x, i in zip(GRID.axes, (3, 16, 30))]
+    out = np.empty(np.prod(GRID.shape))
+    tracemalloc.start()
+    try:
+        box, inside = _ball_box(sq, float("inf"), out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inside.shape == GRID.shape and inside.all()
+    # the mask, and the buffers of the broadcast add's two inputs
+    assert peak <= inside.nbytes + 2 * 8 * np.getbufsize() + 4096, peak
+
+
+def test_localization_starts_no_thread(monkeypatch, interacting):
+    # every sample runs on the calling thread
+    gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
+    threads = threading.active_count()
+    seen = []
+    gradient = localization.masked_gradient_sq
+    monkeypatch.setattr(localization, "masked_gradient_sq",
+                        lambda *a, **k: seen.append((threading.active_count(),
+                                                     threading.get_ident())) or gradient(*a, **k))
+    localization_profile(interacting, gp, (0.5, 1.0), 25, 9)
+    assert seen == [(threads, threading.get_ident())] * 25
 
 
 @pytest.mark.parametrize("radii, samples, field", [((float("nan"),), 4, "radii"),
@@ -517,7 +536,8 @@ def test_pipeline_refuses_a_tabulated_reference_grid_before_any_solve(monkeypatc
     trap = bl.TrapSpec.tabulated(grid, x**2 + 2 * y**2 + 3 * z**2)
     for gp_grid in (bl.Grid.centered(grid.extent, (30,) * 3), _shifted(grid)):
         with pytest.raises(ConfigError, match="mode grid") as err:
-            prepare_pipeline(trap, bl.PairPotential.soft_sphere(5.0, 1.1), 1.0, grid, 1, gp_grid)
+            prepare_pipeline(trap, bl.PairPotential.soft_sphere(5.0, 1.1), 1.0, grid, 1, gp_grid,
+                             a_max=0.1)
         assert err.value.field == "gp_grid"
     assert solved == []
 

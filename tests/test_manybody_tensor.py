@@ -158,6 +158,21 @@ def test_axis_permutations_only_on_equal_axis_tables(request, name):
     assert all(np.array_equal(basis.energies[p], basis.energies) for p in perms)
 
 
+@pytest.mark.parametrize("trap, grid, q", [
+    (bl.TrapSpec.box(6.0), bl.Grid.box(6.0, 32), 2),
+    (bl.TrapSpec.box(6.0), bl.Grid.box(6.0, 32), 4),
+    (bl.TrapSpec.harmonic((2.0,) * 3), GRID, 4),
+    (bl.TrapSpec.harmonic((1.3,) * 3), GRID, 4),
+], ids=["box_q2", "box_q4", "stiffness_2", "stiffness_1.3"])
+def test_axis_permutations_keep_box_and_stiff_isotropic_traps(trap, grid, q):
+    # their per-axis energies are not integers: summed in axis order, a
+    # permuted mode's energy moved by an ulp and the identity was kept alone
+    basis = build_mode_basis(trap, grid, q)
+    perms = tensor_module.axis_permutations(basis)
+    assert perms.shape == (6, basis.size)
+    assert all(np.array_equal(basis.energies[p], basis.energies) for p in perms)
+
+
 def _parity_basis(request, name):
     if name == "tabulated":
         return request.getfixturevalue("tabulated_basis")
