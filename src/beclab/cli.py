@@ -340,6 +340,11 @@ def load_phi_dump(raw: bytes, sidecar: bytes):
         raise ConfigError(f"cannot read mean-field dump: {exc}", field="solver.weight")
     if not isinstance(meta, dict) or not {"lo", "extent", "points"} <= set(meta):
         raise ConfigError("grid sidecar needs lo, extent and points", field="solver.weight")
+    # the layout run_gp writes, the only one read; a sidecar may leave it out
+    for key, layout in (("dtype", "<f8"), ("order", "row-major")):
+        if meta.get(key, layout) != layout:
+            raise ConfigError(f"grid sidecar {key} {meta[key]!r} is not {layout!r}",
+                              field="solver.weight")
     grid = grid_from_config({k: meta[k] for k in ("lo", "extent", "points")},
                             where="solver.weight.grid")
     if len(raw) != 8 * math.prod(grid.points):

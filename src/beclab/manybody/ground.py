@@ -6,16 +6,16 @@ over the fixed-N occupation basis.  One ladder map serves a solve: the
 pair map A (``FockBasis.pair_sources``, read off the basis's rank table).
 For each unordered mode pair b = (k, l), (A x) collects (a_k a_l x) over
 the (N-2)-particle states, enumerated once for every pair class with no
-second space or rank table (``FockBasis.lower_states``); a row is a
-state's position in that list, so no array is sized by a full-space count.
-Each class owns its part of A, one entry per row, so A x is a gather and
-A^T w a scatter around a dense pair-coefficient multiply, class by class:
-the scatter adds into one accumulator in class order (``np.add.at``), the
-order of one bincount over the class parts laid end to end.  The operator
-is manifestly symmetric and never materialized.  The same amplitudes give
-gamma, the pair moment and the N = 2 pair amplitudes.  The lowest
-eigenpair comes from a Lanczos loop with full reorthogonalization (Paige
-1972; Parlett, The Symmetric Eigenvalue Problem, ch. 13).
+second space or rank table (``FockBasis.lower_states``).  Each class owns
+its part of A, one entry per pair at each of its own (N-2)-particle rows,
+so A x is a gather and A^T w a scatter around a dense pair-coefficient
+multiply, class by class: the scatter adds into one accumulator in class
+order (``np.add.at``), the order of one bincount over the class parts laid
+end to end.  The operator is manifestly symmetric and never materialized.
+The same amplitudes give gamma (through the class Grams), the pair moment
+and the N = 2 pair amplitudes.  The lowest eigenpair comes from a Lanczos
+loop with full reorthogonalization (Paige 1972; Parlett, The Symmetric
+Eigenvalue Problem, ch. 13).
 
 When every mode has a definite reflection parity on every axis, H conserves
 the total parity, and ``ground_state`` solves in the sector of its start
@@ -100,11 +100,10 @@ class ManyBodyGround:
 @dataclass(frozen=True)
 class PairClass:
     """The pairs of one parity class and its part of the pair map, whose
-    entry r * len(pairs) + j is a_k a_l for pair j at (N-2)-particle row r
-    (weighted by the orbits, ``FockBasis.pair_sources``)."""
+    entry r * len(pairs) + j is a_k a_l for pair j at the class's r-th
+    (N-2)-particle row (weighted by the orbits, ``FockBasis.pair_sources``)."""
 
     pairs: np.ndarray               # pair indices j -> tensor pair
-    rows: np.ndarray                # each row r's position among the (N-2)-particle states
     cols: np.ndarray                # the source state's orbit in the basis
     amps: np.ndarray                # sqrt(s_k + 1) sqrt(s_l + 1 + d_kl), orbit-weighted
     fold: np.ndarray                # the class's diagonal block of the pair fold
@@ -126,8 +125,7 @@ class PairOpHamiltonian:
         self.diag = np.zeros(fock.size)
         for j, e in enumerate(basis.energies):
             self.diag += e * fock.occupations[:, j]
-        # lower_size: the (N-2)-particle representatives kept, which ``rows`` index
-        self.pair_classes, self.lower_size = self._build_pair_classes() if fock.N >= 2 else ((), 0)
+        self.pair_classes = self._build_pair_classes() if fock.N >= 2 else ()
 
     def _build_pair_classes(self):
         # (a_k a_l x) for pair j = (k, l) of a class at its (N-2)-particle row
@@ -144,9 +142,9 @@ class PairOpHamiltonian:
                 continue
             k, l = tensor.pairs[members].T
             cols, amps = fock.pair_sources(occ[rows], ranks[rows], sizes[rows], k, l)
-            classes.append(PairClass(members, rows, cols.ravel(), amps.ravel(),
+            classes.append(PairClass(members, cols.ravel(), amps.ravel(),
                                      tensor.fold_hamiltonian_pairs(c)))
-        return tuple(classes), len(occ)
+        return tuple(classes)
 
     @property
     def size(self) -> int:
@@ -166,23 +164,12 @@ class PairOpHamiltonian:
 
     def pair_amplitudes(self, x: np.ndarray) -> list[tuple[PairClass, np.ndarray]]:
         """(cls, W) per pair class: W[r, j] = (a_k a_l x) at the class's
-        (N-2)-particle row r for its pair j = (k, l), shape (rows, pairs),
-        times sqrt(|orbit of r|): with x over the orbit sums, W^T W sums
-        every row of the orbit for a permutation-invariant quantity."""
+        r-th (N-2)-particle row for its pair j = (k, l), shape (rows,
+        pairs), times sqrt(|orbit of r|): with x over the orbit sums, W^T W
+        sums every row of the orbit for a permutation-invariant quantity.
+        The classes own disjoint rows."""
         return [(cls, (cls.amps * x[cls.cols]).reshape(-1, len(cls.pairs)))
                 for cls in self.pair_classes]
-
-    def pair_annihilation(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """(b b) x for the dressed mode b = sum_i c_i a_i; a vector over the
-        (N-2)-particle representatives the solve enumerated (``lower_size``),
-        each weighted by sqrt(|orbit|) as ``pair_amplitudes`` is."""
-        if not self.pair_classes:
-            raise SolverFailureError("pair annihilation needs N >= 2")
-        weights = self.tensor.pair_weights(c)
-        out = np.zeros(self.lower_size)
-        for cls, w in self.pair_amplitudes(x):
-            out[cls.rows] += w @ weights[cls.pairs]
-        return out
 
     def one_body_matrix(self, x: np.ndarray) -> np.ndarray:
         """gamma[i, j] = <x| a+_j a_i |x>.
@@ -192,13 +179,11 @@ class PairOpHamiltonian:
         the pair amplitudes over the (N-2)-particle states.  gamma couples
         modes of one parity code only, and for two of them (i, l) and (j, l)
         share a class at every l, so each code's block is one gather from
-        the class Grams in the tensor's layout (G vanishes across classes,
-        which own disjoint rows, and on a class that owns none).  When there
-        are fewer (N-2)-particle states than pairs (N = 2, 3), the pairs x
-        pairs Gram is never formed: a block is the product of the gathered
-        columns of W over every such state.  W's rows are the orbits'
-        representatives, weighted (``pair_amplitudes``), so the blocks give
-        gamma' and gamma is its mean over the mode permutations.
+        the class Grams W_c^T W_c in the tensor's layout (G vanishes across
+        classes, which own disjoint rows, and on a class that owns none).
+        W's rows are the orbits' representatives, weighted
+        (``pair_amplitudes``), so the blocks give gamma' and gamma is its
+        mean over the mode permutations.
         For N <= 1, a_i x is the amplitude of e_i: the occupations of the
         representatives weighted by sqrt(|orbit|), averaged over the
         permutations, are those summed over every state.
@@ -208,31 +193,20 @@ class PairOpHamiltonian:
             v = fock.occupations.T @ (x * np.sqrt(fock.orbit_sizes))
             v = _permutation_mean(v, fock.mode_perms)
             return np.outer(v, v)
-        amplitudes = self.pair_amplitudes(x)
-        if self.lower_size < self.tensor.n_pairs:
-            W = np.zeros((self.lower_size, self.tensor.n_pairs))
-            for cls, w in amplitudes:
-                W[np.ix_(cls.rows, cls.pairs)] = w
-
-            def block(p):
-                a = W[:, p]
-                return np.tensordot(a, a, axes=([0, 2], [0, 2]))
-        else:
-            # the class Grams in the tensor's layout, zero for the classes
-            # that reach no (N-2)-particle state
-            layout = self.tensor.layout
-            grams = np.zeros(layout.size)
-            for cls, w in amplitudes:
-                layout.block(grams, cls.pairs)[...] = w.T @ w
-
-            def block(p):
-                return layout.read(grams, p[:, None, :], p[None, :, :]).sum(axis=2)
+        # the class Grams in the tensor's layout, zero for the classes that
+        # reach no (N-2)-particle state
+        layout = self.tensor.layout
+        grams = np.zeros(layout.size)
+        for cls, w in self.pair_amplitudes(x):
+            layout.block(grams, cls.pairs)[...] = w.T @ w
         codes = fock.mode_codes
         gamma = np.zeros((fock.M, fock.M))
         for code in np.unique(codes):
             modes = np.flatnonzero(codes == code)
             # p(i, l) for the modes i of this code
-            gamma[np.ix_(modes, modes)] = block(self.tensor.pair_index[modes])
+            p = self.tensor.pair_index[modes]
+            gamma[np.ix_(modes, modes)] = layout.read(grams, p[:, None, :],
+                                                      p[None, :, :]).sum(axis=2)
         return _permutation_mean(gamma, fock.mode_perms) / (fock.N - 1)
 
 
@@ -327,12 +301,20 @@ def hartree_energy(ham: PairOpHamiltonian, c: np.ndarray) -> float:
 def pair_moment(ham: PairOpHamiltonian, x: np.ndarray, c: np.ndarray) -> float:
     """<(b+)^2 b^2> for the dressed mode b = sum c_i a_i.
 
-    ``pair_annihilation`` weighs each (N-2)-particle row by its orbit, which
-    sums the orbit's rows for a permutation-invariant c; for any c, the
-    moment is the mean of that sum over the permuted c.
+    (b b) x at a class's rows is W_c (c_i c_k (2 - d_ik)) over its pairs
+    (``pair_amplitudes``, ``InteractionTensor.pair_weights``), and the
+    classes own disjoint rows, so the squared norm is a sum over classes.
+    W weighs each row by its orbit, which sums the orbit's rows for a
+    permutation-invariant c; for any c, the moment is the mean of that sum
+    over the permuted c.
     """
+    amplitudes = ham.pair_amplitudes(x)
     perms = ham.fock.mode_perms
-    return sum(float(np.sum(ham.pair_annihilation(x, c[p]) ** 2)) for p in perms) / len(perms)
+    total = 0.0
+    for p in perms:
+        weights = ham.tensor.pair_weights(c[p])
+        total += sum(float(np.sum((w @ weights[cls.pairs]) ** 2)) for cls, w in amplitudes)
+    return total / len(perms)
 
 
 def _permutation_mean(a: np.ndarray, perms: np.ndarray) -> np.ndarray:

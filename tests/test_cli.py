@@ -904,6 +904,34 @@ def test_non_finite_phi_dump_exits_2(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("dtype", ">f8"), ("order", "column-major")])
+def test_phi_dump_of_another_layout_exits_2(tmp_path, capsys, key, value):
+    # a big-endian or column-major dump whose sidecar says so is refused
+    # under the key that declares it, before <out> exists, and its bytes
+    # are never read as little-endian doubles in row-major order
+    phi, weight = _gaussian_dump(tmp_path)
+    meta = json.loads((tmp_path / "phi_grid.json").read_text())
+    (tmp_path / "phi_grid.json").write_text(json.dumps(dict(meta, **{key: value})))
+    dtype, order = (">f8", "C") if key == "dtype" else ("<f8", "F")
+    (tmp_path / "phi.f64").write_bytes(phi.astype(dtype).tobytes(order=order))
+    p = write_config(tmp_path, small_poincare_config(weight))
+    out = tmp_path / "o"
+    assert main(["poincare", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solver.weight: ") and f"{key} {value!r}" in err
+    assert not out.exists()
+
+
+def test_phi_dump_sidecar_may_leave_out_its_layout(tmp_path):
+    # the layout run_gp declares, and a sidecar without dtype and order
+    phi, _ = _gaussian_dump(tmp_path)
+    meta = json.loads((tmp_path / "phi_grid.json").read_text())
+    raw = phi.astype("<f8").tobytes()
+    for sidecar in (meta, dict(meta, dtype="<f8", order="row-major")):
+        _, got = load_phi_dump(raw, json.dumps(sidecar).encode())
+        assert np.array_equal(got, phi)
+
+
 def test_phi_dump_of_another_dimension_exits_2(tmp_path, capsys):
     phi, weight = _gaussian_dump(tmp_path, dimension=2)
     (tmp_path / "phi.f64").write_bytes(phi.astype("<f8").tobytes())

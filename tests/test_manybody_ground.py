@@ -191,10 +191,13 @@ def test_pair_amplitude_matrix_matches_state_loop(basis_q2, soft_tensor_q2):
 
 
 def _lower_ranks(ham):
-    """Full-space ranks of the (N-2)-particle states ``ham`` enumerated, in
-    the order ``PairClass.rows`` indexes them."""
-    fock = ham.fock
-    return fock.lower_states([fock.code ^ code for code, _ in ham.tensor.classes])[1]
+    """Per pair class of ``ham``, the full-space ranks of the (N-2)-particle
+    states of its amplitude rows, in row order: the enumerated states of
+    code ``fock.code`` ^ the class's code."""
+    fock, pairs = ham.fock, ham.tensor.pairs
+    _, ranks, codes, _ = fock.lower_states([fock.code ^ code for code, _ in ham.tensor.classes])
+    return [ranks[codes == fock.code ^ np.bitwise_xor.reduce(fock.mode_codes[pairs[cls.pairs[0]]])]
+            for cls in ham.pair_classes]
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -356,18 +359,19 @@ def test_sector_pair_map_and_fold_on_random_vectors(N, quanta, basis_q1, basis_q
             assert ham.pair_classes == ()
             continue
         literal = literal_pair_annihilation(full, N, basis.size, tensor.pairs)
-        lower = _lower_ranks(ham)
-        assert len(lower) == ham.lower_size == np.count_nonzero(literal.any(axis=1))
-        assert ham.lower_size == (19 if (N, quanta) == (5, 1) else comb(N + basis.size - 3, N - 2))
-        covered = np.zeros(literal.shape, dtype=bool)
-        for cls, w in ham.pair_amplitudes(x):
-            np.testing.assert_allclose(w, literal[np.ix_(lower[cls.rows], cls.pairs)],
-                                       atol=1e-12)
-            covered[np.ix_(lower[cls.rows], cls.pairs)] = True
-        assert np.all(literal[~covered] == 0.0)
+        amplitudes = ham.pair_amplitudes(x)
+        rows = sum(len(w) for _, w in amplitudes)
+        assert rows == np.count_nonzero(literal.any(axis=1))
+        assert rows == (19 if (N, quanta) == (5, 1) else comb(N + basis.size - 3, N - 2))
         c = _random_unit(rng, basis.size)
-        dressed = literal @ tensor.pair_weights(c)
-        np.testing.assert_allclose(ham.pair_annihilation(x, c), dressed[lower], atol=1e-12)
+        weights = tensor.pair_weights(c)
+        dressed = literal @ weights
+        covered = np.zeros(literal.shape, dtype=bool)
+        for (cls, w), lower in zip(amplitudes, _lower_ranks(ham), strict=True):
+            np.testing.assert_allclose(w, literal[np.ix_(lower, cls.pairs)], atol=1e-12)
+            np.testing.assert_allclose(w @ weights[cls.pairs], dressed[lower], atol=1e-12)
+            covered[np.ix_(lower, cls.pairs)] = True
+        assert np.all(literal[~covered] == 0.0)
         assert pair_moment(ham, x, c) == pytest.approx(float(np.sum(dressed**2)), rel=1e-12)
 
 
@@ -399,18 +403,19 @@ def test_pair_map_matches_the_composed_map_in_the_full_space(N):
 
 @pytest.mark.parametrize("N, sector", [(2, False), (3, False), (2, True), (3, True)])
 def test_gamma_forms_no_pair_gram_below_the_pair_count(N, sector):
-    # fewer (N-2)-particle states than pairs: gamma reads W's gathered
-    # columns, matching the Gram route of W^T W, and never holds a pairs x
-    # pairs array (3.2 MB at M = 35) or half of one
+    # fewer (N-2)-particle states than pairs: gamma from the class Grams
+    # matches the gather of the whole W^T W.  In a parity sector it never
+    # holds a pairs x pairs array (3.2 MB at M = 35) or half of one: the
+    # class Grams take 0.41 MB.  In the full space the one class's Gram is
+    # that array
     basis = (build_mode_basis(TRAP, GRID, 4) if sector else _off_centre_basis(4))
     assert (basis.axis_parity is not None) == sector
     tensor = identity_only(interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1)))
     ham = PairOpHamiltonian(basis, tensor, N)
     x = _random_unit(np.random.default_rng(N), ham.size)
     W = np.zeros((comb(N + basis.size - 3, N - 2), tensor.n_pairs))
-    lower = _lower_ranks(ham)
-    for cls, w in ham.pair_amplitudes(x):
-        W[np.ix_(lower[cls.rows], cls.pairs)] = w
+    for (cls, w), lower in zip(ham.pair_amplitudes(x), _lower_ranks(ham), strict=True):
+        W[np.ix_(lower, cls.pairs)] = w
     p = tensor.pair_index
     want = (W.T @ W)[p[:, None, :], p[None, :, :]].sum(axis=2) / (N - 1)
     tracemalloc.start()
@@ -420,7 +425,8 @@ def test_gamma_forms_no_pair_gram_below_the_pair_count(N, sector):
     finally:
         tracemalloc.stop()
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-    assert peak < tensor.n_pairs**2 * 8 / 2
+    if sector:
+        assert peak < tensor.n_pairs**2 * 8 / 2
 
 
 @pytest.fixture(scope="module")
@@ -435,8 +441,8 @@ def test_one_pair_grouping_and_one_layout_per_solve(monkeypatch, N, basis_q2,
                                                     tabulated_basis_q2):
     # the tensor groups the pairs and lays out its class blocks once, as it
     # is built, on the factored and the blocked (tabulated) route alike; the
-    # space, the Hamiltonian's classes and folds and gamma (its Gram route at
-    # N = 4) read them.  The spy is bound in every module holding the original
+    # space, the Hamiltonian's classes and folds and gamma's Grams read
+    # them.  The spy is bound in every module holding the original
     grouped, laid_out = [], []
     group, lay = pair_classes, BlockLayout.of.__func__
 
@@ -455,9 +461,8 @@ def test_one_pair_grouping_and_one_layout_per_solve(monkeypatch, N, basis_q2,
         laid_out.clear()
         tensor = interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
         assert grouped == [basis.size] and laid_out == [tensor.n_pairs]
-        gr = ground_state(basis, identity_only(tensor), N)
+        ground_state(basis, identity_only(tensor), N)
         assert grouped == [basis.size] and laid_out == [tensor.n_pairs]
-        assert (gr.ham.lower_size >= tensor.n_pairs) == (N == 4)
 
 
 def test_hamiltonian_takes_the_codes_of_its_tensor(basis_q2, soft_tensor_q2):
@@ -507,7 +512,8 @@ def test_sector_hamiltonian_builds_only_the_n_minus_2_space(monkeypatch, basis_q
     assert enumerated == [(4, [fock.code]),
                           (2, sorted(fock.code ^ code for code, _ in
                                      pair_classes(fock.mode_codes, soft_tensor_q2.pairs)))]
-    assert ham.lower_size == comb(2 + basis_q2.size - 1, 2)
+    assert sum(len(w) for _, w in ham.pair_amplitudes(np.zeros(ham.size))) == comb(
+        2 + basis_q2.size - 1, 2)
 
 
 def test_hamiltonian_keeps_no_full_pair_fold_or_one_boson_map(basis_q2, soft_tensor_q2):
@@ -521,11 +527,11 @@ def test_hamiltonian_keeps_no_full_pair_fold_or_one_boson_map(basis_q2, soft_ten
             if isinstance(a, np.ndarray)]
     assert len(held) == 1 and held[0] is ham.diag
     arrays = held + [a for cls in ham.pair_classes
-                     for a in (cls.pairs, cls.rows, cls.cols, cls.amps, cls.fold)]
+                     for a in (cls.pairs, cls.cols, cls.amps, cls.fold)]
     assert all(a.shape != (P, P) and a.shape[0] != one_boson_rows for a in arrays)
     assert all(cls.fold.shape == (len(cls.pairs),) * 2 and len(cls.pairs) < P
-               and cls.cols.size == cls.amps.size == len(cls.rows) * len(cls.pairs)
-               for cls in ham.pair_classes)
+               and cls.cols.size == cls.amps.size == len(lower) * len(cls.pairs)
+               for cls, lower in zip(ham.pair_classes, _lower_ranks(ham), strict=True))
 
 
 def test_two_boson_sector_keeps_only_the_class_that_reaches_the_vacuum(monkeypatch):
@@ -544,7 +550,8 @@ def test_two_boson_sector_keeps_only_the_class_that_reaches_the_vacuum(monkeypat
     assert basis.size == 35 and len(pair_classes(ham.fock.mode_codes, tensor.pairs)) == 8
     (cls,) = ham.pair_classes
     assert len(folded) == 1 and tensor.classes[folded[0]][1] is cls.pairs
-    assert np.array_equal(cls.rows, [0])
+    assert [list(lower) for lower in _lower_ranks(ham)] == [[0]]
+    assert cls.cols.size == len(cls.pairs)
     k, l = tensor.pairs.T
     amp = np.where(k == l, np.sqrt(2.0), 1.0)
     H = np.diag(basis.energies[k] + basis.energies[l])

@@ -14,6 +14,10 @@ its hash, and so its report, does not depend on where the runs take place.
 Rewrite the table, only when a change is meant to move an output, with
 
     PYTHONPATH=src python -m tests.test_report_digests
+
+which prints, for each output whose sha256 changed, the path of its
+largest relative numeric move, that move and its absolute size, or "bytes
+only" when its numbers are equal.
 """
 
 import contextlib
@@ -21,6 +25,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -126,6 +131,53 @@ def _numbers_differ(want: dict, got: dict) -> list[str]:
             if not abs(got[key] - value) <= RTOL * max(1.0, abs(value))]
 
 
+def describe_moves(old: dict, new: dict) -> list[str]:
+    """One line per output of two digest tables' "outputs" (``old``, then
+    ``new``) that was added, removed or has another sha256: for the last,
+    its largest relative numeric move, with its path and absolute size."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old or name not in new:
+            lines.append(f"{name}: {'added' if name in new else 'removed'}")
+            continue
+        if old[name]["sha256"] == new[name]["sha256"]:
+            continue
+        was, now = old[name]["numbers"], new[name]["numbers"]
+        if was.keys() != now.keys():
+            lines.append(f"{name}: fields {sorted(was.keys() ^ now.keys())[:5]} differ")
+            continue
+        moves = [(abs(now[key] - value) / abs(value) if value else math.inf,
+                  abs(now[key] - value), key) for key, value in was.items() if now[key] != value]
+        if moves:
+            relative, absolute, key = max(moves)
+            lines.append(f"{name}: {key} moved {relative:.2g} relative ({absolute:.2g} absolute)")
+        else:
+            lines.append(f"{name}: bytes only")
+    return lines
+
+
+def test_the_rewrite_names_each_moved_output_and_its_largest_move():
+    # the largest move is the relative one (x), not the absolute one (y);
+    # an output with the same sha256 is not named, whatever its numbers
+    old = {"a/report.json": {"sha256": "1", "numbers": {"x": 1.0, "y": 8.0, "z": 0.0}},
+           "b/report.json": {"sha256": "2", "numbers": {"x": 1.0}},
+           "c/sweep.csv": {"sha256": "3", "numbers": {"[0].N": 2.0}},
+           "d/report.json": {"sha256": "4", "numbers": {}}}
+    new = {"a/report.json": {"sha256": "5", "numbers": {"x": 1.5, "y": 10.0, "z": 0.0}},
+           "b/report.json": {"sha256": "2", "numbers": {"x": 3.0}},
+           "c/sweep.csv": {"sha256": "6", "numbers": {"[0].N": 2.0}},
+           "e/report.json": {"sha256": "7", "numbers": {}}}
+    assert describe_moves(old, new) == [
+        "a/report.json: x moved 0.5 relative (0.5 absolute)",
+        "c/sweep.csv: bytes only",
+        "d/report.json: removed",
+        "e/report.json: added"]
+    new["a/report.json"]["numbers"]["z"] = 1e-3
+    assert describe_moves(old, new)[0] == "a/report.json: z moved inf relative (0.001 absolute)"
+    del new["c/sweep.csv"]["numbers"]["[0].N"]
+    assert describe_moves(old, new)[1] == "c/sweep.csv: fields ['[0].N'] differ"
+
+
 def test_committed_outputs_match_their_digests():
     table = json.loads(TABLE.read_text())
     outputs = _in_temporary_directory()
@@ -144,7 +196,9 @@ def test_committed_outputs_match_their_digests():
 
 
 if __name__ == "__main__":
+    replaced = json.loads(TABLE.read_text())["outputs"]
+    outputs = _in_temporary_directory()
     TABLE.write_text(json.dumps({"numpy": np.__version__, "blas": blas_build(),
-                                 "outputs": _in_temporary_directory()},
-                                indent=1, sort_keys=True) + "\n")
+                                 "outputs": outputs}, indent=1, sort_keys=True) + "\n")
     print(f"wrote {TABLE}")
+    print("\n".join(describe_moves(replaced, outputs)) or "no output moved")
