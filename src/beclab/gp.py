@@ -222,7 +222,6 @@ class _Workspace:
             eigs.append(w)
             self.pre_vecs.append(U)
         self.V = trap.sample_axes(tuple(x[h] for x, h in zip(inner, self.half)))
-        self.m = self.V.shape
         self.KK = reduce(np.add.outer, kappa)
         self.pre_eigs = reduce(np.add.outer, eigs)
         self.lam0 = float(sum(w[0] for w in eigs))

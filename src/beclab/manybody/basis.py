@@ -24,8 +24,7 @@ import numpy as np
 
 from ..errors import CapacityError, ConfigError, ResolutionError
 from ..gp import sine_matrix
-from ..model import (MAX_FOCK_DIMENSION, Grid, TrapSpec, axis_apply, check_buffer,
-                     mirror_parity)
+from ..model import MAX_FOCK_DIMENSION, Grid, TrapSpec, axis_apply, mirror_parity
 
 _GRAM_TOL = 1e-8        # the resolution checks of build_mode_basis
 _ENERGY_CHECK = 0.01
@@ -128,22 +127,17 @@ class ModeBasis:
                                   for ax, (x, w) in enumerate(zip(self.grid.axes, weights))])
         return v0 * g1 * g2 + g0 * v1 * g2 + g0 * g1 * v2
 
-    def field(self, coefficients: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """sum_i coefficients[i] mode_i on the grid, written into ``out`` (a
-        C-contiguous float64 array of the grid's shape) when given.
+    def field(self, coefficients: np.ndarray) -> np.ndarray:
+        """sum_i coefficients[i] mode_i on the grid.
 
         Product modes: the coefficients fill an (R0, R1, R2) array at the
         modes' table rows, which meets one table per axis.
         """
         if self.axis_tables is None:
-            if out is None:
-                out = np.empty(self.grid.shape)
-            check_buffer(out, self.grid.shape, np.float64, "out")
-            np.matmul(coefficients, self.modes.reshape(self.size, -1), out=out.reshape(-1))
-            return out
+            return (coefficients @ self.modes.reshape(self.size, -1)).reshape(self.grid.shape)
         c = np.zeros(tuple(len(t) for t in self.axis_tables))
         c[tuple(self.table_rows.T)] = coefficients
-        return axis_apply(c, [t.T for t in self.axis_tables], out=out)
+        return axis_apply(c, [t.T for t in self.axis_tables])
 
     def density(self, matrix: np.ndarray) -> np.ndarray:
         """sum_ij matrix[i, j] mode_i mode_j on the grid."""

@@ -94,25 +94,29 @@ def _sample_indices(density_flat, weights_flat, count, seed):
     return np.searchsorted(cdf, _scrambled_sobol(count, seed))
 
 
-def _ball_box(sq, r2: float, out: np.ndarray):
-    """The nodes with sum_ax sq[ax] <= r2, as their bounding index box and
-    the mask inside it.
+def _ball_boxes(sq, r2s):
+    """Per squared radius r2 of ``r2s``, the nodes with sum_ax sq[ax] <= r2,
+    as their bounding index box and the mask inside it.
 
     ``sq[ax]`` holds each node's squared offset along axis ax.  A sum of
-    nonnegative terms is at least each term, so no node of the ball lies
-    outside the box, and the box's sums are the full grid's sums.  They
-    are formed in ``out``, a flat float64 array of at least the box's node
-    count, so the mask is the only box-sized array allocated here.
+    nonnegative terms is at least each term, so no node of a ball lies
+    outside its box, and every box nests in the largest radius's box.  The
+    sums are formed once, on that box, and each ball's mask compares its
+    slice of them: the full grid's sums, to the bit.
     """
-    box = []
-    for s in sq:
-        inside = np.flatnonzero(s <= r2)
-        box.append(slice(inside[0], inside[-1] + 1))
-    shape = tuple(b.stop - b.start for b in box)
-    sums = out[:np.prod(shape)].reshape(shape)
-    parts = [s[b] for s, b in zip(sq, box)]
-    np.add.outer(reduce(np.add.outer, parts[:-1]), parts[-1], out=sums)
-    return tuple(box), sums <= r2
+    def box_of(r2):
+        box = []
+        for s in sq:
+            inside = np.flatnonzero(s <= r2)
+            box.append(slice(inside[0], inside[-1] + 1))
+        return tuple(box)
+
+    outer = box_of(max(r2s))
+    sums = reduce(np.add.outer, [s[b] for s, b in zip(sq, outer)])
+    for r2 in r2s:
+        box = box_of(r2)
+        yield box, sums[tuple(slice(b.start - o.start, b.stop - o.start)
+                              for b, o in zip(box, outer))] <= r2
 
 
 def _draws(ground: ManyBodyGround, phi: np.ndarray, samples: int, seed: int):
@@ -142,10 +146,9 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: in
     the whole grid) and a nonnegative sample count.  Nodes where the
     mean-field profile is below 1e-12 of its peak are excluded from the
     division and counted in the report.  The samples run in draw order on
-    the calling thread.  Their grid-sized scratch is one set of the four
-    buffers of ``masked_gradient_sq``, the first of which holds the
-    sample's field; besides them, only 1/phi and the quadrature weight
-    phi^2 dV are held while the samples run.
+    the calling thread.  Besides 1/phi and the quadrature weight phi^2 dV, a
+    sample holds its field and the buffers of ``masked_gradient_sq``, then
+    its energy density and one box of ball sums.
     """
     if ground.N != 2:
         raise ConfigError("localization profile is defined for N = 2 runs")
@@ -165,7 +168,7 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: in
     support = Region(grid=grid, mask=phi > 1e-12 * phi.max(), kind="support")
     excluded = int(np.size(phi) - np.count_nonzero(support.mask))
     # the gradient's edge tables, built now so that their transients do not
-    # stack on the scratch below
+    # stack on a sample's arrays
     support._stencil
     inverse = np.zeros(grid.shape)
     np.divide(1.0, phi, out=inverse, where=support.mask)
@@ -173,23 +176,20 @@ def localization_profile(ground: ManyBodyGround, gp: GPState, radii, samples: in
 
     totals = np.zeros(samples)
     in_ball = np.zeros((samples, len(radii)))
-    # one scratch set, reused sample after sample: the four buffers of
-    # masked_gradient_sq, the first of which holds the sample's field
-    work = [np.empty(grid.shape)] + [np.empty(phi.size) for _ in range(3)]
+    r2s = [d * d for d in radii]
     for s in range(samples):
         node = np.unravel_index(idx[s], grid.shape)
-        f = basis.field(C @ basis.values_at(node), out=work[0])
+        f = basis.field(C @ basis.values_at(node))
         f *= inverse
-        edens = masked_gradient_sq(f, support, work=work)
+        edens = masked_gradient_sq(f, support)
+        del f
         edens *= weight
         totals[s] = edens.sum()
-        # squared distance to node r2 per axis; each ball is summed on its
-        # box, whose squared distances fill the difference buffer, free once
-        # the gradient is formed
+        # squared distance to node r2 per axis
         sq = [(x - x[i]) ** 2 for x, i in zip(grid.axes, node)]
-        for di, d in enumerate(radii):
-            box, inside = _ball_box(sq, d * d, work[1])
+        for di, (box, inside) in enumerate(_ball_boxes(sq, r2s)):
             in_ball[s, di] = edens[box][inside].sum()
+        del edens
 
     total = float(totals.sum())
     if total < _NA_THRESHOLD:

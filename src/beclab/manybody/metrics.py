@@ -129,7 +129,7 @@ def momentum_density(basis: ModeBasis, k_axes):
         waves = [w.T for w in _plane_waves(basis.grid, k_axes)]
         flat = np.empty((basis.size, math.prod(shape)), dtype=complex)
         for idx, mode in enumerate(basis.modes):
-            axis_apply(mode, waves, out=flat[idx].reshape(shape))
+            flat[idx] = axis_apply(mode, waves).ravel()
         return lambda matrix: np.sum((matrix @ flat) * flat.conj(), axis=0).real.reshape(shape)
 
     trap = basis.trap

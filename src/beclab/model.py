@@ -181,17 +181,7 @@ def mirror_parity(f: np.ndarray, axis: int) -> int | None:
     return None
 
 
-def check_buffer(buf, shape: tuple, dtype, name: str):
-    """Refuse a caller's output array that a function could not write its
-    result into exactly: of another shape or dtype, not C-contiguous (a
-    reshape would copy it), or read-only."""
-    if not (isinstance(buf, np.ndarray) and buf.shape == shape and buf.dtype == dtype
-            and buf.flags.c_contiguous and buf.flags.writeable):
-        raise InvalidParameterError(
-            f"{name} must be a writeable C-contiguous {np.dtype(dtype)} array of shape {shape}")
-
-
-def axis_apply(arr: np.ndarray, mats, out: np.ndarray | None = None) -> np.ndarray:
+def axis_apply(arr: np.ndarray, mats) -> np.ndarray:
     """Multiply axis ax of ``arr`` by the (out, in) matrix mats[ax], for
     every axis; the matrices may be rectangular or complex.
 
@@ -199,24 +189,17 @@ def axis_apply(arr: np.ndarray, mats, out: np.ndarray | None = None) -> np.ndarr
     moved and, for a C-ordered input, only the products are allocated.  The
     last axis is batched over the one before it: as one tall GEMM it would
     make BLAS pack the whole array into its own buffer, which stays
-    resident (6.6 MiB more peak RSS on 94^3).  ``out``, a C-contiguous
-    array of the result's shape and dtype, receives the last product
-    (the same numbers), and is returned.
+    resident (6.6 MiB more peak RSS on 94^3).
     """
     shape = list(arr.shape)
     for ax, M in enumerate(mats):
         n, post = shape[ax], math.prod(shape[ax + 1:])
         shape[ax] = len(M)
-        dest = None
-        if out is not None and ax == len(mats) - 1:
-            check_buffer(out, tuple(shape), np.result_type(arr, M), "out")
-            dest = out.reshape((-1, len(M), post) if post > 1
-                               else (-1, shape[ax - 1] if ax else 1, len(M)))
         if post > 1:
-            arr = np.matmul(M, arr.reshape(-1, n, post), out=dest)
+            arr = np.matmul(M, arr.reshape(-1, n, post))
         else:
-            arr = np.matmul(arr.reshape(-1, shape[ax - 1] if ax else 1, n), M.T, out=dest)
-    return arr.reshape(shape) if out is None else out
+            arr = np.matmul(arr.reshape(-1, shape[ax - 1] if ax else 1, n), M.T)
+    return arr.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

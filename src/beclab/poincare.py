@@ -25,7 +25,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
-from .model import Grid, check_buffer
+from .model import Grid
 
 _MEAN_ZERO_TOL = 1e-10
 # window nodes per batch of excluded balls in ``omega_x_mask`` (32 MiB of
@@ -78,15 +78,15 @@ class Region:
     def _stencil(self) -> tuple:
         """Per axis, its C-order flat stride s and the flat indices of the
         nodes where the average 0.5 * (d[k] + d[k - s]) of the flat
-        differences d[k] = (f[k + s] - f[k]) / h of f = 0 off K is not the
-        node's share (read-only integer arrays, as many as edge nodes).
+        differences d[k] = (f[k + s] - f[k]) / h is not the node's share
+        (read-only integer arrays, as many as edge nodes).
 
         A difference exists where both its nodes lie in K; a node of K with
         only the forward (``fwd``) or only the backward (``bwd``) one takes
-        that one.  ``zero`` holds the nodes with neither that lie next to K
-        or at an axis end, where the flat differences wrapping across rows
-        land; at every other node with neither, d[k] = -d[k - s] (0 - 0 off
-        K, (0 - f) / h against (f - 0) / h in K) and the average is 0.
+        that one.  ``zero`` holds the nodes with neither that lie in K or at
+        an axis end, where the flat differences wrapping across rows land,
+        so that every node of the axis is written; what the others hold is
+        zeroed off K by ``masked_gradient_sq``.
         """
         mask = self.mask
         out = []
@@ -95,13 +95,11 @@ class Region:
             hi = (slice(None),) * ax + (slice(1, None),)
             fwd, bwd = np.zeros_like(mask), np.zeros_like(mask)
             fwd[lo] = bwd[hi] = mask[lo] & mask[hi]
-            near = np.zeros_like(mask)      # next to K along the axis, or at its ends
-            near[lo] = mask[hi]
-            near[hi] |= mask[lo]
-            near[(slice(None),) * ax + ((0, -1),)] = True
+            ends = mask.copy()              # K, and the axis's ends
+            ends[(slice(None),) * ax + ((0, -1),)] = True
             stride = int(np.prod(mask.shape[ax + 1:]))
             idx = [np.flatnonzero(fwd & ~bwd), np.flatnonzero(bwd & ~fwd),
-                   np.flatnonzero(near & ~fwd & ~bwd)]
+                   np.flatnonzero(ends & ~fwd & ~bwd)]
             for a in idx:
                 a.flags.writeable = False
             out.append((stride, *idx))
@@ -128,47 +126,28 @@ class Region:
         return cls(grid=grid, mask=rr <= radius**2 * (1 + 1e-12), kind="ball")
 
 
-def masked_gradient_sq(f: np.ndarray, region: Region, *, work=None) -> np.ndarray:
+def masked_gradient_sq(f: np.ndarray, region: Region) -> np.ndarray:
     """|grad f|^2 per node, differences restricted to nodes of K.
 
     Central differences where both axis neighbors lie in K, one-sided at
     region edges, zero off K (f must be finite everywhere, and is not
-    modified unless it is the first work buffer); the half-order boundary
-    error this carries is covered by the module tolerances.  The arithmetic
-    is that of the full-grid oracle, df = 0.5 * (d[i] + d[i-1]) with d =
-    (f[i+1] - f[i]) / h, squared and summed over the axes, so the result is
-    the same to the bit.  It runs on the flat C-order f masked to K (f times
-    ``region.mask``), in contiguous passes per axis over four buffers, and
-    patches the edge nodes of ``Region._stencil``.
-
-    ``work``, four distinct writeable C-contiguous float64 arrays of
-    ``region.mask.size`` elements that do not overlap f, are those buffers,
-    so a caller can reuse them from call to call; the result is then a
-    grid-shaped view of ``work[2]``, and the others are free again.  ``work[0]`` may also be f itself, a
-    writeable C-contiguous float64 array of the grid's shape, which is then
-    masked to K in place: a caller that evaluates f into it needs no fifth
-    buffer.  Without ``work`` the buffers are allocated here.
+    modified); the half-order boundary error this carries is covered by the
+    module tolerances.  The arithmetic is that of the full-grid oracle, df =
+    0.5 * (d[i] + d[i-1]) with d = (f[i+1] - f[i]) / h, squared and summed
+    over the axes, so the result is the same to the bit.  It reads the flat
+    C-order f (a C-contiguous float64 f in place), runs contiguous passes per
+    axis over three flat buffers of its own, patches the edge nodes of
+    ``Region._stencil`` and zeroes the result off K once, at the end: what
+    the passes left there, an overflowed square included, is overwritten,
+    never multiplied.
     """
     shape = region.grid.shape
     if np.shape(f) != shape:
         raise InvalidParameterError(f"f must have the grid's shape {shape}, not {np.shape(f)}")
     n = region.mask.size
-    if work is None:
-        work = [np.empty(n) for _ in range(4)]
-    elif len(work) != 4:
-        raise InvalidParameterError(f"work must hold 4 arrays, not {len(work)}")
-    else:
-        for i, w in enumerate(work):
-            if i == 0 and w is f:
-                check_buffer(w, shape, np.float64, "work")
-                continue
-            check_buffer(w, (n,), np.float64, "work")
-            if any(np.may_share_memory(w, other) for other in [f, *work[:i]]):
-                raise InvalidParameterError("work arrays must not overlap f or each other")
-    fk, dk, out, spare = work   # d[k] at dk[k + s], so d[k - s] is dk[k]
-    # f times the boolean mask: the bits of f times 1.0 on K and 0.0 off it
-    np.multiply(f, region.mask, out=fk.reshape(shape))
-    fk = fk.reshape(n)          # flat, also when it is f itself
+    fk = np.ascontiguousarray(f, dtype=np.float64).reshape(n)
+    dk, out, spare = np.empty(n), np.empty(n), np.empty(n)
+    # d[k] at dk[k + s], so d[k - s] is dk[k]
     df = out                    # the first axis squares in place, later ones add
     for (s, fwd, bwd, zero), h in zip(region._stencil, region.grid.spacing):
         d = dk[s:]
@@ -185,7 +164,9 @@ def masked_gradient_sq(f: np.ndarray, region: Region, *, work=None) -> np.ndarra
             df = spare
         else:
             out += df
-    return out.reshape(shape)
+    out = out.reshape(shape)
+    np.copyto(out, 0.0, where=~region.mask)
+    return out
 
 
 def unit_measure(region: Region, weight: np.ndarray | None = None) -> np.ndarray:

@@ -115,8 +115,6 @@ def test_factored_basis_matches_the_materialized_modes(factored):
         assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
 
     close(basis.field(b), (b @ flat).reshape(grid.shape))
-    out = np.full(grid.shape, np.nan)
-    assert basis.field(b, out=out) is out and np.array_equal(out, basis.field(b))
     close(basis.density(g), ((g @ flat) * flat).sum(axis=0).reshape(grid.shape))
     v = basis.trap.sample(grid).ravel()
     close(basis.potential_matrix(), (flat * (v * grid.weights.ravel())) @ flat.T)
@@ -143,8 +141,6 @@ def test_tabulated_basis_keeps_its_numeric_route():
     b = rng.normal(size=basis.size)
     g = rng.normal(size=(basis.size,) * 2)
     assert np.array_equal(basis.field(b).ravel(), b @ flat)
-    out = np.full(grid.shape, np.nan)
-    assert basis.field(b, out=out) is out and np.array_equal(out.ravel(), b @ flat)
     assert np.array_equal(basis.density(g).ravel(), ((g @ flat) * flat).sum(axis=0))
     v = trap.sample(grid).ravel()
     assert np.array_equal(basis.potential_matrix(), (flat * (v * grid.weights.ravel())) @ flat.T)

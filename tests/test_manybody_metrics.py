@@ -19,7 +19,7 @@ from beclab.manybody import (CondensateReport, build_mode_basis, condensate_metr
                              expand_reference, ground_state, localization_profile,
                              prepare_pipeline)
 from beclab.manybody import localization, metrics, sweep
-from beclab.manybody.localization import _ball_box, _scrambled_sobol
+from beclab.manybody.localization import _ball_boxes, _scrambled_sobol
 from beclab.manybody.metrics import _K_POINTS, default_momentum_axes, momentum_density
 from beclab.manybody.tensor import interaction_tensor
 from beclab.model import axis_apply
@@ -159,13 +159,14 @@ def test_localization_monotone_fractions(basis_q2, interacting):
 def test_ball_box_selects_the_full_grid_ball(grid):
     nodes = [(0, 0, 0), tuple(n // 2 for n in grid.shape), tuple(n - 1 for n in grid.shape),
              (3, grid.shape[1] - 2, 1)]
-    radii = [0.1, min(grid.spacing), 0.5, 1.0, 2.0, 3.0, 5.0, 40.0]
-    out = np.empty(np.prod(grid.shape))
+    # unsorted, so that the largest radius is not the last one
+    radii = [0.5, 0.1, min(grid.spacing), 40.0, 1.0, 2.0, 3.0, 5.0]
     for node in (node[:grid.dimension] for node in nodes):
         sq = [(x - x[i]) ** 2 for x, i in zip(grid.axes, node)]
-        for d in radii:
+        boxes = list(_ball_boxes(sq, [d * d for d in radii]))
+        assert len(boxes) == len(radii)
+        for d, (box, inside) in zip(radii, boxes):
             full = sum((x - x.flat[i]) ** 2 for x, i in zip(grid.meshgrid(), node)) <= d * d
-            box, inside = _ball_box(sq, d * d, out)
             embedded = np.zeros(grid.shape, dtype=bool)
             embedded[box] = inside
             assert np.array_equal(embedded, full)
@@ -221,36 +222,27 @@ def _profile_peak(ground, gp, radii):
 
 
 def test_localization_scratch_is_the_gradient_buffers(interacting):
-    # one set of the four gradient buffers (the first holds the sample's
-    # field), plus 1/phi and phi^2 dV: six grid-sized arrays, the support's
-    # edge tables and the per-sample temporaries, 6.9 measured on this grid
-    # (11.4 with one set per CPU on two CPUs, 7.4 when the draws built
-    # their density, weights and cdf in arrays of their own).  The mode grid
-    # caches no weight array
+    # a sample's field and the three buffers of masked_gradient_sq, plus
+    # 1/phi and phi^2 dV: six grid-sized arrays, the support's edge tables
+    # and the per-sample temporaries, 6.65 measured on this grid (6.9 when
+    # the profile kept four gradient buffers of its own, 7.4 when the draws
+    # built their density, weights and cdf in arrays of their own).  The
+    # mode grid caches no weight array
     gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
     peak = _profile_peak(interacting, gp, (0.5, 1.0, 2.0))
     assert peak <= 7.0, peak
 
 
 def test_localization_ball_sums_allocate_no_float_box(interacting):
-    # the infinite ball's box is the whole grid: its squared distances are
-    # summed in a gradient buffer, so only the mask and the gathered energy
-    # densities are box-sized, 7.8 grid arrays measured (8.3 when the sums
-    # were a float array of their own)
+    # the infinite ball's box is the whole grid.  Its sums are the one float
+    # box a sample allocates for all its radii, formed after the field and
+    # the gradient's other buffers are gone, so that the energy density,
+    # the sums, the mask and the gathered energy densities stay under the
+    # gradient's own peak: 6.77 grid arrays measured (7.8 when the sums
+    # filled a gradient buffer kept for the whole profile)
     gp = bl.minimize_gp(TRAP, G_INTERACTING, GRID)
     peak = _profile_peak(interacting, gp, (0.5, 4.0, float("inf")))
-    assert peak <= 8.0, peak
-    sq = [(x - x[i]) ** 2 for x, i in zip(GRID.axes, (3, 16, 30))]
-    out = np.empty(np.prod(GRID.shape))
-    tracemalloc.start()
-    try:
-        box, inside = _ball_box(sq, float("inf"), out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert inside.shape == GRID.shape and inside.all()
-    # the mask, and the buffers of the broadcast add's two inputs
-    assert peak <= inside.nbytes + 2 * 8 * np.getbufsize() + 4096, peak
+    assert peak <= 7.0, peak
 
 
 def test_localization_starts_no_thread(monkeypatch, interacting):

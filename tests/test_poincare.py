@@ -336,73 +336,26 @@ def test_masked_gradient_refuses_a_field_off_the_grid_shape():
 
 
 @pytest.mark.parametrize("name", STENCIL_REGIONS)
-def test_masked_gradient_on_reused_scratch_matches_the_oracle(name):
-    # NaN-filled scratch, then the same scratch for a second field: every
-    # element the result reads is written first, whatever the buffers held
+def test_masked_gradient_reads_f_in_place_and_allocates_three_buffers(name):
+    # a C-contiguous float64 f is read where it is, not copied or masked,
+    # and is left as it was to the bit (signed zeros included); the scratch
+    # is three flat float64 buffers, the boolean complement of K and one
+    # gathered edge table at a time
     region = STENCIL_REGIONS[name]()
-    work = [np.full(region.mask.size, np.nan) for _ in range(4)]
-    for f in _oracle_fields(region)[:2]:
-        kept = f.copy()
-        got = masked_gradient_sq(f, region, work=work)
-        assert got.shape == region.grid.shape and any(np.shares_memory(got, w) for w in work)
-        assert np.array_equal(got, oracles.masked_gradient_sq(f, region))
-        assert np.array_equal(f, kept)
-
-
-def test_masked_gradient_refuses_scratch_it_cannot_write_exactly():
-    region = STENCIL_REGIONS["ellipsoid_9x33x14"]()
-    f = np.ones(region.grid.shape)
-    n = region.mask.size
-    good = [np.empty(n) for _ in range(3)]
-    read_only = np.empty(n)
-    read_only.flags.writeable = False
-    bad = {"short": np.empty(n - 1), "grid_shaped": np.empty(region.grid.shape),
-           "float32": np.empty(n, dtype=np.float32), "strided": np.empty(2 * n)[::2],
-           "read_only": read_only, "a_list": [0.0] * n}
-    for w in bad.values():
-        with pytest.raises(InvalidParameterError, match="work"):
-            masked_gradient_sq(f, region, work=good + [w])
-    # overlapping f or one another, or not four of them
-    buf = np.empty(2 * n)
-    for work in (good + [f.reshape(-1)], good + [good[0]],
-                 [buf[:n], buf[n // 2:n // 2 + n]] + good[:2], good, good + good[:2]):
-        with pytest.raises(InvalidParameterError, match="work"):
-            masked_gradient_sq(f, region, work=work)
-
-
-@pytest.mark.parametrize("name", STENCIL_REGIONS)
-def test_masked_gradient_masks_f_in_place_as_its_first_buffer(name):
-    # f itself as work[0]: no fifth buffer, the oracle's result to the bit,
-    # and f left as f times the float indicator of K (signed zeros included)
-    region = STENCIL_REGIONS[name]()
+    region._stencil
+    edges = max(len(a) for axis in region._stencil for a in axis[1:])
     n = region.mask.size
     for g in _oracle_fields(region):
         f = g.copy()
-        work = [f] + [np.full(n, np.nan) for _ in range(3)]
-        got = masked_gradient_sq(f, region, work=work)
+        tracemalloc.start()
+        try:
+            got = masked_gradient_sq(f, region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(f.view(np.int64), g.view(np.int64))
         assert np.array_equal(got, oracles.masked_gradient_sq(g, region))
-        indicator = region.mask.astype(float)
-        assert np.array_equal(f.view(np.int64), (g * indicator).view(np.int64))
-
-
-def test_masked_gradient_takes_f_as_a_buffer_only_first_and_writeable():
-    # f may be work[0] itself; a view or copy of it there, f later in the
-    # list, or an f that cannot be written in place is still refused
-    region = STENCIL_REGIONS["ellipsoid_9x33x14"]()
-    n = region.mask.size
-    good = [np.empty(n) for _ in range(3)]
-    f = np.ones(region.grid.shape)
-    fortran, reversed_ = np.asfortranarray(f), f[:, :, ::-1]
-    read_only = f.copy()
-    read_only.flags.writeable = False
-    cases = [(f, [f.reshape(-1)] + good), (f, [f.copy()] + good),
-             (f, good[:1] + [f] + good[1:]), (f, [f, f.reshape(-1)] + good[:2]),
-             (f, [f, good[0], good[0], good[1]]), (fortran, [fortran] + good),
-             (reversed_, [reversed_] + good), (read_only, [read_only] + good)]
-    for g, work in cases:
-        with pytest.raises(InvalidParameterError, match="work"):
-            masked_gradient_sq(g, region, work=work)
-    assert np.all(f == 1.0)
+        assert peak <= 3 * 8 * n + n + 8 * edges + 4096, (peak, n)
 
 
 def test_stencil_holds_read_only_edge_indices():
