@@ -5,12 +5,13 @@ basis keeps in place of 3D arrays: nothing here samples them in 3D.
 Tabulated modes are numeric 3D eigenvectors, solved once on the mode
 grid.  The occupation basis is built from N, the per-mode parity codes
 (M is their count) and the mode permutations of the tensor.  It holds one
-reflection-parity sector, from one enumerator, as one vector per orbit of
-the permutations; the full space is the sector of all-zero codes under
-the identity alone.  Its rank table serves the one ladder map, the pair
-map of ``ground`` (H, gamma, the pair moment and the N = 2 pair
-amplitudes), whose (N-2)-particle states the same enumerator gives in
-rank order.  The one size it checks is ``MAX_FOCK_DIMENSION``.
+reflection-parity sector, from one enumerator that builds only the
+orbits' representatives, as one vector per orbit of the permutations; the
+full space is the sector of all-zero codes under the identity alone.  Its
+rank table serves the one ladder map, the pair map of ``ground`` (H,
+gamma, the pair moment and the N = 2 pair amplitudes), whose
+(N-2)-particle representatives the same enumerator gives in rank order.
+The one size it checks is ``MAX_FOCK_DIMENSION``.
 """
 
 from __future__ import annotations
@@ -309,18 +310,21 @@ class FockBasis:
     A basis holds either every state or one reflection-parity sector.  A
     state's parity code is the XOR of ``mode_codes`` over its modes with
     odd occupation; a sector keeps the states of one code in the same
-    order, and ``ranks`` holds their ranks in the full space.  Both are
-    enumerated by ``_sector_states``: the full space is the sector of code
-    0 when every mode code is 0.  ``rank_table`` holds F_j(r), the table
-    that enumeration ranked the states with; F_j does not depend on N, so
-    its first N - 1 columns rank the (N-2)-particle states.
+    order, and ``ranks`` holds their ranks in the full space.  The full
+    space is the sector of code 0 when every mode code is 0.
 
     The mode permutations ``mode_perms`` (the identity row first) permute
     the states of the sector into orbits, and ``orbits`` holds each state's.
     The basis is the orthonormal orbit sums, one per orbit in the order of
     its representative, the state of lowest rank: ``occupations`` are the
     representatives' and ``orbit_sizes`` the orbits' sizes.  With the
-    identity alone every state is its own orbit.
+    identity alone every state is its own orbit.  ``_sector_states``
+    enumerates the representatives alone, pruning at the ends of the blocks
+    of modes that every permutation keeps, and the images of the
+    representatives alone are ranked: they are the sector, ``ranks``, and
+    give ``orbits``.  ``rank_table`` holds F_j(r), the table that
+    enumeration ranked the states with; F_j does not depend on N, so its
+    first N - 1 columns rank the (N-2)-particle states.
     """
 
     N: int
@@ -382,9 +386,7 @@ class FockBasis:
         representatives of the (N-2)-particle states whose parity code is
         in ``codes``, in basis (rank) order."""
         F = self.rank_table[:, :self.N - 1]
-        occ, ranks, found = _sector_states(F, self.mode_codes, codes)
-        rep, sizes, _ = _orbits(occ, ranks, F, self.mode_perms)
-        return occ[rep], ranks[rep], found[rep], sizes[rep]
+        return _sector_states(F, self.mode_codes, codes, self.mode_perms)[:4]
 
     @classmethod
     def build(cls, N: int, mode_codes: np.ndarray, mode_perms: np.ndarray) -> "FockBasis":
@@ -401,31 +403,12 @@ class FockBasis:
                 f"occupation basis has {size} states, above the cap {MAX_FOCK_DIMENSION}")
         code = int(codes[0] * (N % 2))
         F = _rank_table(N, M)
-        occ, ranks, _ = _sector_states(F, codes, [code])
-        rep, sizes, lowest = _orbits(occ, ranks, F, perms)
-        return cls(N=N, occupations=occ[rep], orbit_sizes=sizes[rep], ranks=ranks,
-                   orbits=np.searchsorted(ranks[rep], lowest), rank_table=F,
+        occ, ranks, _, sizes, images = _sector_states(F, codes, [code], perms)
+        # every state of the sector is an image of its orbit's representative
+        sector, first = np.unique(np.vstack([ranks, images]), return_index=True)
+        return cls(N=N, occupations=occ, orbit_sizes=sizes, ranks=sector,
+                   orbits=first % len(occ), rank_table=F,
                    mode_codes=codes, mode_perms=perms, code=code)
-
-
-def _orbits(occ: np.ndarray, ranks: np.ndarray, F: np.ndarray, perms: np.ndarray):
-    """Per state: whether it represents its orbit under ``perms`` (it is
-    its image of lowest rank), its orbit's size and that lowest rank.
-
-    The states are closed under ``perms``, a group with the identity row
-    first, so a state's G images are its orbit, each met G / |orbit|
-    times.  The images' ranks accumulate mode by mode as the enumeration's
-    do, for every other row at once.
-    """
-    rest = perms[1:]
-    images = np.zeros((len(rest), len(occ)), dtype=np.int64)
-    rem = np.full(images.shape, F.shape[1] - 1, dtype=np.int64)
-    for j in range(F.shape[0]):
-        rem -= occ[:, rest[:, j]].T
-        images += F[j].take(rem)
-    lowest = np.vstack([ranks, images]).min(axis=0)
-    sizes = len(perms) // (1 + np.count_nonzero(images == ranks, axis=0))
-    return lowest == ranks, sizes, lowest
 
 
 def _rank_table(N: int, M: int) -> np.ndarray:
@@ -436,18 +419,52 @@ def _rank_table(N: int, M: int) -> np.ndarray:
     return F
 
 
-def _sector_states(F: np.ndarray, mode_codes: np.ndarray, wanted):
-    """Occupations, full-space ranks and parity codes of the N-boson states
-    among M modes whose code is in ``wanted``, in basis order, without
-    enumerating the other codes; F is ``_rank_table(N, M)`` or its slice.
+def _block_ends(perms: np.ndarray) -> set[int]:
+    """The modes j at which the enumeration prunes: every permutation maps
+    modes 0..j onto themselves, and some permutation moves a mode after
+    the previous such j (a block that no permutation moves can drop
+    nothing).  The last mode always ends a block, and with the identity
+    alone it is the one end."""
+    M = perms.shape[1]
+    closed = np.all(np.maximum.accumulate(perms, axis=1) == np.arange(M), axis=0)
+    moved = np.any(perms != np.arange(M), axis=0)
+    ends, since = [], False
+    for j in range(M - 1):
+        since |= bool(moved[j])
+        if since and closed[j]:
+            ends.append(j)
+            since = False
+    return set(ends) | {M - 1}
+
+
+def _sector_states(F: np.ndarray, mode_codes: np.ndarray, wanted, perms: np.ndarray):
+    """Occupations, full-space ranks, parity codes and orbit sizes of the
+    representatives of the N-boson states among M modes whose code is in
+    ``wanted``, in basis order, and the ranks of their images under the
+    other rows of the (G, M) ``perms`` (identity row first), (G - 1,
+    size); F is ``_rank_table(N, M)`` or its slice.  A representative is
+    the image of lowest rank in its orbit; neither the other codes nor the
+    other states of an orbit are enumerated.
 
     Modes are filled in order, each partial state taking n_j = rem, rem - 1,
     ..., 0 bosons in turn (the basis order).  A partial state is kept only
     while the modes after it can still complete a wanted code with the
     bosons left: ``reach[j, r]`` marks the codes that modes j.. give with
     r bosons.  Each state's rank accumulates F_j(rem_j) on the way, and its
-    code those of its odd modes; its occupations are read back through the
-    parent links, in the smallest unsigned type that holds N (as are the
+    code those of its odd modes.
+
+    At a block end j (``_block_ends``) each permutation maps modes 0..j
+    onto themselves, so a partial state's images have its bosons left, and
+    their partial ranks sum_{i<=j} F_i(rem_i) are ordered as the ranks of
+    all their completions are (the basis order is lexicographic).  The
+    images' partial ranks are formed there, over the block's modes, for
+    the partial states that survived so far, and a partial state with an
+    image of lower partial rank is dropped: no completion of it is a
+    representative.  The survivors of the last mode are the
+    representatives, with their images' full ranks; an orbit's size is G
+    over the number of images equal to the state.  The occupations are read
+    back through the parent links within a block and the block links
+    between them, in the smallest unsigned type that holds N (as are the
     per-mode counts they are read from: one byte per entry for N < 256).
     """
     M, N = F.shape[0], F.shape[1] - 1
@@ -455,21 +472,23 @@ def _sector_states(F: np.ndarray, mode_codes: np.ndarray, wanted):
     codes = np.arange(1 << int(mode_codes.max()).bit_length())
     reach = np.zeros((M + 1, N + 1, len(codes)), dtype=bool)
     reach[M, 0, 0] = True
-    for j in range(M - 1, -1, -1):
-        # same[r]: the codes of modes j+1.. with r - n bosons for an even n;
-        # an odd n reads same[r - 1] and adds mode j's code
-        same = reach[j + 1].copy()
-        for start in (0, 1):
-            same[start::2] = np.logical_or.accumulate(same[start::2], axis=0)
-        reach[j] = same
-        reach[j, 1:] |= same[:-1][:, codes ^ mode_codes[j]]
+    reach[M - 1, 0::2, 0] = reach[M - 1, 1::2, mode_codes[-1]] = True
+    for j in range(M - 2, -1, -1):
+        # two bosons more on one mode change no code, so modes j+1.. give
+        # with r bosons all they give with r - 2: an even n_j reads reach[j+1, r],
+        # an odd n_j reach[j+1, r-1] with mode j's code added
+        reach[j] = reach[j + 1]
+        reach[j, 1:] |= reach[j + 1, :-1][:, codes ^ mode_codes[j]]
     # completes[j, r, c]: modes j.. with r bosons can turn code c into a wanted one
     completes = np.logical_or.reduce([reach[:, :, codes ^ code] for code in set(wanted)])
 
+    rest = perms[1:]
+    ends = _block_ends(perms)
     rem = np.array([N])
     acc = np.array([0])               # parity code of the modes filled so far
     rank = np.array([0])
-    parents, counts = [], []
+    images = np.zeros((len(rest), 1), dtype=np.int64)   # the other images' partial ranks
+    blocks, parents, counts = [], [], []
     for j in range(M):
         take = rem + 1
         parent = np.repeat(np.arange(len(rem)), take)
@@ -481,9 +500,33 @@ def _sector_states(F: np.ndarray, mode_codes: np.ndarray, wanted):
         rank = rank[parent] + F[j, rem]
         parents.append(parent)
         counts.append(n.astype(dtype))
-    occ = np.empty((len(rem), M), dtype=dtype)
-    state = np.arange(len(rem))
-    for j in range(M - 1, -1, -1):
-        occ[:, j] = counts[j][state]
-        state = parents[j][state]
-    return occ, rank, acc
+        if j not in ends:
+            continue
+        # the block's occupations, a row per mode, and each state's parent
+        # at the last block end
+        first = j + 1 - len(counts)
+        occ = np.empty((len(counts), len(rem)), dtype=dtype)
+        state = np.arange(len(rem))
+        for i in range(len(counts) - 1, -1, -1):
+            occ[i] = counts[i][state]
+            state = parents[i][state]
+        images = images[:, state]
+        left = rem + occ.sum(axis=0, dtype=np.int64)      # bosons left at the block's start
+        # with none left the images add F_i(0) = 0 and keep their order
+        if len(rest) and left.any():
+            left = np.repeat(left[None], len(rest), axis=0)
+            for i, modes in zip(range(first, j + 1), rest[:, first:j + 1].T - first):
+                left -= occ[modes]
+                images += F[i].take(left)
+            keep = np.all(images >= rank, axis=0)
+            rem, acc, rank, images = rem[keep], acc[keep], rank[keep], images[:, keep]
+            occ, state = occ[:, keep], state[keep]
+        blocks.append((first, occ, state))
+        parents, counts = [], []
+    occ = np.empty((len(rank), M), dtype=dtype)
+    state = np.arange(len(rank))
+    for first, block, link in reversed(blocks):
+        occ[:, first:first + len(block)] = block[:, state].T
+        state = link[state]
+    sizes = len(perms) // (1 + np.count_nonzero(images == rank, axis=0))
+    return occ, rank, acc, sizes, images

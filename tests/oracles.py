@@ -228,6 +228,33 @@ def orbit_sums(N, M, ranks, perms):
     return U
 
 
+def literal_orbits(N, M, mode_codes, perms, wanted):
+    """The N-boson states of M modes whose parity code (the XOR of
+    ``mode_codes`` over odd occupations) is in ``wanted``, a set closed
+    under the mode permutations ``perms``, grouped into orbits by literal
+    permutation of occupation tuples (the image of n under p has n[p[m]]
+    at mode m); each orbit is represented by its image of lowest rank.
+
+    Returns the states' ranks, each state's orbit as an index into the
+    representatives, and per representative in rank order its occupation
+    tuple, rank, code and orbit size."""
+    states, index = fock_states(N, M)
+    ranks, lowest, reps = [], [], []
+    for r, s in enumerate(states):
+        code = 0
+        for c, n in zip(mode_codes, s):
+            code ^= int(c) * (n % 2)
+        if code not in wanted:
+            continue
+        images = {index[tuple(s[m] for m in p)] for p in perms}
+        ranks.append(r)
+        lowest.append(min(images))
+        if min(images) == r:
+            reps.append((s, r, code, len(images)))
+    position = {rep[1]: o for o, rep in enumerate(reps)}
+    return ranks, [position[r] for r in lowest], reps
+
+
 def orbit_hamiltonian(basis, tensor, N, fock):
     """U^T H U: the dense H of ``dense_hamiltonian`` on the orbit sums of
     ``fock``'s sector under the tensor's mode permutations (``orbit_sums``)."""

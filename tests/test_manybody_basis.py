@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from beclab.manybody import basis as basis_module
 from beclab.manybody import build_mode_basis
 from beclab.manybody.basis import (FockBasis, _energy_check_error, _rank_table,
                                    _sector_states, separable_modes)
+from beclab.manybody.tensor import axis_permutations
 from beclab.model import MAX_FOCK_DIMENSION
 
 from .oracles import (annihilator, fock_states, full_space, literal_annihilation,
-                      product_modes, rank, rayleigh_quotient_3d, sampled_modes, sector)
+                      literal_orbits, product_modes, rank, rayleigh_quotient_3d,
+                      sampled_modes, sector)
 
 
 def _gram_error(basis):
@@ -232,22 +235,102 @@ def test_sector_states_of_a_code_set_are_the_union_of_one_code_sectors(quanta, n
                                                                        basis_q4):
     # the (N-2)-particle states of a solve at M = 20 and M = 35: ranked with
     # a table sliced from the N-particle one, the states of several codes
-    # are the one-code sectors merged in basis order, each with its code
-    codes = (basis_q3 if quanta == 3 else basis_q4).parity_codes
+    # are the one-code sectors merged in basis order, each with its code,
+    # under the identity and under the six axis permutations (G = 6): a
+    # state represents its orbit whatever codes are wanted
+    basis = basis_q3 if quanta == 3 else basis_q4
+    codes = basis.parity_codes
     M = len(codes)
     F = _rank_table(n + 2, M)[:, :n + 1]
     assert np.array_equal(F, _rank_table(n, M))
     class_codes = np.unique(codes[:, None] ^ codes[None, :])
-    for wanted in (class_codes, class_codes[1::2], class_codes[-1:]):
-        occ, ranks, got = _sector_states(F, codes, set(wanted.tolist()))
-        parts = [_sector_states(F, codes, [c]) for c in wanted]
-        assert all(np.all(part[2] == c) for c, part in zip(wanted, parts))
-        order = np.argsort(np.concatenate([part[1] for part in parts]))
-        for i, merged in enumerate((occ, ranks, got)):
-            assert merged.dtype == parts[0][i].dtype
-            assert np.array_equal(merged, np.concatenate([part[i] for part in parts])[order])
+    identity, perms = np.arange(M)[None], axis_permutations(basis)
+    assert len(perms) == 6
+    def rows(states):
+        # occupations, ranks, codes, orbit sizes and the other images' ranks,
+        # a row per state
+        return (*states[:4], states[4].T)
+
+    for mode_perms in (identity, perms):
+        for wanted in (class_codes, class_codes[1::2], class_codes[-1:]):
+            merged = rows(_sector_states(F, codes, set(wanted.tolist()), mode_perms))
+            parts = [rows(_sector_states(F, codes, [c], mode_perms)) for c in wanted]
+            assert all(np.all(part[2] == c) for c, part in zip(wanted, parts))
+            order = np.argsort(np.concatenate([part[1] for part in parts]))
+            for i, got in enumerate(merged):
+                assert got.dtype == parts[0][i].dtype
+                assert np.array_equal(got, np.concatenate([part[i] for part in parts])[order])
     # every code: the whole space, in rank order
-    assert np.array_equal(_sector_states(F, codes, range(8))[1], np.arange(math.comb(n + M - 1, n)))
+    occ, ranks, _, sizes, images = _sector_states(F, codes, range(8), identity)
+    assert np.array_equal(ranks, np.arange(math.comb(n + M - 1, n)))
+    assert np.all(sizes == 1) and images.shape == (0, len(ranks))
+
+
+@pytest.fixture(scope="module")
+def basis_q2(trap, grid48):
+    return build_mode_basis(trap, grid48, 2)
+
+
+@pytest.fixture(scope="module")
+def basis_anisotropic(grid48):
+    return build_mode_basis(bl.TrapSpec.harmonic((1.0, 1.3, 1.7)), grid48, 2)
+
+
+@pytest.mark.parametrize("name, N_max, zero_codes, G", [
+    ("basis_q2", 6, False, 6), ("basis_q3", 5, False, 6), ("basis_q4", 3, False, 6),
+    ("basis_anisotropic", 5, False, 1), ("basis_q2", 5, True, 6)])
+def test_orbit_representatives_match_the_literal_oracle(request, name, N_max, zero_codes, G):
+    # the enumerated representatives against literal permutation of
+    # occupation tuples: M = 10 and 20, M = 35 (five blocks of modes that
+    # the permutations keep), an anisotropic trap (the identity alone) and
+    # all-zero codes (the orbits of every state)
+    basis = request.getfixturevalue(name)
+    perms = axis_permutations(basis)
+    assert len(perms) == G
+    codes = np.zeros(basis.size, dtype=np.int64) if zero_codes else basis.parity_codes
+    pair_codes = set(np.unique(codes[:, None] ^ codes[None, :]).tolist())
+    for N in range(N_max + 1):
+        fock = FockBasis.build(N, codes, perms)
+        ranks, orbits, reps = literal_orbits(N, basis.size, codes, perms, {fock.code})
+        occ, _, _, sizes = zip(*reps)
+        assert fock.occupations.dtype == np.min_scalar_type(N)
+        assert fock.occupations.tolist() == [list(s) for s in occ]
+        assert fock.orbit_sizes.tolist() == list(sizes)
+        assert fock.ranks.tolist() == ranks and fock.orbits.tolist() == orbits
+        if N < 2:
+            continue
+        for wanted in ({fock.code}, pair_codes):
+            got = fock.lower_states(sorted(wanted))
+            _, _, reps = literal_orbits(N - 2, basis.size, codes, perms, wanted)
+            occ, rep_ranks, rep_codes, sizes = zip(*reps)
+            assert got[0].dtype == np.min_scalar_type(N - 2)
+            assert got[0].tolist() == [list(s) for s in occ]
+            for array, want in zip(got[1:], (rep_ranks, rep_codes, sizes)):
+                assert array.tolist() == list(want)
+
+
+def test_orbit_enumeration_peak_memory(monkeypatch, basis_q3):
+    # q = 3, N = 8 (a 282,789-state sector, 48,498 orbits): only the
+    # representatives are built, so the build peaks below 12 int64 arrays
+    # of the sector's size, and lower_states below 12 of the enumerated
+    # (N-2)-particle space's (every code: 177,100 states)
+    monkeypatch.setattr(basis_module, "MAX_FOCK_DIMENSION", 10**7)
+    codes, perms = basis_q3.parity_codes, axis_permutations(basis_q3)
+    pair_codes = np.unique(codes[:, None] ^ codes[None, :]).tolist()
+    tracemalloc.start()
+    try:
+        fock = FockBasis.build(8, codes, perms)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        lower = fock.lower_states(pair_codes)
+        lower_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(fock.ranks) == 282_789 and fock.size == 48_498
+    assert len(pair_codes) == 8 and len(lower[1]) < math.comb(6 + 19, 6) == 177_100
+    assert build_peak < 12 * 8 * len(fock.ranks)
+    assert lower_peak < 12 * 8 * 177_100
 
 
 def test_capacity_cap():

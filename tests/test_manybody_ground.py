@@ -500,9 +500,9 @@ def test_sector_hamiltonian_builds_only_the_n_minus_2_space(monkeypatch, basis_q
         built.append(N)
         return build(cls, N, *args, **kwargs)
 
-    def states_spy(F, mode_codes, wanted):
+    def states_spy(F, mode_codes, wanted, perms):
         enumerated.append((F.shape[1] - 1, sorted(wanted)))
-        return states(F, mode_codes, wanted)
+        return states(F, mode_codes, wanted, perms)
 
     monkeypatch.setattr(FockBasis, "build", classmethod(build_spy))
     monkeypatch.setattr(basis_module, "_sector_states", states_spy)
