@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import permutations, product
 from math import comb, fsum
 
 import numpy as np
@@ -77,38 +77,49 @@ class ModeBasis:
         return len(self.energies)
 
     @cached_property
-    def axis_parity(self) -> np.ndarray | None:
-        """Per-axis reflection parity of the sampled modes, 0 even and 1 odd.
+    def parity_codes(self) -> np.ndarray:
+        """Per-mode reflection-parity code, bit ax set when the mode is odd on
+        axis ax.
 
         Each mode (or, for product modes, each 1D factor) is compared with
         its mirror image through the grid centre on each axis, at 1e-12 of
-        its largest sample.  None when some mode has no definite parity on
-        some axis (off-centre grids, mixed degenerate eigenvectors of
-        tabulated traps).
+        its largest sample.  All zero when some mode has no definite parity
+        on some axis (off-centre grids, mixed degenerate eigenvectors of
+        tabulated traps): one class, the full space.
         """
         if self.axis_tables is not None:
             rows = [[mirror_parity(f, 0) for f in table] for table in self.axis_tables]
-            if any(None in r for r in rows):
-                return None
-            return np.column_stack([np.array(r)[self.table_rows[:, ax]]
-                                    for ax, r in enumerate(rows)])
-        out = np.zeros((self.size, self.grid.dimension), dtype=np.int64)
-        for m, mode in enumerate(self.modes):
-            for ax in range(self.grid.dimension):
-                p = mirror_parity(mode, ax)
-                if p is None:
-                    return None
-                out[m, ax] = p
-        return out
+            parity = [[r[t] for r, t in zip(rows, mode)] for mode in self.table_rows.tolist()]
+        else:
+            parity = [[mirror_parity(mode, ax) for ax in range(self.grid.dimension)]
+                      for mode in self.modes]
+        if any(None in p for p in parity):
+            return np.zeros(self.size, dtype=np.int64)
+        return np.array(parity, dtype=np.int64) @ (1 << np.arange(self.grid.dimension))
 
     @cached_property
-    def parity_codes(self) -> np.ndarray:
-        """Per-mode parity code, bit ax set when the mode is odd on axis ax; all
-        zero when some mode has no definite parity (one class, the full space)."""
-        parity = self.axis_parity
-        if parity is None:
-            return np.zeros(self.size, dtype=np.int64)
-        return parity @ (1 << np.arange(parity.shape[1]))
+    def mode_perms(self) -> np.ndarray:
+        """The distinct permutations of the modes that the six permutations of
+        the axes induce, as a (G, M) array with the identity row first, when the
+        modes are products of three bitwise-equal axis tables, each permuted
+        mode is a mode and the energies are unchanged under each; the identity
+        row alone otherwise (tabulated modes, unequal stiffnesses or axes).  The
+        pair potential is radial, so the interaction tensor is then invariant
+        under them up to the order of its per-axis sums.
+        """
+        identity = np.arange(self.size)[None]
+        tables = self.axis_tables
+        if tables is None or not all(np.array_equal(tables[0], t) for t in tables[1:]):
+            return identity
+        rows = [tuple(r) for r in self.table_rows.tolist()]
+        index = {r: m for m, r in enumerate(rows)}
+        perms = np.array([[index.get(tuple(r[a] for a in axes), -1) for r in rows]
+                          for axes in permutations(range(3))])
+        if (perms < 0).any() or not all(np.array_equal(self.energies[p], self.energies)
+                                        for p in perms):
+            return identity
+        # lexicographic order puts the identity first
+        return np.unique(perms, axis=0)
 
     def potential_matrix(self) -> np.ndarray:
         """u[i,j] = int V mode_i mode_j by grid quadrature.

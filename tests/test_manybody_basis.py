@@ -1,6 +1,7 @@
 import inspect
 import math
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from beclab.manybody import basis as basis_module
 from beclab.manybody import build_mode_basis
 from beclab.manybody.basis import (FockBasis, _energy_check_error, _rank_table,
                                    _sector_states, separable_modes)
-from beclab.manybody.tensor import axis_permutations
 from beclab.model import MAX_FOCK_DIMENSION
 
 from .oracles import (annihilator, fock_states, full_space, literal_annihilation,
@@ -56,7 +56,7 @@ def test_box_lowest_mode():
 
 def test_axis_parity_from_sampled_modes(trap, grid48):
     basis = build_mode_basis(trap, grid48, 2)
-    np.testing.assert_array_equal(basis.axis_parity, basis.table_rows % 2)
+    np.testing.assert_array_equal(basis.parity_codes, (basis.table_rows % 2) @ [1, 2, 4])
 
 
 def test_axis_parity_of_tabulated_modes():
@@ -65,8 +65,7 @@ def test_axis_parity_of_tabulated_modes():
     x, y, z = grid.meshgrid()
     trap = bl.TrapSpec.tabulated(grid, x**2 + 2 * y**2 + 3 * z**2)
     basis = build_mode_basis(trap, grid, 1)
-    np.testing.assert_array_equal(basis.axis_parity,
-                                  [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    np.testing.assert_array_equal(basis.parity_codes, [0, 1, 2, 4])
 
 
 def test_no_definite_parity_gives_all_zero_codes(trap, grid48):
@@ -74,7 +73,7 @@ def test_no_definite_parity_gives_all_zero_codes(trap, grid48):
     h = grid48.spacing[0]
     shifted = bl.Grid(tuple(lo + h / 2 for lo in grid48.lo), grid48.extent, grid48.points)
     basis = build_mode_basis(trap, shifted, 1)
-    assert basis.axis_parity is None
+    assert not basis.parity_codes.any()
     codes = basis.parity_codes
     assert codes.dtype == np.int64 and codes.shape == (basis.size,) and not codes.any()
     centred = build_mode_basis(trap, grid48, 1).parity_codes
@@ -88,6 +87,76 @@ def test_no_definite_parity_gives_all_zero_codes(trap, grid48):
         assert full.size == full.full_size == math.comb(N + basis.size - 1, N) >= sector.size
         states, _ = fock_states(N, basis.size)
         assert np.array_equal(full.occupations, np.array(states).reshape(-1, basis.size))
+
+
+def _symmetry_basis(name):
+    harmonic = bl.TrapSpec.harmonic((1.0, 1.0, 1.0))
+    grid = bl.Grid.centered((14.0,) * 3, (32,) * 3)
+    h = grid.spacing[0]
+    half_cell = bl.Grid(tuple(lo + h / 2 for lo in grid.lo), grid.extent, grid.points)
+    if name.startswith("tabulated"):
+        grid = bl.Grid.centered((10.0,) * 3, (24,) * 3)
+        if name == "tabulated_off_centre":
+            h = grid.spacing[0]
+            grid = bl.Grid(tuple(lo + h / 2 for lo in grid.lo), grid.extent, grid.points)
+        x, y, z = grid.meshgrid()
+        table = (x**2 + y**2 + z**2 if name == "tabulated_isotropic"
+                 else x**2 + 2 * y**2 + 3 * z**2)
+        return build_mode_basis(bl.TrapSpec.tabulated(grid, table), grid, 2)
+    return build_mode_basis(*{
+        "isotropic_q3": (harmonic, grid, 3),
+        "isotropic_q4": (harmonic, grid, 4),
+        "anisotropic": (bl.TrapSpec.harmonic((1.0, 1.7, 0.6)), grid, 2),
+        "stiffness_2": (bl.TrapSpec.harmonic((2.0,) * 3), grid, 3),
+        "x_off_centre": (harmonic, bl.Grid((-7.1, -7.0, -7.0), grid.extent, grid.points), 3),
+        "half_cell": (harmonic, half_cell, 3),
+        "box": (bl.TrapSpec.box(1.0, 3), bl.Grid.box(1.0, 24), 3),
+    }[name])
+
+
+def _literal_parity(mode, axis):
+    # 0 even, 1 odd, None neither: the mode against its mirror image on the
+    # axis, at 1e-12 of its peak
+    tol = 1e-12 * np.abs(mode).max()
+    mirror = np.flip(mode, axis)
+    if np.abs(mode - mirror).max() <= tol:
+        return 0
+    if np.abs(mode + mirror).max() <= tol:
+        return 1
+    return None
+
+
+@pytest.mark.parametrize("name, coded, G", [
+    ("isotropic_q3", True, 6), ("isotropic_q4", True, 6), ("anisotropic", True, 1),
+    ("stiffness_2", True, 6), ("x_off_centre", False, 1), ("half_cell", False, 6),
+    ("box", True, 6), ("tabulated_symmetric", True, 1), ("tabulated_isotropic", False, 1),
+    ("tabulated_off_centre", False, 1)])
+def test_mode_symmetry_matches_the_mirrored_and_permuted_3d_modes(name, coded, G):
+    # every mode materialized in 3D and mirrored on each axis; the codes are
+    # composed here, all zero when some mode has no parity on some axis.
+    # Each mode permutation is an axis permutation of the table rows and of
+    # the 3D modes, and keeps every energy (mixed degenerate tabulated modes
+    # and off-centre grids have no parity; unequal axis tables no permutation)
+    basis = _symmetry_basis(name)
+    modes = sampled_modes(basis)
+    parity = [[_literal_parity(mode, ax) for ax in range(3)] for mode in modes]
+    want = (np.zeros(basis.size, dtype=np.int64) if any(None in p for p in parity)
+            else np.array(parity) @ [1, 2, 4])
+    codes = basis.parity_codes
+    assert codes.dtype == np.int64 and np.array_equal(codes, want)
+    assert codes.any() == coded
+    perms = basis.mode_perms
+    assert perms.shape == (G, basis.size) and len(np.unique(perms, axis=0)) == G
+    assert np.array_equal(perms[0], np.arange(basis.size))
+    relabels = set()
+    for p in perms[1:]:
+        assert np.array_equal(basis.energies[p], basis.energies)
+        axes, = [a for a in permutations(range(3))
+                 if np.array_equal(basis.table_rows[p], basis.table_rows[:, a])]
+        moved = np.transpose(modes, (0, *(1 + np.array(axes))))
+        assert np.abs(modes[p] - moved).max() <= 1e-12 * np.abs(modes).max()
+        relabels.add(axes)
+    assert len(relabels) == G - 1
 
 
 FACTORED = {
@@ -244,7 +313,7 @@ def test_sector_states_of_a_code_set_are_the_union_of_one_code_sectors(quanta, n
     F = _rank_table(n + 2, M)[:, :n + 1]
     assert np.array_equal(F, _rank_table(n, M))
     class_codes = np.unique(codes[:, None] ^ codes[None, :])
-    identity, perms = np.arange(M)[None], axis_permutations(basis)
+    identity, perms = np.arange(M)[None], basis.mode_perms
     assert len(perms) == 6
     def rows(states):
         # occupations, ranks, codes, orbit sizes and the other images' ranks,
@@ -285,7 +354,7 @@ def test_orbit_representatives_match_the_literal_oracle(request, name, N_max, ze
     # the permutations keep), an anisotropic trap (the identity alone) and
     # all-zero codes (the orbits of every state)
     basis = request.getfixturevalue(name)
-    perms = axis_permutations(basis)
+    perms = basis.mode_perms
     assert len(perms) == G
     codes = np.zeros(basis.size, dtype=np.int64) if zero_codes else basis.parity_codes
     pair_codes = set(np.unique(codes[:, None] ^ codes[None, :]).tolist())
@@ -315,7 +384,7 @@ def test_orbit_enumeration_peak_memory(monkeypatch, basis_q3):
     # of the sector's size, and lower_states below 12 of the enumerated
     # (N-2)-particle space's (every code: 177,100 states)
     monkeypatch.setattr(basis_module, "MAX_FOCK_DIMENSION", 10**7)
-    codes, perms = basis_q3.parity_codes, axis_permutations(basis_q3)
+    codes, perms = basis_q3.parity_codes, basis_q3.mode_perms
     pair_codes = np.unique(codes[:, None] ^ codes[None, :]).tolist()
     tracemalloc.start()
     try:

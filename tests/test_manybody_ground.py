@@ -144,10 +144,11 @@ def test_natural_occupations_normalized(basis_q2, soft_tensor_q2):
 def test_gamma_parity_block_structure(basis_q2, soft_tensor_q2):
     # isotropic trap and central potential: no mixing across axis parity
     gr = ground_state(basis_q2, soft_tensor_q2, 3)
-    par = basis_q2.axis_parity
+    codes = basis_q2.parity_codes
+    assert codes.any()
     for i in range(basis_q2.size):
         for j in range(basis_q2.size):
-            if not np.array_equal(par[i], par[j]):
+            if codes[i] != codes[j]:
                 assert abs(gr.gamma[i, j]) < 1e-8
 
 
@@ -316,7 +317,7 @@ def test_off_centre_grid_solves_in_full_space(monkeypatch):
     # the equal shift on every axis keeps the axis permutations: the
     # identity alone is the full space
     basis = _off_centre_basis(1)
-    assert basis.axis_parity is None
+    assert not basis.parity_codes.any()
     tensor = identity_only(interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1)))
     sizes = []
     build = PairOpHamiltonian.__init__
@@ -396,7 +397,7 @@ def test_pair_map_matches_the_composed_map_on_sweep_sectors(N, basis_q3, sweep_t
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_pair_map_matches_the_composed_map_in_the_full_space(N):
     basis = _off_centre_basis(2)
-    assert basis.axis_parity is None
+    assert not basis.parity_codes.any()
     tensor = identity_only(interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1)))
     _assert_pair_map_is_composed(PairOpHamiltonian(basis, tensor, N))
 
@@ -409,7 +410,7 @@ def test_gamma_forms_no_pair_gram_below_the_pair_count(N, sector):
     # class Grams take 0.41 MB.  In the full space the one class's Gram is
     # that array
     basis = (build_mode_basis(TRAP, GRID, 4) if sector else _off_centre_basis(4))
-    assert (basis.axis_parity is not None) == sector
+    assert basis.parity_codes.any() == sector
     tensor = identity_only(interaction_tensor(basis, bl.PairPotential.soft_sphere(5.0, 1.1)))
     ham = PairOpHamiltonian(basis, tensor, N)
     x = _random_unit(np.random.default_rng(N), ham.size)
@@ -600,7 +601,7 @@ def test_pair_amplitude_matrix_matches_the_full_space_route(space, basis_q2, sof
     # oracle annihilator and the coefficients scattered there, bit for bit
     if space == "off_centre_full":
         basis = _off_centre_basis(2)
-        assert basis.axis_parity is None
+        assert not basis.parity_codes.any()
         ham = PairOpHamiltonian(basis, identity_only(interaction_tensor(
             basis, bl.PairPotential.soft_sphere(5.0, 1.1))), 2)
     else:

@@ -28,10 +28,10 @@ def _assert_matches_dense(basis, pot):
 
 
 def _assert_off_class_zero(basis, t):
-    par = basis.axis_parity
-    assert par is not None
-    cls = par[t.pairs[:, 0]] ^ par[t.pairs[:, 1]]
-    off_class = np.any(cls[:, None, :] != cls[None, :, :], axis=2)
+    codes = basis.parity_codes
+    assert codes.any()
+    cls = codes[t.pairs[:, 0]] ^ codes[t.pairs[:, 1]]
+    off_class = cls[:, None] != cls[None, :]
     assert off_class.mean() > 0.5
     assert np.all(t.pair_matrix[off_class] == 0.0)
 
@@ -56,7 +56,7 @@ def test_factored_off_centre_grid_matches_dense_oracle():
     h = GRID.spacing[0]
     shifted = bl.Grid(tuple(lo + h / 2 for lo in GRID.lo), GRID.extent, GRID.points)
     basis = build_mode_basis(bl.TrapSpec.harmonic((1.0, 1.0, 1.0)), shifted, 2)
-    assert basis.axis_parity is None
+    assert not basis.parity_codes.any()
     _assert_matches_dense(basis, bl.PairPotential.soft_sphere(5.0, 1.1))
 
 
@@ -96,23 +96,22 @@ def test_off_centre_grid_single_class_matches_dense_oracle(monkeypatch, block_by
     # mirror partner, so the block loop runs over one class
     monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", block_bytes)
     assert tabulated_off_centre_basis.axis_tables is None
-    assert tabulated_off_centre_basis.axis_parity is None
+    assert not tabulated_off_centre_basis.parity_codes.any()
     _assert_matches_dense(tabulated_off_centre_basis, bl.PairPotential.soft_sphere(5.0, 1.1))
 
 
 @pytest.mark.parametrize("name", ["small_basis", "tabulated_basis", "tabulated_off_centre_basis"])
 def test_pair_classes_match_the_axis_parity_grouping(request, name):
-    # expected: (code, members) from the per-axis parities, in increasing code
+    # expected: (code, members) from the mode codes, in increasing code
     basis = request.getfixturevalue(name)
     pairs = _pair_table(basis.size)
-    parity = basis.axis_parity
-    if parity is None:
+    code = basis.parity_codes
+    if not code.any():
         expected = [(0, np.arange(len(pairs)))]
     else:
-        code = parity @ (1 << np.arange(parity.shape[1]))
         label = code[pairs[:, 0]] ^ code[pairs[:, 1]]
         expected = [(c, np.flatnonzero(label == c)) for c in np.unique(label)]
-    assert (parity is None) == (name == "tabulated_off_centre_basis")
+    assert (not code.any()) == (name == "tabulated_off_centre_basis")
     classes = pair_classes(basis.parity_codes, pairs)
     assert [c for c, _ in classes] == [c for c, _ in expected]
     assert all(np.array_equal(m, e) for (_, m), (_, e) in zip(classes, expected))
@@ -168,7 +167,7 @@ def test_axis_permutations_keep_box_and_stiff_isotropic_traps(trap, grid, q):
     # their per-axis energies are not integers: summed in axis order, a
     # permuted mode's energy moved by an ulp and the identity was kept alone
     basis = build_mode_basis(trap, grid, q)
-    perms = tensor_module.axis_permutations(basis)
+    perms = basis.mode_perms
     assert perms.shape == (6, basis.size)
     assert all(np.array_equal(basis.energies[p], basis.energies) for p in perms)
 
